@@ -1,8 +1,8 @@
 //! The experiment harness: regenerates, for every claim in the paper's
 //! "evaluation" (Theorems 1–5, Table 1, Propositions 2–7), the table that
-//! claim predicts. Output is markdown, ready for `EXPERIMENTS.md`; the
-//! chase-engine race (E15) additionally writes the machine-readable
-//! `BENCH_chase.json` perf-trajectory file.
+//! claim predicts. Output is markdown tables on stdout; the chase-engine
+//! race (E15) additionally writes the machine-readable `BENCH_chase.json`
+//! perf-trajectory file.
 //!
 //! ```sh
 //! cargo run --release -p dx-bench --bin experiments           # everything

@@ -3,9 +3,9 @@
 //! The paper has no empirical section; its "tables and figures" are
 //! complexity claims (Theorems 1–5, Table 1) and worked examples. The bench
 //! suite regenerates the *shape* of each claim: which configuration is
-//! tractable, which blows up, and where behaviour changes. See
-//! `EXPERIMENTS.md` at the repository root for the experiment index and
-//! recorded outcomes.
+//! tractable, which blows up, and where behaviour changes. The
+//! `experiments` binary prints each experiment's table; `BENCH_chase.json`
+//! and `BENCH_query.json` at the repository root record the races.
 //!
 //! This library crate holds the workload builders shared between the
 //! Criterion benches (`benches/*.rs`) and the `experiments` binary.

@@ -14,6 +14,7 @@
 use crate::store::IndexedInstance;
 use dx_query::QueryStore;
 use dx_relation::{RelSym, Tuple, Value};
+use std::ops::ControlFlow;
 
 impl QueryStore for IndexedInstance {
     fn rel_arity(&self, rel: RelSym) -> Option<usize> {
@@ -28,11 +29,17 @@ impl QueryStore for IndexedInstance {
         IndexedInstance::selectivity(self, rel, pattern)
     }
 
-    fn for_each_matching(&self, rel: RelSym, pattern: &[Option<Value>], f: &mut dyn FnMut(&Tuple)) {
+    fn for_each_matching(
+        &self,
+        rel: RelSym,
+        pattern: &[Option<Value>],
+        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         for id in self.matching(rel, pattern) {
             let (_, at) = self.get(id).expect("matching ids are live");
-            f(&at.tuple);
+            f(&at.tuple)?;
         }
+        ControlFlow::Continue(())
     }
 }
 

@@ -22,6 +22,7 @@ use crate::plan::Plan;
 use crate::store::QueryStore;
 use dx_relation::{FastMap, Instance, RelSym, Tuple, Value};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 /// The reserved suffix marking a Δ-relation symbol. `$` cannot appear in
 /// parsed relation names, so `R$delta` never collides with a user symbol.
@@ -221,7 +222,12 @@ impl QueryStore for DeltaStore<'_> {
         }
     }
 
-    fn for_each_matching(&self, rel: RelSym, pattern: &[Option<Value>], f: &mut dyn FnMut(&Tuple)) {
+    fn for_each_matching(
+        &self,
+        rel: RelSym,
+        pattern: &[Option<Value>],
+        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         match self.syms.get(&rel) {
             Some(orig) => self.delta.for_each_matching(*orig, pattern, f),
             None => self.base.for_each_matching(rel, pattern, f),

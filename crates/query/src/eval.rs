@@ -62,8 +62,14 @@ impl CompiledQuery {
     }
 
     /// Evaluate over any indexed store, nulls as atomic values (naive
-    /// semantics); answer tuples follow the head order.
+    /// semantics); answer tuples follow the head order. A Boolean query
+    /// asks one yes/no question, answered in first-witness mode
+    /// ([`exec_nonempty`]) with its 0 or 1 empty tuple.
     pub fn answers_store(&self, store: &dyn QueryStore) -> Relation {
+        if self.head.is_empty() {
+            let holds = exec_nonempty(&self.plan, store, &[]);
+            return Relation::from_tuples(0, holds.then(|| Tuple::new(Vec::<Value>::new())));
+        }
         let rows = exec(&self.plan, store);
         let cols: Vec<usize> = self
             .head
@@ -94,22 +100,14 @@ impl CompiledQuery {
         )
     }
 
-    /// Does `tuple` belong to the answers over `store`? Executes the plan
-    /// with the head variables pre-bound (single-row [`Plan::Bind`] inputs),
-    /// so the greedy join order starts from the bound values and probes.
+    /// Does `tuple` belong to the answers over `store`? Walks the plan in
+    /// first-witness mode ([`exec_nonempty`]) with the head variables bound
+    /// to the tuple's values, so the greedy join order starts from them and
+    /// probes; a repeated head variable needs equal values.
     pub fn holds_on_store(&self, store: &dyn QueryStore, tuple: &Tuple) -> bool {
         assert_eq!(tuple.arity(), self.head.len(), "answer-tuple arity");
-        let mut inputs: Vec<Plan> = self
-            .head
-            .iter()
-            .zip(tuple.iter())
-            .map(|(v, val)| Plan::Bind {
-                var: *v,
-                value: val,
-            })
-            .collect();
-        inputs.push(self.plan.clone());
-        exec_nonempty(&Plan::Join { inputs }, store)
+        let bound: Vec<(Var, Value)> = self.head.iter().copied().zip(tuple.iter()).collect();
+        exec_nonempty(&self.plan, store, &bound)
     }
 
     /// [`CompiledQuery::holds_on_store`] over an instance.

@@ -1,27 +1,43 @@
 //! The ground executor: plans over [`QueryStore`]s, nulls as atomic values.
 //!
-//! Rows are vectors of values keyed by the executing node's sorted output
-//! variables. Joins are executed **greedily by index selectivity**: scans
-//! stay symbolic until joined, and at each step the executor prefers an
-//! input sharing variables with the rows built so far (so the scan becomes
-//! a per-row index probe) and, among those, the one with the smallest
-//! selectivity estimate. Materialized inputs (subplans, unions, single-row
-//! binds) join by hashing on the shared variables. Anti-/semi-joins hash
-//! the filter side once and reduce the preserved side in one pass.
+//! Two modes share the plan algebra:
+//!
+//! * **Materializing** ([`exec`]) — rows are vectors of values keyed by the
+//!   executing node's sorted output variables. Joins are executed
+//!   **greedily by index selectivity**: scans stay symbolic until joined,
+//!   and at each step the executor prefers an input sharing variables with
+//!   the rows built so far (so the scan becomes a per-row index probe) and,
+//!   among those, the one with the smallest selectivity estimate.
+//!   Materialized inputs (subplans, unions, single-row binds) join by
+//!   hashing on the shared variables. Anti-/semi-joins hash the filter side
+//!   once and reduce the preserved side in one pass; a filter side sharing
+//!   no column with the preserved side (a *boolean gate*) is only asked
+//!   for emptiness, in first-witness mode.
+//! * **First witness** ([`exec_nonempty`]) — the yes/no question "does the
+//!   plan have a row agreeing with these bound variables?". Joins run as
+//!   pipelined index-nested loops in the same greedy order, measured
+//!   against the bound values; selections apply as soon as their variables
+//!   are bound; anti-/semi-joins walk the preserved side lazily and probe
+//!   the other side per row in the same mode; the walk returns at the
+//!   first root row. Nothing is materialized and no plan is cloned.
 //!
 //! Work metrics (`DX_OBS=1`): `query.exec.rows_emitted` (rows returned by
-//! root [`exec`] calls), `.rows_scanned` (tuples visited by scans and
-//! probes), `.rows_joined` (rows produced by join nodes), `.index_probes`
-//! (per-row store probes), and `.seed_partitions` / `.seed_reruns` (the
-//! seeded anti-join's distinct keys / correlated branch executions).
-//! Per-node row counts for EXPLAIN reports are captured through
-//! [`crate::explain`]'s thread-local collector.
+//! root calls — [`exec`]'s row count, or the 0 or 1 row a root
+//! [`exec_nonempty`] call answers with), `.rows_scanned` (tuples visited by
+//! scans and probes), `.rows_joined` (rows produced by join nodes; in
+//! first-witness mode, the complete join rows reached), `.index_probes`
+//! (store probes), and `.seed_partitions` / `.seed_reruns` (the seeded
+//! anti-join's distinct keys / correlated branch executions; a
+//! first-witness walk has no partitions and counts one re-run per branch
+//! probe). Per-node row counts for EXPLAIN reports are captured through
+//! [`crate::explain`]'s thread-local collector in materializing mode.
 
 use crate::plan::{Plan, PlanPred, Ref};
 use crate::store::QueryStore;
 use dx_logic::Term;
-use dx_relation::{FastMap, FastSet, RelSym, Value, Var};
+use dx_relation::{FastMap, FastSet, RelSym, Tuple, Value, Var};
 use std::collections::BTreeSet;
+use std::ops::ControlFlow;
 
 /// Row count below which the chunked executors stay sequential: the
 /// per-region pool setup costs more than it saves on tiny inputs.
@@ -179,29 +195,79 @@ fn exec_node_inner(plan: &Plan, store: &dyn QueryStore) -> Rows {
     }
 }
 
-/// Does the plan produce at least one row?
-pub fn exec_nonempty(plan: &Plan, store: &dyn QueryStore) -> bool {
-    !exec(plan, store).rows.is_empty()
+/// Does the plan produce a row agreeing with `bound`? The first-witness
+/// root call: `exec_nonempty(p, s, &[(x, a), …])` answers exactly
+/// `!exec(Join[Bind x := a, …, p], s).rows.is_empty()`, stopping at the
+/// first witness row. Nulls in `bound` are atomic values; a variable bound
+/// twice to unequal values has no row.
+pub fn exec_nonempty(plan: &Plan, store: &dyn QueryStore, bound: &[(Var, Value)]) -> bool {
+    let _span = dx_obs::span!("query.exec");
+    let mut w = Witness::new(store);
+    let mut consistent = true;
+    for &(var, val) in bound {
+        match w.lookup(var) {
+            Some(prev) => consistent &= prev == val,
+            None => w.push(var, val, false),
+        }
+    }
+    let found = consistent && w.exists(plan);
+    w.flush();
+    dx_obs::count!("query.exec.rows_emitted", u64::from(found));
+    dx_obs::trace_instant!("query.exec.root_done", "rows" = usize::from(found));
+    found
 }
 
-fn eval_ref(r: &Ref, vars: &[Var], row: &[Value]) -> Value {
-    match r {
-        Ref::Val(v) => *v,
-        Ref::Var(v) => {
-            let i = vars.iter().position(|w| w == v).expect("bound pred var");
-            row[i]
+/// A boolean gate of the materializing executor: does `plan` have a row
+/// with the `seeds` substituted ([`Plan::bind_seed`] semantics, so the
+/// plan is not cloned)? Not a root call: counts no emitted rows.
+fn gate_open(plan: &Plan, store: &dyn QueryStore, seeds: &[Var], key: &[Value]) -> bool {
+    let mut w = Witness::new(store);
+    for (&var, &val) in seeds.iter().zip(key) {
+        w.push(var, val, true);
+    }
+    let found = w.exists(plan);
+    w.flush();
+    found
+}
+
+/// Three-valued evaluation of a selection: `None` while a deciding
+/// variable is unbound (`lookup` returns `None`).
+fn eval_partial(p: &PlanPred, lookup: &dyn Fn(Var) -> Option<Value>) -> Option<bool> {
+    let value = |r: &Ref| match r {
+        Ref::Val(v) => Some(*v),
+        Ref::Var(v) => lookup(*v),
+    };
+    match p {
+        PlanPred::True => Some(true),
+        PlanPred::Eq(a, b) => Some(value(a)? == value(b)?),
+        PlanPred::And(ps) => {
+            let mut out = Some(true);
+            for p in ps {
+                match eval_partial(p, lookup) {
+                    Some(false) => return Some(false),
+                    None => out = None,
+                    Some(true) => {}
+                }
+            }
+            out
         }
+        PlanPred::Or(ps) => {
+            let mut out = Some(false);
+            for p in ps {
+                match eval_partial(p, lookup) {
+                    Some(true) => return Some(true),
+                    None => out = None,
+                    Some(false) => {}
+                }
+            }
+            out
+        }
+        PlanPred::Not(p) => eval_partial(p, lookup).map(|b| !b),
     }
 }
 
 fn eval_pred(p: &PlanPred, vars: &[Var], row: &[Value]) -> bool {
-    match p {
-        PlanPred::True => true,
-        PlanPred::Eq(a, b) => eval_ref(a, vars, row) == eval_ref(b, vars, row),
-        PlanPred::And(ps) => ps.iter().all(|p| eval_pred(p, vars, row)),
-        PlanPred::Or(ps) => ps.iter().any(|p| eval_pred(p, vars, row)),
-        PlanPred::Not(p) => !eval_pred(p, vars, row),
-    }
+    eval_partial(p, &|v| vars.iter().position(|&w| w == v).map(|i| row[i])).expect("bound pred var")
 }
 
 /// The constant-only probe pattern of an atom template.
@@ -270,11 +336,12 @@ fn scan_all(store: &dyn QueryStore, rel: RelSym, args: &[Term]) -> Rows {
     let mut rows = Vec::new();
     let mut scanned = 0u64;
     dx_obs::count!("query.exec.index_probes");
-    store.for_each_matching(rel, &const_pattern(args), &mut |t| {
+    let _ = store.for_each_matching(rel, &const_pattern(args), &mut |t| {
         scanned += 1;
         if let Some(row) = unify_tuple(args, t, &schema, &[]) {
             rows.push(row);
         }
+        ControlFlow::Continue(())
     });
     dx_obs::count!("query.exec.rows_scanned", scanned);
     // Repeated scans of set-semantics relations produce no duplicates, but a
@@ -414,11 +481,12 @@ fn probe_join(acc: Rows, store: &dyn QueryStore, rel: RelSym, args: &[Term]) -> 
             .collect();
         let prebound: Vec<(Var, Value)> =
             acc.vars.iter().copied().zip(row.iter().copied()).collect();
-        store.for_each_matching(rel, &pattern, &mut |t| {
+        let _ = store.for_each_matching(rel, &pattern, &mut |t| {
             *scanned += 1;
             if let Some(joined) = unify_tuple(args, t, &schema, &prebound) {
                 out.push(joined);
             }
+            ControlFlow::Continue(())
         });
     };
     let (mut out, scanned) = match par_chunks(acc.rows.len()) {
@@ -525,9 +593,17 @@ fn hash_join(left: Rows, right: Rows) -> Rows {
 }
 
 /// Semi-join (`keep = true`) or anti-join (`keep = false`): hash the filter
-/// side on the shared variables, reduce the preserved side in one pass.
+/// side on the shared variables, reduce the preserved side in one pass. A
+/// filter side sharing no variable is a boolean gate: only its emptiness
+/// matters, so it is asked in first-witness mode instead of built.
 fn exec_filter_join(left: &Plan, right: &Plan, store: &dyn QueryStore, keep: bool) -> Rows {
     let mut l = exec_node(left, store);
+    if !shares_var(left, right) {
+        if !l.rows.is_empty() && gate_open(right, store, &[], &[]) != keep {
+            l.rows.clear();
+        }
+        return l;
+    }
     let r = exec_node(right, store);
     let shared: Vec<Var> = l
         .vars
@@ -535,14 +611,6 @@ fn exec_filter_join(left: &Plan, right: &Plan, store: &dyn QueryStore, keep: boo
         .copied()
         .filter(|v| r.col(*v).is_some())
         .collect();
-    if shared.is_empty() {
-        // Degenerate: the right side is a boolean gate.
-        let right_nonempty = !r.rows.is_empty();
-        if right_nonempty != keep {
-            l.rows.clear();
-        }
-        return l;
-    }
     let l_cols: Vec<usize> = shared.iter().map(|v| l.col(*v).unwrap()).collect();
     let r_cols: Vec<usize> = shared.iter().map(|v| r.col(*v).unwrap()).collect();
     let keys: BTreeSet<Vec<Value>> = r
@@ -580,8 +648,9 @@ fn exec_filter_join(left: &Plan, right: &Plan, store: &dyn QueryStore, keep: boo
 /// execute the correlated branch **once per distinct key** with the seeds
 /// substituted as constants ([`Plan::bind_seed`]), and reduce each
 /// partition by the branch's rows on the remaining shared variables. With
-/// no shared variables the branch acts as a per-key boolean gate (the
-/// empty key is in the refuting set iff the branch produced rows).
+/// no shared variables the branch is a per-key boolean gate, asked in
+/// first-witness mode with the seeds bound (the empty key is in the
+/// refuting set iff the branch has a row).
 fn exec_seeded_anti(
     node: &Plan,
     left: &Plan,
@@ -608,6 +677,13 @@ fn exec_seeded_anti(
     };
     let l_cols: Vec<usize> = shared.iter().map(|v| l.col(*v).unwrap()).collect();
     let run_branch = |key: &[Value]| -> BTreeSet<Vec<Value>> {
+        if shared.is_empty() {
+            return if gate_open(right, store, seed, key) {
+                BTreeSet::from([Vec::new()])
+            } else {
+                BTreeSet::new()
+            };
+        }
         let mut branch = right.clone();
         for (v, val) in seed.iter().zip(key) {
             branch.bind_seed(*v, *val);
@@ -664,6 +740,319 @@ fn exec_seeded_anti(
     dx_obs::count!("query.exec.seed_reruns", reruns);
     crate::explain::trace::note_seed(node, partitions.len() as u64, reruns);
     l
+}
+
+/// Do the two plans share an output variable?
+fn shares_var(left: &Plan, right: &Plan) -> bool {
+    right.any_out_var(&mut |v| left.any_out_var(&mut |w| w == v))
+}
+
+/// One binding of the first-witness environment.
+#[derive(Clone, Copy)]
+struct Slot {
+    var: Var,
+    /// `None` hides every deeper binding of `var`: a projection scope
+    /// whose same-named variable is a different one.
+    val: Option<Value>,
+    /// A seed binds a *parameter* of the refuting branch, visible through
+    /// every projection like the constant [`Plan::bind_seed`] substitutes
+    /// (lowering α-renames quantifiers that would shadow a seed).
+    param: bool,
+}
+
+/// The continuation a first-witness walk hands each row to: `true` stops
+/// the walk (the row was accepted), `false` asks for the next row.
+type Cont<'k, 's> = dyn FnMut(&mut Witness<'s>) -> bool + 'k;
+
+/// The first-witness executor: a depth-first walk over a binding stack.
+/// Every operator extends the stack with the variables it binds, hands
+/// the row to its continuation and pops them again; a scan's stored tuples
+/// are visited lazily and the walk unwinds at the first accepted row.
+struct Witness<'s> {
+    store: &'s dyn QueryStore,
+    env: Vec<Slot>,
+    scanned: u64,
+    probes: u64,
+    joined: u64,
+    reruns: u64,
+}
+
+impl<'s> Witness<'s> {
+    fn new(store: &'s dyn QueryStore) -> Self {
+        Witness {
+            store,
+            env: Vec::new(),
+            scanned: 0,
+            probes: 0,
+            joined: 0,
+            reruns: 0,
+        }
+    }
+
+    fn flush(&self) {
+        dx_obs::count!("query.exec.rows_scanned", self.scanned);
+        dx_obs::count!("query.exec.index_probes", self.probes);
+        dx_obs::count!("query.exec.rows_joined", self.joined);
+        dx_obs::count!("query.exec.seed_reruns", self.reruns);
+    }
+
+    /// The visible value of `v`, if bound.
+    fn lookup(&self, v: Var) -> Option<Value> {
+        self.env
+            .iter()
+            .rev()
+            .find(|s| s.var == v)
+            .and_then(|s| s.val)
+    }
+
+    fn push(&mut self, var: Var, val: Value, param: bool) {
+        self.env.push(Slot {
+            var,
+            val: Some(val),
+            param,
+        });
+    }
+
+    /// Does `plan` have a row under the current bindings?
+    fn exists(&mut self, plan: &Plan) -> bool {
+        self.run(plan, &mut |_| true)
+    }
+
+    /// Walk the rows of `plan` agreeing with the bindings, each extending
+    /// the stack with the plan's unbound output variables, until `k`
+    /// accepts one (`true`) or the rows run out (`false`).
+    fn run(&mut self, plan: &Plan, k: &mut Cont<'_, 's>) -> bool {
+        match plan {
+            Plan::Unit => k(self),
+            Plan::Empty { .. } => false,
+            Plan::Bind { var, value } => match self.lookup(*var) {
+                Some(v) => v == *value && k(self),
+                None => self.with(*var, *value, k),
+            },
+            Plan::Scan { rel, args } => self.scan(*rel, args, k),
+            Plan::Join { inputs } => self.join(inputs, None, k),
+            Plan::Select { input, pred } => match &**input {
+                Plan::Join { inputs } => self.join(inputs, Some(pred), k),
+                input => {
+                    self.partial(pred) != Some(false)
+                        && self.run(input, &mut |w| w.check(pred) && k(w))
+                }
+            },
+            Plan::Project { input, vars } => self.project(input, vars, k),
+            Plan::Union { inputs } => {
+                for p in inputs {
+                    if self.run(p, k) {
+                        return true;
+                    }
+                }
+                false
+            }
+            Plan::Alias { input, src, dst } => match (self.lookup(*dst), self.lookup(*src)) {
+                (Some(d), Some(s)) => d == s && self.run(input, k),
+                // The alias forces its source: bind it before the input runs.
+                (Some(d), None) => {
+                    self.push(*src, d, false);
+                    let found = self.run(input, k);
+                    self.env.pop();
+                    found
+                }
+                (None, _) => self.run(input, &mut |w| {
+                    let v = w.lookup(*src).expect("alias source is produced");
+                    w.with(*dst, v, k)
+                }),
+            },
+            Plan::SemiJoin { left, right } => self.filter_join(left, right, true, k),
+            Plan::AntiJoin { left, right } => self.filter_join(left, right, false, k),
+            Plan::SeededAntiJoin { left, right, seed } => self.run(left, &mut |w| {
+                let mark = w.env.len();
+                for &s in seed {
+                    let v = w
+                        .lookup(s)
+                        .expect("seed variable is bound by the left side");
+                    w.push(s, v, true);
+                }
+                w.reruns += 1;
+                let refuted = w.exists(right);
+                w.env.truncate(mark);
+                !refuted && k(w)
+            }),
+        }
+    }
+
+    /// Bind `var := val` for the continuation only.
+    fn with(&mut self, var: Var, val: Value, k: &mut Cont<'_, 's>) -> bool {
+        self.push(var, val, false);
+        let found = k(self);
+        self.env.pop();
+        found
+    }
+
+    /// Probe the store with the bound values folded into the pattern and
+    /// hand each unifying tuple on, stopping the store scan at the first
+    /// accepted row.
+    fn scan(&mut self, rel: RelSym, args: &[Term], k: &mut Cont<'_, 's>) -> bool {
+        let pattern = self.pattern(args);
+        self.probes += 1;
+        let store = self.store;
+        store
+            .for_each_matching(rel, &pattern, &mut |t| {
+                self.scanned += 1;
+                let mark = self.env.len();
+                let found = self.unify(args, t) && k(self);
+                self.env.truncate(mark);
+                if found {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })
+            .is_break()
+    }
+
+    /// The value an argument position is bound to, if any.
+    fn resolve(&self, t: &Term) -> Option<Value> {
+        match t {
+            Term::Const(c) => Some(Value::Const(*c)),
+            Term::Var(v) => self.lookup(*v),
+            Term::App(_, _) => unreachable!("plans are function-free"),
+        }
+    }
+
+    /// The store probe pattern of an atom template under the bindings.
+    fn pattern(&self, args: &[Term]) -> Vec<Option<Value>> {
+        args.iter().map(|t| self.resolve(t)).collect()
+    }
+
+    /// Bind the template's unbound variables to `tuple`, checking
+    /// constants, bound variables and repeated variables.
+    fn unify(&mut self, args: &[Term], tuple: &Tuple) -> bool {
+        for (arg, v) in args.iter().zip(tuple.iter()) {
+            match (self.resolve(arg), arg) {
+                (Some(bound), _) if bound != v => return false,
+                (None, Term::Var(x)) => self.push(*x, v, false),
+                _ => {}
+            }
+        }
+        true
+    }
+
+    /// A pipelined n-ary join, with an optional selection checked as soon
+    /// as it is decided.
+    fn join(&mut self, inputs: &[Plan], pred: Option<&PlanPred>, k: &mut Cont<'_, 's>) -> bool {
+        let mut rest: Vec<&Plan> = inputs.iter().collect();
+        self.join_step(&mut rest, pred, k)
+    }
+
+    /// One nested-loop level: fold in the remaining input the greedy rule
+    /// picks under the current bindings — one sharing a bound variable
+    /// first, then the smallest estimate — and recurse per row.
+    fn join_step(
+        &mut self,
+        rest: &mut Vec<&Plan>,
+        pred: Option<&PlanPred>,
+        k: &mut Cont<'_, 's>,
+    ) -> bool {
+        if let Some(p) = pred {
+            match self.partial(p) {
+                Some(false) => return false,
+                None if rest.is_empty() => unreachable!("selection variables are bound"),
+                _ => {}
+            }
+        }
+        if rest.is_empty() {
+            self.joined += 1;
+            return k(self);
+        }
+        let pos = (0..rest.len())
+            .min_by_key(|&i| (!self.binds_some(rest[i]), self.estimate(rest[i])))
+            .expect("non-empty");
+        let next = rest.swap_remove(pos);
+        let found = self.run(next, &mut |w| w.join_step(rest, pred, k));
+        rest.push(next);
+        let last = rest.len() - 1;
+        rest.swap(pos, last);
+        found
+    }
+
+    /// Is some output variable of `plan` already bound?
+    fn binds_some(&self, plan: &Plan) -> bool {
+        plan.any_out_var(&mut |v| self.lookup(v).is_some())
+    }
+
+    /// The join-order size estimate under the current bindings: a scan's
+    /// index selectivity with bound values in the pattern, composites by
+    /// their driving input (projection scopes are ignored — an estimate
+    /// only orders inputs).
+    fn estimate(&self, plan: &Plan) -> usize {
+        match plan {
+            Plan::Empty { .. } => 0,
+            Plan::Unit | Plan::Bind { .. } => 1,
+            Plan::Scan { rel, args } => self.store.selectivity(*rel, &self.pattern(args)),
+            Plan::Join { inputs } => inputs.iter().map(|p| self.estimate(p)).min().unwrap_or(1),
+            Plan::Union { inputs } => inputs.iter().map(|p| self.estimate(p)).sum(),
+            Plan::Select { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Alias { input, .. } => self.estimate(input),
+            Plan::SemiJoin { left, .. }
+            | Plan::AntiJoin { left, .. }
+            | Plan::SeededAntiJoin { left, .. } => self.estimate(left),
+        }
+    }
+
+    /// A projection scope. Outer bindings of variables it quantifies away
+    /// are hidden from the input (an inner variable of the same name is a
+    /// different one); on the way out, the input's bindings of those
+    /// variables are hidden and the outer ones restored.
+    fn project(&mut self, input: &Plan, vars: &[Var], k: &mut Cont<'_, 's>) -> bool {
+        let outer = self.env.len();
+        let mut hidden: Vec<Slot> = Vec::new();
+        for (i, s) in self.env.iter().enumerate() {
+            let quantified = !s.param && s.val.is_some() && !vars.contains(&s.var);
+            if quantified && !self.env[i + 1..].iter().any(|t| t.var == s.var) {
+                hidden.push(*s);
+            }
+        }
+        for s in &hidden {
+            self.env.push(Slot { val: None, ..*s });
+        }
+        let inner = self.env.len();
+        let found = self.run(input, &mut |w| {
+            let mark = w.env.len();
+            for i in inner..mark {
+                let s = w.env[i];
+                if s.val.is_some() && !vars.contains(&s.var) {
+                    w.env.push(Slot { val: None, ..s });
+                }
+            }
+            w.env.extend_from_slice(&hidden);
+            let found = k(w);
+            w.env.truncate(mark);
+            found
+        });
+        self.env.truncate(outer);
+        found
+    }
+
+    /// Semi-join (`keep = true`) or anti-join (`keep = false`): walk the
+    /// preserved side and probe the filter side per row, with the shared
+    /// variables bound. A filter side sharing no variable is a boolean
+    /// gate, asked once.
+    fn filter_join(&mut self, left: &Plan, right: &Plan, keep: bool, k: &mut Cont<'_, 's>) -> bool {
+        if !shares_var(left, right) {
+            return self.exists(right) == keep && self.run(left, k);
+        }
+        self.run(left, &mut |w| w.exists(right) == keep && k(w))
+    }
+
+    /// The selection under the current bindings, three-valued.
+    fn partial(&self, p: &PlanPred) -> Option<bool> {
+        eval_partial(p, &|v| self.lookup(v))
+    }
+
+    /// A selection over a complete row.
+    fn check(&self, p: &PlanPred) -> bool {
+        self.partial(p).expect("bound pred var")
+    }
 }
 
 #[cfg(test)]

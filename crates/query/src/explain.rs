@@ -9,7 +9,9 @@
 //! a fresh copy per distinct seed key), so branch-internal work is
 //! aggregated at the seeded node itself (`partitions` / `reruns`) rather
 //! than attributed to the pristine branch subtree, whose own counters
-//! stay zero.
+//! stay zero. Boolean gates (a filter side or branch sharing no column
+//! with the preserved side) are asked in first-witness mode, which
+//! records no per-node rows: their subtrees stay zero too.
 
 use crate::cexec::{exec_conditional, CRows};
 use crate::exec::{exec, Rows};

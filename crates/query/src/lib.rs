@@ -21,8 +21,10 @@
 //!   selectivity**, index-probe joins against any [`store::QueryStore`]
 //!   (immutable [`dx_relation::InstanceIndex`] snapshots, or `dx-engine`'s
 //!   live `IndexedInstance`), hash joins for materialized inputs, and
-//!   semi-/anti-join reduction. Nulls are atomic values throughout — the
-//!   naive semantics of §2;
+//!   semi-/anti-join reduction; its first-witness mode
+//!   ([`exec::exec_nonempty`]) answers yes/no questions — membership with
+//!   the head bound, Boolean queries, boolean gates — at the first row.
+//!   Nulls are atomic values throughout — the naive semantics of §2;
 //! * [`cexec`] — the **conditional execution mode**: the same plans run
 //!   over [`dx_ctables::CInstance`] conditional tables, producing guarded
 //!   [`dx_ctables::CTable`] results so the CWA certain-answer pipeline

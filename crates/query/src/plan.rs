@@ -179,43 +179,28 @@ impl Plan {
     /// The node's output variables, sorted ascending.
     pub fn vars(&self) -> Vec<Var> {
         let mut set = BTreeSet::new();
-        self.collect_out_vars(&mut set);
+        self.any_out_var(&mut |v| {
+            set.insert(v);
+            false
+        });
         set.into_iter().collect()
     }
 
-    fn collect_out_vars(&self, out: &mut BTreeSet<Var>) {
+    /// Does `f` hold for some output variable? Visits them (with repeats)
+    /// until `f` returns `true` — [`Plan::vars`] without building the set.
+    pub(crate) fn any_out_var(&self, f: &mut dyn FnMut(Var) -> bool) -> bool {
         match self {
-            Plan::Unit => {}
-            Plan::Empty { vars } => out.extend(vars.iter().copied()),
-            Plan::Bind { var, .. } => {
-                out.insert(*var);
-            }
-            Plan::Scan { args, .. } => {
-                for t in args {
-                    if let Term::Var(v) = t {
-                        out.insert(*v);
-                    }
-                }
-            }
-            Plan::Join { inputs } => {
-                for p in inputs {
-                    p.collect_out_vars(out);
-                }
-            }
+            Plan::Unit => false,
+            Plan::Empty { vars } | Plan::Project { vars, .. } => vars.iter().any(|&v| f(v)),
+            Plan::Bind { var, .. } => f(*var),
+            Plan::Scan { args, .. } => args.iter().any(|t| matches!(t, Term::Var(v) if f(*v))),
+            Plan::Join { inputs } => inputs.iter().any(|p| p.any_out_var(f)),
+            Plan::Union { inputs } => inputs.first().is_some_and(|p| p.any_out_var(f)),
+            Plan::Select { input, .. } => input.any_out_var(f),
+            Plan::Alias { input, dst, .. } => f(*dst) || input.any_out_var(f),
             Plan::SemiJoin { left, .. }
             | Plan::AntiJoin { left, .. }
-            | Plan::SeededAntiJoin { left, .. } => left.collect_out_vars(out),
-            Plan::Select { input, .. } => input.collect_out_vars(out),
-            Plan::Project { vars, .. } => out.extend(vars.iter().copied()),
-            Plan::Union { inputs } => {
-                if let Some(first) = inputs.first() {
-                    first.collect_out_vars(out);
-                }
-            }
-            Plan::Alias { input, dst, .. } => {
-                input.collect_out_vars(out);
-                out.insert(*dst);
-            }
+            | Plan::SeededAntiJoin { left, .. } => left.any_out_var(f),
         }
     }
 

@@ -16,6 +16,7 @@
 //!   re-index.
 
 use dx_relation::{DeltaIndex, Instance, InstanceIndex, OverlayIndex, RelSym, Tuple, Value};
+use std::ops::ControlFlow;
 
 /// An indexed tuple source the executor can scan and probe.
 ///
@@ -35,8 +36,16 @@ pub trait QueryStore: Sync {
     fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize;
 
     /// Invoke `f` on every tuple of `rel` matching `pattern` on all bound
-    /// positions.
-    fn for_each_matching(&self, rel: RelSym, pattern: &[Option<Value>], f: &mut dyn FnMut(&Tuple));
+    /// positions, stopping at the first tuple for which `f` breaks; returns
+    /// that break, or `Continue` once the matches are exhausted. Full
+    /// scans return `Continue` from `f`, existence checks break at their
+    /// first witness.
+    fn for_each_matching(
+        &self,
+        rel: RelSym,
+        pattern: &[Option<Value>],
+        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
+    ) -> ControlFlow<()>;
 }
 
 impl QueryStore for InstanceIndex {
@@ -52,12 +61,18 @@ impl QueryStore for InstanceIndex {
         self.relation(rel).map_or(0, |idx| idx.selectivity(pattern))
     }
 
-    fn for_each_matching(&self, rel: RelSym, pattern: &[Option<Value>], f: &mut dyn FnMut(&Tuple)) {
+    fn for_each_matching(
+        &self,
+        rel: RelSym,
+        pattern: &[Option<Value>],
+        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         if let Some(idx) = self.relation(rel) {
             for id in idx.matching(pattern) {
-                f(idx.get(id));
+                f(idx.get(id))?;
             }
         }
+        ControlFlow::Continue(())
     }
 }
 
@@ -79,7 +94,12 @@ impl QueryStore for DeltaIndex {
         DeltaIndex::selectivity(self, rel, pattern)
     }
 
-    fn for_each_matching(&self, rel: RelSym, pattern: &[Option<Value>], f: &mut dyn FnMut(&Tuple)) {
+    fn for_each_matching(
+        &self,
+        rel: RelSym,
+        pattern: &[Option<Value>],
+        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         DeltaIndex::for_each_matching(self, rel, pattern, f)
     }
 }
@@ -100,7 +120,12 @@ impl QueryStore for OverlayIndex {
         OverlayIndex::selectivity(self, rel, pattern)
     }
 
-    fn for_each_matching(&self, rel: RelSym, pattern: &[Option<Value>], f: &mut dyn FnMut(&Tuple)) {
+    fn for_each_matching(
+        &self,
+        rel: RelSym,
+        pattern: &[Option<Value>],
+        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         OverlayIndex::for_each_matching(self, rel, pattern, f)
     }
 }
@@ -120,16 +145,22 @@ impl QueryStore for Instance {
         self.rel_len(rel)
     }
 
-    fn for_each_matching(&self, rel: RelSym, pattern: &[Option<Value>], f: &mut dyn FnMut(&Tuple)) {
+    fn for_each_matching(
+        &self,
+        rel: RelSym,
+        pattern: &[Option<Value>],
+        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         for t in self.tuples(rel) {
             let matches = pattern
                 .iter()
                 .enumerate()
                 .all(|(c, p)| p.is_none_or(|pv| t.get(c) == pv));
             if matches {
-                f(t);
+                f(t)?;
             }
         }
+        ControlFlow::Continue(())
     }
 }
 
@@ -156,13 +187,45 @@ mod tests {
         assert_eq!(idx.rel_len(rel), 3);
         assert_eq!(idx.selectivity(rel, &pattern), 2);
         let mut via_idx = Vec::new();
-        idx.for_each_matching(rel, &pattern, &mut |t| via_idx.push(t.clone()));
+        let _ = idx.for_each_matching(rel, &pattern, &mut |t| {
+            via_idx.push(t.clone());
+            ControlFlow::Continue(())
+        });
         let mut via_scan = Vec::new();
-        inst.for_each_matching(rel, &pattern, &mut |t| via_scan.push(t.clone()));
+        let _ = inst.for_each_matching(rel, &pattern, &mut |t| {
+            via_scan.push(t.clone());
+            ControlFlow::Continue(())
+        });
         via_idx.sort();
         via_scan.sort();
         assert_eq!(via_idx, via_scan);
         assert_eq!(via_idx.len(), 2);
+    }
+
+    /// The early stop: a callback's break ends the scan at once and is
+    /// returned, on every store — the overlay included, whose base
+    /// matches come before its private ones.
+    #[test]
+    fn a_break_stops_the_scan() {
+        let inst = sample();
+        let rel = RelSym::new("QsE");
+        let mut base = Instance::new();
+        base.insert_names("QsE", &["a", "b"]);
+        let mut overlay = OverlayIndex::new(DeltaIndex::from_instance(&base).freeze());
+        overlay.insert(rel, Tuple::from_names(&["a", "c"]));
+        overlay.insert(rel, Tuple::from_names(&["b", "c"]));
+        let idx = InstanceIndex::build(&inst);
+        let delta = DeltaIndex::from_instance(&inst);
+        let stores: [&dyn QueryStore; 4] = [&idx, &inst, &delta, &overlay];
+        for store in stores {
+            let mut seen = 0;
+            let flow = store.for_each_matching(rel, &[Some(Value::c("a")), None], &mut |_| {
+                seen += 1;
+                ControlFlow::Break(())
+            });
+            assert!(flow.is_break());
+            assert_eq!(seen, 1);
+        }
     }
 
     #[test]
@@ -173,7 +236,10 @@ mod tests {
         assert_eq!(idx.rel_arity(rel), None);
         assert_eq!(idx.rel_len(rel), 0);
         let mut n = 0;
-        idx.for_each_matching(rel, &[None], &mut |_| n += 1);
+        let _ = idx.for_each_matching(rel, &[None], &mut |_| {
+            n += 1;
+            ControlFlow::Continue(())
+        });
         assert_eq!(n, 0);
     }
 }

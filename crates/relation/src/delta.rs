@@ -34,6 +34,7 @@ use crate::intern::RelSym;
 use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// One relation's mutable index: refcounted tuples in insertion-ordered
@@ -150,7 +151,11 @@ impl DeltaRelation {
             .unwrap_or_else(|| self.len())
     }
 
-    fn for_each_matching(&self, pattern: &[Option<Value>], f: &mut dyn FnMut(&Tuple)) {
+    fn for_each_matching(
+        &self,
+        pattern: &[Option<Value>],
+        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         debug_assert_eq!(pattern.len(), self.arity);
         let matches = |t: &Tuple| {
             pattern
@@ -166,7 +171,7 @@ impl DeltaRelation {
         match best {
             None => {
                 for t in self.slots.iter().flatten() {
-                    f(t);
+                    f(t)?;
                 }
             }
             Some((_, col, v)) => {
@@ -175,11 +180,12 @@ impl DeltaRelation {
                         .as_ref()
                         .expect("posted slots are live");
                     if matches(t) {
-                        f(t);
+                        f(t)?;
                     }
                 }
             }
         }
+        ControlFlow::Continue(())
     }
 }
 
@@ -315,16 +321,18 @@ impl DeltaIndex {
     }
 
     /// Invoke `f` on every live tuple of `rel` matching `pattern` on all
-    /// bound positions.
+    /// bound positions, stopping as soon as `f` breaks (the break is
+    /// returned).
     pub fn for_each_matching(
         &self,
         rel: RelSym,
         pattern: &[Option<Value>],
-        f: &mut dyn FnMut(&Tuple),
-    ) {
+        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         dx_obs::count!("relation.delta.probes");
-        if let Some(r) = self.rels.get(&rel) {
-            r.for_each_matching(pattern, f);
+        match self.rels.get(&rel) {
+            Some(r) => r.for_each_matching(pattern, f),
+            None => ControlFlow::Continue(()),
         }
     }
 
@@ -377,8 +385,8 @@ impl FrozenIndex {
         &self,
         rel: RelSym,
         pattern: &[Option<Value>],
-        f: &mut dyn FnMut(&Tuple),
-    ) {
+        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
         self.base.for_each_matching(rel, pattern, f)
     }
 }
@@ -513,15 +521,16 @@ impl OverlayIndex {
     }
 
     /// Invoke `f` on every visible tuple of `rel` matching `pattern`:
-    /// base tuples first, then overlay tuples (each exactly once).
+    /// base tuples first, then overlay tuples (each exactly once), stopping
+    /// as soon as `f` breaks.
     pub fn for_each_matching(
         &self,
         rel: RelSym,
         pattern: &[Option<Value>],
-        f: &mut dyn FnMut(&Tuple),
-    ) {
-        self.base.for_each_matching(rel, pattern, f);
-        self.over.for_each_matching(rel, pattern, f);
+        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        self.base.for_each_matching(rel, pattern, f)?;
+        self.over.for_each_matching(rel, pattern, f)
     }
 }
 
@@ -563,7 +572,10 @@ mod tests {
                     .selectivity(&pattern)
             );
             let mut via_delta = Vec::new();
-            delta.for_each_matching(rel(), &pattern, &mut |t| via_delta.push(t.clone()));
+            let _ = delta.for_each_matching(rel(), &pattern, &mut |t| {
+                via_delta.push(t.clone());
+                ControlFlow::Continue(())
+            });
             let mut via_snap = Vec::new();
             if let Some(ri) = snap.relation(rel()) {
                 for id in ri.matching(&pattern) {
@@ -688,9 +700,15 @@ mod tests {
             for p in patterns {
                 assert_eq!(delta.selectivity(rel, &p), fresh.selectivity(rel, &p));
                 let mut a = Vec::new();
-                delta.for_each_matching(rel, &p, &mut |t| a.push(t.clone()));
+                let _ = delta.for_each_matching(rel, &p, &mut |t| {
+                    a.push(t.clone());
+                    ControlFlow::Continue(())
+                });
                 let mut b = Vec::new();
-                fresh.for_each_matching(rel, &p, &mut |t| b.push(t.clone()));
+                let _ = fresh.for_each_matching(rel, &p, &mut |t| {
+                    b.push(t.clone());
+                    ControlFlow::Continue(())
+                });
                 a.sort();
                 b.sort();
                 assert_eq!(a, b, "pattern {p:?} on {rel}");
@@ -985,9 +1003,15 @@ mod tests {
                         }
                         for p in patterns {
                             let mut a = Vec::new();
-                            overlay.for_each_matching(rel, &p, &mut |t| a.push(t.clone()));
+                            let _ = overlay.for_each_matching(rel, &p, &mut |t| {
+                                a.push(t.clone());
+                                ControlFlow::Continue(())
+                            });
                             let mut b = Vec::new();
-                            mirror.for_each_matching(rel, &p, &mut |t| b.push(t.clone()));
+                            let _ = mirror.for_each_matching(rel, &p, &mut |t| {
+                                b.push(t.clone());
+                                ControlFlow::Continue(())
+                            });
                             a.sort();
                             b.sort();
                             assert_eq!(a, b, "case {case}: pattern {p:?} on {rel}");
@@ -1032,7 +1056,10 @@ mod tests {
         }
         delta.remove(rel(), &ts[0]);
         let mut seen = Vec::new();
-        delta.for_each_matching(rel(), &[None], &mut |t| seen.push(t.clone()));
+        let _ = delta.for_each_matching(rel(), &[None], &mut |t| {
+            seen.push(t.clone());
+            ControlFlow::Continue(())
+        });
         seen.sort();
         assert_eq!(seen, vec![ts[1].clone(), ts[2].clone()]);
         // Freed slot is reused.

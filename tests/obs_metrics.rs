@@ -13,7 +13,8 @@
 //!   equals the growth of the chased instance (and `merges` stays zero);
 //! * **root rows** — `query.exec.rows_emitted` counts exactly the rows a
 //!   compiled plan returns at its root, and those rows agree with the
-//!   tree-walking evaluator;
+//!   tree-walking evaluator; a first-witness root call counts the 0 or 1
+//!   row it answers with;
 //! * **disabled mode** — with the layer off, the same workloads leave the
 //!   registry snapshot empty.
 //!
@@ -25,6 +26,7 @@ use oc_exchange::chase::{canonical_solution, canonical_solution_with_deps_via};
 use oc_exchange::engine::IndexedChase;
 use oc_exchange::logic::Query;
 use oc_exchange::obs::MetricsSnapshot;
+use oc_exchange::query::exec::{exec, exec_nonempty};
 use oc_exchange::query::lower_formula;
 use oc_exchange::relation::InstanceIndex;
 use oc_exchange::solver::{
@@ -34,20 +36,26 @@ use oc_exchange::{obs, Ann, AnnInstance, AnnTuple, Annotation, RelSym, Tuple, Va
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use dx_bench::chase_workloads::conference_case;
-use dx_bench::query_workloads::{all_query_cases, gcwa_case};
+use dx_bench::query_workloads::{all_query_cases, gcwa_case, repa_case, seeded_case};
 
 /// One lock for the process-global registry: tests in this binary run on
 /// parallel threads, and a concurrent workload would bleed into another
-/// test's snapshot diff.
+/// test's snapshot diff. Every test holds it for its whole body, set-up
+/// included — set-up work outside a [`measured`] section still counts
+/// while another test has the layer on.
 static LOCK: Mutex<()> = Mutex::new(());
 
+fn lock() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// Run `f` with metrics enabled and return its result plus the counter diff
-/// it produced. Leaves the layer disabled afterwards.
+/// it produced. Leaves the layer disabled afterwards. Callers hold
+/// [`lock`].
 fn measured<T>(f: impl FnOnce() -> T) -> (T, MetricsSnapshot) {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
     obs::set_enabled(true);
     let before = obs::snapshot();
     let out = f();
@@ -96,6 +104,7 @@ fn random_ann_instance(rng: &mut StdRng) -> AnnInstance {
 /// matches the engine's own accounting.
 #[test]
 fn solver_dfs_deltas_balance_randomized() {
+    let _g = lock();
     let mut rng = StdRng::seed_from_u64(0x0B5_D1F5);
     for case in 0..32 {
         let t = random_ann_instance(&mut rng);
@@ -127,6 +136,7 @@ fn solver_dfs_deltas_balance_randomized() {
 /// the visit counter matches `for_each_union`'s return value.
 #[test]
 fn union_walk_deltas_balance() {
+    let _g = lock();
     let case = gcwa_case(8);
     let csol = canonical_solution(&case.mapping, &case.source);
     let palette = oc_exchange::core::regimes::answer_palette(&case.source, &case.query);
@@ -150,6 +160,7 @@ fn union_walk_deltas_balance() {
 /// equals the instance growth the chase produced, and no merges happen.
 #[test]
 fn chase_insert_counter_matches_instance_delta() {
+    let _g = lock();
     let mut rng = StdRng::seed_from_u64(0x0B5_C4A5E);
     for _ in 0..4 {
         let n = rng.gen_range(2..12);
@@ -202,6 +213,7 @@ fn chase_insert_counter_matches_instance_delta() {
 /// evaluator on the same instance.
 #[test]
 fn compiled_root_rows_match_counter_and_tree_walker() {
+    let _g = lock();
     for case in all_query_cases(16) {
         let target = canonical_solution(&case.mapping, &case.source).rel_part();
         let plan = match lower_formula(&case.query.formula) {
@@ -209,7 +221,7 @@ fn compiled_root_rows_match_counter_and_tree_walker() {
             Err(_) => continue, // non-safe-range workloads have no plan
         };
         let idx = InstanceIndex::build(&target);
-        let (rows, diff) = measured(|| oc_exchange::query::exec::exec(&plan, &idx));
+        let (rows, diff) = measured(|| exec(&plan, &idx));
         assert_eq!(
             diff.counter("query.exec.rows_emitted"),
             rows.rows.len() as u64,
@@ -219,6 +231,43 @@ fn compiled_root_rows_match_counter_and_tree_walker() {
         let tree: BTreeSet<Tuple> = reorder_to_head(&case.query, &rows);
         let oracle: BTreeSet<Tuple> = case.query.answers(&target).iter().cloned().collect();
         assert_eq!(tree, oracle, "{}: compiled vs tree rows", case.workload);
+    }
+}
+
+/// First-witness root calls keep the counter contract: on every workload
+/// plan, `exec_nonempty` answers `!exec(..).rows.is_empty()` and counts
+/// the 0 or 1 row it returns in `query.exec.rows_emitted`; its correlated
+/// branch probes are `query.exec.seed_reruns`, so a plan without a seeded
+/// anti-join counts none.
+#[test]
+fn first_witness_root_row_matches_counter_and_exec() {
+    let _g = lock();
+    let mut cases = all_query_cases(16);
+    cases.extend([repa_case(8), seeded_case(8), gcwa_case(8)]);
+    for case in cases {
+        let target = canonical_solution(&case.mapping, &case.source).rel_part();
+        let plan = match lower_formula(&case.query.formula) {
+            Ok(plan) => plan,
+            Err(_) => continue,
+        };
+        let idx = InstanceIndex::build(&target);
+        let nonempty = !exec(&plan, &idx).rows.is_empty();
+        let (found, diff) = measured(|| exec_nonempty(&plan, &idx, &[]));
+        assert_eq!(found, nonempty, "{}: first witness vs exec", case.workload);
+        assert_eq!(
+            diff.counter("query.exec.rows_emitted"),
+            u64::from(found),
+            "{}: a first-witness root call emits its 0 or 1 row",
+            case.workload
+        );
+        if !plan.explain().contains("seeded-antijoin") {
+            assert_eq!(
+                diff.counter("query.exec.seed_reruns"),
+                0,
+                "{}: no seeded branch to probe",
+                case.workload
+            );
+        }
     }
 }
 
@@ -245,7 +294,7 @@ fn reorder_to_head(query: &Query, rows: &oc_exchange::query::exec::Rows) -> BTre
 /// snapshot stays empty end to end.
 #[test]
 fn disabled_mode_records_nothing() {
-    let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let _g = lock();
     obs::set_enabled(false);
     let case = conference_case(4);
     let out = canonical_solution_with_deps_via(

@@ -17,7 +17,10 @@
 //! * the conditional execution mode: plan-backed `□Q`/`◇Q` against the
 //!   `RaExpr` interpreter route and brute-force `Rep` enumeration;
 //! * the end-to-end `_via` pipelines (`certain_contains_via`,
-//!   `comp_membership_via`, `in_semantics_via`) across chase strategies.
+//!   `comp_membership_via`, `in_semantics_via`) across chase strategies;
+//! * first-witness execution: `holds_on_store` with the head bound, and
+//!   a Boolean query's answer, against the materialized answers on every
+//!   candidate tuple, over three store shapes and two pool widths.
 
 use oc_exchange::chase::{
     canonical_solution, canonical_solution_via, Mapping, NaiveBodyEval, NaiveChase,
@@ -26,7 +29,9 @@ use oc_exchange::core as dxcore;
 use oc_exchange::ctables::{certain_answers_ra, possible_answers_ra, CInstance, RaExpr, RaPred};
 use oc_exchange::engine::IndexedChase;
 use oc_exchange::logic::{Formula, Query, Term};
-use oc_exchange::query::{CompiledQuery, CompiledRa, PlannedBodyEval, QueryEval};
+use oc_exchange::query::exec::{exec, exec_nonempty};
+use oc_exchange::query::{CompiledQuery, CompiledRa, PlannedBodyEval, QueryEval, QueryStore};
+use oc_exchange::relation::{DeltaIndex, InstanceIndex, OverlayIndex};
 use oc_exchange::workloads::random_gen;
 use oc_exchange::{Instance, RelSym, Schema, Tuple, Value, Var};
 use proptest::prelude::*;
@@ -180,6 +185,135 @@ fn random_safe_formula(rng: &mut StdRng) -> Formula {
     Formula::exists(close, with_or)
 }
 
+// ------------------------------------------------------ first-witness checks
+
+/// Candidate tuples above this count are sampled, not enumerated.
+const CANDIDATE_CAP: usize = 1000;
+
+/// The candidate answer tuples of a membership check: every tuple of the
+/// head's arity over the instance's active domain (nulls included) and the
+/// formula's constants. Past [`CANDIDATE_CAP`] tuples, a deterministic
+/// stride through that space stands in, plus every answer in `answers`.
+fn candidate_tuples(inst: &Instance, query: &Query, answers: &BTreeSet<Tuple>) -> Vec<Tuple> {
+    let mut domain: BTreeSet<Value> = inst.active_domain();
+    domain.extend(query.formula.constants().into_iter().map(Value::Const));
+    let domain: Vec<Value> = domain.into_iter().collect();
+    let arity = query.head.len() as u32;
+    let total = domain.len().pow(arity);
+    let stride = total.div_ceil(CANDIDATE_CAP).max(1);
+    let decode = |mut i: usize| {
+        let mut vals = Vec::with_capacity(arity as usize);
+        for _ in 0..arity {
+            vals.push(domain[i % domain.len()]);
+            i /= domain.len();
+        }
+        Tuple::new(vals)
+    };
+    let mut out: Vec<Tuple> = (0..total).step_by(stride).map(decode).collect();
+    out.extend(answers.iter().cloned());
+    out
+}
+
+/// The same tuple set in three store shapes: a snapshot index, a
+/// `DeltaIndex` that applied and undid a churn batch (fresh and
+/// already-present tuples), and an `OverlayIndex` whose frozen base holds
+/// half the tuples and whose private layer holds the rest.
+fn store_shapes(inst: &Instance, rng: &mut StdRng) -> Vec<(&'static str, Box<dyn QueryStore>)> {
+    let tuples: Vec<(RelSym, Tuple)> = inst
+        .relations()
+        .flat_map(|(rel, r)| r.iter().map(move |t| (rel, t.clone())))
+        .collect();
+    let mut delta = DeltaIndex::from_instance(inst);
+    let mut churn: Vec<(RelSym, Tuple)> = Vec::new();
+    for (rel, t) in &tuples {
+        if rng.gen_bool(0.3) {
+            churn.push((*rel, t.clone()));
+        }
+        if rng.gen_bool(0.3) {
+            let fresh = Tuple::new(t.iter().map(|_| Value::c("qd-churn")).collect::<Vec<_>>());
+            churn.push((*rel, fresh));
+        }
+    }
+    for (rel, t) in &churn {
+        delta.insert(*rel, t.clone());
+    }
+    for (rel, t) in churn.iter().rev() {
+        delta.remove(*rel, t);
+    }
+    let split = tuples.len() / 2;
+    let mut base = Instance::new();
+    for (rel, r) in inst.relations() {
+        base.declare(rel, r.arity());
+    }
+    for (rel, t) in &tuples[..split] {
+        base.insert(*rel, t.clone());
+    }
+    let mut overlay = OverlayIndex::new(DeltaIndex::from_instance(&base).freeze());
+    for (rel, t) in &tuples[split..] {
+        overlay.insert(*rel, t.clone());
+    }
+    vec![
+        ("snapshot", Box::new(InstanceIndex::build(inst))),
+        ("delta", Box::new(delta)),
+        ("overlay", Box::new(overlay)),
+    ]
+}
+
+/// The materialized answers over `store`, in head order.
+fn materialized(cq: &CompiledQuery, store: &dyn QueryStore) -> BTreeSet<Tuple> {
+    let rows = exec(cq.plan(), store);
+    let cols: Vec<usize> = cq
+        .head()
+        .iter()
+        .map(|v| rows.col(*v).expect("head variable is produced"))
+        .collect();
+    rows.rows
+        .iter()
+        .map(|r| Tuple::new(cols.iter().map(|&c| r[c]).collect::<Vec<_>>()))
+        .collect()
+}
+
+/// First-witness answers ≡ materialized answers. On every store shape, at
+/// pool widths 1 and 4: the materialized answers equal `want`; on every
+/// candidate tuple `holds_on_store` equals membership in them;
+/// `exec_nonempty` with nothing bound equals their non-emptiness; and a
+/// Boolean query's (first-witness) answer set equals them.
+fn check_first_witness(
+    query: &Query,
+    cq: &CompiledQuery,
+    inst: &Instance,
+    want: &BTreeSet<Tuple>,
+    rng: &mut StdRng,
+) {
+    let candidates = candidate_tuples(inst, query, want);
+    let stores = store_shapes(inst, rng);
+    for width in [1usize, 4] {
+        rayon::set_threads(width);
+        for (shape, store) in &stores {
+            let store = store.as_ref();
+            let got = materialized(cq, store);
+            assert_eq!(&got, want, "{shape} store, width {width}: {query}");
+            for t in &candidates {
+                assert_eq!(
+                    cq.holds_on_store(store, t),
+                    got.contains(t),
+                    "{shape} store, width {width}: {t} in {query} on {inst}"
+                );
+            }
+            assert_eq!(
+                exec_nonempty(cq.plan(), store, &[]),
+                !got.is_empty(),
+                "{shape} store, width {width}: emptiness of {query}"
+            );
+            if cq.head().is_empty() {
+                let boolean: BTreeSet<Tuple> = cq.answers_store(store).iter().cloned().collect();
+                assert_eq!(boolean, got, "{shape} store, width {width}: {query}");
+            }
+        }
+    }
+    rayon::set_threads(0);
+}
+
 // ------------------------------------------------------------- property tests
 
 proptest! {
@@ -187,7 +321,9 @@ proptest! {
 
     /// Plan execution ≡ tree-walking evaluation on randomized safe
     /// formulas and instances with nulls: answer sets, certain-answer
-    /// null-discard post-filters, and per-tuple membership checks.
+    /// null-discard post-filters, and per-tuple membership checks — the
+    /// first-witness ones against the materialized answers on every
+    /// candidate tuple and store shape ([`check_first_witness`]).
     #[test]
     fn compiled_matches_oracle_on_random_safe_formulas(seed in 0u64..120) {
         let mut rng = random_gen::rng(seed);
@@ -223,6 +359,8 @@ proptest! {
                 ev.holds_on(&inst, &null_probe)
             );
         }
+        let want: BTreeSet<Tuple> = oracle.iter().cloned().collect();
+        check_first_witness(&query, ev.compiled().expect("compiled"), &inst, &want, &mut rng);
     }
 
     /// `canonical_solution_via(PlannedBodyEval)` reproduces the reference
@@ -664,4 +802,113 @@ fn fallback_paths_stay_correct() {
     let naive = canonical_solution(&m, &s);
     let planned = canonical_solution_via(&PlannedBodyEval, &m, &s);
     assert_eq!(naive.instance, planned.instance);
+}
+
+/// Pinned first-witness shapes: a repeated head variable (unequal values
+/// must fail), head variables produced by `Alias`, by `Bind` and under a
+/// `Union`, a quantifier shadowing a head variable, and the nested
+/// null-seed shape whose refuting tuple pairs two nulls. Each runs through
+/// [`check_first_witness`].
+#[test]
+fn first_witness_pinned_shapes() {
+    let mut inst = Instance::new();
+    inst.insert_names("QdR", &["c0", "c1"]);
+    inst.insert_names("QdR", &["c2", "c2"]);
+    inst.insert(
+        RelSym::new("QdR"),
+        Tuple::new(vec![Value::null(1), Value::c("c0")]),
+    );
+    inst.insert_names("QdT", &["c1", "c0"]);
+    inst.insert(
+        RelSym::new("QdT"),
+        Tuple::new(vec![Value::null(2), Value::null(1)]),
+    );
+    inst.insert_names("QdS", &["c2"]);
+    let x = Var::new("qv0");
+    let shapes: Vec<(Vec<Var>, &str)> = vec![
+        // Q(x, x): the repeated head variable.
+        (vec![x, x], "exists qv1. QdR(qv0, qv1)"),
+        // y := x (Alias).
+        (
+            vec![Var::new("qv0"), Var::new("qv1")],
+            "(exists qv2. QdR(qv0, qv2)) & qv1 = qv0",
+        ),
+        // x := 'c2' (Bind).
+        (
+            vec![Var::new("qv0"), Var::new("qv1")],
+            "QdS(qv1) & qv0 = 'c2'",
+        ),
+        // Under a Union.
+        (
+            vec![Var::new("qv0"), Var::new("qv1")],
+            "QdR(qv0, qv1) | QdT(qv1, qv0)",
+        ),
+    ];
+    let mut rng = random_gen::rng(7);
+    for (head, src) in shapes {
+        let query = Query::new(head, oc_exchange::logic::parse_formula(src).unwrap());
+        let cq = CompiledQuery::compile(&query).expect("compiles");
+        let want: BTreeSet<Tuple> = cq.answers(&inst).iter().cloned().collect();
+        check_first_witness(&query, &cq, &inst, &want, &mut rng);
+    }
+    // Shadowing: the quantified inner qv0 is another variable than the
+    // outer one, so neither binding may leak into the other's scope. The
+    // one-tuple QdR makes the projection the first join input when
+    // nothing is bound.
+    let mut shadow = Instance::new();
+    for c in ["c0", "c1", "c3"] {
+        shadow.insert_names("QdS", &[c]);
+    }
+    shadow.insert_names("QdR", &["c2", "c2"]);
+    for (head, src) in [
+        (vec![x], "QdS(qv0) & exists qv0. QdR(qv0, qv0)"),
+        (vec![], "exists qv0. QdS(qv0) & exists qv0. QdR(qv0, qv0)"),
+    ] {
+        let query = Query::new(head, oc_exchange::logic::parse_formula(src).unwrap());
+        let cq = CompiledQuery::compile(&query).expect("compiles");
+        let want: BTreeSet<Tuple> = query.answers(&shadow).iter().cloned().collect();
+        assert!(!want.is_empty(), "{query} holds on {shadow}");
+        check_first_witness(&query, &cq, &shadow, &want, &mut rng);
+    }
+    // The repeated head variable, spelled out.
+    let q = Query::new(
+        vec![x, x],
+        oc_exchange::logic::parse_formula("exists qv1. QdR(qv0, qv1)").unwrap(),
+    );
+    let cq = CompiledQuery::compile(&q).unwrap();
+    let idx = InstanceIndex::build(&inst);
+    assert!(cq.holds_on_store(&idx, &Tuple::from_names(&["c2", "c2"])));
+    assert!(!cq.holds_on_store(&idx, &Tuple::from_names(&["c0", "c2"])));
+    assert!(cq.holds_on_store(&idx, &Tuple::new(vec![Value::null(1); 2])));
+    assert!(!cq.holds_on_store(&idx, &Tuple::new(vec![Value::null(1), Value::c("c0")])));
+
+    // The nested null-seed shape: two nested seeded anti-joins whose
+    // seeds take null values. W(v1, ⊥2, ⊥1) refutes ⊥1; without it ⊥1
+    // is an answer.
+    let src = "NnR(x) & !(exists b. NnS(b) & !(exists d. NnV(d) & !NnW(d, b, x)))";
+    let q = Query::new(
+        vec![Var::new("x")],
+        oc_exchange::logic::parse_formula(src).unwrap(),
+    );
+    let cq = CompiledQuery::compile(&q).unwrap();
+    for refuted in [true, false] {
+        let mut i = Instance::new();
+        i.insert(RelSym::new("NnR"), Tuple::new(vec![Value::null(1)]));
+        i.insert(RelSym::new("NnS"), Tuple::new(vec![Value::null(2)]));
+        i.insert_names("NnV", &["v1"]);
+        let w = if refuted {
+            vec![Value::c("v1"), Value::null(2), Value::null(1)]
+        } else {
+            vec![Value::c("v1"), Value::null(1), Value::null(2)]
+        };
+        i.insert(RelSym::new("NnW"), Tuple::new(w));
+        let want: BTreeSet<Tuple> = q.answers(&i).iter().cloned().collect();
+        assert_eq!(want.is_empty(), refuted, "oracle on {i}");
+        check_first_witness(&q, &cq, &i, &want, &mut rng);
+        let idx = InstanceIndex::build(&i);
+        assert_eq!(
+            cq.holds_on_store(&idx, &Tuple::new(vec![Value::null(1)])),
+            !refuted
+        );
+    }
 }
