@@ -23,9 +23,9 @@
 use dx_bench::corpus::{run_corpus, CorpusStats};
 use dx_chase::chase_engine::{ChaseOutcome, DEFAULT_CHASE_LIMIT};
 use dx_chase::{canonical_solution_with_deps_via, NaiveChase};
-use dx_core::certain::certain_answers;
-use dx_core::regimes::{approx_certain_answers, gcwa_star_answers, RegimeBudget};
+use dx_core::regimes::RegimeBudget;
 use dx_core::streaming::{affected_target_rels, QueryPath, StreamRegime, StreamSession};
+use dx_core::Exchange;
 use dx_engine::IndexedChase;
 use dx_solver::{Completeness, SearchBudget};
 use dx_text::{gen_text, Grade, Scenario};
@@ -174,20 +174,21 @@ fn cmd_run(path: &str, args: &[String]) -> ExitCode {
         max_minimal_solutions: 12,
         max_leaves: Some(5_000),
     };
+    let ex = Exchange::new(&sc.mapping, &sc.source);
     for nq in &sc.queries {
         if query_filter.is_some_and(|want| want != nq.name) {
             continue;
         }
         println!("\n## query {}", nq.name);
         if explain {
-            print_explain(&sc, &nq.query);
+            print_explain(&sc, ex.csol(), &nq.query);
         }
         if wants("--certain") || default_run {
-            let (rel, comp) = certain_answers(&sc.mapping, &sc.source, &nq.query, Some(&budget));
+            let (rel, comp) = ex.certain_answers(&nq.query, Some(&budget));
             println!("certain   [{}]: {}", comp_label(comp), render_rel(&rel));
         }
         if wants("--gcwa") {
-            let out = gcwa_star_answers(&sc.mapping, &sc.source, &nq.query, &regime_budget);
+            let out = ex.gcwa_star_answers(&nq.query, &regime_budget);
             println!(
                 "gcwa*     [{}]: {} ({} minimal solutions, {} unions)",
                 comp_label(out.completeness),
@@ -197,7 +198,7 @@ fn cmd_run(path: &str, args: &[String]) -> ExitCode {
             );
         }
         if wants("--approx") {
-            let out = approx_certain_answers(&sc.mapping, &sc.source, &nq.query, Some(&budget));
+            let out = ex.approx_certain_answers(&nq.query, Some(&budget));
             println!(
                 "approx    [{}]: lower {} / upper {} (tight: {})",
                 comp_label(out.completeness),
@@ -312,8 +313,7 @@ fn run_chase(sc: &Scenario) {
 /// The `--explain` face: compile the query through the same lowering the
 /// `PlanCatalog` uses and print the per-node executed-row report over the
 /// constraint-free canonical solution.
-fn print_explain(sc: &Scenario, query: &dx_logic::Query) {
-    let csol = dx_chase::canonical_solution(&sc.mapping, &sc.source);
+fn print_explain(sc: &Scenario, csol: &dx_relation::AnnInstance, query: &dx_logic::Query) {
     let target = csol.rel_part();
     match dx_query::lower_formula(&query.formula) {
         Ok(plan) => {

@@ -1569,7 +1569,7 @@ fn e11_tiling() {
 /// deficient all-null family is a worst case for the backtracking search.
 fn e12_codd() {
     use dx_relation::{AnnInstance, AnnTuple, Annotation, RelSym};
-    use dx_solver::repa::{codd_rep_membership, rep_a_membership_with};
+    use dx_solver::repa::{codd_rep_membership, rep_a_membership_via, MatchStrategy};
     println!("## E12 — Codd tables: PTIME membership vs generic search\n");
     let mut t = Table::new(&[
         "n nulls / n+1 values",
@@ -1590,7 +1590,7 @@ fn e12_codd() {
             r.insert_names("XCodd", &[&format!("c{i}")]);
         }
         let generic = if n <= 6 {
-            let (res, d) = timed(|| rep_a_membership_with(&ann, &r, true));
+            let (res, d) = timed(|| rep_a_membership_via(MatchStrategy::Scan, &ann, &r));
             assert!(res.is_none());
             fmt_duration(d)
         } else {
@@ -1611,7 +1611,7 @@ fn e12_codd() {
 /// (stratified Datalog transitive closure), annotation-independent for
 /// hom-preserved programs.
 fn e13_datalog() {
-    use dx_core::ptime_lang::certain_answers_ptime;
+    use dx_core::Exchange;
     use dx_logic::datalog::DatalogQuery;
     println!("## E13 — Stratified Datalog certain answers (PTIME language ⊋ FO)\n");
     let tc = DatalogQuery::parse(
@@ -1627,8 +1627,8 @@ fn e13_datalog() {
         }
         let closed = Mapping::parse("XEdge(x:cl, y:cl) <- XSrc(x, y)").unwrap();
         let mixed = Mapping::parse("XEdge(x:cl, y:op) <- XSrc(x, y)").unwrap();
-        let ((a1, _), d1) = timed(|| certain_answers_ptime(&closed, &s, &tc, None));
-        let ((a2, _), d2) = timed(|| certain_answers_ptime(&mixed, &s, &tc, None));
+        let ((a1, _), d1) = timed(|| Exchange::new(&closed, &s).certain_answers_ptime(&tc, None));
+        let ((a2, _), d2) = timed(|| Exchange::new(&mixed, &s).certain_answers_ptime(&tc, None));
         t.row(vec![
             n.to_string(),
             fmt_duration(d1),
@@ -2262,7 +2262,7 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
     use dx_chase::canonical_solution;
     use dx_core::regimes::{self, RegimeBudget};
     use dx_query::PlanCatalog;
-    use dx_solver::{for_each_union, minimal_rep_a_members, search_rep_a, search_rep_a_indexed};
+    use dx_solver::{for_each_union, minimal_rep_a_members, search_rep_a_indexed};
 
     println!("## E17 — non-monotonic regimes: GCWA* / approximation (dx-core)\n");
     // Same pinning discipline as E16: sequential semantics for the engine
@@ -2551,8 +2551,8 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
             let csol = canonical_solution(&case.mapping, &case.source);
             let palette = regimes::answer_palette(&case.source, &case.query);
             let mut exact = true;
-            search_rep_a(&csol.instance, &palette, &sample, &mut |member| {
-                if !case.query.holds_boolean(member) {
+            search_rep_a_indexed(&csol.instance, &palette, &sample, &mut |leaf| {
+                if !case.query.holds_boolean(leaf.instance()) {
                     exact = false;
                 }
                 false
@@ -2743,7 +2743,7 @@ fn e18_stream(ns: &[usize], smoke: bool) -> Vec<String> {
 /// answers for a difference query via c-tables, against the coNP valuation
 /// search (two independent exact engines).
 fn e14_ctables() {
-    use dx_core::ctable_bridge::certain_answers_cwa_ra;
+    use dx_core::Exchange;
     use dx_ctables::RaExpr;
     use dx_logic::Query;
     println!("## E14 — Conditional tables vs coNP search (CWA, full RA)\n");
@@ -2763,7 +2763,7 @@ fn e14_ctables() {
             s.insert_names("XB", &[&format!("u{i}"), &format!("b{i}")]);
         }
         let ((a1, _), d1) = timed(|| certain::certain_answers(&m, &s, &fo, None));
-        let (a2, d2) = timed(|| certain_answers_cwa_ra(&m, &s, &ra));
+        let (a2, d2) = timed(|| Exchange::new(&m, &s).certain_answers_cwa_ra(&ra));
         t.row(vec![
             n.to_string(),
             fmt_duration(d1),

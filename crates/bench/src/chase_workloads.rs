@@ -1,6 +1,5 @@
-//! The chase-heavy workload cases shared by the engine benches
-//! (`benches/engine.rs`) and the `experiments` binary's `BENCH_chase.json`
-//! emitter: a fully specified exchange-with-constraints problem per family
+//! The chase-heavy workload cases of the `experiments` binary's
+//! `BENCH_chase.json` emitter: a fully specified exchange-with-constraints problem per family
 //! and size.
 
 use dx_chase::target_deps::TargetDep;

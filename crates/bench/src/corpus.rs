@@ -9,14 +9,14 @@
 //!    exchange (STDs + target constraints): same outcome kind, cross-engine
 //!    dependency satisfaction, hom-equivalent results, isomorphic annotated
 //!    cores;
-//! 3. **Certain answers** — the shared pipeline vs the same pipeline routed
-//!    end to end through the naive chase ([`certain_answers_via`], contract:
+//! 3. **Certain answers** — the production [`Exchange`] vs an exchange built
+//!    through the naive chase ([`Exchange::with_strategy`], contract:
 //!    identical), and for *positive* queries the independent Proposition 3
 //!    oracle (tree-walk naive evaluation on `CSol`);
-//! 4. **Possible answers** — [`possible_contains`] vs any-member witness
+//! 4. **Possible answers** — [`Exchange::possible_contains`] vs any-member witness
 //!    search over a brute-force `Rep_A` enumeration on the engine's exact
 //!    palette and budget;
-//! 5. **GCWA\*** — [`gcwa_star_answers`] (compiled plans over one delta
+//! 5. **GCWA\*** — [`Exchange::gcwa_star_answers`] (compiled plans over one delta
 //!    index) vs materialized unions of ⊆-minimal members evaluated by the
 //!    tree walker, plus falsifying-counterexample and
 //!    positive-query-collapse checks;
@@ -37,15 +37,14 @@
 use dx_chase::chase_engine::{ChaseOutcome, DEFAULT_CHASE_LIMIT};
 use dx_chase::core::{ann_core_of, ann_hom_equivalent, ann_isomorphic};
 use dx_chase::{canonical_solution, canonical_solution_with_deps_via, ChaseStrategy, NaiveChase};
-use dx_core::certain::{certain_answers, certain_answers_via, possible_contains};
-use dx_core::regimes::{
-    approx_certain_answers, gcwa_star_answers, gcwa_star_contains, RegimeBudget,
-};
+use dx_core::certain::certain_answers;
+use dx_core::regimes::RegimeBudget;
 use dx_core::streaming::{QueryPath, StreamRegime, StreamSession};
+use dx_core::Exchange;
 use dx_engine::IndexedChase;
 use dx_logic::{classify, Query};
 use dx_relation::{ConstId, Instance, Tuple, Value};
-use dx_solver::{minimal_rep_a_members, search_rep_a, Completeness, SearchBudget};
+use dx_solver::{minimal_rep_a_members, search_rep_a_indexed, Completeness, SearchBudget};
 use dx_text::{Grade, Scenario};
 use std::collections::BTreeSet;
 
@@ -191,8 +190,8 @@ fn enumerate_members(
     budget: &SearchBudget,
 ) -> Vec<Instance> {
     let mut members: BTreeSet<Instance> = BTreeSet::new();
-    search_rep_a(csol, palette, budget, &mut |inst| {
-        members.insert(inst.clone());
+    search_rep_a_indexed(csol, palette, budget, &mut |leaf| {
+        members.insert(leaf.instance().clone());
         false
     });
     members.into_iter().collect()
@@ -319,16 +318,17 @@ pub fn race_scenario(sc: &Scenario) -> ScenarioReport {
         max_minimal_solutions: usize::MAX,
         max_leaves: None,
     };
+    let ex = Exchange::new(&sc.mapping, &sc.source);
+    let ex_naive = Exchange::with_strategy(&NaiveChase, &sc.mapping, &sc.source);
 
     for nq in &sc.queries {
         let (query, qname) = (&nq.query, &nq.name);
         report.queries += 1;
         let cands = candidates(&sc.source, query);
 
-        // Certain answers: shared pipeline vs naive-chase-routed pipeline.
-        let (cert, _) = certain_answers(&sc.mapping, &sc.source, query, Some(&budget));
-        let (cert_naive, _) =
-            certain_answers_via(&NaiveChase, &sc.mapping, &sc.source, query, Some(&budget));
+        // Certain answers: production exchange vs naive-chase exchange.
+        let (cert, _) = ex.certain_answers(query, Some(&budget));
+        let (cert_naive, _) = ex_naive.certain_answers(query, Some(&budget));
         assert_eq!(
             cert, cert_naive,
             "{label} {qname}: certain answers diverge across chase strategies\n{text}"
@@ -357,8 +357,7 @@ pub fn race_scenario(sc: &Scenario) -> ScenarioReport {
             t_palette.extend(t.consts());
             let t_members = enumerate_members(&csol.instance, &t_palette, &budget);
             let oracle_possible = t_members.iter().any(|m| query.holds_on(m, t));
-            let engine_possible =
-                possible_contains(&sc.mapping, &sc.source, query, t, Some(&budget));
+            let engine_possible = ex.possible_contains(query, t, Some(&budget));
             assert_eq!(
                 engine_possible.certain, oracle_possible,
                 "{label} {qname}: possible_contains({t}) disagrees with the member oracle\n{text}"
@@ -366,7 +365,7 @@ pub fn race_scenario(sc: &Scenario) -> ScenarioReport {
         }
 
         // GCWA*: compiled engine vs materialized-union tree-walk oracle.
-        let gcwa = gcwa_star_answers(&sc.mapping, &sc.source, query, &regime_budget);
+        let gcwa = ex.gcwa_star_answers(query, &regime_budget);
         let gcwa_set: BTreeSet<Tuple> = gcwa.answers.iter().cloned().collect();
         let union_oracle: BTreeSet<Tuple> = cands
             .iter()
@@ -389,7 +388,7 @@ pub fn race_scenario(sc: &Scenario) -> ScenarioReport {
             );
         }
         for t in cands.iter().take(2) {
-            let dec = gcwa_star_contains(&sc.mapping, &sc.source, query, t, &regime_budget);
+            let dec = ex.gcwa_star_contains(query, t, &regime_budget);
             assert_eq!(dec.certain, gcwa_set.contains(t), "{label} {qname} {t}");
             if let Some(cex) = dec.counterexample {
                 assert!(
@@ -406,7 +405,7 @@ pub fn race_scenario(sc: &Scenario) -> ScenarioReport {
             .filter(|t| members.iter().all(|m| query.holds_on(m, t)))
             .cloned()
             .collect();
-        let approx = approx_certain_answers(&sc.mapping, &sc.source, query, Some(&budget));
+        let approx = ex.approx_certain_answers(query, Some(&budget));
         let lower: BTreeSet<Tuple> = approx.lower.iter().cloned().collect();
         let upper: BTreeSet<Tuple> = approx.upper.iter().cloned().collect();
         assert!(

@@ -7,8 +7,8 @@
 //! `experiments` binary prints each experiment's table; `BENCH_chase.json`
 //! and `BENCH_query.json` at the repository root record the races.
 //!
-//! This library crate holds the workload builders shared between the
-//! Criterion benches (`benches/*.rs`) and the `experiments` binary.
+//! This library crate holds the workload builders of the `experiments`
+//! binary and the corpus differential harness behind `dx corpus`.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,5 @@
-//! The query-evaluation workload cases shared by the query benches
-//! (`benches/query.rs`) and the `experiments` binary's `BENCH_query.json`
-//! emitter (E16): exchange problems whose cost is dominated by FO
+//! The query-evaluation workload cases of the `experiments` binary's
+//! `BENCH_query.json` emitter (E16): exchange problems whose cost is dominated by FO
 //! evaluation — STD-body evaluation during `CSol_A(S)` construction, and
 //! positive-query certain answering over the canonical solution.
 //!

@@ -46,7 +46,5 @@ pub use hom::NullMap;
 pub use mapping::Mapping;
 pub use solutions::{is_owa_solution, is_solution, AnnotatedFact};
 pub use std_dep::{Std, TargetAtom};
-pub use strategy::{
-    canonical_solution_with_deps_via, satisfies_deps_via, ChaseStrategy, NaiveChase,
-};
+pub use strategy::{canonical_solution_with_deps_via, ChaseStrategy, NaiveChase};
 pub use target_deps::{is_weakly_acyclic, Egd, TargetDep, Tgd};

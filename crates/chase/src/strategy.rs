@@ -99,15 +99,6 @@ pub fn canonical_solution_with_deps_via(
     strategy.chase(csol.instance, deps, &mut gen, max_steps)
 }
 
-/// [`chase_engine::satisfies_deps`] routed through a strategy.
-pub fn satisfies_deps_via(
-    strategy: &dyn ChaseStrategy,
-    instance: &AnnInstance,
-    deps: &[TargetDep],
-) -> bool {
-    strategy.satisfies(instance, deps)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,7 +116,7 @@ mod tests {
         assert_eq!(via.outcome, ChaseOutcome::Satisfied);
         assert_eq!(via.steps, direct.steps);
         assert_eq!(via.instance, direct.instance);
-        assert!(satisfies_deps_via(&NaiveChase, &via.instance, &deps));
+        assert!(NaiveChase.satisfies(&via.instance, &deps));
         assert_eq!(
             via.instance.relation(RelSym::new("G")).unwrap().len(),
             2,

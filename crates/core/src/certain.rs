@@ -19,11 +19,12 @@
 //! available by passing an explicit [`SearchBudget`], astronomically
 //! expensive by design (the problem is coNEXPTIME-complete).
 
-use dx_chase::{canonical_solution, canonical_solution_via, ChaseStrategy, Mapping};
+use crate::Exchange;
+use dx_chase::{Mapping, TargetDep};
 use dx_logic::classify::{self, QueryClass};
 use dx_logic::Query;
 use dx_query::{PlanCatalog, QueryEval};
-use dx_relation::{ConstId, Instance, Relation, Tuple};
+use dx_relation::{AnnInstance, ConstId, Instance, NullGen, Relation, Tuple};
 use dx_solver::{search_rep_a_indexed, Completeness, Leaf, SearchBudget};
 use std::collections::BTreeSet;
 
@@ -59,56 +60,8 @@ pub struct CertainOutcome {
     pub leaves: u64,
 }
 
-/// The data-exchange query-answering problem `DEQA(Σα, Q)` of §4, bundling a
-/// mapping with a target query.
-#[derive(Clone)]
-pub struct Deqa {
-    /// The annotated mapping `(σ, τ, Σα)`.
-    pub mapping: Mapping,
-    /// The target query `Q`.
-    pub query: Query,
-}
-
-impl Deqa {
-    /// Bundle a mapping and a query; panics if the query mentions relations
-    /// outside the target schema.
-    pub fn new(mapping: Mapping, query: Query) -> Self {
-        for (rel, arity) in query.formula.relations() {
-            assert_eq!(
-                mapping.target.arity(rel),
-                Some(arity),
-                "query relation {rel}/{arity} not in the target schema"
-            );
-        }
-        Deqa { mapping, query }
-    }
-
-    /// Decide `t̄ ∈ certain_Σα(Q, S)` with an automatically chosen budget.
-    pub fn contains(&self, source: &Instance, tuple: &Tuple) -> CertainOutcome {
-        certain_contains(&self.mapping, source, &self.query, tuple, None)
-    }
-
-    /// Decide with an explicit search budget for the open regimes.
-    pub fn contains_with_budget(
-        &self,
-        source: &Instance,
-        tuple: &Tuple,
-        budget: &SearchBudget,
-    ) -> CertainOutcome {
-        certain_contains(&self.mapping, source, &self.query, tuple, Some(budget))
-    }
-
-    /// Compute the full certain-answer relation (candidates range over the
-    /// source active domain and the query constants).
-    pub fn answers(&self, source: &Instance) -> (Relation, Completeness) {
-        certain_answers(&self.mapping, source, &self.query, None)
-    }
-}
-
-/// Decide `t̄ ∈ certain_Σα(Q, S)`.
-///
-/// `budget` only affects the `OpenBounded` regime (`#op ≥ 1` with a full-FO
-/// query); all other regimes use their theory-exact witness spaces.
+/// Decide `t̄ ∈ certain_Σα(Q, S)` — the `DEQA(Σα, Q)` problem of §4 (see
+/// [`Exchange::certain_contains`]).
 pub fn certain_contains(
     mapping: &Mapping,
     source: &Instance,
@@ -116,206 +69,24 @@ pub fn certain_contains(
     tuple: &Tuple,
     budget: Option<&SearchBudget>,
 ) -> CertainOutcome {
-    let csol = canonical_solution(mapping, source);
-    certain_contains_with(mapping, &csol, query, tuple, budget)
+    Exchange::new(mapping, source).certain_contains(query, tuple, budget)
 }
 
-/// [`certain_contains`] with the exchange routed end to end through a
-/// [`ChaseStrategy`] — the canonical solution's FO body evaluation runs on
-/// the strategy's [`ChaseStrategy::body_eval`] engine (compiled plans for
-/// `dx_engine::IndexedChase`, the tree walker for `dx_chase::NaiveChase`).
-/// Results are identical across strategies (body evaluators must reproduce
-/// the reference witness order).
-pub fn certain_contains_via(
-    strategy: &dyn ChaseStrategy,
-    mapping: &Mapping,
-    source: &Instance,
-    query: &Query,
-    tuple: &Tuple,
-    budget: Option<&SearchBudget>,
-) -> CertainOutcome {
-    let csol = canonical_solution_via(strategy.body_eval(), mapping, source);
-    certain_contains_with(mapping, &csol, query, tuple, budget)
-}
-
-/// [`certain_contains`] against a precomputed canonical solution —
-/// answer-set computations decide many tuples over the same `CSol_A(S)`.
-pub fn certain_contains_with(
-    mapping: &Mapping,
-    csol: &dx_chase::CanonicalSolution,
-    query: &Query,
-    tuple: &Tuple,
-    budget: Option<&SearchBudget>,
-) -> CertainOutcome {
-    let ev = PlanCatalog::shared().eval_in(query, &mapping.target);
-    certain_contains_eval(
-        mapping,
-        csol,
-        &ev,
-        monotone_rigid(query, csol),
-        tuple,
-        budget,
-    )
-}
-
-/// Is the query monotone **modulo rigid relations** of this canonical
-/// solution (the Proposition 4 dispatch below, extended per
-/// [`classify::rigid_relations_of`])? Depends only on `(query, csol)` —
-/// answer-set loops compute it once, not per candidate tuple.
-fn monotone_rigid(query: &Query, csol: &dx_chase::CanonicalSolution) -> bool {
-    classify::is_monotone_rigid(
-        &query.formula,
-        &classify::rigid_relations_of(&query.formula, &csol.instance),
-    )
-}
-
-/// The worker behind [`certain_contains_with`]: query evaluation (both the
-/// Proposition 3 naive path and every `Rep_A` refutation check) runs on a
-/// [`QueryEval`] drawn from the shared [`PlanCatalog`] — a `dx-query`
-/// compiled plan when the formula is safe-range, the tree-walking oracle
-/// otherwise. Refutation checks probe the search's incrementally
-/// maintained index ([`Leaf::index`]); candidate instances are never
-/// re-indexed.
-fn certain_contains_eval(
-    mapping: &Mapping,
-    csol: &dx_chase::CanonicalSolution,
-    ev: &QueryEval,
-    monotone_rigid: bool,
-    tuple: &Tuple,
-    budget: Option<&SearchBudget>,
-) -> CertainOutcome {
-    let query = ev.query();
-    assert_eq!(tuple.arity(), query.arity(), "answer-tuple arity mismatch");
-    assert!(tuple.is_ground(), "certain answers are tuples over Const");
-
-    // Proposition 3: positive queries via naive evaluation — for any
-    // annotation.
-    if classify::is_positive(&query.formula) {
-        let certain = ev.holds_on(&csol.rel_part(), tuple);
-        return CertainOutcome {
-            certain,
-            completeness: Completeness::Exact,
-            regime: Regime::NaivePositive,
-            counterexample: None,
-            leaves: 0,
-        };
-    }
-
-    let query_consts: BTreeSet<ConstId> = query
-        .formula
-        .constants()
-        .into_iter()
-        .chain(tuple.consts())
-        .collect();
-
-    // Proposition 4: monotone queries — certain_Σα(Q,S) = □Q(CSol(S)),
-    // decided by valuation search over Rep(CSol) (all-closed Rep_A). The
-    // class is taken **modulo rigid relations** (ground, fully closed, no
-    // all-open marker — their extension is pinned in every member, see
-    // `dx_logic::classify::rigid_relations_of`): a negated atom over a
-    // rigid relation never changes value as members grow, so a query that
-    // is monotone apart from such atoms still has its minimal falsifiers
-    // among the extras-free valuation images, and the image sweep stays
-    // exact. With no rigid negations this is exactly Proposition 4.
-    if monotone_rigid {
-        let closed = csol.instance.reannotate_all_closed();
-        let mut check = |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), leaf.instance(), tuple);
-        let outcome = search_rep_a_indexed(
-            &closed,
-            &query_consts,
-            &SearchBudget::closed_world(),
-            &mut check,
-        );
-        return CertainOutcome {
-            certain: outcome.witness.is_none(),
-            completeness: outcome.completeness,
-            regime: Regime::Monotone,
-            counterexample: outcome.witness.map(|(i, _)| i),
-            leaves: outcome.leaves,
-        };
-    }
-
-    // Pick the witness space for the general case.
-    let (search_budget, regime, exact) = match classify::classify(&query.formula) {
-        QueryClass::UniversalExistential => {
-            // Prop 5: β = ¬φ(t̄) is ∃^l ∀* with l = the number of universal
-            // variables of φ (they become β's existential block); the
-            // counterexample needs at most l·arity(τ) external constants.
-            let l = classify::universal_var_count(&query.formula);
-            let max_arity = mapping.target.max_arity().max(1);
-            let mut prop5 = SearchBudget::universal_existential(l.max(1), max_arity);
-            // The Prop 5 space is exhaustive but exponential in the extras
-            // pool (every subset of the replicated tuples is a member), so a
-            // certain tuple over a pool of n extras costs 2^n leaves. Honor
-            // the caller's leaf cap — or the default cap when none is given —
-            // and let the Capped completeness report the truncation.
-            prop5.max_leaves = budget.map_or(SearchBudget::default().max_leaves, |b| b.max_leaves);
-            (prop5, Regime::UniversalExistential, true)
-        }
-        _ if mapping.is_all_closed() => (SearchBudget::closed_world(), Regime::ClosedWorld, true),
-        _ => (
-            budget.cloned().unwrap_or_default(),
-            Regime::OpenBounded,
-            false,
-        ),
-    };
-    // An explicit caller budget always wins (e.g. exhaustive Lemma 2 runs).
-    let search_budget = match (budget, regime) {
-        (Some(b), Regime::OpenBounded) => b.clone(),
-        _ => search_budget,
-    };
-
-    let mut check = |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), leaf.instance(), tuple);
-    let outcome = search_rep_a_indexed(&csol.instance, &query_consts, &search_budget, &mut check);
-    let completeness = match (outcome.completeness, exact) {
-        (Completeness::Capped, _) => Completeness::Capped,
-        (_, true) => Completeness::Exact,
-        (c, false) => c,
-    };
-    CertainOutcome {
-        certain: outcome.witness.is_none(),
-        completeness,
-        regime,
-        counterexample: outcome.witness.map(|(i, _)| i),
-        leaves: outcome.leaves,
-    }
-}
-
-/// Compute the certain-answer relation. Candidate tuples range over
-/// `(adom(S) ∪ constants(Q))^arity`; by genericity no other constant can be
-/// certain.
+/// Compute the certain-answer relation `certain_Σα(Q, S)` (see
+/// [`Exchange::certain_answers`]).
 pub fn certain_answers(
     mapping: &Mapping,
     source: &Instance,
     query: &Query,
     budget: Option<&SearchBudget>,
 ) -> (Relation, Completeness) {
-    let csol = canonical_solution(mapping, source);
-    certain_answers_with(mapping, &csol, source, query, budget)
+    Exchange::new(mapping, source).certain_answers(query, budget)
 }
 
-/// [`certain_answers`] routed end to end through a [`ChaseStrategy`] (see
-/// [`certain_contains_via`]).
-pub fn certain_answers_via(
-    strategy: &dyn ChaseStrategy,
-    mapping: &Mapping,
-    source: &Instance,
-    query: &Query,
-    budget: Option<&SearchBudget>,
-) -> (Relation, Completeness) {
-    let csol = canonical_solution_via(strategy.body_eval(), mapping, source);
-    certain_answers_with(mapping, &csol, source, query, budget)
-}
-
-/// [`certain_answers`] against a precomputed canonical solution: the query
-/// compiles once (via the shared [`PlanCatalog`]) and every candidate tuple
-/// reuses the plan.
-///
-/// Fast path: for a *positive, safe-range* query one set-valued plan
-/// execution replaces the per-candidate loop — the compiled answers are
-/// domain independent, so membership of each candidate in the answer set
-/// coincides with the per-tuple naive check (Proposition 3), and filtering
-/// to the candidate palette keeps the result identical to the loop.
+/// [`certain_answers`] against a canonical solution the caller already
+/// holds. Kept as a free function because the benchmark (`perfbench`)
+/// calls it with exactly this signature; new code uses
+/// [`Exchange::from_csol`].
 pub fn certain_answers_with(
     mapping: &Mapping,
     csol: &dx_chase::CanonicalSolution,
@@ -323,42 +94,348 @@ pub fn certain_answers_with(
     query: &Query,
     budget: Option<&SearchBudget>,
 ) -> (Relation, Completeness) {
-    let mut candidates: BTreeSet<ConstId> = source.adom_consts();
-    candidates.extend(query.formula.constants());
-    let consts: Vec<ConstId> = candidates.into_iter().collect();
-    let arity = query.arity();
-    let ev = PlanCatalog::shared().eval_in(query, &mapping.target);
+    Exchange::from_csol(mapping, source, &csol.instance).certain_answers(query, budget)
+}
 
-    if classify::is_positive(&query.formula) && ev.is_compiled() {
-        let const_set: BTreeSet<ConstId> = consts.iter().copied().collect();
-        let mut rel = Relation::new(arity);
-        for t in ev.naive_certain_answers(&csol.rel_part()).iter() {
-            if t.consts().all(|c| const_set.contains(&c)) {
-                rel.insert(t.clone());
+/// Certain answers under the pure OWA reading (`Σop`) — Proposition 2's
+/// first extreme.
+pub fn certain_owa(
+    mapping: &Mapping,
+    source: &Instance,
+    query: &Query,
+    tuple: &Tuple,
+    budget: Option<&SearchBudget>,
+) -> CertainOutcome {
+    certain_contains(&mapping.all_open(), source, query, tuple, budget)
+}
+
+/// Certain answers under the pure CWA reading (`Σcl`) — Proposition 2's
+/// second extreme.
+pub fn certain_cwa(
+    mapping: &Mapping,
+    source: &Instance,
+    query: &Query,
+    tuple: &Tuple,
+) -> CertainOutcome {
+    certain_contains(&mapping.all_closed(), source, query, tuple, None)
+}
+
+impl Exchange<'_> {
+    /// Decide `t̄ ∈ certain_Σα(Q, S)`.
+    ///
+    /// `budget` only affects the `OpenBounded` regime (`#op ≥ 1` with a
+    /// full-FO query); all other regimes use their theory-exact witness
+    /// spaces.
+    pub fn certain_contains(
+        &self,
+        query: &Query,
+        tuple: &Tuple,
+        budget: Option<&SearchBudget>,
+    ) -> CertainOutcome {
+        let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
+        let mono_rigid = monotone_rigid(query, &self.csol);
+        self.certain_contains_eval(&ev, mono_rigid, tuple, budget)
+    }
+
+    /// The worker behind [`Exchange::certain_contains`]: query evaluation
+    /// (both the Proposition 3 naive path and every `Rep_A` refutation
+    /// check) runs on a [`QueryEval`] drawn from the shared
+    /// [`PlanCatalog`] — a `dx-query` compiled plan when the formula is
+    /// safe-range, the tree-walking oracle otherwise. Refutation checks
+    /// probe the search's incrementally maintained index
+    /// ([`Leaf::index`]); candidate instances are never re-indexed.
+    fn certain_contains_eval(
+        &self,
+        ev: &QueryEval,
+        monotone_rigid: bool,
+        tuple: &Tuple,
+        budget: Option<&SearchBudget>,
+    ) -> CertainOutcome {
+        let query = ev.query();
+        assert_eq!(tuple.arity(), query.arity(), "answer-tuple arity mismatch");
+        assert!(tuple.is_ground(), "certain answers are tuples over Const");
+
+        // Proposition 3: positive queries via naive evaluation — for any
+        // annotation.
+        if classify::is_positive(&query.formula) {
+            return naive_outcome(ev.holds_on(&self.csol.rel_part(), tuple));
+        }
+
+        let query_consts = tuple_palette(query.formula.constants(), tuple);
+
+        // Proposition 4: monotone queries — certain_Σα(Q,S) = □Q(CSol(S)),
+        // decided by valuation search over Rep(CSol) (all-closed Rep_A).
+        // The class is taken **modulo rigid relations** (ground, fully
+        // closed, no all-open marker — their extension is pinned in every
+        // member, see `dx_logic::classify::rigid_relations_of`): a negated
+        // atom over a rigid relation never changes value as members grow,
+        // so a query that is monotone apart from such atoms still has its
+        // minimal falsifiers among the extras-free valuation images, and
+        // the image sweep stays exact. With no rigid negations this is
+        // exactly Proposition 4.
+        if monotone_rigid {
+            let closed = self.csol.reannotate_all_closed();
+            let mut check =
+                |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), leaf.instance(), tuple);
+            let outcome = search_rep_a_indexed(
+                &closed,
+                &query_consts,
+                &SearchBudget::closed_world(),
+                &mut check,
+            );
+            return refutation_outcome(outcome, Regime::Monotone, false);
+        }
+
+        // Pick the witness space for the general case.
+        let (search_budget, regime, exact) = match classify::classify(&query.formula) {
+            QueryClass::UniversalExistential => {
+                // Prop 5: β = ¬φ(t̄) is ∃^l ∀* with l = the number of
+                // universal variables of φ (they become β's existential
+                // block); the counterexample needs at most l·arity(τ)
+                // external constants.
+                let l = classify::universal_var_count(&query.formula);
+                let max_arity = self.mapping.target.max_arity().max(1);
+                let mut prop5 = SearchBudget::universal_existential(l.max(1), max_arity);
+                // The Prop 5 space is exhaustive but exponential in the
+                // extras pool (every subset of the replicated tuples is a
+                // member), so a certain tuple over a pool of n extras costs
+                // 2^n leaves. Honor the caller's leaf cap — or the default
+                // cap when none is given — and let the Capped completeness
+                // report the truncation.
+                prop5.max_leaves =
+                    budget.map_or(SearchBudget::default().max_leaves, |b| b.max_leaves);
+                (prop5, Regime::UniversalExistential, true)
             }
-        }
-        // Boolean positive queries: the loop below would still probe the
-        // single empty candidate; the set computation already covers it.
-        return (rel, Completeness::Exact);
+            _ if self.mapping.is_all_closed() => {
+                (SearchBudget::closed_world(), Regime::ClosedWorld, true)
+            }
+            // An explicit caller budget always wins (e.g. exhaustive
+            // Lemma 2 runs).
+            _ => (
+                budget.cloned().unwrap_or_default(),
+                Regime::OpenBounded,
+                false,
+            ),
+        };
+
+        let mut check = |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), leaf.instance(), tuple);
+        let outcome = search_rep_a_indexed(&self.csol, &query_consts, &search_budget, &mut check);
+        refutation_outcome(outcome, regime, exact)
     }
 
-    let mut rel = Relation::new(arity);
-    let mut completeness = Completeness::Exact;
-    let mono_rigid = monotone_rigid(query, csol);
-    for tuple in candidate_tuples(&consts, arity) {
-        let out = certain_contains_eval(mapping, csol, &ev, mono_rigid, &tuple, budget);
-        if out.certain {
-            rel.insert(tuple);
+    /// Compute the certain-answer relation. Candidate tuples range over
+    /// `(adom(S) ∪ constants(Q))^arity`; by genericity no other constant
+    /// can be certain. The query compiles once (via the shared
+    /// [`PlanCatalog`]) and every candidate tuple reuses the plan.
+    ///
+    /// Fast path: for a *positive, safe-range* query one set-valued plan
+    /// execution replaces the per-candidate loop — the compiled answers
+    /// are domain independent, so membership of each candidate in the
+    /// answer set coincides with the per-tuple naive check
+    /// (Proposition 3), and filtering to the candidate palette keeps the
+    /// result identical to the loop.
+    pub fn certain_answers(
+        &self,
+        query: &Query,
+        budget: Option<&SearchBudget>,
+    ) -> (Relation, Completeness) {
+        let palette = crate::regimes::answer_palette(self.source, query);
+        let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
+
+        if classify::is_positive(&query.formula) && ev.is_compiled() {
+            // Boolean positive queries: the set computation already
+            // covers the single empty candidate.
+            let rows = ev.naive_certain_answers(&self.csol.rel_part());
+            let in_palette = rows
+                .iter()
+                .filter(|t| t.consts().all(|c| palette.contains(&c)));
+            return (
+                Relation::from_tuples(query.arity(), in_palette.cloned()),
+                Completeness::Exact,
+            );
         }
-        completeness = completeness.worse(out.completeness);
+
+        let consts: Vec<ConstId> = palette.into_iter().collect();
+        let mut rel = Relation::new(query.arity());
+        let mut completeness = Completeness::Exact;
+        let mono_rigid = monotone_rigid(query, &self.csol);
+        for tuple in candidate_tuples(&consts, query.arity()) {
+            let out = self.certain_contains_eval(&ev, mono_rigid, &tuple, budget);
+            if out.certain {
+                rel.insert(tuple);
+            }
+            completeness = completeness.worse(out.completeness);
+        }
+        (rel, completeness)
     }
-    (rel, completeness)
+
+    /// Certain answers under the **1-to-m** reading of open nulls (the
+    /// paper's §6 extension): every open position may be instantiated by
+    /// at most `m` distinct values. For `m = 1` this coincides with the
+    /// CWA; as `m` grows the answers shrink towards the fully-open
+    /// semantics. The witness space is finite, so the decision is
+    /// **exact** for every query class — "all the complexity results about
+    /// CWA mappings apply to this case" (§6).
+    pub fn certain_contains_one_to_m(
+        &self,
+        query: &Query,
+        tuple: &Tuple,
+        m: usize,
+    ) -> CertainOutcome {
+        assert!(m >= 1, "1-to-m needs m ≥ 1");
+        assert_eq!(tuple.arity(), query.arity(), "answer-tuple arity mismatch");
+        let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
+        // Positive queries: naive evaluation is still exact (Prop 3 holds
+        // for every solution notion between CWA and OWA).
+        if classify::is_positive(&query.formula) {
+            return naive_outcome(ev.holds_on(&self.csol.rel_part(), tuple));
+        }
+        let query_consts = tuple_palette(query.formula.constants(), tuple);
+        // Count the open templates of CSol_A (tuples with an open position
+        // and all-open empty markers) — they bound the extra-tuple space.
+        let open_templates: usize = self
+            .csol
+            .relations()
+            .map(|(_, rel)| {
+                rel.iter().filter(|at| at.ann.count_open() > 0).count()
+                    + usize::from(rel.has_all_open_empty_mark())
+            })
+            .sum();
+        let budget = SearchBudget::one_to_m(m, open_templates, self.mapping.target.max_arity());
+        let mut check = |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), leaf.instance(), tuple);
+        let outcome = search_rep_a_indexed(&self.csol, &query_consts, &budget, &mut check);
+        refutation_outcome(outcome, Regime::OpenBounded, true)
+    }
+
+    /// Positive-query certain answers in the presence of **target
+    /// dependencies** (§6 / [Hernich–Schweikardt'07]): chase `CSol_A(S)`
+    /// with the (weakly acyclic) dependencies on this exchange's
+    /// [`dx_chase::ChaseStrategy`], then evaluate naively on the chased
+    /// instance. Returns `None` when the chase fails (an egd clashes on
+    /// constants — no solution exists, so every tuple is vacuously
+    /// certain) or hits its step limit. Chase results differ across
+    /// strategies only up to homomorphic equivalence, which preserves
+    /// ground positive answers — so the returned relation is strategy
+    /// independent.
+    pub fn certain_positive_with_deps(
+        &self,
+        deps: &[TargetDep],
+        query: &Query,
+        max_steps: usize,
+    ) -> Option<Relation> {
+        assert!(
+            classify::is_positive(&query.formula),
+            "the chased-naive pipeline is exact for positive queries only"
+        );
+        let mut gen = NullGen::after(self.csol.nulls());
+        let chased = self
+            .strategy
+            .chase(self.csol.clone().into_owned(), deps, &mut gen, max_steps);
+        match chased.outcome {
+            dx_chase::ChaseOutcome::Satisfied => Some(
+                PlanCatalog::shared()
+                    .eval_in(query, &self.mapping.target)
+                    .naive_certain_answers(&chased.instance.rel_part()),
+            ),
+            _ => None,
+        }
+    }
+
+    /// The dual of certain answers: is `t̄` a **possible** answer — in
+    /// `Q(R)` for at least one `R ∈ ⟦S⟧_Σα`? Decided by direct witness
+    /// search over the same `Rep_A(CSol_A(S))` space the certain-answer
+    /// engines refute over; a positive answer is always definitive, a
+    /// negative one carries the search's completeness (possibility is
+    /// NP-hard in the same regimes where certainty is coNP-hard).
+    pub fn possible_contains(
+        &self,
+        query: &Query,
+        tuple: &Tuple,
+        budget: Option<&SearchBudget>,
+    ) -> CertainOutcome {
+        assert_eq!(tuple.arity(), query.arity(), "answer-tuple arity mismatch");
+        assert!(tuple.is_ground(), "possible answers are tuples over Const");
+        let query_consts = tuple_palette(query.formula.constants(), tuple);
+        let closed = self.mapping.is_all_closed();
+        let search_budget = if closed {
+            SearchBudget::closed_world()
+        } else {
+            budget.cloned().unwrap_or_default()
+        };
+        let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
+        let mut check = |leaf: &Leaf| ev.holds_on_indexed(leaf.index(), leaf.instance(), tuple);
+        let outcome = search_rep_a_indexed(&self.csol, &query_consts, &search_budget, &mut check);
+        let regime = if closed {
+            Regime::ClosedWorld
+        } else {
+            Regime::OpenBounded
+        };
+        let out = refutation_outcome(outcome, regime, closed);
+        // The search looks for a witness, not a counterexample: finding
+        // one proves possibility.
+        CertainOutcome {
+            certain: !out.certain,
+            ..out
+        }
+    }
+}
+
+/// Is the query monotone **modulo rigid relations** of this canonical
+/// solution (the Proposition 4 dispatch of
+/// [`Exchange::certain_contains`], extended per
+/// [`classify::rigid_relations_of`])? Depends only on `(query, csol)` —
+/// answer-set loops compute it once, not per candidate tuple.
+fn monotone_rigid(query: &Query, csol: &AnnInstance) -> bool {
+    classify::is_monotone_rigid(
+        &query.formula,
+        &classify::rigid_relations_of(&query.formula, csol),
+    )
+}
+
+/// The extra palette constants of a per-tuple search (the paper's `C_φ`
+/// for a refutation): the query's constants plus the tuple's.
+pub(crate) fn tuple_palette(mut consts: BTreeSet<ConstId>, tuple: &Tuple) -> BTreeSet<ConstId> {
+    consts.extend(tuple.consts());
+    consts
+}
+
+/// The outcome of the Proposition 3 naive path (no search).
+pub(crate) fn naive_outcome(certain: bool) -> CertainOutcome {
+    CertainOutcome {
+        certain,
+        completeness: Completeness::Exact,
+        regime: Regime::NaivePositive,
+        counterexample: None,
+        leaves: 0,
+    }
+}
+
+/// Turn a refutation search into a [`CertainOutcome`]: certain iff no
+/// witness was found; an `exact` witness space upgrades every uncapped
+/// report to [`Completeness::Exact`].
+pub(crate) fn refutation_outcome(
+    outcome: dx_solver::SearchOutcome,
+    regime: Regime,
+    exact: bool,
+) -> CertainOutcome {
+    CertainOutcome {
+        certain: outcome.witness.is_none(),
+        completeness: match (outcome.completeness, exact) {
+            (Completeness::Capped, _) => Completeness::Capped,
+            (_, true) => Completeness::Exact,
+            (c, false) => c,
+        },
+        regime,
+        counterexample: outcome.witness.map(|(i, _)| i),
+        leaves: outcome.leaves,
+    }
 }
 
 /// All candidate answer tuples over the palette (`consts^arity`; the single
 /// empty tuple for Boolean queries, none when a non-Boolean query meets an
-/// empty palette). Shared by the certain-answer loop above and the regime
-/// engines in [`crate::regimes`].
+/// empty palette). Shared by the certain-answer loop above, the PTIME
+/// language loop in [`crate::ptime_lang`] and the regime engines in
+/// [`crate::regimes`].
 pub(crate) fn candidate_tuples(consts: &[ConstId], arity: usize) -> Vec<Tuple> {
     if arity == 0 {
         return vec![Tuple::new(Vec::new())];
@@ -385,190 +462,6 @@ pub(crate) fn candidate_tuples(consts: &[ConstId], arity: usize) -> Vec<Tuple> {
             carry += 1;
         }
     }
-}
-
-/// Certain answers under the **1-to-m** reading of open nulls (the paper's
-/// §6 extension): every open position may be instantiated by at most `m`
-/// distinct values. For `m = 1` this coincides with the CWA; as `m` grows
-/// the answers shrink towards the fully-open semantics. The witness space
-/// is finite, so the decision is **exact** for every query class — "all the
-/// complexity results about CWA mappings apply to this case" (§6).
-pub fn certain_contains_one_to_m(
-    mapping: &Mapping,
-    source: &Instance,
-    query: &Query,
-    tuple: &Tuple,
-    m: usize,
-) -> CertainOutcome {
-    assert!(m >= 1, "1-to-m needs m ≥ 1");
-    assert_eq!(tuple.arity(), query.arity(), "answer-tuple arity mismatch");
-    let csol = canonical_solution(mapping, source);
-    let ev = PlanCatalog::shared().eval_in(query, &mapping.target);
-    // Positive queries: naive evaluation is still exact (Prop 3 holds for
-    // every solution notion between CWA and OWA).
-    if classify::is_positive(&query.formula) {
-        let certain = ev.holds_on(&csol.rel_part(), tuple);
-        return CertainOutcome {
-            certain,
-            completeness: Completeness::Exact,
-            regime: Regime::NaivePositive,
-            counterexample: None,
-            leaves: 0,
-        };
-    }
-    let query_consts: BTreeSet<ConstId> = query
-        .formula
-        .constants()
-        .into_iter()
-        .chain(tuple.consts())
-        .collect();
-    // Count the open templates of CSol_A (tuples with an open position and
-    // all-open empty markers) — they bound the extra-tuple space.
-    let open_templates: usize = csol
-        .instance
-        .relations()
-        .map(|(_, rel)| {
-            rel.iter().filter(|at| at.ann.count_open() > 0).count()
-                + usize::from(rel.has_all_open_empty_mark())
-        })
-        .sum();
-    let budget = SearchBudget::one_to_m(m, open_templates, mapping.target.max_arity());
-    let mut check = |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), leaf.instance(), tuple);
-    let outcome = search_rep_a_indexed(&csol.instance, &query_consts, &budget, &mut check);
-    CertainOutcome {
-        certain: outcome.witness.is_none(),
-        completeness: match outcome.completeness {
-            Completeness::Capped => Completeness::Capped,
-            _ => Completeness::Exact,
-        },
-        regime: Regime::OpenBounded,
-        counterexample: outcome.witness.map(|(i, _)| i),
-        leaves: outcome.leaves,
-    }
-}
-
-/// Positive-query certain answers in the presence of **target
-/// dependencies** (§6 / [Hernich–Schweikardt'07]): chase `CSol_A(S)` with
-/// the (weakly acyclic) dependencies, then evaluate naively on the chased
-/// instance. Returns `None` when the chase fails (an egd clashes on
-/// constants — no solution exists, so every tuple is vacuously certain) or
-/// hits its step limit.
-pub fn certain_positive_with_deps(
-    mapping: &Mapping,
-    deps: &[dx_chase::TargetDep],
-    source: &Instance,
-    query: &Query,
-    max_steps: usize,
-) -> Option<Relation> {
-    certain_positive_with_deps_via(
-        &dx_chase::NaiveChase,
-        mapping,
-        deps,
-        source,
-        query,
-        max_steps,
-    )
-}
-
-/// [`certain_positive_with_deps`] routed end to end through a
-/// [`ChaseStrategy`]: the canonical solution's body evaluation, the
-/// repairing chase *and* the final naive evaluation all run on the chosen
-/// architecture (`dx_engine::IndexedChase` makes the whole pipeline
-/// indexed). Chase results differ across strategies only up to homomorphic
-/// equivalence, which preserves ground positive answers — so the returned
-/// relation is strategy independent.
-pub fn certain_positive_with_deps_via(
-    strategy: &dyn ChaseStrategy,
-    mapping: &Mapping,
-    deps: &[dx_chase::TargetDep],
-    source: &Instance,
-    query: &Query,
-    max_steps: usize,
-) -> Option<Relation> {
-    assert!(
-        classify::is_positive(&query.formula),
-        "the chased-naive pipeline is exact for positive queries only"
-    );
-    let chased =
-        dx_chase::canonical_solution_with_deps_via(strategy, mapping, deps, source, max_steps);
-    match chased.outcome {
-        dx_chase::ChaseOutcome::Satisfied => Some(
-            PlanCatalog::shared()
-                .eval_in(query, &mapping.target)
-                .naive_certain_answers(&chased.instance.rel_part()),
-        ),
-        _ => None,
-    }
-}
-
-/// The dual of certain answers: is `t̄` a **possible** answer — in `Q(R)`
-/// for at least one `R ∈ ⟦S⟧_Σα`? Decided by direct witness search over
-/// the same `Rep_A(CSol_A(S))` space the certain-answer engines refute
-/// over; a positive answer is always definitive, a negative one carries
-/// the search's completeness (possibility is NP-hard in the same regimes
-/// where certainty is coNP-hard).
-pub fn possible_contains(
-    mapping: &Mapping,
-    source: &Instance,
-    query: &Query,
-    tuple: &Tuple,
-    budget: Option<&SearchBudget>,
-) -> CertainOutcome {
-    assert_eq!(tuple.arity(), query.arity(), "answer-tuple arity mismatch");
-    assert!(tuple.is_ground(), "possible answers are tuples over Const");
-    let csol = canonical_solution(mapping, source);
-    let query_consts: BTreeSet<ConstId> = query
-        .formula
-        .constants()
-        .into_iter()
-        .chain(tuple.consts())
-        .collect();
-    let search_budget = if mapping.is_all_closed() {
-        SearchBudget::closed_world()
-    } else {
-        budget.cloned().unwrap_or_default()
-    };
-    let ev = PlanCatalog::shared().eval_in(query, &mapping.target);
-    let mut check = |leaf: &Leaf| ev.holds_on_indexed(leaf.index(), leaf.instance(), tuple);
-    let outcome = search_rep_a_indexed(&csol.instance, &query_consts, &search_budget, &mut check);
-    CertainOutcome {
-        certain: outcome.witness.is_some(),
-        completeness: if mapping.is_all_closed() && outcome.completeness != Completeness::Capped {
-            Completeness::Exact
-        } else {
-            outcome.completeness
-        },
-        regime: if mapping.is_all_closed() {
-            Regime::ClosedWorld
-        } else {
-            Regime::OpenBounded
-        },
-        counterexample: outcome.witness.map(|(i, _)| i),
-        leaves: outcome.leaves,
-    }
-}
-
-/// Certain answers under the pure OWA reading (`Σop`) — Proposition 2's
-/// first extreme.
-pub fn certain_owa(
-    mapping: &Mapping,
-    source: &Instance,
-    query: &Query,
-    tuple: &Tuple,
-    budget: Option<&SearchBudget>,
-) -> CertainOutcome {
-    certain_contains(&mapping.all_open(), source, query, tuple, budget)
-}
-
-/// Certain answers under the pure CWA reading (`Σcl`) — Proposition 2's
-/// second extreme.
-pub fn certain_cwa(
-    mapping: &Mapping,
-    source: &Instance,
-    query: &Query,
-    tuple: &Tuple,
-) -> CertainOutcome {
-    certain_contains(&mapping.all_closed(), source, query, tuple, None)
 }
 
 #[cfg(test)]
@@ -751,7 +644,8 @@ mod tests {
         let q = Query::parse(&["a"], "exists p. Sub2(p, a)").unwrap();
         let s = papers_source();
         // "alice" is a possible author (the null can be valued to it)...
-        let possible = possible_contains(&m, &s, &q, &Tuple::from_names(&["alice"]), None);
+        let ex = Exchange::new(&m, &s);
+        let possible = ex.possible_contains(&q, &Tuple::from_names(&["alice"]), None);
         assert!(possible.certain, "possible witness exists");
         assert_eq!(possible.completeness, Completeness::Exact);
         // ...but not a certain one.
@@ -761,10 +655,10 @@ mod tests {
         let q_keys = Query::parse(&["p"], "exists a. Sub2(p, a)").unwrap();
         let t = Tuple::from_names(&["p1"]);
         assert!(certain_contains(&m, &s, &q_keys, &t, None).certain);
-        assert!(possible_contains(&m, &s, &q_keys, &t, None).certain);
+        assert!(ex.possible_contains(&q_keys, &t, None).certain);
         // An id never exchanged is not even possible (closed key column).
         let bad = Tuple::from_names(&["ghost"]);
-        let out = possible_contains(&m, &s, &q_keys, &bad, None);
+        let out = ex.possible_contains(&q_keys, &bad, None);
         assert!(!out.certain);
         assert_eq!(out.completeness, Completeness::Exact);
     }

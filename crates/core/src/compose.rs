@@ -15,9 +15,9 @@
 //! * `#op(Σα) ≥ 1` — bounded open-position replication (NEXPTIME-complete
 //!   at `#op = 1`, undecidable beyond; answers carry their completeness).
 
-use crate::semantics;
-use dx_chase::{canonical_solution_via, is_owa_solution, ChaseStrategy, Mapping, NaiveChase};
-use dx_relation::{AnnInstance, AnnTuple, Annotation, ConstId, Instance, Tuple};
+use crate::{semantics, Exchange};
+use dx_chase::{is_owa_solution, Mapping};
+use dx_relation::{ConstId, Instance, Tuple};
 use dx_solver::{search_rep_a_indexed, Completeness, Leaf, SearchBudget};
 use std::collections::BTreeSet;
 
@@ -53,9 +53,8 @@ pub struct CompOutcome {
     pub leaves: u64,
 }
 
-/// Decide `(S, W) ∈ Σα ∘ Δα′` — the problem `Comp(Σα, Δα′)` of §5.
-///
-/// `budget` only affects the `#op(Σα) ≥ 1` regime.
+/// Decide `(S, W) ∈ Σα ∘ Δα′` — the problem `Comp(Σα, Δα′)` of §5 (see
+/// [`Exchange::comp_membership`]).
 pub fn comp_membership(
     sigma: &Mapping,
     delta: &Mapping,
@@ -63,139 +62,145 @@ pub fn comp_membership(
     w: &Instance,
     budget: Option<&SearchBudget>,
 ) -> CompOutcome {
-    comp_membership_via(&NaiveChase, sigma, delta, source, w, budget)
+    Exchange::new(sigma, source).comp_membership(delta, w, budget)
 }
 
-/// [`comp_membership`] routed end to end through a [`ChaseStrategy`]: both
-/// the `Σ`-side canonical solution and every per-intermediate `Δ`
-/// membership check evaluate their FO bodies on the strategy's engine
-/// (compiled plans for `dx_engine::IndexedChase`). The verdict is strategy
-/// independent.
-pub fn comp_membership_via(
-    strategy: &dyn ChaseStrategy,
-    sigma: &Mapping,
-    delta: &Mapping,
-    source: &Instance,
-    w: &Instance,
-    budget: Option<&SearchBudget>,
-) -> CompOutcome {
-    assert!(source.is_ground() && w.is_ground(), "instances over Const");
-    // Δ's source vocabulary must live in Σ's target.
-    for std in &delta.stds {
-        for (rel, arity) in std.body.relations() {
-            assert_eq!(
-                sigma.target.arity(rel),
-                Some(arity),
-                "Δ body relation {rel} not produced by Σ"
-            );
+impl Exchange<'_> {
+    /// Decide `(S, W) ∈ Σα ∘ Δα′`, with this exchange as `(Σα, S)`.
+    /// Every per-intermediate `Δ` membership check builds its own exchange
+    /// of the intermediate on this exchange's [`dx_chase::ChaseStrategy`];
+    /// the verdict is strategy independent.
+    ///
+    /// `budget` only affects the `#op(Σα) ≥ 1` regime.
+    pub fn comp_membership(
+        &self,
+        delta: &Mapping,
+        w: &Instance,
+        budget: Option<&SearchBudget>,
+    ) -> CompOutcome {
+        assert!(
+            self.source.is_ground() && w.is_ground(),
+            "instances over Const"
+        );
+        // Δ's source vocabulary must live in Σ's target.
+        for std in &delta.stds {
+            for (rel, arity) in std.body.relations() {
+                assert_eq!(
+                    self.mapping.target.arity(rel),
+                    Some(arity),
+                    "Δ body relation {rel} not produced by Σ"
+                );
+            }
         }
-    }
 
-    let csol = canonical_solution_via(strategy.body_eval(), sigma, source);
+        // Constants the intermediate may need: everything W or Δ can "see".
+        let mut extra: BTreeSet<ConstId> = w.adom_consts();
+        for std in &delta.stds {
+            extra.extend(std.body.constants());
+        }
 
-    // Constants the intermediate may need: everything W or Δ can "see".
-    let mut extra: BTreeSet<ConstId> = w.adom_consts();
-    for std in &delta.stds {
-        extra.extend(std.body.constants());
-    }
-
-    // Lemma 3 fast path: Δ monotone + all-open ⇒ minimal intermediates
-    // (valuation images of CSol) suffice, regardless of Σ's annotation.
-    if delta.has_monotone_bodies() && delta.is_all_open() {
-        // Copy-like Δ (single-atom bodies, frontier-only heads): the whole
-        // condition "∃v: (v(CSol), W) ⊨ Δ" collapses to embedding the
-        // Δ-image of CSol into W — a pruned CSP instead of leaf-checked
-        // valuation enumeration.
-        if let Some(pre) = delta_preimage(delta, &csol.rel_part()) {
-            let v = dx_solver::find_embedding_valuation(&pre, w);
-            let intermediate = v.map(|mut val| {
-                // Nulls Δ never looks at are unconstrained; ground them so
-                // the reported intermediate is a Const-instance.
-                for n in csol.instance.nulls() {
-                    if !val.is_defined(n) {
-                        val.set(n, ConstId::new("⋆free"));
+        // Lemma 3 fast path: Δ monotone + all-open ⇒ minimal intermediates
+        // (valuation images of CSol) suffice, regardless of Σ's annotation.
+        if delta.has_monotone_bodies() && delta.is_all_open() {
+            // Copy-like Δ (single-atom bodies, frontier-only heads): the whole
+            // condition "∃v: (v(CSol), W) ⊨ Δ" collapses to embedding the
+            // Δ-image of CSol into W — a pruned CSP instead of leaf-checked
+            // valuation enumeration.
+            if let Some(pre) = delta_preimage(delta, &self.csol.rel_part()) {
+                let v = dx_solver::find_embedding_valuation(&pre, w);
+                let intermediate = v.map(|mut val| {
+                    // Nulls Δ never looks at are unconstrained; ground them so
+                    // the reported intermediate is a Const-instance.
+                    for n in self.csol.nulls() {
+                        if !val.is_defined(n) {
+                            val.set(n, ConstId::new("⋆free"));
+                        }
                     }
-                }
-                csol.rel_part().apply(&val)
-            });
+                    self.csol.rel_part().apply(&val)
+                });
+                return CompOutcome {
+                    member: intermediate.is_some(),
+                    completeness: Completeness::Exact,
+                    path: CompPath::MonotoneOpen,
+                    intermediate,
+                    leaves: 1,
+                };
+            }
+            let closed = self.csol.reannotate_all_closed();
+            let mut check = |leaf: &Leaf| is_owa_solution(delta, leaf.instance(), w);
+            let out =
+                search_rep_a_indexed(&closed, &extra, &SearchBudget::closed_world(), &mut check);
             return CompOutcome {
-                member: intermediate.is_some(),
+                member: out.witness.is_some(),
                 completeness: Completeness::Exact,
                 path: CompPath::MonotoneOpen,
-                intermediate,
-                leaves: 1,
+                intermediate: out.witness.map(|(j, _)| j),
+                leaves: out.leaves,
             };
         }
-        let closed = all_closed_view(&csol.instance);
-        let mut check = |leaf: &Leaf| is_owa_solution(delta, leaf.instance(), w);
-        let out = search_rep_a_indexed(&closed, &extra, &SearchBudget::closed_world(), &mut check);
-        return CompOutcome {
-            member: out.witness.is_some(),
-            completeness: Completeness::Exact,
-            path: CompPath::MonotoneOpen,
-            intermediate: out.witness.map(|(j, _)| j),
-            leaves: out.leaves,
-        };
-    }
 
-    let (search_budget, path, exact) = if sigma.is_all_closed() {
-        (
-            SearchBudget::closed_world(),
-            CompPath::ClosedIntermediate,
-            true,
-        )
-    } else if let Some(b) = budget {
-        // An explicit caller budget always wins (callers that want the
-        // exhaustive existential-Δ space can pass None or build it via
-        // SearchBudget::existential_delta themselves).
-        (b.clone(), CompPath::BoundedIntermediate, false)
-    } else if delta
-        .stds
-        .iter()
-        .all(|std| dx_logic::classify::is_existential(&std.body))
-    {
-        // §6 remark: existential Δ-bodies — a witness J shrinks to the
-        // values of `v(CSol) ∪ adom(W) ∪ consts(Δ)` plus the values of one
-        // kept supporting body-match per W-tuple (restriction preserves
-        // positive atoms of kept matches, only improves negated atoms, and
-        // removes — never adds — obligations). That is ≤ |W| · (Δ body
-        // variables) external values, realizable as canonical fresh
-        // constants by genericity: NP, exact, for every annotation of Σ.
-        let max_body_vars = delta
+        let (search_budget, path, exact) = if self.mapping.is_all_closed() {
+            (
+                SearchBudget::closed_world(),
+                CompPath::ClosedIntermediate,
+                true,
+            )
+        } else if let Some(b) = budget {
+            // An explicit caller budget always wins (callers that want the
+            // exhaustive existential-Δ space can pass None or build it via
+            // SearchBudget::existential_delta themselves).
+            (b.clone(), CompPath::BoundedIntermediate, false)
+        } else if delta
             .stds
             .iter()
-            .map(|std| std.body.all_vars().len())
-            .max()
-            .unwrap_or(0);
-        (
-            SearchBudget::existential_delta(w.tuple_count(), max_body_vars),
-            CompPath::ExistentialDelta,
-            true,
-        )
-    } else {
-        (
-            budget.cloned().unwrap_or_default(),
-            CompPath::BoundedIntermediate,
-            false,
-        )
-    };
+            .all(|std| dx_logic::classify::is_existential(&std.body))
+        {
+            // §6 remark: existential Δ-bodies — a witness J shrinks to the
+            // values of `v(CSol) ∪ adom(W) ∪ consts(Δ)` plus the values of one
+            // kept supporting body-match per W-tuple (restriction preserves
+            // positive atoms of kept matches, only improves negated atoms, and
+            // removes — never adds — obligations). That is ≤ |W| · (Δ body
+            // variables) external values, realizable as canonical fresh
+            // constants by genericity: NP, exact, for every annotation of Σ.
+            let max_body_vars = delta
+                .stds
+                .iter()
+                .map(|std| std.body.all_vars().len())
+                .max()
+                .unwrap_or(0);
+            (
+                SearchBudget::existential_delta(w.tuple_count(), max_body_vars),
+                CompPath::ExistentialDelta,
+                true,
+            )
+        } else {
+            (
+                budget.cloned().unwrap_or_default(),
+                CompPath::BoundedIntermediate,
+                false,
+            )
+        };
 
-    // The per-intermediate membership check chases `J` as a source, so it
-    // consumes the materialized instance view (maintained in lock-step with
-    // the index — no per-leaf clone).
-    let mut check = |leaf: &Leaf| semantics::is_member_via(strategy, delta, leaf.instance(), w);
-    let out = search_rep_a_indexed(&csol.instance, &extra, &search_budget, &mut check);
-    let completeness = match (out.completeness, exact) {
-        (Completeness::Capped, _) => Completeness::Capped,
-        (_, true) => Completeness::Exact,
-        (c, false) => c,
-    };
-    CompOutcome {
-        member: out.witness.is_some(),
-        completeness,
-        path,
-        intermediate: out.witness.map(|(j, _)| j),
-        leaves: out.leaves,
+        // The per-intermediate membership check exchanges `J` as a source
+        // (on this exchange's strategy), so it consumes the materialized
+        // instance view (maintained in lock-step with the index — no
+        // per-leaf clone).
+        let mut check = |leaf: &Leaf| {
+            semantics::in_semantics_on(self.strategy, delta, leaf.instance(), w).is_member()
+        };
+        let out = search_rep_a_indexed(&self.csol, &extra, &search_budget, &mut check);
+        let completeness = match (out.completeness, exact) {
+            (Completeness::Capped, _) => Completeness::Capped,
+            (_, true) => Completeness::Exact,
+            (c, false) => c,
+        };
+        CompOutcome {
+            member: out.witness.is_some(),
+            completeness,
+            path,
+            intermediate: out.witness.map(|(j, _)| j),
+            leaves: out.leaves,
+        }
     }
 }
 
@@ -255,24 +260,6 @@ fn delta_preimage(delta: &Mapping, j: &Instance) -> Option<Instance> {
         }
     }
     Some(pre)
-}
-
-/// View an annotated instance with every annotation closed (so `Rep_A`
-/// degenerates to `Rep(rel(T))` — Lemma 1).
-fn all_closed_view(t: &AnnInstance) -> AnnInstance {
-    let mut out = AnnInstance::new();
-    for (r, rel) in t.relations() {
-        for at in rel.iter() {
-            out.insert(
-                r,
-                AnnTuple::new(at.tuple.clone(), Annotation::all_closed(at.tuple.arity())),
-            );
-        }
-        for m in rel.empty_marks() {
-            out.insert_empty_mark(r, Annotation::all_closed(m.arity()));
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -5,6 +5,11 @@
 //! JCSS'11), built on the substrates `dx-relation`/`dx-logic`/`dx-chase`/
 //! `dx-solver`:
 //!
+//! * [`exchange`] — the entry surface: an [`Exchange`] holds one annotated
+//!   mapping, one source and their annotated canonical solution
+//!   `CSol_A(S)`, built once, and answers every question below as a method
+//!   reading it (Theorem 1(4) and Corollary 2 put every question on that
+//!   one object);
 //! * [`semantics`] — the mixed open/closed-world semantics `⟦S⟧_Σα`:
 //!   membership (Theorem 2: PTIME when all-open, NP otherwise), the
 //!   OWA/CWA extremes (Theorem 1(1–2), Proposition 2) and the annotation
@@ -44,6 +49,7 @@ pub mod certain;
 pub mod compose;
 pub mod compose_alg;
 pub mod ctable_bridge;
+pub mod exchange;
 pub mod non_closure;
 pub mod ptime_lang;
 pub mod regimes;
@@ -51,20 +57,15 @@ pub mod semantics;
 pub mod skstd;
 pub mod streaming;
 
-pub use certain::{
-    certain_answers, certain_answers_via, certain_answers_with, certain_contains,
-    certain_contains_via, certain_contains_with, certain_positive_with_deps_via, possible_contains,
-    CertainOutcome, Deqa,
-};
-pub use compose::{comp_membership, comp_membership_via, CompOutcome};
+pub use certain::{certain_answers, certain_answers_with, certain_contains, CertainOutcome};
+pub use compose::{comp_membership, CompOutcome};
 pub use compose_alg::{compose_skstd, ComposeError};
-pub use ctable_bridge::{certain_answers_cwa_ra, csol_as_ctable, possible_answers_cwa_ra};
-pub use ptime_lang::{certain_answers_ptime, certain_contains_ptime, CompiledFoQuery, PtimeQuery};
+pub use exchange::Exchange;
+pub use ptime_lang::{CompiledFoQuery, PtimeQuery};
 pub use regimes::{
-    approx_certain_answers, approx_certain_answers_via, approx_certain_answers_with,
-    gcwa_star_answers, gcwa_star_answers_via, gcwa_star_answers_with, gcwa_star_contains,
-    under_over_queries, ApproxOutcome, GcwaMembership, GcwaOutcome, RegimeBudget,
+    approx_certain_answers, gcwa_star_answers, under_over_queries, ApproxOutcome, GcwaMembership,
+    GcwaOutcome, RegimeBudget,
 };
-pub use semantics::{in_semantics, in_semantics_via, is_member_via, MembershipOutcome};
+pub use semantics::{in_semantics, MembershipOutcome};
 pub use skstd::{SkAtom, SkMapping, SkStd};
 pub use streaming::{affected_target_rels, QueryPath, SessionReport, StreamRegime, StreamSession};

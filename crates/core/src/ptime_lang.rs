@@ -24,8 +24,10 @@
 //!   the search is capped by the caller's [`SearchBudget`] and reported as
 //!   such in [`CertainOutcome::completeness`]).
 
-use crate::certain::{CertainOutcome, Regime};
-use dx_chase::{canonical_solution, Mapping};
+use crate::certain::{
+    candidate_tuples, naive_outcome, refutation_outcome, tuple_palette, CertainOutcome, Regime,
+};
+use crate::Exchange;
 use dx_logic::datalog::DatalogQuery;
 use dx_logic::Query;
 use dx_query::{PlanCatalog, QueryEval, QueryStore};
@@ -216,141 +218,95 @@ impl PtimeQuery for DatalogQuery {
     }
 }
 
-/// Decide `t̄ ∈ certain_Σα(Q, S)` for a black-box PTIME query.
-///
-/// Regime selection mirrors [`crate::certain::certain_contains`], minus the
-/// FO-specific `∀*∃*` and Lemma 2 bounds (see the module docs).
-pub fn certain_contains_ptime(
-    mapping: &Mapping,
-    source: &Instance,
-    query: &dyn PtimeQuery,
-    tuple: &Tuple,
-    budget: Option<&SearchBudget>,
-) -> CertainOutcome {
-    assert_eq!(
-        tuple.arity(),
-        query.out_arity(),
-        "answer-tuple arity mismatch"
-    );
-    assert!(tuple.is_ground(), "certain answers are tuples over Const");
-    let csol = canonical_solution(mapping, source);
+impl Exchange<'_> {
+    /// Decide `t̄ ∈ certain_Σα(Q, S)` for a black-box PTIME query.
+    ///
+    /// Regime selection mirrors [`Exchange::certain_contains`], minus the
+    /// FO-specific `∀*∃*` and Lemma 2 bounds (see the module docs).
+    pub fn certain_contains_ptime(
+        &self,
+        query: &dyn PtimeQuery,
+        tuple: &Tuple,
+        budget: Option<&SearchBudget>,
+    ) -> CertainOutcome {
+        assert_eq!(
+            tuple.arity(),
+            query.out_arity(),
+            "answer-tuple arity mismatch"
+        );
+        assert!(tuple.is_ground(), "certain answers are tuples over Const");
 
-    if query.hom_preserved() {
-        let certain = query.holds(&csol.rel_part(), tuple);
-        return CertainOutcome {
-            certain,
-            completeness: Completeness::Exact,
-            regime: Regime::NaivePositive,
-            counterexample: None,
-            leaves: 0,
-        };
-    }
+        if query.hom_preserved() {
+            return naive_outcome(query.holds(&self.csol.rel_part(), tuple));
+        }
 
-    let query_consts: BTreeSet<ConstId> = query
-        .query_constants()
-        .into_iter()
-        .chain(tuple.consts())
-        .collect();
-
-    if query.monotone() {
-        let closed = csol.instance.reannotate_all_closed();
+        let query_consts = tuple_palette(query.query_constants(), tuple);
         let mut holds = query.prepared_holds(tuple);
         let mut check = |leaf: &Leaf| !holds(leaf.index(), leaf.instance());
-        let outcome = search_rep_a_indexed(
-            &closed,
-            &query_consts,
-            &SearchBudget::closed_world(),
-            &mut check,
-        );
-        return CertainOutcome {
-            certain: outcome.witness.is_none(),
-            completeness: outcome.completeness,
-            regime: Regime::Monotone,
-            counterexample: outcome.witness.map(|(i, _)| i),
-            leaves: outcome.leaves,
+
+        if query.monotone() {
+            let closed = self.csol.reannotate_all_closed();
+            let outcome = search_rep_a_indexed(
+                &closed,
+                &query_consts,
+                &SearchBudget::closed_world(),
+                &mut check,
+            );
+            return refutation_outcome(outcome, Regime::Monotone, false);
+        }
+
+        let (search_budget, regime, exact) = if self.mapping.is_all_closed() {
+            (SearchBudget::closed_world(), Regime::ClosedWorld, true)
+        } else {
+            (
+                budget.cloned().unwrap_or_default(),
+                Regime::OpenBounded,
+                false,
+            )
         };
+        let outcome = search_rep_a_indexed(&self.csol, &query_consts, &search_budget, &mut check);
+        refutation_outcome(outcome, regime, exact)
     }
 
-    let (search_budget, regime, exact) = if mapping.is_all_closed() {
-        (SearchBudget::closed_world(), Regime::ClosedWorld, true)
-    } else {
-        (
-            budget.cloned().unwrap_or_default(),
-            Regime::OpenBounded,
-            false,
-        )
-    };
-    let mut holds = query.prepared_holds(tuple);
-    let mut check = |leaf: &Leaf| !holds(leaf.index(), leaf.instance());
-    let outcome = search_rep_a_indexed(&csol.instance, &query_consts, &search_budget, &mut check);
-    CertainOutcome {
-        certain: outcome.witness.is_none(),
-        completeness: match (outcome.completeness, exact) {
-            (Completeness::Capped, _) => Completeness::Capped,
-            (_, true) => Completeness::Exact,
-            (c, false) => c,
-        },
-        regime,
-        counterexample: outcome.witness.map(|(i, _)| i),
-        leaves: outcome.leaves,
-    }
-}
-
-/// The full certain-answer relation for a black-box PTIME query (candidates
-/// range over `adom(S)` and the query constants, by genericity).
-pub fn certain_answers_ptime(
-    mapping: &Mapping,
-    source: &Instance,
-    query: &dyn PtimeQuery,
-    budget: Option<&SearchBudget>,
-) -> (Relation, Completeness) {
-    // Hom-preserved queries: one naive evaluation of the program on the
-    // canonical solution gives the whole certain-answer relation (its
-    // ground tuples) — no per-candidate loop.
-    if query.hom_preserved() {
-        let csol = canonical_solution(mapping, source);
+    /// The full certain-answer relation for a black-box PTIME query
+    /// (candidates range over `adom(S)` and the query constants, by
+    /// genericity).
+    pub fn certain_answers_ptime(
+        &self,
+        query: &dyn PtimeQuery,
+        budget: Option<&SearchBudget>,
+    ) -> (Relation, Completeness) {
+        // Hom-preserved queries: one naive evaluation of the program on the
+        // canonical solution gives the whole certain-answer relation (its
+        // ground tuples) — no per-candidate loop.
+        if query.hom_preserved() {
+            let rows = query.eval(&self.csol.rel_part());
+            let ground = rows.iter().filter(|t| t.is_ground()).cloned();
+            return (
+                Relation::from_tuples(query.out_arity(), ground),
+                Completeness::Exact,
+            );
+        }
+        let mut cands: BTreeSet<ConstId> = self.source.adom_consts();
+        cands.extend(query.query_constants());
+        let consts: Vec<ConstId> = cands.into_iter().collect();
         let mut rel = Relation::new(query.out_arity());
-        for t in query.eval(&csol.rel_part()).iter() {
-            if t.is_ground() {
-                rel.insert(t.clone());
+        let mut completeness = Completeness::Exact;
+        for tuple in candidate_tuples(&consts, query.out_arity()) {
+            let out = self.certain_contains_ptime(query, &tuple, budget);
+            if out.certain {
+                rel.insert(tuple);
             }
+            completeness = completeness.worse(out.completeness);
         }
-        return (rel, Completeness::Exact);
+        (rel, completeness)
     }
-    let mut cands: BTreeSet<ConstId> = source.adom_consts();
-    cands.extend(query.query_constants());
-    let consts: Vec<ConstId> = cands.into_iter().collect();
-    let arity = query.out_arity();
-    let mut rel = Relation::new(arity);
-    let mut completeness = Completeness::Exact;
-    let total = consts.len().checked_pow(arity as u32).unwrap_or(0);
-    for mut code in 0..total {
-        let mut vals = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            vals.push(consts[code % consts.len()]);
-            code /= consts.len();
-        }
-        let tuple = Tuple::from_consts(&vals);
-        let out = certain_contains_ptime(mapping, source, query, &tuple, budget);
-        if out.certain {
-            rel.insert(tuple);
-        }
-        completeness = match (completeness, out.completeness) {
-            (Completeness::Capped, _) | (_, Completeness::Capped) => Completeness::Capped,
-            (Completeness::Bounded, _) | (_, Completeness::Bounded) => Completeness::Bounded,
-            _ => Completeness::Exact,
-        };
-    }
-    if arity == 0 && total == 1 {
-        // Boolean query: the loop above ran exactly once with the empty
-        // tuple; nothing more to do.
-    }
-    (rel, completeness)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dx_chase::Mapping;
     use dx_logic::datalog::DatalogQuery;
     use dx_relation::Value;
 
@@ -375,9 +331,7 @@ mod tests {
             "PlEdge(x:op, y:op) <- SrcE(x, y)",
         ] {
             let m = Mapping::parse(rules).unwrap();
-            let out = certain_contains_ptime(
-                &m,
-                &chain_source(),
+            let out = Exchange::new(&m, &chain_source()).certain_contains_ptime(
                 &q,
                 &Tuple::from_names(&["a", "c"]),
                 None,
@@ -403,11 +357,16 @@ mod tests {
         let q = DatalogQuery::parse("PlPath", TC).unwrap();
         // Each SrcHop tuple gets ONE justification per STD, so the two STDs
         // invent two different nulls — a and b are not certainly connected.
-        let out = certain_contains_ptime(&m, &s, &q, &Tuple::from_names(&["a", "b"]), None);
+        let out =
+            Exchange::new(&m, &s).certain_contains_ptime(&q, &Tuple::from_names(&["a", "b"]), None);
         assert!(!out.certain, "two distinct nulls do not certainly chain");
         // With a single STD producing both atoms, the null is shared:
         let m2 = Mapping::parse("PlEdge(x:cl, z:cl), PlEdge(z:cl, y:cl) <- SrcHop(x, y)").unwrap();
-        let out2 = certain_contains_ptime(&m2, &s, &q, &Tuple::from_names(&["a", "b"]), None);
+        let out2 = Exchange::new(&m2, &s).certain_contains_ptime(
+            &q,
+            &Tuple::from_names(&["a", "b"]),
+            None,
+        );
         assert!(out2.certain, "shared null chains a → ⊥ → b certainly");
         assert_eq!(out2.regime, Regime::NaivePositive);
     }
@@ -434,12 +393,14 @@ mod tests {
         s.insert_names("SrcS", &["a"]);
         // z is an isolated node: not reachable from a — certainly dead under
         // the CWA.
-        let out = certain_contains_ptime(&m, &s, &q, &Tuple::from_names(&["z"]), None);
+        let out =
+            Exchange::new(&m, &s).certain_contains_ptime(&q, &Tuple::from_names(&["z"]), None);
         assert!(out.certain);
         assert_eq!(out.regime, Regime::ClosedWorld);
         assert_eq!(out.completeness, Completeness::Exact);
         // b IS reachable: not dead.
-        let out_b = certain_contains_ptime(&m, &s, &q, &Tuple::from_names(&["b"]), None);
+        let out_b =
+            Exchange::new(&m, &s).certain_contains_ptime(&q, &Tuple::from_names(&["b"]), None);
         assert!(!out_b.certain);
         // Open the edge relation: new edges may reach z — not certain,
         // and the engine reports the bounded regime.
@@ -449,7 +410,8 @@ mod tests {
              PlStart(x:cl) <- SrcS(x)",
         )
         .unwrap();
-        let out_open = certain_contains_ptime(&m_open, &s, &q, &Tuple::from_names(&["z"]), None);
+        let out_open =
+            Exchange::new(&m_open, &s).certain_contains_ptime(&q, &Tuple::from_names(&["z"]), None);
         assert!(!out_open.certain, "an added edge a→z defeats deadness");
         assert_eq!(out_open.regime, Regime::OpenBounded);
     }
@@ -470,7 +432,7 @@ mod tests {
         s.insert_names("SrcE", &["a", "b"]);
         s.insert_names("SrcE", &["c", "d"]);
         let (fo_rel, _) = crate::certain::certain_answers(&m, &s, &fo, None);
-        let (dl_rel, comp) = certain_answers_ptime(&m, &s, &dl, None);
+        let (dl_rel, comp) = Exchange::new(&m, &s).certain_answers_ptime(&dl, None);
         assert_eq!(comp, Completeness::Exact);
         assert_eq!(fo_rel, dl_rel);
     }
@@ -483,7 +445,7 @@ mod tests {
         let m = Mapping::parse("PlEdge(x:cl, z:op) <- SrcE(x, y)").unwrap();
         let mut s = Instance::new();
         s.insert_names("SrcE", &["a", "b"]);
-        let (rel, comp) = certain_answers_ptime(&m, &s, &q, None);
+        let (rel, comp) = Exchange::new(&m, &s).certain_answers_ptime(&q, None);
         assert_eq!(comp, Completeness::Exact);
         assert!(rel.is_empty(), "all paths end in an invented null");
     }
@@ -496,6 +458,6 @@ mod tests {
         let q = DatalogQuery::parse("PlPath", TC).unwrap();
         let m = Mapping::parse("PlEdge(x:cl, z:op) <- SrcE(x, y)").unwrap();
         let t = Tuple::new(vec![Value::c("a"), Value::null(1)]);
-        certain_contains_ptime(&m, &Instance::new(), &q, &t, None);
+        Exchange::new(&m, &Instance::new()).certain_contains_ptime(&q, &t, None);
     }
 }

@@ -15,7 +15,7 @@
 //!   re-introduce exactly the uncertainty the source justifies: the §1
 //!   anomaly flips to FALSE because two minimal solutions with different
 //!   authors union into a two-author solution. See
-//!   [`gcwa_star_answers`] / [`gcwa_star_contains`].
+//!   [`Exchange::gcwa_star_answers`] / [`Exchange::gcwa_star_contains`].
 //! * **Approximation semantics** (after Calautti, Greco, Molinaro &
 //!   Trubitsyna, *Querying Data Exchange Settings Beyond Positive
 //!   Queries*): for queries outside the positive fragment, bracket the
@@ -23,7 +23,7 @@
 //!   **complete over-approximation**, both obtained by monotone query
 //!   surgery ([`dx_logic::classify::monotone_under_approx`] /
 //!   [`dx_logic::classify::monotone_over_approx`]) plus an indexed sample
-//!   intersection. See [`approx_certain_answers`].
+//!   intersection. See [`Exchange::approx_certain_answers`].
 //!
 //! ## Complexity boundaries
 //!
@@ -52,12 +52,13 @@
 //! leaf) exists only in the bench harness (`BENCH_query.json`, stages
 //! `gcwa`/`approx`) to keep the speedup measured.
 
-use crate::certain::{candidate_tuples, certain_answers_with};
-use dx_chase::{canonical_solution, canonical_solution_via, ChaseStrategy, Mapping};
+use crate::certain::candidate_tuples;
+use crate::Exchange;
+use dx_chase::Mapping;
 use dx_logic::classify;
 use dx_logic::{Formula, Query, Term};
 use dx_query::PlanCatalog;
-use dx_relation::{ConstId, Instance, RelSym, Relation, Tuple};
+use dx_relation::{AnnInstance, ConstId, Instance, RelSym, Relation, Tuple};
 use dx_solver::{
     minimal_rep_a_members, search_rep_a_indexed, union_refute_sweep, union_retain_sweep,
     Completeness, SearchBudget,
@@ -133,113 +134,33 @@ pub struct GcwaMembership {
     pub unions: u64,
 }
 
-/// The GCWA\*-answers of `query` on `(mapping, source)`: tuples `t̄` with
-/// `Q(t̄)` true in **every union of ⊆-minimal members** of
-/// `Rep_A(CSol_A(S))` (within `budget`). For positive queries this
-/// coincides with the certain answers (Proposition 3 both ways: positive
-/// queries are monotone, so truth on all minimal solutions, all unions and
-/// all solutions coincide); for queries with negation it is Hernich's
-/// repair of the CWA anomalies.
+/// The GCWA\*-answers of `query` on `(mapping, source)` (see
+/// [`Exchange::gcwa_star_answers`]); a free function because the
+/// benchmark (`perfbench`) calls it.
 pub fn gcwa_star_answers(
     mapping: &Mapping,
     source: &Instance,
     query: &Query,
     budget: &RegimeBudget,
 ) -> GcwaOutcome {
-    let csol = canonical_solution(mapping, source);
-    gcwa_star_answers_with(mapping, &csol, source, query, budget)
+    Exchange::new(mapping, source).gcwa_star_answers(query, budget)
 }
 
-/// [`gcwa_star_answers`] routed end to end through a [`ChaseStrategy`]:
-/// the canonical solution's body evaluation runs on the strategy's engine
-/// (compiled plans for `dx_engine::IndexedChase`). Answers are strategy
-/// independent (body evaluators reproduce the reference witness order).
-pub fn gcwa_star_answers_via(
-    strategy: &dyn ChaseStrategy,
-    mapping: &Mapping,
-    source: &Instance,
-    query: &Query,
-    budget: &RegimeBudget,
-) -> GcwaOutcome {
-    let csol = canonical_solution_via(strategy.body_eval(), mapping, source);
-    gcwa_star_answers_with(mapping, &csol, source, query, budget)
-}
-
-/// [`gcwa_star_answers`] against a precomputed canonical solution. The
-/// query compiles once (shared [`PlanCatalog`]); every union probes the
-/// one refcounted [`dx_relation::DeltaIndex`] of
-/// [`dx_solver::for_each_union`].
-pub fn gcwa_star_answers_with(
-    mapping: &Mapping,
-    csol: &dx_chase::CanonicalSolution,
-    source: &Instance,
-    query: &Query,
-    budget: &RegimeBudget,
-) -> GcwaOutcome {
-    let ev = PlanCatalog::shared().eval_in(query, &mapping.target);
-    let palette = answer_palette(source, query);
-    let (minimal, mut completeness) = minimal_solutions(csol, &palette, budget);
-    if budget.max_union_size < minimal.len() {
-        completeness = completeness.worse(Completeness::Bounded);
-    }
-    let consts: Vec<ConstId> = palette.into_iter().collect();
-    let candidates = candidate_tuples(&consts, query.arity());
-    let (survivors, unions) =
-        union_retain_sweep(&minimal, budget.max_union_size, candidates, &|store, t| {
-            ev.holds_on_indexed(store, store.instance(), t)
-        });
-    GcwaOutcome {
-        answers: Relation::from_tuples(query.arity(), survivors),
-        completeness,
-        minimal_solutions: minimal.len(),
-        unions,
-    }
-}
-
-/// Decide `t̄ ∈ GCWA*-answers(Q, S)` directly, producing the falsifying
-/// union when the answer is negative (the Hernich counterpart of
-/// [`crate::certain::certain_contains`]'s counterexample).
-pub fn gcwa_star_contains(
-    mapping: &Mapping,
-    source: &Instance,
-    query: &Query,
-    tuple: &Tuple,
-    budget: &RegimeBudget,
-) -> GcwaMembership {
-    assert_eq!(tuple.arity(), query.arity(), "answer-tuple arity mismatch");
-    assert!(tuple.is_ground(), "GCWA*-answers are tuples over Const");
-    let csol = canonical_solution(mapping, source);
-    let ev = PlanCatalog::shared().eval_in(query, &mapping.target);
-    let mut palette = answer_palette(source, query);
-    palette.extend(tuple.consts());
-    let (minimal, mut completeness) = minimal_solutions(&csol, &palette, budget);
-    if budget.max_union_size < minimal.len() {
-        completeness = completeness.worse(Completeness::Bounded);
-    }
-    let (counterexample, unions) = union_refute_sweep(&minimal, budget.max_union_size, &|store| {
-        !ev.holds_on_indexed(store, store.instance(), tuple)
-    });
-    GcwaMembership {
-        certain: counterexample.is_none(),
-        completeness,
-        counterexample,
-        minimal_solutions: minimal.len(),
-        unions,
-    }
-}
-
-/// The budgeted minimal-solution enumeration shared by the GCWA\* entry
-/// points.
+/// The budgeted minimal-solution enumeration shared by the GCWA\*
+/// methods; a union-size cap below the number of minimal solutions makes
+/// the walk [`Completeness::Bounded`].
 fn minimal_solutions(
-    csol: &dx_chase::CanonicalSolution,
+    csol: &AnnInstance,
     palette: &BTreeSet<ConstId>,
     budget: &RegimeBudget,
 ) -> (Vec<Instance>, Completeness) {
-    let (mut minimal, mut completeness) =
-        minimal_rep_a_members(&csol.instance, palette, budget.max_leaves);
+    let (mut minimal, mut completeness) = minimal_rep_a_members(csol, palette, budget.max_leaves);
     if minimal.len() > budget.max_minimal_solutions {
         minimal.truncate(budget.max_minimal_solutions);
         completeness = Completeness::Capped;
+    }
+    if budget.max_union_size < minimal.len() {
+        completeness = completeness.worse(Completeness::Bounded);
     }
     (minimal, completeness)
 }
@@ -265,100 +186,141 @@ pub struct ApproxOutcome {
     pub leaves: u64,
 }
 
-/// The Calautti-style approximation of `certain_Σα(Q, S)` for queries with
-/// negation: a PTIME-rewriting bracket tightened by an indexed sample
-/// intersection (see the module docs). Guarantees
-/// `lower ⊆ certain_Σα(Q, S) ⊆ upper` — w.r.t. both the true semantics and
-/// the budget-restricted member space, provided `sample` does not cap the
-/// valuation sweep.
-///
-/// Positive queries short-circuit to the exact Proposition 3 answers; for
-/// **all-closed** mappings the exact answers are computed search-free via
-/// the conditional-table route ([`crate::ctable_bridge`]) and returned as
-/// a tight bracket.
+/// The Calautti-style approximation bracket of `certain_Σα(Q, S)` (see
+/// [`Exchange::approx_certain_answers`]); a free function because the
+/// benchmark (`perfbench`) calls it.
 pub fn approx_certain_answers(
     mapping: &Mapping,
     source: &Instance,
     query: &Query,
     sample: Option<&SearchBudget>,
 ) -> ApproxOutcome {
-    let csol = canonical_solution(mapping, source);
-    approx_certain_answers_with(mapping, &csol, source, query, sample)
+    Exchange::new(mapping, source).approx_certain_answers(query, sample)
 }
 
-/// [`approx_certain_answers`] routed end to end through a
-/// [`ChaseStrategy`] (see [`gcwa_star_answers_via`]).
-pub fn approx_certain_answers_via(
-    strategy: &dyn ChaseStrategy,
-    mapping: &Mapping,
-    source: &Instance,
-    query: &Query,
-    sample: Option<&SearchBudget>,
-) -> ApproxOutcome {
-    let csol = canonical_solution_via(strategy.body_eval(), mapping, source);
-    approx_certain_answers_with(mapping, &csol, source, query, sample)
-}
+impl Exchange<'_> {
+    /// The GCWA\*-answers of `query`: tuples `t̄` with `Q(t̄)` true in
+    /// **every union of ⊆-minimal members** of `Rep_A(CSol_A(S))` (within
+    /// `budget`). For positive queries this coincides with the certain
+    /// answers (Proposition 3 both ways: positive queries are monotone, so
+    /// truth on all minimal solutions, all unions and all solutions
+    /// coincide); for queries with negation it is Hernich's repair of the
+    /// CWA anomalies. The query compiles once (shared [`PlanCatalog`]);
+    /// every union probes the one refcounted [`dx_relation::DeltaIndex`]
+    /// of [`dx_solver::for_each_union`].
+    pub fn gcwa_star_answers(&self, query: &Query, budget: &RegimeBudget) -> GcwaOutcome {
+        let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
+        let palette = answer_palette(self.source, query);
+        let (minimal, completeness) = minimal_solutions(&self.csol, &palette, budget);
+        let consts: Vec<ConstId> = palette.into_iter().collect();
+        let candidates = candidate_tuples(&consts, query.arity());
+        let (survivors, unions) =
+            union_retain_sweep(&minimal, budget.max_union_size, candidates, &|store, t| {
+                ev.holds_on_indexed(store, store.instance(), t)
+            });
+        GcwaOutcome {
+            answers: Relation::from_tuples(query.arity(), survivors),
+            completeness,
+            minimal_solutions: minimal.len(),
+            unions,
+        }
+    }
 
-/// [`approx_certain_answers`] against a precomputed canonical solution.
-pub fn approx_certain_answers_with(
-    mapping: &Mapping,
-    csol: &dx_chase::CanonicalSolution,
-    source: &Instance,
-    query: &Query,
-    sample: Option<&SearchBudget>,
-) -> ApproxOutcome {
-    // Positive queries: naive evaluation is already exact (Proposition 3).
-    if classify::is_positive(&query.formula) {
-        let (rel, completeness) = certain_answers_with(mapping, csol, source, query, None);
-        return ApproxOutcome {
+    /// Decide `t̄ ∈ GCWA*-answers(Q, S)` directly, producing the falsifying
+    /// union when the answer is negative (the Hernich counterpart of
+    /// [`Exchange::certain_contains`]'s counterexample).
+    pub fn gcwa_star_contains(
+        &self,
+        query: &Query,
+        tuple: &Tuple,
+        budget: &RegimeBudget,
+    ) -> GcwaMembership {
+        assert_eq!(tuple.arity(), query.arity(), "answer-tuple arity mismatch");
+        assert!(tuple.is_ground(), "GCWA*-answers are tuples over Const");
+        let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
+        let mut palette = answer_palette(self.source, query);
+        palette.extend(tuple.consts());
+        let (minimal, completeness) = minimal_solutions(&self.csol, &palette, budget);
+        let (counterexample, unions) =
+            union_refute_sweep(&minimal, budget.max_union_size, &|store| {
+                !ev.holds_on_indexed(store, store.instance(), tuple)
+            });
+        GcwaMembership {
+            certain: counterexample.is_none(),
+            completeness,
+            counterexample,
+            minimal_solutions: minimal.len(),
+            unions,
+        }
+    }
+
+    /// The Calautti-style approximation of `certain_Σα(Q, S)` for queries
+    /// with negation: a PTIME-rewriting bracket tightened by an indexed
+    /// sample intersection (see the module docs). Guarantees
+    /// `lower ⊆ certain_Σα(Q, S) ⊆ upper` — w.r.t. both the true semantics
+    /// and the budget-restricted member space, provided `sample` does not
+    /// cap the valuation sweep.
+    ///
+    /// Positive queries short-circuit to the exact Proposition 3 answers;
+    /// for **all-closed** mappings the exact answers are computed
+    /// search-free via the conditional-table route
+    /// ([`Exchange::certain_answers_cwa_fo`]) and returned as a tight
+    /// bracket.
+    pub fn approx_certain_answers(
+        &self,
+        query: &Query,
+        sample: Option<&SearchBudget>,
+    ) -> ApproxOutcome {
+        let exact = |rel: Relation, completeness| ApproxOutcome {
             lower: rel.clone(),
             upper: rel,
             completeness,
             tight: true,
             leaves: 0,
         };
-    }
-    // The CWA route: for all-closed mappings the Imieliński–Lipski engine
-    // answers full FO exactly and search-free — a closed bracket.
-    if mapping.is_all_closed() {
-        if let Ok(rel) = crate::ctable_bridge::certain_answers_cwa_fo(mapping, source, query) {
-            return ApproxOutcome {
-                lower: rel.clone(),
-                upper: rel,
-                completeness: Completeness::Exact,
-                tight: true,
-                leaves: 0,
-            };
+        // Positive queries: naive evaluation is already exact
+        // (Proposition 3).
+        if classify::is_positive(&query.formula) {
+            let (rel, completeness) = self.certain_answers(query, None);
+            return exact(rel, completeness);
         }
-    }
-    // Rigid-negation tightening: negated atoms over relations whose
-    // extension is pinned across the whole member space (ground + fully
-    // closed in the canonical solution — `classify::rigid_relations_of`)
-    // survive the monotone surgery instead of eroding to the lattice
-    // corners, so strictly more of the query reaches both bounds. The
-    // bounds stay exactly computable: the surgered queries are
-    // monotone-modulo-rigid, which `certain_answers_with` decides on the
-    // extras-free valuation-image sweep.
-    let rigid = classify::rigid_relations_of(&query.formula, &csol.instance);
-    let (under, over) = under_over_queries_rigid(query, &rigid);
-    let (lower, _) = certain_answers_with(mapping, csol, source, &under, None);
-    let (upper0, _) = certain_answers_with(mapping, csol, source, &over, None);
-    let ev = PlanCatalog::shared().eval_in(query, &mapping.target);
-    let palette = answer_palette(source, query);
-    let budget = sample.cloned().unwrap_or_default();
-    let mut survivors: Vec<Tuple> = upper0.iter().cloned().collect();
-    let outcome = search_rep_a_indexed(&csol.instance, &palette, &budget, &mut |leaf| {
-        survivors.retain(|t| ev.holds_on_indexed(leaf.index(), leaf.instance(), t));
-        survivors.is_empty()
-    });
-    let upper = Relation::from_tuples(query.arity(), survivors);
-    let tight = lower == upper;
-    ApproxOutcome {
-        lower,
-        upper,
-        completeness: outcome.completeness,
-        tight,
-        leaves: outcome.leaves,
+        // The CWA route: for all-closed mappings the Imieliński–Lipski
+        // engine answers full FO exactly and search-free — a closed
+        // bracket.
+        if self.mapping.is_all_closed() {
+            if let Ok(rel) = self.certain_answers_cwa_fo(query) {
+                return exact(rel, Completeness::Exact);
+            }
+        }
+        // Rigid-negation tightening: negated atoms over relations whose
+        // extension is pinned across the whole member space (ground + fully
+        // closed in the canonical solution — `classify::rigid_relations_of`)
+        // survive the monotone surgery instead of eroding to the lattice
+        // corners, so strictly more of the query reaches both bounds. The
+        // bounds stay exactly computable: the surgered queries are
+        // monotone-modulo-rigid, which `certain_answers` decides on the
+        // extras-free valuation-image sweep.
+        let rigid = classify::rigid_relations_of(&query.formula, &self.csol);
+        let (under, over) = under_over_queries_rigid(query, &rigid);
+        let (lower, _) = self.certain_answers(&under, None);
+        let (upper0, _) = self.certain_answers(&over, None);
+        let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
+        let palette = answer_palette(self.source, query);
+        let budget = sample.cloned().unwrap_or_default();
+        let mut survivors: Vec<Tuple> = upper0.iter().cloned().collect();
+        let outcome = search_rep_a_indexed(&self.csol, &palette, &budget, &mut |leaf| {
+            survivors.retain(|t| ev.holds_on_indexed(leaf.index(), leaf.instance(), t));
+            survivors.is_empty()
+        });
+        let upper = Relation::from_tuples(query.arity(), survivors);
+        let tight = lower == upper;
+        ApproxOutcome {
+            lower,
+            upper,
+            completeness: outcome.completeness,
+            tight,
+            leaves: outcome.leaves,
+        }
     }
 }
 
@@ -437,7 +399,7 @@ mod tests {
         let cwa = crate::certain::certain_contains(&m, &s, &q, &empty, None);
         assert!(cwa.certain);
         // GCWA*: FALSE, with a two-author counterexample union.
-        let out = gcwa_star_contains(&m, &s, &q, &empty, &RegimeBudget::default());
+        let out = Exchange::new(&m, &s).gcwa_star_contains(&q, &empty, &RegimeBudget::default());
         assert!(!out.certain, "unions of minimal solutions break uniqueness");
         let cex = out.counterexample.expect("falsifying union produced");
         assert!(!q.holds_boolean(&cex));
@@ -476,7 +438,7 @@ mod tests {
         let empty = Tuple::new(Vec::<Value>::new());
         let owa = crate::certain::certain_contains(&m, &s, &q, &empty, None);
         assert!(!owa.certain, "OWA admits arbitrary extra tuples");
-        let out = gcwa_star_contains(&m, &s, &q, &empty, &RegimeBudget::default());
+        let out = Exchange::new(&m, &s).gcwa_star_contains(&q, &empty, &RegimeBudget::default());
         assert!(out.certain, "no minimal solution invents (·, ghost)");
     }
 
@@ -540,14 +502,14 @@ mod tests {
         let budget = RegimeBudget::default();
         rayon::set_threads(1);
         let ref_answers = gcwa_star_answers(&m, &s, &answers_q, &budget);
-        let ref_member = gcwa_star_contains(&m, &s, &contains_q, &empty, &budget);
+        let ref_member = Exchange::new(&m, &s).gcwa_star_contains(&contains_q, &empty, &budget);
         for width in [2usize, 4] {
             rayon::set_threads(width);
             let out = gcwa_star_answers(&m, &s, &answers_q, &budget);
             assert_eq!(out.answers, ref_answers.answers, "width {width}");
             assert_eq!(out.unions, ref_answers.unions, "width {width}");
             assert_eq!(out.completeness, ref_answers.completeness, "width {width}");
-            let mem = gcwa_star_contains(&m, &s, &contains_q, &empty, &budget);
+            let mem = Exchange::new(&m, &s).gcwa_star_contains(&contains_q, &empty, &budget);
             assert_eq!(mem.certain, ref_member.certain, "width {width}");
             assert_eq!(
                 mem.counterexample, ref_member.counterexample,

@@ -5,9 +5,9 @@
 //! the NP procedure of Theorem 2. When every annotation is open, Theorem 1(2)
 //! gives the PTIME alternative: `T ∈ ⟦S⟧_Σop` iff `(S, T) |= Σ`.
 
-use dx_chase::{
-    canonical_solution, canonical_solution_via, is_owa_solution, ChaseStrategy, Mapping,
-};
+use crate::Exchange;
+use dx_chase::{is_owa_solution, ChaseStrategy, Mapping};
+use dx_engine::IndexedChase;
 use dx_relation::{Instance, Valuation};
 use dx_solver::repa::rep_a_membership;
 
@@ -37,58 +37,10 @@ impl MembershipOutcome {
     }
 }
 
-/// Decide `T ∈ ⟦S⟧_Σα` (the recognition problem of Theorem 2).
-///
-/// * All-open annotation → polynomial time, via `(S, T) |= Σ`.
-/// * Otherwise → NP, by guessing a valuation of the nulls of `CSol_A(S)`
-///   (backtracking search; both conditions of `Rep_A` are verified).
-///
-/// `T` must be a ground instance (solutions' semantics are sets of
-/// `Const`-instances).
+/// Decide `T ∈ ⟦S⟧_Σα`, the recognition problem of Theorem 2 (see
+/// [`Exchange::in_semantics`]).
 pub fn in_semantics(mapping: &Mapping, source: &Instance, t: &Instance) -> MembershipOutcome {
-    assert!(t.is_ground(), "⟦S⟧ members are instances over Const");
-    if mapping.is_all_open() {
-        MembershipOutcome::OpenWorldCheck {
-            member: is_owa_solution(mapping, source, t),
-        }
-    } else {
-        let csol = canonical_solution(mapping, source);
-        MembershipOutcome::ValuationSearch {
-            witness: rep_a_membership(&csol.instance, t),
-        }
-    }
-}
-
-/// [`in_semantics`] with the canonical solution's body evaluation routed
-/// through a [`ChaseStrategy`]'s engine (`dx_engine::IndexedChase` runs it
-/// on `dx-query` compiled plans); the verdict is strategy independent.
-pub fn in_semantics_via(
-    strategy: &dyn ChaseStrategy,
-    mapping: &Mapping,
-    source: &Instance,
-    t: &Instance,
-) -> MembershipOutcome {
-    assert!(t.is_ground(), "⟦S⟧ members are instances over Const");
-    if mapping.is_all_open() {
-        MembershipOutcome::OpenWorldCheck {
-            member: is_owa_solution(mapping, source, t),
-        }
-    } else {
-        let csol = canonical_solution_via(strategy.body_eval(), mapping, source);
-        MembershipOutcome::ValuationSearch {
-            witness: rep_a_membership(&csol.instance, t),
-        }
-    }
-}
-
-/// Boolean [`in_semantics_via`].
-pub fn is_member_via(
-    strategy: &dyn ChaseStrategy,
-    mapping: &Mapping,
-    source: &Instance,
-    t: &Instance,
-) -> bool {
-    in_semantics_via(strategy, mapping, source, t).is_member()
+    in_semantics_on(&IndexedChase, mapping, source, t)
 }
 
 /// Plain boolean membership (see [`in_semantics`]).
@@ -96,12 +48,53 @@ pub fn is_member(mapping: &Mapping, source: &Instance, t: &Instance) -> bool {
     in_semantics(mapping, source, t).is_member()
 }
 
-/// Force the general (valuation-search) path even for all-open mappings —
-/// used by tests validating that both paths agree (Theorem 1(2) /
-/// Lemma 1), and by benches contrasting PTIME vs NP behaviour.
-pub fn is_member_via_repa(mapping: &Mapping, source: &Instance, t: &Instance) -> bool {
-    let csol = canonical_solution(mapping, source);
-    rep_a_membership(&csol.instance, t).is_some()
+/// [`in_semantics`] for a caller without an [`Exchange`]: `CSol_A(S)` is
+/// built (on `strategy`) only when some position is closed, so an all-open
+/// mapping pays for the PTIME check alone.
+pub(crate) fn in_semantics_on(
+    strategy: &dyn ChaseStrategy,
+    mapping: &Mapping,
+    source: &Instance,
+    t: &Instance,
+) -> MembershipOutcome {
+    decide(mapping, source, t, || {
+        rep_a_membership(Exchange::with_strategy(strategy, mapping, source).csol(), t)
+    })
+}
+
+/// Theorem 2's case split. `search` — the valuation search against
+/// `CSol_A(S)` — runs only when the annotation is not all-open.
+fn decide(
+    mapping: &Mapping,
+    source: &Instance,
+    t: &Instance,
+    search: impl FnOnce() -> Option<Valuation>,
+) -> MembershipOutcome {
+    assert!(t.is_ground(), "⟦S⟧ members are instances over Const");
+    if mapping.is_all_open() {
+        MembershipOutcome::OpenWorldCheck {
+            member: is_owa_solution(mapping, source, t),
+        }
+    } else {
+        MembershipOutcome::ValuationSearch { witness: search() }
+    }
+}
+
+impl Exchange<'_> {
+    /// Decide `T ∈ ⟦S⟧_Σα` (the recognition problem of Theorem 2).
+    ///
+    /// * All-open annotation → polynomial time, via `(S, T) |= Σ`.
+    /// * Otherwise → NP, by guessing a valuation of the nulls of
+    ///   `CSol_A(S)` (backtracking search; both conditions of `Rep_A` are
+    ///   verified).
+    ///
+    /// `T` must be a ground instance (solutions' semantics are sets of
+    /// `Const`-instances).
+    pub fn in_semantics(&self, t: &Instance) -> MembershipOutcome {
+        decide(self.mapping, self.source, t, || {
+            rep_a_membership(&self.csol, t)
+        })
+    }
 }
 
 #[cfg(test)]
@@ -142,6 +135,10 @@ mod tests {
     fn open_paths_agree() {
         let m = Mapping::parse("R(x:op, z:op) <- E(x, y)").unwrap();
         let s = source_e3();
+        // The general valuation-search path, forced for an all-open mapping.
+        fn is_member_via_repa(m: &Mapping, s: &Instance, t: &Instance) -> bool {
+            rep_a_membership(Exchange::new(m, s).csol(), t).is_some()
+        }
         let mut t = Instance::new();
         t.insert_names("R", &["a", "k"]);
         t.insert_names("R", &["b", "k"]);

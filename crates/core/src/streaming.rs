@@ -23,7 +23,9 @@
 //!   relations, non-positive queries, and the non-monotone regimes
 //!   (GCWA\*, under/over approximation) re-run on the *maintained*
 //!   canonical solution — still skipping the chase, which is the dominant
-//!   cost — via the `*_with` entry points.
+//!   cost — through the [`Exchange`] methods over the borrowed maintained
+//!   solution (positive compiled queries execute straight on the session's
+//!   persistent index of it).
 //!
 //! The maintained raw set stores **unfiltered** null-free answers; the
 //! genericity filter (answers range over `adom(S) ∪ constants(Q)`) is
@@ -31,11 +33,9 @@
 //! maintained representation monotone under insert-only deltas even
 //! though the palette itself moves with the source.
 
-use crate::certain::certain_answers_with;
-use crate::regimes::{
-    approx_certain_answers_with, gcwa_star_answers_with, ApproxOutcome, GcwaOutcome, RegimeBudget,
-};
-use dx_chase::{CanonicalSolution, Mapping, TargetDep};
+use crate::regimes::{ApproxOutcome, GcwaOutcome, RegimeBudget};
+use crate::Exchange;
+use dx_chase::{Mapping, TargetDep};
 use dx_engine::{IncrementalExchange, UpdateReport};
 use dx_logic::classify;
 use dx_logic::Query;
@@ -132,9 +132,10 @@ pub struct StreamSession {
     regime_budget: RegimeBudget,
     search_budget: Option<SearchBudget>,
     /// The canonical solution's relational part as a persistent refcounted
-    /// index — the base store every delta plan executes against. One
-    /// refcount per *annotated* tuple, so the report's annotated-level
-    /// flips keep the set view exact when two annotations share a tuple.
+    /// index — the base store every delta plan and every positive
+    /// recompute executes against. One refcount per *annotated* tuple, so
+    /// the report's annotated-level flips keep the set view exact when two
+    /// annotations share a tuple.
     csol_idx: DeltaIndex,
 }
 
@@ -192,7 +193,6 @@ impl StreamSession {
             "duplicate registered query name {name:?}"
         );
         let rels: BTreeSet<RelSym> = query.formula.relations().iter().map(|&(r, _)| r).collect();
-        let csol = self.inc.canonical();
         let mut reg = Registered {
             name: name.to_string(),
             query,
@@ -200,7 +200,7 @@ impl StreamSession {
             rels,
             state: AnswerState::Computed(Relation::new(0), Completeness::Exact),
         };
-        self.recompute(&mut reg, &csol);
+        self.recompute(&mut reg);
         self.queries.push(reg);
     }
 
@@ -268,9 +268,6 @@ impl StreamSession {
         };
         let changed = report.changed_rels();
 
-        // Lazily materialize the maintained canonical solution only if
-        // some query actually needs a recompute.
-        let mut csol: Option<CanonicalSolution> = None;
         let mut paths = Vec::with_capacity(self.queries.len());
         let mut queries = std::mem::take(&mut self.queries);
         for reg in &mut queries {
@@ -292,8 +289,7 @@ impl StreamSession {
             } else if let Some(n) = self.try_delta_path(reg, &report, &touched) {
                 QueryPath::DeltaPlan { delta_answers: n }
             } else {
-                let csol = csol.get_or_insert_with(|| self.inc.canonical());
-                self.recompute(reg, csol);
+                self.recompute(reg);
                 QueryPath::Recomputed
             };
             paths.push((reg.name.clone(), path));
@@ -354,45 +350,31 @@ impl StreamSession {
     }
 
     /// Full re-evaluation of one query on the maintained canonical
-    /// solution.
-    fn recompute(&self, reg: &mut Registered, csol: &CanonicalSolution) {
-        let source = self.inc.source();
+    /// solution, borrowed (never cloned) from the incremental exchange.
+    fn recompute(&self, reg: &mut Registered) {
+        let ex = Exchange::from_csol(&self.mapping, self.inc.source(), self.inc.csol());
+        let budget = self.search_budget.as_ref();
         reg.state = match reg.regime {
             StreamRegime::Certain => {
-                let positive = classify::is_positive(&reg.query.formula);
-                let compiled = PlanCatalog::shared()
-                    .eval_in(&reg.query, &self.mapping.target)
-                    .is_compiled();
-                if positive && compiled {
-                    let raw = PlanCatalog::shared()
-                        .eval_in(&reg.query, &self.mapping.target)
-                        .naive_certain_answers(&csol.rel_part());
-                    AnswerState::MaintainedRaw(raw)
-                } else {
-                    let (rel, c) = certain_answers_with(
-                        &self.mapping,
-                        csol,
-                        source,
-                        &reg.query,
-                        self.search_budget.as_ref(),
-                    );
-                    AnswerState::Computed(rel, c)
+                let ev = PlanCatalog::shared().eval_in(&reg.query, &self.mapping.target);
+                match ev.compiled() {
+                    Some(plan) if classify::is_positive(&reg.query.formula) => {
+                        let all = plan.answers_store(&self.csol_idx);
+                        let ground = all.iter().filter(|t| t.is_ground()).cloned();
+                        AnswerState::MaintainedRaw(Relation::from_tuples(all.arity(), ground))
+                    }
+                    _ => {
+                        let (rel, c) = ex.certain_answers(&reg.query, budget);
+                        AnswerState::Computed(rel, c)
+                    }
                 }
             }
-            StreamRegime::GcwaStar => AnswerState::Gcwa(gcwa_star_answers_with(
-                &self.mapping,
-                csol,
-                source,
-                &reg.query,
-                &self.regime_budget,
-            )),
-            StreamRegime::Approx => AnswerState::Approx(approx_certain_answers_with(
-                &self.mapping,
-                csol,
-                source,
-                &reg.query,
-                self.search_budget.as_ref(),
-            )),
+            StreamRegime::GcwaStar => {
+                AnswerState::Gcwa(ex.gcwa_star_answers(&reg.query, &self.regime_budget))
+            }
+            StreamRegime::Approx => {
+                AnswerState::Approx(ex.approx_certain_answers(&reg.query, budget))
+            }
         };
     }
 
@@ -403,8 +385,8 @@ impl StreamSession {
     }
 
     /// Read-time genericity filter for the maintained-raw representation —
-    /// replicates the positive fast path of
-    /// [`crate::certain::certain_answers_with`] exactly.
+    /// replicates the positive fast path of [`Exchange::certain_answers`]
+    /// exactly.
     fn filter_palette(&self, raw: &Relation, query: &Query) -> Relation {
         let mut const_set = self.palette();
         const_set.extend(query.formula.constants());

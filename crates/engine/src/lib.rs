@@ -15,8 +15,8 @@
 //!
 //! The reference oracle is [`dx_chase::NaiveChase`]; the two engines are
 //! differentially tested on randomized workloads in
-//! `tests/engine_differential.rs`, and raced in
-//! `crates/bench/benches/engine.rs` (results land in `BENCH_chase.json`).
+//! `tests/engine_differential.rs`, and raced by the `experiments` binary
+//! (E15; results land in `BENCH_chase.json`).
 //!
 //! For sustained update traffic, [`stream::IncrementalExchange`] maintains
 //! the canonical solution (and its chased closure) under source

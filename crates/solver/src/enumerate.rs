@@ -35,10 +35,7 @@
 //!
 //! Leaf checks receive a [`Leaf`] handle exposing the live index (for
 //! compiled-plan probes — see `dx-query`), the materialized [`Instance`]
-//! view (for tree-walking fallbacks), and the current valuation. The
-//! closure-over-`&Instance` API ([`search_rep_a`]) remains as a shim; its
-//! per-leaf instance is the same live view, so even legacy checks stop
-//! paying a clone per candidate.
+//! view (for tree-walking fallbacks), and the current valuation.
 //!
 //! Work metrics (see `dx-obs`): `solver.dfs.{nodes, leaves}` count search
 //! tree nodes and candidate instances, `solver.dfs.deltas_applied` /
@@ -334,34 +331,6 @@ pub fn search_rep_a_indexed(
         completeness,
         leaves: state.leaves,
     }
-}
-
-/// [`search_rep_a_indexed`] with a plain instance-closure check — the
-/// compatibility shim for callers that do not probe the index. The instance
-/// handed to `check` is the live view, so no per-leaf clone occurs; but a
-/// check that builds its own index per call re-creates exactly the
-/// rebuild-per-candidate baseline the indexed API exists to avoid.
-pub fn search_rep_a(
-    t: &AnnInstance,
-    extra_base_consts: &BTreeSet<ConstId>,
-    budget: &SearchBudget,
-    check: &mut dyn FnMut(&Instance) -> bool,
-) -> SearchOutcome {
-    search_rep_a_indexed(t, extra_base_consts, budget, &mut |leaf| {
-        check(leaf.instance())
-    })
-}
-
-/// Enumerate members of `Rep_A(T)` within the budget, invoking `visit` on
-/// each; stops early if `visit` returns `true`. Returns the number of
-/// instances visited.
-pub fn enumerate_rep_a(
-    t: &AnnInstance,
-    extra_base_consts: &BTreeSet<ConstId>,
-    budget: &SearchBudget,
-    visit: &mut dyn FnMut(&Instance) -> bool,
-) -> u64 {
-    search_rep_a(t, extra_base_consts, budget, visit).leaves
 }
 
 /// All **⊆-minimal members** of `Rep_A(T)` over the canonical valuation
@@ -1408,12 +1377,13 @@ mod tests {
             ),
         );
         // Palette: base {a} + 1 fresh → 2 valuations → 2 leaves.
-        let n = enumerate_rep_a(
+        let n = search_rep_a_indexed(
             &t,
             &BTreeSet::new(),
             &SearchBudget::closed_world(),
             &mut |_| false,
-        );
+        )
+        .leaves;
         assert_eq!(n, 2);
     }
 
@@ -1431,12 +1401,13 @@ mod tests {
                 vec![Ann::Closed, Ann::Closed],
             ),
         );
-        let n = enumerate_rep_a(
+        let n = search_rep_a_indexed(
             &t,
             &BTreeSet::new(),
             &SearchBudget::closed_world(),
             &mut |_| false,
-        );
+        )
+        .leaves;
         assert_eq!(n, 2);
     }
 
@@ -1453,11 +1424,11 @@ mod tests {
             ),
         );
         // Look for an instance with ≥ 3 tuples (requires 2 extras).
-        let outcome = search_rep_a(
+        let outcome = search_rep_a_indexed(
             &t,
             &BTreeSet::new(),
             &SearchBudget::bounded(2, 2),
-            &mut |i| i.tuple_count() >= 3,
+            &mut |leaf| leaf.instance().tuple_count() >= 3,
         );
         let (w, _) = outcome.witness.expect("replication should reach 3 tuples");
         assert_eq!(w.tuple_count(), 3);
@@ -1479,9 +1450,12 @@ mod tests {
                 vec![Ann::Closed, Ann::Closed],
             ),
         );
-        let outcome = search_rep_a(&t, &BTreeSet::new(), &SearchBudget::default(), &mut |i| {
-            i.tuple_count() >= 2
-        });
+        let outcome = search_rep_a_indexed(
+            &t,
+            &BTreeSet::new(),
+            &SearchBudget::default(),
+            &mut |leaf| leaf.instance().tuple_count() >= 2,
+        );
         assert!(outcome.witness.is_none());
         assert_eq!(outcome.completeness, Completeness::Exact);
     }
@@ -1498,11 +1472,11 @@ mod tests {
                 vec![Ann::Closed, Ann::Open],
             ),
         );
-        let outcome = search_rep_a(
+        let outcome = search_rep_a_indexed(
             &t,
             &BTreeSet::new(),
             &SearchBudget::bounded(1, 2),
-            &mut |i| i.tuple_count() == 2,
+            &mut |leaf| leaf.instance().tuple_count() == 2,
         );
         let (w, _) = outcome.witness.expect("found");
         assert!(crate::repa::rep_a_membership(&t, &w).is_some());
@@ -1514,19 +1488,19 @@ mod tests {
         let rel = RelSym::new("EnumF");
         let mut t = AnnInstance::new();
         t.insert_empty_mark(rel, Annotation::all_open(1));
-        let outcome = search_rep_a(
+        let outcome = search_rep_a_indexed(
             &t,
             &BTreeSet::new(),
             &SearchBudget::bounded(2, 1),
-            &mut |i| i.tuple_count() == 1,
+            &mut |leaf| leaf.instance().tuple_count() == 1,
         );
         assert!(outcome.witness.is_some());
         // And the empty instance is also in the space (first leaf).
-        let outcome2 = search_rep_a(
+        let outcome2 = search_rep_a_indexed(
             &t,
             &BTreeSet::new(),
             &SearchBudget::bounded(2, 1),
-            &mut |i| i.is_empty(),
+            &mut |leaf| leaf.instance().is_empty(),
         );
         assert!(outcome2.witness.is_some());
     }
@@ -1543,7 +1517,7 @@ mod tests {
             max_leaves: Some(3),
             ..SearchBudget::closed_world()
         };
-        let outcome = search_rep_a(&t, &BTreeSet::new(), &budget, &mut |_| false);
+        let outcome = search_rep_a_indexed(&t, &BTreeSet::new(), &budget, &mut |_| false);
         assert_eq!(outcome.completeness, Completeness::Capped);
     }
 
@@ -1583,11 +1557,11 @@ mod tests {
         }
         // And open positions admit strictly larger members, which are not
         // reported minimal: check by searching for a 3-tuple witness.
-        let bigger = search_rep_a(
+        let bigger = search_rep_a_indexed(
             &t,
             &BTreeSet::new(),
             &SearchBudget::bounded(1, 2),
-            &mut |i| i.tuple_count() >= 3,
+            &mut |leaf| leaf.instance().tuple_count() >= 3,
         );
         assert!(bigger.witness.is_some());
     }

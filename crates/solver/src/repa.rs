@@ -47,28 +47,16 @@ pub fn rep_a_membership(t: &AnnInstance, r: &Instance) -> Option<Valuation> {
             return codd_rep_membership(&ground_part, r);
         }
     }
-    rep_a_membership_via(MatchStrategy::Indexed, t, r, true)
-}
-
-/// [`rep_a_membership`] with the most-constrained-first task ordering as an
-/// ablation switch (`order_tasks = false` keeps declaration order); used by
-/// the `ablations` bench. Keeps the scanning candidate discovery as the
-/// second ablation baseline.
-pub fn rep_a_membership_with(
-    t: &AnnInstance,
-    r: &Instance,
-    order_tasks: bool,
-) -> Option<Valuation> {
-    rep_a_membership_via(MatchStrategy::Scan, t, r, order_tasks)
+    rep_a_membership_via(MatchStrategy::Indexed, t, r)
 }
 
 /// The generic `Rep_A` backtracking search with an explicit candidate
-/// [`MatchStrategy`].
+/// [`MatchStrategy`] (`Scan` is the reference baseline the indexed
+/// discovery is raced against).
 pub fn rep_a_membership_via(
     strategy: MatchStrategy,
     t: &AnnInstance,
     r: &Instance,
-    order_tasks: bool,
 ) -> Option<Valuation> {
     assert!(r.is_ground(), "Rep_A members are instances over Const");
 
@@ -122,9 +110,7 @@ pub fn rep_a_membership_via(
         }
     }
     // Most-constrained-first ordering keeps the search shallow.
-    if order_tasks {
-        tasks.sort_by_key(|t| t.candidates.len());
-    }
+    tasks.sort_by_key(|t| t.candidates.len());
 
     let all_nulls: Vec<NullId> = t.nulls().into_iter().collect();
 
@@ -693,8 +679,8 @@ mod tests {
                     &[consts[(next() % 3) as usize], consts[(next() % 3) as usize]],
                 );
             }
-            let scan = rep_a_membership_via(MatchStrategy::Scan, &t, &r, true);
-            let indexed = rep_a_membership_via(MatchStrategy::Indexed, &t, &r, true);
+            let scan = rep_a_membership_via(MatchStrategy::Scan, &t, &r);
+            let indexed = rep_a_membership_via(MatchStrategy::Indexed, &t, &r);
             assert_eq!(
                 scan.is_some(),
                 indexed.is_some(),

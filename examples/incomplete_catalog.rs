@@ -19,9 +19,7 @@
 
 use oc_exchange::chase::core::{ann_core_of, core_of};
 use oc_exchange::chase::{canonical_solution, Mapping};
-use oc_exchange::core::ctable_bridge::certain_answers_cwa_ra;
-use oc_exchange::core::ptime_lang::certain_answers_ptime;
-use oc_exchange::core::{certain, semantics};
+use oc_exchange::core::{certain, semantics, Exchange};
 use oc_exchange::ctables::RaExpr;
 use oc_exchange::logic::datalog::DatalogQuery;
 use oc_exchange::logic::Query;
@@ -63,7 +61,8 @@ fn main() {
         "Needs(x, y) <- Link(x, y); Needs(x, z) <- Needs(x, y) & Link(y, z)",
     )
     .expect("datalog parses");
-    let (reachable, completeness) = certain_answers_ptime(&mapping, &source, &needs, None);
+    let (reachable, completeness) =
+        Exchange::new(&mapping, &source).certain_answers_ptime(&needs, None);
     println!(
         "Transitive sub-parts (certain, {completeness:?}): {} pairs",
         reachable.len()
@@ -96,7 +95,7 @@ fn main() {
     let roots_ra = RaExpr::rel("Link")
         .project([0])
         .diff(RaExpr::rel("Link").project([1]));
-    let roots = certain_answers_cwa_ra(&cwa, &source, &roots_ra);
+    let roots = Exchange::new(&cwa, &source).certain_answers_cwa_ra(&roots_ra);
     println!("\nRoot parts under CWA (c-table route): {roots}");
 
     // Cross-check with the coNP valuation search on the equivalent FO

@@ -16,7 +16,7 @@ use oc_exchange::chase::{
     canonical_solution, canonical_solution_with_deps, is_weakly_acyclic, ChaseOutcome, Mapping,
     TargetDep,
 };
-use oc_exchange::core::certain;
+use oc_exchange::core::Exchange;
 use oc_exchange::logic::Query;
 use oc_exchange::Instance;
 
@@ -58,7 +58,8 @@ fn main() {
     // Positive certain answers straight off the chased instance
     // (certain_positive_with_deps re-runs the pipeline internally).
     let q = Query::parse(&["n"], "exists c. Emp(n, c)").expect("query parses");
-    let employees = certain::certain_positive_with_deps(&mapping, &deps, &source, &q, 1000)
+    let employees = Exchange::new(&mapping, &source)
+        .certain_positive_with_deps(&deps, &q, 1000)
         .expect("chase succeeds");
     println!("Certain employees (incl. chased-in manager): {employees}");
     assert!(employees.contains(&oc_exchange::Tuple::from_names(&["turing"])));

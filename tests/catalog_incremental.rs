@@ -16,12 +16,13 @@
 
 use oc_exchange::chase::{canonical_solution, Mapping, NaiveChase};
 use oc_exchange::core as dxcore;
+use oc_exchange::core::Exchange;
 use oc_exchange::ctables::{RaExpr, RaPred};
 use oc_exchange::engine::IndexedChase;
 use oc_exchange::logic::Query;
 use oc_exchange::query::{PlanCatalog, QueryEval};
 use oc_exchange::relation::InstanceIndex;
-use oc_exchange::solver::{rep_a_membership, search_rep_a, search_rep_a_indexed, SearchBudget};
+use oc_exchange::solver::{rep_a_membership, search_rep_a_indexed, SearchBudget};
 use oc_exchange::{
     Ann, AnnInstance, AnnTuple, Annotation, ConstId, Instance, RelSym, Tuple, Value,
 };
@@ -68,8 +69,8 @@ fn cached_plans_bit_identical_across_via_pipelines() {
         let mut runs = Vec::new();
         for _ in 0..2 {
             for strategy in strategies {
-                let (rel, comp) =
-                    dxcore::certain::certain_answers_via(strategy, &mapping, &source, query, None);
+                let (rel, comp) = Exchange::with_strategy(strategy, &mapping, &source)
+                    .certain_answers(query, None);
                 assert_eq!(comp, oc_exchange::solver::Completeness::Exact);
                 runs.push(rel);
             }
@@ -89,18 +90,19 @@ fn cached_plans_bit_identical_across_via_pipelines() {
     let ra = RaExpr::rel("CiSub")
         .select(RaPred::col_is(1, "t0"))
         .project([0]);
-    let a1 = dxcore::ctable_bridge::certain_answers_cwa_ra(&mapping, &source, &ra);
-    let a2 = dxcore::ctable_bridge::certain_answers_cwa_ra(&mapping, &source, &ra);
+    let ex = Exchange::new(&mapping, &source);
+    let a1 = ex.certain_answers_cwa_ra(&ra);
+    let a2 = ex.certain_answers_cwa_ra(&ra);
     assert_eq!(a1, a2);
-    let cinst = dxcore::ctable_bridge::csol_as_ctable(&mapping, &source);
+    let cinst = ex.csol_as_ctable();
     assert_eq!(
         a1,
         oc_exchange::ctables::certain_answers_ra(&ra, &cinst),
         "plan route equals interpreter route"
     );
     let fo = Query::parse(&["x"], "exists z. CiSub(x, z) & !CiAll(x)").unwrap();
-    let f1 = dxcore::ctable_bridge::certain_answers_cwa_fo(&mapping, &source, &fo).unwrap();
-    let f2 = dxcore::ctable_bridge::certain_answers_cwa_fo(&mapping, &source, &fo).unwrap();
+    let f1 = ex.certain_answers_cwa_fo(&fo).unwrap();
+    let f2 = ex.certain_answers_cwa_fo(&fo).unwrap();
     assert_eq!(f1, f2);
 
     // The shared catalog actually served these pipelines: repeated runs
@@ -110,8 +112,9 @@ fn cached_plans_bit_identical_across_via_pipelines() {
     assert!(stats.hits > 0, "repeat runs are answered from the cache");
 }
 
-/// The legacy closure API and the indexed API are the same search: same
-/// leaves, same outcome, on a mixed-annotation instance.
+/// A check reading the leaf's live index and one reading its instance view
+/// are the same search: same leaves, same outcome, on a mixed-annotation
+/// instance.
 #[test]
 fn closure_and_indexed_apis_are_one_search() {
     let rel = RelSym::new("CiMix");
@@ -131,7 +134,9 @@ fn closure_and_indexed_apis_are_one_search() {
         ),
     );
     let budget = SearchBudget::bounded(1, 2);
-    let via_closure = search_rep_a(&t, &BTreeSet::new(), &budget, &mut |i| i.tuple_count() >= 4);
+    let via_closure = search_rep_a_indexed(&t, &BTreeSet::new(), &budget, &mut |leaf| {
+        leaf.index().rel_len(rel) >= 4
+    });
     let via_leaf = search_rep_a_indexed(&t, &BTreeSet::new(), &budget, &mut |leaf| {
         leaf.instance().tuple_count() >= 4
     });
@@ -288,14 +293,12 @@ fn refutation_pipelines_agree_end_to_end() {
 
     // 1-to-m: m = 1 collapses to the CWA verdict.
     let cwa = dxcore::certain::certain_cwa(&mapping, &source, &q, &empty);
-    let one = dxcore::certain::certain_contains_one_to_m(&mapping, &source, &q, &empty, 1);
+    let one = Exchange::new(&mapping, &source).certain_contains_one_to_m(&q, &empty, 1);
     assert_eq!(cwa.certain, one.certain);
 
     // Possible answers bracket certain ones.
     let q_vals = Query::parse(&["a"], "exists p. CiR(p, a)").unwrap();
-    let poss = dxcore::certain::possible_contains(
-        &mapping,
-        &source,
+    let poss = Exchange::new(&mapping, &source).possible_contains(
         &q_vals,
         &Tuple::from_names(&["zz"]),
         None,

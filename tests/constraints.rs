@@ -4,7 +4,7 @@
 use oc_exchange::chase::{
     canonical_solution_with_deps, chase_engine, is_weakly_acyclic, ChaseOutcome, Mapping, TargetDep,
 };
-use oc_exchange::core::certain;
+use oc_exchange::core::Exchange;
 use oc_exchange::logic::Query;
 use oc_exchange::{Instance, RelSym, Tuple};
 
@@ -28,7 +28,9 @@ fn pipeline_exchange_chase_query() {
 
     // Positive certain answers on the chased instance.
     let q = Query::parse(&["e"], "exists d. Dept(e, d)").unwrap();
-    let ans = certain::certain_positive_with_deps(&m, &deps, &s, &q, 1000).expect("chase succeeds");
+    let ans = Exchange::new(&m, &s)
+        .certain_positive_with_deps(&deps, &q, 1000)
+        .expect("chase succeeds");
     assert_eq!(ans.len(), 2);
     assert!(ans.contains(&Tuple::from_names(&["ada"])));
 }
@@ -61,7 +63,9 @@ fn egd_failure_on_source_data() {
     let out = canonical_solution_with_deps(&m, &deps, &s, 1000);
     assert!(matches!(out.outcome, ChaseOutcome::Failed { .. }));
     let q = Query::parse(&["x"], "exists y. R(x, y)").unwrap();
-    assert!(certain::certain_positive_with_deps(&m, &deps, &s, &q, 1000).is_none());
+    assert!(Exchange::new(&m, &s)
+        .certain_positive_with_deps(&deps, &q, 1000)
+        .is_none());
 }
 
 /// Egds unify nulls coming from *different STD firings* — the closed-world

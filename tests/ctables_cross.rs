@@ -12,8 +12,7 @@
 //! strong evidence for both.
 
 use oc_exchange::chase::Mapping;
-use oc_exchange::core::certain;
-use oc_exchange::core::ctable_bridge::{certain_answers_cwa_ra, possible_answers_cwa_ra};
+use oc_exchange::core::{certain, Exchange};
 use oc_exchange::ctables::{RaExpr, RaPred};
 use oc_exchange::logic::Query;
 use oc_exchange::workloads::random_gen;
@@ -37,7 +36,7 @@ fn difference_query_agreement() {
     let fo = Query::parse(&["x"], "XcT(x) & !XcS(x)").unwrap();
     let ra = RaExpr::rel("XcT").diff(RaExpr::rel("XcS"));
     let via_search = fo_certain(&m, &s, &fo);
-    let via_ctable = certain_answers_cwa_ra(&m, &s, &ra);
+    let via_ctable = Exchange::new(&m, &s).certain_answers_cwa_ra(&ra);
     assert_eq!(via_search, via_ctable);
     // b survives (a is certainly in XcS via the copied constant).
     assert!(via_ctable.contains(&oc_exchange::Tuple::from_names(&["b"])));
@@ -57,7 +56,10 @@ fn join_selection_agreement() {
     let ra = RaExpr::rel("XcR")
         .select(RaPred::col_is(1, "b"))
         .project([0]);
-    assert_eq!(fo_certain(&m, &s, &fo), certain_answers_cwa_ra(&m, &s, &ra));
+    assert_eq!(
+        fo_certain(&m, &s, &fo),
+        Exchange::new(&m, &s).certain_answers_cwa_ra(&ra)
+    );
 }
 
 /// Randomized agreement over many small mappings and sources, with a fixed
@@ -93,7 +95,7 @@ fn randomized_difference_agreement() {
         assert!(m.is_all_closed());
         let s = random_gen::random_instance(&schema, 3, 3, &mut rng);
         let via_search = fo_certain(&m, &s, &fo);
-        let via_ctable = certain_answers_cwa_ra(&m, &s, &ra);
+        let via_ctable = Exchange::new(&m, &s).certain_answers_cwa_ra(&ra);
         assert_eq!(via_search, via_ctable, "seed {seed}, rules `{rules}`");
     }
 }
@@ -107,8 +109,9 @@ fn possible_superset_of_certain() {
     s.insert_names("XcA", &["a", "1"]);
     s.insert_names("XcA", &["b", "2"]);
     let ra = RaExpr::rel("XcT2").project([0]);
-    let certain = certain_answers_cwa_ra(&m, &s, &ra);
-    let possible = possible_answers_cwa_ra(&m, &s, &ra);
+    let ex = Exchange::new(&m, &s);
+    let certain = ex.certain_answers_cwa_ra(&ra);
+    let possible = ex.possible_answers_cwa_ra(&ra);
     for t in certain.iter() {
         assert!(possible.contains(t));
     }

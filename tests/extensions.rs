@@ -2,7 +2,7 @@
 //! them: 1-to-m bounded open nulls, and the Lemma 3 embedding fast path.
 
 use oc_exchange::chase::Mapping;
-use oc_exchange::core::{certain, compose};
+use oc_exchange::core::{certain, compose, Exchange};
 use oc_exchange::logic::Query;
 use oc_exchange::solver::{find_embedding_valuation, Completeness};
 use oc_exchange::{Instance, RelSym, Tuple, Value};
@@ -29,7 +29,7 @@ fn one_to_m_at_one_is_cwa() {
     let s = unary_source(2);
     let q = fd_query();
     let empty = Tuple::new(Vec::<Value>::new());
-    let m1 = certain::certain_contains_one_to_m(&open, &s, &q, &empty, 1);
+    let m1 = Exchange::new(&open, &s).certain_contains_one_to_m(&q, &empty, 1);
     let cwa = certain::certain_cwa(&open, &s, &q, &empty);
     assert_eq!(m1.certain, cwa.certain);
     assert!(m1.certain, "one value per null: the FD holds");
@@ -43,7 +43,7 @@ fn one_to_m_at_two_refutes_fd() {
     let s = unary_source(1);
     let q = fd_query();
     let empty = Tuple::new(Vec::<Value>::new());
-    let m2 = certain::certain_contains_one_to_m(&open, &s, &q, &empty, 2);
+    let m2 = Exchange::new(&open, &s).certain_contains_one_to_m(&q, &empty, 2);
     assert!(!m2.certain);
     let cex = m2.counterexample.expect("counterexample");
     // The counterexample has exactly 2 values for the single key (1-to-2).
@@ -66,7 +66,7 @@ fn one_to_m_monotone_in_m() {
         let q = Query::boolean(oc_exchange::logic::parse_formula(src).unwrap());
         let mut prev = true;
         for m in 1..=3 {
-            let out = certain::certain_contains_one_to_m(&open, &s, &q, &empty, m);
+            let out = Exchange::new(&open, &s).certain_contains_one_to_m(&q, &empty, m);
             assert!(
                 !out.certain || prev,
                 "{src}: certain at m={m} but not at m-1 — not monotone"
@@ -89,8 +89,16 @@ fn one_to_m_thresholds() {
         .unwrap(),
     );
     let empty = Tuple::new(Vec::<Value>::new());
-    assert!(certain::certain_contains_one_to_m(&open, &s, &at_most_two, &empty, 2).certain);
-    assert!(!certain::certain_contains_one_to_m(&open, &s, &at_most_two, &empty, 3).certain);
+    assert!(
+        Exchange::new(&open, &s)
+            .certain_contains_one_to_m(&at_most_two, &empty, 2)
+            .certain
+    );
+    assert!(
+        !Exchange::new(&open, &s)
+            .certain_contains_one_to_m(&at_most_two, &empty, 3)
+            .certain
+    );
 }
 
 /// The embedding CSP: v(T) ⊆ R with shared nulls across relations.

@@ -7,7 +7,7 @@ use oc_exchange::core::certain;
 use oc_exchange::ctables::RaExpr;
 use oc_exchange::logic::datalog::{DatalogError, DatalogProgram};
 use oc_exchange::logic::{parse_formula, parse_rules, Query};
-use oc_exchange::solver::{search_rep_a, Completeness, SearchBudget};
+use oc_exchange::solver::{search_rep_a_indexed, Completeness, Leaf, SearchBudget};
 use oc_exchange::{Instance, Tuple, Value};
 use std::collections::BTreeSet;
 
@@ -98,8 +98,8 @@ fn leaf_cap_reports_capped() {
         max_candidate_pool: 4096,
         max_leaves: Some(5),
     };
-    let mut never = |_: &Instance| false;
-    let out = search_rep_a(&csol, &BTreeSet::new(), &budget, &mut never);
+    let mut never = |_: &Leaf| false;
+    let out = search_rep_a_indexed(&csol, &BTreeSet::new(), &budget, &mut never);
     assert!(out.witness.is_none());
     assert_eq!(out.completeness, Completeness::Capped);
     assert!(out.leaves <= 6);

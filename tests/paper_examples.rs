@@ -180,7 +180,7 @@ fn membership_paths_agree() {
     }
     assert_eq!(
         semantics::is_member(&m, &s, &t),
-        semantics::is_member_via_repa(&m, &s, &t)
+        rep_a_membership(&canonical_solution(&m, &s).instance, &t).is_some()
     );
 }
 

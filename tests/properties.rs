@@ -197,20 +197,20 @@ fn random_formula(rng: &mut rand::rngs::StdRng, depth: usize) -> oc_exchange::lo
 /// a fixed family (every enumerated instance passes membership).
 #[test]
 fn enumerator_and_membership_agree() {
-    use oc_exchange::solver::{enumerate_rep_a, SearchBudget};
+    use oc_exchange::solver::{search_rep_a_indexed, SearchBudget};
     let m = Mapping::parse("R(x:cl, z:op) <- E(x)").unwrap();
     let mut s = Instance::new();
     s.insert_names("E", &["a"]);
     let csol = canonical_solution(&m, &s);
     let mut all_ok = true;
     let mut count = 0u32;
-    enumerate_rep_a(
+    search_rep_a_indexed(
         &csol.instance,
         &Default::default(),
         &SearchBudget::bounded(1, 2),
-        &mut |i| {
+        &mut |leaf| {
             count += 1;
-            if rep_a_membership(&csol.instance, i).is_none() {
+            if rep_a_membership(&csol.instance, leaf.instance()).is_none() {
                 all_ok = false;
             }
             false

@@ -8,7 +8,9 @@ use oc_exchange::chase::{canonical_solution, Mapping};
 use oc_exchange::core::{compose, semantics};
 use oc_exchange::ctables::{certain_answers_ra, CInstance, RaExpr, RaPred};
 use oc_exchange::logic::datalog::DatalogQuery;
-use oc_exchange::solver::repa::{codd_rep_membership, is_codd, rep_a_membership_with};
+use oc_exchange::solver::repa::{
+    codd_rep_membership, is_codd, rep_a_membership_via, MatchStrategy,
+};
 use oc_exchange::workloads::random_gen;
 use oc_exchange::{Instance, RelSym, Schema, Tuple, Value};
 use proptest::prelude::*;
@@ -313,7 +315,7 @@ proptest! {
                 ));
             }
         }
-        let generic = rep_a_membership_with(&ann, &r, true).is_some();
+        let generic = rep_a_membership_via(MatchStrategy::Scan, &ann, &r).is_some();
         let codd = codd_rep_membership(&t, &r).is_some();
         prop_assert_eq!(generic, codd, "t = {}, r = {}", t, r);
     }
@@ -356,7 +358,7 @@ proptest! {
     /// translation.
     #[test]
     fn cwa_fo_ctable_route_agrees_with_search(seed in 0u64..120) {
-        use oc_exchange::core::ctable_bridge::certain_answers_cwa_fo;
+        use oc_exchange::core::Exchange;
         let mut rng = random_gen::rng(seed);
         let p_rules = [
             "PrP(x:cl) <- PrS(x, y)",
@@ -376,7 +378,7 @@ proptest! {
         let s = random_gen::random_instance(
             &Schema::from_pairs([("PrS", 2)]), 2, 3, &mut rng);
         let q = oc_exchange::logic::Query::parse(&["x"], "PrP(x) & !PrQ(x)").unwrap();
-        let via_ctable = certain_answers_cwa_fo(&m, &s, &q).expect("translates");
+        let via_ctable = Exchange::new(&m, &s).certain_answers_cwa_fo(&q).expect("translates");
         let (via_search, comp) =
             oc_exchange::core::certain::certain_answers(&m, &s, &q, None);
         prop_assert_eq!(comp, oc_exchange::solver::Completeness::Exact);

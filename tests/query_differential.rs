@@ -16,16 +16,17 @@
 //!   justifications, witness tables) on random annotated mappings;
 //! * the conditional execution mode: plan-backed `□Q`/`◇Q` against the
 //!   `RaExpr` interpreter route and brute-force `Rep` enumeration;
-//! * the end-to-end `_via` pipelines (`certain_contains_via`,
-//!   `comp_membership_via`, `in_semantics_via`) across chase strategies;
+//! * end-to-end `Exchange` answers (certain membership, `⟦S⟧` membership,
+//!   composition) across chase strategies (`Exchange::with_strategy`);
 //! * first-witness execution: `holds_on_store` with the head bound, and
 //!   a Boolean query's answer, against the materialized answers on every
 //!   candidate tuple, over three store shapes and two pool widths.
 
 use oc_exchange::chase::{
-    canonical_solution, canonical_solution_via, Mapping, NaiveBodyEval, NaiveChase,
+    canonical_solution, canonical_solution_via, ChaseStrategy, Mapping, NaiveBodyEval, NaiveChase,
 };
 use oc_exchange::core as dxcore;
+use oc_exchange::core::Exchange;
 use oc_exchange::ctables::{certain_answers_ra, possible_answers_ra, CInstance, RaExpr, RaPred};
 use oc_exchange::engine::IndexedChase;
 use oc_exchange::logic::{Formula, Query, Term};
@@ -518,19 +519,19 @@ fn via_pipelines_agree_across_strategies() {
             if tuple.arity() != q.arity() {
                 continue;
             }
-            let naive =
-                dxcore::certain_contains_via(&NaiveChase, &mapping, &source, q, tuple, None);
-            let indexed =
-                dxcore::certain_contains_via(&IndexedChase, &mapping, &source, q, tuple, None);
+            let naive = Exchange::with_strategy(&NaiveChase, &mapping, &source)
+                .certain_contains(q, tuple, None);
+            let indexed = Exchange::with_strategy(&IndexedChase, &mapping, &source)
+                .certain_contains(q, tuple, None);
             assert_eq!(naive.certain, indexed.certain, "{q} on {tuple}");
             assert_eq!(naive.regime, indexed.regime);
         }
     }
     // certain_answers across strategies and against the default pipeline.
     let (rel_naive, _) =
-        dxcore::certain_answers_via(&NaiveChase, &mapping, &source, &positive, None);
+        Exchange::with_strategy(&NaiveChase, &mapping, &source).certain_answers(&positive, None);
     let (rel_indexed, _) =
-        dxcore::certain_answers_via(&IndexedChase, &mapping, &source, &positive, None);
+        Exchange::with_strategy(&IndexedChase, &mapping, &source).certain_answers(&positive, None);
     let (rel_default, _) = dxcore::certain_answers(&mapping, &source, &positive, None);
     assert_eq!(rel_naive, rel_indexed);
     assert_eq!(rel_naive, rel_default);
@@ -542,16 +543,13 @@ fn via_pipelines_agree_across_strategies() {
         let mut rng = random_gen::rng(7);
         random_gen::sample_member(&mapping, &source, 4, 1, &mut rng)
     };
-    assert_eq!(
-        dxcore::is_member_via(&NaiveChase, &mapping, &source, &member),
-        dxcore::is_member_via(&IndexedChase, &mapping, &source, &member),
-    );
-    assert!(dxcore::is_member_via(
-        &IndexedChase,
-        &mapping,
-        &source,
-        &member
-    ));
+    let is_member_via = |strategy: &dyn ChaseStrategy| {
+        Exchange::with_strategy(strategy, &mapping, &source)
+            .in_semantics(&member)
+            .is_member()
+    };
+    assert_eq!(is_member_via(&NaiveChase), is_member_via(&IndexedChase),);
+    assert!(is_member_via(&IndexedChase));
     drop(csol);
 
     // Composition.
@@ -562,8 +560,10 @@ fn via_pipelines_agree_across_strategies() {
     let mut w = Instance::new();
     w.insert_names("QvF", &["a", "v1"]);
     w.insert_names("QvF", &["a", "v2"]);
-    let out_naive = dxcore::comp_membership_via(&NaiveChase, &sigma, &delta, &s, &w, None);
-    let out_indexed = dxcore::comp_membership_via(&IndexedChase, &sigma, &delta, &s, &w, None);
+    let out_naive =
+        Exchange::with_strategy(&NaiveChase, &sigma, &s).comp_membership(&delta, &w, None);
+    let out_indexed =
+        Exchange::with_strategy(&IndexedChase, &sigma, &s).comp_membership(&delta, &w, None);
     assert_eq!(out_naive.member, out_indexed.member);
     assert_eq!(out_naive.path, out_indexed.path);
     assert!(out_indexed.member);

@@ -19,13 +19,11 @@
 //!   sampler reports an exhaustively covered space.
 
 use oc_exchange::chase::Mapping;
-use oc_exchange::core::regimes::{
-    approx_certain_answers, gcwa_star_answers, gcwa_star_contains, RegimeBudget,
-};
-use oc_exchange::core::{certain_answers, certain_contains};
+use oc_exchange::core::regimes::{approx_certain_answers, gcwa_star_answers, RegimeBudget};
+use oc_exchange::core::{certain_answers, certain_contains, Exchange};
 use oc_exchange::logic::Query;
 use oc_exchange::solver::{
-    minimal_rep_a_members, rep_a_membership, search_rep_a, Completeness, SearchBudget,
+    minimal_rep_a_members, rep_a_membership, search_rep_a_indexed, Completeness, SearchBudget,
 };
 use oc_exchange::workloads::random_gen;
 use oc_exchange::{ConstId, Instance, Tuple, Value};
@@ -136,8 +134,8 @@ fn enumerate_members(
 ) -> (Vec<Instance>, Completeness) {
     let csol = oc_exchange::chase::canonical_solution(mapping, source);
     let mut members: BTreeSet<Instance> = BTreeSet::new();
-    let outcome = search_rep_a(&csol.instance, palette, budget, &mut |inst| {
-        members.insert(inst.clone());
+    let outcome = search_rep_a_indexed(&csol.instance, palette, budget, &mut |leaf| {
+        members.insert(leaf.instance().clone());
         false
     });
     (members.into_iter().collect(), outcome.completeness)
@@ -215,7 +213,7 @@ fn gcwa_star_matches_brute_force_oracle() {
             // Per-tuple decisions agree with the answer set, and negative
             // ones carry a genuine falsifying union.
             for t in candidates(&source, &query).into_iter().take(3) {
-                let dec = gcwa_star_contains(&mapping, &source, &query, &t, &budget);
+                let dec = Exchange::new(&mapping, &source).gcwa_star_contains(&query, &t, &budget);
                 assert_eq!(
                     dec.certain,
                     out.answers.contains(&t),

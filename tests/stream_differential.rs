@@ -11,8 +11,11 @@
 //!
 //! * the maintained `CSol_A(S)` must be hom-equivalent to a fresh chase of
 //!   the rolling source (annotations included), and
-//! * every registered query's maintained certain answers must equal
-//!   `certain_answers` recomputed from scratch under the same budget.
+//! * every query, registered under each of the three regimes, must answer
+//!   like the batch entry point recomputed from scratch under the same
+//!   budget: `certain_answers`, `gcwa_star_answers` and
+//!   `approx_certain_answers` (the session recomputes on its maintained
+//!   csol, whose null ids differ from a fresh chase after retractions).
 //!
 //! The second half pins the retraction edge cases the protocol documents:
 //! retract-then-reinsert round-trips, retraction feeding an egd-merged
@@ -23,6 +26,7 @@ use oc_exchange::chase::chase_engine::{ChaseOutcome, DEFAULT_CHASE_LIMIT};
 use oc_exchange::chase::core::ann_hom_equivalent;
 use oc_exchange::chase::{canonical_solution, canonical_solution_with_deps_via, Mapping};
 use oc_exchange::core::certain::certain_answers;
+use oc_exchange::core::regimes::{approx_certain_answers, gcwa_star_answers, RegimeBudget};
 use oc_exchange::core::streaming::{QueryPath, StreamRegime, StreamSession};
 use oc_exchange::engine::IndexedChase;
 use oc_exchange::relation::{Instance, RelSym, Tuple, Update};
@@ -44,6 +48,16 @@ fn scenario_budget(sc: &Scenario) -> SearchBudget {
             max_leaves: Some(5_000),
             ..SearchBudget::bounded(1, 1)
         }
+    }
+}
+
+/// The GCWA\* budget of the race: unions of at most two minimal solutions,
+/// a short valuation sweep.
+fn regime_budget() -> RegimeBudget {
+    RegimeBudget {
+        max_union_size: 2,
+        max_minimal_solutions: 8,
+        max_leaves: Some(200),
     }
 }
 
@@ -109,8 +123,13 @@ fn race_streaming(sc: &Scenario, seed: u64) -> usize {
         sc.source.clone(),
     );
     sess.set_search_budget(Some(budget.clone()));
+    sess.set_regime_budget(regime_budget());
     for nq in &sc.queries {
         sess.register(&nq.name, nq.query.clone(), StreamRegime::Certain);
+        let gcwa = format!("{}/gcwa", nq.name);
+        sess.register(&gcwa, nq.query.clone(), StreamRegime::GcwaStar);
+        let approx = format!("{}/approx", nq.name);
+        sess.register(&approx, nq.query.clone(), StreamRegime::Approx);
     }
     let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xDA7A);
     let mut trace: Vec<Update> = sc.updates.iter().map(|nu| nu.update.clone()).collect();
@@ -165,6 +184,32 @@ fn race_streaming(sc: &Scenario, seed: u64) -> usize {
                 "{ctx} query {}: maintained answers diverged from recompute",
                 nq.name
             );
+        }
+        // The GCWA* and approximation regimes, under the same rule.
+        for nq in &sc.queries {
+            let got = sess.gcwa(&format!("{}/gcwa", nq.name)).expect("registered");
+            let want = gcwa_star_answers(&sc.mapping, &rolling, &nq.query, &regime_budget());
+            if got.completeness != Completeness::Capped && want.completeness != Completeness::Capped
+            {
+                assert_eq!(
+                    got.answers, want.answers,
+                    "{ctx} query {}: maintained GCWA* answers diverged from recompute",
+                    nq.name
+                );
+            }
+            let got = sess
+                .approx(&format!("{}/approx", nq.name))
+                .expect("registered");
+            let want = approx_certain_answers(&sc.mapping, &rolling, &nq.query, Some(&budget));
+            if got.completeness != Completeness::Capped && want.completeness != Completeness::Capped
+            {
+                assert_eq!(
+                    (&got.lower, &got.upper),
+                    (&want.lower, &want.upper),
+                    "{ctx} query {}: maintained approximation bracket diverged from recompute",
+                    nq.name
+                );
+            }
         }
     }
     trace.len()

@@ -8,6 +8,7 @@ use oc_exchange::chase::{canonical_solution, Mapping};
 use oc_exchange::core::{certain, compose, compose_alg, non_closure, semantics, skstd};
 use oc_exchange::logic::eval::FuncTable;
 use oc_exchange::logic::Query;
+use oc_exchange::solver::repa::rep_a_membership;
 use oc_exchange::solver::Completeness;
 use oc_exchange::workloads::{coloring, tripartite};
 use oc_exchange::{FuncSym, Instance, Tuple, Value};
@@ -57,7 +58,7 @@ fn theorem1_extremes() {
     for t in enumerate_binary_targets("R", &["a", "u", "w"], 2) {
         // OWA semantics: membership iff (S,T) |= Σ.
         let via_owa = oc_exchange::chase::is_owa_solution(&op, &s, &t);
-        let via_repa = semantics::is_member_via_repa(&op, &s, &t);
+        let via_repa = rep_a_membership(&canonical_solution(&op, &s).instance, &t).is_some();
         assert_eq!(via_owa, via_repa, "Lemma 1 / Theorem 1(2) on {t}");
     }
 }
