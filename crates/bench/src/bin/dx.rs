@@ -317,7 +317,7 @@ fn print_explain(sc: &Scenario, csol: &dx_relation::AnnInstance, query: &dx_logi
     let target = csol.rel_part();
     match dx_query::lower_formula(&query.formula) {
         Ok(plan) => {
-            let idx = dx_relation::InstanceIndex::build(&target);
+            let idx = dx_relation::DeltaIndex::from_instance(&target);
             let (rows, report) = dx_query::explain_run(&plan, &idx);
             println!("{}", report.render());
             println!(

@@ -514,7 +514,7 @@ fn run_explain(workload: &str) {
     let target = ann.rel_part();
     let plan =
         dx_query::lower_formula(&case.query.formula).expect("workload query lowers to a plan");
-    let idx = dx_relation::InstanceIndex::build(&target);
+    let idx = dx_relation::DeltaIndex::from_instance(&target);
     let (rows, report) = dx_query::explain_run(&plan, &idx);
     println!("# EXPLAIN {} (n = {n})\n", case.workload);
     println!("## Ground execution over CSol(S)\n");
@@ -564,7 +564,7 @@ fn run_explain_stream() {
     let csol = canonical_solution(&case.mapping, &case.source);
     let target = csol.rel_part();
     let plan = dx_query::lower_formula(&case.query.formula).expect("stream query lowers");
-    let idx = dx_relation::InstanceIndex::build(&target);
+    let idx = dx_relation::DeltaIndex::from_instance(&target);
     let (rows, report) = dx_query::explain_run(&plan, &idx);
     println!("# EXPLAIN stream (n = {n})\n");
     println!("## Ground execution over the initial CSol(S)\n");
@@ -648,7 +648,7 @@ fn run_explain_dx(path: &str) {
         println!("## query {}\n", nq.name);
         match dx_query::lower_formula(&nq.query.formula) {
             Ok(plan) => {
-                let idx = dx_relation::InstanceIndex::build(&target);
+                let idx = dx_relation::DeltaIndex::from_instance(&target);
                 let (rows, report) = dx_query::explain_run(&plan, &idx);
                 println!("{}", report.render());
                 println!(
@@ -686,7 +686,7 @@ fn explain_regime_sweep(
             let empty = Tuple::new(Vec::<Value>::new());
             let out =
                 search_rep_a_indexed(ann, &consts, &SearchBudget::closed_world(), &mut |leaf| {
-                    !ev.holds_on_indexed(leaf.index(), leaf.instance(), &empty)
+                    !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), &empty)
                 });
             println!(
                 "\n## Rep_A refutation sweep\n\n{} leaves explored, witness found: {} \
@@ -775,7 +775,7 @@ fn run_traced_pipeline() {
         &csol.instance,
         &consts,
         &SearchBudget::closed_world(),
-        &mut |leaf| !ev.holds_on_indexed(leaf.index(), leaf.instance(), &empty),
+        &mut |leaf| !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), &empty),
     );
     assert!(out.witness.is_none(), "repa trace slice stays certain");
 }
@@ -2077,9 +2077,9 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
 
     // The Rep_A valuation-search race: same search engine, same leaves —
     // only the per-leaf check differs. "rebuild" recreates the old
-    // behaviour (an InstanceIndex::build per candidate instance inside
-    // QueryEval::holds_on); "incremental" probes the search's single
-    // delta-maintained index. Outcomes are asserted identical.
+    // behaviour (the candidate materialized and a DeltaIndex built over it
+    // per leaf, inside QueryEval::holds_on); "incremental" probes the
+    // search's single delta-maintained index. Outcomes are asserted identical.
     let mut rt = Table::new(&[
         "workload",
         "n",
@@ -2107,9 +2107,13 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
                 let (o, d) = timed(|| {
                     search_rep_a_indexed(&csol.instance, &consts, &budget, &mut |leaf| {
                         if engine == "rebuild" {
-                            !ev.holds_on(leaf.instance(), &empty)
+                            !ev.holds_on(&leaf.index().to_instance(), &empty)
                         } else {
-                            !ev.holds_on_indexed(leaf.index(), leaf.instance(), &empty)
+                            !ev.holds_on_indexed(
+                                leaf.index(),
+                                || leaf.index().to_instance(),
+                                &empty,
+                            )
                         }
                     })
                 });
@@ -2120,9 +2124,9 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
             let (_, diff) = captured_counters(|| {
                 search_rep_a_indexed(&csol.instance, &consts, &budget, &mut |leaf| {
                     if engine == "rebuild" {
-                        !ev.holds_on(leaf.instance(), &empty)
+                        !ev.holds_on(&leaf.index().to_instance(), &empty)
                     } else {
-                        !ev.holds_on_indexed(leaf.index(), leaf.instance(), &empty)
+                        !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), &empty)
                     }
                 })
             });
@@ -2168,7 +2172,7 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
             for _ in 0..3 {
                 let (o, d) = timed(|| {
                     search_rep_a_indexed(&csol.instance, &consts, &budget, &mut |leaf| {
-                        !ev.holds_on_indexed(leaf.index(), leaf.instance(), &empty)
+                        !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), &empty)
                     })
                 });
                 best = Some(best.map_or(d, |b| b.min(d)));
@@ -2177,7 +2181,7 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
             let best = best.expect("ran");
             let (_, diff) = captured_counters(|| {
                 search_rep_a_indexed(&csol.instance, &consts, &budget, &mut |leaf| {
-                    !ev.holds_on_indexed(leaf.index(), leaf.instance(), &empty)
+                    !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), &empty)
                 })
             });
             let out = out.expect("ran");
@@ -2249,7 +2253,7 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
 
 /// E17 — the non-monotonic regime race: GCWA\* (Hernich) and approximation
 /// (Calautti-style) certain answers from `dx_core::regimes`, each run as
-/// **rebuild-per-candidate** (an `InstanceIndex::build` inside
+/// **rebuild-per-candidate** (a materialization and a `DeltaIndex` build inside
 /// `QueryEval::holds_on` per union/member) vs **incremental** (compiled
 /// plans probing the one refcounted delta index — the shipped engines).
 /// Emits the `gcwa`/`approx` rows of `BENCH_query.json`; at n ≤ 16 (the
@@ -2310,7 +2314,7 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
                 let (minimal, _) = minimal_rep_a_members(&csol.instance, &palette, None);
                 let mut certain = true;
                 let unions = for_each_union(&minimal, 2, &mut |delta| {
-                    if ev.holds_on(delta.instance(), &empty) {
+                    if ev.holds_on(&delta.to_instance(), &empty) {
                         false
                     } else {
                         certain = false;
@@ -2492,7 +2496,8 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
                 let mut survivors: Vec<Tuple> = upper0.iter().cloned().collect();
                 let outcome =
                     search_rep_a_indexed(&csol.instance, &palette, &sample, &mut |leaf| {
-                        survivors.retain(|t| ev.holds_on(leaf.instance(), t));
+                        let member = leaf.index().to_instance();
+                        survivors.retain(|t| ev.holds_on(&member, t));
                         survivors.is_empty()
                     });
                 (survivors.len(), outcome.leaves)
@@ -2552,7 +2557,7 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
             let palette = regimes::answer_palette(&case.source, &case.query);
             let mut exact = true;
             search_rep_a_indexed(&csol.instance, &palette, &sample, &mut |leaf| {
-                if !case.query.holds_boolean(leaf.instance()) {
+                if !case.query.holds_boolean(&leaf.index().to_instance()) {
                     exact = false;
                 }
                 false

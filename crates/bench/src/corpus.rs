@@ -191,7 +191,7 @@ fn enumerate_members(
 ) -> Vec<Instance> {
     let mut members: BTreeSet<Instance> = BTreeSet::new();
     search_rep_a_indexed(csol, palette, budget, &mut |leaf| {
-        members.insert(leaf.instance().clone());
+        members.insert(leaf.index().to_instance());
         false
     });
     members.into_iter().collect()

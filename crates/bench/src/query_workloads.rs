@@ -81,8 +81,9 @@ pub fn all_query_cases(n: usize) -> Vec<QueryCase> {
 /// compiled plan is pure index probes per leaf (the anti-join's filter
 /// side starts from a zero-selectivity probe and short-circuits): the
 /// workload thereby isolates the cost of *providing* an index per
-/// candidate — rebuild-per-candidate (`QueryEval::holds_on`, an
-/// `InstanceIndex::build` per leaf, the pre-catalog engine) vs the
+/// candidate — rebuild-per-candidate (`QueryEval::holds_on` on the
+/// materialized leaf, a `DeltaIndex` build per leaf, the pre-catalog
+/// engine) vs the
 /// solver's single incrementally maintained store (`holds_on_indexed` on
 /// `Leaf::index`, O(1) delta work per leaf). Leaves grow linearly with
 /// `n` (palette = adom + 1 fresh), so the rebuild path is Θ(n²) total
@@ -149,7 +150,7 @@ pub fn seeded_case(n: usize) -> QueryCase {
 /// position (mixed annotations). The canonical solution has one null, so
 /// there are Θ(n) ⊆-minimal solutions (one per palette constant) and, at
 /// union cap 2, Θ(n²) candidate unions — the workload isolates the cost of
-/// *providing* each union to the query: materialize + `InstanceIndex::build`
+/// *providing* each union to the query: materialize + a `DeltaIndex` build
 /// per union (rebuild baseline) vs one refcounted `DeltaIndex` whose
 /// per-union delta is the O(1) private remainder (`dx_solver::for_each_union`).
 /// The query carries a negated atom and is GCWA\*-certainly true (no
@@ -176,7 +177,8 @@ pub fn gcwa_case(n: usize) -> QueryCase {
 /// same shape with an open seed position, sampled under a small replication
 /// budget — Θ(n) valuations × Θ(n) replication extras ⇒ Θ(n²) sampled
 /// members, each evaluated by one plan probe against the sampler's live
-/// index vs an `InstanceIndex::build` per member on the rebuild baseline.
+/// index vs a materialization and `DeltaIndex` build per member on the
+/// rebuild baseline.
 /// The query (negated atom, certainly true on every member) keeps the
 /// upper bound nonempty so no early exit cuts the race short.
 pub fn approx_case(n: usize) -> QueryCase {

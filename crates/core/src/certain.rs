@@ -175,8 +175,9 @@ impl Exchange<'_> {
         // exactly Proposition 4.
         if monotone_rigid {
             let closed = self.csol.reannotate_all_closed();
-            let mut check =
-                |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), leaf.instance(), tuple);
+            let mut check = |leaf: &Leaf| {
+                !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), tuple)
+            };
             let outcome = search_rep_a_indexed(
                 &closed,
                 &query_consts,
@@ -218,7 +219,8 @@ impl Exchange<'_> {
             ),
         };
 
-        let mut check = |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), leaf.instance(), tuple);
+        let mut check =
+            |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), tuple);
         let outcome = search_rep_a_indexed(&self.csol, &query_consts, &search_budget, &mut check);
         refutation_outcome(outcome, regime, exact)
     }
@@ -302,7 +304,8 @@ impl Exchange<'_> {
             })
             .sum();
         let budget = SearchBudget::one_to_m(m, open_templates, self.mapping.target.max_arity());
-        let mut check = |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), leaf.instance(), tuple);
+        let mut check =
+            |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), tuple);
         let outcome = search_rep_a_indexed(&self.csol, &query_consts, &budget, &mut check);
         refutation_outcome(outcome, Regime::OpenBounded, true)
     }
@@ -363,7 +366,8 @@ impl Exchange<'_> {
             budget.cloned().unwrap_or_default()
         };
         let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
-        let mut check = |leaf: &Leaf| ev.holds_on_indexed(leaf.index(), leaf.instance(), tuple);
+        let mut check =
+            |leaf: &Leaf| ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), tuple);
         let outcome = search_rep_a_indexed(&self.csol, &query_consts, &search_budget, &mut check);
         let regime = if closed {
             Regime::ClosedWorld

@@ -127,7 +127,7 @@ impl Exchange<'_> {
                 };
             }
             let closed = self.csol.reannotate_all_closed();
-            let mut check = |leaf: &Leaf| is_owa_solution(delta, leaf.instance(), w);
+            let mut check = |leaf: &Leaf| is_owa_solution(delta, &leaf.index().to_instance(), w);
             let out =
                 search_rep_a_indexed(&closed, &extra, &SearchBudget::closed_world(), &mut check);
             return CompOutcome {
@@ -182,11 +182,11 @@ impl Exchange<'_> {
         };
 
         // The per-intermediate membership check exchanges `J` as a source
-        // (on this exchange's strategy), so it consumes the materialized
-        // instance view (maintained in lock-step with the index — no
-        // per-leaf clone).
+        // (on this exchange's strategy), so it materializes the candidate
+        // once per leaf.
         let mut check = |leaf: &Leaf| {
-            semantics::in_semantics_on(self.strategy, delta, leaf.instance(), w).is_member()
+            let j = leaf.index().to_instance();
+            semantics::in_semantics_on(self.strategy, delta, &j, w).is_member()
         };
         let out = search_rep_a_indexed(&self.csol, &extra, &search_budget, &mut check);
         let completeness = match (out.completeness, exact) {

@@ -30,16 +30,16 @@ use crate::certain::{
 use crate::Exchange;
 use dx_logic::datalog::DatalogQuery;
 use dx_logic::Query;
-use dx_query::{PlanCatalog, QueryEval, QueryStore};
-use dx_relation::{ConstId, Instance, Relation, Tuple};
+use dx_query::{PlanCatalog, QueryEval};
+use dx_relation::{ConstId, DeltaIndex, Instance, Relation, Tuple};
 use dx_solver::{search_rep_a_indexed, Completeness, Leaf, SearchBudget};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// The per-leaf membership check returned by [`PtimeQuery::prepared_holds`]:
 /// invoked once per candidate of a refutation search, with the solver's
-/// incremental index and its materialized instance view.
-pub type PreparedHolds<'a> = Box<dyn FnMut(&dyn QueryStore, &Instance) -> bool + 'a>;
+/// incremental index over the candidate.
+pub type PreparedHolds<'a> = Box<dyn FnMut(&DeltaIndex) -> bool + 'a>;
 
 /// A query in some language of PTIME data complexity, as seen by the
 /// certain-answer engines: an evaluator over ground instances plus the two
@@ -60,14 +60,13 @@ pub trait PtimeQuery {
         self.eval(instance).contains(t)
     }
 
-    /// [`PtimeQuery::holds`] against an already-indexed store (the
-    /// refutation loops' per-leaf check: `store` is the solver's
-    /// incrementally maintained candidate index, `instance` its
-    /// materialized view). The default ignores the index; implementors
-    /// with compiled plans override it to probe the store directly.
-    fn holds_indexed(&self, store: &dyn QueryStore, instance: &Instance, t: &Tuple) -> bool {
-        let _ = store;
-        self.holds(instance, t)
+    /// [`PtimeQuery::holds`] against the solver's incrementally
+    /// maintained candidate index (the refutation loops' per-leaf check).
+    /// The default materializes the candidate and evaluates on it;
+    /// implementors with compiled plans override it to probe the index,
+    /// materializing only when the query did not compile.
+    fn holds_indexed(&self, store: &DeltaIndex, t: &Tuple) -> bool {
+        self.holds(&store.to_instance(), t)
     }
 
     /// A per-search membership check for `t`: called **once** before a
@@ -77,7 +76,7 @@ pub trait PtimeQuery {
     /// lookup) override this to hoist that setup out of the — potentially
     /// exponential — leaf loop.
     fn prepared_holds<'a>(&'a self, t: &'a Tuple) -> PreparedHolds<'a> {
-        Box::new(move |store, instance| self.holds_indexed(store, instance, t))
+        Box::new(move |store| self.holds_indexed(store, t))
     }
 
     /// Is the query preserved under homomorphisms of instances? (Then naive
@@ -115,17 +114,17 @@ impl PtimeQuery for Query {
         PlanCatalog::shared().eval(self).holds_on(instance, t)
     }
 
-    fn holds_indexed(&self, store: &dyn QueryStore, instance: &Instance, t: &Tuple) -> bool {
+    fn holds_indexed(&self, store: &DeltaIndex, t: &Tuple) -> bool {
         PlanCatalog::shared()
             .eval(self)
-            .holds_on_indexed(store, instance, t)
+            .holds_on_indexed(store, || store.to_instance(), t)
     }
 
     /// One catalog lookup per search, not per leaf: the `Arc<QueryEval>`
     /// is hoisted into the returned closure.
     fn prepared_holds<'a>(&'a self, t: &'a Tuple) -> PreparedHolds<'a> {
         let ev = PlanCatalog::shared().eval(self);
-        Box::new(move |store, instance| ev.holds_on_indexed(store, instance, t))
+        Box::new(move |store| ev.holds_on_indexed(store, || store.to_instance(), t))
     }
 
     fn hom_preserved(&self) -> bool {
@@ -179,8 +178,8 @@ impl PtimeQuery for CompiledFoQuery {
         self.eval.holds_on(instance, t)
     }
 
-    fn holds_indexed(&self, store: &dyn QueryStore, instance: &Instance, t: &Tuple) -> bool {
-        self.eval.holds_on_indexed(store, instance, t)
+    fn holds_indexed(&self, store: &DeltaIndex, t: &Tuple) -> bool {
+        self.eval.holds_on_indexed(store, || store.to_instance(), t)
     }
 
     fn hom_preserved(&self) -> bool {
@@ -242,7 +241,7 @@ impl Exchange<'_> {
 
         let query_consts = tuple_palette(query.query_constants(), tuple);
         let mut holds = query.prepared_holds(tuple);
-        let mut check = |leaf: &Leaf| !holds(leaf.index(), leaf.instance());
+        let mut check = |leaf: &Leaf| !holds(leaf.index());
 
         if query.monotone() {
             let closed = self.csol.reannotate_all_closed();

@@ -47,9 +47,9 @@
 //! compose unions by refcounted private deltas over the minimal solutions'
 //! frozen common base (splitting the walk across the pool when
 //! `DX_THREADS > 1`, with sequential-identical results), and the sampler
-//! probes [`dx_solver::Leaf::index`]. The
-//! rebuild-per-candidate baseline (an `InstanceIndex::build` per union or
-//! leaf) exists only in the bench harness (`BENCH_query.json`, stages
+//! probes [`dx_solver::Leaf::index`]. The rebuild-per-candidate baseline
+//! (the candidate materialized and a fresh `DeltaIndex` built per union
+//! or leaf) exists only in the bench harness (`BENCH_query.json`, stages
 //! `gcwa`/`approx`) to keep the speedup measured.
 
 use crate::certain::candidate_tuples;
@@ -216,7 +216,7 @@ impl Exchange<'_> {
         let candidates = candidate_tuples(&consts, query.arity());
         let (survivors, unions) =
             union_retain_sweep(&minimal, budget.max_union_size, candidates, &|store, t| {
-                ev.holds_on_indexed(store, store.instance(), t)
+                ev.holds_on_indexed(store, || store.to_instance(), t)
             });
         GcwaOutcome {
             answers: Relation::from_tuples(query.arity(), survivors),
@@ -243,7 +243,7 @@ impl Exchange<'_> {
         let (minimal, completeness) = minimal_solutions(&self.csol, &palette, budget);
         let (counterexample, unions) =
             union_refute_sweep(&minimal, budget.max_union_size, &|store| {
-                !ev.holds_on_indexed(store, store.instance(), tuple)
+                !ev.holds_on_indexed(store, || store.to_instance(), tuple)
             });
         GcwaMembership {
             certain: counterexample.is_none(),
@@ -309,7 +309,8 @@ impl Exchange<'_> {
         let budget = sample.cloned().unwrap_or_default();
         let mut survivors: Vec<Tuple> = upper0.iter().cloned().collect();
         let outcome = search_rep_a_indexed(&self.csol, &palette, &budget, &mut |leaf| {
-            survivors.retain(|t| ev.holds_on_indexed(leaf.index(), leaf.instance(), t));
+            survivors
+                .retain(|t| ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), t));
             survivors.is_empty()
         });
         let upper = Relation::from_tuples(query.arity(), survivors);

@@ -24,8 +24,9 @@
 //!   (GCWA\*, under/over approximation) re-run on the *maintained*
 //!   canonical solution — still skipping the chase, which is the dominant
 //!   cost — through the [`Exchange`] methods over the borrowed maintained
-//!   solution (positive compiled queries execute straight on the session's
-//!   persistent index of it).
+//!   solution (positive compiled queries execute straight on the
+//!   relational index the incremental exchange maintains with it,
+//!   [`IncrementalExchange::csol_index`]).
 //!
 //! The maintained raw set stores **unfiltered** null-free answers; the
 //! genericity filter (answers range over `adom(S) ∪ constants(Q)`) is
@@ -40,7 +41,7 @@ use dx_engine::{IncrementalExchange, UpdateReport};
 use dx_logic::classify;
 use dx_logic::Query;
 use dx_query::{DeltaStore, PlanCatalog};
-use dx_relation::{ConstId, DeltaIndex, Instance, RelSym, Relation, Update};
+use dx_relation::{ConstId, Instance, RelSym, Relation, Update};
 use dx_solver::{Completeness, SearchBudget};
 use std::collections::BTreeSet;
 
@@ -131,12 +132,6 @@ pub struct StreamSession {
     queries: Vec<Registered>,
     regime_budget: RegimeBudget,
     search_budget: Option<SearchBudget>,
-    /// The canonical solution's relational part as a persistent refcounted
-    /// index — the base store every delta plan and every positive
-    /// recompute executes against. One refcount per *annotated* tuple, so
-    /// the report's annotated-level flips keep the set view exact when two
-    /// annotations share a tuple.
-    csol_idx: DeltaIndex,
 }
 
 impl StreamSession {
@@ -144,26 +139,12 @@ impl StreamSession {
     /// chased layer maintains; queries evaluate on the canonical
     /// solution, mirroring the batch `certain_*` entry points).
     pub fn new(mapping: Mapping, constraints: Vec<TargetDep>, source: Instance) -> Self {
-        let inc = IncrementalExchange::new(mapping.clone(), constraints, source);
-        let mut csol_idx = DeltaIndex::new();
-        for (rel, r) in inc.csol().relations() {
-            csol_idx.declare(rel, r.arity());
-        }
-        let tuples: Vec<_> = inc
-            .csol()
-            .relations()
-            .flat_map(|(rel, _)| inc.csol().tuples(rel).map(move |t| (rel, t.tuple.clone())))
-            .collect();
-        for (rel, t) in tuples {
-            csol_idx.insert(rel, t);
-        }
         StreamSession {
-            inc,
+            inc: IncrementalExchange::new(mapping.clone(), constraints, source),
             mapping,
             queries: Vec::new(),
             regime_budget: RegimeBudget::default(),
             search_budget: None,
-            csol_idx,
         }
     }
 
@@ -253,15 +234,6 @@ impl StreamSession {
             None
         };
         let report = self.inc.update(up);
-        // Keep the persistent base index in lockstep with the canonical
-        // solution (one refcount per annotated tuple — see the field doc).
-        for (rel, t) in &report.removed {
-            self.csol_idx.remove(*rel, &t.tuple);
-        }
-        for (rel, t) in &report.added {
-            self.csol_idx.declare(*rel, t.tuple.arity());
-            self.csol_idx.insert(*rel, t.tuple.clone());
-        }
         let palette_moved = match &palette_before {
             Some(p) => self.palette() != *p,
             None => false,
@@ -331,7 +303,7 @@ impl StreamSession {
             delta.declare(*rel, t.tuple.arity());
             delta.insert(*rel, t.tuple.clone());
         }
-        let store = DeltaStore::new(&self.csol_idx, &delta);
+        let store = DeltaStore::new(self.inc.csol_index(), &delta);
         let rows = dx_query::exec::exec(&dp, &store);
         let cols: Vec<usize> = compiled
             .head()
@@ -359,7 +331,7 @@ impl StreamSession {
                 let ev = PlanCatalog::shared().eval_in(&reg.query, &self.mapping.target);
                 match ev.compiled() {
                     Some(plan) if classify::is_positive(&reg.query.formula) => {
-                        let all = plan.answers_store(&self.csol_idx);
+                        let all = plan.answers_store(self.inc.csol_index());
                         let ground = all.iter().filter(|t| t.is_ground()).cloned();
                         AnswerState::MaintainedRaw(Relation::from_tuples(all.arity(), ground))
                     }

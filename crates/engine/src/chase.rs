@@ -34,12 +34,12 @@
 //! `engine.chase.round` instant carrying the queue depth and step count
 //! — the per-round phase structure the Chrome trace viewer nests.
 
-use crate::store::{IndexedInstance, Inserted};
+use crate::store::{IndexedInstance, Inserted, TupleId};
 use dx_chase::chase_engine::{ChaseOutcome, ChaseResult};
 use dx_chase::target_deps::{TargetDep, Tgd};
 use dx_chase::ChaseStrategy;
 use dx_logic::Term;
-use dx_relation::{AnnTuple, NullGen, RelSym, Tuple, TupleId, Value, Var};
+use dx_relation::{AnnTuple, NullGen, RelSym, Tuple, Value, Var};
 use std::collections::{BTreeMap, VecDeque};
 
 pub(crate) type Asg = BTreeMap<Var, Value>;

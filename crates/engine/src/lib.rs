@@ -26,10 +26,9 @@
 #![deny(missing_docs)]
 
 pub mod chase;
-pub mod query_store;
 pub mod store;
 pub mod stream;
 
 pub use chase::{indexed_chase, IndexedChase};
-pub use store::{IndexedInstance, Inserted, Rewrite};
+pub use store::{IndexedInstance, Inserted, Rewrite, TupleId};
 pub use stream::{IncrementalExchange, StdPath, TargetPath, UpdateReport};

@@ -18,8 +18,21 @@
 //! `tests/engine_differential.rs` run it after random insert/merge
 //! workloads.
 
-use dx_relation::{AnnInstance, AnnTuple, Annotation, FastMap, RelSym, Tuple, TupleId, Value};
+use dx_relation::{AnnInstance, AnnTuple, Annotation, FastMap, RelSym, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
+
+/// A stable identifier of a tuple in an [`IndexedInstance`]: its slot in
+/// insertion order. Ids are never reused, so the chase work queue and the
+/// incremental derivation log can hold them across retractions.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct TupleId(pub u32);
+
+impl TupleId {
+    /// The id as a usize (for slot vectors).
+    pub fn idx(self) -> usize {
+        self.0 as usize
+    }
+}
 
 /// What an insert did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,16 +201,6 @@ impl IndexedInstance {
             .map(|(r, at)| (*r, at))
     }
 
-    /// The arity of `rel`, if the store knows it.
-    pub fn arity(&self, rel: RelSym) -> Option<usize> {
-        self.rels.get(&rel).map(|s| s.arity)
-    }
-
-    /// Live ids of `rel`, in id order.
-    pub fn ids_of(&self, rel: RelSym) -> impl Iterator<Item = TupleId> + '_ {
-        self.rels.get(&rel).into_iter().flat_map(|s| s.ids.iter())
-    }
-
     /// All live ids, in id order.
     pub fn all_ids(&self) -> impl Iterator<Item = TupleId> + '_ {
         self.slots
@@ -282,8 +285,8 @@ impl IndexedInstance {
             .flat_map(|set| set.iter())
     }
 
-    /// Selectivity estimate for `pattern` over `rel` (see
-    /// [`dx_relation::RelationIndex::selectivity`]): posting-list length of
+    /// Selectivity estimate for `pattern` over `rel` (the estimate of
+    /// [`dx_relation::DeltaIndex::selectivity`]): posting-list length of
     /// the tightest bound column, or relation cardinality when unbound.
     pub fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize {
         let Some(store) = self.rels.get(&rel) else {

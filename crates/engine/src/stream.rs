@@ -52,7 +52,7 @@
 //! built on top of this type lives in `dx-core`'s `StreamSession`.
 
 use crate::chase::{self, Asg};
-use crate::store::{IndexedInstance, Inserted};
+use crate::store::{IndexedInstance, Inserted, TupleId};
 use dx_chase::chase_engine::{ChaseOutcome, DEFAULT_CHASE_LIMIT};
 use dx_chase::target_deps::{TargetDep, Tgd};
 use dx_chase::{
@@ -60,8 +60,8 @@ use dx_chase::{
 };
 use dx_logic::{Formula, Term};
 use dx_relation::{
-    AnnInstance, AnnTuple, Annotation, FastMap, Instance, NullGen, NullId, RelSym, Tuple, TupleId,
-    Update, Value, Var,
+    AnnInstance, AnnTuple, Annotation, DeltaIndex, FastMap, Instance, NullGen, NullId, RelSym,
+    Tuple, Update, Value, Var,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -227,6 +227,11 @@ pub struct IncrementalExchange {
     /// producing the empty marker `(_, α)``.
     mark_counts: FastMap<(RelSym, Annotation), u32>,
     csol: AnnInstance,
+    /// `rel(csol)` as the relational index delta plans and positive
+    /// recomputes probe, updated wherever `csol` gains or loses a tuple
+    /// or a relation. One refcount per *annotated* tuple, so a tuple
+    /// live under two annotations stays visible until both are gone.
+    csol_index: DeltaIndex,
     null_origin: BTreeMap<NullId, Justification>,
     target: Option<TargetState>,
     max_steps: usize,
@@ -302,6 +307,7 @@ impl IncrementalExchange {
             head_counts: FastMap::default(),
             mark_counts: FastMap::default(),
             csol: AnnInstance::new(),
+            csol_index: DeltaIndex::new(),
             null_origin: BTreeMap::new(),
             target: None,
             max_steps,
@@ -316,6 +322,7 @@ impl IncrementalExchange {
                     mapping,
                     mark_counts,
                     csol,
+                    csol_index,
                     ..
                 } = &mut inc;
                 for atom in &mapping.stds[i].head {
@@ -323,6 +330,7 @@ impl IncrementalExchange {
                     *slot += 1;
                     if *slot == 1 {
                         csol.insert_empty_mark(atom.rel, atom.ann.clone());
+                        csol_index.declare(atom.rel, atom.ann.arity());
                     }
                 }
             }
@@ -346,6 +354,13 @@ impl IncrementalExchange {
     /// The maintained annotated canonical solution `CSol_A(S)`.
     pub fn csol(&self) -> &AnnInstance {
         &self.csol
+    }
+
+    /// `rel(CSol_A(S))` as a relational index, maintained with the
+    /// canonical solution: its live set is `csol().rel_part()`, its
+    /// reference counts total `csol().tuple_count()`.
+    pub fn csol_index(&self) -> &DeltaIndex {
+        &self.csol_index
     }
 
     /// Assemble the maintained state into a [`CanonicalSolution`]
@@ -511,6 +526,7 @@ impl IncrementalExchange {
             stds,
             head_counts,
             csol,
+            csol_index,
             null_origin,
             ..
         } = self;
@@ -538,6 +554,7 @@ impl IncrementalExchange {
             if *slot == 0 {
                 head_counts.remove(&key);
                 csol.remove(key.0, &key.1);
+                csol_index.remove(key.0, &key.1.tuple);
                 report.csol_removed += 1;
                 removed.push(key);
             }
@@ -562,6 +579,7 @@ impl IncrementalExchange {
             stds,
             head_counts,
             csol,
+            csol_index,
             null_origin,
             gen,
             ..
@@ -587,6 +605,7 @@ impl IncrementalExchange {
             *slot += 1;
             if *slot == 1 {
                 csol.insert(key.0, key.1.clone());
+                csol_index.insert(key.0, key.1.tuple.clone());
                 report.csol_added += 1;
                 added.push(key);
             }
@@ -601,6 +620,7 @@ impl IncrementalExchange {
             mapping,
             mark_counts,
             csol,
+            csol_index,
             ..
         } = self;
         for atom in &mapping.stds[i].head {
@@ -609,6 +629,7 @@ impl IncrementalExchange {
                 let slot = mark_counts.entry(key.clone()).or_insert(0);
                 *slot += 1;
                 if *slot == 1 {
+                    csol_index.declare(key.0, key.1.arity());
                     csol.insert_empty_mark(key.0, key.1);
                 }
             } else {
@@ -958,7 +979,9 @@ mod tests {
         s
     }
 
-    /// Incremental csol vs from-scratch recompute, up to null renaming.
+    /// Incremental csol vs from-scratch recompute, up to null renaming;
+    /// the maintained relational index holds exactly `rel(csol)`, one
+    /// refcount per annotated tuple.
     fn assert_csol_matches(inc: &IncrementalExchange) {
         let oracle = canonical_solution(&inc.mapping, &inc.source);
         assert!(
@@ -966,6 +989,16 @@ mod tests {
             "incremental csol diverged:\nincr:\n{}\noracle:\n{}",
             inc.csol(),
             oracle.instance
+        );
+        assert_eq!(
+            inc.csol_index().to_instance(),
+            inc.csol().rel_part(),
+            "csol index diverged from rel(csol)"
+        );
+        assert_eq!(
+            inc.csol_index().mem_stats().refcount_total,
+            inc.csol().tuple_count() as u64,
+            "one csol index refcount per annotated tuple"
         );
     }
 

@@ -3,8 +3,10 @@
 //! Counters answer "how much work happened"; gauges answer "how big is
 //! it right now". This module fixes the gauge *names* for the three
 //! structures whose footprint dominates a data-exchange run — the
-//! materialized instance, the solver/chase [`DeltaIndex`], and the
-//! compiled-plan catalog — and provides the publishing helpers the
+//! materialized instance, the relational [`DeltaIndex`] (the solver's
+//! candidate store, the union walks' shared base; it holds the only copy
+//! of its tuples), and the compiled-plan catalog — and provides the
+//! publishing helpers the
 //! bench harness (and any long-running consumer) calls to stamp current
 //! readings into the registry. The *values* come from cheap accessor
 //! methods on the owning crates (`dx_relation::Instance::tuple_count`,

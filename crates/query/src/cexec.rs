@@ -580,7 +580,7 @@ mod tests {
         let outcols = [dx_relation::Var::new("x")];
         let cond_result = exec_conditional_table(&plan, &outcols, &ct);
         for (ground, v) in ct.rep_members(&std::collections::BTreeSet::new()) {
-            let idx = dx_relation::InstanceIndex::build(&ground);
+            let idx = dx_relation::DeltaIndex::from_instance(&ground);
             let direct = crate::exec::exec(&plan, &idx);
             let direct_set: BTreeSet<Vec<Value>> = direct.rows.into_iter().collect();
             let via: BTreeSet<Vec<Value>> = cond_result
@@ -617,7 +617,7 @@ mod tests {
         let cond_result = exec_conditional_table(&plan, &outcols, &ct);
         let mut checked = 0usize;
         for (ground, v) in ct.rep_members(&std::collections::BTreeSet::new()) {
-            let idx = dx_relation::InstanceIndex::build(&ground);
+            let idx = dx_relation::DeltaIndex::from_instance(&ground);
             let direct: BTreeSet<Vec<Value>> = {
                 let rows = crate::exec::exec(&plan, &idx);
                 let xc = rows.col(outcols[0]).unwrap();
@@ -654,7 +654,7 @@ mod tests {
         let cond_result = exec_conditional_table(&plan, &outcols, &ct);
         let mut checked = 0usize;
         for (ground, v) in ct.rep_members(&std::collections::BTreeSet::new()) {
-            let idx = dx_relation::InstanceIndex::build(&ground);
+            let idx = dx_relation::DeltaIndex::from_instance(&ground);
             let direct: BTreeSet<Vec<Value>> =
                 crate::exec::exec(&plan, &idx).rows.into_iter().collect();
             let via: BTreeSet<Vec<Value>> = cond_result

@@ -64,25 +64,10 @@ fn monotone_in(plan: &Plan, changed: &BTreeSet<RelSym>) -> bool {
         }
         Plan::SemiJoin { left, right } => monotone_in(left, changed) && monotone_in(right, changed),
         Plan::AntiJoin { left, right } | Plan::SeededAntiJoin { left, right, .. } => {
-            monotone_in(left, changed) && !mentions(right, changed)
+            monotone_in(left, changed) && right.relations().is_disjoint(changed)
         }
         Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Alias { input, .. } => {
             monotone_in(input, changed)
-        }
-    }
-}
-
-/// Does `plan` scan any relation of `rels`?
-fn mentions(plan: &Plan, rels: &BTreeSet<RelSym>) -> bool {
-    match plan {
-        Plan::Unit | Plan::Empty { .. } | Plan::Bind { .. } => false,
-        Plan::Scan { rel, .. } => rels.contains(rel),
-        Plan::Join { inputs } | Plan::Union { inputs } => inputs.iter().any(|p| mentions(p, rels)),
-        Plan::SemiJoin { left, right }
-        | Plan::AntiJoin { left, right }
-        | Plan::SeededAntiJoin { left, right, .. } => mentions(left, rels) || mentions(right, rels),
-        Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Alias { input, .. } => {
-            mentions(input, rels)
         }
     }
 }
@@ -201,20 +186,6 @@ impl<'a> DeltaStore<'a> {
 }
 
 impl QueryStore for DeltaStore<'_> {
-    fn rel_arity(&self, rel: RelSym) -> Option<usize> {
-        match self.syms.get(&rel) {
-            Some(orig) => self.delta.rel_arity(*orig),
-            None => self.base.rel_arity(rel),
-        }
-    }
-
-    fn rel_len(&self, rel: RelSym) -> usize {
-        match self.syms.get(&rel) {
-            Some(orig) => self.delta.rel_len(*orig),
-            None => self.base.rel_len(rel),
-        }
-    }
-
     fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize {
         match self.syms.get(&rel) {
             Some(orig) => self.delta.selectivity(*orig, pattern),
@@ -240,7 +211,7 @@ mod tests {
     use super::*;
     use crate::eval::CompiledQuery;
     use dx_logic::Query;
-    use dx_relation::InstanceIndex;
+    use dx_relation::DeltaIndex;
 
     fn plan_of(heads: &[&str], src: &str) -> CompiledQuery {
         CompiledQuery::compile(&Query::parse(heads, src).unwrap()).unwrap()
@@ -264,7 +235,7 @@ mod tests {
 
         let changed: BTreeSet<RelSym> = [RelSym::new("DltE")].into();
         let dp = delta_plan(q.plan(), &changed).expect("join is monotone");
-        let base = InstanceIndex::build(&new);
+        let base = DeltaIndex::from_instance(&new);
         let store = DeltaStore::new(&base, &delta);
         let rows = crate::exec::exec(&dp, &store);
         let cols: Vec<usize> = q

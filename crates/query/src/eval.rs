@@ -7,7 +7,7 @@ use crate::plan::Plan;
 use crate::store::QueryStore;
 use dx_chase::{BodyEval, Std};
 use dx_logic::{Formula, Query};
-use dx_relation::{Instance, InstanceIndex, Relation, Tuple, Value, Var};
+use dx_relation::{DeltaIndex, Instance, RelSym, Relation, Tuple, Value, Var};
 use std::collections::BTreeSet;
 
 /// A query compiled to a plan: the head variables plus the safe-range plan
@@ -16,6 +16,9 @@ use std::collections::BTreeSet;
 pub struct CompiledQuery {
     head: Vec<Var>,
     plan: Plan,
+    /// The relations the plan scans ([`Plan::relations`]): an instance is
+    /// indexed only on these before the plan runs on it.
+    scanned: BTreeSet<RelSym>,
     /// Constants of the *source formula* — not recovered from the plan,
     /// which may drop them (trivial equalities fold away, empty disjuncts
     /// are pruned). They seed the candidate palette of the conditional
@@ -41,6 +44,7 @@ impl CompiledQuery {
         }
         Ok(CompiledQuery {
             head: head.to_vec(),
+            scanned: plan.relations(),
             plan,
             consts: formula.constants(),
         })
@@ -84,9 +88,9 @@ impl CompiledQuery {
         )
     }
 
-    /// Evaluate over an instance (builds a snapshot index).
+    /// Evaluate over an instance (indexes the relations the plan scans).
     pub fn answers(&self, instance: &Instance) -> Relation {
-        self.answers_store(&InstanceIndex::build(instance))
+        self.answers_store(&index_scanned(instance, &self.scanned))
     }
 
     /// Naive certain answers `Q_naive(T)`: evaluate, then keep only
@@ -112,7 +116,7 @@ impl CompiledQuery {
 
     /// [`CompiledQuery::holds_on_store`] over an instance.
     pub fn holds_on(&self, instance: &Instance, tuple: &Tuple) -> bool {
-        self.holds_on_store(&InstanceIndex::build(instance), tuple)
+        self.holds_on_store(&index_scanned(instance, &self.scanned), tuple)
     }
 
     /// Exact CWA certain answers `□Q(T)` over a conditional instance via
@@ -137,6 +141,16 @@ impl CompiledQuery {
         extra.extend(self.consts.iter().copied());
         dx_ctables::possible_answers_from(&result, &extra, &cinst.global)
     }
+}
+
+/// A [`DeltaIndex`] over the relations of `instance` in `scanned` — the
+/// relations a plan scans; it never probes the rest.
+pub(crate) fn index_scanned(instance: &Instance, scanned: &BTreeSet<RelSym>) -> DeltaIndex {
+    DeltaIndex::from_relations(
+        scanned
+            .iter()
+            .filter_map(|&rel| instance.relation(rel).map(|r| (rel, r))),
+    )
 }
 
 /// Compile-or-fallback evaluation of a [`Query`]: the compiled plan when
@@ -217,20 +231,22 @@ impl QueryEval {
     }
 
     /// Does `tuple` belong to the answers over an already-indexed store?
-    /// Compiled queries probe `store` directly — **no index build per
-    /// call**, which is what makes the solver's incrementally maintained
-    /// candidate store pay off; non-safe-range queries tree-walk
-    /// `fallback` (the store's materialized instance view), bit-identical
-    /// to [`QueryEval::holds_on`] either way.
+    /// Compiled queries probe `store` directly — **no index build and no
+    /// materialization per call**, which is what makes the solver's
+    /// incrementally maintained candidate store pay off. A query that did
+    /// not compile tree-walks the instance `fallback` builds, which must
+    /// be the store's whole visible set (the tree walker quantifies over
+    /// its active domain); bit-identical to [`QueryEval::holds_on`] either
+    /// way.
     pub fn holds_on_indexed(
         &self,
         store: &dyn QueryStore,
-        fallback: &Instance,
+        fallback: impl FnOnce() -> Instance,
         tuple: &Tuple,
     ) -> bool {
         match &self.compiled {
             Some(c) => c.holds_on_store(store, tuple),
-            None => self.query.holds_on(fallback, tuple),
+            None => self.query.holds_on(&fallback(), tuple),
         }
     }
 

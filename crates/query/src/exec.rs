@@ -1060,7 +1060,7 @@ mod tests {
     use super::*;
     use crate::lower::lower_formula;
     use dx_logic::parse_formula;
-    use dx_relation::{Instance, InstanceIndex, RelSym, Tuple};
+    use dx_relation::{DeltaIndex, Instance, RelSym, Tuple};
 
     fn graph() -> Instance {
         let mut i = Instance::new();
@@ -1074,7 +1074,7 @@ mod tests {
 
     fn run(src: &str, inst: &Instance) -> Rows {
         let plan = lower_formula(&parse_formula(src).expect("parses")).expect("lowers");
-        exec(&plan, &InstanceIndex::build(inst))
+        exec(&plan, &DeltaIndex::from_instance(inst))
     }
 
     #[test]

@@ -165,7 +165,7 @@ mod tests {
     use super::*;
     use crate::lower::lower_formula;
     use dx_logic::parse_formula;
-    use dx_relation::{Instance, InstanceIndex, RelSym, Tuple, Value};
+    use dx_relation::{DeltaIndex, Instance, RelSym, Tuple, Value};
 
     #[test]
     fn explain_run_annotates_rows_per_node() {
@@ -174,7 +174,7 @@ mod tests {
         i.insert_names("XpE", &["b", "c"]);
         let plan = lower_formula(&parse_formula("exists y. XpE(x, y) & XpE(y, z)").unwrap())
             .expect("lowers");
-        let (rows, report) = explain_run(&plan, &InstanceIndex::build(&i));
+        let (rows, report) = explain_run(&plan, &DeltaIndex::from_instance(&i));
         assert_eq!(rows.rows.len(), 1, "a→b→c");
         let text = report.render();
         assert!(text.contains("rows=1"), "root row count:\n{text}");
@@ -195,7 +195,7 @@ mod tests {
             &parse_formula("exists a. XsSub(p, a) & (forall b. (XsSub(p, b) -> a = b))").unwrap(),
         )
         .expect("lowers");
-        let (rows, report) = explain_run(&plan, &InstanceIndex::build(&i));
+        let (rows, report) = explain_run(&plan, &DeltaIndex::from_instance(&i));
         assert_eq!(rows.rows, vec![vec![Value::c("p1")]]);
         let text = report.render();
         assert!(
@@ -258,8 +258,8 @@ mod tests {
         let plan = lower_formula(&parse_formula("XpT(x)").unwrap()).unwrap();
         // A plain exec with no collector active must not capture anything;
         // a following explain_run starts from a clean slate.
-        let _ = exec(&plan, &InstanceIndex::build(&i));
-        let (_, report) = explain_run(&plan, &InstanceIndex::build(&i));
+        let _ = exec(&plan, &DeltaIndex::from_instance(&i));
+        let (_, report) = explain_run(&plan, &DeltaIndex::from_instance(&i));
         let line = report.render();
         assert!(
             line.contains("rows=1") && line.contains("calls=1"),

@@ -19,8 +19,9 @@
 //!   products unified into natural joins;
 //! * [`exec`] — the ground executor: greedy **join-order selection by index
 //!   selectivity**, index-probe joins against any [`store::QueryStore`]
-//!   (immutable [`dx_relation::InstanceIndex`] snapshots, or `dx-engine`'s
-//!   live `IndexedInstance`), hash joins for materialized inputs, and
+//!   (a [`dx_relation::DeltaIndex`] built over the relations a plan scans,
+//!   or one the solver or a streaming exchange maintains), hash joins for
+//!   materialized inputs, and
 //!   semi-/anti-join reduction; its first-witness mode
 //!   ([`exec::exec_nonempty`]) answers yes/no questions — membership with
 //!   the head bound, Boolean queries, boolean gates — at the first row.

@@ -461,6 +461,20 @@ impl Plan {
         out
     }
 
+    /// The relations the plan scans — all a store built for this plan
+    /// needs to index.
+    pub fn relations(&self) -> BTreeSet<RelSym> {
+        let mut out = BTreeSet::new();
+        let mut stack = vec![self];
+        while let Some(plan) = stack.pop() {
+            if let Plan::Scan { rel, .. } = plan {
+                out.insert(*rel);
+            }
+            stack.extend(plan.children());
+        }
+        out
+    }
+
     /// The node's direct children, in plan order (the tree-walk order the
     /// EXPLAIN renderers use).
     pub fn children(&self) -> Vec<&Plan> {

@@ -22,7 +22,7 @@ use crate::plan::{Plan, PlanPred, Ref};
 use crate::store::QueryStore;
 use dx_ctables::algebra::{ColRef, RaError, RaExpr, RaPred};
 use dx_ctables::{certain_answers_from, possible_answers_from, CInstance, CTable};
-use dx_relation::{ConstId, Instance, InstanceIndex, RelSym, Relation, Tuple, Value, Var};
+use dx_relation::{ConstId, Instance, RelSym, Relation, Tuple, Value, Var};
 use std::collections::BTreeSet;
 
 /// A relational-algebra expression compiled to a plan, with its positional
@@ -32,6 +32,8 @@ pub struct CompiledRa {
     plan: Plan,
     outcols: Vec<Var>,
     consts: BTreeSet<ConstId>,
+    /// The relations the plan scans ([`Plan::relations`]).
+    scanned: BTreeSet<RelSym>,
 }
 
 impl CompiledRa {
@@ -47,6 +49,7 @@ impl CompiledRa {
         let mut supply = VarSupply::default();
         let (plan, outcols) = lower_ra(expr, arity, &mut supply)?;
         Ok(CompiledRa {
+            scanned: plan.relations(),
             plan,
             outcols,
             consts: expr.constants(),
@@ -80,9 +83,10 @@ impl CompiledRa {
         )
     }
 
-    /// Ground evaluation over an instance.
+    /// Ground evaluation over an instance (indexes the relations the plan
+    /// scans).
     pub fn eval_ground(&self, inst: &Instance) -> Relation {
-        self.eval_ground_store(&InstanceIndex::build(inst))
+        self.eval_ground_store(&crate::eval::index_scanned(inst, &self.scanned))
     }
 
     /// Conditional evaluation over a c-instance, mirroring

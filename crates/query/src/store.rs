@@ -1,21 +1,23 @@
 //! The storage abstraction plans execute against.
 //!
 //! [`QueryStore`] is the slice of an indexed tuple store the executor
-//! needs: per-relation cardinalities, a **selectivity estimate** for a
-//! partially bound pattern (the quantity the greedy join order minimizes),
-//! and pattern-matching scans that probe the tightest bound column.
+//! needs: a **selectivity estimate** for a partially bound pattern (the
+//! quantity the greedy join order minimizes) and pattern-matching scans
+//! that probe the tightest bound column.
 //!
 //! Implementations in the workspace:
 //!
-//! * [`dx_relation::InstanceIndex`] (here) — an immutable snapshot index
-//!   built per instance; the default backing of
-//!   [`crate::eval::QueryEval`];
-//! * `dx_engine::IndexedInstance` (in `dx-engine`, which depends on this
-//!   crate) — the live, incrementally maintained store behind the
-//!   delta-driven chase, so plans run against chase output without a
-//!   re-index.
+//! * [`dx_relation::DeltaIndex`] — the relational index: a fresh build
+//!   per instance backs [`crate::eval::QueryEval`], the `Rep_A` search
+//!   probes the one it maintains by apply/undo, and a streaming exchange
+//!   keeps one over its canonical solution;
+//! * [`dx_relation::OverlayIndex`] — a per-worker layer over a frozen
+//!   `DeltaIndex`, what parallel union sweeps probe;
+//! * [`crate::delta::DeltaStore`] — a base store plus Δ-relations, what
+//!   delta plans run on;
+//! * [`Instance`] — the un-indexed scan-and-filter fallback.
 
-use dx_relation::{DeltaIndex, Instance, InstanceIndex, OverlayIndex, RelSym, Tuple, Value};
+use dx_relation::{DeltaIndex, Instance, OverlayIndex, RelSym, Tuple, Value};
 use std::ops::ControlFlow;
 
 /// An indexed tuple source the executor can scan and probe.
@@ -24,12 +26,6 @@ use std::ops::ControlFlow;
 /// across pool workers; every implementation in the workspace is plain
 /// data (no interior mutability), so the bound costs nothing.
 pub trait QueryStore: Sync {
-    /// The arity of `rel`, if the store knows the relation.
-    fn rel_arity(&self, rel: RelSym) -> Option<usize>;
-
-    /// Number of tuples in `rel` (0 when absent).
-    fn rel_len(&self, rel: RelSym) -> usize;
-
     /// Upper bound on the number of tuples of `rel` matching `pattern`
     /// (`Some(v)` = position bound to `v`): the posting-list length of the
     /// tightest bound column, or the relation size when nothing is bound.
@@ -48,48 +44,11 @@ pub trait QueryStore: Sync {
     ) -> ControlFlow<()>;
 }
 
-impl QueryStore for InstanceIndex {
-    fn rel_arity(&self, rel: RelSym) -> Option<usize> {
-        self.relation(rel).map(|idx| idx.arity())
-    }
-
-    fn rel_len(&self, rel: RelSym) -> usize {
-        self.relation(rel).map_or(0, |idx| idx.len())
-    }
-
-    fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize {
-        self.relation(rel).map_or(0, |idx| idx.selectivity(pattern))
-    }
-
-    fn for_each_matching(
-        &self,
-        rel: RelSym,
-        pattern: &[Option<Value>],
-        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        if let Some(idx) = self.relation(rel) {
-            for id in idx.matching(pattern) {
-                f(idx.get(id))?;
-            }
-        }
-        ControlFlow::Continue(())
-    }
-}
-
-/// The incrementally maintained store: `dx-solver`'s `Rep_A` search mutates
-/// one [`DeltaIndex`] by delta apply/undo and compiled plans probe it at
-/// every leaf — the replacement for building an [`InstanceIndex`] per
-/// candidate instance. Identical tuple sets answer identically to the
-/// snapshot index (`dx-relation`'s delta tests assert it).
+/// The relational index: built fresh per instance for one-shot plan
+/// execution, or maintained by apply/undo (the `Rep_A` search probes it at
+/// every leaf, the streaming exchange keeps one over its canonical
+/// solution).
 impl QueryStore for DeltaIndex {
-    fn rel_arity(&self, rel: RelSym) -> Option<usize> {
-        DeltaIndex::rel_arity(self, rel)
-    }
-
-    fn rel_len(&self, rel: RelSym) -> usize {
-        DeltaIndex::rel_len(self, rel)
-    }
-
     fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize {
         DeltaIndex::selectivity(self, rel, pattern)
     }
@@ -104,18 +63,10 @@ impl QueryStore for DeltaIndex {
     }
 }
 
-/// A per-worker overlay over a shared frozen snapshot: what parallel
-/// sweeps probe. Same visible set ⇒ same (set-normalized) answers as the
-/// sequential [`DeltaIndex`] it was frozen from.
+/// A per-worker overlay over a shared frozen base: what parallel sweeps
+/// probe. Same visible set ⇒ same (set-normalized) answers as one
+/// sequential [`DeltaIndex`] holding it.
 impl QueryStore for OverlayIndex {
-    fn rel_arity(&self, rel: RelSym) -> Option<usize> {
-        OverlayIndex::rel_arity(self, rel)
-    }
-
-    fn rel_len(&self, rel: RelSym) -> usize {
-        OverlayIndex::rel_len(self, rel)
-    }
-
     fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize {
         OverlayIndex::selectivity(self, rel, pattern)
     }
@@ -133,16 +84,8 @@ impl QueryStore for OverlayIndex {
 /// Un-indexed fallback: scan-and-filter directly over an [`Instance`].
 /// Used when the instance is too small for an index build to pay off.
 impl QueryStore for Instance {
-    fn rel_arity(&self, rel: RelSym) -> Option<usize> {
-        self.relation(rel).map(|r| r.arity())
-    }
-
-    fn rel_len(&self, rel: RelSym) -> usize {
-        self.relation(rel).map_or(0, |r| r.len())
-    }
-
     fn selectivity(&self, rel: RelSym, _pattern: &[Option<Value>]) -> usize {
-        self.rel_len(rel)
+        self.relation(rel).map_or(0, |r| r.len())
     }
 
     fn for_each_matching(
@@ -179,11 +122,9 @@ mod tests {
     #[test]
     fn index_and_naive_stores_agree() {
         let inst = sample();
-        let idx = InstanceIndex::build(&inst);
+        let idx = DeltaIndex::from_instance(&inst);
         let pattern = [Some(Value::c("a")), None];
         let rel = RelSym::new("QsE");
-        assert_eq!(idx.rel_arity(rel), Some(2));
-        assert_eq!(inst.rel_arity(rel), Some(2));
         assert_eq!(idx.rel_len(rel), 3);
         assert_eq!(idx.selectivity(rel, &pattern), 2);
         let mut via_idx = Vec::new();
@@ -214,9 +155,8 @@ mod tests {
         let mut overlay = OverlayIndex::new(DeltaIndex::from_instance(&base).freeze());
         overlay.insert(rel, Tuple::from_names(&["a", "c"]));
         overlay.insert(rel, Tuple::from_names(&["b", "c"]));
-        let idx = InstanceIndex::build(&inst);
         let delta = DeltaIndex::from_instance(&inst);
-        let stores: [&dyn QueryStore; 4] = [&idx, &inst, &delta, &overlay];
+        let stores: [&dyn QueryStore; 3] = [&inst, &delta, &overlay];
         for store in stores {
             let mut seen = 0;
             let flow = store.for_each_matching(rel, &[Some(Value::c("a")), None], &mut |_| {
@@ -231,9 +171,8 @@ mod tests {
     #[test]
     fn absent_relations_read_empty() {
         let inst = sample();
-        let idx = InstanceIndex::build(&inst);
+        let idx = DeltaIndex::from_instance(&inst);
         let rel = RelSym::new("QsMissing");
-        assert_eq!(idx.rel_arity(rel), None);
         assert_eq!(idx.rel_len(rel), 0);
         let mut n = 0;
         let _ = idx.for_each_matching(rel, &[None], &mut |_| {

@@ -1,38 +1,47 @@
-//! An incrementally maintained instance index with O(delta) apply/undo.
+//! The relational index: per-column postings over refcounted tuples,
+//! with O(delta) apply/undo.
 //!
-//! [`InstanceIndex`](crate::index::InstanceIndex) is an immutable snapshot:
-//! consumers that probe many *slightly different* instances (the `Rep_A`
-//! valuation search in `dx-solver` walks thousands of candidate instances
-//! that differ from each other by a handful of tuples) pay a full rebuild
-//! per candidate. [`DeltaIndex`] is the mutable alternative:
+//! [`DeltaIndex`] is the one index relational probes run on: compiled
+//! plans (`dx-query`), the `Rep_A` refutation search and the union sweeps
+//! (`dx-solver`), and the canonical solution a streaming exchange
+//! maintains (`dx-engine`). A fresh build over an instance is the snapshot
+//! a one-shot plan execution probes; the same store then takes apply/undo
+//! traffic when a consumer walks many *slightly different* instances (the
+//! valuation search visits thousands of candidates that differ by a
+//! handful of tuples):
 //!
 //! * tuples are **reference counted**, so the store keeps set semantics
 //!   while callers apply and undo overlapping deltas in any (LIFO) order —
 //!   two search branches valuing distinct nulls onto the same ground tuple
 //!   simply bump the count;
-//! * each relation keeps the same per-column hash postings as
-//!   [`RelationIndex`](crate::index::RelationIndex) (slot ids instead of
-//!   build-time ids), so pattern probes and selectivity estimates behave
-//!   identically on identical tuple sets;
-//! * a plain [`Instance`] is maintained in lock-step, giving fallback
-//!   consumers (tree-walking evaluators, witness extraction) a zero-cost
-//!   materialized view: [`DeltaIndex::instance`] is always exactly the set
-//!   of live tuples.
+//! * each relation keeps per-column hash postings of slot ids, so a
+//!   pattern probe reads the tightest bound column and post-filters; on a
+//!   fresh build slots and postings follow the instance's iteration order,
+//!   so probes yield tuples in that order;
+//! * the store is the only copy of its tuples: [`DeltaIndex::to_instance`]
+//!   materializes the live set for the few consumers that need an
+//!   [`Instance`] (witness capture, tree-walking fallbacks).
+//!
+//! [`DeltaIndex::freeze`] moves a store behind an [`Arc`] so parallel
+//! sweeps share it read-only, each worker layering a private
+//! [`OverlayIndex`] on top.
 //!
 //! Removal assumes the backtracking discipline of its consumers: deltas are
 //! undone newest-first, so posting-list removals probe from the tail (an
 //! O(1) hit on the LIFO path, linear only on out-of-order removals).
 //!
 //! Work metrics (`DX_OBS=1`): `relation.delta.applies` / `.undos` count
-//! apply/undo deltas, `.refcount_churn` the bumps that did not change
-//! visibility, `.postings_touched` the per-column posting updates, and
-//! `.probes` the indexed pattern probes.
+//! apply/undo deltas (a build applies one per tuple), `.refcount_churn`
+//! the bumps that did not change visibility, `.postings_touched` the
+//! per-column posting updates, and `.probes` the indexed pattern probes.
 
 use crate::fxmap::FastMap;
 use crate::instance::Instance;
 use crate::intern::RelSym;
+use crate::relation::Relation;
 use crate::tuple::Tuple;
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -68,28 +77,35 @@ impl DeltaRelation {
         self.refs.len()
     }
 
+    /// The live tuples, in slot order.
+    fn live(&self) -> impl Iterator<Item = &Tuple> + '_ {
+        self.slots.iter().flatten()
+    }
+
     /// Bump or insert; returns `true` when the tuple became visible
     /// (count 0 → 1).
     fn insert(&mut self, t: Tuple) -> bool {
         debug_assert_eq!(t.arity(), self.arity, "tuple arity");
-        if let Some((_, count)) = self.refs.get_mut(&t) {
-            *count += 1;
-            return false;
-        }
-        let slot = match self.free.pop() {
-            Some(s) => {
-                self.slots[s as usize] = Some(t.clone());
-                s
+        let entry = match self.refs.entry(t) {
+            Entry::Occupied(mut e) => {
+                e.get_mut().1 += 1;
+                return false;
             }
+            Entry::Vacant(e) => e,
+        };
+        let t = entry.key().clone();
+        let slot = match self.free.pop() {
+            Some(s) => s,
             None => {
-                self.slots.push(Some(t.clone()));
+                self.slots.push(None);
                 (self.slots.len() - 1) as u32
             }
         };
         for (c, v) in t.iter().enumerate() {
             self.by_col[c].entry(v).or_default().push(slot);
         }
-        self.refs.insert(t, (slot, 1));
+        self.slots[slot as usize] = Some(t);
+        entry.insert((slot, 1));
         true
     }
 
@@ -139,8 +155,8 @@ impl DeltaRelation {
             .unwrap_or(&[])
     }
 
-    /// The selectivity estimate of [`RelationIndex`]: the tightest bound
-    /// column's posting length, or the live count when nothing is bound.
+    /// The tightest bound column's posting length, or the live count when
+    /// nothing is bound.
     fn selectivity(&self, pattern: &[Option<Value>]) -> usize {
         debug_assert_eq!(pattern.len(), self.arity);
         pattern
@@ -170,7 +186,7 @@ impl DeltaRelation {
             .min();
         match best {
             None => {
-                for t in self.slots.iter().flatten() {
+                for t in self.live() {
                     f(t)?;
                 }
             }
@@ -205,7 +221,6 @@ pub struct DeltaMemStats {
 /// A mutable, incrementally indexed instance (see the module docs).
 #[derive(Default)]
 pub struct DeltaIndex {
-    instance: Instance,
     rels: BTreeMap<RelSym, DeltaRelation>,
 }
 
@@ -217,8 +232,15 @@ impl DeltaIndex {
 
     /// Index every relation of `inst` (each tuple at count 1).
     pub fn from_instance(inst: &Instance) -> Self {
+        Self::from_relations(inst.relations())
+    }
+
+    /// Index the given relations (each tuple at count 1, relations
+    /// declared even when empty). Plans index only the relations they
+    /// scan this way.
+    pub fn from_relations<'a>(rels: impl IntoIterator<Item = (RelSym, &'a Relation)>) -> Self {
         let mut d = DeltaIndex::new();
-        for (rel, r) in inst.relations() {
+        for (rel, r) in rels {
             d.declare(rel, r.arity());
             for t in r.iter() {
                 d.insert(rel, t.clone());
@@ -233,7 +255,6 @@ impl DeltaIndex {
         self.rels
             .entry(rel)
             .or_insert_with(|| DeltaRelation::new(arity));
-        self.instance.declare(rel, arity);
     }
 
     /// Apply a `+tuple` delta: bump the reference count, making the tuple
@@ -245,9 +266,8 @@ impl DeltaIndex {
             .rels
             .entry(rel)
             .or_insert_with(|| DeltaRelation::new(arity));
-        if entry.insert(t.clone()) {
+        if entry.insert(t) {
             dx_obs::count!("relation.delta.postings_touched", arity);
-            self.instance.insert(rel, t);
             true
         } else {
             dx_obs::count!("relation.delta.refcount_churn");
@@ -265,7 +285,6 @@ impl DeltaIndex {
             .expect("DeltaIndex::remove from an undeclared relation");
         if entry.remove(t) {
             dx_obs::count!("relation.delta.postings_touched", t.arity());
-            self.instance.remove(rel, t);
             true
         } else {
             dx_obs::count!("relation.delta.refcount_churn");
@@ -278,15 +297,25 @@ impl DeltaIndex {
         self.rels.get(&rel).is_some_and(|r| r.contains(t))
     }
 
-    /// The materialized view: exactly the set of live tuples, with declared
-    /// relations preserved.
-    pub fn instance(&self) -> &Instance {
-        &self.instance
+    /// Materialize the live set: exactly the visible tuples, with every
+    /// declared relation kept even when empty (as
+    /// [`AnnInstance::rel_part`](crate::AnnInstance::rel_part) keeps them).
+    /// O(live tuples) per call — the store itself never holds an
+    /// [`Instance`].
+    pub fn to_instance(&self) -> Instance {
+        let mut out = Instance::new();
+        self.extend_instance(&mut out);
+        out
     }
 
-    /// The arity of `rel`, if declared.
-    pub fn rel_arity(&self, rel: RelSym) -> Option<usize> {
-        self.rels.get(&rel).map(|r| r.arity)
+    /// Add the live set (and the declarations) to `out`.
+    fn extend_instance(&self, out: &mut Instance) {
+        for (&rel, r) in &self.rels {
+            out.declare(rel, r.arity);
+            for t in r.live() {
+                out.insert(rel, t.clone());
+            }
+        }
     }
 
     /// Number of live tuples in `rel` (0 when absent).
@@ -294,8 +323,10 @@ impl DeltaIndex {
         self.rels.get(&rel).map_or(0, |r| r.len())
     }
 
-    /// Selectivity estimate for a partially bound pattern (see
-    /// [`RelationIndex::selectivity`](crate::index::RelationIndex::selectivity)).
+    /// Upper bound on the number of live tuples of `rel` matching
+    /// `pattern` (`Some(v)` = position bound to `v`): the posting-list
+    /// length of the tightest bound column, or the relation size when
+    /// nothing is bound. This is the estimate join planners order atoms by.
     pub fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize {
         self.rels.get(&rel).map_or(0, |r| r.selectivity(pattern))
     }
@@ -322,7 +353,8 @@ impl DeltaIndex {
 
     /// Invoke `f` on every live tuple of `rel` matching `pattern` on all
     /// bound positions, stopping as soon as `f` breaks (the break is
-    /// returned).
+    /// returned). Probes the most selective bound column and post-filters
+    /// the rest; a pattern with no bound position visits every live tuple.
     pub fn for_each_matching(
         &self,
         rel: RelSym,
@@ -336,62 +368,15 @@ impl DeltaIndex {
         }
     }
 
-    /// Snapshot the current live set as an immutable, shareable
-    /// [`FrozenIndex`]. O(live tuples) once; the result is `Arc`'d so
-    /// parallel workers can each layer a private [`OverlayIndex`] on top
-    /// without copying or locking the base.
-    pub fn freeze(&self) -> Arc<FrozenIndex> {
-        Arc::new(FrozenIndex {
-            base: DeltaIndex::from_instance(self.instance()),
-        })
+    /// Move the store behind an [`Arc`]: an immutable base that parallel
+    /// workers share without copying or locking, each layering a private
+    /// [`OverlayIndex`] on top. Free — the store is moved, not rebuilt.
+    pub fn freeze(self) -> Arc<DeltaIndex> {
+        Arc::new(self)
     }
 }
 
-/// An immutable snapshot of a [`DeltaIndex`]'s live set (see
-/// [`DeltaIndex::freeze`]). Shared read-only across worker threads; all
-/// mutation happens in per-worker [`OverlayIndex`] layers.
-pub struct FrozenIndex {
-    base: DeltaIndex,
-}
-
-impl FrozenIndex {
-    /// The materialized snapshot view.
-    pub fn instance(&self) -> &Instance {
-        self.base.instance()
-    }
-
-    /// Is `t` in the snapshot?
-    pub fn contains(&self, rel: RelSym, t: &Tuple) -> bool {
-        self.base.contains(rel, t)
-    }
-
-    /// The arity of `rel`, if declared at freeze time.
-    pub fn rel_arity(&self, rel: RelSym) -> Option<usize> {
-        self.base.rel_arity(rel)
-    }
-
-    /// Number of snapshot tuples in `rel`.
-    pub fn rel_len(&self, rel: RelSym) -> usize {
-        self.base.rel_len(rel)
-    }
-
-    /// Selectivity estimate over the snapshot.
-    pub fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize {
-        self.base.selectivity(rel, pattern)
-    }
-
-    /// Probe the snapshot (see [`DeltaIndex::for_each_matching`]).
-    pub fn for_each_matching(
-        &self,
-        rel: RelSym,
-        pattern: &[Option<Value>],
-        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        self.base.for_each_matching(rel, pattern, f)
-    }
-}
-
-/// A private mutable layer over a shared [`FrozenIndex`].
+/// A private mutable layer over a shared frozen [`DeltaIndex`].
 ///
 /// Parallel sweeps hand every worker its own overlay over one frozen
 /// base: apply/undo traffic stays worker-local while the (large) base is
@@ -402,8 +387,7 @@ impl FrozenIndex {
 ///   refcount (`base_refs`) — set semantics exactly as if the base
 ///   tuples had been inserted first into one [`DeltaIndex`];
 /// * inserting a new tuple goes into the private `over` layer (its own
-///   [`DeltaIndex`]), and into the combined materialized [`Instance`]
-///   maintained in lock-step.
+///   [`DeltaIndex`]).
 ///
 /// The LIFO backtracking discipline of [`DeltaIndex`] carries over, with
 /// one extra rule: an overlay never removes a base tuple below its base
@@ -415,40 +399,21 @@ impl FrozenIndex {
 /// enumerate before overlay tuples): consumers normalize by sorting, as
 /// the query executor already does.
 pub struct OverlayIndex {
-    base: Arc<FrozenIndex>,
+    base: Arc<DeltaIndex>,
     /// Tuples visible here but not in the base (disjoint from it).
     over: DeltaIndex,
     /// Extra reference counts for tuples that *are* in the base.
     base_refs: BTreeMap<RelSym, FastMap<Tuple, u32>>,
-    /// Combined materialized view (base instance clone, lock-step).
-    instance: Instance,
 }
 
 impl OverlayIndex {
-    /// A fresh overlay over `base` (visible set = the snapshot).
-    pub fn new(base: Arc<FrozenIndex>) -> Self {
-        let instance = base.instance().clone();
-        let mut over = DeltaIndex::new();
-        for (rel, r) in base.instance().relations() {
-            over.declare(rel, r.arity());
-        }
+    /// A fresh overlay over `base` (visible set = the base's).
+    pub fn new(base: Arc<DeltaIndex>) -> Self {
         OverlayIndex {
             base,
-            over,
+            over: DeltaIndex::new(),
             base_refs: BTreeMap::new(),
-            instance,
         }
-    }
-
-    /// The shared frozen base this overlay layers over.
-    pub fn base(&self) -> &Arc<FrozenIndex> {
-        &self.base
-    }
-
-    /// Declare a relation (counterpart of [`DeltaIndex::declare`]).
-    pub fn declare(&mut self, rel: RelSym, arity: usize) {
-        self.over.declare(rel, arity);
-        self.instance.declare(rel, arity);
     }
 
     /// Apply a `+tuple` delta; returns `true` when the tuple became
@@ -460,11 +425,7 @@ impl OverlayIndex {
             *self.base_refs.entry(rel).or_default().entry(t).or_insert(0) += 1;
             return false;
         }
-        let became_visible = self.over.insert(rel, t.clone());
-        if became_visible {
-            self.instance.insert(rel, t);
-        }
-        became_visible
+        self.over.insert(rel, t)
     }
 
     /// Undo a `+tuple` delta; returns `true` when the tuple became
@@ -485,11 +446,7 @@ impl OverlayIndex {
             }
             return false;
         }
-        let became_invisible = self.over.remove(rel, t);
-        if became_invisible {
-            self.instance.remove(rel, t);
-        }
-        became_invisible
+        self.over.remove(rel, t)
     }
 
     /// Is `t` currently visible (in the base or the overlay)?
@@ -497,14 +454,12 @@ impl OverlayIndex {
         self.base.contains(rel, t) || self.over.contains(rel, t)
     }
 
-    /// The combined materialized view (base ∪ overlay).
-    pub fn instance(&self) -> &Instance {
-        &self.instance
-    }
-
-    /// The arity of `rel`, if declared in either layer.
-    pub fn rel_arity(&self, rel: RelSym) -> Option<usize> {
-        self.base.rel_arity(rel).or(self.over.rel_arity(rel))
+    /// Materialize the visible set (base ∪ overlay), declarations of both
+    /// layers kept (see [`DeltaIndex::to_instance`]).
+    pub fn to_instance(&self) -> Instance {
+        let mut out = self.base.to_instance();
+        self.over.extend_instance(&mut out);
+        out
     }
 
     /// Number of visible tuples in `rel` (exact: the layers are disjoint).
@@ -537,7 +492,6 @@ impl OverlayIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::InstanceIndex;
 
     fn rel() -> RelSym {
         RelSym::new("DlR")
@@ -551,14 +505,39 @@ mod tests {
         i
     }
 
+    /// Every tuple of `rel` in `inst` matching `pattern`, in the
+    /// instance's iteration order — the plain filter a fresh build must
+    /// reproduce.
+    fn filtered(inst: &Instance, rel: RelSym, pattern: &[Option<Value>]) -> Vec<Tuple> {
+        inst.tuples(rel)
+            .filter(|t| {
+                pattern
+                    .iter()
+                    .enumerate()
+                    .all(|(c, p)| p.is_none_or(|pv| t.get(c) == pv))
+            })
+            .cloned()
+            .collect()
+    }
+
+    /// The matches of `pattern` as the store yields them, in order.
+    fn probed(delta: &DeltaIndex, rel: RelSym, pattern: &[Option<Value>]) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        let _ = delta.for_each_matching(rel, pattern, &mut |t| {
+            out.push(t.clone());
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
     /// The delta store built from an instance answers probes exactly like a
-    /// snapshot index of the same instance.
+    /// plain filter of the instance's tuples, and its selectivity is the
+    /// tightest bound column's match count.
     #[test]
     fn matches_snapshot_index_after_build() {
         let inst = sample();
         let delta = DeltaIndex::from_instance(&inst);
-        let snap = InstanceIndex::build(&inst);
-        assert_eq!(delta.instance(), &inst);
+        assert_eq!(delta.to_instance(), inst);
         for pattern in [
             vec![Some(Value::c("a")), None],
             vec![None, Some(Value::c("x"))],
@@ -566,25 +545,45 @@ mod tests {
             vec![None, None],
             vec![Some(Value::c("zzz")), None],
         ] {
-            assert_eq!(
-                delta.selectivity(rel(), &pattern),
-                crate::index::RelationIndex::build(inst.relation(rel()).unwrap())
-                    .selectivity(&pattern)
-            );
-            let mut via_delta = Vec::new();
-            let _ = delta.for_each_matching(rel(), &pattern, &mut |t| {
-                via_delta.push(t.clone());
-                ControlFlow::Continue(())
-            });
-            let mut via_snap = Vec::new();
-            if let Some(ri) = snap.relation(rel()) {
-                for id in ri.matching(&pattern) {
-                    via_snap.push(ri.get(id).clone());
-                }
-            }
+            let tightest = pattern
+                .iter()
+                .enumerate()
+                .filter_map(|(c, p)| {
+                    p.map(|v| {
+                        let mut single = vec![None; pattern.len()];
+                        single[c] = Some(v);
+                        filtered(&inst, rel(), &single).len()
+                    })
+                })
+                .min()
+                .unwrap_or_else(|| inst.tuples(rel()).count());
+            assert_eq!(delta.selectivity(rel(), &pattern), tightest);
+            let mut via_delta = probed(&delta, rel(), &pattern);
+            let mut via_filter = filtered(&inst, rel(), &pattern);
             via_delta.sort();
-            via_snap.sort();
-            assert_eq!(via_delta, via_snap, "pattern {pattern:?}");
+            via_filter.sort();
+            assert_eq!(via_delta, via_filter, "pattern {pattern:?}");
+        }
+    }
+
+    /// A fresh build yields matches in the instance's iteration order,
+    /// unbound and bound alike, and two builds of one instance agree
+    /// tuple for tuple — the order the `Rep_A` candidate lists and the
+    /// search witnesses inherit.
+    #[test]
+    fn ids_are_stable_and_deterministic() {
+        let inst = sample();
+        let a = DeltaIndex::from_instance(&inst);
+        let b = DeltaIndex::from_instance(&inst);
+        for pattern in [
+            vec![None, None],
+            vec![Some(Value::c("a")), None],
+            vec![Some(Value::c("b")), None],
+            vec![None, Some(Value::null(3))],
+        ] {
+            let in_order = filtered(&inst, rel(), &pattern);
+            assert_eq!(probed(&a, rel(), &pattern), in_order, "{pattern:?}");
+            assert_eq!(probed(&b, rel(), &pattern), in_order, "{pattern:?}");
         }
     }
 
@@ -602,7 +601,7 @@ mod tests {
         assert_eq!(delta.selectivity(rel(), &[Some(Value::c("c")), None]), 2);
         assert!(delta.remove(rel(), &t2));
         assert!(delta.remove(rel(), &t1));
-        assert_eq!(delta.instance(), &inst);
+        assert_eq!(delta.to_instance(), inst);
         assert_eq!(delta.selectivity(rel(), &[Some(Value::c("c")), None]), 0);
     }
 
@@ -615,20 +614,22 @@ mod tests {
         assert!(delta.insert(rel(), t.clone()));
         assert!(!delta.insert(rel(), t.clone()), "second insert only bumps");
         assert_eq!(delta.rel_len(rel()), 1);
-        assert_eq!(delta.instance().tuple_count(), 1);
+        assert_eq!(delta.to_instance().tuple_count(), 1);
         assert!(!delta.remove(rel(), &t), "first remove only unbumps");
         assert!(delta.contains(rel(), &t));
         assert!(delta.remove(rel(), &t));
         assert!(!delta.contains(rel(), &t));
-        assert!(delta.instance().is_empty());
+        assert!(delta.to_instance().is_empty());
         // The relation stays declared (mirrors `rel_part` semantics).
-        assert_eq!(delta.rel_arity(rel()), Some(2));
-        assert_eq!(delta.instance().relation(rel()).map(|r| r.arity()), Some(2));
+        assert_eq!(
+            delta.to_instance().relation(rel()).map(|r| r.arity()),
+            Some(2)
+        );
     }
 
     /// Internal-invariant checker for the fuzz test: the slot map, the
-    /// refcount table, the per-column postings and the lock-step instance
-    /// view must all describe the same set of live tuples, with the
+    /// refcount table, the per-column postings and the materialized
+    /// instance must all describe the same set of live tuples, with the
     /// reference counts `expected` predicts.
     fn assert_consistent(delta: &DeltaIndex, expected: &BTreeMap<(RelSym, Tuple), u32>) {
         for (rel, dr) in &delta.rels {
@@ -672,8 +673,9 @@ mod tests {
                 }
             }
             assert_eq!(posted, live.len() * dr.arity, "one posting per live cell");
-            // The instance view is exactly the live set.
-            let view: Vec<&Tuple> = delta.instance.tuples(*rel).collect();
+            // The materialized instance is exactly the live set.
+            let materialized = delta.to_instance();
+            let view: Vec<&Tuple> = materialized.tuples(*rel).collect();
             assert_eq!(view.len(), live.len());
             for t in view {
                 assert!(dr.refs.contains_key(t), "view tuple is live");
@@ -685,8 +687,9 @@ mod tests {
     /// `for_each_matching` results and selectivities agree on a pattern
     /// battery derived from the instance's values.
     fn assert_probes_match_fresh(delta: &DeltaIndex) {
-        let fresh = DeltaIndex::from_instance(delta.instance());
-        for (rel, r) in delta.instance().relations() {
+        let materialized = delta.to_instance();
+        let fresh = DeltaIndex::from_instance(&materialized);
+        for (rel, r) in materialized.relations() {
             let mut values: Vec<Value> = r.active_domain().into_iter().collect();
             values.push(Value::c("fz-missing"));
             let mut patterns: Vec<Vec<Option<Value>>> = vec![vec![None; r.arity()]];
@@ -813,8 +816,8 @@ mod tests {
                 }
             }
             assert_eq!(
-                delta.instance(),
-                &initial,
+                delta.to_instance(),
+                initial,
                 "case {case}: unwound view equals the pre-state"
             );
             let pristine: BTreeMap<(RelSym, Tuple), u32> = initial
@@ -871,7 +874,7 @@ mod tests {
         let delta = DeltaIndex::from_instance(&inst);
         let frozen = delta.freeze();
         let mut ov = OverlayIndex::new(Arc::clone(&frozen));
-        assert_eq!(ov.instance(), &inst);
+        assert_eq!(ov.to_instance(), inst);
 
         // Re-inserting a base tuple only bumps the local refcount.
         let base_t = Tuple::from_names(&["a", "x"]);
@@ -882,12 +885,12 @@ mod tests {
         assert!(ov.insert(rel(), new_t.clone()));
         assert_eq!(ov.rel_len(rel()), 4);
         assert!(ov.contains(rel(), &new_t));
-        assert!(ov.instance().relation(rel()).unwrap().contains(&new_t));
+        assert!(ov.to_instance().relation(rel()).unwrap().contains(&new_t));
         // Undo both: back to the snapshot, base untouched.
         assert!(!ov.remove(rel(), &base_t));
         assert!(ov.remove(rel(), &new_t));
-        assert_eq!(ov.instance(), &inst);
-        assert_eq!(frozen.instance(), &inst);
+        assert_eq!(ov.to_instance(), inst);
+        assert_eq!(frozen.to_instance(), inst);
 
         // Removing a base tuple that was never re-inserted is a caller
         // bug, same as an unmatched DeltaIndex undo.
@@ -911,7 +914,7 @@ mod tests {
         b.insert(rel(), tb.clone());
         assert!(a.contains(rel(), &ta) && !a.contains(rel(), &tb));
         assert!(b.contains(rel(), &tb) && !b.contains(rel(), &ta));
-        assert_eq!(frozen.instance(), &inst);
+        assert_eq!(frozen.to_instance(), inst);
     }
 
     /// Fuzz: a random overlay op sequence must behave exactly like the
@@ -987,9 +990,10 @@ mod tests {
                     journal.push((false, rel, t));
                 }
                 if step % 5 == 0 {
-                    assert_eq!(overlay.instance(), mirror.instance(), "combined view");
-                    assert_eq!(frozen.instance(), &initial, "frozen base never mutates");
-                    for (rel, r) in mirror.instance().relations() {
+                    let combined = mirror.to_instance();
+                    assert_eq!(overlay.to_instance(), combined, "combined view");
+                    assert_eq!(frozen.to_instance(), initial, "frozen base never mutates");
+                    for (rel, r) in combined.relations() {
                         assert_eq!(overlay.rel_len(rel), mirror.rel_len(rel));
                         let mut values: Vec<Value> = r.active_domain().into_iter().collect();
                         values.push(Value::c("ov-missing"));
@@ -1028,9 +1032,9 @@ mod tests {
                     overlay.insert(rel, t);
                 }
             }
-            assert_eq!(overlay.instance(), &initial, "case {case}: unwound view");
+            assert_eq!(overlay.to_instance(), initial, "case {case}: unwound view");
             assert_eq!(
-                overlay.over.instance().tuple_count(),
+                overlay.over.to_instance().tuple_count(),
                 0,
                 "overlay layer empty"
             );
@@ -1038,7 +1042,7 @@ mod tests {
                 overlay.base_refs.values().all(FastMap::is_empty),
                 "base refcounts balanced"
             );
-            assert_eq!(frozen.instance(), &initial, "frozen base never mutates");
+            assert_eq!(frozen.to_instance(), initial, "frozen base never mutates");
         }
     }
 

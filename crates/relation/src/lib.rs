@@ -14,7 +14,11 @@
 //!   instances ([`AnnTuple`], [`AnnRelation`], [`AnnInstance`]) including the
 //!   paper's *empty annotated tuples* `(_, α)`,
 //! * **valuations** of nulls ([`Valuation`]) used to define the semantics
-//!   `Rep(T)` and `Rep_A(T)`.
+//!   `Rep(T)` and `Rep_A(T)`,
+//! * the **relational index** [`DeltaIndex`] (with its per-worker
+//!   [`OverlayIndex`]): per-column postings over refcounted tuples — the
+//!   one store that compiled plans, the `Rep_A` search, the union sweeps
+//!   and streaming maintenance probe.
 //!
 //! Everything in this crate is purely structural; semantics (`Rep_A`
 //! membership, solutions, certain answers) live in `dx-solver` and `dx-core`.
@@ -24,7 +28,6 @@
 pub mod annotation;
 pub mod delta;
 pub mod fxmap;
-pub mod index;
 pub mod instance;
 pub mod intern;
 pub mod relation;
@@ -34,9 +37,8 @@ pub mod valuation;
 pub mod value;
 
 pub use annotation::{Ann, AnnInstance, AnnRelation, AnnTuple, Annotation};
-pub use delta::{DeltaIndex, DeltaMemStats, FrozenIndex, OverlayIndex};
+pub use delta::{DeltaIndex, DeltaMemStats, OverlayIndex};
 pub use fxmap::{FastMap, FastSet};
-pub use index::{InstanceIndex, RelationIndex, TupleId};
 pub use instance::{Instance, Schema};
 pub use intern::{ConstId, FuncSym, RelSym, Var};
 pub use relation::Relation;

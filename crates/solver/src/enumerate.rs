@@ -33,9 +33,12 @@
 //!   exactly those images);
 //! * choosing an extra tuple inserts it; backtracking removes it.
 //!
-//! Leaf checks receive a [`Leaf`] handle exposing the live index (for
-//! compiled-plan probes — see `dx-query`), the materialized [`Instance`]
-//! view (for tree-walking fallbacks), and the current valuation.
+//! Leaf checks receive a [`Leaf`] handle exposing the live index (what
+//! compiled `dx-query` plans probe) and the current valuation. The index
+//! is the only copy of the candidate: [`DeltaIndex::to_instance`]
+//! materializes it for the few checks that need an [`Instance`] — a
+//! tree-walking fallback, a composition check that exchanges the
+//! candidate as a source — and for witness capture.
 //!
 //! Work metrics (see `dx-obs`): `solver.dfs.{nodes, leaves}` count search
 //! tree nodes and candidate instances, `solver.dfs.deltas_applied` /
@@ -47,8 +50,8 @@
 
 use crate::palette::Palette;
 use dx_relation::{
-    AnnInstance, ConstId, DeltaIndex, FastMap, FrozenIndex, Instance, NullId, OverlayIndex, RelSym,
-    Tuple, Valuation, Value,
+    AnnInstance, ConstId, DeltaIndex, FastMap, Instance, NullId, OverlayIndex, RelSym, Tuple,
+    Valuation, Value,
 };
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -199,8 +202,8 @@ pub struct SearchOutcome {
 }
 
 /// One candidate instance of the search, presented to a leaf check without
-/// materialization: the live incremental index, its instance view, and the
-/// valuation that produced it.
+/// materialization: the live incremental index and the valuation that
+/// produced it.
 pub struct Leaf<'a> {
     delta: &'a DeltaIndex,
     valuation: &'a Valuation,
@@ -209,15 +212,10 @@ pub struct Leaf<'a> {
 impl<'a> Leaf<'a> {
     /// The live incremental index over the candidate instance — the store
     /// compiled `dx-query` plans execute against (it implements
-    /// `dx_query::QueryStore`).
+    /// `dx_query::QueryStore`). [`DeltaIndex::to_instance`] materializes
+    /// the candidate, at O(candidate size) per call.
     pub fn index(&self) -> &'a DeltaIndex {
         self.delta
-    }
-
-    /// The candidate instance (maintained in lock-step with the index; no
-    /// per-leaf materialization cost).
-    pub fn instance(&self) -> &'a Instance {
-        self.delta.instance()
     }
 
     /// The valuation of this candidate (total on the nulls of `T`).
@@ -414,7 +412,7 @@ fn minimal_images_sequential(
     };
     let mut images: BTreeSet<Instance> = BTreeSet::new();
     let outcome = search_rep_a_indexed(t, extra_base_consts, &budget, &mut |leaf| {
-        images.insert(leaf.instance().clone());
+        images.insert(leaf.index().to_instance());
         false
     });
     let completeness = match outcome.completeness {
@@ -536,7 +534,7 @@ struct MinimalWalker<'a> {
 
 impl<'a> MinimalWalker<'a> {
     fn new(
-        base: Arc<FrozenIndex>,
+        base: Arc<DeltaIndex>,
         templates: &[(RelSym, Tuple, usize)],
         cap: Option<u64>,
         shared_leaves: &'a AtomicU64,
@@ -624,7 +622,7 @@ impl<'a> MinimalWalker<'a> {
                 self.capped = true;
                 return;
             }
-            self.images.insert(self.overlay.instance().clone());
+            self.images.insert(self.overlay.to_instance());
             return;
         }
         let choices: Vec<ConstId> = palette.choices(fresh_used).collect();
@@ -646,7 +644,7 @@ impl<'a> MinimalWalker<'a> {
 /// only the chosen instance's *private* delta (its tuples outside the
 /// common intersection, inserted once up front) — not a rebuild of the
 /// union. `visit` sees the live index (compiled `dx-query` plans probe it
-/// directly; [`DeltaIndex::instance`] is the materialized view for
+/// directly; [`DeltaIndex::to_instance`] materializes the union for
 /// tree-walking fallbacks) and returns `true` to stop early.
 ///
 /// Returns the number of unions visited. This is the evaluation engine of
@@ -755,9 +753,9 @@ pub fn for_each_union(
 
 /// Freeze the common base of `members` and compute each member's private
 /// remainder — the decomposition [`for_each_union`] maintains on its single
-/// `DeltaIndex`, lifted to a shareable [`FrozenIndex`] so pool workers can
-/// each layer a private [`OverlayIndex`] on top.
-fn union_parts(members: &[Instance]) -> (Arc<FrozenIndex>, Vec<Vec<(RelSym, Tuple)>>) {
+/// `DeltaIndex`, frozen behind an `Arc` so pool workers can each layer a
+/// private [`OverlayIndex`] on top.
+fn union_parts(members: &[Instance]) -> (Arc<DeltaIndex>, Vec<Vec<(RelSym, Tuple)>>) {
     let mut delta = DeltaIndex::new();
     for m in members {
         for (rel, r) in m.relations() {
@@ -1020,7 +1018,7 @@ pub fn union_refute_sweep(
             let stop = walk_branch(&privates, &mut overlay, b, depth, &mut |ov| {
                 count += 1;
                 if fails(ov) {
-                    counterexample = Some(ov.instance().clone());
+                    counterexample = Some(ov.to_instance());
                     true
                 } else {
                     false
@@ -1053,7 +1051,7 @@ pub fn union_refute_sweep(
                 }
                 if fails(ov) {
                     best.fetch_min(g, Ordering::Relaxed);
-                    found = Some((g, ov.instance().clone()));
+                    found = Some((g, ov.to_instance()));
                     return true;
                 }
                 false
@@ -1174,12 +1172,14 @@ impl<'a> State<'a> {
             valuation: v,
         };
         if (self.check)(&leaf) {
-            self.witness = Some((self.delta.instance().clone(), v.clone()));
+            self.witness = Some((self.delta.to_instance(), v.clone()));
         }
     }
 
     fn extras_phase(&mut self, v: &Valuation) {
-        debug_assert!(self.delta.instance().is_ground());
+        // Every tuple with nulls has its valued image in the store, so the
+        // store is ground.
+        debug_assert!(self.tracked.iter().all(|tt| tt.unassigned == 0));
         // The bare valuation image is itself the first candidate (k = 0).
         self.leaf(v);
         if self.witness.is_some() || self.capped || self.budget.max_extra_tuples == 0 {
@@ -1187,9 +1187,11 @@ impl<'a> State<'a> {
         }
 
         // Extension palette: adom of the valued instance + caller constants
-        // + canonical external constants.
-        let mut ext_base: BTreeSet<ConstId> = self.delta.instance().adom_consts();
-        ext_base.extend(self.extra_base.iter().copied());
+        // + canonical external constants. The valued instance's constants
+        // are those of `T` (already in `extra_base`) plus the valuation's
+        // range — every null of `T` occurs in some tuple.
+        let mut ext_base: BTreeSet<ConstId> = self.extra_base.clone();
+        ext_base.extend(v.range());
         let ext_palette = Palette::new(
             ext_base.iter().copied(),
             self.budget.max_external_consts,
@@ -1428,7 +1430,7 @@ mod tests {
             &t,
             &BTreeSet::new(),
             &SearchBudget::bounded(2, 2),
-            &mut |leaf| leaf.instance().tuple_count() >= 3,
+            &mut |leaf| leaf.index().to_instance().tuple_count() >= 3,
         );
         let (w, _) = outcome.witness.expect("replication should reach 3 tuples");
         assert_eq!(w.tuple_count(), 3);
@@ -1454,7 +1456,7 @@ mod tests {
             &t,
             &BTreeSet::new(),
             &SearchBudget::default(),
-            &mut |leaf| leaf.instance().tuple_count() >= 2,
+            &mut |leaf| leaf.index().to_instance().tuple_count() >= 2,
         );
         assert!(outcome.witness.is_none());
         assert_eq!(outcome.completeness, Completeness::Exact);
@@ -1476,7 +1478,7 @@ mod tests {
             &t,
             &BTreeSet::new(),
             &SearchBudget::bounded(1, 2),
-            &mut |leaf| leaf.instance().tuple_count() == 2,
+            &mut |leaf| leaf.index().to_instance().tuple_count() == 2,
         );
         let (w, _) = outcome.witness.expect("found");
         assert!(crate::repa::rep_a_membership(&t, &w).is_some());
@@ -1492,7 +1494,7 @@ mod tests {
             &t,
             &BTreeSet::new(),
             &SearchBudget::bounded(2, 1),
-            &mut |leaf| leaf.instance().tuple_count() == 1,
+            &mut |leaf| leaf.index().to_instance().tuple_count() == 1,
         );
         assert!(outcome.witness.is_some());
         // And the empty instance is also in the space (first leaf).
@@ -1500,7 +1502,7 @@ mod tests {
             &t,
             &BTreeSet::new(),
             &SearchBudget::bounded(2, 1),
-            &mut |leaf| leaf.instance().is_empty(),
+            &mut |leaf| leaf.index().to_instance().is_empty(),
         );
         assert!(outcome2.witness.is_some());
     }
@@ -1561,7 +1563,7 @@ mod tests {
             &t,
             &BTreeSet::new(),
             &SearchBudget::bounded(1, 2),
-            &mut |leaf| leaf.instance().tuple_count() >= 3,
+            &mut |leaf| leaf.index().to_instance().tuple_count() >= 3,
         );
         assert!(bigger.witness.is_some());
     }
@@ -1582,9 +1584,10 @@ mod tests {
         let members = [mk(&["a"]), mk(&["b"]), mk(&["c"])];
         let mut seen: Vec<Instance> = Vec::new();
         let visited = for_each_union(&members, usize::MAX, &mut |delta| {
-            seen.push(delta.instance().clone());
+            let union = delta.to_instance();
+            seen.push(union.clone());
             // Index and view agree at every node.
-            for (r, rl) in delta.instance().relations() {
+            for (r, rl) in union.relations() {
                 assert_eq!(delta.rel_len(r), rl.len());
                 for t in rl.iter() {
                     assert!(delta.contains(r, t));
@@ -1710,8 +1713,9 @@ mod tests {
             let threshold = 1 + (xorshift(&mut seed) % 8) as usize;
             let mut ref_cex = None;
             let ref_unions = for_each_union(&members, max_k, &mut |delta| {
-                if delta.instance().tuple_count() >= threshold {
-                    ref_cex = Some(delta.instance().clone());
+                let union = delta.to_instance();
+                if union.tuple_count() >= threshold {
+                    ref_cex = Some(union);
                     true
                 } else {
                     false
@@ -1720,7 +1724,7 @@ mod tests {
             for width in [1usize, 2, 3, 4, 8] {
                 rayon::set_threads(width);
                 let (cex, unions) = union_refute_sweep(&members, max_k, &|ov| {
-                    ov.instance().tuple_count() >= threshold
+                    ov.to_instance().tuple_count() >= threshold
                 });
                 assert_eq!(cex, ref_cex, "case {case} width {width}");
                 assert_eq!(unions, ref_unions, "case {case} width {width}");
@@ -1805,7 +1809,7 @@ mod tests {
             &SearchBudget::bounded(1, 2),
             &mut |leaf| {
                 leaves += 1;
-                let inst = leaf.instance();
+                let inst = &leaf.index().to_instance();
                 // The valuation is total and the view is its ground image
                 // plus extras only.
                 assert!(inst.is_ground());

@@ -28,8 +28,9 @@
 //! single incrementally maintained [`dx_relation::DeltaIndex`] (per-leaf
 //! body checks run index joins against a store updated by delta apply/undo
 //! on DFS enter/exit — no per-candidate materialization or re-indexing),
-//! with the `dx-logic` evaluator over [`enumerate::Leaf::instance`] as the
-//! automatic fallback for non-safe-range queries. The search itself is
+//! with the `dx-logic` evaluator over the candidate materialized by
+//! [`dx_relation::DeltaIndex::to_instance`] as the automatic fallback for
+//! non-safe-range queries. The search itself is
 //! query agnostic: it only sees `&dyn FnMut(&Leaf) -> bool`.
 
 #![warn(missing_docs)]

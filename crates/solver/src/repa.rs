@@ -13,8 +13,8 @@
 //! must land on *some* `R`-tuple) and the coverage condition (2) checked at
 //! each leaf.
 
-use dx_relation::index::{const_pattern_of, InstanceIndex};
-use dx_relation::{AnnInstance, Instance, NullId, Tuple, Valuation, Value};
+use dx_relation::{AnnInstance, DeltaIndex, Instance, NullId, RelSym, Tuple, Valuation, Value};
+use std::ops::ControlFlow;
 
 /// How candidate `R`-tuples are discovered during the `Rep_A` valuation
 /// search (and the embedding search of Lemma 3).
@@ -23,7 +23,7 @@ pub enum MatchStrategy {
     /// Scan every `R`-tuple of the relation per `T`-tuple (the reference
     /// behaviour, kept as the ablation baseline).
     Scan,
-    /// Probe a per-column hash index ([`dx_relation::InstanceIndex`]) on the
+    /// Probe a per-column hash index ([`dx_relation::DeltaIndex`]) on the
     /// constant positions of the `T`-tuple, post-filtering for repeated
     /// nulls.
     #[default]
@@ -69,7 +69,7 @@ pub fn rep_a_membership_via(
     }
 
     let index = match strategy {
-        MatchStrategy::Indexed => Some(InstanceIndex::build(r)),
+        MatchStrategy::Indexed => Some(DeltaIndex::from_instance(r)),
         MatchStrategy::Scan => None,
     };
 
@@ -83,17 +83,7 @@ pub fn rep_a_membership_via(
     for (rel, trel) in t.relations() {
         for at in trel.iter() {
             let candidates: Vec<Tuple> = match &index {
-                Some(idx) => idx
-                    .relation(rel)
-                    .map(|ri| {
-                        ri.matching(&const_pattern_of(&at.tuple))
-                            .into_iter()
-                            .map(|id| ri.get(id))
-                            .filter(|cand| positionally_compatible(&at.tuple, cand))
-                            .cloned()
-                            .collect()
-                    })
-                    .unwrap_or_default(),
+                Some(idx) => candidates_in(idx, rel, &at.tuple),
                 None => r
                     .tuples(rel)
                     .filter(|cand| positionally_compatible(&at.tuple, cand))
@@ -183,6 +173,28 @@ pub fn rep_a_membership_via(
     search(&task_pairs, 0, &mut v, t, r, &all_nulls).then_some(v)
 }
 
+/// The `rel`-tuples of `index` that `t` can land on: a probe on the
+/// constant positions of `t`, post-filtered for repeated nulls — in the
+/// iteration order of the instance the index was built from.
+fn candidates_in(index: &DeltaIndex, rel: RelSym, t: &Tuple) -> Vec<Tuple> {
+    let mut out = Vec::new();
+    let _ = index.for_each_matching(rel, &const_pattern_of(t), &mut |cand| {
+        if positionally_compatible(t, cand) {
+            out.push(cand.clone());
+        }
+        ControlFlow::Continue(())
+    });
+    out
+}
+
+/// The pattern binding only the constant positions of `t`: its nulls are
+/// variables to solve for.
+fn const_pattern_of(t: &Tuple) -> Vec<Option<Value>> {
+    t.iter()
+        .map(|v| if v.is_const() { Some(v) } else { None })
+        .collect()
+}
+
 /// Positional compatibility of a T-tuple with an R-tuple: constants must
 /// agree; repeated nulls must see equal R-values.
 fn positionally_compatible(t: &Tuple, cand: &Tuple) -> bool {
@@ -222,21 +234,11 @@ fn positionally_compatible(t: &Tuple, cand: &Tuple) -> bool {
 /// can land on, so inconsistent prefixes are pruned immediately.
 pub fn find_embedding_valuation(t: &Instance, r: &Instance) -> Option<Valuation> {
     assert!(r.is_ground(), "embedding targets are instances over Const");
-    let index = InstanceIndex::build(r);
+    let index = DeltaIndex::from_instance(r);
     let mut tasks: Vec<(Tuple, Vec<Tuple>)> = Vec::new();
     for (rel, trel) in t.relations() {
         for tuple in trel.iter() {
-            let candidates: Vec<Tuple> = index
-                .relation(rel)
-                .map(|ri| {
-                    ri.matching(&const_pattern_of(tuple))
-                        .into_iter()
-                        .map(|id| ri.get(id))
-                        .filter(|cand| positionally_compatible(tuple, cand))
-                        .cloned()
-                        .collect()
-                })
-                .unwrap_or_default();
+            let candidates = candidates_in(&index, rel, tuple);
             if candidates.is_empty() {
                 return None;
             }
@@ -405,6 +407,12 @@ mod tests {
 
     fn at(vals: Vec<Value>, anns: Vec<Ann>) -> AnnTuple {
         AnnTuple::new(Tuple::new(vals), Annotation::new(anns))
+    }
+
+    #[test]
+    fn patterns_from_tuples() {
+        let t = Tuple::new(vec![Value::c("a"), Value::null(1)]);
+        assert_eq!(const_pattern_of(&t), vec![Some(Value::c("a")), None]);
     }
 
     /// Rep_A({(a^cl, ⊥^op)}) contains all relations whose projection on the

@@ -21,7 +21,7 @@ use oc_exchange::ctables::{RaExpr, RaPred};
 use oc_exchange::engine::IndexedChase;
 use oc_exchange::logic::Query;
 use oc_exchange::query::{PlanCatalog, QueryEval};
-use oc_exchange::relation::InstanceIndex;
+use oc_exchange::relation::DeltaIndex;
 use oc_exchange::solver::{rep_a_membership, search_rep_a_indexed, SearchBudget};
 use oc_exchange::{
     Ann, AnnInstance, AnnTuple, Annotation, ConstId, Instance, RelSym, Tuple, Value,
@@ -138,7 +138,7 @@ fn closure_and_indexed_apis_are_one_search() {
         leaf.index().rel_len(rel) >= 4
     });
     let via_leaf = search_rep_a_indexed(&t, &BTreeSet::new(), &budget, &mut |leaf| {
-        leaf.instance().tuple_count() >= 4
+        leaf.index().to_instance().tuple_count() >= 4
     });
     assert_eq!(via_closure.leaves, via_leaf.leaves);
     assert_eq!(via_closure.completeness, via_leaf.completeness);
@@ -222,21 +222,21 @@ fn incremental_search_agrees_with_rebuild_oracle_randomized() {
         // by the incremental verdict.
         let mut full_checks = 0usize;
         let incremental = search_rep_a_indexed(&t, &q_consts, &budget, &mut |leaf| {
-            let on_delta = ev.holds_on_indexed(leaf.index(), leaf.instance(), &empty);
+            let on_delta = ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), &empty);
             if full_checks < 24 {
                 full_checks += 1;
+                let member = leaf.index().to_instance();
                 let on_snapshot = ev
                     .compiled()
                     .expect("compiled")
-                    .holds_on_store(&InstanceIndex::build(leaf.instance()), &empty);
-                let on_tree = query.holds_on(leaf.instance(), &empty);
+                    .holds_on_store(&DeltaIndex::from_instance(&member), &empty);
+                let on_tree = query.holds_on(&member, &empty);
                 assert_eq!(on_delta, on_snapshot, "case {case}: delta vs snapshot");
                 assert_eq!(on_delta, on_tree, "case {case}: plan vs tree walker");
                 if full_checks <= 4 {
                     assert!(
-                        rep_a_membership(&t, leaf.instance()).is_some(),
-                        "case {case}: leaf {} is not a Rep_A member of {t}",
-                        leaf.instance()
+                        rep_a_membership(&t, &member).is_some(),
+                        "case {case}: leaf {member} is not a Rep_A member of {t}",
                     );
                 }
             }
@@ -246,7 +246,7 @@ fn incremental_search_agrees_with_rebuild_oracle_randomized() {
         // Oracle run: identical search, but every leaf rebuilds its index
         // from the materialized instance (the pre-refactor behaviour).
         let rebuild = search_rep_a_indexed(&t, &q_consts, &budget, &mut |leaf| {
-            !ev.holds_on(leaf.instance(), &empty)
+            !ev.holds_on(&leaf.index().to_instance(), &empty)
         });
         assert_eq!(
             incremental.witness.is_some(),

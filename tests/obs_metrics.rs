@@ -28,7 +28,7 @@ use oc_exchange::logic::Query;
 use oc_exchange::obs::MetricsSnapshot;
 use oc_exchange::query::exec::{exec, exec_nonempty};
 use oc_exchange::query::lower_formula;
-use oc_exchange::relation::InstanceIndex;
+use oc_exchange::relation::DeltaIndex;
 use oc_exchange::solver::{
     for_each_union, minimal_rep_a_members, search_rep_a_indexed, SearchBudget,
 };
@@ -220,7 +220,7 @@ fn compiled_root_rows_match_counter_and_tree_walker() {
             Ok(plan) => plan,
             Err(_) => continue, // non-safe-range workloads have no plan
         };
-        let idx = InstanceIndex::build(&target);
+        let idx = DeltaIndex::from_instance(&target);
         let (rows, diff) = measured(|| exec(&plan, &idx));
         assert_eq!(
             diff.counter("query.exec.rows_emitted"),
@@ -250,7 +250,7 @@ fn first_witness_root_row_matches_counter_and_exec() {
             Ok(plan) => plan,
             Err(_) => continue,
         };
-        let idx = InstanceIndex::build(&target);
+        let idx = DeltaIndex::from_instance(&target);
         let nonempty = !exec(&plan, &idx).rows.is_empty();
         let (found, diff) = measured(|| exec_nonempty(&plan, &idx, &[]));
         assert_eq!(found, nonempty, "{}: first witness vs exec", case.workload);

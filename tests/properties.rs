@@ -210,7 +210,7 @@ fn enumerator_and_membership_agree() {
         &SearchBudget::bounded(1, 2),
         &mut |leaf| {
             count += 1;
-            if rep_a_membership(&csol.instance, leaf.instance()).is_none() {
+            if rep_a_membership(&csol.instance, &leaf.index().to_instance()).is_none() {
                 all_ok = false;
             }
             false

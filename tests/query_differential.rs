@@ -32,7 +32,7 @@ use oc_exchange::engine::IndexedChase;
 use oc_exchange::logic::{Formula, Query, Term};
 use oc_exchange::query::exec::{exec, exec_nonempty};
 use oc_exchange::query::{CompiledQuery, CompiledRa, PlannedBodyEval, QueryEval, QueryStore};
-use oc_exchange::relation::{DeltaIndex, InstanceIndex, OverlayIndex};
+use oc_exchange::relation::{DeltaIndex, OverlayIndex};
 use oc_exchange::workloads::random_gen;
 use oc_exchange::{Instance, RelSym, Schema, Tuple, Value, Var};
 use proptest::prelude::*;
@@ -215,7 +215,7 @@ fn candidate_tuples(inst: &Instance, query: &Query, answers: &BTreeSet<Tuple>) -
     out
 }
 
-/// The same tuple set in three store shapes: a snapshot index, a
+/// The same tuple set in three store shapes: a fresh `DeltaIndex` build, a
 /// `DeltaIndex` that applied and undid a churn batch (fresh and
 /// already-present tuples), and an `OverlayIndex` whose frozen base holds
 /// half the tuples and whose private layer holds the rest.
@@ -254,7 +254,7 @@ fn store_shapes(inst: &Instance, rng: &mut StdRng) -> Vec<(&'static str, Box<dyn
         overlay.insert(*rel, t.clone());
     }
     vec![
-        ("snapshot", Box::new(InstanceIndex::build(inst))),
+        ("fresh", Box::new(DeltaIndex::from_instance(inst))),
         ("delta", Box::new(delta)),
         ("overlay", Box::new(overlay)),
     ]
@@ -876,7 +876,7 @@ fn first_witness_pinned_shapes() {
         oc_exchange::logic::parse_formula("exists qv1. QdR(qv0, qv1)").unwrap(),
     );
     let cq = CompiledQuery::compile(&q).unwrap();
-    let idx = InstanceIndex::build(&inst);
+    let idx = DeltaIndex::from_instance(&inst);
     assert!(cq.holds_on_store(&idx, &Tuple::from_names(&["c2", "c2"])));
     assert!(!cq.holds_on_store(&idx, &Tuple::from_names(&["c0", "c2"])));
     assert!(cq.holds_on_store(&idx, &Tuple::new(vec![Value::null(1); 2])));
@@ -905,7 +905,7 @@ fn first_witness_pinned_shapes() {
         let want: BTreeSet<Tuple> = q.answers(&i).iter().cloned().collect();
         assert_eq!(want.is_empty(), refuted, "oracle on {i}");
         check_first_witness(&q, &cq, &i, &want, &mut rng);
-        let idx = InstanceIndex::build(&i);
+        let idx = DeltaIndex::from_instance(&i);
         assert_eq!(
             cq.holds_on_store(&idx, &Tuple::new(vec![Value::null(1)])),
             !refuted

@@ -135,7 +135,7 @@ fn enumerate_members(
     let csol = oc_exchange::chase::canonical_solution(mapping, source);
     let mut members: BTreeSet<Instance> = BTreeSet::new();
     let outcome = search_rep_a_indexed(&csol.instance, palette, budget, &mut |leaf| {
-        members.insert(leaf.instance().clone());
+        members.insert(leaf.index().to_instance());
         false
     });
     (members.into_iter().collect(), outcome.completeness)

@@ -139,6 +139,21 @@ fn race_streaming(sc: &Scenario, seed: u64) -> usize {
         sess.update(up);
         up.apply(&mut rolling);
         let ctx = format!("{} batch {i}", sc.name);
+        // The relational index the exchange maintains beside its csol (what
+        // delta plans and positive recomputes probe) holds exactly
+        // rel(csol), one refcount per annotated tuple.
+        let csol = sess.exchange().csol();
+        let index = sess.exchange().csol_index();
+        assert_eq!(
+            index.to_instance(),
+            csol.rel_part(),
+            "{ctx}: csol index diverged from rel(csol)"
+        );
+        assert_eq!(
+            index.mem_stats().refcount_total,
+            csol.tuple_count() as u64,
+            "{ctx}: csol index refcounts diverged from the annotated tuples"
+        );
         // Maintained CSol_A(S) vs a fresh chase of the rolling source.
         if sc.constraints.is_empty() {
             let scratch = canonical_solution(&sc.mapping, &rolling);
