@@ -59,12 +59,17 @@ fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
         .map(String::as_str)
 }
 
-fn load(path: &str) -> Result<Scenario, ExitCode> {
+/// Read and parse a scenario file with `parse` ([`Scenario::parse`], or
+/// [`Scenario::parse_ground`] where the exchange will run on it).
+fn load(
+    path: &str,
+    parse: fn(&str) -> Result<Scenario, dx_text::TextError>,
+) -> Result<Scenario, ExitCode> {
     let text = std::fs::read_to_string(path).map_err(|e| {
         eprintln!("dx: cannot read {path}: {e}");
         ExitCode::from(2)
     })?;
-    Scenario::parse(&text).map_err(|e| {
+    parse(&text).map_err(|e| {
         eprintln!("{path}: {}", e.render(&text));
         ExitCode::FAILURE
     })
@@ -76,7 +81,7 @@ fn cmd_check(args: &[String]) -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    match load(path) {
+    match load(path, Scenario::parse) {
         Ok(sc) => {
             println!(
                 "{path}: ok — scenario \"{}\": {} rules, {} constraints, {} facts, {} queries",
@@ -142,7 +147,7 @@ fn cmd_corpus(args: &[String]) -> ExitCode {
 
 /// `dx <file.dx>`: chase + query pipelines (+ `--explain`).
 fn cmd_run(path: &str, args: &[String]) -> ExitCode {
-    let sc = match load(path) {
+    let sc = match load(path, Scenario::parse_ground) {
         Ok(sc) => sc,
         Err(code) => return code,
     };
@@ -254,9 +259,9 @@ fn run_updates(sc: &Scenario, budget: &SearchBudget) {
             let how = match path {
                 QueryPath::Skipped => "skipped (unaffected)".to_string(),
                 QueryPath::DeltaPlan { delta_answers } => {
-                    format!("delta plan (+{delta_answers} candidate rows)")
+                    format!("delta plan ({delta_answers} answers gained or lost)")
                 }
-                QueryPath::Recomputed => "recomputed (fallback)".to_string(),
+                QueryPath::Recomputed => "recomputed".to_string(),
             };
             match sess.answers(name) {
                 Some((rel, comp)) => println!(
@@ -347,8 +352,7 @@ fn print_explain(sc: &Scenario, csol: &dx_relation::AnnInstance, query: &dx_logi
             names.join(", ")
         );
         if nu.update.retracts().count() > 0 {
-            println!("  retraction present -> recompute (maintained sets cannot shrink by union)");
-            continue;
+            println!("  retraction present -> delete and re-derive over the removed tuples");
         }
         match dx_query::delta_plan(&plan, &changed) {
             None => println!("  non-monotone occurrence -> recompute"),

@@ -553,7 +553,7 @@ fn run_explain(workload: &str) {
 /// `CSol(S)`, then the delta protocol's per-batch decision — the derived
 /// delta plan (`Δ`-scans are the recomputed frontier; every other node
 /// re-reads the incrementally maintained store) or one of the documented
-/// fallbacks (retraction / non-monotone occurrence / untouched skip).
+/// fallbacks (non-monotone occurrence / untouched skip).
 fn run_explain_stream() {
     use dx_bench::query_workloads::stream_case;
     use dx_chase::canonical_solution;
@@ -593,11 +593,10 @@ fn run_explain_stream() {
         println!("### batch {i} ({kind}; touches {{{}}})\n", names.join(", "));
         if up.retracts().count() > 0 {
             println!(
-                "retraction present: a maintained answer set cannot shrink by\n\
-                 union, so the session recomputes this batch (fallback arm of\n\
-                 the delta protocol).\n"
+                "retraction present: delete and re-derive. The copies below run\n\
+                 once over the added tuples and once over the removed ones, whose\n\
+                 answers are re-derived on the post-update store.\n"
             );
-            continue;
         }
         match dx_query::delta_plan(&plan, &changed) {
             None => println!(
@@ -621,8 +620,10 @@ fn run_explain_dx(path: &str) {
     use dx_engine::IndexedChase;
 
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let sc =
-        dx_text::Scenario::parse(&text).unwrap_or_else(|e| panic!("{path}: {}", e.render(&text)));
+    let sc = dx_text::Scenario::parse_ground(&text).unwrap_or_else(|e| {
+        eprintln!("{path}: {}", e.render(&text));
+        std::process::exit(1)
+    });
     let chased = canonical_solution_with_deps_via(
         &IndexedChase,
         &sc.mapping,
@@ -2606,7 +2607,7 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
 /// E18 — streaming exchange: the delta protocol raced end to end. The
 /// incremental arm holds one `StreamSession` across the workload's whole
 /// update trace (incrementally maintained canonical solution + delta-plan
-/// answer maintenance, recompute fallback on the retraction batch); the
+/// answer maintenance, delete and re-derive on the retraction batch); the
 /// rebuild arm re-chases the rolling source and re-answers from scratch
 /// after every batch. Per-batch answer identity is asserted on every run
 /// (not just smoke); smoke mode parity-gates the incremental arm, and the
@@ -2685,10 +2686,9 @@ fn e18_stream(ns: &[usize], smoke: bool) -> Vec<String> {
                 "stream n={n} batch {i}: maintained answers diverge from recompute"
             );
         }
-        // All insert-only batches must actually ride delta plans (only the
-        // final retraction batch is allowed to fall back).
+        // Every batch must ride the delta plan, the retraction included.
         assert!(
-            delta_paths >= batches - 1,
+            delta_paths == batches,
             "stream n={n}: only {delta_paths}/{batches} batches rode the delta plan"
         );
         let final_rows = incr_answers.last().map_or(0, |r| r.len());
@@ -2735,10 +2735,10 @@ fn e18_stream(ns: &[usize], smoke: bool) -> Vec<String> {
     println!(
         "Shape check: the rebuild arm re-chases all n edges and re-answers \
          the two-hop query per batch (Θ(n) per batch, Θ(n·B) total); the \
-         session arm chases only each batch's delta and unions the delta \
-         plan's new answers into the maintained raw set (O(|Δ|) per \
-         insert-only batch), recomputing once on the final retraction. \
-         Answer sets asserted identical batch for batch.\n"
+         session arm chases only each batch's delta and carries the \
+         answers across it by the delta plans (O(|Δ|) per batch, the \
+         final retraction included, by delete and re-derive). Answer \
+         sets asserted identical batch for batch.\n"
     );
     rayon::set_threads(0);
     records

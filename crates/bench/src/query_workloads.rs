@@ -203,11 +203,10 @@ pub fn approx_case(n: usize) -> QueryCase {
 /// and a trace of source [`Update`] batches. The race pits
 /// `dx_core::StreamSession` (delta plans over the incrementally maintained
 /// canonical solution) against recompute-from-scratch (`certain_answers`
-/// over a fresh chase per batch). All but the last batch are insert-only —
-/// the regime delta plans are sound in — so the incremental arm does
-/// O(|Δ|) work per batch while the rebuild arm re-chases all n edges; the
-/// final batch retracts a tuple to exercise the documented
-/// fall-back-to-recompute arm of the delta protocol.
+/// over a fresh chase per batch). All but the last batch are insert-only;
+/// the final one also retracts a tuple, which the delta plans maintain by
+/// delete and re-derive. The incremental arm does O(|Δ|) work per batch
+/// while the rebuild arm re-chases all n edges.
 pub struct StreamCase {
     /// Workload family name (stable key in `BENCH_query.json`).
     pub workload: &'static str,
@@ -225,7 +224,7 @@ pub struct StreamCase {
 
 /// Build the streaming workload at path length `n`: 7 insert-only growth
 /// batches (extend the path tip, branch off the prefix) followed by 1
-/// churn batch whose retraction forces the recompute fallback.
+/// churn batch that retracts an edge the two-hop answers rest on.
 pub fn stream_case(n: usize) -> StreamCase {
     let mut source = Instance::new();
     for i in 0..n {
@@ -363,9 +362,9 @@ mod tests {
     }
 
     /// The stream workload hits what it advertises: a positive compiled
-    /// query that rides delta plans on every insert-only batch, falls back
-    /// to recompute on the churn batch's retraction, and stays
-    /// answer-identical to recompute-from-scratch throughout.
+    /// query that rides delta plans on every batch, the churn batch's
+    /// retraction included, and stays answer-identical to
+    /// recompute-from-scratch throughout.
     #[test]
     fn stream_case_rides_delta_plans_and_matches_recompute() {
         use dx_core::certain::certain_answers;
@@ -389,8 +388,8 @@ mod tests {
                 );
             } else {
                 assert!(
-                    matches!(path, QueryPath::Recomputed),
-                    "batch {i}: the retraction must fall back to recompute, got {path:?}"
+                    matches!(path, QueryPath::DeltaPlan { .. }),
+                    "batch {i}: the retraction must ride the delta plan, got {path:?}"
                 );
             }
             up.apply(&mut rolling);

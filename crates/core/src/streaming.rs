@@ -8,31 +8,30 @@
 //! (`DESIGN.md §Streaming data exchange`):
 //!
 //! * **Skip** — the canonical-solution delta does not touch any relation
-//!   the query reads (and, outside the maintained-raw representation, the
-//!   candidate palette did not move): the stored answers are still exact.
-//! * **Delta plan** — positive compiled queries under the `certain` regime
-//!   with an *insert-only* delta on their relations: the cached
-//!   [`dx_query::delta_plan`] variant (via
-//!   [`PlanCatalog::delta_in`]) runs over the post-update solution with
-//!   the delta tuples exposed as Δ-relations ([`DeltaStore`]), and the new
-//!   null-free answers are unioned into the maintained raw set. Soundness
-//!   is the classic differentiation argument: every genuinely new answer
-//!   has a witness using at least one delta tuple, and positive plans are
-//!   monotone, so re-derived old answers are harmless under set union.
-//! * **Recompute** — everything else: retractions reaching the query's
-//!   relations, non-positive queries, and the non-monotone regimes
+//!   the query reads (and, outside the maintained representation, the
+//!   source palette did not move): the stored answers are still exact.
+//! * **Delta plan** — positive compiled queries under the `certain` regime,
+//!   on every batch that reaches their relations, inserting or retracting:
+//!   [`dx_query::dred`] runs the cached delta-plan variant (via
+//!   [`PlanCatalog::delta_in`]) over the added tuples for the gained
+//!   answers, and over the removed ones for the answers that may be lost,
+//!   re-deriving each of those by first-witness execution on the
+//!   post-update solution ([`IncrementalExchange::csol_index`]). By
+//!   Proposition 3 the null-free answers are the certain ones, so a
+//!   positive compiled query recomputes only when it is registered.
+//! * **Recompute** — non-positive queries and the non-monotone regimes
 //!   (GCWA\*, under/over approximation) re-run on the *maintained*
 //!   canonical solution — still skipping the chase, which is the dominant
 //!   cost — through the [`Exchange`] methods over the borrowed maintained
-//!   solution (positive compiled queries execute straight on the
-//!   relational index the incremental exchange maintains with it,
-//!   [`IncrementalExchange::csol_index`]).
+//!   solution.
 //!
-//! The maintained raw set stores **unfiltered** null-free answers; the
-//! genericity filter (answers range over `adom(S) ∪ constants(Q)`) is
-//! applied at read time against the *current* source. This keeps the
-//! maintained representation monotone under insert-only deltas even
-//! though the palette itself moves with the source.
+//! A maintained answer set is kept ready to read: its null-free answers
+//! are split into those whose constants all lie in the genericity palette
+//! `adom(S) ∪ consts(Q)`, which [`StreamSession::answers`] clones, and the
+//! rest, held back. Only a constant of the mapping can put an answer
+//! outside the palette, so the held-back set is almost always empty. The
+//! exchange reports the constants that entered and left `adom(S)` in each
+//! batch, and the session moves answers between the two sets by them.
 
 use crate::regimes::{ApproxOutcome, GcwaOutcome, RegimeBudget};
 use crate::Exchange;
@@ -40,10 +39,11 @@ use dx_chase::{Mapping, TargetDep};
 use dx_engine::{IncrementalExchange, UpdateReport};
 use dx_logic::classify;
 use dx_logic::Query;
-use dx_query::{DeltaStore, PlanCatalog};
-use dx_relation::{ConstId, Instance, RelSym, Relation, Update};
+use dx_query::{PlanCatalog, QueryEval};
+use dx_relation::{ConstId, Instance, RelSym, Relation, Tuple, Update};
 use dx_solver::{Completeness, SearchBudget};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The answering regime a registered query is maintained under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,28 +62,42 @@ pub enum StreamRegime {
 pub enum QueryPath {
     /// The delta did not reach the query — stored answers still exact.
     Skipped,
-    /// Delta-plan evaluation over the Δ-relations; counts the (possibly
-    /// overlapping) answer rows the variant produced.
+    /// Delta-plan maintenance ([`dx_query::dred`]) over the batch's added
+    /// and removed tuples.
     DeltaPlan {
-        /// Null-free answer tuples the delta plan yielded.
+        /// Null-free answers the batch gained plus those it lost.
         delta_answers: usize,
     },
-    /// Fallback: full re-evaluation on the maintained canonical solution.
+    /// Full re-evaluation on the maintained canonical solution.
     Recomputed,
 }
 
 /// The maintained answer state of one registered query.
 enum AnswerState {
-    /// Positive compiled `certain` query: the unfiltered null-free answer
-    /// set, grown monotonically by delta plans (palette filter applied at
-    /// read time; completeness is always exact on this path).
-    MaintainedRaw(Relation),
+    /// Positive compiled `certain` query, carried across batches by delta
+    /// plans (completeness is always exact on this path).
+    Maintained(Maintained),
     /// `certain` query outside the maintained representation.
     Computed(Relation, Completeness),
     /// GCWA\* outcome, recomputed when the delta reaches the query.
     Gcwa(GcwaOutcome),
     /// Approximation bracket, recomputed when the delta reaches the query.
     Approx(ApproxOutcome),
+}
+
+/// The null-free answers of a positive compiled query, split by the
+/// genericity palette `adom(S) ∪ consts(Q)`: by Proposition 3, `ready` is
+/// exactly its certain answers.
+struct Maintained {
+    /// The compiled query, from the shared catalog.
+    eval: Arc<QueryEval>,
+    /// The query's constants `consts(Q)`.
+    consts: BTreeSet<ConstId>,
+    /// Answers whose constants all lie in the palette: what reads return.
+    ready: Relation,
+    /// Answers with a constant outside the palette — necessarily a
+    /// constant of the mapping that is not in `adom(S)`.
+    held: Relation,
 }
 
 struct Registered {
@@ -129,6 +143,9 @@ pub struct SessionReport {
 pub struct StreamSession {
     inc: IncrementalExchange,
     mapping: Mapping,
+    /// Constants of the STD bodies and heads: besides `adom(S)` and the
+    /// query's own, the only constants a canonical-solution answer holds.
+    mapping_consts: BTreeSet<ConstId>,
     queries: Vec<Registered>,
     regime_budget: RegimeBudget,
     search_budget: Option<SearchBudget>,
@@ -139,9 +156,18 @@ impl StreamSession {
     /// chased layer maintains; queries evaluate on the canonical
     /// solution, mirroring the batch `certain_*` entry points).
     pub fn new(mapping: Mapping, constraints: Vec<TargetDep>, source: Instance) -> Self {
+        let mapping_consts = mapping
+            .stds
+            .iter()
+            .flat_map(|std| {
+                let head = std.head.iter().flat_map(|a| a.args.iter());
+                head.flat_map(|t| t.consts()).chain(std.body.constants())
+            })
+            .collect();
         StreamSession {
             inc: IncrementalExchange::new(mapping.clone(), constraints, source),
             mapping,
+            mapping_consts,
             queries: Vec::new(),
             regime_budget: RegimeBudget::default(),
             search_budget: None,
@@ -191,9 +217,7 @@ impl StreamSession {
     pub fn answers(&self, name: &str) -> Option<(Relation, Completeness)> {
         let reg = self.queries.iter().find(|r| r.name == name)?;
         Some(match &reg.state {
-            AnswerState::MaintainedRaw(raw) => {
-                (self.filter_palette(raw, &reg.query), Completeness::Exact)
-            }
+            AnswerState::Maintained(m) => (m.ready.clone(), Completeness::Exact),
             AnswerState::Computed(rel, c) => (rel.clone(), *c),
             AnswerState::Gcwa(o) => (o.answers.clone(), o.completeness),
             AnswerState::Approx(o) => (o.lower.clone(), o.completeness),
@@ -221,48 +245,53 @@ impl StreamSession {
     /// Apply one source update batch: maintain the canonical solution and
     /// every registered answer set, each by its cheapest sound path.
     pub fn update(&mut self, up: &Update) -> SessionReport {
-        // The palette scan is O(adom(S)) per batch; only the search-based
-        // states consult it for their skip decision, so a session holding
-        // nothing but maintained-raw sets stays O(delta) here.
-        let needs_palette = self
-            .queries
-            .iter()
-            .any(|r| !matches!(r.state, AnswerState::MaintainedRaw(_)));
-        let palette_before = if needs_palette {
-            Some(self.palette())
-        } else {
-            None
-        };
         let report = self.inc.update(up);
-        let palette_moved = match &palette_before {
-            Some(p) => self.palette() != *p,
-            None => false,
-        };
         let changed = report.changed_rels();
+        // The search-based states depend on the *whole* solution (extra
+        // open tuples draw constants from the full active domain, and empty
+        // markers shape `Rep_A`), so any delta at all forces a recompute.
+        let settled = changed.is_empty()
+            && report.adom_entered.is_empty()
+            && report.adom_left.is_empty()
+            && !report.marks_changed;
+        // The batch's relational delta, shared by every maintained query: a
+        // tuple still in `rel(csol)` under another annotation was not removed.
+        let index = self.inc.csol_index();
+        let mut added = Instance::new();
+        for (rel, at) in &report.added {
+            added.insert(*rel, at.tuple.clone());
+        }
+        let mut removed = Instance::new();
+        for (rel, at) in &report.removed {
+            if !index.contains(*rel, &at.tuple) {
+                removed.insert(*rel, at.tuple.clone());
+            }
+        }
 
         let mut paths = Vec::with_capacity(self.queries.len());
         let mut queries = std::mem::take(&mut self.queries);
         for reg in &mut queries {
-            let touched: BTreeSet<RelSym> = changed.intersection(&reg.rels).copied().collect();
-            // The maintained-raw representation depends only on the
-            // relations the (positive) query reads, and re-filters at read
-            // time — palette movement and markers are irrelevant. The
-            // search-based states depend on the *whole* solution (extra
-            // open tuples draw constants from the full active domain, and
-            // empty markers shape `Rep_A`), so any delta at all forces a
-            // recompute.
-            let unaffected = if matches!(reg.state, AnswerState::MaintainedRaw(_)) {
-                touched.is_empty()
-            } else {
-                changed.is_empty() && !palette_moved && !report.marks_changed
-            };
-            let path = if unaffected {
-                QueryPath::Skipped
-            } else if let Some(n) = self.try_delta_path(reg, &report, &touched) {
-                QueryPath::DeltaPlan { delta_answers: n }
-            } else {
-                self.recompute(reg);
-                QueryPath::Recomputed
+            let path = match &mut reg.state {
+                // Depends only on the relations the (positive) query reads,
+                // plus the palette its answers are split by.
+                AnswerState::Maintained(m) => {
+                    let touched: BTreeSet<RelSym> =
+                        changed.intersection(&reg.rels).copied().collect();
+                    let path = if touched.is_empty() {
+                        QueryPath::Skipped
+                    } else {
+                        let delta_answers =
+                            self.maintain(&reg.query, m, &touched, &added, &removed);
+                        QueryPath::DeltaPlan { delta_answers }
+                    };
+                    self.shift_palette(m, &report);
+                    path
+                }
+                _ if settled => QueryPath::Skipped,
+                _ => {
+                    self.recompute(reg);
+                    QueryPath::Recomputed
+                }
             };
             paths.push((reg.name.clone(), path));
         }
@@ -273,52 +302,73 @@ impl StreamSession {
         }
     }
 
-    /// Attempt the delta-plan path; `Some(rows)` on success.
-    fn try_delta_path(
+    /// Carry a maintained answer set across a batch that reached its
+    /// relations by [`dx_query::dred`]; returns the answers gained plus
+    /// those lost.
+    fn maintain(
         &self,
-        reg: &mut Registered,
-        report: &UpdateReport,
+        query: &Query,
+        m: &mut Maintained,
         touched: &BTreeSet<RelSym>,
-    ) -> Option<usize> {
-        let AnswerState::MaintainedRaw(raw) = &mut reg.state else {
-            return None;
-        };
-        if touched.is_empty() {
-            // Only the palette moved: the raw set is still the exact
-            // null-free answer set, and reads re-filter. Nothing to do.
-            return Some(0);
-        }
-        // Any retraction on a relation the query reads can shrink the
-        // answer set, which no unioned variant expresses.
-        if report.removed.iter().any(|(r, _)| reg.rels.contains(r)) {
-            return None;
-        }
-        let dp = PlanCatalog::shared().delta_in(&reg.query, &self.mapping.target, touched)?;
-        let compiled = PlanCatalog::shared()
-            .eval_in(&reg.query, &self.mapping.target)
-            .compiled()?
-            .clone();
-        let mut delta = Instance::new();
-        for (rel, t) in report.added.iter().filter(|(r, _)| reg.rels.contains(r)) {
-            delta.declare(*rel, t.tuple.arity());
-            delta.insert(*rel, t.tuple.clone());
-        }
-        let store = DeltaStore::new(self.inc.csol_index(), &delta);
-        let rows = dx_query::exec::exec(&dp, &store);
-        let cols: Vec<usize> = compiled
-            .head()
-            .iter()
-            .map(|v| rows.col(*v).expect("head variable is produced"))
-            .collect();
-        let mut n = 0;
-        for r in &rows.rows {
-            let t = dx_relation::Tuple::new(cols.iter().map(|&c| r[c]).collect::<Vec<_>>());
-            if t.is_ground() {
-                raw.insert(t);
-                n += 1;
+        added: &Instance,
+        removed: &Instance,
+    ) -> usize {
+        let variant = PlanCatalog::shared()
+            .delta_in(query, &self.mapping.target, touched)
+            .expect("a positive plan is monotone in every relation");
+        let compiled = m.eval.compiled().expect("maintained queries compile");
+        let delta = dx_query::dred(
+            compiled,
+            &variant,
+            self.inc.csol_index(),
+            added,
+            removed,
+            &|t| m.ready.contains(t) || m.held.contains(t),
+        );
+        let mut n = delta.lost.len();
+        for t in &delta.lost {
+            if !m.ready.remove(t) {
+                m.held.remove(t);
             }
         }
-        Some(n)
+        for t in delta.gained.into_iter().filter(Tuple::is_ground) {
+            n += 1;
+            self.admit(m, t);
+        }
+        n
+    }
+
+    /// Do the constants of `t` all lie in the palette `adom(S) ∪ consts`?
+    fn in_palette(&self, consts: &BTreeSet<ConstId>, t: &Tuple) -> bool {
+        t.consts()
+            .all(|c| self.inc.adom_contains(c) || consts.contains(&c))
+    }
+
+    /// File a null-free answer under the current palette.
+    fn admit(&self, m: &mut Maintained, t: Tuple) {
+        if self.in_palette(&m.consts, &t) {
+            m.ready.insert(t);
+        } else {
+            m.held.insert(t);
+        }
+    }
+
+    /// Move answers between the ready and held-back sets by the constants
+    /// that left and entered `adom(S)` in this batch.
+    fn shift_palette(&self, m: &mut Maintained, report: &UpdateReport) {
+        let gone: Vec<ConstId> = (report.adom_left.iter().copied())
+            .filter(|c| self.mapping_consts.contains(c) && !m.consts.contains(c))
+            .collect();
+        if !gone.is_empty() {
+            for t in take_where(&mut m.ready, |t| t.consts().any(|c| gone.contains(&c))) {
+                m.held.insert(t);
+            }
+        }
+        if !report.adom_entered.is_empty() && !m.held.is_empty() {
+            for t in take_where(&mut m.held, |t| self.in_palette(&m.consts, t)) {
+                m.ready.insert(t);
+            }
+        }
     }
 
     /// Full re-evaluation of one query on the maintained canonical
@@ -331,9 +381,22 @@ impl StreamSession {
                 let ev = PlanCatalog::shared().eval_in(&reg.query, &self.mapping.target);
                 match ev.compiled() {
                     Some(plan) if classify::is_positive(&reg.query.formula) => {
-                        let all = plan.answers_store(self.inc.csol_index());
-                        let ground = all.iter().filter(|t| t.is_ground()).cloned();
-                        AnswerState::MaintainedRaw(Relation::from_tuples(all.arity(), ground))
+                        let consts = reg.query.formula.constants();
+                        let mut ready = plan.answers_store(self.inc.csol_index());
+                        let mut held = Relation::new(ready.arity());
+                        // Split in place: few answers fall outside the palette.
+                        let out = take_where(&mut ready, |t| {
+                            !t.is_ground() || !self.in_palette(&consts, t)
+                        });
+                        for t in out.into_iter().filter(Tuple::is_ground) {
+                            held.insert(t);
+                        }
+                        AnswerState::Maintained(Maintained {
+                            eval: Arc::clone(&ev),
+                            consts,
+                            ready,
+                            held,
+                        })
                     }
                     _ => {
                         let (rel, c) = ex.certain_answers(&reg.query, budget);
@@ -349,27 +412,15 @@ impl StreamSession {
             }
         };
     }
+}
 
-    /// The current genericity palette: `adom(S)` (query constants are
-    /// added per query at filter time).
-    fn palette(&self) -> BTreeSet<ConstId> {
-        self.inc.source().adom_consts()
+/// Remove and return the tuples of `rel` that `pred` selects.
+fn take_where(rel: &mut Relation, pred: impl Fn(&Tuple) -> bool) -> Vec<Tuple> {
+    let out: Vec<Tuple> = rel.iter().filter(|t| pred(t)).cloned().collect();
+    for t in &out {
+        rel.remove(t);
     }
-
-    /// Read-time genericity filter for the maintained-raw representation —
-    /// replicates the positive fast path of [`Exchange::certain_answers`]
-    /// exactly.
-    fn filter_palette(&self, raw: &Relation, query: &Query) -> Relation {
-        let mut const_set = self.palette();
-        const_set.extend(query.formula.constants());
-        let mut rel = Relation::new(raw.arity());
-        for t in raw.iter() {
-            if t.consts().all(|c| const_set.contains(&c)) {
-                rel.insert(t.clone());
-            }
-        }
-        rel
-    }
+    out
 }
 
 /// The target relations a source update batch can touch: the heads of
@@ -436,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn retraction_falls_back_to_recompute_and_matches_oracle() {
+    fn retraction_rides_the_delta_plan_and_matches_oracle() {
         let mapping = Mapping::parse("StrmT(x:cl, z:op) <- StrmE(x, y)").unwrap();
         let mut source = Instance::new();
         source.insert_names("StrmE", &["a", "b"]);
@@ -447,12 +498,79 @@ mod tests {
 
         let up = Update::new().retract_names("StrmE", &["a", "b"]);
         let report = sess.update(&up);
-        assert_eq!(report.queries[0].1, QueryPath::Recomputed);
+        assert!(
+            matches!(report.queries[0].1, QueryPath::DeltaPlan { .. }),
+            "a retraction takes the delta-plan path: {:?}",
+            report.queries
+        );
         up.apply(&mut source);
         assert_eq!(
             names(&sess.answers("left").unwrap().0),
             names(&oracle(&mapping, &source, &q))
         );
+    }
+
+    /// What stays outside the maintained representation still recomputes
+    /// when a retraction reaches it: a non-positive `certain` query, and a
+    /// positive query under GCWA\*.
+    #[test]
+    fn retraction_recomputes_outside_the_maintained_representation() {
+        let mapping = Mapping::parse("StrmT(x:cl, y:cl) <- StrmE(x, y)").unwrap();
+        let mut source = Instance::new();
+        source.insert_names("StrmE", &["a", "b"]);
+        source.insert_names("StrmE", &["b", "c"]);
+        let mut sess = StreamSession::new(mapping.clone(), Vec::new(), source.clone());
+        let pos = Query::parse(&["x", "y"], "StrmT(x, y)").unwrap();
+        let neg = Query::parse(&["x"], "exists y. StrmT(x, y) & !StrmT(y, x)").unwrap();
+        sess.register("neg", neg.clone(), StreamRegime::Certain);
+        sess.register("gcwa", pos.clone(), StreamRegime::GcwaStar);
+
+        let up = Update::new().retract_names("StrmE", &["b", "c"]);
+        let report = sess.update(&up);
+        for (name, path) in &report.queries {
+            assert_eq!(*path, QueryPath::Recomputed, "{name}");
+        }
+        up.apply(&mut source);
+        assert_eq!(
+            names(&sess.answers("neg").unwrap().0),
+            names(&oracle(&mapping, &source, &neg))
+        );
+        let g = gcwa_star_answers(&mapping, &source, &pos, &RegimeBudget::default());
+        assert_eq!(
+            names(&sess.gcwa("gcwa").unwrap().answers),
+            names(&g.answers)
+        );
+    }
+
+    /// A mapping constant sits in answers whether or not the source
+    /// mentions it; while it is outside `adom(S)` those answers are held
+    /// back, and they return when it re-enters — also when the batch does
+    /// not reach the query's relations.
+    #[test]
+    fn palette_holds_back_answers_on_a_mapping_constant() {
+        let mapping =
+            Mapping::parse("StrmT(x:cl, 'k':cl) <- StrmE(x); StrmU(x:cl) <- StrmF(x)").unwrap();
+        let mut source = Instance::new();
+        source.insert_names("StrmE", &["a"]);
+        source.insert_names("StrmF", &["k"]);
+        let mut sess = StreamSession::new(mapping.clone(), Vec::new(), source.clone());
+        let q = Query::parse(&["x", "y"], "StrmT(x, y)").unwrap();
+        sess.register("all", q.clone(), StreamRegime::Certain);
+        assert_eq!(sess.answers("all").unwrap().0.len(), 1);
+
+        let out = Update::new().retract_names("StrmF", &["k"]);
+        let back = Update::new().insert_names("StrmF", &["k"]);
+        let grow_out = out.clone().insert_names("StrmE", &["b"]);
+        for (up, len, skipped) in [(&out, 0, true), (&back, 1, true), (&grow_out, 0, false)] {
+            let report = sess.update(up);
+            assert_eq!(report.queries[0].1 == QueryPath::Skipped, skipped, "{up}");
+            up.apply(&mut source);
+            let got = sess.answers("all").unwrap().0;
+            assert_eq!(names(&got), names(&oracle(&mapping, &source, &q)), "{up}");
+            assert_eq!(got.len(), len, "{up}");
+        }
+        sess.update(&back);
+        assert_eq!(sess.answers("all").unwrap().0.len(), 2);
     }
 
     #[test]
@@ -511,8 +629,8 @@ mod tests {
 
     #[test]
     fn palette_filter_tracks_source_retractions() {
-        // `b` occurs only via StrmE(a, b); retracting it must drop answers
-        // mentioning `b` even though the raw set is maintained monotonically.
+        // `b` occurs only via StrmE(a, b); retracting it must drop the
+        // answers mentioning `b`.
         let mapping = Mapping::parse("StrmT(x:cl, y:cl) <- StrmE(x, y)").unwrap();
         let mut source = Instance::new();
         source.insert_names("StrmE", &["a", "b"]);

@@ -46,6 +46,11 @@
 //! closure with the incremental path, so there is a single code path to
 //! trust.
 //!
+//! The exchange also counts each constant's occurrences in the source, so
+//! [`IncrementalExchange::adom_contains`] is O(1) and every
+//! [`UpdateReport`] lists the constants that entered and left `adom(S)` —
+//! what the query layer moves its genericity palette by.
+//!
 //! The full protocol — including the per-regime soundness table for
 //! certain/possible/GCWA*/approx answers — is documented in
 //! `DESIGN.md §Streaming data exchange`; the query-layer maintenance
@@ -60,8 +65,8 @@ use dx_chase::{
 };
 use dx_logic::{Formula, Term};
 use dx_relation::{
-    AnnInstance, AnnTuple, Annotation, DeltaIndex, FastMap, Instance, NullGen, NullId, RelSym,
-    Tuple, Update, Value, Var,
+    AnnInstance, AnnTuple, Annotation, AppliedUpdate, ConstId, DeltaIndex, FastMap, Instance,
+    NullGen, NullId, RelSym, Tuple, Update, Value, Var,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -133,6 +138,13 @@ pub struct UpdateReport {
     pub marks_changed: bool,
     /// How the chased target layer was maintained.
     pub target: TargetPath,
+    /// Constants that entered `adom(S)`: absent from the source before the
+    /// batch, present after it. Sorted; net over the batch.
+    pub adom_entered: Vec<ConstId>,
+    /// Constants that left `adom(S)`: present before the batch, absent
+    /// after it. Sorted; net over the batch, so a constant retracted and
+    /// re-inserted in one batch appears in neither list.
+    pub adom_left: Vec<ConstId>,
 }
 
 impl UpdateReport {
@@ -226,6 +238,9 @@ pub struct IncrementalExchange {
     /// `(rel, annotation) → number of empty-witness STD head atoms
     /// producing the empty marker `(_, α)``.
     mark_counts: FastMap<(RelSym, Annotation), u32>,
+    /// Occurrences of each constant in the source, one per tuple position;
+    /// its keys are exactly `adom(S)`.
+    adom_counts: FastMap<ConstId, u32>,
     csol: AnnInstance,
     /// `rel(csol)` as the relational index delta plans and positive
     /// recomputes probe, updated wherever `csol` gains or loses a tuple
@@ -283,9 +298,13 @@ impl IncrementalExchange {
     ) -> Self {
         assert!(source.is_ground(), "source instances must be over Const");
         let mut src_idx = IndexedInstance::new();
+        let mut adom_counts: FastMap<ConstId, u32> = FastMap::default();
         for (rel, r) in source.relations() {
             for t in r.iter() {
                 src_idx.insert(rel, src_ann(t));
+                for c in t.consts() {
+                    *adom_counts.entry(c).or_insert(0) += 1;
+                }
             }
         }
         let mut inc = IncrementalExchange {
@@ -306,6 +325,7 @@ impl IncrementalExchange {
             gen: NullGen::new(),
             head_counts: FastMap::default(),
             mark_counts: FastMap::default(),
+            adom_counts,
             csol: AnnInstance::new(),
             csol_index: DeltaIndex::new(),
             null_origin: BTreeMap::new(),
@@ -349,6 +369,12 @@ impl IncrementalExchange {
     /// The current source instance.
     pub fn source(&self) -> &Instance {
         &self.source
+    }
+
+    /// Is `c` in the source's active domain `adom(S)`? O(1): the exchange
+    /// counts each constant's occurrences in the source.
+    pub fn adom_contains(&self, c: ConstId) -> bool {
+        self.adom_counts.contains_key(&c)
     }
 
     /// The maintained annotated canonical solution `CSol_A(S)`.
@@ -408,6 +434,7 @@ impl IncrementalExchange {
         if applied.is_noop() {
             return report;
         }
+        (report.adom_entered, report.adom_left) = self.shift_adom(&applied);
         let touched = applied.touched_rels();
 
         // Phase A: enumerate dying witnesses of CQ bodies by seeding each
@@ -509,6 +536,40 @@ impl IncrementalExchange {
         report.removed = removed_tuples;
         report.marks_changed = marks_changed;
         report
+    }
+
+    /// Move the per-constant occurrence counts across one applied batch and
+    /// return the constants that entered and left `adom(S)`, net and
+    /// sorted.
+    fn shift_adom(&mut self, applied: &AppliedUpdate) -> (Vec<ConstId>, Vec<ConstId>) {
+        // constant → was it in adom(S) before the batch?
+        let mut before: BTreeMap<ConstId, bool> = BTreeMap::new();
+        let signed = (applied.retracted.iter().map(|x| (x, false)))
+            .chain(applied.inserted.iter().map(|x| (x, true)));
+        for ((_, t), insert) in signed {
+            for c in t.consts() {
+                let n = self.adom_counts.entry(c).or_insert(0);
+                before.entry(c).or_insert(*n > 0);
+                if insert {
+                    *n += 1;
+                } else {
+                    *n -= 1;
+                }
+            }
+        }
+        let (mut entered, mut left) = (Vec::new(), Vec::new());
+        for (c, was) in before {
+            let now = self.adom_counts[&c] > 0;
+            if !now {
+                self.adom_counts.remove(&c);
+            }
+            match (was, now) {
+                (false, true) => entered.push(c),
+                (true, false) => left.push(c),
+                _ => {}
+            }
+        }
+        (entered, left)
     }
 
     /// Kill one witness of STD `i`: decrement its head tuples' producer
@@ -834,6 +895,8 @@ impl UpdateReport {
             removed: Vec::new(),
             marks_changed: false,
             target: TargetPath::None,
+            adom_entered: Vec::new(),
+            adom_left: Vec::new(),
         }
     }
 }
@@ -1231,6 +1294,37 @@ mod tests {
         );
         assert_csol_matches(&inc);
         assert_chased_matches(&inc);
+    }
+
+    /// The source palette moves net over a batch: a constant retracted in
+    /// one tuple and re-inserted in another is in neither list.
+    #[test]
+    fn adom_moves_are_net_and_sorted() {
+        let m = Mapping::parse("StrR(x:cl, y:cl) <- StrE(x, y)").unwrap();
+        let mut inc = IncrementalExchange::new(
+            m,
+            Vec::new(),
+            src(&[("StrE", &["a", "b"]), ("StrE", &["b", "d"])]),
+        );
+        let c = |n: &str| dx_relation::ConstId::new(n);
+        assert!(inc.adom_contains(c("a")) && !inc.adom_contains(c("z")));
+        let r = inc.update(
+            &Update::new()
+                .retract_names("StrE", &["a", "b"])
+                .retract_names("StrE", &["b", "d"])
+                .insert_names("StrE", &["z", "b"])
+                .insert_names("StrE", &["y", "y"]),
+        );
+        let (mut entered, mut left) = (vec![c("z"), c("y")], vec![c("d"), c("a")]);
+        entered.sort();
+        left.sort();
+        assert_eq!((r.adom_entered, r.adom_left), (entered, left));
+        for (name, present) in [("a", false), ("b", true), ("d", false), ("y", true)] {
+            assert_eq!(inc.adom_contains(c(name)), present, "{name}");
+        }
+        let r = inc.update(&Update::new().retract_names("StrE", &["y", "y"]));
+        assert_eq!((r.adom_entered, r.adom_left), (vec![], vec![c("y")]));
+        assert!(!inc.adom_contains(c("y")));
     }
 
     #[test]

@@ -70,22 +70,11 @@ impl CompiledQuery {
     /// asks one yes/no question, answered in first-witness mode
     /// ([`exec_nonempty`]) with its 0 or 1 empty tuple.
     pub fn answers_store(&self, store: &dyn QueryStore) -> Relation {
-        if self.head.is_empty() {
-            let holds = exec_nonempty(&self.plan, store, &[]);
-            return Relation::from_tuples(0, holds.then(|| Tuple::new(Vec::<Value>::new())));
-        }
-        let rows = exec(&self.plan, store);
-        let cols: Vec<usize> = self
-            .head
-            .iter()
-            .map(|v| rows.col(*v).expect("head variable is produced"))
-            .collect();
-        Relation::from_tuples(
-            self.head.len(),
-            rows.rows
-                .iter()
-                .map(|r| Tuple::new(cols.iter().map(|&c| r[c]).collect::<Vec<_>>())),
-        )
+        let mut rel = Relation::new(self.head.len());
+        for_each_answer(&self.plan, &self.head, store, &mut |t| {
+            rel.insert(t);
+        });
+        rel
     }
 
     /// Evaluate over an instance (indexes the relations the plan scans).
@@ -140,6 +129,31 @@ impl CompiledQuery {
         let mut extra = cinst.constants();
         extra.extend(self.consts.iter().copied());
         dx_ctables::possible_answers_from(&result, &extra, &cinst.global)
+    }
+}
+
+/// Run `plan` on `store` and emit its rows projected onto `head`. A
+/// Boolean head asks one yes/no question, answered in first-witness mode
+/// ([`exec_nonempty`]) with its 0 or 1 empty tuple.
+pub(crate) fn for_each_answer(
+    plan: &Plan,
+    head: &[Var],
+    store: &dyn QueryStore,
+    emit: &mut dyn FnMut(Tuple),
+) {
+    if head.is_empty() {
+        if exec_nonempty(plan, store, &[]) {
+            emit(Tuple::new(Vec::<Value>::new()));
+        }
+        return;
+    }
+    let rows = exec(plan, store);
+    let cols: Vec<usize> = head
+        .iter()
+        .map(|v| rows.col(*v).expect("head variable is produced"))
+        .collect();
+    for r in &rows.rows {
+        emit(Tuple::new(cols.iter().map(|&c| r[c]).collect::<Vec<_>>()));
     }
 }
 

@@ -37,6 +37,10 @@
 //!   [`eval::PlannedBodyEval`] (the [`dx_chase::BodyEval`] implementation
 //!   that makes `canonical_solution`'s STD-body evaluation run on indexed
 //!   plans);
+//! * [`delta`] — delta plans (one copy of a plan per changed-relation scan
+//!   occurrence, redirected to a Δ-relation) and [`delta::dred`], which
+//!   carries a monotone query's answers across a source batch by delete
+//!   and re-derive;
 //! * [`catalog`] — the shared [`catalog::PlanCatalog`]: compiled plans
 //!   cached behind interior mutability, keyed by structural hash + schema
 //!   fingerprint and verified by equality, so one catalog serves every
@@ -66,7 +70,7 @@ pub mod ra;
 pub mod store;
 
 pub use catalog::{CatalogStats, PlanCatalog};
-pub use delta::{delta_plan, delta_sym, DeltaStore};
+pub use delta::{delta_plan, delta_sym, dred, AnswerDelta, DeltaStore};
 pub use eval::{CompiledQuery, PlannedBodyEval, QueryEval};
 pub use explain::{explain_run, explain_run_conditional};
 pub use lower::{lower_formula, LowerError, LowerReason};

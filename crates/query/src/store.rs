@@ -14,7 +14,8 @@
 //! * [`dx_relation::OverlayIndex`] — a per-worker layer over a frozen
 //!   `DeltaIndex`, what parallel union sweeps probe;
 //! * [`crate::delta::DeltaStore`] — a base store plus Δ-relations, what
-//!   delta plans run on;
+//!   delta plans run on (its retracting form also serves the removed
+//!   tuples under the base relations);
 //! * [`Instance`] — the un-indexed scan-and-filter fallback.
 
 use dx_relation::{DeltaIndex, Instance, OverlayIndex, RelSym, Tuple, Value};
@@ -110,6 +111,7 @@ impl QueryStore for Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::DeltaStore;
 
     fn sample() -> Instance {
         let mut i = Instance::new();
@@ -156,7 +158,14 @@ mod tests {
         overlay.insert(rel, Tuple::from_names(&["a", "c"]));
         overlay.insert(rel, Tuple::from_names(&["b", "c"]));
         let delta = DeltaIndex::from_instance(&inst);
-        let stores: [&dyn QueryStore; 3] = [&inst, &delta, &overlay];
+        // The retracting delta view: `QsE` reads the base index, then the
+        // removed tuples.
+        let base_idx = DeltaIndex::from_instance(&base);
+        let mut removed = Instance::new();
+        removed.insert_names("QsE", &["a", "c"]);
+        removed.insert_names("QsE", &["b", "c"]);
+        let view = DeltaStore::retracting(&base_idx, &removed);
+        let stores: [&dyn QueryStore; 4] = [&inst, &delta, &overlay, &view];
         for store in stores {
             let mut seen = 0;
             let flow = store.for_each_matching(rel, &[Some(Value::c("a")), None], &mut |_| {
@@ -166,6 +175,25 @@ mod tests {
             assert!(flow.is_break());
             assert_eq!(seen, 1);
         }
+        // In the view: a break in the base part never reaches the removed
+        // part, and a break in the removed part ends the scan there.
+        for (first, pattern) in [("b", Some(Value::c("a"))), ("c", Some(Value::c("b")))] {
+            let mut seen = Vec::new();
+            let flow = view.for_each_matching(rel, &[pattern, None], &mut |t| {
+                seen.push(t.clone());
+                ControlFlow::Break(())
+            });
+            assert!(flow.is_break());
+            assert_eq!(seen.len(), 1);
+            assert_eq!(seen[0].get(1), Value::c(first));
+        }
+        let mut all = 0;
+        let flow = view.for_each_matching(rel, &[None, None], &mut |_| {
+            all += 1;
+            ControlFlow::Continue(())
+        });
+        assert!(flow.is_continue());
+        assert_eq!(all, 3, "base ∪ removed");
     }
 
     #[test]

@@ -112,7 +112,9 @@ pub struct Scenario {
     pub mapping: Mapping,
     /// Target constraints (tgds/egds) chased after the STDs.
     pub constraints: Vec<TargetDep>,
-    /// The source instance (may contain labeled nulls).
+    /// The source instance. The parser accepts labeled nulls here, but the
+    /// exchange needs a ground source: [`Scenario::parse_ground`] refuses
+    /// them.
     pub source: Instance,
     /// Named queries over the target schema, in declaration order.
     pub queries: Vec<NamedQuery>,
@@ -126,6 +128,28 @@ impl Scenario {
     pub fn parse(src: &str) -> Result<Scenario, TextError> {
         let raw = crate::parser::parse_scenario(src)?;
         crate::validate::validate(&raw)
+    }
+
+    /// [`Scenario::parse`], refusing a source that is not ground: the
+    /// exchange (`CSol_A(S)`, streaming, every answer regime) is defined
+    /// over a source of constants only. The error spans the first source
+    /// fact holding a labeled null.
+    pub fn parse_ground(src: &str) -> Result<Scenario, TextError> {
+        let raw = crate::parser::parse_scenario(src)?;
+        let scenario = crate::validate::validate(&raw)?;
+        let with_null = raw.facts.iter().find(|(_, values, _)| {
+            (values.iter()).any(|v| !matches!(v, crate::parser::RawValue::Const(_)))
+        });
+        match with_null {
+            Some((_, _, span)) => Err(TextError::new(
+                format!(
+                    "source fact `{}` holds a labeled null; the exchange needs a ground source",
+                    &src[span.start..span.end]
+                ),
+                *span,
+            )),
+            None => Ok(scenario),
+        }
     }
 
     /// Pretty-print to canonical `.dx` text (see [`crate::printer::print`]).

@@ -26,6 +26,32 @@ fn parser_reports_position() {
     );
 }
 
+/// A `.dx` source with a labeled null parses, but the exchange refuses
+/// it before any chase runs, naming the first such fact and its span.
+#[test]
+fn non_ground_dx_source_is_refused_with_a_diagnostic() {
+    let text = "scenario \"tiny\" {
+  source  { Emp/2; }
+  target  { Dept/2; }
+  mapping { Dept(d:cl, m:op) <- Emp(m, d); }
+  instance { Emp(ann, sales); Emp(?x, sales); Emp(?y, ops); }
+  query managed(d) <- exists m. Dept(d, m);
+}
+";
+    let parsed = oc_exchange::text::Scenario::parse(text).expect("the parser accepts nulls");
+    assert!(!parsed.source.is_ground());
+    let err = oc_exchange::text::Scenario::parse_ground(text).unwrap_err();
+    assert_eq!(
+        err.msg,
+        "source fact `Emp(?x, sales)` holds a labeled null; the exchange needs a ground source"
+    );
+    assert_eq!(&text[err.span.start..err.span.end], "Emp(?x, sales)");
+    assert!(err.render(text).starts_with("error at 5:31: source fact"));
+    let ground = text.replace("?x", "bo").replace("?y", "cy");
+    let sc = oc_exchange::text::Scenario::parse_ground(&ground).expect("a ground source runs");
+    assert_eq!(sc, oc_exchange::text::Scenario::parse(&ground).unwrap());
+}
+
 #[test]
 fn parser_rejects_dangling_annotation() {
     assert!(parse_rules("T(x:, y) <- R(x, y)").is_err());

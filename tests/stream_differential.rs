@@ -17,7 +17,15 @@
 //!   `approx_certain_answers` (the session recomputes on its maintained
 //!   csol, whose null ids differ from a fresh chase after retractions).
 //!
-//! The second half pins the retraction edge cases the protocol documents:
+//! A second sweep drives generated scenarios through retraction-heavy
+//! traces: earlier inserts, join-feeding base facts, a tuple retracted and
+//! re-inserted in one batch, and a relation emptied. Its positive queries
+//! must ride the delta plans on every batch, with answers equal to
+//! recompute from scratch; and, with no oracle at all, every query under
+//! every regime must answer alike when each batch is split into its
+//! retractions and then its insertions.
+//!
+//! The last part pins the retraction edge cases the protocol documents:
 //! retract-then-reinsert round-trips, retraction feeding an egd-merged
 //! null (the merged-taint rebuild arm), empty-delta no-ops, and
 //! interleaved update/query determinism across pool widths.
@@ -29,6 +37,8 @@ use oc_exchange::core::certain::certain_answers;
 use oc_exchange::core::regimes::{approx_certain_answers, gcwa_star_answers, RegimeBudget};
 use oc_exchange::core::streaming::{QueryPath, StreamRegime, StreamSession};
 use oc_exchange::engine::IndexedChase;
+use oc_exchange::logic::{classify, Query};
+use oc_exchange::query::QueryEval;
 use oc_exchange::relation::{Instance, RelSym, Tuple, Update};
 use oc_exchange::solver::{Completeness, SearchBudget};
 use oc_exchange::text::{gen, Grade, Scenario};
@@ -249,6 +259,235 @@ fn generated_traces_match_recompute_from_scratch() {
         "the sweep must race ≥30 scenarios (got {raced_scenarios})"
     );
     assert!(raced_batches >= raced_scenarios * 6);
+}
+
+// ---------------------------------------------------------------------------
+// Retraction-heavy traces, against recompute and against split batches.
+// ---------------------------------------------------------------------------
+
+/// Six batches over the scenario's source, five of which retract: fresh
+/// inserts first, then earlier inserts and base facts of relations a
+/// joining STD body reads, one live tuple retracted and re-inserted in the
+/// same batch (twice), and one relation emptied.
+fn retraction_trace(sc: &Scenario, rng: &mut Rng) -> Vec<Update> {
+    let rels: Vec<(RelSym, usize)> = sc.mapping.source.iter().collect();
+    let feeds_join = |rel: RelSym| {
+        sc.mapping.stds.iter().any(|std| {
+            let body = std.body.relations();
+            body.len() >= 2 && body.iter().any(|&(r, _)| r == rel)
+        })
+    };
+    let live_facts = |live: &Instance, pick: &dyn Fn(RelSym) -> bool| -> Vec<(RelSym, Tuple)> {
+        live.relations()
+            .filter(|&(rel, _)| pick(rel))
+            .flat_map(|(rel, r)| r.iter().map(move |t| (rel, t.clone())))
+            .collect()
+    };
+    let mut live = sc.source.clone();
+    let mut inserted: Vec<(RelSym, Tuple)> = Vec::new();
+    let mut trace = Vec::new();
+    for b in 0..6 {
+        let mut up = Update::new();
+        let inserts = match b {
+            0 => 3,
+            3 => 0,
+            _ => rng.below(2),
+        };
+        for _ in 0..inserts {
+            let (rel, arity) = rels[rng.below(rels.len())];
+            let names: Vec<String> = (0..arity).map(|_| format!("c{}", rng.below(4))).collect();
+            let refs: Vec<&str> = names.iter().map(String::as_str).collect();
+            let t = Tuple::from_names(&refs);
+            inserted.push((rel, t.clone()));
+            up.insert(rel, t);
+        }
+        if b > 0 {
+            inserted.retain(|(rel, t)| live.contains(*rel, t));
+            if !inserted.is_empty() {
+                let (rel, t) = inserted.swap_remove(rng.below(inserted.len()));
+                up.retract(rel, t);
+            }
+            let mut feeders = live_facts(&live, &|rel| feeds_join(rel));
+            feeders.retain(|(rel, t)| sc.source.contains(*rel, t));
+            if feeders.is_empty() {
+                feeders = live_facts(&live, &|_| true);
+            }
+            if !feeders.is_empty() {
+                let (rel, t) = feeders.swap_remove(rng.below(feeders.len()));
+                up.retract(rel, t);
+            }
+        }
+        if b == 2 || b == 4 {
+            let facts = live_facts(&live, &|_| true);
+            if !facts.is_empty() {
+                let (rel, t) = facts[rng.below(facts.len())].clone();
+                up.retract(rel, t.clone());
+                up.insert(rel, t);
+            }
+        }
+        if b == 3 {
+            let full: Vec<RelSym> = live
+                .relations()
+                .filter(|(_, r)| !r.is_empty())
+                .map(|(rel, _)| rel)
+                .collect();
+            if !full.is_empty() {
+                let rel = full[rng.below(full.len())];
+                for t in live.tuples(rel) {
+                    up.retract(rel, t.clone());
+                }
+            }
+        }
+        up.apply(&mut live);
+        trace.push(up);
+    }
+    trace
+}
+
+/// The scenario's queries plus positive ones over the target: a
+/// self-join, a union with a join branch, and a Boolean join.
+fn retraction_queries(sc: &Scenario) -> Vec<(String, Query)> {
+    let mut queries: Vec<(String, Query)> = (sc.queries.iter())
+        .map(|nq| (nq.name.clone(), nq.query.clone()))
+        .collect();
+    for (name, head, body) in [
+        ("p_hops", &["x", "z"][..], "exists y. TR(x, y) & TR(y, z)"),
+        (
+            "p_union",
+            &["x", "y"][..],
+            "TR(x, y) | (exists z. TU(x, z) & TR(z, y))",
+        ),
+        ("p_bool", &[][..], "exists x y z. TR(x, y) & TU(y, z)"),
+    ] {
+        queries.push((name.to_string(), Query::parse(head, body).expect("parses")));
+    }
+    queries
+}
+
+/// The ground scenarios of the retraction sweeps: grades 0–2, six seeds
+/// each.
+fn retraction_scenarios() -> Vec<(u64, Scenario)> {
+    (Grade::ALL[..3].iter())
+        .flat_map(|&grade| (0..6u64).map(move |seed| (seed, gen(seed, grade))))
+        .filter(|(_, sc)| sc.source.is_ground())
+        .collect()
+}
+
+#[test]
+fn retraction_heavy_traces_ride_delta_plans_and_match_recompute() {
+    let mut retracting = 0usize;
+    for (seed, sc) in retraction_scenarios() {
+        let budget = scenario_budget(&sc);
+        let queries = retraction_queries(&sc);
+        let mut sess = StreamSession::new(sc.mapping.clone(), Vec::new(), sc.source.clone());
+        sess.set_search_budget(Some(budget.clone()));
+        for (name, q) in &queries {
+            sess.register(name, q.clone(), StreamRegime::Certain);
+        }
+        let maintained: BTreeSet<&str> = (queries.iter())
+            .filter(|(_, q)| classify::is_positive(&q.formula) && QueryEval::new(q).is_compiled())
+            .map(|(name, _)| name.as_str())
+            .collect();
+        assert!(
+            maintained.len() >= 4,
+            "{}: the positive queries compile",
+            sc.name
+        );
+        let mut rng = Rng(seed.wrapping_mul(0x2545_F491) ^ 0x5EED);
+        let mut rolling = sc.source.clone();
+        for (i, up) in retraction_trace(&sc, &mut rng).iter().enumerate() {
+            let ctx = format!("{} batch {i} ({up})", sc.name);
+            let report = sess.update(up);
+            up.apply(&mut rolling);
+            if !report.update.removed.is_empty() {
+                retracting += 1;
+            }
+            for (name, path) in &report.queries {
+                assert!(
+                    !maintained.contains(name.as_str()) || *path != QueryPath::Recomputed,
+                    "{ctx}: positive query {name} recomputed"
+                );
+            }
+            for (name, q) in &queries {
+                let (got, gcomp) = sess.answers(name).expect("registered");
+                let (want, wcomp) = certain_answers(&sc.mapping, &rolling, q, Some(&budget));
+                if gcomp != Completeness::Capped && wcomp != Completeness::Capped {
+                    assert_eq!(got, want, "{ctx}: query {name} diverged from recompute");
+                }
+            }
+        }
+    }
+    assert!(
+        retracting >= 40,
+        "batches that removed csol tuples: {retracting}"
+    );
+}
+
+#[test]
+fn split_batches_answer_like_whole_ones_under_every_regime() {
+    for (seed, sc) in retraction_scenarios() {
+        let budget = scenario_budget(&sc);
+        let queries = retraction_queries(&sc);
+        let open = || {
+            let mut sess = StreamSession::new(sc.mapping.clone(), Vec::new(), sc.source.clone());
+            sess.set_search_budget(Some(budget.clone()));
+            sess.set_regime_budget(regime_budget());
+            for (name, q) in &queries {
+                sess.register(&format!("{name}/certain"), q.clone(), StreamRegime::Certain);
+                sess.register(&format!("{name}/gcwa"), q.clone(), StreamRegime::GcwaStar);
+                sess.register(&format!("{name}/approx"), q.clone(), StreamRegime::Approx);
+            }
+            sess
+        };
+        let (mut whole, mut split) = (open(), open());
+        let mut rng = Rng(seed.wrapping_mul(0x2545_F491) ^ 0x5EED);
+        for (i, up) in retraction_trace(&sc, &mut rng).iter().enumerate() {
+            whole.update(up);
+            let mut retracts = Update::new();
+            for (rel, t) in up.retracts() {
+                retracts.retract(*rel, t.clone());
+            }
+            let mut inserts = Update::new();
+            for (rel, t) in up.inserts() {
+                inserts.insert(*rel, t.clone());
+            }
+            split.update(&retracts);
+            split.update(&inserts);
+            assert_eq!(whole.exchange().source(), split.exchange().source());
+            let ctx = format!("{} batch {i} ({up})", sc.name);
+            for (name, _) in &queries {
+                let (w, wc) = whole
+                    .answers(&format!("{name}/certain"))
+                    .expect("registered");
+                let (s, sc_) = split
+                    .answers(&format!("{name}/certain"))
+                    .expect("registered");
+                if wc != Completeness::Capped && sc_ != Completeness::Capped {
+                    assert_eq!(w, s, "{ctx}: certain answers of {name}");
+                }
+                let (w, s) = (
+                    whole.gcwa(&format!("{name}/gcwa")).expect("registered"),
+                    split.gcwa(&format!("{name}/gcwa")).expect("registered"),
+                );
+                if w.completeness != Completeness::Capped && s.completeness != Completeness::Capped
+                {
+                    assert_eq!(w.answers, s.answers, "{ctx}: GCWA* answers of {name}");
+                }
+                let (w, s) = (
+                    whole.approx(&format!("{name}/approx")).expect("registered"),
+                    split.approx(&format!("{name}/approx")).expect("registered"),
+                );
+                if w.completeness != Completeness::Capped && s.completeness != Completeness::Capped
+                {
+                    assert_eq!(
+                        (&w.lower, &w.upper),
+                        (&s.lower, &s.upper),
+                        "{ctx}: approximation bracket of {name}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
