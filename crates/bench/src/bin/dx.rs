@@ -12,7 +12,8 @@
 //! A `.dx` run loads the scenario, chases it (both engines, constraints
 //! included), and answers its queries under the selected regimes through
 //! the shared `PlanCatalog`. `--updates` then streams the file's `update`
-//! blocks through a `dx_core::StreamSession`, reporting per batch how each
+//! blocks through a `dx_core::StreamSession`, reporting per batch how the
+//! chased target was maintained (incremental / rebuilt), how each
 //! registered query was serviced (delta plan / recompute / skip) and its
 //! refreshed certain answers. `--explain` additionally prints the compiled
 //! plan of each query with per-node executed-row counts (the dx-obs
@@ -26,7 +27,7 @@ use dx_chase::{canonical_solution_with_deps_via, NaiveChase};
 use dx_core::regimes::RegimeBudget;
 use dx_core::streaming::{affected_target_rels, QueryPath, StreamRegime, StreamSession};
 use dx_core::Exchange;
-use dx_engine::IndexedChase;
+use dx_engine::{IndexedChase, TargetPath};
 use dx_solver::{Completeness, SearchBudget};
 use dx_text::{gen_text, Grade, Scenario};
 use std::process::ExitCode;
@@ -75,13 +76,14 @@ fn load(
     })
 }
 
-/// `dx check`: parse + validate, print a one-line summary.
+/// `dx check`: parse + validate (a ground source included, as every run
+/// mode needs), print a one-line summary.
 fn cmd_check(args: &[String]) -> ExitCode {
     let Some(path) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::from(2);
     };
-    match load(path, Scenario::parse) {
+    match load(path, Scenario::parse_ground) {
         Ok(sc) => {
             println!(
                 "{path}: ok — scenario \"{}\": {} rules, {} constraints, {} facts, {} queries",
@@ -235,9 +237,6 @@ fn run_updates(sc: &Scenario, budget: &SearchBudget) {
         println!("(no `update` blocks in this scenario)");
         return;
     }
-    if !sc.constraints.is_empty() {
-        println!("(note: target constraints re-chase via the merged-taint fallback when touched)");
-    }
     let mut sess = StreamSession::new(
         sc.mapping.clone(),
         sc.constraints.clone(),
@@ -255,6 +254,13 @@ fn run_updates(sc: &Scenario, budget: &SearchBudget) {
             report.update.added.len(),
             report.update.removed.len()
         );
+        match report.update.target {
+            TargetPath::None => {}
+            TargetPath::Incremental { overdeleted, steps } => {
+                println!("  target: incremental ({overdeleted} overdeleted, {steps} chase steps)")
+            }
+            TargetPath::Rebuilt { steps } => println!("  target: rebuilt ({steps} chase steps)"),
+        }
         for (name, path) in &report.queries {
             let how = match path {
                 QueryPath::Skipped => "skipped (unaffected)".to_string(),

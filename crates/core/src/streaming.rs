@@ -573,6 +573,32 @@ mod tests {
         assert_eq!(sess.answers("all").unwrap().0.len(), 2);
     }
 
+    /// A csol tuple that loses its last witness and gains a new one in
+    /// one batch did not change; with `adom(S)` unmoved as well, even a
+    /// non-positive query skips the batch.
+    #[test]
+    fn reborn_csol_tuple_skips_a_non_positive_query() {
+        let mapping = Mapping::parse("StrmP(x:cl) <- StrmE(x, y)").unwrap();
+        let mut source = Instance::new();
+        source.insert_names("StrmE", &["a", "b1"]);
+        source.insert_names("StrmE", &["b1", "b2"]);
+        let mut sess = StreamSession::new(mapping.clone(), Vec::new(), source.clone());
+        let q = Query::parse(&["x"], "StrmP(x) & !StrmP('b2')").unwrap();
+        sess.register("neg", q.clone(), StreamRegime::Certain);
+
+        let up = Update::new()
+            .retract_names("StrmE", &["a", "b1"])
+            .insert_names("StrmE", &["a", "b2"]);
+        let report = sess.update(&up);
+        assert!(report.update.changed_rels().is_empty());
+        assert_eq!(report.queries[0].1, QueryPath::Skipped);
+        up.apply(&mut source);
+        assert_eq!(
+            names(&sess.answers("neg").unwrap().0),
+            names(&oracle(&mapping, &source, &q))
+        );
+    }
+
     #[test]
     fn untouched_query_is_skipped() {
         let mapping =

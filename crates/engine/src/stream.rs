@@ -27,24 +27,28 @@
 //! **Layer 2 — the chased target (when target constraints are present).**
 //! The engine runs the same indexed restricted chase as
 //! [`crate::indexed_chase`], but *records derivations*: each tgd firing
-//! logs the tuple ids its body matched and the head ids it produced.
+//! logs the tuple ids its body matched and the head ids it produced, and
+//! each egd merge logs the ids its match rested on, the ids it retired
+//! (with their pre-merge content) and the ids it rewrote them into.
 //! Retraction uses **overdelete + re-derive** (DRed-style), not
 //! derivation counting — counting alone is unsound for recursive tgds,
 //! where a cycle of derivations (e.g. a symmetry tgd) keeps tuples alive
-//! with no surviving base support. A base deletion kills every firing
-//! whose recorded body contains a deleted id, transitively overdeleting
-//! their heads; overdeleted tuples still present in Layer 1 are
+//! with no surviving base support. A base deletion kills every firing and
+//! merge whose recorded body contains a deleted id, transitively
+//! overdeleting what they produced; a dead merge's surviving pre-images
+//! are **restored**. Overdeleted tuples still present in Layer 1 are
 //! re-inserted, the rest get a **head-seeded re-derivation** pass (unify
 //! the lost tuple with each tgd head, join the body under the surviving
 //! frontier bindings, re-fire if the head became unsatisfiable), and a
-//! final semi-naive closure restores satisfaction. Egd merges rewrite
-//! tuple ids wholesale, which stales the derivation log — the engine
-//! tracks a `merged` taint and falls back to a full **rebuild** of the
-//! target layer (a from-scratch re-chase of the maintained `CSol_A`) on
-//! the next deleting batch, as it does after `Failed`/`StepLimit`
-//! outcomes or empty-marker transitions. The rebuild shares the recording
-//! closure with the incremental path, so there is a single code path to
-//! trust.
+//! final semi-naive closure restores satisfaction, re-merging restored
+//! pre-images wherever an egd still fires — so target constraints are
+//! maintained through merges without a re-chase. A full **rebuild** of
+//! the target layer (a from-scratch re-chase of the maintained `CSol_A`)
+//! remains for the initial build, after `Failed`/`StepLimit` outcomes,
+//! on empty-marker transitions, and as the log's garbage collection once
+//! its dead slots outnumber the live ones. The rebuild shares the
+//! recording closure with the incremental path, so there is a single
+//! code path to trust.
 //!
 //! The exchange also counts each constant's occurrences in the source, so
 //! [`IncrementalExchange::adom_contains`] is O(1) and every
@@ -65,8 +69,8 @@ use dx_chase::{
 };
 use dx_logic::{Formula, Term};
 use dx_relation::{
-    AnnInstance, AnnTuple, Annotation, AppliedUpdate, ConstId, DeltaIndex, FastMap, Instance,
-    NullGen, NullId, RelSym, Tuple, Update, Value, Var,
+    AnnInstance, AnnTuple, Annotation, AppliedUpdate, ConstId, DeltaIndex, FastMap, FastSet,
+    Instance, NullGen, NullId, RelSym, Tuple, Update, Value, Var,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -99,9 +103,9 @@ pub enum TargetPath {
         /// Chase steps spent by re-derivation and the closing run.
         steps: usize,
     },
-    /// Full re-chase of the maintained canonical solution (egd-merge
-    /// taint, a non-`Satisfied` prior outcome, or an empty-marker
-    /// transition).
+    /// Full re-chase of the maintained canonical solution (a
+    /// non-`Satisfied` prior outcome, an empty-marker transition, or the
+    /// derivation log's garbage collection).
     Rebuilt {
         /// Chase steps spent by the rebuild.
         steps: usize,
@@ -173,17 +177,23 @@ struct StdState {
     witnesses: BTreeMap<Vec<Value>, Vec<(Var, NullId)>>,
 }
 
-/// One recorded tgd firing in the target-layer derivation log.
+/// One entry of the target-layer derivation log: a tgd firing or an egd
+/// merge. The ids its match rested on are registered in
+/// [`TargetState::by_body`].
 struct Firing {
-    /// Ids of the head tuples this firing produced (or found already
-    /// present — overdeleting a duplicate is conservative but sound,
-    /// since re-derivation restores independently supported tuples).
+    /// Ids the entry produced: a firing's head tuples, a merge's rewritten
+    /// tuples — fresh, or found already present (overdeleting a duplicate
+    /// is conservative but sound, since re-derivation restores
+    /// independently supported tuples).
     heads: Vec<TupleId>,
-    /// Is this firing still supported (no recorded body tuple deleted)?
+    /// Ids a merge retired, whose pre-merge content waits in
+    /// [`TargetState::retired`]; empty for a tgd firing.
+    retired: Vec<TupleId>,
+    /// Is this entry still supported (no recorded body tuple deleted)?
     alive: bool,
 }
 
-/// The chased target layer: index, derivation log, and taint flags.
+/// The chased target layer: index and derivation log.
 struct TargetState {
     idx: IndexedInstance,
     outcome: ChaseOutcome,
@@ -191,11 +201,19 @@ struct TargetState {
     /// keyed by their annotated content.
     base_ids: FastMap<(RelSym, AnnTuple), TupleId>,
     firings: Vec<Firing>,
-    /// body tuple id → indices of firings that matched it.
+    /// body tuple id → indices of the firings and merges that matched it.
     by_body: FastMap<TupleId, Vec<usize>>,
-    /// An egd merge rewrote ids — the derivation log is stale, so the
-    /// next deleting batch must rebuild.
-    merged: bool,
+    /// merge output id → indices of the merges that produced it.
+    made_by: FastMap<TupleId, Vec<usize>>,
+    /// retired id → its pre-merge content, while the merge that retired
+    /// it is alive.
+    retired: FastMap<TupleId, (RelSym, AnnTuple)>,
+    /// retired id → the id holding its content now: the merge's output,
+    /// or the tuple it was restored as.
+    moved: FastMap<TupleId, TupleId>,
+    /// restored id → the retired ids whose content it holds again; the
+    /// two die together.
+    restored: FastMap<TupleId, Vec<TupleId>>,
 }
 
 /// Incrementally maintained data exchange over a mutable ground source
@@ -279,6 +297,17 @@ fn src_ann(t: &Tuple) -> AnnTuple {
     AnnTuple::new(t.clone(), Annotation::all_closed(t.arity()))
 }
 
+/// Mirror a ground source into a fresh indexed store.
+fn mirror(source: &Instance) -> IndexedInstance {
+    let mut idx = IndexedInstance::new();
+    for (rel, r) in source.relations() {
+        for t in r.iter() {
+            idx.insert(rel, src_ann(t));
+        }
+    }
+    idx
+}
+
 impl IncrementalExchange {
     /// Build the exchange state for `source` under `mapping` and target
     /// `constraints`, chasing with the default step limit.
@@ -297,14 +326,11 @@ impl IncrementalExchange {
         max_steps: usize,
     ) -> Self {
         assert!(source.is_ground(), "source instances must be over Const");
-        let mut src_idx = IndexedInstance::new();
+        let src_idx = mirror(&source);
         let mut adom_counts: FastMap<ConstId, u32> = FastMap::default();
-        for (rel, r) in source.relations() {
-            for t in r.iter() {
-                src_idx.insert(rel, src_ann(t));
-                for c in t.consts() {
-                    *adom_counts.entry(c).or_insert(0) += 1;
-                }
+        for (_, r) in source.relations() {
+            for c in r.iter().flat_map(|t| t.consts()) {
+                *adom_counts.entry(c).or_insert(0) += 1;
             }
         }
         let mut inc = IncrementalExchange {
@@ -417,6 +443,13 @@ impl IncrementalExchange {
         }
     }
 
+    /// The chased target's indexed store — live tuples plus the dead slots
+    /// the derivation log has not yet collected; `None` without target
+    /// constraints.
+    pub fn chased_index(&self) -> Option<&IndexedInstance> {
+        self.target.as_ref().map(|ts| &ts.idx)
+    }
+
     /// Outcome of the most recent target chase (`Satisfied` when there
     /// are no constraints).
     pub fn chase_outcome(&self) -> ChaseOutcome {
@@ -468,6 +501,11 @@ impl IncrementalExchange {
         }
         for (rel, t) in &applied.inserted {
             self.src_idx.insert(*rel, src_ann(t));
+        }
+        // Retracted tuples leave dead slots behind, and no id outlives the
+        // batch: rebuild the mirror once the dead outnumber the live.
+        if self.src_idx.slot_count() > 2 * self.src_idx.live_count() {
+            self.src_idx = mirror(&self.source);
         }
 
         // Phase B: newborn witnesses — seeded over the NEW index for CQ
@@ -524,6 +562,19 @@ impl IncrementalExchange {
                 marks_changed = true;
                 self.shift_marks(i, now_empty);
             }
+        }
+        // A tuple that lost its last witness and gained a new one in the
+        // same batch did not change.
+        if !added_tuples.is_empty() && !removed_tuples.is_empty() {
+            let gone: FastSet<&(RelSym, AnnTuple)> = removed_tuples.iter().collect();
+            let back: FastSet<(RelSym, AnnTuple)> = (added_tuples.iter())
+                .filter(|key| gone.contains(key))
+                .cloned()
+                .collect();
+            added_tuples.retain(|key| !back.contains(key));
+            removed_tuples.retain(|key| !back.contains(key));
+            report.csol_added = added_tuples.len();
+            report.csol_removed = removed_tuples.len();
         }
 
         // Propagate the canonical-solution delta into the chased target.
@@ -715,7 +766,10 @@ impl IncrementalExchange {
             base_ids: FastMap::default(),
             firings: Vec::new(),
             by_body: FastMap::default(),
-            merged: false,
+            made_by: FastMap::default(),
+            retired: FastMap::default(),
+            moved: FastMap::default(),
+            restored: FastMap::default(),
         };
         let mut queue = VecDeque::new();
         for (rel, r) in self.csol.relations() {
@@ -741,8 +795,9 @@ impl IncrementalExchange {
     }
 
     /// Propagate a canonical-solution delta into the chased target:
-    /// overdelete + re-derive when the derivation log is trustworthy,
-    /// full rebuild otherwise.
+    /// overdelete + re-derive over the derivation log, or a full rebuild
+    /// when the last outcome was not `Satisfied`, an empty marker flipped,
+    /// or the log's dead slots outnumber its live ones.
     fn update_target(
         &mut self,
         added: &[(RelSym, AnnTuple)],
@@ -753,7 +808,7 @@ impl IncrementalExchange {
             let ts = self.target.as_ref().expect("target layer present");
             marks_changed
                 || ts.outcome != ChaseOutcome::Satisfied
-                || (ts.merged && !removed.is_empty())
+                || ts.idx.slot_count() > 2 * ts.idx.live_count()
         };
         if stale {
             let steps = self.rebuild_target();
@@ -761,41 +816,26 @@ impl IncrementalExchange {
         }
         let ts = self.target.as_mut().expect("target layer present");
 
-        // Overdelete: kill every firing a deleted tuple fed, cascading
-        // through the derivation log.
-        let mut dq: VecDeque<TupleId> = removed
-            .iter()
+        let mut queue = VecDeque::new();
+        let gone: Vec<TupleId> = (removed.iter())
             .filter_map(|key| ts.base_ids.remove(key))
             .collect();
-        let mut deleted: Vec<(RelSym, AnnTuple)> = Vec::new();
-        while let Some(id) = dq.pop_front() {
-            let Some((rel, at)) = ts.idx.retract(id) else {
-                continue; // already overdeleted via another firing
-            };
-            deleted.push((rel, at));
-            if let Some(fids) = ts.by_body.get(&id) {
-                for &fi in fids {
-                    let f = &mut ts.firings[fi];
-                    if f.alive {
-                        f.alive = false;
-                        dq.extend(f.heads.iter().copied());
-                    }
-                }
-            }
-        }
+        let (dead, deleted) = ts.overdelete(gone, &mut queue);
         let overdeleted = deleted.len();
 
         // Re-insert overdeleted tuples that are still canonical-solution
-        // (Layer 1) tuples — their base support is independent of the
-        // killed firings.
-        let mut queue = VecDeque::new();
+        // (Layer 1) tuples whose base id died — their base support is
+        // independent of the killed entries. The content of a retired id
+        // counts too: a merge may have consumed it.
         let mut reinserted: BTreeSet<(RelSym, AnnTuple)> = BTreeSet::new();
         for (rel, at) in &deleted {
-            if self.csol.contains(*rel, at) {
+            let key = (*rel, at.clone());
+            let base_dead = ts.base_ids.get(&key).is_none_or(|id| dead.contains(id));
+            if base_dead && self.csol.contains(*rel, at) {
                 let id = ts.idx.insert(*rel, at.clone()).id();
-                ts.base_ids.insert((*rel, at.clone()), id);
+                ts.base_ids.insert(key.clone(), id);
                 queue.push_back(id);
-                reinserted.insert((*rel, at.clone()));
+                reinserted.insert(key);
             }
         }
 
@@ -901,6 +941,68 @@ impl UpdateReport {
     }
 }
 
+impl TargetState {
+    /// Log entry `fi` rests on the ids matching the fully bound `body`
+    /// under `asg` (every id carrying these values supports the match;
+    /// recording all of them overdeletes conservatively, which
+    /// re-derivation repairs).
+    fn record_body(&mut self, fi: usize, body: &[(RelSym, Vec<Term>)], asg: &Asg) {
+        for (rel, args) in body {
+            for id in self.idx.matching(*rel, &chase::pattern(args, asg)) {
+                self.by_body.entry(id).or_default().push(fi);
+            }
+        }
+    }
+
+    /// The overdelete cascade: kill the ids in `gone` and everything the
+    /// log rests on them, then restore the surviving pre-images of the
+    /// merges that died (queued for the closure, which re-merges them
+    /// wherever an egd still fires). An id dies when a firing or merge
+    /// that produced it dies, when the id whose content it holds dies, or
+    /// when the tuple restored from it dies; a dying id kills the firings
+    /// and merges resting on it and the merges that produced it. Returns
+    /// the dead ids and the content of those that held one, live or
+    /// retired.
+    fn overdelete(
+        &mut self,
+        gone: Vec<TupleId>,
+        queue: &mut VecDeque<TupleId>,
+    ) -> (FastSet<TupleId>, Vec<(RelSym, AnnTuple)>) {
+        let mut dead: FastSet<TupleId> = FastSet::default();
+        let mut dq: VecDeque<TupleId> = gone.into_iter().filter(|&id| dead.insert(id)).collect();
+        let mut deleted = Vec::new();
+        let mut orphans: Vec<TupleId> = Vec::new();
+        while let Some(id) = dq.pop_front() {
+            if let Some(content) = self.idx.retract(id).or_else(|| self.retired.remove(&id)) {
+                deleted.push(content);
+            }
+            let mut next: Vec<TupleId> = self.moved.remove(&id).into_iter().collect();
+            next.extend(self.restored.remove(&id).into_iter().flatten());
+            let entries = (self.by_body.remove(&id).into_iter().flatten())
+                .chain(self.made_by.remove(&id).into_iter().flatten());
+            for fi in entries {
+                let f = &mut self.firings[fi];
+                if std::mem::take(&mut f.alive) {
+                    next.append(&mut std::mem::take(&mut f.heads));
+                    orphans.append(&mut std::mem::take(&mut f.retired));
+                }
+            }
+            dq.extend(next.into_iter().filter(|&n| dead.insert(n)));
+        }
+        for p in orphans {
+            if dead.contains(&p) {
+                continue;
+            }
+            let (rel, at) = (self.retired.remove(&p)).expect("a live merge keeps its pre-images");
+            let id = self.idx.insert(rel, at).id();
+            queue.push_back(id);
+            self.moved.insert(p, id);
+            self.restored.entry(id).or_default().push(p);
+        }
+        (dead, deleted)
+    }
+}
+
 /// Fire a tgd trigger with derivation recording: log the body tuple ids
 /// the match rests on and the head ids it produced.
 fn fire_recorded(
@@ -911,13 +1013,7 @@ fn fire_recorded(
     queue: &mut VecDeque<TupleId>,
 ) {
     let fi = ts.firings.len();
-    let mut body_ids = Vec::with_capacity(tgd.body.len());
-    for (rel, args) in &tgd.body {
-        // The match is total, so the pattern is fully ground; every id
-        // carrying these values supports the match (recording all of them
-        // overdeletes conservatively, which re-derivation repairs).
-        body_ids.extend(ts.idx.matching(*rel, &chase::pattern(args, asg)));
-    }
+    ts.record_body(fi, &tgd.body, asg);
     let mut env = asg.clone();
     for z in tgd.existential_vars() {
         env.insert(z, Value::Null(gen.fresh()));
@@ -944,15 +1040,51 @@ fn fire_recorded(
             Inserted::Duplicate(id) => heads.push(id),
         }
     }
-    for id in &body_ids {
-        ts.by_body.entry(*id).or_default().push(fi);
+    ts.firings.push(Firing {
+        heads,
+        retired: Vec::new(),
+        alive: true,
+    });
+}
+
+/// Merge `l` and `r` (an egd step, one of them a null) with derivation
+/// recording: log the body ids the match rests on, the ids the merge
+/// retires with their content, and the ids it rewrites them into.
+fn merge_recorded(
+    ts: &mut TargetState,
+    body: &[(RelSym, Vec<Term>)],
+    asg: &Asg,
+    (l, r): (Value, Value),
+    queue: &mut VecDeque<TupleId>,
+) {
+    let fi = ts.firings.len();
+    ts.record_body(fi, body, asg);
+    let null = if matches!(l, Value::Null(_)) { l } else { r };
+    let retired = ts.idx.ids_with_value(null);
+    for &id in &retired {
+        let (rel, at) = ts.idx.get(id).expect("ids_with_value yields live ids");
+        ts.retired.insert(id, (rel, at.clone()));
     }
-    ts.firings.push(Firing { heads, alive: true });
+    // `chase::merge` queues one rewritten id per retired id, in order.
+    let mut heads = VecDeque::with_capacity(retired.len());
+    chase::merge(&mut ts.idx, l, r, &mut heads);
+    debug_assert_eq!(heads.len(), retired.len());
+    let heads = Vec::from(heads);
+    for (&old, &new) in retired.iter().zip(&heads) {
+        ts.moved.insert(old, new);
+        ts.made_by.entry(new).or_default().push(fi);
+    }
+    queue.extend(&heads);
+    ts.firings.push(Firing {
+        heads,
+        retired,
+        alive: true,
+    });
 }
 
 /// The recording semi-naive closure: the [`crate::indexed_chase`] loop,
-/// but every tgd firing lands in the derivation log and egd merges taint
-/// it. Returns the cumulative step count; sets `ts.outcome`.
+/// but every tgd firing and egd merge lands in the derivation log.
+/// Returns the cumulative step count; sets `ts.outcome`.
 fn run_closure(
     ts: &mut TargetState,
     deps: &[TargetDep],
@@ -1010,8 +1142,7 @@ fn run_closure(
                                         ts.outcome = ChaseOutcome::StepLimit;
                                         return steps;
                                     }
-                                    chase::merge(&mut ts.idx, l, r, &mut queue);
-                                    ts.merged = true;
+                                    merge_recorded(ts, &egd.body, &asg, (l, r), &mut queue);
                                     steps += 1;
                                     if ts.idx.get(seed).is_some() {
                                         queue.push_back(seed);
@@ -1254,8 +1385,9 @@ mod tests {
 
     #[test]
     fn retraction_after_merge_rebuilds() {
-        // The egd merges the STD's fresh null with a constant; the
-        // derivation log is then stale, so a retraction must rebuild.
+        // The egd merges the STD's fresh null with a constant. Retracting
+        // the only StrE fact empties that STD's witness set, and the
+        // empty-marker transition rebuilds the target layer.
         let m = Mapping::parse("StrR(x:cl, z:op) <- StrE(x, y); StrR(x:cl, y:cl) <- StrK(x, y)")
             .unwrap();
         let deps = TargetDep::parse_many("y1 = y2 <- StrR(x, y1) & StrR(x, y2)").unwrap();
@@ -1269,10 +1401,171 @@ mod tests {
         let r = inc.update(&Update::new().retract_names("StrE", &["a", "t"]));
         assert!(
             matches!(r.target, TargetPath::Rebuilt { .. }),
-            "merge taints the log, got {:?}",
+            "the empty-marker transition rebuilds, got {:?}",
             r.target
         );
         assert_chased_matches(&inc);
+    }
+
+    #[test]
+    fn retraction_after_merge_stays_incremental() {
+        // As above, with a second StrE fact: no marker flips, so the
+        // merge log carries the retraction — the merged null's tuple
+        // leaves, the constant's stays.
+        let m = Mapping::parse("StrR(x:cl, z:op) <- StrE(x, y); StrR(x:cl, y:cl) <- StrK(x, y)")
+            .unwrap();
+        let deps = TargetDep::parse_many("y1 = y2 <- StrR(x, y1) & StrR(x, y2)").unwrap();
+        let mut inc = IncrementalExchange::new(
+            m,
+            deps,
+            src(&[
+                ("StrE", &["a", "t"]),
+                ("StrE", &["b", "t"]),
+                ("StrK", &["a", "k"]),
+            ]),
+        );
+        assert_chased_matches(&inc);
+        let r = inc.update(&Update::new().retract_names("StrE", &["a", "t"]));
+        assert!(
+            matches!(r.target, TargetPath::Incremental { .. }),
+            "the merge log carries the retraction, got {:?}",
+            r.target
+        );
+        assert_chased_matches(&inc);
+        // And back: the re-born null merges again.
+        let r = inc.update(&Update::new().insert_names("StrE", &["a", "t"]));
+        assert!(matches!(r.target, TargetPath::Incremental { .. }));
+        assert_chased_matches(&inc);
+    }
+
+    /// A tuple that loses its last witness and gains a new one in the same
+    /// batch did not change: the batch reports no delta at all.
+    #[test]
+    fn reborn_csol_tuple_is_neither_added_nor_removed() {
+        let m = Mapping::parse("StrP(x:cl) <- StrE(x, y)").unwrap();
+        let mut inc = IncrementalExchange::new(m, Vec::new(), src(&[("StrE", &["a", "b1"])]));
+        let r = inc.update(
+            &Update::new()
+                .retract_names("StrE", &["a", "b1"])
+                .insert_names("StrE", &["a", "b2"]),
+        );
+        assert_eq!((r.witnesses_died, r.witnesses_born), (1, 1));
+        assert!(r.added.is_empty() && r.removed.is_empty(), "{r:?}");
+        assert_eq!((r.csol_added, r.csol_removed), (0, 0));
+        assert!(r.changed_rels().is_empty());
+        assert_csol_matches(&inc);
+    }
+
+    /// A sliding window of papers under the one-author egd and a
+    /// conflict-of-interest tgd: every batch inserts one paper and
+    /// retracts the oldest, so merges die and are born on every batch.
+    /// The source mirror and the target layer's log stay within a constant
+    /// factor of their live size, and the target stays a chase result.
+    #[test]
+    fn merge_log_and_source_mirror_stay_bounded() {
+        let m = Mapping::parse(
+            "GcSub(p:cl, a:op) <- GcPapers(p, t); GcSub(p:cl, a:cl) <- GcWrote(p, a); \
+             GcRev(p:cl, r:cl) <- GcAssign(p, r); GcAff(x:cl, u:cl) <- GcAffil(x, u)",
+        )
+        .unwrap();
+        let deps = TargetDep::parse_many(
+            "a = b <- GcSub(p, a) & GcSub(p, b); \
+             GcCoi(p:cl, r:cl, u:cl) <- GcRev(p, r) & GcAff(r, u) & GcSub(p, a) & GcAff(a, u)",
+        )
+        .unwrap();
+        let paper = |i: usize| {
+            let p = format!("p{i}");
+            Update::new()
+                .insert_names("GcPapers", &[&p, "t"])
+                .insert_names("GcWrote", &[&p, &format!("a{}", i % 5)])
+                .insert_names("GcAssign", &[&p, &format!("a{}", (i + 1) % 5)])
+        };
+        let mut s = src(&[]);
+        for a in 0..5 {
+            s.insert_names("GcAffil", &[&format!("a{a}"), &format!("u{}", a % 2)]);
+        }
+        const WINDOW: usize = 100;
+        for i in 0..WINDOW {
+            paper(i).apply(&mut s);
+        }
+        let mut inc = IncrementalExchange::new(m, deps, s);
+        let (mut collected, mut incremental) = (0usize, 0usize);
+        for i in WINDOW..3000 {
+            let mut up = paper(i);
+            for (rel, t) in paper(i - WINDOW).inserts() {
+                up.retract(*rel, t.clone());
+            }
+            let r = inc.update(&up);
+            match r.target {
+                TargetPath::Rebuilt { .. } => collected += 1,
+                TargetPath::Incremental { .. } => incremental += 1,
+                TargetPath::None => {}
+            }
+            assert!(inc.src_idx.slot_count() <= 2 * inc.src_idx.live_count());
+            let ts = inc.target.as_ref().expect("constraints present");
+            let (live, slots) = (ts.idx.live_count(), ts.idx.slot_count());
+            assert!(
+                slots <= 3 * live,
+                "batch {i}: {slots} target slots, {live} live"
+            );
+            assert!(
+                ts.firings.len() <= 3 * live,
+                "batch {i}: {} log entries, {live} live tuples",
+                ts.firings.len()
+            );
+            if i % 500 == 0 {
+                assert_chased_matches(&inc);
+            }
+        }
+        assert_chased_matches(&inc);
+        assert!(
+            collected > 0 && incremental > 10 * collected,
+            "{collected} / {incremental}"
+        );
+    }
+
+    /// A merge output retired by a second merge that died comes back as a
+    /// restored tuple; when that tuple later dies as the duplicate output
+    /// of a third merge, the id it was restored from dies with it, so the
+    /// first merge's pre-image returns and is merged again.
+    #[test]
+    fn a_restored_tuple_dies_with_the_id_it_was_restored_from() {
+        let m = Mapping::parse(
+            "RsT(x:cl, z:op) <- RsE(x); RsT(x:cl, z:op) <- RsF(x); RsT(x:cl, y:cl) <- RsK(x, y); \
+             RsL(x:cl, y:cl) <- RsLink(x, y)",
+        )
+        .unwrap();
+        let deps = TargetDep::parse_many(
+            "a = b <- RsT(x, a) & RsT(x, b); a = b <- RsL(x, y) & RsT(x, a) & RsT(y, b)",
+        )
+        .unwrap();
+        let mut s = src(&[
+            ("RsE", &["x"]),
+            ("RsE", &["y"]),
+            ("RsLink", &["x", "y"]),
+            // Keep every witness set non-empty: no marker flips.
+            ("RsF", &["w"]),
+        ]);
+        // Live ballast, so that no batch here collects garbage.
+        for i in 0..12 {
+            s.insert_names("RsK", &[&format!("b{i}"), "u"]);
+        }
+        let mut inc = IncrementalExchange::new(m, deps, s);
+        assert_chased_matches(&inc);
+        for up in [
+            Update::new().insert_names("RsK", &["y", "v"]),
+            Update::new().retract_names("RsK", &["y", "v"]),
+            Update::new().insert_names("RsF", &["x"]),
+            Update::new().retract_names("RsF", &["x"]),
+        ] {
+            let r = inc.update(&up);
+            assert!(
+                matches!(r.target, TargetPath::Incremental { .. }),
+                "{up}: no marker flips, got {:?}",
+                r.target
+            );
+            assert_chased_matches(&inc);
+        }
     }
 
     #[test]

@@ -456,7 +456,7 @@ fn minimal_images_parallel(
     while d + 1 < nulls.len() && prefixes.len() < threads * 4 {
         let mut next = Vec::with_capacity(prefixes.len() * 2);
         for (choices, fresh_used) in &prefixes {
-            for c in palette.choices(*fresh_used).collect::<Vec<_>>() {
+            for c in palette.choices(*fresh_used) {
                 let nf = fresh_used + usize::from(palette.is_next_fresh(c, *fresh_used));
                 let mut ext = choices.clone();
                 ext.push(c);
@@ -625,8 +625,7 @@ impl<'a> MinimalWalker<'a> {
             self.images.insert(self.overlay.to_instance());
             return;
         }
-        let choices: Vec<ConstId> = palette.choices(fresh_used).collect();
-        for c in choices {
+        for c in palette.choices(fresh_used) {
             let next_fresh = fresh_used + usize::from(palette.is_next_fresh(c, fresh_used));
             self.assign(nulls[i], c, v);
             self.dfs(nulls, i + 1, next_fresh, palette, v);
@@ -1145,8 +1144,7 @@ impl<'a> State<'a> {
             self.extras_phase(v);
             return;
         }
-        let choices: Vec<ConstId> = palette.choices(fresh_used).collect();
-        for c in choices {
+        for c in palette.choices(fresh_used) {
             let next_fresh = fresh_used + usize::from(palette.is_next_fresh(c, fresh_used));
             let applied = self.assign(nulls[i], c, v);
             self.valuation_dfs(nulls, i + 1, next_fresh, palette, v);

@@ -9,7 +9,12 @@
 //! constants, and enforces first-use symmetry breaking during enumeration.
 
 use dx_relation::ConstId;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::{Mutex, PoisonError};
+
+/// The canonical fresh constants `⋆{prefix}{i}` interned so far, by
+/// prefix: each name is formatted and interned once per process.
+static FRESH_NAMES: Mutex<BTreeMap<String, Vec<ConstId>>> = Mutex::new(BTreeMap::new());
 
 /// A pool of constants for witness search.
 #[derive(Clone, Debug)]
@@ -25,13 +30,24 @@ impl Palette {
     pub fn new(base: impl IntoIterator<Item = ConstId>, n_fresh: usize, prefix: &str) -> Self {
         let base_set: BTreeSet<ConstId> = base.into_iter().collect();
         let mut fresh = Vec::with_capacity(n_fresh);
-        let mut i = 0usize;
-        while fresh.len() < n_fresh {
-            let c = ConstId::new(&format!("⋆{prefix}{i}"));
-            if !base_set.contains(&c) {
-                fresh.push(c);
+        if n_fresh > 0 {
+            // Every update pushes one interned name, so the cache stays
+            // valid even if a holder panicked.
+            let mut names = FRESH_NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+            if !names.contains_key(prefix) {
+                names.insert(prefix.to_owned(), Vec::new());
             }
-            i += 1;
+            let names = names.get_mut(prefix).expect("inserted above");
+            let mut i = 0usize;
+            while fresh.len() < n_fresh {
+                if i == names.len() {
+                    names.push(ConstId::new(&format!("⋆{prefix}{i}")));
+                }
+                if !base_set.contains(&names[i]) {
+                    fresh.push(names[i]);
+                }
+                i += 1;
+            }
         }
         Palette {
             base: base_set.into_iter().collect(),
