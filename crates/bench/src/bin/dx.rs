@@ -24,7 +24,7 @@
 use dx_bench::corpus::{run_corpus, CorpusStats};
 use dx_chase::chase_engine::{ChaseOutcome, DEFAULT_CHASE_LIMIT};
 use dx_chase::{canonical_solution_with_deps_via, NaiveChase};
-use dx_core::regimes::RegimeBudget;
+use dx_core::regimes::{ApproxRoute, GcwaRoute, RegimeBudget};
 use dx_core::streaming::{affected_target_rels, QueryPath, StreamRegime, StreamSession};
 use dx_core::Exchange;
 use dx_engine::{IndexedChase, TargetPath};
@@ -37,6 +37,10 @@ const USAGE: &str = "usage:
   dx gen --seed <S> [--grade <0..3>]
   dx corpus [--seeds <N>] [--grades <lo,hi>] [--out <path.json>]
   dx <file.dx> [--query <NAME>] [--chase|--certain|--gcwa|--approx|--all] [--updates] [--explain]";
+
+/// How `--gcwa` and `--approx` name the route of a monotone query: its
+/// certain answers, by Proposition 3 or Proposition 4's image sweep.
+const MONOTONE_ROUTE: &str = "Prop 4 (monotone)";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -196,18 +200,28 @@ fn cmd_run(path: &str, args: &[String]) -> ExitCode {
         }
         if wants("--gcwa") {
             let out = ex.gcwa_star_answers(&nq.query, &regime_budget);
+            let route = match out.route {
+                GcwaRoute::Monotone => MONOTONE_ROUTE.to_owned(),
+                GcwaRoute::UnionWalk => format!(
+                    "union walk: {} minimal, {} unions",
+                    out.minimal_solutions, out.unions
+                ),
+            };
             println!(
-                "gcwa*     [{}]: {} ({} minimal solutions, {} unions)",
+                "gcwa*     [{}]: {} via {route}",
                 comp_label(out.completeness),
                 render_rel(&out.answers),
-                out.minimal_solutions,
-                out.unions
             );
         }
         if wants("--approx") {
             let out = ex.approx_certain_answers(&nq.query, Some(&budget));
+            let route = match out.route {
+                ApproxRoute::Monotone => MONOTONE_ROUTE.to_owned(),
+                ApproxRoute::CTable => "c-table (all closed)".to_owned(),
+                ApproxRoute::Sampled => format!("sampling: {} leaves", out.leaves),
+            };
             println!(
-                "approx    [{}]: lower {} / upper {} (tight: {})",
+                "approx    [{}]: lower {} / upper {} (tight: {}) via {route}",
                 comp_label(out.completeness),
                 render_rel(&out.lower),
                 render_rel(&out.upper),

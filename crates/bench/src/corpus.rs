@@ -38,7 +38,7 @@ use dx_chase::chase_engine::{ChaseOutcome, DEFAULT_CHASE_LIMIT};
 use dx_chase::core::{ann_core_of, ann_hom_equivalent, ann_isomorphic};
 use dx_chase::{canonical_solution, canonical_solution_with_deps_via, ChaseStrategy, NaiveChase};
 use dx_core::certain::certain_answers;
-use dx_core::regimes::RegimeBudget;
+use dx_core::regimes::{GcwaRoute, RegimeBudget};
 use dx_core::streaming::{QueryPath, StreamRegime, StreamSession};
 use dx_core::Exchange;
 use dx_engine::IndexedChase;
@@ -376,11 +376,19 @@ pub fn race_scenario(sc: &Scenario) -> ScenarioReport {
             gcwa_set, union_oracle,
             "{label} {qname}: GCWA* answers disagree with the union oracle\n{text}"
         );
-        assert_eq!(
-            gcwa.minimal_solutions,
-            fast_minimal.len(),
-            "{label} {qname}"
-        );
+        if classify::is_monotone(&query.formula) {
+            assert_eq!(gcwa.route, GcwaRoute::Monotone, "{label} {qname}");
+            assert_eq!(
+                gcwa_set, cert_set,
+                "{label} {qname}: GCWA* must equal certain answers on monotone queries\n{text}"
+            );
+        } else {
+            assert_eq!(
+                gcwa.minimal_solutions,
+                fast_minimal.len(),
+                "{label} {qname}"
+            );
+        }
         if classify::is_positive(&query.formula) {
             assert_eq!(
                 gcwa_set, cert_set,

@@ -18,6 +18,13 @@
 //! \* complete for the budget `(qr(φ)+arity)·2ⁿ` externals per Lemma 2 —
 //! available by passing an explicit [`SearchBudget`], astronomically
 //! expensive by design (the problem is coNEXPTIME-complete).
+//!
+//! ## Answer sets: one search per palette group
+//!
+//! [`Exchange::certain_answers`] runs one refutation sweep per *palette
+//! group* of candidates, not one search per candidate, with the same
+//! answers and completeness; the equivalence argument is in DESIGN.md
+//! §dx-core `regimes`.
 
 use crate::Exchange;
 use dx_chase::{Mapping, TargetDep};
@@ -25,8 +32,9 @@ use dx_logic::classify::{self, QueryClass};
 use dx_logic::Query;
 use dx_query::{PlanCatalog, QueryEval};
 use dx_relation::{AnnInstance, ConstId, Instance, NullGen, Relation, Tuple};
-use dx_solver::{search_rep_a_indexed, Completeness, Leaf, SearchBudget};
-use std::collections::BTreeSet;
+use dx_solver::{search_rep_a_indexed, Completeness, Leaf, SearchBudget, SearchOutcome};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which decision procedure handled a certain-answer query.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -124,36 +132,19 @@ impl Exchange<'_> {
     /// Decide `t̄ ∈ certain_Σα(Q, S)`.
     ///
     /// `budget` only affects the `OpenBounded` regime (`#op ≥ 1` with a
-    /// full-FO query); all other regimes use their theory-exact witness
-    /// spaces.
+    /// full-FO query) and the leaf cap of the `∀*∃*` space; all other
+    /// regimes use their theory-exact witness spaces. Query evaluation
+    /// (the Proposition 3 naive path and every `Rep_A` refutation check)
+    /// runs on a [`QueryEval`] drawn from the shared [`PlanCatalog`].
     pub fn certain_contains(
         &self,
         query: &Query,
         tuple: &Tuple,
         budget: Option<&SearchBudget>,
     ) -> CertainOutcome {
-        let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
-        let mono_rigid = monotone_rigid(query, &self.csol);
-        self.certain_contains_eval(&ev, mono_rigid, tuple, budget)
-    }
-
-    /// The worker behind [`Exchange::certain_contains`]: query evaluation
-    /// (both the Proposition 3 naive path and every `Rep_A` refutation
-    /// check) runs on a [`QueryEval`] drawn from the shared
-    /// [`PlanCatalog`] — a `dx-query` compiled plan when the formula is
-    /// safe-range, the tree-walking oracle otherwise. Refutation checks
-    /// probe the search's incrementally maintained index
-    /// ([`Leaf::index`]); candidate instances are never re-indexed.
-    fn certain_contains_eval(
-        &self,
-        ev: &QueryEval,
-        monotone_rigid: bool,
-        tuple: &Tuple,
-        budget: Option<&SearchBudget>,
-    ) -> CertainOutcome {
-        let query = ev.query();
         assert_eq!(tuple.arity(), query.arity(), "answer-tuple arity mismatch");
         assert!(tuple.is_ground(), "certain answers are tuples over Const");
+        let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
 
         // Proposition 3: positive queries via naive evaluation — for any
         // annotation.
@@ -161,8 +152,29 @@ impl Exchange<'_> {
             return naive_outcome(ev.holds_on(&self.csol.rel_part(), tuple));
         }
 
-        let query_consts = tuple_palette(query.formula.constants(), tuple);
+        let space = self.witness_space(query, budget, None);
+        let palette = tuple_palette(query.formula.constants(), tuple);
+        let (_, outcome) = refutation_sweep(
+            &ev,
+            &space.instance,
+            &palette,
+            &space.budget,
+            vec![tuple.clone()],
+        );
+        refutation_outcome(outcome, space.regime, space.exact)
+    }
 
+    /// The witness space a refutation of the non-positive `query` searches
+    /// — one choice per `(query, csol, budget)`, shared by
+    /// [`Exchange::certain_contains`] and every palette group of
+    /// [`Exchange::certain_answers`]. `image_cap` caps the Proposition 4
+    /// image sweep's leaves (`None`: exhaustive).
+    fn witness_space(
+        &self,
+        query: &Query,
+        budget: Option<&SearchBudget>,
+        image_cap: Option<u64>,
+    ) -> WitnessSpace<'_> {
         // Proposition 4: monotone queries — certain_Σα(Q,S) = □Q(CSol(S)),
         // decided by valuation search over Rep(CSol) (all-closed Rep_A).
         // The class is taken **modulo rigid relations** (ground, fully
@@ -173,22 +185,20 @@ impl Exchange<'_> {
         // minimal falsifiers among the extras-free valuation images, and
         // the image sweep stays exact. With no rigid negations this is
         // exactly Proposition 4.
-        if monotone_rigid {
-            let closed = self.csol.reannotate_all_closed();
-            let mut check = |leaf: &Leaf| {
-                !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), tuple)
+        let rigid = classify::rigid_relations_of(&query.formula, &self.csol);
+        if classify::is_monotone_rigid(&query.formula, &rigid) {
+            return WitnessSpace {
+                instance: Cow::Owned(self.csol.reannotate_all_closed()),
+                budget: SearchBudget {
+                    max_leaves: image_cap,
+                    ..SearchBudget::closed_world()
+                },
+                regime: Regime::Monotone,
+                exact: true,
             };
-            let outcome = search_rep_a_indexed(
-                &closed,
-                &query_consts,
-                &SearchBudget::closed_world(),
-                &mut check,
-            );
-            return refutation_outcome(outcome, Regime::Monotone, false);
         }
 
-        // Pick the witness space for the general case.
-        let (search_budget, regime, exact) = match classify::classify(&query.formula) {
+        let (budget, regime, exact) = match classify::classify(&query.formula) {
             QueryClass::UniversalExistential => {
                 // Prop 5: β = ¬φ(t̄) is ∃^l ∀* with l = the number of
                 // universal variables of φ (they become β's existential
@@ -218,55 +228,82 @@ impl Exchange<'_> {
                 false,
             ),
         };
-
-        let mut check =
-            |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), tuple);
-        let outcome = search_rep_a_indexed(&self.csol, &query_consts, &search_budget, &mut check);
-        refutation_outcome(outcome, regime, exact)
+        WitnessSpace {
+            instance: Cow::Borrowed(&self.csol),
+            budget,
+            regime,
+            exact,
+        }
     }
 
     /// Compute the certain-answer relation. Candidate tuples range over
     /// `(adom(S) ∪ constants(Q))^arity`; by genericity no other constant
     /// can be certain. The query compiles once (via the shared
-    /// [`PlanCatalog`]) and every candidate tuple reuses the plan.
+    /// [`PlanCatalog`]) and every candidate reuses the plan.
     ///
-    /// Fast path: for a *positive, safe-range* query one set-valued plan
-    /// execution replaces the per-candidate loop — the compiled answers
-    /// are domain independent, so membership of each candidate in the
-    /// answer set coincides with the per-tuple naive check
-    /// (Proposition 3), and filtering to the candidate palette keeps the
-    /// result identical to the loop.
+    /// * A *positive* query is Proposition 3's naive evaluation: one
+    ///   set-valued plan execution filtered to the candidate palette (the
+    ///   compiled answers are domain independent), or, for a query that
+    ///   did not compile, one copy of the csol's relational part checked
+    ///   per candidate.
+    /// * Any other query is one refutation sweep per palette group over
+    ///   the witness space [`Exchange::certain_contains`] picks, with the
+    ///   answers and completeness (the worst per-tuple one) of
+    ///   `certain_contains` on every candidate (see the module docs).
     pub fn certain_answers(
         &self,
         query: &Query,
         budget: Option<&SearchBudget>,
     ) -> (Relation, Completeness) {
+        self.certain_answers_capped(query, budget, None)
+    }
+
+    /// [`Exchange::certain_answers`] with the Proposition 4 image sweep of a
+    /// monotone query capped at `image_cap` leaves per palette group. A
+    /// capped sweep reports [`Completeness::Capped`] and answers a superset
+    /// of the certain answers (candidates it did not get to refute).
+    pub(crate) fn certain_answers_capped(
+        &self,
+        query: &Query,
+        budget: Option<&SearchBudget>,
+        image_cap: Option<u64>,
+    ) -> (Relation, Completeness) {
         let palette = crate::regimes::answer_palette(self.source, query);
         let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
 
-        if classify::is_positive(&query.formula) && ev.is_compiled() {
-            // Boolean positive queries: the set computation already
-            // covers the single empty candidate.
-            let rows = ev.naive_certain_answers(&self.csol.rel_part());
-            let in_palette = rows
-                .iter()
-                .filter(|t| t.consts().all(|c| palette.contains(&c)));
-            return (
-                Relation::from_tuples(query.arity(), in_palette.cloned()),
-                Completeness::Exact,
-            );
+        if classify::is_positive(&query.formula) {
+            let rel = if ev.is_compiled() {
+                // Boolean positive queries: the set computation already
+                // covers the single empty candidate.
+                let rows = ev.naive_certain_answers(&self.csol.rel_part());
+                let in_palette = rows
+                    .iter()
+                    .filter(|t| t.consts().all(|c| palette.contains(&c)));
+                Relation::from_tuples(query.arity(), in_palette.cloned())
+            } else {
+                let consts: Vec<ConstId> = palette.into_iter().collect();
+                let inst = self.csol.rel_part();
+                let certain = candidate_tuples(&consts, query.arity())
+                    .into_iter()
+                    .filter(|t| ev.holds_on(&inst, t));
+                Relation::from_tuples(query.arity(), certain)
+            };
+            return (rel, Completeness::Exact);
         }
 
         let consts: Vec<ConstId> = palette.into_iter().collect();
+        let candidates = candidate_tuples(&consts, query.arity());
+        let space = self.witness_space(query, budget, image_cap);
         let mut rel = Relation::new(query.arity());
         let mut completeness = Completeness::Exact;
-        let mono_rigid = monotone_rigid(query, &self.csol);
-        for tuple in candidate_tuples(&consts, query.arity()) {
-            let out = self.certain_contains_eval(&ev, mono_rigid, &tuple, budget);
-            if out.certain {
-                rel.insert(tuple);
-            }
+        for (palette, group) in palette_groups(query.formula.constants(), candidates, &self.csol) {
+            let (survivors, outcome) =
+                refutation_sweep(&ev, &space.instance, &palette, &space.budget, group);
+            let out = refutation_outcome(outcome, space.regime, space.exact);
             completeness = completeness.worse(out.completeness);
+            for t in survivors {
+                rel.insert(t);
+            }
         }
         (rel, completeness)
     }
@@ -304,9 +341,8 @@ impl Exchange<'_> {
             })
             .sum();
         let budget = SearchBudget::one_to_m(m, open_templates, self.mapping.target.max_arity());
-        let mut check =
-            |leaf: &Leaf| !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), tuple);
-        let outcome = search_rep_a_indexed(&self.csol, &query_consts, &budget, &mut check);
+        let (_, outcome) =
+            refutation_sweep(&ev, &self.csol, &query_consts, &budget, vec![tuple.clone()]);
         refutation_outcome(outcome, Regime::OpenBounded, true)
     }
 
@@ -384,16 +420,61 @@ impl Exchange<'_> {
     }
 }
 
-/// Is the query monotone **modulo rigid relations** of this canonical
-/// solution (the Proposition 4 dispatch of
-/// [`Exchange::certain_contains`], extended per
-/// [`classify::rigid_relations_of`])? Depends only on `(query, csol)` —
-/// answer-set loops compute it once, not per candidate tuple.
-fn monotone_rigid(query: &Query, csol: &AnnInstance) -> bool {
-    classify::is_monotone_rigid(
-        &query.formula,
-        &classify::rigid_relations_of(&query.formula, csol),
-    )
+/// The witness space of a refutation: the annotated instance searched
+/// (`CSol_A(S)`, or its all-closed reading for the Proposition 4 image
+/// sweep), the search budget, the procedure, and whether that space is
+/// exhaustive for the query class (then an uncapped search is
+/// [`Completeness::Exact`]).
+struct WitnessSpace<'a> {
+    instance: Cow<'a, AnnInstance>,
+    budget: SearchBudget,
+    regime: Regime,
+    exact: bool,
+}
+
+/// One `Rep_A(t)` search for a set of candidate tuples: every leaf drops
+/// the candidates it refutes (those `ev` does not hold for), and the
+/// search stops once none survive. Returns the survivors and the search
+/// outcome, whose witness — when the sweep emptied — refuted the last
+/// survivor; the survivors are the candidates a search for each alone
+/// finds no refutation for (DESIGN.md §dx-core `regimes`).
+pub(crate) fn refutation_sweep(
+    ev: &QueryEval,
+    t: &AnnInstance,
+    palette: &BTreeSet<ConstId>,
+    budget: &SearchBudget,
+    mut survivors: Vec<Tuple>,
+) -> (Vec<Tuple>, SearchOutcome) {
+    let outcome = search_rep_a_indexed(t, palette, budget, &mut |leaf: &Leaf| {
+        survivors.retain(|c| ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), c));
+        survivors.is_empty()
+    });
+    (survivors, outcome)
+}
+
+/// Split candidate tuples into **palette groups**: the candidates adding
+/// the same constants beyond `adom(csol) ∪ consts(Q)`, whose per-tuple
+/// searches share one palette. Returns each group's extra palette
+/// (`consts(Q)` plus those constants) with its candidates. A single
+/// candidate (every Boolean query) is its own group, without a pass over
+/// the csol.
+fn palette_groups(
+    query_consts: BTreeSet<ConstId>,
+    candidates: Vec<Tuple>,
+    csol: &AnnInstance,
+) -> Vec<(BTreeSet<ConstId>, Vec<Tuple>)> {
+    if let [only] = candidates.as_slice() {
+        return vec![(tuple_palette(query_consts, only), candidates)];
+    }
+    let mut shared = csol.adom_consts();
+    shared.extend(query_consts.iter().copied());
+    let mut groups: BTreeMap<BTreeSet<ConstId>, Vec<Tuple>> = BTreeMap::new();
+    for t in candidates {
+        let mut palette = query_consts.clone();
+        palette.extend(t.consts().filter(|c| !shared.contains(c)));
+        groups.entry(palette).or_default().push(t);
+    }
+    groups.into_iter().collect()
 }
 
 /// The extra palette constants of a per-tuple search (the paper's `C_φ`
@@ -418,7 +499,7 @@ pub(crate) fn naive_outcome(certain: bool) -> CertainOutcome {
 /// witness was found; an `exact` witness space upgrades every uncapped
 /// report to [`Completeness::Exact`].
 pub(crate) fn refutation_outcome(
-    outcome: dx_solver::SearchOutcome,
+    outcome: SearchOutcome,
     regime: Regime,
     exact: bool,
 ) -> CertainOutcome {
@@ -437,7 +518,7 @@ pub(crate) fn refutation_outcome(
 
 /// All candidate answer tuples over the palette (`consts^arity`; the single
 /// empty tuple for Boolean queries, none when a non-Boolean query meets an
-/// empty palette). Shared by the certain-answer loop above, the PTIME
+/// empty palette). Shared by the certain-answer sweeps above, the PTIME
 /// language loop in [`crate::ptime_lang`] and the regime engines in
 /// [`crate::regimes`].
 pub(crate) fn candidate_tuples(consts: &[ConstId], arity: usize) -> Vec<Tuple> {

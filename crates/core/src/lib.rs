@@ -63,8 +63,8 @@ pub use compose_alg::{compose_skstd, ComposeError};
 pub use exchange::Exchange;
 pub use ptime_lang::{CompiledFoQuery, PtimeQuery};
 pub use regimes::{
-    approx_certain_answers, gcwa_star_answers, under_over_queries, ApproxOutcome, GcwaMembership,
-    GcwaOutcome, RegimeBudget,
+    approx_certain_answers, gcwa_star_answers, under_over_queries, ApproxOutcome, ApproxRoute,
+    GcwaMembership, GcwaOutcome, GcwaRoute, RegimeBudget,
 };
 pub use semantics::{in_semantics, MembershipOutcome};
 pub use skstd::{SkAtom, SkMapping, SkStd};

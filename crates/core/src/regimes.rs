@@ -25,6 +25,18 @@
 //!   [`dx_logic::classify::monotone_over_approx`]) plus an indexed sample
 //!   intersection. See [`Exchange::approx_certain_answers`].
 //!
+//! ## Monotone queries: Proposition 4, not the walk
+//!
+//! For a monotone query ([`classify::is_monotone`], positive included) the
+//! GCWA\*-answers *are* the certain answers, and so is a tight
+//! approximation bracket (the lemma and its proof are in DESIGN.md
+//! §dx-core `regimes`). Both answer-set methods send such queries to the
+//! Proposition 4 image sweep of [`Exchange::certain_answers`] and say so in
+//! their `route` field ([`GcwaRoute::Monotone`], [`ApproxRoute::Monotone`]).
+//! [`Exchange::gcwa_star_contains`] keeps the walk (its counterexample is a
+//! union of minimal members), as do queries monotone only modulo rigid
+//! relations.
+//!
 //! ## Complexity boundaries
 //!
 //! GCWA\*-answering is **coNP-hard** already for universal queries over
@@ -52,7 +64,7 @@
 //! or leaf) exists only in the bench harness (`BENCH_query.json`, stages
 //! `gcwa`/`approx`) to keep the speedup measured.
 
-use crate::certain::candidate_tuples;
+use crate::certain::{candidate_tuples, refutation_sweep};
 use crate::Exchange;
 use dx_chase::Mapping;
 use dx_logic::classify;
@@ -60,8 +72,7 @@ use dx_logic::{Formula, Query, Term};
 use dx_query::PlanCatalog;
 use dx_relation::{AnnInstance, ConstId, Instance, RelSym, Relation, Tuple};
 use dx_solver::{
-    minimal_rep_a_members, search_rep_a_indexed, union_refute_sweep, union_retain_sweep,
-    Completeness, SearchBudget,
+    minimal_rep_a_members, union_refute_sweep, union_retain_sweep, Completeness, SearchBudget,
 };
 use std::collections::BTreeSet;
 
@@ -102,6 +113,19 @@ impl RegimeBudget {
     }
 }
 
+/// The procedure that decided a GCWA\* answer set.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum GcwaRoute {
+    /// The query is monotone ([`classify::is_monotone`], positive
+    /// included), so its GCWA\*-answers are its certain answers, decided
+    /// by [`Exchange::certain_answers`] (Proposition 3, or Proposition 4's
+    /// valuation-image sweep under the budget's leaf cap); no minimal
+    /// member is enumerated and no union is walked.
+    Monotone,
+    /// The minimal-member sweep and the union walk.
+    UnionWalk,
+}
+
 /// Outcome of a GCWA\* answer-set computation.
 #[derive(Clone, Debug)]
 pub struct GcwaOutcome {
@@ -112,9 +136,12 @@ pub struct GcwaOutcome {
     /// exhaustively ([`Completeness::Exact`]), truncated by the budget
     /// ([`Completeness::Bounded`]/[`Completeness::Capped`]).
     pub completeness: Completeness,
-    /// Number of ⊆-minimal solutions found (after the budget cap).
+    /// The procedure that decided.
+    pub route: GcwaRoute,
+    /// Number of ⊆-minimal solutions found (after the budget cap); 0 on
+    /// the monotone route, which enumerates none.
     pub minimal_solutions: usize,
-    /// Number of unions evaluated.
+    /// Number of unions evaluated; 0 on the monotone route.
     pub unions: u64,
 }
 
@@ -165,6 +192,21 @@ fn minimal_solutions(
     (minimal, completeness)
 }
 
+/// The procedure that decided an approximation bracket.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ApproxRoute {
+    /// The query is monotone ([`classify::is_monotone`], positive
+    /// included): the exact certain answers of
+    /// [`Exchange::certain_answers`], a tight bracket.
+    Monotone,
+    /// All-closed mapping: the exact, search-free conditional-table route
+    /// ([`Exchange::certain_answers_cwa_fo`]), a tight bracket.
+    CTable,
+    /// The monotone under/over rewritings, with the upper bound tightened
+    /// by a sampled `Rep_A` sweep.
+    Sampled,
+}
+
 /// Outcome of the approximation regime: a certain-answer **bracket**
 /// `lower ⊆ certain_Σα(Q, S) ⊆ upper`.
 #[derive(Clone, Debug)]
@@ -182,6 +224,8 @@ pub struct ApproxOutcome {
     pub completeness: Completeness,
     /// Did the bracket close (`lower == upper`)? Then both are exact.
     pub tight: bool,
+    /// The procedure that decided.
+    pub route: ApproxRoute,
     /// Number of members sampled by the intersection stage.
     pub leaves: u64,
 }
@@ -201,14 +245,30 @@ pub fn approx_certain_answers(
 impl Exchange<'_> {
     /// The GCWA\*-answers of `query`: tuples `t̄` with `Q(t̄)` true in
     /// **every union of ⊆-minimal members** of `Rep_A(CSol_A(S))` (within
-    /// `budget`). For positive queries this coincides with the certain
-    /// answers (Proposition 3 both ways: positive queries are monotone, so
-    /// truth on all minimal solutions, all unions and all solutions
-    /// coincide); for queries with negation it is Hernich's repair of the
-    /// CWA anomalies. The query compiles once (shared [`PlanCatalog`]);
-    /// every union probes the one refcounted [`dx_relation::DeltaIndex`]
-    /// of [`dx_solver::for_each_union`].
+    /// `budget`). For queries with negation this is Hernich's repair of
+    /// the CWA anomalies.
+    ///
+    /// A **monotone** query ([`classify::is_monotone`], positive included)
+    /// takes [`GcwaRoute::Monotone`]: its GCWA\*-answers are its certain
+    /// answers (see the module docs), decided by the Proposition 4 image
+    /// sweep with `budget.max_leaves` as its leaf cap per palette group; a
+    /// capped sweep reports [`Completeness::Capped`] and a superset, as a
+    /// capped minimal-member sweep does. Every other query takes
+    /// [`GcwaRoute::UnionWalk`]: the query compiles once (shared
+    /// [`PlanCatalog`]) and every union probes the one refcounted
+    /// [`dx_relation::DeltaIndex`] of [`dx_solver::for_each_union`].
     pub fn gcwa_star_answers(&self, query: &Query, budget: &RegimeBudget) -> GcwaOutcome {
+        if classify::is_monotone(&query.formula) {
+            let (answers, completeness) =
+                self.certain_answers_capped(query, None, budget.max_leaves);
+            return GcwaOutcome {
+                answers,
+                completeness,
+                route: GcwaRoute::Monotone,
+                minimal_solutions: 0,
+                unions: 0,
+            };
+        }
         let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
         let palette = answer_palette(self.source, query);
         let (minimal, completeness) = minimal_solutions(&self.csol, &palette, budget);
@@ -221,6 +281,7 @@ impl Exchange<'_> {
         GcwaOutcome {
             answers: Relation::from_tuples(query.arity(), survivors),
             completeness,
+            route: GcwaRoute::UnionWalk,
             minimal_solutions: minimal.len(),
             unions,
         }
@@ -228,7 +289,9 @@ impl Exchange<'_> {
 
     /// Decide `t̄ ∈ GCWA*-answers(Q, S)` directly, producing the falsifying
     /// union when the answer is negative (the Hernich counterpart of
-    /// [`Exchange::certain_contains`]'s counterexample).
+    /// [`Exchange::certain_contains`]'s counterexample). Every query walks
+    /// the unions, monotone ones included: the counterexample must be a
+    /// union of minimal members, which the monotone route never builds.
     pub fn gcwa_star_contains(
         &self,
         query: &Query,
@@ -261,36 +324,38 @@ impl Exchange<'_> {
     /// and the budget-restricted member space, provided `sample` does not
     /// cap the valuation sweep.
     ///
-    /// Positive queries short-circuit to the exact Proposition 3 answers;
-    /// for **all-closed** mappings the exact answers are computed
-    /// search-free via the conditional-table route
-    /// ([`Exchange::certain_answers_cwa_fo`]) and returned as a tight
-    /// bracket.
+    /// Monotone queries ([`classify::is_monotone`]) short-circuit to their
+    /// exact certain answers ([`ApproxRoute::Monotone`]): a monotone query
+    /// is its own under-rewriting, so this is the exact lower bound the
+    /// rewriting route would compute first, and `sample` does not cap it.
+    /// On **all-closed** mappings every query but a positive one (whose
+    /// naive evaluation is cheaper) instead takes the search-free
+    /// conditional-table route ([`Exchange::certain_answers_cwa_fo`],
+    /// [`ApproxRoute::CTable`]). Both return a tight bracket.
     pub fn approx_certain_answers(
         &self,
         query: &Query,
         sample: Option<&SearchBudget>,
     ) -> ApproxOutcome {
-        let exact = |rel: Relation, completeness| ApproxOutcome {
+        let exact = |rel: Relation, completeness, route| ApproxOutcome {
             lower: rel.clone(),
             upper: rel,
             completeness,
             tight: true,
+            route,
             leaves: 0,
         };
-        // Positive queries: naive evaluation is already exact
-        // (Proposition 3).
-        if classify::is_positive(&query.formula) {
-            let (rel, completeness) = self.certain_answers(query, None);
-            return exact(rel, completeness);
-        }
         // The CWA route: for all-closed mappings the Imieliński–Lipski
         // engine answers full FO exactly and search-free — a closed
         // bracket.
-        if self.mapping.is_all_closed() {
+        if self.mapping.is_all_closed() && !classify::is_positive(&query.formula) {
             if let Ok(rel) = self.certain_answers_cwa_fo(query) {
-                return exact(rel, Completeness::Exact);
+                return exact(rel, Completeness::Exact, ApproxRoute::CTable);
             }
+        }
+        if classify::is_monotone(&query.formula) {
+            let (rel, completeness) = self.certain_answers(query, None);
+            return exact(rel, completeness, ApproxRoute::Monotone);
         }
         // Rigid-negation tightening: negated atoms over relations whose
         // extension is pinned across the whole member space (ground + fully
@@ -307,12 +372,13 @@ impl Exchange<'_> {
         let ev = PlanCatalog::shared().eval_in(query, &self.mapping.target);
         let palette = answer_palette(self.source, query);
         let budget = sample.cloned().unwrap_or_default();
-        let mut survivors: Vec<Tuple> = upper0.iter().cloned().collect();
-        let outcome = search_rep_a_indexed(&self.csol, &palette, &budget, &mut |leaf| {
-            survivors
-                .retain(|t| ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), t));
-            survivors.is_empty()
-        });
+        let (survivors, outcome) = refutation_sweep(
+            &ev,
+            &self.csol,
+            &palette,
+            &budget,
+            upper0.iter().cloned().collect(),
+        );
         let upper = Relation::from_tuples(query.arity(), survivors);
         let tight = lower == upper;
         ApproxOutcome {
@@ -320,6 +386,7 @@ impl Exchange<'_> {
             upper,
             completeness: outcome.completeness,
             tight,
+            route: ApproxRoute::Sampled,
             leaves: outcome.leaves,
         }
     }

@@ -32,7 +32,16 @@ impl CompiledQuery {
     /// range-restricted by it (then answers depend on the quantifier
     /// domain and only the tree walker is faithful).
     pub fn compile_formula(formula: &Formula, head: &[Var]) -> Result<Self, LowerError> {
-        let plan = lower_formula(formula)?;
+        let mut plan = lower_formula(formula)?;
+        // A constant-false body has no rows, so it ranges every head
+        // variable: `Q(x̄) := false` is the empty plan over x̄.
+        if let Plan::Empty { vars } = &mut plan {
+            for h in head {
+                if !vars.contains(h) {
+                    vars.push(*h);
+                }
+            }
+        }
         let produced: BTreeSet<Var> = plan.vars().into_iter().collect();
         for h in head {
             if !produced.contains(h) {
@@ -405,6 +414,28 @@ mod tests {
         let f = dx_logic::parse_formula("EvR(x, x)").unwrap();
         assert!(CompiledQuery::compile_formula(&f, &[Var::new("x")]).is_ok());
         assert!(CompiledQuery::compile_formula(&f, &[Var::new("z")]).is_err());
+    }
+
+    /// The constant-false shapes the approximation surgery produces —
+    /// `Q(x) := false` and `Q(p) := ∃a. false` — compile to empty plans
+    /// and agree with the tree walker (no answers, also in first-witness
+    /// mode); `false` nested under a join folds the same way.
+    #[test]
+    fn constant_false_bodies_compile_to_empty_plans() {
+        for (head, body) in [
+            (&["x"][..], "false"),
+            (&["p"][..], "exists a. false"),
+            (&[][..], "exists a b. false"),
+            (&["x"][..], "(exists y. EvR(x, y)) & (exists a. false)"),
+        ] {
+            let q = Query::parse(head, body).unwrap();
+            let ev = QueryEval::new(&q);
+            assert!(ev.is_compiled(), "{body}: {:?}", ev.lower_error());
+            assert!(ev.answers(&inst()).is_empty(), "{body}");
+            assert_eq!(ev.answers(&inst()), q.answers(&inst()), "{body}");
+            let t = Tuple::from_names(&["a"][..head.len()]);
+            assert!(!ev.holds_on(&inst(), &t), "{body}");
+        }
     }
 
     #[test]

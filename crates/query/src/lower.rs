@@ -195,6 +195,12 @@ fn lower(f: &Formula, env: &mut Env) -> Result<Plan, LowerError> {
             // so bound names must be disjoint from the seed set.
             let (vars, inner) = rename_shadowing(vars, inner, env);
             let p = lower(&inner, env)?;
+            // ∃x̄. false is false over any domain: fold it to the empty
+            // plan instead of rejecting x̄ as unranged.
+            if let Plan::Empty { vars: free } = p {
+                let keep = free.into_iter().filter(|v| !vars.contains(v)).collect();
+                return Ok(Plan::Empty { vars: keep });
+            }
             let pv: BTreeSet<Var> = p.vars().into_iter().collect();
             for v in &vars {
                 if !pv.contains(v) {

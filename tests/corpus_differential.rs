@@ -22,7 +22,9 @@ use oc_exchange::chase::chase_engine::{ChaseOutcome, DEFAULT_CHASE_LIMIT};
 use oc_exchange::chase::core::ann_hom_equivalent;
 use oc_exchange::chase::{canonical_solution_with_deps_via, NaiveChase};
 use oc_exchange::core::certain::certain_answers;
+use oc_exchange::core::under_over_queries;
 use oc_exchange::engine::IndexedChase;
+use oc_exchange::query::QueryEval;
 use oc_exchange::solver::Completeness;
 use oc_exchange::text::{gen, gen_text, Grade, Scenario};
 use oc_exchange::workloads::conference;
@@ -182,6 +184,35 @@ fn generated_text_round_trips_every_grade() {
             );
         }
     }
+}
+
+/// Every monotone under/over rewriting the approximation regime builds
+/// from a generated query compiles to a plan — including the
+/// constant-false shapes `Q(x̄) := false` and `Q(p) := ∃a. false`, which
+/// lowering folds to empty plans.
+#[test]
+fn generated_rewritings_all_compile() {
+    let mut rewritings = 0usize;
+    for grade in Grade::ALL {
+        for seed in 0..200 {
+            let sc = gen(seed, grade);
+            for nq in &sc.queries {
+                let (under, over) = under_over_queries(&nq.query);
+                for (side, q) in [("under", &under), ("over", &over)] {
+                    let ev = QueryEval::new(q);
+                    assert!(
+                        ev.is_compiled(),
+                        "seed {seed} grade {grade:?} {}: {side} rewriting {} does not compile: {:?}",
+                        nq.name,
+                        q.formula,
+                        ev.lower_error()
+                    );
+                    rewritings += 1;
+                }
+            }
+        }
+    }
+    assert!(rewritings >= 2 * 800, "every scenario carries queries");
 }
 
 // ---------------------------------------------------------------------------

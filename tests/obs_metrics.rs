@@ -16,7 +16,10 @@
 //!   tree-walking evaluator; a first-witness root call counts the 0 or 1
 //!   row it answers with;
 //! * **disabled mode** — with the layer off, the same workloads leave the
-//!   registry snapshot empty.
+//!   registry snapshot empty;
+//! * **search counts** — `certain_answers` opens one `solver.search_rep_a`
+//!   span per palette group, not one per candidate, and GCWA\* on a
+//!   monotone query walks no union and stops at its budget's leaf cap.
 //!
 //! The registry is process-global, so every test serializes on one lock and
 //! scopes its measurement to a snapshot diff.
@@ -30,7 +33,7 @@ use oc_exchange::query::exec::{exec, exec_nonempty};
 use oc_exchange::query::lower_formula;
 use oc_exchange::relation::DeltaIndex;
 use oc_exchange::solver::{
-    for_each_union, minimal_rep_a_members, search_rep_a_indexed, SearchBudget,
+    for_each_union, minimal_rep_a_members, search_rep_a_indexed, Completeness, SearchBudget,
 };
 use oc_exchange::{obs, Ann, AnnInstance, AnnTuple, Annotation, RelSym, Tuple, Value};
 use rand::rngs::StdRng;
@@ -317,5 +320,104 @@ fn disabled_mode_records_nothing() {
     assert!(
         obs::snapshot().is_empty(),
         "disabled layer must not register counters"
+    );
+}
+
+/// A `decide`-shaped scenario: three papers, open author and reviewer
+/// attributes for papers without a known author or reviewer.
+const DECIDE_SHAPED: &str = r#"scenario "decide" {
+  source { Papers/1; Wrote/2; Assign/2; }
+  target { Sub/2; Rev/2; }
+  mapping {
+    Sub(p:cl, a:op) <- Papers(p) & !exists b. Wrote(p, b);
+    Sub(p:cl, a:cl) <- Wrote(p, a);
+    Rev(p:cl, r:cl) <- Assign(p, r);
+    Rev(p:cl, r:op) <- Papers(p) & !exists s. Assign(p, s);
+  }
+  instance {
+    Papers(p0); Wrote(p0, a0); Assign(p0, r0); Assign(p0, r1);
+    Papers(p1); Assign(p1, r2);
+    Papers(p2);
+  }
+  query sole_reviewer(p) <- exists r. Rev(p, r) & !exists s. (Rev(p, s) & s != r);
+  query two_reviewers(p) <- exists r1 r2. Rev(p, r1) & Rev(p, r2) & r1 != r2;
+}"#;
+
+/// `certain_answers` of an arity-1 query with negation runs one `Rep_A`
+/// search for all its candidates (they share one palette group), not one
+/// per candidate.
+#[test]
+fn certain_answers_open_one_search_per_palette_group() {
+    let _g = lock();
+    let sc = oc_exchange::text::Scenario::parse(DECIDE_SHAPED).expect("scenario parses");
+    let q = sc.query("sole_reviewer").expect("query");
+    assert!(!oc_exchange::logic::classify::is_monotone(&q.formula));
+    let candidates = oc_exchange::core::regimes::answer_palette(&sc.source, q).len();
+    assert!(candidates > 1, "several candidates share the sweep");
+    let ex = oc_exchange::core::Exchange::new(&sc.mapping, &sc.source);
+    let budget = SearchBudget {
+        max_leaves: Some(500),
+        ..SearchBudget::bounded(1, 1)
+    };
+    let (_, diff) = measured(|| ex.certain_answers(q, Some(&budget)));
+    let searches = diff.spans.get("solver.search_rep_a").map_or(0, |s| s.count);
+    assert_eq!(searches, 1, "{candidates} candidates, one palette group");
+}
+
+/// GCWA\* on a CQ with an inequality is decided by Proposition 4: no
+/// union is walked. The non-monotone query on the same scenario still
+/// walks unions.
+#[test]
+fn gcwa_on_a_monotone_query_walks_no_unions() {
+    let _g = lock();
+    let sc = oc_exchange::text::Scenario::parse(DECIDE_SHAPED).expect("scenario parses");
+    let ex = oc_exchange::core::Exchange::new(&sc.mapping, &sc.source);
+    let budget = oc_exchange::core::RegimeBudget::unions_of(1);
+    let unions = |name: &str| {
+        let q = sc.query(name).expect("query");
+        let (_, diff) = measured(|| ex.gcwa_star_answers(q, &budget));
+        diff.counter("solver.union.unions_visited")
+    };
+    assert_eq!(unions("two_reviewers"), 0);
+    assert!(unions("sole_reviewer") > 0, "the union walk still runs");
+}
+
+/// GCWA\* on a monotone query stops at the budget's leaf cap. Ten papers
+/// with neither author nor reviewer put twenty open nulls in `CSol_A(S)`,
+/// so the image sweep has far more leaves than any run could visit; `p0`
+/// has two known reviewers, survives every leaf and keeps the sweep going
+/// until the cap ends it with a `Capped` superset.
+#[test]
+fn gcwa_on_a_monotone_query_honours_the_leaf_cap() {
+    let _g = lock();
+    let mut facts = String::from("Papers(p0); Wrote(p0, a0); Assign(p0, r0); Assign(p0, r1);");
+    for i in 1..=10 {
+        facts.push_str(&format!(" Papers(q{i});"));
+    }
+    let text = DECIDE_SHAPED.replace(
+        "Papers(p0); Wrote(p0, a0); Assign(p0, r0); Assign(p0, r1);\n    Papers(p1); Assign(p1, r2);\n    Papers(p2);",
+        &facts,
+    );
+    assert_ne!(text, DECIDE_SHAPED, "instance replaced");
+    let sc = oc_exchange::text::Scenario::parse(&text).expect("scenario parses");
+    let q = sc.query("two_reviewers").expect("query");
+    let ex = oc_exchange::core::Exchange::new(&sc.mapping, &sc.source);
+    assert_eq!(ex.csol().nulls().len(), 20);
+    let budget = oc_exchange::core::RegimeBudget {
+        max_leaves: Some(50),
+        ..oc_exchange::core::RegimeBudget::unions_of(1)
+    };
+    let (out, diff) = measured(|| ex.gcwa_star_answers(q, &budget));
+    assert_eq!(out.route, oc_exchange::core::GcwaRoute::Monotone);
+    assert_eq!(out.completeness, Completeness::Capped);
+    assert!(
+        out.answers.contains(&Tuple::from_names(&["p0"])),
+        "{}",
+        out.answers
+    );
+    let leaves = diff.counter("solver.dfs.leaves");
+    assert!(
+        (1..=51).contains(&leaves),
+        "{leaves} leaves under a 50-leaf cap"
     );
 }

@@ -19,9 +19,11 @@
 //!   sampler reports an exhaustively covered space.
 
 use oc_exchange::chase::Mapping;
-use oc_exchange::core::regimes::{approx_certain_answers, gcwa_star_answers, RegimeBudget};
+use oc_exchange::core::regimes::{
+    approx_certain_answers, gcwa_star_answers, ApproxRoute, GcwaRoute, RegimeBudget,
+};
 use oc_exchange::core::{certain_answers, certain_contains, Exchange};
-use oc_exchange::logic::Query;
+use oc_exchange::logic::{classify, Query};
 use oc_exchange::solver::{
     minimal_rep_a_members, rep_a_membership, search_rep_a_indexed, Completeness, SearchBudget,
 };
@@ -51,12 +53,13 @@ fn random_scenario(rng: &mut StdRng) -> (Mapping, Instance) {
     (mapping, source)
 }
 
-/// The query battery: negation in every non-positive entry, exercising
-/// anti-joins, universals, disjunction-with-negation shapes and — last —
-/// the *correlated* §1 implication, which PR 5's seeded anti-join lowering
-/// compiles to a plan (asserted below), so the regime engines evaluate it
-/// on the incremental index inside `for_each_union`/member sweeps instead
-/// of tree-walking.
+/// The query battery: negation in every non-monotone entry, exercising
+/// anti-joins, universals, disjunction-with-negation shapes; two monotone
+/// entries (a CQ with an inequality and a positive one), which the regimes
+/// decide by Proposition 4; and — last — the *correlated* §1 implication,
+/// which the seeded anti-join lowering compiles to a plan (asserted
+/// below), so the regime engines evaluate it on the incremental index
+/// inside `for_each_union`/member sweeps instead of tree-walking.
 fn battery() -> Vec<Query> {
     vec![
         Query::parse(&["x"], "(exists y. RdT(x, y)) & !(exists w. SdT(x, w))").unwrap(),
@@ -70,6 +73,12 @@ fn battery() -> Vec<Query> {
         Query::boolean(
             oc_exchange::logic::parse_formula("exists x y. RdT(x, y) & !RdT(y, x)").unwrap(),
         ),
+        Query::parse(
+            &["p"],
+            "exists a b. RdT(p, a) & (RdT(p, b) | SdT(p, b)) & a != b",
+        )
+        .unwrap(),
+        Query::parse(&["x"], "exists y. RdT(x, y) | SdT(x, y)").unwrap(),
         Query::parse(
             &["p"],
             "exists a. SdT(p, a) & (forall b. (SdT(p, b) -> a = b))",
@@ -208,7 +217,13 @@ fn gcwa_star_matches_brute_force_oracle() {
                 got, oracle,
                 "seed {seed} q{qi}: GCWA* answers disagree with the oracle\nmapping:\n{mapping}\nS={source}"
             );
-            assert_eq!(out.minimal_solutions, fast_minimal.len());
+            if classify::is_monotone(&query.formula) {
+                assert_eq!(out.route, GcwaRoute::Monotone, "seed {seed} q{qi}");
+                let (cert, _) = certain_answers(&mapping, &source, &query, None);
+                assert_eq!(out.answers, cert, "seed {seed} q{qi}");
+            } else {
+                assert_eq!(out.minimal_solutions, fast_minimal.len());
+            }
 
             // Per-tuple decisions agree with the answer set, and negative
             // ones carry a genuine falsifying union.
@@ -311,4 +326,124 @@ fn approx_brackets_brute_force_certain_answers() {
             }
         }
     }
+}
+
+/// [`random_scenario`] plus a papers relation whose titles no STD copies
+/// to the target: a title is a candidate constant outside
+/// `adom(CSol_A(S))`, so the candidates of an arity-1 query fall into two
+/// palette groups.
+fn titled_scenario(rng: &mut StdRng) -> (Mapping, Instance) {
+    let base = Mapping::parse(
+        "RdT(x:cl, y:cl) <- RdR(x, y); SdT(x:cl, z:cl) <- RdS(x); SdT(x:cl, z:cl) <- RdP(x, t)",
+    )
+    .expect("mapping parses");
+    let mapping = random_gen::randomly_annotated(&base, 0.5, rng);
+    let (_, mut source) = random_scenario(rng);
+    source.insert_names("RdP", &["k0", "title0"]);
+    (mapping, source)
+}
+
+/// `certain_answers` (one refutation sweep per palette group) equals the
+/// per-tuple decisions `{t̄ : certain_contains(t̄).certain}`, and its
+/// completeness is the worst per-tuple one — under the exhaustive oracle
+/// budget and under a leaf cap small enough to report `Capped`, on the
+/// random mixed scenarios and on titled ones (two palette groups). For
+/// monotone queries, GCWA\* takes the monotone route and returns the exact
+/// certain answers, and under a 3-leaf cap a `Capped` superset of them;
+/// the approximation bracket is tight at the certain answers, by the
+/// monotone route or, for a non-positive query on an all-closed mapping,
+/// the c-table route.
+#[test]
+fn set_answers_equal_per_tuple_decisions() {
+    // The oracle budget with a leaf cap: the ∀*∃* witness space (Prop 5)
+    // takes only the leaf cap from the caller and is exponential in the
+    // open templates, so without one the universal battery entry does not
+    // finish on the titled scenarios.
+    let oracle_leaves = SearchBudget {
+        max_leaves: Some(20_000),
+        ..oracle_budget()
+    };
+    let capped_budget = SearchBudget {
+        max_leaves: Some(3),
+        ..oracle_budget()
+    };
+    let gcwa_capped = RegimeBudget {
+        max_leaves: Some(3),
+        ..RegimeBudget::unions_of(1)
+    };
+    let (mut saw_capped, mut saw_two_groups, mut saw_gcwa_capped) = (false, false, false);
+    for seed in 0..30u64 {
+        let mut rng = random_gen::rng(9000 + seed);
+        let scenarios = [random_scenario(&mut rng), titled_scenario(&mut rng)];
+        for (si, (mapping, source)) in scenarios.iter().enumerate() {
+            let ex = Exchange::new(mapping, source);
+            let csol_consts = ex.csol().adom_consts();
+            for (qi, query) in battery().into_iter().enumerate() {
+                let cands = candidates(source, &query);
+                let beyond_csol = |t: &Tuple| t.consts().any(|c| !csol_consts.contains(&c));
+                saw_two_groups |= query.arity() == 1 && cands.iter().any(beyond_csol);
+                for budget in [oracle_leaves.clone(), capped_budget.clone()] {
+                    let (set, set_comp) = ex.certain_answers(&query, Some(&budget));
+                    let mut per_tuple = BTreeSet::new();
+                    let mut worst = Completeness::Exact;
+                    for t in &cands {
+                        let out = ex.certain_contains(&query, t, Some(&budget));
+                        if out.certain {
+                            per_tuple.insert(t.clone());
+                        }
+                        worst = worst.worse(out.completeness);
+                    }
+                    let got: BTreeSet<Tuple> = set.iter().cloned().collect();
+                    let ctx = format!(
+                        "seed {seed} scenario {si} q{qi} cap {:?}\nmapping:\n{mapping}\nS={source}",
+                        budget.max_leaves
+                    );
+                    assert_eq!(got, per_tuple, "{ctx}");
+                    assert_eq!(set_comp, worst, "{ctx}");
+                    saw_capped |= set_comp == Completeness::Capped;
+                }
+                if classify::is_monotone(&query.formula) {
+                    let (cert, comp) = ex.certain_answers(&query, None);
+                    assert_eq!(comp, Completeness::Exact, "seed {seed} q{qi}");
+                    let g = ex.gcwa_star_answers(&query, &RegimeBudget::unions_of(1));
+                    assert_eq!(g.route, GcwaRoute::Monotone, "seed {seed} q{qi}");
+                    assert_eq!(g.completeness, Completeness::Exact, "seed {seed} q{qi}");
+                    assert_eq!(g.answers, cert, "seed {seed} q{qi}");
+                    assert_eq!((g.minimal_solutions, g.unions), (0, 0));
+                    let g = ex.gcwa_star_answers(&query, &gcwa_capped);
+                    assert_eq!(g.route, GcwaRoute::Monotone, "seed {seed} q{qi}");
+                    assert!(
+                        cert.iter().all(|t| g.answers.contains(t)),
+                        "seed {seed} q{qi}"
+                    );
+                    if g.completeness == Completeness::Capped {
+                        saw_gcwa_capped = true;
+                    } else {
+                        assert_eq!(g.answers, cert, "seed {seed} q{qi}");
+                    }
+                    let a = ex.approx_certain_answers(&query, Some(&oracle_budget()));
+                    let route = if mapping.is_all_closed() && !classify::is_positive(&query.formula)
+                    {
+                        ApproxRoute::CTable
+                    } else {
+                        ApproxRoute::Monotone
+                    };
+                    assert_eq!(a.route, route, "seed {seed} q{qi}");
+                    assert_eq!(a.completeness, Completeness::Exact, "seed {seed} q{qi}");
+                    assert!(a.tight, "seed {seed} q{qi}");
+                    assert_eq!(a.lower, cert, "seed {seed} q{qi}");
+                    assert_eq!(a.upper, cert, "seed {seed} q{qi}");
+                }
+            }
+        }
+    }
+    assert!(saw_capped, "the leaf cap never truncated a sweep");
+    assert!(
+        saw_gcwa_capped,
+        "the GCWA* leaf cap never truncated a sweep"
+    );
+    assert!(
+        saw_two_groups,
+        "no scenario split its candidates into two palette groups"
+    );
 }

@@ -693,6 +693,39 @@ fn answer_names(sess: &StreamSession, name: &str) -> BTreeSet<Vec<String>> {
         .collect()
 }
 
+/// The shipped `examples/conference_stream.dx` (the one-author egd, the
+/// conflict tgd, three batches with one retraction) keeps its chased
+/// target on the incremental path on every batch, as `dx --updates`
+/// streams it.
+#[test]
+fn shipped_conference_stream_stays_incremental() {
+    let text = std::fs::read_to_string("examples/conference_stream.dx")
+        .expect("examples/conference_stream.dx is checked in");
+    let sc = Scenario::parse(&text)
+        .unwrap_or_else(|e| panic!("examples/conference_stream.dx: {}", e.render(&text)));
+    assert_eq!(sc.updates.len(), 3);
+    let mut sess = StreamSession::new(
+        sc.mapping.clone(),
+        sc.constraints.clone(),
+        sc.source.clone(),
+    );
+    for nq in &sc.queries {
+        sess.register(&nq.name, nq.query.clone(), StreamRegime::Certain);
+    }
+    let mut retracted = false;
+    for nu in &sc.updates {
+        let report = sess.update(&nu.update);
+        retracted |= !report.update.removed.is_empty();
+        assert!(
+            matches!(report.update.target, TargetPath::Incremental { .. }),
+            "batch {:?}: {:?}",
+            nu.name,
+            report.update.target
+        );
+    }
+    assert!(retracted, "one batch retracts");
+}
+
 #[test]
 fn retract_then_reinsert_round_trips() {
     let mapping = Mapping::parse("SdT(x:cl, z:op) <- SdE(x, y)").unwrap();
