@@ -20,6 +20,9 @@
 //! EXPLAIN face) and, when the file carries `update` blocks, the derived
 //! delta plan per batch — `R$delta` scans mark the recomputed frontier,
 //! every other node re-reads maintained state.
+//!
+//! An unknown flag, a flag without its value, an unreadable number and a
+//! grade above 3 are usage errors: `dx` prints the usage and exits 2.
 
 use dx_bench::corpus::{run_corpus, CorpusStats};
 use dx_chase::chase_engine::{ChaseOutcome, DEFAULT_CHASE_LIMIT};
@@ -31,6 +34,7 @@ use dx_engine::{IndexedChase, TargetPath};
 use dx_solver::{Completeness, SearchBudget};
 use dx_text::{gen_text, Grade, Scenario};
 use std::process::ExitCode;
+use std::str::FromStr;
 
 const USAGE: &str = "usage:
   dx check <file.dx>
@@ -56,12 +60,74 @@ fn main() -> ExitCode {
     }
 }
 
-/// Flag-value lookup: `--name value`.
-fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+/// A subcommand's flags: the value of each `--name value` flag given and
+/// each switch given. Anything else on the command line is refused.
+struct Flags<'a> {
+    values: Vec<(&'static str, &'a str)>,
+    switches: Vec<&'static str>,
+}
+
+impl<'a> Flags<'a> {
+    /// Read `args` against the subcommand's `valued` flags and `switches`.
+    fn parse(
+        args: &'a [String],
+        valued: &[&'static str],
+        switches: &[&'static str],
+    ) -> Result<Flags<'a>, String> {
+        let mut flags = Flags {
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut it = args.iter();
+        while let Some(arg) = it.next() {
+            if let Some(&name) = valued.iter().find(|&&n| n == arg) {
+                let value = it.next().ok_or_else(|| format!("{name} wants a value"))?;
+                flags.values.push((name, value));
+            } else if let Some(&name) = switches.iter().find(|&&n| n == arg) {
+                flags.switches.push(name);
+            } else {
+                return Err(format!("unknown argument {arg:?}"));
+            }
+        }
+        Ok(flags)
+    }
+
+    /// The value of `--name value`, the first one if repeated.
+    fn value(&self, name: &str) -> Option<&'a str> {
+        self.values
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| *v)
+    }
+
+    /// Was the switch given?
+    fn has(&self, name: &str) -> bool {
+        self.switches.contains(&name)
+    }
+
+    /// The number after `name`, or `default` when the flag is absent.
+    fn number<T: FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        match self.value(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse()
+                .map_err(|_| format!("{name}: cannot read {v:?} as a number")),
+        }
+    }
+}
+
+/// A grade level, 0 to 3.
+fn grade(level: &str) -> Result<Grade, String> {
+    match level.parse::<u8>() {
+        Ok(l) if l <= 3 => Ok(Grade::new(l)),
+        _ => Err(format!("grade {level:?} is not a level from 0 to 3")),
+    }
+}
+
+/// Report a usage error: the message, then the usage, exit code 2.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("dx: {msg}\n{USAGE}");
+    ExitCode::from(2)
 }
 
 /// Read and parse a scenario file with `parse` ([`Scenario::parse`], or
@@ -83,9 +149,8 @@ fn load(
 /// `dx check`: parse + validate (a ground source included, as every run
 /// mode needs), print a one-line summary.
 fn cmd_check(args: &[String]) -> ExitCode {
-    let Some(path) = args.first() else {
-        eprintln!("{USAGE}");
-        return ExitCode::from(2);
+    let [path] = args else {
+        return usage_error("check wants exactly one <file.dx>");
     };
     match load(path, Scenario::parse_ground) {
         Ok(sc) => {
@@ -105,40 +170,48 @@ fn cmd_check(args: &[String]) -> ExitCode {
 
 /// `dx gen`: print the canonical text of a generated scenario.
 fn cmd_gen(args: &[String]) -> ExitCode {
-    let seed: u64 = flag_value(args, "--seed")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    let grade: u8 = flag_value(args, "--grade")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
-    print!("{}", gen_text(seed, Grade::new(grade)));
-    ExitCode::SUCCESS
+    let read = || -> Result<(u64, Grade), String> {
+        let flags = Flags::parse(args, &["--seed", "--grade"], &[])?;
+        let seed = flags.number("--seed", 0)?;
+        let grade = flags.value("--grade").map_or(Ok(Grade::new(0)), grade)?;
+        Ok((seed, grade))
+    };
+    match read() {
+        Ok((seed, grade)) => {
+            print!("{}", gen_text(seed, grade));
+            ExitCode::SUCCESS
+        }
+        Err(msg) => usage_error(&msg),
+    }
 }
 
 /// `dx corpus`: race `seeds × grades` generated scenarios and emit the
 /// aggregated statistics as JSON (stdout, plus `--out` when given).
 fn cmd_corpus(args: &[String]) -> ExitCode {
-    let seeds: u64 = flag_value(args, "--seeds")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
-    let grades: Vec<Grade> = match flag_value(args, "--grades") {
-        Some(spec) => {
-            let parts: Vec<u8> = spec.split(',').filter_map(|p| p.parse().ok()).collect();
-            match parts[..] {
-                [lo, hi] if lo <= hi => (lo..=hi).map(Grade::new).collect(),
-                [only] => vec![Grade::new(only)],
-                _ => {
-                    eprintln!("dx: --grades wants `lo,hi` or a single level");
-                    return ExitCode::from(2);
+    let read = || -> Result<(Flags<'_>, u64, Vec<Grade>), String> {
+        let flags = Flags::parse(args, &["--seeds", "--grades", "--out"], &[])?;
+        let seeds = flags.number("--seeds", 8)?;
+        let grades = match flags.value("--grades") {
+            Some(spec) => {
+                let levels = (spec.split(',').map(grade)).collect::<Result<Vec<Grade>, _>>()?;
+                match levels[..] {
+                    [lo, hi] if lo <= hi => (lo.level()..=hi.level()).map(Grade::new).collect(),
+                    [only] => vec![only],
+                    _ => return Err("--grades wants `lo,hi` or a single level".to_owned()),
                 }
             }
-        }
-        None => Grade::ALL.to_vec(),
+            None => Grade::ALL.to_vec(),
+        };
+        Ok((flags, seeds, grades))
+    };
+    let (flags, seeds, grades) = match read() {
+        Ok(read) => read,
+        Err(msg) => return usage_error(&msg),
     };
     let stats: CorpusStats = run_corpus(0..seeds, &grades);
     let json = stats.to_json();
     print!("{json}");
-    if let Some(out) = flag_value(args, "--out") {
+    if let Some(out) = flags.value("--out") {
         if let Some(dir) = std::path::Path::new(out).parent() {
             let _ = std::fs::create_dir_all(dir);
         }
@@ -153,20 +226,23 @@ fn cmd_corpus(args: &[String]) -> ExitCode {
 
 /// `dx <file.dx>`: chase + query pipelines (+ `--explain`).
 fn cmd_run(path: &str, args: &[String]) -> ExitCode {
+    const MODES: [&str; 5] = ["--chase", "--certain", "--gcwa", "--approx", "--all"];
+    let flags = match Flags::parse(
+        args,
+        &["--query"],
+        &[MODES.as_slice(), &["--updates", "--explain"]].concat(),
+    ) {
+        Ok(flags) => flags,
+        Err(msg) => return usage_error(&msg),
+    };
     let sc = match load(path, Scenario::parse_ground) {
         Ok(sc) => sc,
         Err(code) => return code,
     };
-    let all = args.iter().any(|a| a == "--all");
-    let wants = |flag: &str| all || args.iter().any(|a| a == flag);
-    let default_run = !args.iter().any(|a| {
-        matches!(
-            a.as_str(),
-            "--chase" | "--certain" | "--gcwa" | "--approx" | "--all"
-        )
-    });
-    let explain = args.iter().any(|a| a == "--explain");
-    let query_filter = flag_value(args, "--query");
+    let wants = |flag: &str| flags.has("--all") || flags.has(flag);
+    let default_run = !MODES.iter().any(|m| flags.has(m));
+    let explain = flags.has("--explain");
+    let query_filter = flags.value("--query");
 
     println!("# {path} — scenario \"{}\"", sc.name);
 
@@ -230,7 +306,7 @@ fn cmd_run(path: &str, args: &[String]) -> ExitCode {
         }
     }
 
-    if args.iter().any(|a| a == "--updates") {
+    if flags.has("--updates") {
         run_updates(&sc, &budget);
     }
 

@@ -12,8 +12,8 @@
 //! #   E15 + E16 + E17 at tiny sizes; writes target/smoke/BENCH_*.smoke.json
 //! #   (uploaded as CI artifacts, the recorded trajectories stay untouched);
 //! #   asserts every indexed/compiled engine oracle-identical to its
-//! #   baseline AND at/above the parity floor (SMOKE_PARITY_FLOOR, default
-//! #   0.5×); also writes metrics.smoke.json + trace.smoke.json there
+//! #   baseline AND at/above the parity floor (0.5× its baseline); also
+//! #   writes metrics.smoke.json + trace.smoke.json there
 //! cargo run --release -p dx-bench --bin experiments -- explain seeded
 //! #   EXPLAIN one query workload: print its compiled plan tree annotated
 //! #   with per-node executed-row/call (and seed partition/re-run) counts;
@@ -27,23 +27,14 @@
 //! cargo run --release -p dx-bench --bin experiments -- report # cross-run
 //! #   regression analytics: committed BENCH_chase.json/BENCH_query.json as
 //! #   baseline vs the freshest smoke rows as candidate, joined on
-//! #   (workload, stage, engine, n, threads); writes target/smoke/
+//! #   (workload, stage, engine, n); writes target/smoke/
 //! #   report.smoke.{md,json} and exits nonzero on hard regressions
-//! #   (BENCH_REGRESSION_FACTOR)
+//! #   (a candidate above 5× its baseline)
 //! ```
-//!
-//! Threads axis (`DX_THREADS`): the engine races and their work-identity
-//! gates pin the work-stealing pool to one worker (the sequential
-//! semantics every counter invariant is stated against); the
-//! `repa`/`gcwa`/`seeded` races then re-run their pool-backed arm at
-//! `threads ∈ {2, 4}`, assert the output bit-identical to the pinned run
-//! (the determinism contract), and emit rows carrying a `"threads"` field
-//! (1 on every other row). Everything outside those races runs at the
-//! ambient width — `DX_THREADS` if set, else the machine's parallelism.
 //!
 //! Observability (`dx-obs`): with `DX_OBS=1` every BENCH row additionally
 //! carries a `"counters"` object of work-metric counters captured from one
-//! untimed run of that arm (the best-of timing loops stay uninstrumented
+//! untimed run of that arm (the best-of timing runs stay uninstrumented
 //! beyond dx-obs's always-compiled-in relaxed-atomic sites) and a
 //! `"gauges"` object of memory-accounting readings (instance tuples/nulls,
 //! delta-store slots/postings/refcounts, plan-catalog entries/bytes; see
@@ -56,7 +47,7 @@
 //! the tracer); the smoke timeline comes from a separate traced slice.
 
 use dx_bench::{
-    closed_null_mapping, copy2, exhaust_query, fd_query, fmt_duration, open_null_mapping,
+    best_of, closed_null_mapping, copy2, exhaust_query, fd_query, fmt_duration, open_null_mapping,
     path_source, timed, unary_source, Table,
 };
 use dx_chase::Mapping;
@@ -78,10 +69,19 @@ const SMOKE_NS: &[usize] = &[8, 16];
 /// Where the smoke run drops its CI artifacts (records, metrics, trace,
 /// regression report) — under `target/` so the repo root stays clean.
 const SMOKE_DIR: &str = "target/smoke";
-/// The threads bench axis: pool widths the `repa`/`gcwa`/`seeded` races
-/// re-run their pool-backed arm at (beyond the pinned `threads = 1` arm
-/// every row records by default).
-const THREAD_WIDTHS: &[usize] = &[2, 4];
+/// Smoke's parity floor: an indexed/compiled engine must run at or above
+/// this multiple of its baseline's speed (parity with 2× timing-noise
+/// slack).
+const SMOKE_PARITY_FLOOR: f64 = 0.5;
+/// Smoke parity skips a race whose baseline runs below this many µs: there
+/// a single scheduler hiccup on a shared CI runner dwarfs the signal.
+const SMOKE_PARITY_MIN_BASELINE_US: f64 = 25.0;
+/// `report` flags a candidate row slower than this multiple of its
+/// baseline. The baseline was recorded on a different machine, so the
+/// tolerance is deliberately generous.
+const BENCH_REGRESSION_FACTOR: f64 = 5.0;
+/// `report` never gates a row whose baseline runs below this many µs.
+const BENCH_REGRESSION_MIN_BASELINE_US: f64 = 50.0;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -127,11 +127,6 @@ fn main() {
     }
     if std::env::args().any(|a| a == "query") {
         println!("# oc-exchange query-engine race (E16 + E17 + E18 only)\n");
-        println!(
-            "(pool: {} ambient worker(s) via DX_THREADS; engine races pin to 1, \
-             threads axis sweeps {THREAD_WIDTHS:?})\n",
-            rayon::current_num_threads()
-        );
         let mut records = e16_query_engines(QUERY_NS, false);
         records.extend(e17_regimes(QUERY_NS, false));
         records.extend(e18_stream(QUERY_NS, false));
@@ -149,11 +144,6 @@ fn main() {
         // the run), and E17 cross-checks the regimes against brute-force
         // oracles.
         println!("# oc-exchange bench smoke (E15 + E16 + E17 + E18, tiny sizes)\n");
-        println!(
-            "(pool: {} ambient worker(s) via DX_THREADS; engine races pin to 1, \
-             threads axis sweeps {THREAD_WIDTHS:?})\n",
-            rayon::current_num_threads()
-        );
         // Smoke always runs with the metrics layer on: the work-identity
         // gates and the BENCH-row counter/gauge fields depend on it, and
         // the registry snapshot becomes the `metrics.smoke.json` CI
@@ -212,78 +202,24 @@ fn main() {
 }
 
 /// The smoke-mode regression gate: an indexed/compiled engine must stay at
-/// or above `SMOKE_PARITY_FLOOR` × its baseline (default 0.5× — parity
-/// with 2× timing-noise slack; raise it to tighten the gate). Sub-noise
-/// measurements do not gate: when the baseline itself runs below
-/// `SMOKE_PARITY_MIN_BASELINE_US` (default 25 µs) a single scheduler
-/// hiccup on a shared CI runner dwarfs the signal, so the check is skipped
-/// with a note instead of failing spuriously. Full sweeps never gate: the
-/// recorded `BENCH_*.json` trajectories are the perf-trajectory story
-/// there.
+/// or above [`SMOKE_PARITY_FLOOR`] × its baseline. Sub-noise measurements
+/// do not gate: when the baseline itself runs below
+/// [`SMOKE_PARITY_MIN_BASELINE_US`] the check is skipped with a note
+/// instead of failing spuriously. Full sweeps never gate: the recorded
+/// `BENCH_*.json` trajectories are the perf-trajectory story there.
 fn assert_smoke_parity(smoke: bool, what: &str, n: usize, baseline: Duration, fast: Duration) {
     if !smoke {
         return;
     }
-    let env_f64 = |key: &str, default: f64| -> f64 {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let min_baseline_us = env_f64("SMOKE_PARITY_MIN_BASELINE_US", 25.0);
-    if (baseline.as_secs_f64() * 1e6) < min_baseline_us {
+    if (baseline.as_secs_f64() * 1e6) < SMOKE_PARITY_MIN_BASELINE_US {
         println!("(parity gate skipped for {what} n={n}: baseline {baseline:?} below noise floor)");
         return;
     }
-    let floor = env_f64("SMOKE_PARITY_FLOOR", 0.5);
     let speedup = baseline.as_secs_f64() / fast.as_secs_f64().max(1e-9);
     assert!(
-        speedup >= floor,
-        "{what} n={n}: speedup {speedup:.2}× fell below the smoke parity floor {floor:.2}× \
-         (baseline {baseline:?}, fast path {fast:?})"
-    );
-}
-
-/// The threads-axis smoke gate: a pool-backed arm at `threads > 1` must
-/// stay at or above `SMOKE_THREADS_PARITY_FLOOR` × the pinned
-/// (`threads = 1`) arm. The default floor is 0.2× — deliberately looser
-/// than the engine-race floor, because a single-core CI runner cannot
-/// realise any parallel win and pays pure spawn/steal overhead per sweep;
-/// the gate bounds that overhead (≤ 5×) rather than demanding a speedup.
-/// On a multi-core host the same gate passes with headroom, and the
-/// recorded rows carry the honest wall-clock either way. Shares the
-/// sub-noise skip with [`assert_smoke_parity`].
-fn assert_threads_parity(
-    smoke: bool,
-    what: &str,
-    n: usize,
-    threads: usize,
-    pinned: Duration,
-    pooled: Duration,
-) {
-    if !smoke {
-        return;
-    }
-    let env_f64 = |key: &str, default: f64| -> f64 {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let min_baseline_us = env_f64("SMOKE_PARITY_MIN_BASELINE_US", 25.0);
-    if (pinned.as_secs_f64() * 1e6) < min_baseline_us {
-        println!(
-            "(threads parity gate skipped for {what} n={n} threads={threads}: \
-             pinned arm {pinned:?} below noise floor)"
-        );
-        return;
-    }
-    let floor = env_f64("SMOKE_THREADS_PARITY_FLOOR", 0.2);
-    let ratio = pinned.as_secs_f64() / pooled.as_secs_f64().max(1e-9);
-    assert!(
-        ratio >= floor,
-        "{what} n={n} threads={threads}: pool ratio {ratio:.2}× fell below the threads \
-         parity floor {floor:.2}× (pinned {pinned:?}, pooled {pooled:?})"
+        speedup >= SMOKE_PARITY_FLOOR,
+        "{what} n={n}: speedup {speedup:.2}× fell below the smoke parity floor \
+         {SMOKE_PARITY_FLOOR:.2}× (baseline {baseline:?}, fast path {fast:?})"
     );
 }
 
@@ -435,24 +371,21 @@ fn assert_work_identity(
     }
 }
 
-/// One `BENCH_query.json` row (shared by E16 and E17; `rows` records the
-/// stage's cardinality — answer rows for the evaluation stages, leaf/union/
-/// member counts for the search and regime races; `threads` is the pool
-/// width the arm ran at (1 = the pinned sequential semantics); `counters`
-/// is the pre-rendered work-metric field, empty when dx-obs is disabled).
-#[allow(clippy::too_many_arguments)]
+/// One `BENCH_query.json` row (shared by E16, E17 and E18; `rows` records
+/// the stage's cardinality — answer rows for the evaluation stages, leaf/
+/// union/member counts for the search and regime races; `counters` is the
+/// pre-rendered work-metric field, empty when dx-obs is disabled).
 fn query_row(
     workload: &str,
     stage: &str,
     engine: &str,
     n: usize,
-    threads: usize,
     us: u128,
     rows: usize,
     counters: &str,
 ) -> String {
     format!(
-        "  {{\"workload\": \"{workload}\", \"stage\": \"{stage}\",          \"engine\": \"{engine}\", \"n\": {n}, \"threads\": {threads}, \"wall_time_us\": {us},          \"rows\": {rows}{counters}}}"
+        "  {{\"workload\": \"{workload}\", \"stage\": \"{stage}\",          \"engine\": \"{engine}\", \"n\": {n}, \"wall_time_us\": {us},          \"rows\": {rows}{counters}}}"
     )
 }
 
@@ -801,17 +734,13 @@ fn write_trace(path: &str) {
 
 /// One bench record, as parsed back from a `BENCH_*.json` file. Chase
 /// files carry no `stage` field; the parser synthesizes `"chase"` so both
-/// trajectories join on the same `(workload, stage, engine, n, threads)`
-/// key. Rows recorded before the threads axis existed carry no
-/// `"threads"` field; the parser defaults it to 1 (they were sequential
-/// runs), so old baselines keep joining against new candidates.
+/// trajectories join on the same `(workload, stage, engine, n)` key.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct BenchRecord {
     workload: String,
     stage: String,
     engine: String,
     n: u64,
-    threads: u64,
     us: u64,
 }
 
@@ -850,7 +779,9 @@ fn parse_bench_records(src: &str, synth_stage: &str) -> Vec<BenchRecord> {
 }
 
 /// One `{...}` bench row: collect the scalar fields at the row's own
-/// depth, skipping nested objects wholesale.
+/// depth, skipping nested objects wholesale. Rows with a `"threads"` field
+/// above 1 are history: an earlier harness re-ran some arms on a thread
+/// pool, and nothing runs them any more, so they are skipped.
 fn parse_bench_object(row: &str, synth_stage: &str) -> Option<BenchRecord> {
     let bytes = row.as_bytes();
     let mut fields: Vec<(String, String)> = Vec::new();
@@ -921,12 +852,14 @@ fn parse_bench_object(row: &str, synth_stage: &str) -> Option<BenchRecord> {
             .find(|(key, _)| key == k)
             .map(|(_, v)| v.clone())
     };
+    if get("threads").is_some_and(|v| v != "1") {
+        return None;
+    }
     Some(BenchRecord {
         workload: get("workload")?,
         stage: get("stage").unwrap_or_else(|| synth_stage.to_string()),
         engine: get("engine")?,
         n: get("n")?.parse().ok()?,
-        threads: get("threads").and_then(|v| v.parse().ok()).unwrap_or(1),
         us: get("wall_time_us")?.parse().ok()?,
     })
 }
@@ -935,31 +868,21 @@ fn parse_bench_object(row: &str, synth_stage: &str) -> Option<BenchRecord> {
 /// regression analytics. The committed `BENCH_chase.json`/`BENCH_query.json`
 /// trajectories are the baseline; the candidate defaults to the freshest
 /// smoke rows under `target/smoke/`. Rows join on `(workload, stage,
-/// engine, n, threads)`; a matched row regresses when the candidate exceeds
-/// `BENCH_REGRESSION_FACTOR` × baseline (default 5× — the baseline was
-/// recorded on a different machine, so the tolerance is deliberately
-/// generous) and the baseline itself is above
-/// `BENCH_REGRESSION_MIN_BASELINE_US` (default 50 µs — sub-noise rows are
-/// reported but never gate). Baseline rows missing from the candidate gate
-/// only *at axis values the candidate actually ran* (both the `n` and the
-/// `threads` coordinate): a recorded series silently dropping out of the
-/// harness is a regression of coverage, but a baseline recorded on an axis
-/// the candidate never swept (an old full run's `threads: 4` rows against
-/// a quick sequential candidate, or vice versa) is not. Symmetrically, a
-/// candidate row with no baseline yet — the first run after a new axis
+/// engine, n)`; a matched row regresses when the candidate exceeds
+/// [`BENCH_REGRESSION_FACTOR`] × baseline and the baseline itself is above
+/// [`BENCH_REGRESSION_MIN_BASELINE_US`] (sub-noise rows are reported but
+/// never gate). Baseline rows missing from the candidate gate only *at
+/// sizes the candidate actually ran*: a recorded series silently dropping
+/// out of the harness is a regression of coverage, but a full run's
+/// large-`n` rows against a quick smoke candidate are not. Symmetrically,
+/// a candidate row with no baseline yet — the first run after a new axis
 /// value lands — is reported as a new series, never a failure. Writes
 /// `target/smoke/report.smoke.{md,json}` and exits nonzero on any gate hit.
 fn run_report(chase_cand: &str, query_cand: &str) {
     use std::collections::{BTreeMap, BTreeSet};
 
-    let env_f64 = |key: &str, default: f64| -> f64 {
-        std::env::var(key)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let factor = env_f64("BENCH_REGRESSION_FACTOR", 5.0);
-    let floor_us = env_f64("BENCH_REGRESSION_MIN_BASELINE_US", 50.0);
+    let factor = BENCH_REGRESSION_FACTOR;
+    let floor_us = BENCH_REGRESSION_MIN_BASELINE_US;
     let read = |path: &str, role: &str| -> String {
         std::fs::read_to_string(path).unwrap_or_else(|e| {
             panic!(
@@ -978,20 +901,11 @@ fn run_report(chase_cand: &str, query_cand: &str) {
     assert!(!baseline.is_empty(), "baseline trajectories parse to rows");
     assert!(!candidate.is_empty(), "candidate rows parse");
 
-    type Key = (String, String, String, u64, u64);
-    let key = |r: &BenchRecord| {
-        (
-            r.workload.clone(),
-            r.stage.clone(),
-            r.engine.clone(),
-            r.n,
-            r.threads,
-        )
-    };
+    type Key = (String, String, String, u64);
+    let key = |r: &BenchRecord| (r.workload.clone(), r.stage.clone(), r.engine.clone(), r.n);
     let base_map: BTreeMap<Key, u64> = baseline.iter().map(|r| (key(r), r.us)).collect();
     let cand_map: BTreeMap<Key, u64> = candidate.iter().map(|r| (key(r), r.us)).collect();
     let covered_ns: BTreeSet<u64> = candidate.iter().map(|r| r.n).collect();
-    let covered_threads: BTreeSet<u64> = candidate.iter().map(|r| r.threads).collect();
 
     struct MatchedRow {
         key: Key,
@@ -1022,11 +936,7 @@ fn run_report(chase_cand: &str, query_cand: &str) {
         .collect();
     let missing_rows: Vec<&Key> = base_map
         .keys()
-        .filter(|k| {
-            !cand_map.contains_key(*k)
-                && covered_ns.contains(&k.3)
-                && covered_threads.contains(&k.4)
-        })
+        .filter(|k| !cand_map.contains_key(*k) && covered_ns.contains(&k.3))
         .collect();
     let regressions = matched.iter().filter(|m| m.regressed).count();
     let mut worst: BTreeMap<String, &MatchedRow> = BTreeMap::new();
@@ -1047,16 +957,14 @@ fn run_report(chase_cand: &str, query_cand: &str) {
     md.push_str(&format!(
         "Baseline: committed `BENCH_chase.json` + `BENCH_query.json`.\n\
          Candidate: `{chase_cand}` + `{query_cand}`.\n\
-         Gate: candidate ≤ {factor:.2}× baseline (`BENCH_REGRESSION_FACTOR`); \
-         rows with baseline < {floor_us:.0} µs \
-         (`BENCH_REGRESSION_MIN_BASELINE_US`) never gate.\n\n"
+         Gate: candidate ≤ {factor:.2}× baseline; \
+         rows with baseline < {floor_us:.0} µs never gate.\n\n"
     ));
     let mut t = Table::new(&[
         "workload",
         "stage",
         "engine",
         "n",
-        "threads",
         "baseline µs",
         "candidate µs",
         "ratio",
@@ -1068,7 +976,6 @@ fn run_report(chase_cand: &str, query_cand: &str) {
             m.key.1.clone(),
             m.key.2.clone(),
             m.key.3.to_string(),
-            m.key.4.to_string(),
             m.base_us.to_string(),
             m.cand_us.to_string(),
             format!("{:.2}×", m.ratio),
@@ -1084,7 +991,7 @@ fn run_report(chase_cand: &str, query_cand: &str) {
     md.push_str(&t.render());
     md.push_str(&format!(
         "\n{} matched rows, {} regression(s), {} new row(s), {} missing row(s) \
-         at candidate-covered axes (n and threads).\n",
+         at candidate-covered sizes.\n",
         matched.len(),
         regressions,
         new_rows.len(),
@@ -1092,14 +999,13 @@ fn run_report(chase_cand: &str, query_cand: &str) {
     ));
     if !worst.is_empty() {
         md.push_str("\n## Worst ratio per stage\n\n");
-        let mut wt = Table::new(&["stage", "workload", "engine", "n", "threads", "ratio"]);
+        let mut wt = Table::new(&["stage", "workload", "engine", "n", "ratio"]);
         for (stage, m) in &worst {
             wt.row(vec![
                 stage.clone(),
                 m.key.0.clone(),
                 m.key.2.clone(),
                 m.key.3.to_string(),
-                m.key.4.to_string(),
                 format!("{:.2}×", m.ratio),
             ]);
         }
@@ -1107,7 +1013,7 @@ fn run_report(chase_cand: &str, query_cand: &str) {
     }
     let fmt_keys = |keys: &[&Key]| {
         keys.iter()
-            .map(|k| format!("{}/{}/{} n={} threads={}", k.0, k.1, k.2, k.3, k.4))
+            .map(|k| format!("{}/{}/{} n={}", k.0, k.1, k.2, k.3))
             .collect::<Vec<_>>()
             .join(", ")
     };
@@ -1128,13 +1034,12 @@ fn run_report(chase_cand: &str, query_cand: &str) {
     let row_json = |m: &MatchedRow| {
         format!(
             "  {{\"workload\": \"{}\", \"stage\": \"{}\", \"engine\": \"{}\", \
-             \"n\": {}, \"threads\": {}, \"baseline_us\": {}, \"candidate_us\": {}, \
+             \"n\": {}, \"baseline_us\": {}, \"candidate_us\": {}, \
              \"ratio\": {:.4}, \"status\": \"{}\"}}",
             m.key.0,
             m.key.1,
             m.key.2,
             m.key.3,
-            m.key.4,
             m.base_us,
             m.cand_us,
             m.ratio,
@@ -1150,8 +1055,8 @@ fn run_report(chase_cand: &str, query_cand: &str) {
     let key_json = |k: &Key| {
         format!(
             "  {{\"workload\": \"{}\", \"stage\": \"{}\", \"engine\": \"{}\", \
-             \"n\": {}, \"threads\": {}}}",
-            k.0, k.1, k.2, k.3, k.4
+             \"n\": {}}}",
+            k.0, k.1, k.2, k.3
         )
     };
     let worst_json = worst
@@ -1159,8 +1064,8 @@ fn run_report(chase_cand: &str, query_cand: &str) {
         .map(|(stage, m)| {
             format!(
                 "  \"{stage}\": {{\"workload\": \"{}\", \"engine\": \"{}\", \
-                 \"n\": {}, \"threads\": {}, \"ratio\": {:.4}}}",
-                m.key.0, m.key.2, m.key.3, m.key.4, m.ratio
+                 \"n\": {}, \"ratio\": {:.4}}}",
+                m.key.0, m.key.2, m.key.3, m.ratio
             )
         })
         .collect::<Vec<_>>()
@@ -1677,25 +1582,15 @@ fn e15_chase_engines(ns: &[usize], json_path: Option<&str>, smoke: bool) {
             // bit-identical across the race arms in smoke mode.
             let mut work: Vec<(usize, usize)> = Vec::new();
             for (name, engine) in engines {
-                // Best of nine runs: cold-cache and scheduler noise are not
-                // the story, and at the small sizes they exceed the signal.
-                let mut best: Option<std::time::Duration> = None;
-                let mut out = None;
-                for _ in 0..9 {
-                    let (o, d) = timed(|| {
-                        canonical_solution_with_deps_via(
-                            engine,
-                            &case.mapping,
-                            &case.deps,
-                            &case.source,
-                            1_000_000,
-                        )
-                    });
-                    best = Some(best.map_or(d, |b| b.min(d)));
-                    out = Some(o);
-                }
-                let out = out.expect("ran");
-                let best = best.expect("ran");
+                let (out, best) = best_of(9, || {
+                    canonical_solution_with_deps_via(
+                        engine,
+                        &case.mapping,
+                        &case.deps,
+                        &case.source,
+                        1_000_000,
+                    )
+                });
                 assert_eq!(
                     out.outcome,
                     ChaseOutcome::Satisfied,
@@ -1795,12 +1690,6 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
     use std::collections::BTreeSet;
 
     println!("## E16 — query engines: tree-walking vs compiled (dx-query)\n");
-    // The engine races (and smoke's work-identity gates) are stated
-    // against the sequential semantics: pin the pool to one worker for
-    // the baseline arms, then race the work-stealing substrate explicitly
-    // on the threads axis below. Restored to the ambient width
-    // (`DX_THREADS` or the machine) on exit.
-    rayon::set_threads(1);
     let mut t = Table::new(&[
         "workload",
         "n",
@@ -1817,13 +1706,10 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
                       stage: &str,
                       engine: &str,
                       n: usize,
-                      threads: usize,
                       us: u128,
                       rows: usize,
                       counters: &str| {
-        records.push(query_row(
-            workload, stage, engine, n, threads, us, rows, counters,
-        ));
+        records.push(query_row(workload, stage, engine, n, us, rows, counters));
     };
     for &n in ns {
         for case in all_query_cases(n) {
@@ -1832,13 +1718,9 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
                 [("tree", &NaiveBodyEval), ("planned", &PlannedBodyEval)];
             let mut csol_times = Vec::new();
             for (name, body_eval) in evals {
-                let mut best: Option<std::time::Duration> = None;
-                for _ in 0..5 {
-                    let (_, d) =
-                        timed(|| canonical_solution_via(body_eval, &case.mapping, &case.source));
-                    best = Some(best.map_or(d, |b| b.min(d)));
-                }
-                let best = best.expect("ran");
+                let (_, best) = best_of(5, || {
+                    canonical_solution_via(body_eval, &case.mapping, &case.source)
+                });
                 let (_, diff) = captured_counters(|| {
                     canonical_solution_via(body_eval, &case.mapping, &case.source)
                 });
@@ -1848,7 +1730,6 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
                     "csol",
                     name,
                     n,
-                    1,
                     best.as_micros(),
                     0,
                     &format!(
@@ -1879,29 +1760,21 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
             let mut ans_times = Vec::new();
             let mut rows = 0usize;
             for name in ["tree", "planned"] {
-                let mut best: Option<std::time::Duration> = None;
-                let mut out = None;
-                for _ in 0..5 {
-                    let (o, d) = timed(|| match name {
-                        "tree" => case.query.naive_certain_answers(&target),
-                        _ => compiled.naive_certain_answers(&target),
-                    });
-                    best = Some(best.map_or(d, |b| b.min(d)));
-                    out = Some(o);
-                }
-                let best = best.expect("ran");
+                let (out, best) = best_of(5, || match name {
+                    "tree" => case.query.naive_certain_answers(&target),
+                    _ => compiled.naive_certain_answers(&target),
+                });
                 let (_, diff) = captured_counters(|| match name {
                     "tree" => case.query.naive_certain_answers(&target),
                     _ => compiled.naive_certain_answers(&target),
                 });
-                rows = out.as_ref().expect("ran").len();
-                ans_times.push((best, out.expect("ran")));
+                rows = out.len();
+                ans_times.push((best, out));
                 record(
                     case.workload,
                     "answers",
                     name,
                     n,
-                    1,
                     best.as_micros(),
                     rows,
                     &format!(
@@ -1961,9 +1834,6 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
         "speedup",
         "rows",
     ]);
-    // The threads bench axis: each pool-backed arm re-run at the widths in
-    // `THREAD_WIDTHS`, raced against its own pinned (threads = 1) time.
-    let mut tt = Table::new(&["stage", "n", "threads", "pinned (1)", "pooled", "ratio"]);
     for &n in ns {
         let case = seeded_case(n);
         let csol = canonical_solution(&case.mapping, &case.source).rel_part();
@@ -1976,22 +1846,14 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
         let mut rows = 0usize;
         let mut outs = Vec::new();
         for name in ["tree", "compiled"] {
-            let mut best: Option<std::time::Duration> = None;
-            let mut out = None;
-            for _ in 0..5 {
-                let (o, d) = timed(|| match name {
-                    "tree" => case.query.naive_certain_answers(&csol),
-                    _ => compiled.naive_certain_answers(&csol),
-                });
-                best = Some(best.map_or(d, |b| b.min(d)));
-                out = Some(o);
-            }
-            let best = best.expect("ran");
+            let (out, best) = best_of(5, || match name {
+                "tree" => case.query.naive_certain_answers(&csol),
+                _ => compiled.naive_certain_answers(&csol),
+            });
             let (_, diff) = captured_counters(|| match name {
                 "tree" => case.query.naive_certain_answers(&csol),
                 _ => compiled.naive_certain_answers(&csol),
             });
-            let out = out.expect("ran");
             rows = out.len();
             outs.push(out);
             times.push(best);
@@ -2000,7 +1862,6 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
                 "seeded",
                 name,
                 n,
-                1,
                 best.as_micros(),
                 rows,
                 &format!(
@@ -2016,54 +1877,6 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
         );
         assert!(rows > 0, "seeded n={n}: single-author papers must answer");
         assert_smoke_parity(smoke, "seeded", n, times[0], times[1]);
-        // Threads axis: the compiled arm re-run on the work-stealing pool
-        // (the seeded anti-join partitions its distinct-key branch runs).
-        // Answers must stay bit-identical at every width — the
-        // determinism contract the parallel substrate ships with.
-        for &w in THREAD_WIDTHS {
-            rayon::set_threads(w);
-            let mut best: Option<std::time::Duration> = None;
-            let mut out = None;
-            for _ in 0..3 {
-                let (o, d) = timed(|| compiled.naive_certain_answers(&csol));
-                best = Some(best.map_or(d, |b| b.min(d)));
-                out = Some(o);
-            }
-            let best = best.expect("ran");
-            let (_, diff) = captured_counters(|| compiled.naive_certain_answers(&csol));
-            let out = out.expect("ran");
-            assert_eq!(
-                out, outs[1],
-                "seeded n={n} threads={w}: pooled answers diverged from the pinned run"
-            );
-            record(
-                case.workload,
-                "seeded",
-                "compiled",
-                n,
-                w,
-                best.as_micros(),
-                out.len(),
-                &format!(
-                    "{}{}",
-                    counters_field(&diff, QUERY_COUNTERS),
-                    gauges_field(&diff, QUERY_GAUGES)
-                ),
-            );
-            assert_threads_parity(smoke, "seeded", n, w, times[1], best);
-            tt.row(vec![
-                "seeded".to_string(),
-                n.to_string(),
-                w.to_string(),
-                fmt_duration(times[1]),
-                fmt_duration(best),
-                format!(
-                    "{:.1}×",
-                    times[1].as_secs_f64() / best.as_secs_f64().max(1e-9)
-                ),
-            ]);
-        }
-        rayon::set_threads(1);
         let speedup = times[0].as_secs_f64() / times[1].as_secs_f64().max(1e-9);
         st.row(vec![
             case.workload.to_string(),
@@ -2102,27 +1915,7 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
         let mut leaves = Vec::new();
         let mut diffs = Vec::new();
         for engine in ["rebuild", "incremental"] {
-            let mut best: Option<std::time::Duration> = None;
-            let mut out = None;
-            for _ in 0..5 {
-                let (o, d) = timed(|| {
-                    search_rep_a_indexed(&csol.instance, &consts, &budget, &mut |leaf| {
-                        if engine == "rebuild" {
-                            !ev.holds_on(&leaf.index().to_instance(), &empty)
-                        } else {
-                            !ev.holds_on_indexed(
-                                leaf.index(),
-                                || leaf.index().to_instance(),
-                                &empty,
-                            )
-                        }
-                    })
-                });
-                best = Some(best.map_or(d, |b| b.min(d)));
-                out = Some(o);
-            }
-            let best = best.expect("ran");
-            let (_, diff) = captured_counters(|| {
+            let search = || {
                 search_rep_a_indexed(&csol.instance, &consts, &budget, &mut |leaf| {
                     if engine == "rebuild" {
                         !ev.holds_on(&leaf.index().to_instance(), &empty)
@@ -2130,8 +1923,9 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
                         !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), &empty)
                     }
                 })
-            });
-            let out = out.expect("ran");
+            };
+            let (out, best) = best_of(5, search);
+            let (_, diff) = captured_counters(search);
             assert!(
                 out.witness.is_none(),
                 "repa n={n}: certainly-true query must not be refuted"
@@ -2143,7 +1937,6 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
                 "repa",
                 engine,
                 n,
-                1,
                 best.as_micros(),
                 out.leaves as usize,
                 &format!(
@@ -2162,66 +1955,6 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
         // differs — so every solver.dfs.* counter must agree bit-for-bit.
         assert_work_identity(smoke, "repa", n, SOLVER_COUNTERS, &diffs[0], &diffs[1]);
         assert_smoke_parity(smoke, "repa", n, times[0], times[1]);
-        // Threads axis: the incremental arm re-run on the pool (the
-        // compiled per-leaf plans fan their hash joins out above the row
-        // threshold). The search itself stays sequential, so witness
-        // absence and the leaf count must be identical at every width.
-        for &w in THREAD_WIDTHS {
-            rayon::set_threads(w);
-            let mut best: Option<std::time::Duration> = None;
-            let mut out = None;
-            for _ in 0..3 {
-                let (o, d) = timed(|| {
-                    search_rep_a_indexed(&csol.instance, &consts, &budget, &mut |leaf| {
-                        !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), &empty)
-                    })
-                });
-                best = Some(best.map_or(d, |b| b.min(d)));
-                out = Some(o);
-            }
-            let best = best.expect("ran");
-            let (_, diff) = captured_counters(|| {
-                search_rep_a_indexed(&csol.instance, &consts, &budget, &mut |leaf| {
-                    !ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), &empty)
-                })
-            });
-            let out = out.expect("ran");
-            assert!(
-                out.witness.is_none(),
-                "repa n={n} threads={w}: certainly-true query must not be refuted"
-            );
-            assert_eq!(
-                out.leaves, leaves[1],
-                "repa n={n} threads={w}: leaf count diverged from the pinned run"
-            );
-            record(
-                case.workload,
-                "repa",
-                "incremental",
-                n,
-                w,
-                best.as_micros(),
-                out.leaves as usize,
-                &format!(
-                    "{}{}",
-                    counters_field(&diff, SOLVER_COUNTERS),
-                    gauges_field(&diff, SOLVER_GAUGES)
-                ),
-            );
-            assert_threads_parity(smoke, "repa", n, w, times[1], best);
-            tt.row(vec![
-                "repa".to_string(),
-                n.to_string(),
-                w.to_string(),
-                fmt_duration(times[1]),
-                fmt_duration(best),
-                format!(
-                    "{:.1}×",
-                    times[1].as_secs_f64() / best.as_secs_f64().max(1e-9)
-                ),
-            ]);
-        }
-        rayon::set_threads(1);
         let speedup = times[0].as_secs_f64() / times[1].as_secs_f64().max(1e-9);
         rt.row(vec![
             case.workload.to_string(),
@@ -2234,21 +1967,14 @@ fn e16_query_engines(ns: &[usize], smoke: bool) -> Vec<String> {
     }
     println!("{}", rt.render());
 
-    println!("### Threads axis (pool-backed arms vs their pinned runs)\n");
-    println!("{}", tt.render());
-
     println!(
         "Shape check: parity at small n, compiled advantage growing with n \
          on both stages (the tree walker pays an active-domain scan per \
          negated existential, the plan one anti-join); the Rep_A race pays \
          Θ(n) index rebuilds of Θ(n) tuples per search on the baseline vs \
          O(1) delta work per leaf on the incremental store; results \
-         asserted identical across engines. The threads rows record the \
-         same arms on the work-stealing pool — bit-identical output at \
-         every width; the ratio only exceeds 1× when the host has the \
-         cores to back the width.\n"
+         asserted identical across engines.\n"
     );
-    rayon::set_threads(0);
     records
 }
 
@@ -2270,22 +1996,15 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
     use dx_solver::{for_each_union, minimal_rep_a_members, search_rep_a_indexed};
 
     println!("## E17 — non-monotonic regimes: GCWA* / approximation (dx-core)\n");
-    // Same pinning discipline as E16: sequential semantics for the engine
-    // races and their union-walk work-identity gates, explicit widths for
-    // the threads axis, ambient width restored on exit.
-    rayon::set_threads(1);
     let mut records: Vec<String> = Vec::new();
     let mut record = |workload: &str,
                       stage: &str,
                       engine: &str,
                       n: usize,
-                      threads: usize,
                       us: u128,
                       rows: usize,
                       counters: &str| {
-        records.push(query_row(
-            workload, stage, engine, n, threads, us, rows, counters,
-        ));
+        records.push(query_row(workload, stage, engine, n, us, rows, counters));
     };
     let empty = Tuple::new(Vec::<Value>::new());
 
@@ -2300,7 +2019,6 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
         "incremental",
         "speedup",
     ]);
-    let mut gtt = Table::new(&["stage", "n", "threads", "pinned (1)", "pooled", "ratio"]);
     for &n in ns {
         let case = gcwa_case(n);
         assert!(case.query.is_boolean(), "gcwa workload is a sentence");
@@ -2339,16 +2057,8 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
         let mut stats = (0usize, 0u64);
         let mut diffs = Vec::new();
         for engine in ["rebuild", "incremental"] {
-            let mut best: Option<std::time::Duration> = None;
-            let mut answer = None;
-            for _ in 0..5 {
-                let (out, d) = timed(|| run(engine));
-                best = Some(best.map_or(d, |b| b.min(d)));
-                answer = Some(out);
-            }
-            let best = best.expect("ran");
+            let ((certain, minimal, unions), best) = best_of(5, || run(engine));
             let (_, diff) = captured_counters(|| run(engine));
-            let (certain, minimal, unions) = answer.expect("ran");
             verdicts.push(certain);
             stats = (minimal, unions);
             times.push(best);
@@ -2357,7 +2067,6 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
                 "gcwa",
                 engine,
                 n,
-                1,
                 best.as_micros(),
                 unions as usize,
                 &format!(
@@ -2399,56 +2108,6 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
             );
         }
         assert_smoke_parity(smoke, "gcwa", n, times[0], times[1]);
-        // Threads axis: the incremental regime re-run on the pool — the
-        // union retain/refute sweeps chunk the union space across workers
-        // and reconstruct the sequential early-stop semantics, so the
-        // verdict, the minimal-solution count, AND the reported union
-        // count must all be bit-identical to the pinned run.
-        for &w in THREAD_WIDTHS {
-            rayon::set_threads(w);
-            let mut best: Option<std::time::Duration> = None;
-            let mut answer = None;
-            for _ in 0..3 {
-                let (out, d) = timed(|| run("incremental"));
-                best = Some(best.map_or(d, |b| b.min(d)));
-                answer = Some(out);
-            }
-            let best = best.expect("ran");
-            let (_, diff) = captured_counters(|| run("incremental"));
-            let (certain, minimal, unions) = answer.expect("ran");
-            assert_eq!(
-                (certain, minimal, unions),
-                (verdicts[1], stats.0, stats.1),
-                "gcwa n={n} threads={w}: pooled sweep diverged from the pinned run"
-            );
-            record(
-                case.workload,
-                "gcwa",
-                "incremental",
-                n,
-                w,
-                best.as_micros(),
-                unions as usize,
-                &format!(
-                    "{}{}",
-                    counters_field(&diff, UNION_COUNTERS),
-                    gauges_field(&diff, SOLVER_GAUGES)
-                ),
-            );
-            assert_threads_parity(smoke, "gcwa", n, w, times[1], best);
-            gtt.row(vec![
-                "gcwa".to_string(),
-                n.to_string(),
-                w.to_string(),
-                fmt_duration(times[1]),
-                fmt_duration(best),
-                format!(
-                    "{:.1}×",
-                    times[1].as_secs_f64() / best.as_secs_f64().max(1e-9)
-                ),
-            ]);
-        }
-        rayon::set_threads(1);
         let speedup = times[0].as_secs_f64() / times[1].as_secs_f64().max(1e-9);
         gt.row(vec![
             case.workload.to_string(),
@@ -2461,9 +2120,6 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
         ]);
     }
     println!("{}", gt.render());
-
-    println!("### Threads axis (GCWA* union sweep on the pool)\n");
-    println!("{}", gtt.render());
 
     // --- Approximation: rebuild-per-member vs the incremental sampler. ---
     let sample = SearchBudget {
@@ -2517,20 +2173,12 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
         let mut uppers = Vec::new();
         let mut leaves = Vec::new();
         for engine in ["rebuild", "incremental"] {
-            let mut best: Option<std::time::Duration> = None;
-            let mut answer = None;
-            for _ in 0..5 {
-                let (out, d) = timed(|| run(engine));
-                best = Some(best.map_or(d, |b| b.min(d)));
-                answer = Some(out);
-            }
-            let best = best.expect("ran");
+            let ((upper, lv), best) = best_of(5, || run(engine));
             // No cross-arm counter-identity assert here: the rebuild arm's
             // hand-rolled pipeline need not match the regime's internal
             // lower-bound search counter-for-counter. The `uppers`/`leaves`
             // equality asserts below are this race's work-identity gate.
             let (_, diff) = captured_counters(|| run(engine));
-            let (upper, lv) = answer.expect("ran");
             uppers.push(upper);
             leaves.push(lv);
             times.push(best);
@@ -2539,7 +2187,6 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
                 "approx",
                 engine,
                 n,
-                1,
                 best.as_micros(),
                 lv as usize,
                 &format!(
@@ -2596,11 +2243,8 @@ fn e17_regimes(ns: &[usize], smoke: bool) -> Vec<String> {
          union (O(1) for this family) against a Θ(n) index rebuild per \
          union on the baseline — likewise per sampled member in the \
          approximation sweep; verdicts asserted identical across engines \
-         and against brute-force oracles at the smoke sizes. The threads \
-         rows re-run the incremental regime on the work-stealing pool with \
-         verdict, minimal count, and union count asserted bit-identical.\n"
+         and against brute-force oracles at the smoke sizes.\n"
     );
-    rayon::set_threads(0);
     records
 }
 
@@ -2620,7 +2264,6 @@ fn e18_stream(ns: &[usize], smoke: bool) -> Vec<String> {
     use dx_core::streaming::{QueryPath, StreamRegime, StreamSession};
 
     println!("## E18 — streaming exchange: incremental maintenance vs recompute (dx-core)\n");
-    rayon::set_threads(1);
     let mut records: Vec<String> = Vec::new();
     let mut t = Table::new(&[
         "workload",
@@ -2663,21 +2306,14 @@ fn e18_stream(ns: &[usize], smoke: bool) -> Vec<String> {
             }
             (per_batch, delta_paths)
         };
-        let mut best_rebuild: Option<Duration> = None;
-        let mut rebuild_answers = None;
-        let mut best_incr: Option<Duration> = None;
-        let mut incr_out = None;
-        for _ in 0..5 {
-            let (out, d) = timed(run_rebuild);
-            best_rebuild = Some(best_rebuild.map_or(d, |b| b.min(d)));
-            rebuild_answers = Some(out);
-            let (out, d) = timed(run_incremental);
-            best_incr = Some(best_incr.map_or(d, |b| b.min(d)));
-            incr_out = Some(out);
-        }
-        let (best_rebuild, best_incr) = (best_rebuild.expect("ran"), best_incr.expect("ran"));
-        let rebuild_answers = rebuild_answers.expect("ran");
-        let (incr_answers, delta_paths) = incr_out.expect("ran");
+        // Best of five per arm, the arms alternating within each rep so a
+        // drift in host speed lands on both alike.
+        let mut reps: Vec<_> = (0..5)
+            .map(|_| (timed(run_rebuild), timed(run_incremental)))
+            .collect();
+        let best_rebuild = reps.iter().map(|(r, _)| r.1).min().expect("ran");
+        let best_incr = reps.iter().map(|(_, i)| i.1).min().expect("ran");
+        let ((rebuild_answers, _), ((incr_answers, delta_paths), _)) = reps.pop().expect("ran");
         // The differential gate: after EVERY batch the maintained answer
         // set must equal recompute-from-scratch.
         for (i, (a, b)) in rebuild_answers.iter().zip(&incr_answers).enumerate() {
@@ -2697,7 +2333,6 @@ fn e18_stream(ns: &[usize], smoke: bool) -> Vec<String> {
             "stream",
             "rebuild",
             n,
-            1,
             best_rebuild.as_micros(),
             final_rows,
             "",
@@ -2707,7 +2342,6 @@ fn e18_stream(ns: &[usize], smoke: bool) -> Vec<String> {
             "stream",
             "incremental",
             n,
-            1,
             best_incr.as_micros(),
             final_rows,
             "",
@@ -2740,7 +2374,6 @@ fn e18_stream(ns: &[usize], smoke: bool) -> Vec<String> {
          final retraction included, by delete and re-derive). Answer \
          sets asserted identical batch for batch.\n"
     );
-    rayon::set_threads(0);
     records
 }
 

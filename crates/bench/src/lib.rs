@@ -28,6 +28,21 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
     (out, t0.elapsed())
 }
 
+/// Run `f` `k` times (`k ≥ 1`) and keep the fastest run: returns the last
+/// run's result and the minimum elapsed time. The races read min-of-k
+/// because cold caches and scheduler noise are not the story, and at small
+/// sizes they exceed the signal.
+pub fn best_of<T>(k: usize, mut f: impl FnMut() -> T) -> (T, Duration) {
+    assert!(k >= 1, "best_of needs at least one run");
+    let (mut out, mut best) = timed(&mut f);
+    for _ in 1..k {
+        let (o, d) = timed(&mut f);
+        out = o;
+        best = best.min(d);
+    }
+    (out, best)
+}
+
 /// Format a duration in adaptive units for table output.
 pub fn fmt_duration(d: Duration) -> String {
     let us = d.as_micros();
@@ -171,6 +186,16 @@ mod tests {
         let s = t.render();
         assert!(s.contains("| n | time |"));
         assert!(s.lines().count() == 3);
+    }
+
+    #[test]
+    fn best_of_runs_k_times_and_keeps_the_last_result() {
+        let mut runs = 0;
+        let (out, _) = best_of(3, || {
+            runs += 1;
+            runs
+        });
+        assert_eq!((runs, out), (3, 3));
     }
 
     #[test]

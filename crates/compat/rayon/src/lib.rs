@@ -1,416 +1,13 @@
-//! Offline fork-join / work-stealing subset of the `rayon` API.
+//! The one `rayon` item still named in the tree: a no-op [`set_threads`].
 //!
-//! The build environment has no crates.io access, so this crate implements
-//! the slice of rayon the workspace's parallel sweeps use:
-//!
-//! * [`join`] — run two closures, potentially on different threads;
-//! * [`scope`] — spawn an arbitrary number of scoped tasks;
-//! * [`par_map`] — the workhorse: map `f` over `0..n` on a work-stealing
-//!   pool and collect the results *in index order*;
-//! * a minimal `par_iter().map(..).collect()` surface ([`prelude`]).
-//!
-//! ## Pool model
-//!
-//! There is no persistent thread pool. Each parallel region opens a
-//! [`std::thread::scope`], seeds one double-ended job queue per worker
-//! with a contiguous block of indices, and lets idle workers steal from
-//! the *back* of their neighbours' queues (classic work-stealing: owners
-//! pop from the front for locality, thieves take from the back to grab
-//! the largest remaining chunk of someone else's block). Because every
-//! job is enqueued before the workers start and nothing re-enqueues,
-//! a worker may exit as soon as a full sweep over all queues finds them
-//! empty. Scoped threads mean borrowed data needs no `'static` erasure
-//! and panics propagate to the caller at scope exit.
-//!
-//! ## Determinism contract
-//!
-//! [`par_map`] writes each result into a per-index slot, so its output
-//! vector is identical for every thread count — including 1, where the
-//! whole region runs inline on the caller with zero queue traffic. Call
-//! sites that need bit-identical sequential behaviour arrange for their
-//! *merge order* to be canonical (index order) and keep any early-exit
-//! logic deterministic; the pool itself never reorders results.
-//!
-//! ## Thread-count resolution
-//!
-//! [`current_num_threads`] resolves, in order: a programmatic
-//! [`set_threads`] override (used by benches racing several widths in
-//! one process), the `DX_THREADS` environment variable (read once), and
-//! [`std::thread::available_parallelism`].
-//!
-//! ## Observability
-//!
-//! Every enqueued job bumps `pool.tasks_spawned`; every successful steal
-//! bumps `pool.steals`. Workers run under a `pool.worker` span and emit a
-//! `pool.worker.start` instant carrying their worker index, so timeline
-//! events from a parallel region are attributable to workers (the trace
-//! ring additionally stamps every event with a dense per-thread id).
+//! Every engine in the workspace runs sequentially, so there is no pool to
+//! size. The benchmark crate (`perfbench/`) still calls
+//! `rayon::set_threads(1)` at start-up to pin a width; this crate keeps
+//! that call compiling until the benchmark drops it, after which the crate
+//! can go.
 
 #![warn(missing_docs)]
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-
-/// Programmatic thread-count override (0 = unset, fall back to env).
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-fn env_threads() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        match std::env::var("DX_THREADS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-        {
-            Some(n) if n >= 1 => n,
-            _ => std::thread::available_parallelism().map_or(1, usize::from),
-        }
-    })
-}
-
-/// Number of worker threads a parallel region will use.
-///
-/// Resolution order: [`set_threads`] override, then the `DX_THREADS`
-/// environment variable (read once per process), then
-/// [`std::thread::available_parallelism`]. Always at least 1.
-pub fn current_num_threads() -> usize {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        0 => env_threads(),
-        n => n,
-    }
-}
-
-/// Override the thread count for subsequent parallel regions.
-///
-/// `set_threads(0)` removes the override, restoring `DX_THREADS` / auto
-/// resolution. Benches use this to race several widths in one process;
-/// determinism tests use it to compare a parallel run against width 1.
-pub fn set_threads(n: usize) {
-    OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// Run two closures and return both results.
-///
-/// With more than one thread configured, `b` runs on a scoped helper
-/// thread while `a` runs on the caller; at width 1 both run inline, in
-/// order. Panics in either closure propagate.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    dx_obs::count!("pool.tasks_spawned", 2);
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        let rb = hb.join().expect("rayon-compat join: task panicked");
-        (ra, rb)
-    })
-}
-
-/// A scope handle for [`scope`], able to spawn further tasks.
-pub struct Scope<'scope, 'env: 'scope> {
-    inner: &'scope std::thread::Scope<'scope, 'env>,
-}
-
-impl<'scope, 'env> Scope<'scope, 'env> {
-    /// Spawn a task that may borrow from outside the scope; it completes
-    /// before [`scope`] returns.
-    pub fn spawn<F>(&self, f: F)
-    where
-        F: FnOnce(&Scope<'scope, 'env>) + Send + 'scope,
-    {
-        dx_obs::count!("pool.tasks_spawned");
-        let inner = self.inner;
-        inner.spawn(move || f(&Scope { inner }));
-    }
-}
-
-/// Create a fork-join scope: tasks spawned on the handle all complete
-/// before this returns. At width 1 spawned tasks still run (std scoped
-/// threads), so prefer [`par_map`] for width-sensitive hot paths.
-pub fn scope<'env, F, T>(f: F) -> T
-where
-    F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> T,
-{
-    std::thread::scope(|s| f(&Scope { inner: s }))
-}
-
-/// Map `f` over `0..n`, in parallel, collecting results in index order.
-///
-/// The output is identical for every thread count (each index writes its
-/// own slot). At width 1 — or for tiny inputs — the map runs inline on
-/// the caller with no threads, queues, or counter traffic, making the
-/// sequential path bit-identical to a plain loop.
-pub fn par_map<R, F>(n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let threads = current_num_threads().min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    dx_obs::count!("pool.tasks_spawned", n);
-
-    // One deque per worker, seeded with a contiguous block of indices.
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..threads)
-        .map(|w| {
-            let lo = n * w / threads;
-            let hi = n * (w + 1) / threads;
-            Mutex::new((lo..hi).collect())
-        })
-        .collect();
-    // Per-index result slots: `Mutex<Option<R>>` (not `OnceLock`) so only
-    // `R: Send` is required; each slot is written exactly once, uncontended.
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let steals = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        let run_worker = |w: usize| {
-            let _span = dx_obs::span!("pool.worker");
-            dx_obs::trace_instant!("pool.worker.start", "worker" = w);
-            loop {
-                // Own front first (locality), then steal from the back of
-                // the next non-empty neighbour.
-                let mut job = queues[w]
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .pop_front();
-                if job.is_none() {
-                    for o in 1..threads {
-                        let victim = (w + o) % threads;
-                        let stolen = queues[victim]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .pop_back();
-                        if stolen.is_some() {
-                            steals.fetch_add(1, Ordering::Relaxed);
-                            job = stolen;
-                            break;
-                        }
-                    }
-                }
-                match job {
-                    Some(i) => {
-                        let r = f(i);
-                        *slots[i]
-                            .lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(r);
-                    }
-                    // All queues empty and nothing re-enqueues: done.
-                    None => break,
-                }
-            }
-        };
-        let mut handles = Vec::with_capacity(threads - 1);
-        for w in 1..threads {
-            handles.push(s.spawn(move || run_worker(w)));
-        }
-        run_worker(0);
-        for h in handles {
-            h.join().expect("rayon-compat par_map: worker panicked");
-        }
-    });
-
-    dx_obs::count!("pool.steals", steals.load(Ordering::Relaxed));
-    slots
-        .into_iter()
-        .map(|c| {
-            c.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("par_map slot filled exactly once")
-        })
-        .collect()
-}
-
-/// Like [`par_map`], but only goes parallel when `n >= min_parallel`;
-/// below the threshold it runs inline regardless of the configured
-/// width. Keeps tiny inputs off the pool without branching at every
-/// call site.
-pub fn par_map_threshold<R, F>(n: usize, min_parallel: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    if n < min_parallel || current_num_threads() <= 1 {
-        return (0..n).map(f).collect();
-    }
-    par_map(n, f)
-}
-
-/// Minimal parallel-iterator surface: `slice.par_iter().map(f).collect()`.
-pub mod iter {
-    use super::par_map;
-
-    /// Conversion into [`ParIter`] by reference (`&[T]`, `&Vec<T>`).
-    pub trait IntoParallelRefIterator<'a> {
-        /// Borrowed item type.
-        type Item: Sync + 'a;
-        /// Parallel iterator over `&Self::Item`.
-        fn par_iter(&'a self) -> ParIter<'a, Self::Item>;
-    }
-
-    impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for [T] {
-        type Item = T;
-        fn par_iter(&'a self) -> ParIter<'a, T> {
-            ParIter { items: self }
-        }
-    }
-
-    impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
-        type Item = T;
-        fn par_iter(&'a self) -> ParIter<'a, T> {
-            ParIter { items: self }
-        }
-    }
-
-    /// Borrowed parallel iterator (produced by `par_iter()`).
-    pub struct ParIter<'a, T> {
-        items: &'a [T],
-    }
-
-    impl<'a, T: Sync> ParIter<'a, T> {
-        /// Map each item through `f` on the pool.
-        pub fn map<R, F>(self, f: F) -> ParMap<'a, T, F>
-        where
-            R: Send,
-            F: Fn(&'a T) -> R + Sync,
-        {
-            ParMap {
-                items: self.items,
-                f,
-            }
-        }
-    }
-
-    /// The result of [`ParIter::map`]; terminal op is [`ParMap::collect`].
-    pub struct ParMap<'a, T, F> {
-        items: &'a [T],
-        f: F,
-    }
-
-    impl<'a, T: Sync, F> ParMap<'a, T, F> {
-        /// Run the map on the pool and collect results in input order.
-        pub fn collect<R, C>(self) -> C
-        where
-            R: Send,
-            F: Fn(&'a T) -> R + Sync,
-            C: FromParIter<R>,
-        {
-            let items = self.items;
-            let f = self.f;
-            C::from_par(par_map(items.len(), |i| f(&items[i])))
-        }
-    }
-
-    /// Collection target for [`ParMap::collect`].
-    pub trait FromParIter<T> {
-        /// Build the collection from results already in input order.
-        fn from_par(v: Vec<T>) -> Self;
-    }
-
-    impl<T> FromParIter<T> for Vec<T> {
-        fn from_par(v: Vec<T>) -> Self {
-            v
-        }
-    }
-}
-
-/// Glob-import surface mirroring `rayon::prelude`.
-pub mod prelude {
-    pub use crate::iter::{FromParIter, IntoParallelRefIterator, ParIter, ParMap};
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::prelude::*;
-
-    /// Serialize tests that touch the global width override.
-    fn width_guard() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    #[test]
-    fn par_map_is_identical_across_widths() {
-        let _g = width_guard();
-        let n = 1000;
-        let f = |i: usize| (i as u64).wrapping_mul(0x9e37_79b9) ^ (i as u64);
-        set_threads(1);
-        let seq: Vec<u64> = par_map(n, f);
-        for width in [2, 3, 4, 8] {
-            set_threads(width);
-            assert_eq!(par_map(n, f), seq, "width {width} diverged");
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn join_runs_both_and_returns_in_order() {
-        let _g = width_guard();
-        for width in [1, 4] {
-            set_threads(width);
-            let (a, b) = join(|| 1 + 1, || "b");
-            assert_eq!((a, b), (2, "b"));
-        }
-        set_threads(0);
-    }
-
-    #[test]
-    fn scope_spawns_complete_before_return() {
-        let _g = width_guard();
-        set_threads(4);
-        let hits = AtomicUsize::new(0);
-        scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|_| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 8);
-        set_threads(0);
-    }
-
-    #[test]
-    fn par_iter_map_collect_preserves_order() {
-        let _g = width_guard();
-        set_threads(4);
-        let words = vec!["a", "bb", "ccc", "dddd"];
-        let lens: Vec<usize> = words.par_iter().map(|w| w.len()).collect();
-        assert_eq!(lens, vec![1, 2, 3, 4]);
-        set_threads(0);
-    }
-
-    #[test]
-    fn threshold_keeps_small_inputs_inline() {
-        let _g = width_guard();
-        set_threads(4);
-        let out = par_map_threshold(3, 64, |i| i * 2);
-        assert_eq!(out, vec![0, 2, 4]);
-        set_threads(0);
-    }
-
-    #[test]
-    fn par_map_panics_propagate() {
-        let _g = width_guard();
-        set_threads(2);
-        let r = std::panic::catch_unwind(|| {
-            par_map(100, |i| {
-                assert!(i != 37, "boom");
-                i
-            })
-        });
-        assert!(r.is_err());
-        set_threads(0);
-    }
-}
+/// Does nothing: the engines are sequential, so there is no thread count
+/// to set. Kept only so existing `rayon::set_threads(n)` calls compile.
+pub fn set_threads(_n: usize) {}

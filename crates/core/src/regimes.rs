@@ -55,11 +55,9 @@
 //!
 //! Both regimes are **plan-first**: queries compile once through the shared
 //! [`PlanCatalog`] and every candidate evaluation probes a live store —
-//! [`dx_solver::union_retain_sweep`] / [`dx_solver::union_refute_sweep`]
-//! compose unions by refcounted private deltas over the minimal solutions'
-//! frozen common base (splitting the walk across the pool when
-//! `DX_THREADS > 1`, with sequential-identical results), and the sampler
-//! probes [`dx_solver::Leaf::index`]. The rebuild-per-candidate baseline
+//! [`dx_solver::for_each_union`] composes unions by refcounted private
+//! deltas over the minimal solutions' common base on one `DeltaIndex`,
+//! and the sampler probes [`dx_solver::Leaf::index`]. The rebuild-per-candidate baseline
 //! (the candidate materialized and a fresh `DeltaIndex` built per union
 //! or leaf) exists only in the bench harness (`BENCH_query.json`, stages
 //! `gcwa`/`approx`) to keep the speedup measured.
@@ -71,9 +69,7 @@ use dx_logic::classify;
 use dx_logic::{Formula, Query, Term};
 use dx_query::PlanCatalog;
 use dx_relation::{AnnInstance, ConstId, Instance, RelSym, Relation, Tuple};
-use dx_solver::{
-    minimal_rep_a_members, union_refute_sweep, union_retain_sweep, Completeness, SearchBudget,
-};
+use dx_solver::{for_each_union, minimal_rep_a_members, Completeness, SearchBudget};
 use std::collections::BTreeSet;
 
 /// Budget for the GCWA\* regime.
@@ -273,11 +269,11 @@ impl Exchange<'_> {
         let palette = answer_palette(self.source, query);
         let (minimal, completeness) = minimal_solutions(&self.csol, &palette, budget);
         let consts: Vec<ConstId> = palette.into_iter().collect();
-        let candidates = candidate_tuples(&consts, query.arity());
-        let (survivors, unions) =
-            union_retain_sweep(&minimal, budget.max_union_size, candidates, &|store, t| {
-                ev.holds_on_indexed(store, || store.to_instance(), t)
-            });
+        let mut survivors = candidate_tuples(&consts, query.arity());
+        let unions = for_each_union(&minimal, budget.max_union_size, &mut |store| {
+            survivors.retain(|t| ev.holds_on_indexed(store, || store.to_instance(), t));
+            survivors.is_empty()
+        });
         GcwaOutcome {
             answers: Relation::from_tuples(query.arity(), survivors),
             completeness,
@@ -304,10 +300,14 @@ impl Exchange<'_> {
         let mut palette = answer_palette(self.source, query);
         palette.extend(tuple.consts());
         let (minimal, completeness) = minimal_solutions(&self.csol, &palette, budget);
-        let (counterexample, unions) =
-            union_refute_sweep(&minimal, budget.max_union_size, &|store| {
-                !ev.holds_on_indexed(store, || store.to_instance(), tuple)
-            });
+        let mut counterexample = None;
+        let unions = for_each_union(&minimal, budget.max_union_size, &mut |store| {
+            if ev.holds_on_indexed(store, || store.to_instance(), tuple) {
+                return false;
+            }
+            counterexample = Some(store.to_instance());
+            true
+        });
         GcwaMembership {
             certain: counterexample.is_none(),
             completeness,
@@ -548,44 +548,6 @@ mod tests {
         // Agrees with the coNP search engine.
         let (cert, _) = crate::certain::certain_answers(&m, &s, &q, None);
         assert_eq!(out.upper, cert);
-    }
-
-    /// GCWA\* answers and membership decisions are bit-identical at every
-    /// pool width — answer sets, counterexample instances, and the
-    /// early-stop union counts all match the `DX_THREADS=1` walk.
-    #[test]
-    fn gcwa_star_bit_identical_across_widths() {
-        let answers_q = Query::new(
-            vec![Var::new("x")],
-            dx_logic::parse_formula("exists z. (RgSub(x, z) & !RgSub(z, x))").unwrap(),
-        );
-        let contains_q = Query::boolean(
-            dx_logic::parse_formula("forall p a1 a2. (RgSub(p, a1) & RgSub(p, a2) -> a1 = a2)")
-                .unwrap(),
-        );
-        let m = Mapping::parse("RgSub(x:cl, z:cl) <- RgPapers(x, y)").unwrap();
-        let mut s = papers_source();
-        s.insert_names("RgPapers", &["p2", "title2"]);
-        let empty = Tuple::new(Vec::<Value>::new());
-        let budget = RegimeBudget::default();
-        rayon::set_threads(1);
-        let ref_answers = gcwa_star_answers(&m, &s, &answers_q, &budget);
-        let ref_member = Exchange::new(&m, &s).gcwa_star_contains(&contains_q, &empty, &budget);
-        for width in [2usize, 4] {
-            rayon::set_threads(width);
-            let out = gcwa_star_answers(&m, &s, &answers_q, &budget);
-            assert_eq!(out.answers, ref_answers.answers, "width {width}");
-            assert_eq!(out.unions, ref_answers.unions, "width {width}");
-            assert_eq!(out.completeness, ref_answers.completeness, "width {width}");
-            let mem = Exchange::new(&m, &s).gcwa_star_contains(&contains_q, &empty, &budget);
-            assert_eq!(mem.certain, ref_member.certain, "width {width}");
-            assert_eq!(
-                mem.counterexample, ref_member.counterexample,
-                "width {width}"
-            );
-            assert_eq!(mem.unions, ref_member.unions, "width {width}");
-        }
-        rayon::set_threads(0);
     }
 
     /// Constants of erased subformulas stay in the over-approximation's

@@ -219,6 +219,13 @@ impl IndexedInstance {
             .insert(ann);
     }
 
+    /// Drop an empty annotated marker (a no-op when it is absent).
+    pub fn remove_empty_mark(&mut self, rel: RelSym, ann: &Annotation) {
+        if let Some(store) = self.rels.get_mut(&rel) {
+            store.empty_marks.remove(ann);
+        }
+    }
+
     /// Insert an annotated tuple; set semantics with a stable fresh id on
     /// first insertion.
     pub fn insert(&mut self, rel: RelSym, at: AnnTuple) -> Inserted {

@@ -42,13 +42,14 @@
 //! frontier bindings, re-fire if the head became unsatisfiable), and a
 //! final semi-naive closure restores satisfaction, re-merging restored
 //! pre-images wherever an egd still fires — so target constraints are
-//! maintained through merges without a re-chase. A full **rebuild** of
-//! the target layer (a from-scratch re-chase of the maintained `CSol_A`)
-//! remains for the initial build, after `Failed`/`StepLimit` outcomes,
-//! on empty-marker transitions, and as the log's garbage collection once
-//! its dead slots outnumber the live ones. The rebuild shares the
-//! recording closure with the incremental path, so there is a single
-//! code path to trust.
+//! maintained through merges without a re-chase. Empty-marker
+//! transitions are copied into the target layer as they are, since the
+//! chase never reads markers. A full **rebuild** of the target layer (a
+//! from-scratch re-chase of the maintained `CSol_A`) remains for the
+//! initial build, after `Failed`/`StepLimit` outcomes, and as the log's
+//! garbage collection once its dead slots outnumber the live ones. The
+//! rebuild shares the recording closure with the incremental path, so
+//! there is a single code path to trust.
 //!
 //! The exchange also counts each constant's occurrences in the source, so
 //! [`IncrementalExchange::adom_contains`] is O(1) and every
@@ -104,8 +105,8 @@ pub enum TargetPath {
         steps: usize,
     },
     /// Full re-chase of the maintained canonical solution (a
-    /// non-`Satisfied` prior outcome, an empty-marker transition, or the
-    /// derivation log's garbage collection).
+    /// non-`Satisfied` prior outcome, or the derivation log's garbage
+    /// collection).
     Rebuilt {
         /// Chase steps spent by the rebuild.
         steps: usize,
@@ -192,6 +193,10 @@ struct Firing {
     /// Is this entry still supported (no recorded body tuple deleted)?
     alive: bool,
 }
+
+/// An empty marker that entered (`true`) or left (`false`) the canonical
+/// solution during a batch.
+type MarkFlip = (RelSym, Annotation, bool);
 
 /// The chased target layer: index and derivation log.
 struct TargetState {
@@ -546,7 +551,7 @@ impl IncrementalExchange {
         }
 
         // Apply witness deaths and births to the canonical solution.
-        let mut marks_changed = false;
+        let mut mark_flips: Vec<MarkFlip> = Vec::new();
         let mut added_tuples: Vec<(RelSym, AnnTuple)> = Vec::new();
         let mut removed_tuples: Vec<(RelSym, AnnTuple)> = Vec::new();
         for i in 0..self.stds.len() {
@@ -559,8 +564,7 @@ impl IncrementalExchange {
             }
             let now_empty = self.stds[i].witnesses.is_empty();
             if was_empty != now_empty {
-                marks_changed = true;
-                self.shift_marks(i, now_empty);
+                self.shift_marks(i, now_empty, &mut mark_flips);
             }
         }
         // A tuple that lost its last witness and gained a new one in the
@@ -579,13 +583,13 @@ impl IncrementalExchange {
 
         // Propagate the canonical-solution delta into the chased target.
         if self.target.is_some()
-            && (!added_tuples.is_empty() || !removed_tuples.is_empty() || marks_changed)
+            && (!added_tuples.is_empty() || !removed_tuples.is_empty() || !mark_flips.is_empty())
         {
-            report.target = self.update_target(&added_tuples, &removed_tuples, marks_changed);
+            report.target = self.update_target(&added_tuples, &removed_tuples, &mark_flips);
         }
         report.added = added_tuples;
         report.removed = removed_tuples;
-        report.marks_changed = marks_changed;
+        report.marks_changed = !mark_flips.is_empty();
         report
     }
 
@@ -726,8 +730,9 @@ impl IncrementalExchange {
     }
 
     /// STD `i`'s witness set crossed the empty/non-empty boundary: shift
-    /// the empty-marker counts of its head atoms accordingly.
-    fn shift_marks(&mut self, i: usize, now_empty: bool) {
+    /// the empty-marker counts of its head atoms accordingly, and push every
+    /// marker that appeared in or left the canonical solution onto `flips`.
+    fn shift_marks(&mut self, i: usize, now_empty: bool, flips: &mut Vec<MarkFlip>) {
         let Self {
             mapping,
             mark_counts,
@@ -742,7 +747,8 @@ impl IncrementalExchange {
                 *slot += 1;
                 if *slot == 1 {
                     csol_index.declare(key.0, key.1.arity());
-                    csol.insert_empty_mark(key.0, key.1);
+                    csol.insert_empty_mark(key.0, key.1.clone());
+                    flips.push((key.0, key.1, true));
                 }
             } else {
                 let slot = mark_counts
@@ -752,6 +758,7 @@ impl IncrementalExchange {
                 if *slot == 0 {
                     mark_counts.remove(&key);
                     csol.remove_empty_mark(key.0, &key.1);
+                    flips.push((key.0, key.1, false));
                 }
             }
         }
@@ -796,25 +803,31 @@ impl IncrementalExchange {
 
     /// Propagate a canonical-solution delta into the chased target:
     /// overdelete + re-derive over the derivation log, or a full rebuild
-    /// when the last outcome was not `Satisfied`, an empty marker flipped,
-    /// or the log's dead slots outnumber its live ones.
+    /// when the last outcome was not `Satisfied` or the log's dead slots
+    /// outnumber its live ones. Empty-marker flips are copied over as they
+    /// are: the chase never reads markers.
     fn update_target(
         &mut self,
         added: &[(RelSym, AnnTuple)],
         removed: &[(RelSym, AnnTuple)],
-        marks_changed: bool,
+        mark_flips: &[MarkFlip],
     ) -> TargetPath {
         let stale = {
             let ts = self.target.as_ref().expect("target layer present");
-            marks_changed
-                || ts.outcome != ChaseOutcome::Satisfied
-                || ts.idx.slot_count() > 2 * ts.idx.live_count()
+            ts.outcome != ChaseOutcome::Satisfied || ts.idx.slot_count() > 2 * ts.idx.live_count()
         };
         if stale {
             let steps = self.rebuild_target();
             return TargetPath::Rebuilt { steps };
         }
         let ts = self.target.as_mut().expect("target layer present");
+        for (rel, ann, present) in mark_flips {
+            if *present {
+                ts.idx.insert_empty_mark(*rel, ann.clone());
+            } else {
+                ts.idx.remove_empty_mark(*rel, ann);
+            }
+        }
 
         let mut queue = VecDeque::new();
         let gone: Vec<TupleId> = (removed.iter())
@@ -1384,10 +1397,10 @@ mod tests {
     }
 
     #[test]
-    fn retraction_after_merge_rebuilds() {
+    fn retraction_after_merge_flips_a_marker_incrementally() {
         // The egd merges the STD's fresh null with a constant. Retracting
-        // the only StrE fact empties that STD's witness set, and the
-        // empty-marker transition rebuilds the target layer.
+        // the only StrE fact empties that STD's witness set: an empty
+        // marker flips, and the target layer stays incremental.
         let m = Mapping::parse("StrR(x:cl, z:op) <- StrE(x, y); StrR(x:cl, y:cl) <- StrK(x, y)")
             .unwrap();
         let deps = TargetDep::parse_many("y1 = y2 <- StrR(x, y1) & StrR(x, y2)").unwrap();
@@ -1399,9 +1412,10 @@ mod tests {
         assert_chased_matches(&inc);
         // Retract the tuple that fed the merged null.
         let r = inc.update(&Update::new().retract_names("StrE", &["a", "t"]));
+        assert!(r.marks_changed);
         assert!(
-            matches!(r.target, TargetPath::Rebuilt { .. }),
-            "the empty-marker transition rebuilds, got {:?}",
+            matches!(r.target, TargetPath::Incremental { .. }),
+            "an empty-marker transition stays incremental, got {:?}",
             r.target
         );
         assert_chased_matches(&inc);

@@ -13,9 +13,9 @@
 //!   verified by full structural equality — a hash collision can cost a
 //!   recompile, never a wrong plan;
 //! * lookups are **interior-mutable** behind a read-mostly `RwLock`: the
-//!   hit path — the overwhelmingly common case inside refutation loops,
-//!   and the one parallel workers hammer concurrently — takes a shared
-//!   read lock, so lookups of already-compiled plans never serialize;
+//!   hit path — the overwhelmingly common case inside refutation loops —
+//!   takes a shared read lock, so lookups of already-compiled plans never
+//!   serialize;
 //!   only inserting a freshly compiled plan takes the write lock. One
 //!   catalog instance — typically [`PlanCatalog::shared`] — serves a
 //!   whole pipeline, across stages and threads, without plumbing

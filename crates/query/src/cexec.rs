@@ -488,24 +488,6 @@ fn seeded_anti_conditional(
     let mut branches: dx_relation::FastMap<Vec<Value>, (CRows, Vec<usize>)> =
         dx_relation::FastMap::default();
     let mut reruns = 0u64;
-    if rayon::current_num_threads() > 1 {
-        // Parallel form: distinct keys up front (first-occurrence order),
-        // every correlated branch on the pool, then the per-row blocker
-        // conditions sequentially — identical output and rerun count to
-        // the lazy form below.
-        let mut keys: Vec<Vec<Value>> = Vec::new();
-        let mut seen: dx_relation::FastSet<Vec<Value>> = dx_relation::FastSet::default();
-        for (lrow, _) in &l.rows {
-            let key: Vec<Value> = seed_cols.iter().map(|&c| lrow[c]).collect();
-            if seen.insert(key.clone()) {
-                keys.push(key);
-            }
-        }
-        let results: Vec<(CRows, Vec<usize>)> =
-            rayon::par_map(keys.len(), |i| run_branch(&keys[i]));
-        reruns = keys.len() as u64;
-        branches = keys.into_iter().zip(results).collect();
-    }
     let mut out = CRows {
         vars: l.vars.clone(),
         rows: Vec::new(),

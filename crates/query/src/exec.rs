@@ -35,27 +35,9 @@
 use crate::plan::{Plan, PlanPred, Ref};
 use crate::store::QueryStore;
 use dx_logic::Term;
-use dx_relation::{FastMap, FastSet, RelSym, Tuple, Value, Var};
+use dx_relation::{FastMap, RelSym, Tuple, Value, Var};
 use std::collections::BTreeSet;
 use std::ops::ControlFlow;
-
-/// Row count below which the chunked executors stay sequential: the
-/// per-region pool setup costs more than it saves on tiny inputs.
-const PAR_MIN_ROWS: usize = 256;
-
-/// Chunk geometry for a parallel sweep over `n` rows: `Some((chunk_len,
-/// chunk_count))` when going parallel pays off, `None` to stay inline.
-/// Chunks are contiguous and merged in index order, so every chunked
-/// executor emits rows in exactly the sequential order.
-fn par_chunks(n: usize) -> Option<(usize, usize)> {
-    let threads = rayon::current_num_threads();
-    if threads <= 1 || n < PAR_MIN_ROWS {
-        return None;
-    }
-    // Over-decompose (4 chunks per worker) so stealing can level skew.
-    let chunk = n.div_ceil(threads * 4).max(1);
-    Some((chunk, n.div_ceil(chunk)))
-}
 
 /// A materialized binding table: `vars` are sorted, every row is keyed by
 /// them positionally.
@@ -469,7 +451,9 @@ fn probe_join(acc: Rows, store: &dyn QueryStore, rel: RelSym, args: &[Term]) -> 
         })
         .collect();
     dx_obs::count!("query.exec.index_probes", acc.rows.len());
-    let probe_one = |row: &[Value], out: &mut Vec<Vec<Value>>, scanned: &mut u64| {
+    let mut out = Vec::new();
+    let mut scanned = 0u64;
+    for row in &acc.rows {
         let pattern: Vec<Option<Value>> = args
             .iter()
             .zip(&acc_cols)
@@ -482,42 +466,13 @@ fn probe_join(acc: Rows, store: &dyn QueryStore, rel: RelSym, args: &[Term]) -> 
         let prebound: Vec<(Var, Value)> =
             acc.vars.iter().copied().zip(row.iter().copied()).collect();
         let _ = store.for_each_matching(rel, &pattern, &mut |t| {
-            *scanned += 1;
+            scanned += 1;
             if let Some(joined) = unify_tuple(args, t, &schema, &prebound) {
                 out.push(joined);
             }
             ControlFlow::Continue(())
         });
-    };
-    let (mut out, scanned) = match par_chunks(acc.rows.len()) {
-        Some((chunk, chunks)) => {
-            let parts: Vec<(Vec<Vec<Value>>, u64)> = rayon::par_map(chunks, |ci| {
-                let lo = ci * chunk;
-                let hi = (lo + chunk).min(acc.rows.len());
-                let mut out = Vec::new();
-                let mut scanned = 0u64;
-                for row in &acc.rows[lo..hi] {
-                    probe_one(row, &mut out, &mut scanned);
-                }
-                (out, scanned)
-            });
-            let mut out = Vec::new();
-            let mut scanned = 0u64;
-            for (part, s) in parts {
-                out.extend(part);
-                scanned += s;
-            }
-            (out, scanned)
-        }
-        None => {
-            let mut out = Vec::new();
-            let mut scanned = 0u64;
-            for row in &acc.rows {
-                probe_one(row, &mut out, &mut scanned);
-            }
-            (out, scanned)
-        }
-    };
+    }
     dx_obs::count!("query.exec.rows_scanned", scanned);
     out.sort();
     out.dedup();
@@ -554,37 +509,21 @@ fn hash_join(left: Rows, right: Rows) -> Rows {
         let key: Vec<Value> = r_shared.iter().map(|&c| r[c]).collect();
         table.entry(key).or_default().push(i);
     }
-    let emit_range = |rows: &[Vec<Value>]| {
-        let mut out = Vec::new();
-        for l in rows {
-            let key: Vec<Value> = l_shared.iter().map(|&c| l[c]).collect();
-            if let Some(matches) = table.get(&key) {
-                for &ri in matches {
-                    let r = &right.rows[ri];
-                    out.push(
-                        sources
-                            .iter()
-                            .map(|&(from_left, c)| if from_left { l[c] } else { r[c] })
-                            .collect::<Vec<Value>>(),
-                    );
-                }
+    let mut out = Vec::new();
+    for l in &left.rows {
+        let key: Vec<Value> = l_shared.iter().map(|&c| l[c]).collect();
+        if let Some(matches) = table.get(&key) {
+            for &ri in matches {
+                let r = &right.rows[ri];
+                out.push(
+                    sources
+                        .iter()
+                        .map(|&(from_left, c)| if from_left { l[c] } else { r[c] })
+                        .collect::<Vec<Value>>(),
+                );
             }
         }
-        out
-    };
-    let out = match par_chunks(left.rows.len()) {
-        Some((chunk, chunks)) => {
-            // Probe chunks of the build-once table in parallel; in-order
-            // concat keeps the emitted row order sequential-identical.
-            let parts: Vec<Vec<Vec<Value>>> = rayon::par_map(chunks, |ci| {
-                let lo = ci * chunk;
-                let hi = (lo + chunk).min(left.rows.len());
-                emit_range(&left.rows[lo..hi])
-            });
-            parts.into_iter().flatten().collect()
-        }
-        None => emit_range(&left.rows),
-    };
+    }
     dx_obs::count!("query.exec.rows_joined", out.len());
     Rows {
         vars: schema,
@@ -618,29 +557,10 @@ fn exec_filter_join(left: &Plan, right: &Plan, store: &dyn QueryStore, keep: boo
         .iter()
         .map(|row| r_cols.iter().map(|&c| row[c]).collect())
         .collect();
-    let decide = |row: &Vec<Value>| {
+    l.rows.retain(|row| {
         let key: Vec<Value> = l_cols.iter().map(|&c| row[c]).collect();
         keys.contains(&key) == keep
-    };
-    match par_chunks(l.rows.len()) {
-        Some((chunk, chunks)) => {
-            // Parallel keep-mask, sequential in-order compaction: the
-            // surviving rows and their order match the plain retain.
-            let mask: Vec<Vec<bool>> = rayon::par_map(chunks, |ci| {
-                let lo = ci * chunk;
-                let hi = (lo + chunk).min(l.rows.len());
-                l.rows[lo..hi].iter().map(decide).collect()
-            });
-            let mask: Vec<bool> = mask.into_iter().flatten().collect();
-            let mut i = 0;
-            l.rows.retain(|_| {
-                let k = mask[i];
-                i += 1;
-                k
-            });
-        }
-        None => l.rows.retain(decide),
-    }
+    });
     l
 }
 
@@ -698,44 +618,17 @@ fn exec_seeded_anti(
             .map(|r| r_cols.iter().map(|&c| r[c]).collect())
             .collect()
     };
-    let (partitions, reruns) = if rayon::current_num_threads() > 1 {
-        // Parallel form: collect the distinct seed keys up front (in
-        // first-occurrence order), run the correlated branch for every
-        // key on the pool, then reduce. Same partitions, same rerun
-        // count, same surviving rows as the lazy sequential form.
-        let mut keys: Vec<Vec<Value>> = Vec::new();
-        let mut seen: FastSet<Vec<Value>> = FastSet::default();
-        for row in &l.rows {
-            let key: Vec<Value> = seed_cols.iter().map(|&c| row[c]).collect();
-            if seen.insert(key.clone()) {
-                keys.push(key);
-            }
-        }
-        let branches: Vec<BTreeSet<Vec<Value>>> =
-            rayon::par_map(keys.len(), |i| run_branch(&keys[i]));
-        let reruns = keys.len() as u64;
-        let partitions: FastMap<Vec<Value>, BTreeSet<Vec<Value>>> =
-            keys.into_iter().zip(branches).collect();
-        l.rows.retain(|row| {
-            let key: Vec<Value> = seed_cols.iter().map(|&c| row[c]).collect();
-            let probe: Vec<Value> = l_cols.iter().map(|&c| row[c]).collect();
-            !partitions[&key].contains(&probe)
+    let mut partitions: FastMap<Vec<Value>, BTreeSet<Vec<Value>>> = FastMap::default();
+    let mut reruns = 0u64;
+    l.rows.retain(|row| {
+        let key: Vec<Value> = seed_cols.iter().map(|&c| row[c]).collect();
+        let refuting = partitions.entry(key.clone()).or_insert_with(|| {
+            reruns += 1;
+            run_branch(&key)
         });
-        (partitions, reruns)
-    } else {
-        let mut partitions: FastMap<Vec<Value>, BTreeSet<Vec<Value>>> = FastMap::default();
-        let mut reruns = 0u64;
-        l.rows.retain(|row| {
-            let key: Vec<Value> = seed_cols.iter().map(|&c| row[c]).collect();
-            let refuting = partitions.entry(key.clone()).or_insert_with(|| {
-                reruns += 1;
-                run_branch(&key)
-            });
-            let probe: Vec<Value> = l_cols.iter().map(|&c| row[c]).collect();
-            !refuting.contains(&probe)
-        });
-        (partitions, reruns)
-    };
+        let probe: Vec<Value> = l_cols.iter().map(|&c| row[c]).collect();
+        !refuting.contains(&probe)
+    });
     dx_obs::count!("query.exec.seed_partitions", partitions.len());
     dx_obs::count!("query.exec.seed_reruns", reruns);
     crate::explain::trace::note_seed(node, partitions.len() as u64, reruns);
@@ -1181,36 +1074,6 @@ mod tests {
         // Oracle: W(v1, ⊥2, ⊥1) holds, so d = v1 fails ¬W, ∃d fails, the
         // b = ⊥2 witness satisfies the negated branch — ⊥1 is NOT an answer.
         assert!(rows.rows.is_empty(), "got {:?}", rows.rows);
-    }
-
-    /// Parallel execution is bit-identical to the single-threaded path:
-    /// same rows, same order, across the chunked join executors (the
-    /// instance is large enough to cross `PAR_MIN_ROWS`) and the
-    /// keys-first seeded anti-join.
-    #[test]
-    fn parallel_exec_bit_identical_across_widths() {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _guard = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let mut i = Instance::new();
-        for k in 0..400 {
-            let p = format!("p{k}");
-            i.insert_names("PwSub", &[&p, &format!("a{}", k % 7)]);
-            if k % 3 == 0 {
-                i.insert_names("PwSub", &[&p, &format!("b{}", k % 5)]);
-            }
-            i.insert_names("PwV", &[&p]);
-        }
-        let src = "PwV(p) & (exists a. PwSub(p, a) & (forall b. (PwSub(p, b) -> a = b)))";
-        rayon::set_threads(1);
-        let reference = run(src, &i);
-        assert!(!reference.rows.is_empty());
-        for width in [2usize, 4, 8] {
-            rayon::set_threads(width);
-            let rows = run(src, &i);
-            assert_eq!(rows.vars, reference.vars, "width {width}");
-            assert_eq!(rows.rows, reference.rows, "width {width}");
-        }
-        rayon::set_threads(0);
     }
 
     #[test]

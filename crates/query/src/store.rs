@@ -11,22 +11,16 @@
 //!   per instance backs [`crate::eval::QueryEval`], the `Rep_A` search
 //!   probes the one it maintains by apply/undo, and a streaming exchange
 //!   keeps one over its canonical solution;
-//! * [`dx_relation::OverlayIndex`] — a per-worker layer over a frozen
-//!   `DeltaIndex`, what parallel union sweeps probe;
 //! * [`crate::delta::DeltaStore`] — a base store plus Δ-relations, what
 //!   delta plans run on (its retracting form also serves the removed
 //!   tuples under the base relations);
 //! * [`Instance`] — the un-indexed scan-and-filter fallback.
 
-use dx_relation::{DeltaIndex, Instance, OverlayIndex, RelSym, Tuple, Value};
+use dx_relation::{DeltaIndex, Instance, RelSym, Tuple, Value};
 use std::ops::ControlFlow;
 
 /// An indexed tuple source the executor can scan and probe.
-///
-/// `Sync` is a supertrait so the parallel executors can share one store
-/// across pool workers; every implementation in the workspace is plain
-/// data (no interior mutability), so the bound costs nothing.
-pub trait QueryStore: Sync {
+pub trait QueryStore {
     /// Upper bound on the number of tuples of `rel` matching `pattern`
     /// (`Some(v)` = position bound to `v`): the posting-list length of the
     /// tightest bound column, or the relation size when nothing is bound.
@@ -61,24 +55,6 @@ impl QueryStore for DeltaIndex {
         f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
         DeltaIndex::for_each_matching(self, rel, pattern, f)
-    }
-}
-
-/// A per-worker overlay over a shared frozen base: what parallel sweeps
-/// probe. Same visible set ⇒ same (set-normalized) answers as one
-/// sequential [`DeltaIndex`] holding it.
-impl QueryStore for OverlayIndex {
-    fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize {
-        OverlayIndex::selectivity(self, rel, pattern)
-    }
-
-    fn for_each_matching(
-        &self,
-        rel: RelSym,
-        pattern: &[Option<Value>],
-        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        OverlayIndex::for_each_matching(self, rel, pattern, f)
     }
 }
 
@@ -146,17 +122,13 @@ mod tests {
     }
 
     /// The early stop: a callback's break ends the scan at once and is
-    /// returned, on every store — the overlay included, whose base
-    /// matches come before its private ones.
+    /// returned, on every store.
     #[test]
     fn a_break_stops_the_scan() {
         let inst = sample();
         let rel = RelSym::new("QsE");
         let mut base = Instance::new();
         base.insert_names("QsE", &["a", "b"]);
-        let mut overlay = OverlayIndex::new(DeltaIndex::from_instance(&base).freeze());
-        overlay.insert(rel, Tuple::from_names(&["a", "c"]));
-        overlay.insert(rel, Tuple::from_names(&["b", "c"]));
         let delta = DeltaIndex::from_instance(&inst);
         // The retracting delta view: `QsE` reads the base index, then the
         // removed tuples.
@@ -165,7 +137,7 @@ mod tests {
         removed.insert_names("QsE", &["a", "c"]);
         removed.insert_names("QsE", &["b", "c"]);
         let view = DeltaStore::retracting(&base_idx, &removed);
-        let stores: [&dyn QueryStore; 4] = [&inst, &delta, &overlay, &view];
+        let stores: [&dyn QueryStore; 3] = [&inst, &delta, &view];
         for store in stores {
             let mut seen = 0;
             let flow = store.for_each_matching(rel, &[Some(Value::c("a")), None], &mut |_| {

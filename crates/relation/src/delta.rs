@@ -2,7 +2,7 @@
 //! with O(delta) apply/undo.
 //!
 //! [`DeltaIndex`] is the one index relational probes run on: compiled
-//! plans (`dx-query`), the `Rep_A` refutation search and the union sweeps
+//! plans (`dx-query`), the `Rep_A` refutation search and the union walk
 //! (`dx-solver`), and the canonical solution a streaming exchange
 //! maintains (`dx-engine`). A fresh build over an instance is the snapshot
 //! a one-shot plan execution probes; the same store then takes apply/undo
@@ -22,10 +22,6 @@
 //!   materializes the live set for the few consumers that need an
 //!   [`Instance`] (witness capture, tree-walking fallbacks).
 //!
-//! [`DeltaIndex::freeze`] moves a store behind an [`Arc`] so parallel
-//! sweeps share it read-only, each worker layering a private
-//! [`OverlayIndex`] on top.
-//!
 //! Removal assumes the backtracking discipline of its consumers: deltas are
 //! undone newest-first, so posting-list removals probe from the tail (an
 //! O(1) hit on the LIFO path, linear only on out-of-order removals).
@@ -44,7 +40,6 @@ use crate::value::Value;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 /// One relation's mutable index: refcounted tuples in insertion-ordered
 /// slots plus per-column postings of slot ids.
@@ -304,18 +299,13 @@ impl DeltaIndex {
     /// [`Instance`].
     pub fn to_instance(&self) -> Instance {
         let mut out = Instance::new();
-        self.extend_instance(&mut out);
-        out
-    }
-
-    /// Add the live set (and the declarations) to `out`.
-    fn extend_instance(&self, out: &mut Instance) {
         for (&rel, r) in &self.rels {
             out.declare(rel, r.arity);
             for t in r.live() {
                 out.insert(rel, t.clone());
             }
         }
+        out
     }
 
     /// Number of live tuples in `rel` (0 when absent).
@@ -366,126 +356,6 @@ impl DeltaIndex {
             Some(r) => r.for_each_matching(pattern, f),
             None => ControlFlow::Continue(()),
         }
-    }
-
-    /// Move the store behind an [`Arc`]: an immutable base that parallel
-    /// workers share without copying or locking, each layering a private
-    /// [`OverlayIndex`] on top. Free — the store is moved, not rebuilt.
-    pub fn freeze(self) -> Arc<DeltaIndex> {
-        Arc::new(self)
-    }
-}
-
-/// A private mutable layer over a shared frozen [`DeltaIndex`].
-///
-/// Parallel sweeps hand every worker its own overlay over one frozen
-/// base: apply/undo traffic stays worker-local while the (large) base is
-/// shared by reference. The visible set is always `base ∪ over`, with
-/// the two parts kept **disjoint**:
-///
-/// * inserting a tuple the base already contains only bumps a local
-///   refcount (`base_refs`) — set semantics exactly as if the base
-///   tuples had been inserted first into one [`DeltaIndex`];
-/// * inserting a new tuple goes into the private `over` layer (its own
-///   [`DeltaIndex`]).
-///
-/// The LIFO backtracking discipline of [`DeltaIndex`] carries over, with
-/// one extra rule: an overlay never removes a base tuple below its base
-/// visibility (callers only undo their own inserts; an unmatched undo
-/// panics, same as [`DeltaIndex::remove`]).
-///
-/// Probe results are set-equal to a sequential [`DeltaIndex`] holding
-/// the same live set, but iteration *order* may differ (base tuples
-/// enumerate before overlay tuples): consumers normalize by sorting, as
-/// the query executor already does.
-pub struct OverlayIndex {
-    base: Arc<DeltaIndex>,
-    /// Tuples visible here but not in the base (disjoint from it).
-    over: DeltaIndex,
-    /// Extra reference counts for tuples that *are* in the base.
-    base_refs: BTreeMap<RelSym, FastMap<Tuple, u32>>,
-}
-
-impl OverlayIndex {
-    /// A fresh overlay over `base` (visible set = the base's).
-    pub fn new(base: Arc<DeltaIndex>) -> Self {
-        OverlayIndex {
-            base,
-            over: DeltaIndex::new(),
-            base_refs: BTreeMap::new(),
-        }
-    }
-
-    /// Apply a `+tuple` delta; returns `true` when the tuple became
-    /// visible (it was in neither the base nor the overlay).
-    pub fn insert(&mut self, rel: RelSym, t: Tuple) -> bool {
-        if self.base.contains(rel, &t) {
-            dx_obs::count!("relation.delta.applies");
-            dx_obs::count!("relation.delta.refcount_churn");
-            *self.base_refs.entry(rel).or_default().entry(t).or_insert(0) += 1;
-            return false;
-        }
-        self.over.insert(rel, t)
-    }
-
-    /// Undo a `+tuple` delta; returns `true` when the tuple became
-    /// invisible. Panics on an unmatched undo — including an attempt to
-    /// remove a base tuple that this overlay never re-inserted.
-    pub fn remove(&mut self, rel: RelSym, t: &Tuple) -> bool {
-        if self.base.contains(rel, t) {
-            dx_obs::count!("relation.delta.undos");
-            dx_obs::count!("relation.delta.refcount_churn");
-            let count = self
-                .base_refs
-                .get_mut(&rel)
-                .and_then(|m| m.get_mut(t))
-                .expect("OverlayIndex::remove of a base tuple that was never re-inserted");
-            *count -= 1;
-            if *count == 0 {
-                self.base_refs.get_mut(&rel).expect("present").remove(t);
-            }
-            return false;
-        }
-        self.over.remove(rel, t)
-    }
-
-    /// Is `t` currently visible (in the base or the overlay)?
-    pub fn contains(&self, rel: RelSym, t: &Tuple) -> bool {
-        self.base.contains(rel, t) || self.over.contains(rel, t)
-    }
-
-    /// Materialize the visible set (base ∪ overlay), declarations of both
-    /// layers kept (see [`DeltaIndex::to_instance`]).
-    pub fn to_instance(&self) -> Instance {
-        let mut out = self.base.to_instance();
-        self.over.extend_instance(&mut out);
-        out
-    }
-
-    /// Number of visible tuples in `rel` (exact: the layers are disjoint).
-    pub fn rel_len(&self, rel: RelSym) -> usize {
-        self.base.rel_len(rel) + self.over.rel_len(rel)
-    }
-
-    /// Selectivity estimate: the sum of the per-layer estimates (a valid
-    /// bound since the layers are disjoint; it may be tighter than a
-    /// single-store estimate when the layers bound on different columns,
-    /// which only influences probe-order heuristics, never results).
-    pub fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize {
-        self.base.selectivity(rel, pattern) + self.over.selectivity(rel, pattern)
-    }
-
-    /// Invoke `f` on every visible tuple of `rel` matching `pattern`:
-    /// base tuples first, then overlay tuples (each exactly once), stopping
-    /// as soon as `f` breaks.
-    pub fn for_each_matching(
-        &self,
-        rel: RelSym,
-        pattern: &[Option<Value>],
-        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
-    ) -> ControlFlow<()> {
-        self.base.for_each_matching(rel, pattern, f)?;
-        self.over.for_each_matching(rel, pattern, f)
     }
 }
 
@@ -864,186 +734,6 @@ mod tests {
                 refcount_total: 2,
             }
         );
-    }
-
-    /// Freeze + overlay basics: base sharing, disjoint layering, and the
-    /// never-remove-base-below-visibility panic discipline.
-    #[test]
-    fn freeze_overlay_basics() {
-        let inst = sample();
-        let delta = DeltaIndex::from_instance(&inst);
-        let frozen = delta.freeze();
-        let mut ov = OverlayIndex::new(Arc::clone(&frozen));
-        assert_eq!(ov.to_instance(), inst);
-
-        // Re-inserting a base tuple only bumps the local refcount.
-        let base_t = Tuple::from_names(&["a", "x"]);
-        assert!(!ov.insert(rel(), base_t.clone()));
-        assert_eq!(ov.rel_len(rel()), 3);
-        // New tuples go to the overlay layer and the combined view.
-        let new_t = Tuple::from_names(&["c", "z"]);
-        assert!(ov.insert(rel(), new_t.clone()));
-        assert_eq!(ov.rel_len(rel()), 4);
-        assert!(ov.contains(rel(), &new_t));
-        assert!(ov.to_instance().relation(rel()).unwrap().contains(&new_t));
-        // Undo both: back to the snapshot, base untouched.
-        assert!(!ov.remove(rel(), &base_t));
-        assert!(ov.remove(rel(), &new_t));
-        assert_eq!(ov.to_instance(), inst);
-        assert_eq!(frozen.to_instance(), inst);
-
-        // Removing a base tuple that was never re-inserted is a caller
-        // bug, same as an unmatched DeltaIndex undo.
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            ov.remove(rel(), &base_t);
-        }));
-        assert!(r.is_err(), "unmatched base undo must panic");
-    }
-
-    /// Two overlays over one frozen base are independent: neither sees
-    /// the other's inserts, and the base never changes.
-    #[test]
-    fn overlays_are_isolated() {
-        let inst = sample();
-        let frozen = DeltaIndex::from_instance(&inst).freeze();
-        let mut a = OverlayIndex::new(Arc::clone(&frozen));
-        let mut b = OverlayIndex::new(Arc::clone(&frozen));
-        let ta = Tuple::from_names(&["only", "a"]);
-        let tb = Tuple::from_names(&["only", "b"]);
-        a.insert(rel(), ta.clone());
-        b.insert(rel(), tb.clone());
-        assert!(a.contains(rel(), &ta) && !a.contains(rel(), &tb));
-        assert!(b.contains(rel(), &tb) && !b.contains(rel(), &ta));
-        assert_eq!(frozen.to_instance(), inst);
-    }
-
-    /// Fuzz: a random overlay op sequence must behave exactly like the
-    /// same sequence applied to one sequential [`DeltaIndex`] seeded with
-    /// the base — same combined view, same probe results, same
-    /// visibility transitions — while the frozen base never mutates; and
-    /// unwinding the journal restores the snapshot view exactly.
-    #[test]
-    fn randomized_overlay_matches_sequential_fuzz() {
-        let rel_a = RelSym::new("OvA");
-        let rel_b = RelSym::new("OvB");
-        let mut seed = 0x0E71u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
-        for case in 0..40 {
-            let mk_value = |r: u64| -> Value {
-                if r.is_multiple_of(4) {
-                    Value::null((r / 4 % 3) as u32)
-                } else {
-                    Value::c(&format!("ov{}", r / 4 % 4))
-                }
-            };
-            let random_tuple = |rel: RelSym, next: &mut dyn FnMut() -> u64| -> Tuple {
-                let arity = if rel == rel_a { 2 } else { 1 };
-                Tuple::new((0..arity).map(|_| mk_value(next())).collect::<Vec<_>>())
-            };
-            let mut initial = Instance::new();
-            initial.declare(rel_a, 2);
-            initial.declare(rel_b, 1);
-            for _ in 0..next() % 6 {
-                let t = random_tuple(rel_a, &mut next);
-                initial.insert(rel_a, t);
-            }
-            for _ in 0..next() % 4 {
-                let t = random_tuple(rel_b, &mut next);
-                initial.insert(rel_b, t);
-            }
-            let frozen = DeltaIndex::from_instance(&initial).freeze();
-            let mut overlay = OverlayIndex::new(Arc::clone(&frozen));
-            let mut mirror = DeltaIndex::from_instance(&initial);
-            // Overlay discipline: only remove what this overlay inserted,
-            // so track per-tuple insert-minus-remove balances.
-            let mut balance: BTreeMap<(RelSym, Tuple), u32> = BTreeMap::new();
-            let mut journal: Vec<(bool, RelSym, Tuple)> = Vec::new();
-            for step in 0..(next() % 40) {
-                let rel = if next() % 2 == 0 { rel_a } else { rel_b };
-                let removable: Vec<Tuple> = balance
-                    .iter()
-                    .filter(|((r, _), &c)| *r == rel && c > 0)
-                    .map(|((_, t), _)| t.clone())
-                    .collect();
-                if next() % 10 < 6 || removable.is_empty() {
-                    let t = if !removable.is_empty() && next() % 3 == 0 {
-                        removable[(next() % removable.len() as u64) as usize].clone()
-                    } else {
-                        random_tuple(rel, &mut next)
-                    };
-                    let via_overlay = overlay.insert(rel, t.clone());
-                    let via_mirror = mirror.insert(rel, t.clone());
-                    assert_eq!(via_overlay, via_mirror, "insert visibility transition");
-                    *balance.entry((rel, t.clone())).or_insert(0) += 1;
-                    journal.push((true, rel, t));
-                } else {
-                    let t = removable[(next() % removable.len() as u64) as usize].clone();
-                    let via_overlay = overlay.remove(rel, &t);
-                    let via_mirror = mirror.remove(rel, &t);
-                    assert_eq!(via_overlay, via_mirror, "remove visibility transition");
-                    *balance.get_mut(&(rel, t.clone())).expect("balanced") -= 1;
-                    journal.push((false, rel, t));
-                }
-                if step % 5 == 0 {
-                    let combined = mirror.to_instance();
-                    assert_eq!(overlay.to_instance(), combined, "combined view");
-                    assert_eq!(frozen.to_instance(), initial, "frozen base never mutates");
-                    for (rel, r) in combined.relations() {
-                        assert_eq!(overlay.rel_len(rel), mirror.rel_len(rel));
-                        let mut values: Vec<Value> = r.active_domain().into_iter().collect();
-                        values.push(Value::c("ov-missing"));
-                        let mut patterns: Vec<Vec<Option<Value>>> = vec![vec![None; r.arity()]];
-                        for c in 0..r.arity() {
-                            for &v in &values {
-                                let mut p = vec![None; r.arity()];
-                                p[c] = Some(v);
-                                patterns.push(p);
-                            }
-                        }
-                        for p in patterns {
-                            let mut a = Vec::new();
-                            let _ = overlay.for_each_matching(rel, &p, &mut |t| {
-                                a.push(t.clone());
-                                ControlFlow::Continue(())
-                            });
-                            let mut b = Vec::new();
-                            let _ = mirror.for_each_matching(rel, &p, &mut |t| {
-                                b.push(t.clone());
-                                ControlFlow::Continue(())
-                            });
-                            a.sort();
-                            b.sort();
-                            assert_eq!(a, b, "case {case}: pattern {p:?} on {rel}");
-                        }
-                    }
-                }
-            }
-            // Unwind: the snapshot view must come back, with both the
-            // overlay layer and the base-refcount table empty.
-            for (was_insert, rel, t) in journal.into_iter().rev() {
-                if was_insert {
-                    overlay.remove(rel, &t);
-                } else {
-                    overlay.insert(rel, t);
-                }
-            }
-            assert_eq!(overlay.to_instance(), initial, "case {case}: unwound view");
-            assert_eq!(
-                overlay.over.to_instance().tuple_count(),
-                0,
-                "overlay layer empty"
-            );
-            assert!(
-                overlay.base_refs.values().all(FastMap::is_empty),
-                "base refcounts balanced"
-            );
-            assert_eq!(frozen.to_instance(), initial, "frozen base never mutates");
-        }
     }
 
     /// Out-of-order removal still works (linear posting scan).

@@ -15,10 +15,9 @@
 //!   paper's *empty annotated tuples* `(_, α)`,
 //! * **valuations** of nulls ([`Valuation`]) used to define the semantics
 //!   `Rep(T)` and `Rep_A(T)`,
-//! * the **relational index** [`DeltaIndex`] (with its per-worker
-//!   [`OverlayIndex`]): per-column postings over refcounted tuples — the
-//!   one store that compiled plans, the `Rep_A` search, the union sweeps
-//!   and streaming maintenance probe.
+//! * the **relational index** [`DeltaIndex`]: per-column postings over
+//!   refcounted tuples — the one store that compiled plans, the `Rep_A`
+//!   search, the union walk and streaming maintenance probe.
 //!
 //! Everything in this crate is purely structural; semantics (`Rep_A`
 //! membership, solutions, certain answers) live in `dx-solver` and `dx-core`.
@@ -37,7 +36,7 @@ pub mod valuation;
 pub mod value;
 
 pub use annotation::{Ann, AnnInstance, AnnRelation, AnnTuple, Annotation};
-pub use delta::{DeltaIndex, DeltaMemStats, OverlayIndex};
+pub use delta::{DeltaIndex, DeltaMemStats};
 pub use fxmap::{FastMap, FastSet};
 pub use instance::{Instance, Schema};
 pub use intern::{ConstId, FuncSym, RelSym, Var};

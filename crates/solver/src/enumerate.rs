@@ -50,12 +50,9 @@
 
 use crate::palette::Palette;
 use dx_relation::{
-    AnnInstance, ConstId, DeltaIndex, FastMap, Instance, NullId, OverlayIndex, RelSym, Tuple,
-    Valuation, Value,
+    AnnInstance, ConstId, DeltaIndex, FastMap, Instance, NullId, RelSym, Tuple, Valuation, Value,
 };
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Budget for the `Rep_A` search space.
 #[derive(Clone, Debug)]
@@ -350,27 +347,28 @@ pub fn search_rep_a_indexed(
 /// (Hernich, *Answering Non-Monotonic Queries in Relational Data
 /// Exchange*). The completeness is [`Completeness::Exact`] unless the leaf
 /// cap of `max_leaves` interrupted the valuation sweep.
-///
-/// With more than one pool thread (see `rayon::current_num_threads`) the
-/// valuation walk splits across workers by valuation *prefix*, each on a
-/// private [`OverlayIndex`] over the frozen ground base. The image set is
-/// collected order-independently (a `BTreeSet` merge), so the result is
-/// bit-identical to the sequential walk at every thread count; a sweep
-/// that overruns `max_leaves` falls back to the sequential walk, which is
-/// authoritative for capped reports.
 pub fn minimal_rep_a_members(
     t: &AnnInstance,
     extra_base_consts: &BTreeSet<ConstId>,
     max_leaves: Option<u64>,
 ) -> (Vec<Instance>, Completeness) {
-    let parallel = if rayon::current_num_threads() > 1 {
-        minimal_images_parallel(t, extra_base_consts, max_leaves)
-    } else {
-        None
+    let budget = SearchBudget {
+        max_external_consts: 0,
+        max_extra_tuples: 0,
+        max_extra_per_template: None,
+        max_candidate_pool: 0,
+        max_leaves,
     };
-    let (images, completeness) = match parallel {
-        Some(images) => (images, Completeness::Exact),
-        None => minimal_images_sequential(t, extra_base_consts, max_leaves),
+    let mut images: BTreeSet<Instance> = BTreeSet::new();
+    let outcome = search_rep_a_indexed(t, extra_base_consts, &budget, &mut |leaf| {
+        images.insert(leaf.index().to_instance());
+        false
+    });
+    let completeness = match outcome.completeness {
+        // The zero-replication budget makes the search report Bounded for
+        // open instances; for *minimal* members the sweep is exhaustive.
+        Completeness::Capped => Completeness::Capped,
+        _ => Completeness::Exact,
     };
     // Minimality filter. The images are pairwise distinct, so a strict
     // subinstance has strictly fewer tuples — bucket by tuple count and
@@ -394,247 +392,6 @@ pub fn minimal_rep_a_members(
         .cloned()
         .collect();
     (minimal, completeness)
-}
-
-/// The sequential image sweep behind [`minimal_rep_a_members`]: one
-/// zero-replication valuation DFS on the incrementally maintained store.
-fn minimal_images_sequential(
-    t: &AnnInstance,
-    extra_base_consts: &BTreeSet<ConstId>,
-    max_leaves: Option<u64>,
-) -> (BTreeSet<Instance>, Completeness) {
-    let budget = SearchBudget {
-        max_external_consts: 0,
-        max_extra_tuples: 0,
-        max_extra_per_template: None,
-        max_candidate_pool: 0,
-        max_leaves,
-    };
-    let mut images: BTreeSet<Instance> = BTreeSet::new();
-    let outcome = search_rep_a_indexed(t, extra_base_consts, &budget, &mut |leaf| {
-        images.insert(leaf.index().to_instance());
-        false
-    });
-    let completeness = match outcome.completeness {
-        // The zero-replication budget makes the search report Bounded for
-        // open instances; for *minimal* members the sweep is exhaustive.
-        Completeness::Capped => Completeness::Capped,
-        _ => Completeness::Exact,
-    };
-    (images, completeness)
-}
-
-/// The parallel image sweep behind [`minimal_rep_a_members`]: enumerate
-/// valuation prefixes over the leading nulls (in the exact DFS order,
-/// tracking the fresh-constant symmetry discipline) until there are enough
-/// to feed the pool, then give each prefix to a [`MinimalWalker`] over a
-/// private overlay of the frozen ground base.
-///
-/// Returns `None` when the space cannot be split (fewer than two nulls) or
-/// when the leaf cap was exceeded — the caller then runs the sequential
-/// sweep, whose capped report is authoritative. On success the merged image
-/// set and the total leaf count equal the sequential sweep's exactly.
-fn minimal_images_parallel(
-    t: &AnnInstance,
-    extra_base_consts: &BTreeSet<ConstId>,
-    max_leaves: Option<u64>,
-) -> Option<BTreeSet<Instance>> {
-    let nulls: Vec<NullId> = t.nulls().into_iter().collect();
-    if nulls.len() < 2 {
-        return None;
-    }
-    let _span = dx_obs::span!("solver.minimal_sweep.parallel");
-    let threads = rayon::current_num_threads();
-    let mut base: BTreeSet<ConstId> = t.adom_consts();
-    base.extend(extra_base_consts.iter().copied());
-    let palette = Palette::new(base.iter().copied(), nulls.len(), "v");
-
-    // Valuation prefixes over nulls[..d], with the per-path fresh-constant
-    // count carried along (symmetry breaking is path dependent).
-    let mut prefixes: Vec<(Vec<ConstId>, usize)> = vec![(Vec::new(), 0)];
-    let mut d = 0usize;
-    while d + 1 < nulls.len() && prefixes.len() < threads * 4 {
-        let mut next = Vec::with_capacity(prefixes.len() * 2);
-        for (choices, fresh_used) in &prefixes {
-            for c in palette.choices(*fresh_used) {
-                let nf = fresh_used + usize::from(palette.is_next_fresh(c, *fresh_used));
-                let mut ext = choices.clone();
-                ext.push(c);
-                next.push((ext, nf));
-            }
-        }
-        prefixes = next;
-        d += 1;
-    }
-    if prefixes.len() < 2 {
-        return None;
-    }
-
-    // Ground tuples enter the shared frozen base; tuples with nulls become
-    // per-worker tracked templates.
-    let mut ground = DeltaIndex::new();
-    let mut templates: Vec<(RelSym, Tuple, usize)> = Vec::new();
-    for (rel, arel) in t.relations() {
-        ground.declare(rel, arel.arity());
-        for at in arel.iter() {
-            let distinct: BTreeSet<NullId> = at.tuple.nulls().collect();
-            if distinct.is_empty() {
-                ground.insert(rel, at.tuple.clone());
-            } else {
-                templates.push((rel, at.tuple.clone(), distinct.len()));
-            }
-        }
-    }
-    let frozen = ground.freeze();
-    let shared_leaves = AtomicU64::new(0);
-    let results = rayon::par_map(prefixes.len(), |pi| {
-        let (prefix, fresh_used) = &prefixes[pi];
-        let mut walker =
-            MinimalWalker::new(Arc::clone(&frozen), &templates, max_leaves, &shared_leaves);
-        let mut v = Valuation::new();
-        for (j, &c) in prefix.iter().enumerate() {
-            walker.assign(nulls[j], c, &mut v);
-        }
-        walker.dfs(&nulls, d, *fresh_used, &palette, &mut v);
-        // No unwinding needed: the overlay drops with the walker.
-        (walker.images, walker.leaves, walker.capped)
-    });
-    let mut images: BTreeSet<Instance> = BTreeSet::new();
-    let mut leaves = 0u64;
-    for (imgs, n, capped) in results {
-        if capped {
-            return None;
-        }
-        leaves += n;
-        images.extend(imgs);
-    }
-    if max_leaves.is_some_and(|cap| leaves > cap) {
-        return None;
-    }
-    Some(images)
-}
-
-/// One worker of the parallel minimal-member sweep: the zero-replication
-/// subset of [`State`] (no extras phase, no witness, no check closure)
-/// running against a private [`OverlayIndex`] and collecting leaf images.
-/// Counter names match the sequential walk (`solver.dfs.*`), so fleet
-/// totals stay comparable across thread counts.
-struct MinimalWalker<'a> {
-    overlay: OverlayIndex,
-    tracked: Vec<TrackedTuple>,
-    by_null: FastMap<NullId, Vec<usize>>,
-    images: BTreeSet<Instance>,
-    leaves: u64,
-    /// Fleet-wide running leaf total — the cap abort only needs to be an
-    /// over-approximation, since an aborted sweep's results are discarded.
-    shared_leaves: &'a AtomicU64,
-    cap: Option<u64>,
-    capped: bool,
-}
-
-impl<'a> MinimalWalker<'a> {
-    fn new(
-        base: Arc<DeltaIndex>,
-        templates: &[(RelSym, Tuple, usize)],
-        cap: Option<u64>,
-        shared_leaves: &'a AtomicU64,
-    ) -> Self {
-        let mut tracked = Vec::with_capacity(templates.len());
-        let mut by_null: FastMap<NullId, Vec<usize>> = FastMap::default();
-        for (rel, tuple, unassigned) in templates {
-            let idx = tracked.len();
-            let distinct: BTreeSet<NullId> = tuple.nulls().collect();
-            for n in distinct {
-                by_null.entry(n).or_default().push(idx);
-            }
-            tracked.push(TrackedTuple {
-                rel: *rel,
-                tuple: tuple.clone(),
-                unassigned: *unassigned,
-            });
-        }
-        MinimalWalker {
-            overlay: OverlayIndex::new(base),
-            tracked,
-            by_null,
-            images: BTreeSet::new(),
-            leaves: 0,
-            shared_leaves,
-            cap,
-            capped: false,
-        }
-    }
-
-    /// [`State::assign`] against the overlay.
-    fn assign(&mut self, null: NullId, c: ConstId, v: &mut Valuation) {
-        v.set(null, c);
-        let mut applied = 0usize;
-        if let Some(tis) = self.by_null.get(&null) {
-            for &ti in tis {
-                let tt = &mut self.tracked[ti];
-                tt.unassigned -= 1;
-                if tt.unassigned == 0 {
-                    let image = tt.tuple.apply(v);
-                    self.overlay.insert(tt.rel, image);
-                    applied += 1;
-                }
-            }
-        }
-        dx_obs::count!("solver.dfs.deltas_applied", applied);
-    }
-
-    /// [`State::unassign`] against the overlay.
-    fn unassign(&mut self, null: NullId, v: &mut Valuation) {
-        let mut undone = 0usize;
-        if let Some(tis) = self.by_null.get(&null) {
-            for &ti in tis.iter().rev() {
-                if self.tracked[ti].unassigned == 0 {
-                    let image = self.tracked[ti].tuple.apply(v);
-                    self.overlay.remove(self.tracked[ti].rel, &image);
-                    undone += 1;
-                }
-            }
-            for &ti in tis {
-                self.tracked[ti].unassigned += 1;
-            }
-        }
-        dx_obs::count!("solver.dfs.deltas_undone", undone);
-        v.unset(null);
-    }
-
-    fn dfs(
-        &mut self,
-        nulls: &[NullId],
-        i: usize,
-        fresh_used: usize,
-        palette: &Palette,
-        v: &mut Valuation,
-    ) {
-        if self.capped {
-            return;
-        }
-        dx_obs::count!("solver.dfs.nodes");
-        if i == nulls.len() {
-            dx_obs::count!("solver.dfs.leaves");
-            self.leaves += 1;
-            let total = self.shared_leaves.fetch_add(1, Ordering::Relaxed) + 1;
-            if self.cap.is_some_and(|c| total > c) {
-                self.capped = true;
-                return;
-            }
-            self.images.insert(self.overlay.to_instance());
-            return;
-        }
-        for c in palette.choices(fresh_used) {
-            let next_fresh = fresh_used + usize::from(palette.is_next_fresh(c, fresh_used));
-            self.assign(nulls[i], c, v);
-            self.dfs(nulls, i + 1, next_fresh, palette, v);
-            self.unassign(nulls[i], v);
-            if self.capped {
-                return;
-            }
-        }
-    }
 }
 
 /// Visit every nonempty union of at most `max_union_size` of the given
@@ -744,325 +501,6 @@ pub fn for_each_union(
         (dx_obs::mem::names::DELTA_REFCOUNT_TOTAL, mem.refcount_total),
     ]);
     count
-}
-
-// ---------------------------------------------------------------------------
-// Parallel union sweeps
-// ---------------------------------------------------------------------------
-
-/// Freeze the common base of `members` and compute each member's private
-/// remainder — the decomposition [`for_each_union`] maintains on its single
-/// `DeltaIndex`, frozen behind an `Arc` so pool workers can each layer a
-/// private [`OverlayIndex`] on top.
-fn union_parts(members: &[Instance]) -> (Arc<DeltaIndex>, Vec<Vec<(RelSym, Tuple)>>) {
-    let mut delta = DeltaIndex::new();
-    for m in members {
-        for (rel, r) in m.relations() {
-            delta.declare(rel, r.arity());
-        }
-    }
-    let all_tuples = |m: &Instance| -> Vec<(RelSym, Tuple)> {
-        m.relations()
-            .flat_map(|(rel, r)| r.iter().map(move |t| (rel, t.clone())))
-            .collect()
-    };
-    let base: Vec<(RelSym, Tuple)> = all_tuples(&members[0])
-        .into_iter()
-        .filter(|(rel, t)| members[1..].iter().all(|m| m.contains(*rel, t)))
-        .collect();
-    for (rel, t) in &base {
-        delta.insert(*rel, t.clone());
-    }
-    let privates: Vec<Vec<(RelSym, Tuple)>> = members
-        .iter()
-        .map(|m| {
-            all_tuples(m)
-                .into_iter()
-                .filter(|(rel, t)| !delta.contains(*rel, t))
-                .collect()
-        })
-        .collect();
-    (delta.freeze(), privates)
-}
-
-/// Walk the unions of top-level branch `b` — every union whose smallest
-/// member index is `b` — in the canonical [`for_each_union`] order, against
-/// an [`OverlayIndex`]. `visit` returns `true` to stop the walk of this
-/// branch; the return value reports whether it did.
-fn walk_branch(
-    privates: &[Vec<(RelSym, Tuple)>],
-    overlay: &mut OverlayIndex,
-    b: usize,
-    depth_left: usize,
-    visit: &mut dyn FnMut(&OverlayIndex) -> bool,
-) -> bool {
-    dx_obs::trace_instant!(
-        "solver.union.branch",
-        "member" = b,
-        "depth_left" = depth_left
-    );
-    dx_obs::count!("solver.union.deltas_applied", privates[b].len());
-    for (rel, t) in &privates[b] {
-        overlay.insert(*rel, t.clone());
-    }
-    dx_obs::count!("solver.union.unions_visited");
-    let stop = visit(overlay) || {
-        let mut stopped = false;
-        if depth_left > 1 {
-            for i in b + 1..privates.len() {
-                if walk_branch(privates, overlay, i, depth_left - 1, visit) {
-                    stopped = true;
-                    break;
-                }
-            }
-        }
-        stopped
-    };
-    dx_obs::count!("solver.union.deltas_undone", privates[b].len());
-    for (rel, t) in privates[b].iter().rev() {
-        overlay.remove(*rel, t);
-    }
-    stop
-}
-
-/// Number of unions in the top-level branch of a walk with `later` members
-/// after the branch head and union-size cap `depth`: the subsets of the
-/// later members of size `< depth`, each adjoined to the head. `None` on
-/// `u64` overflow — a space the sequential walk could never finish either,
-/// so callers simply stay sequential.
-fn branch_weight(later: usize, depth: usize) -> Option<u64> {
-    let jmax = depth.saturating_sub(1).min(later);
-    let mut total: u64 = 0;
-    let mut binom: u64 = 1; // C(later, j), maintained incrementally
-    for j in 0..=jmax {
-        if j > 0 {
-            binom = binom.checked_mul((later - j + 1) as u64)? / j as u64;
-        }
-        total = total.checked_add(binom)?;
-    }
-    Some(total)
-}
-
-/// Start offset of every top-level branch in the canonical union order,
-/// plus the total union count.
-fn branch_offsets(m: usize, depth: usize) -> Option<(Vec<u64>, u64)> {
-    let mut offsets = Vec::with_capacity(m);
-    let mut acc: u64 = 0;
-    for b in 0..m {
-        offsets.push(acc);
-        acc = acc.checked_add(branch_weight(m - 1 - b, depth)?)?;
-    }
-    Some((offsets, acc))
-}
-
-/// Partition branches `0..offsets.len()` into contiguous chunks of roughly
-/// equal union counts. The per-branch weights are wildly skewed (branch 0
-/// owns nearly half an uncapped space), so chunking by branch *count* would
-/// starve most workers.
-fn weighted_chunks(offsets: &[u64], total: u64, want: usize) -> Vec<std::ops::Range<usize>> {
-    let m = offsets.len();
-    let target = (total / (want.max(1) as u64)).max(1);
-    let mut chunks = Vec::new();
-    let mut start = 0usize;
-    while start < m {
-        let limit = offsets[start].saturating_add(target);
-        let mut end = start + 1;
-        while end < m && offsets[end] < limit {
-            end += 1;
-        }
-        chunks.push(start..end);
-        start = end;
-    }
-    chunks
-}
-
-/// `retain` over every union of at most `max_union_size` members, in
-/// parallel: the GCWA\*-answer loop (`survivors.retain(..);
-/// survivors.is_empty()`) lifted into a sweep the pool splits by top-level
-/// branch. Returns the surviving candidates (in input order) and the number
-/// of unions the *sequential* early-stopping walk visits — both
-/// bit-identical to running the retain loop under [`for_each_union`], at
-/// every thread count.
-///
-/// `holds(store, t)` must be a pure function of the store's visible tuple
-/// set and `t` (compiled plan probes qualify): the parallel walk recovers
-/// each candidate's first falsifying union from per-branch kill indices,
-/// which reproduces the sequential early-stop accounting only for pure
-/// predicates.
-pub fn union_retain_sweep(
-    members: &[Instance],
-    max_union_size: usize,
-    candidates: Vec<Tuple>,
-    holds: &(dyn Fn(&OverlayIndex, &Tuple) -> bool + Sync),
-) -> (Vec<Tuple>, u64) {
-    if members.is_empty() || max_union_size == 0 {
-        return (candidates, 0);
-    }
-    let _span = dx_obs::span!("solver.union_retain_sweep");
-    let depth = max_union_size.min(members.len());
-    let (frozen, privates) = union_parts(members);
-    let threads = rayon::current_num_threads();
-    let plan = if threads > 1 && !candidates.is_empty() {
-        branch_offsets(members.len(), depth)
-    } else {
-        None
-    };
-    let Some((offsets, total)) = plan else {
-        // Sequential walk: one overlay, stopping the moment the candidate
-        // set empties — exactly the for_each_union retain loop.
-        let mut overlay = OverlayIndex::new(frozen);
-        let mut alive = candidates;
-        let mut count = 0u64;
-        for b in 0..privates.len() {
-            let stop = walk_branch(&privates, &mut overlay, b, depth, &mut |ov| {
-                count += 1;
-                alive.retain(|t| holds(ov, t));
-                alive.is_empty()
-            });
-            if stop {
-                break;
-            }
-        }
-        return (alive, count);
-    };
-    // Parallel: each chunk of branches records candidate kills against its
-    // own overlay; the sequential outcome is reconstructed from the
-    // earliest (global) kill index per candidate. `bound` is a global index
-    // at which every candidate is known dead — unions beyond it cannot
-    // lower any kill index, so workers prune there.
-    let chunks = weighted_chunks(&offsets, total, threads * 4);
-    let bound = AtomicU64::new(u64::MAX);
-    let per_chunk = rayon::par_map(chunks.len(), |ci| {
-        let mut overlay = OverlayIndex::new(Arc::clone(&frozen));
-        let mut kills: Vec<Option<u64>> = vec![None; candidates.len()];
-        for b in chunks[ci].clone() {
-            if offsets[b] >= bound.load(Ordering::Relaxed) {
-                break;
-            }
-            let mut local = 0u64;
-            walk_branch(&privates, &mut overlay, b, depth, &mut |ov| {
-                let g = offsets[b] + local;
-                local += 1;
-                if g >= bound.load(Ordering::Relaxed) {
-                    return true;
-                }
-                let mut all_dead = true;
-                for (k, t) in candidates.iter().enumerate() {
-                    if kills[k].is_none_or(|e| e > g) && !holds(ov, t) {
-                        kills[k] = Some(g);
-                    }
-                    all_dead &= kills[k].is_some();
-                }
-                if all_dead {
-                    bound.fetch_min(g, Ordering::Relaxed);
-                    return true;
-                }
-                false
-            });
-        }
-        kills
-    });
-    let mut first_kill: Vec<Option<u64>> = vec![None; candidates.len()];
-    for kills in per_chunk {
-        for (k, g) in kills.into_iter().enumerate() {
-            if let Some(g) = g {
-                first_kill[k] = Some(first_kill[k].map_or(g, |e: u64| e.min(g)));
-            }
-        }
-    }
-    let survivors: Vec<Tuple> = candidates
-        .into_iter()
-        .zip(&first_kill)
-        .filter(|(_, k)| k.is_none())
-        .map(|(t, _)| t)
-        .collect();
-    let unions = if survivors.is_empty() {
-        // The sequential walk stops on the union that killed the last
-        // survivor: the latest of the per-candidate first kills.
-        first_kill.iter().filter_map(|k| *k).max().unwrap_or(0) + 1
-    } else {
-        total
-    };
-    (survivors, unions)
-}
-
-/// First falsifying union of at most `max_union_size` members, in
-/// parallel: the GCWA\*-membership loop (stop at the first union where the
-/// probe fails) split by top-level branch. Returns the canonical-order
-/// first counterexample instance (if any) and the sequential-semantics
-/// union count — bit-identical at every thread count for pure `fails`
-/// predicates.
-pub fn union_refute_sweep(
-    members: &[Instance],
-    max_union_size: usize,
-    fails: &(dyn Fn(&OverlayIndex) -> bool + Sync),
-) -> (Option<Instance>, u64) {
-    if members.is_empty() || max_union_size == 0 {
-        return (None, 0);
-    }
-    let _span = dx_obs::span!("solver.union_refute_sweep");
-    let depth = max_union_size.min(members.len());
-    let (frozen, privates) = union_parts(members);
-    let threads = rayon::current_num_threads();
-    let plan = if threads > 1 {
-        branch_offsets(members.len(), depth)
-    } else {
-        None
-    };
-    let Some((offsets, total)) = plan else {
-        let mut overlay = OverlayIndex::new(frozen);
-        let mut count = 0u64;
-        let mut counterexample = None;
-        for b in 0..privates.len() {
-            let stop = walk_branch(&privates, &mut overlay, b, depth, &mut |ov| {
-                count += 1;
-                if fails(ov) {
-                    counterexample = Some(ov.to_instance());
-                    true
-                } else {
-                    false
-                }
-            });
-            if stop {
-                break;
-            }
-        }
-        return (counterexample, count);
-    };
-    // Parallel: the walk order within a chunk is globally increasing, so
-    // each chunk's first hit is its minimum; `best` prunes every worker
-    // past the earliest hit found so far.
-    let chunks = weighted_chunks(&offsets, total, threads * 4);
-    let best = AtomicU64::new(u64::MAX);
-    let per_chunk = rayon::par_map(chunks.len(), |ci| {
-        let mut overlay = OverlayIndex::new(Arc::clone(&frozen));
-        let mut found: Option<(u64, Instance)> = None;
-        for b in chunks[ci].clone() {
-            if found.is_some() || offsets[b] >= best.load(Ordering::Relaxed) {
-                break;
-            }
-            let mut local = 0u64;
-            walk_branch(&privates, &mut overlay, b, depth, &mut |ov| {
-                let g = offsets[b] + local;
-                local += 1;
-                if g >= best.load(Ordering::Relaxed) {
-                    return true;
-                }
-                if fails(ov) {
-                    best.fetch_min(g, Ordering::Relaxed);
-                    found = Some((g, ov.to_instance()));
-                    return true;
-                }
-                false
-            });
-        }
-        found
-    });
-    let winner = per_chunk.into_iter().flatten().min_by_key(|(g, _)| *g);
-    match winner {
-        Some((g, inst)) => (Some(inst), g + 1),
-        None => (None, total),
-    }
 }
 
 /// A `rel(T)` tuple containing nulls, waiting for its valuation image.
@@ -1619,160 +1057,6 @@ mod tests {
             n == 3
         });
         assert_eq!(stopped, 3);
-    }
-
-    /// Serializes tests that change the process-global pool width, so their
-    /// width-sensitive comparisons never race each other.
-    fn width_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn xorshift(s: &mut u64) -> u64 {
-        *s ^= *s << 13;
-        *s ^= *s >> 7;
-        *s ^= *s << 17;
-        *s
-    }
-
-    /// A pseudo-random family of overlapping members over one relation.
-    fn random_members(seed: &mut u64) -> Vec<Instance> {
-        let n_members = 3 + (xorshift(seed) % 4) as usize;
-        let consts = ["c0", "c1", "c2", "c3", "c4"];
-        (0..n_members)
-            .map(|_| {
-                let mut m = Instance::new();
-                // A shared spine keeps the common base nonempty sometimes.
-                m.insert_names("SwU", &["spine", "spine"]);
-                let tuples = 1 + (xorshift(seed) % 4) as usize;
-                for _ in 0..tuples {
-                    let a = consts[(xorshift(seed) % 5) as usize];
-                    let b = consts[(xorshift(seed) % 5) as usize];
-                    m.insert_names("SwU", &[a, b]);
-                }
-                m
-            })
-            .collect()
-    }
-
-    /// The retain sweep is bit-identical to the sequential
-    /// [`for_each_union`] retain loop — survivors, order, and the
-    /// early-stop union count — at every pool width, across random member
-    /// families and candidate sets.
-    #[test]
-    fn retain_sweep_bit_identical_across_widths() {
-        let _guard = width_lock();
-        let rel = RelSym::new("SwU");
-        let mut seed = 0x5eed_0001_u64;
-        for case in 0..25 {
-            let members = random_members(&mut seed);
-            let max_k = if case % 3 == 0 { 2 } else { usize::MAX };
-            // Candidates: a mix of base-resident, sometimes-present, and
-            // absent tuples — kills land at varying union indices.
-            let mut candidates = vec![
-                Tuple::from_names(&["spine", "spine"]),
-                Tuple::from_names(&["absent", "absent"]),
-            ];
-            for _ in 0..3 {
-                let consts = ["c0", "c1", "c2", "c3", "c4"];
-                let a = consts[(xorshift(&mut seed) % 5) as usize];
-                let b = consts[(xorshift(&mut seed) % 5) as usize];
-                candidates.push(Tuple::from_names(&[a, b]));
-            }
-            // Sequential reference on the single DeltaIndex walk.
-            let mut reference = candidates.clone();
-            let ref_unions = for_each_union(&members, max_k, &mut |delta| {
-                reference.retain(|t| delta.contains(rel, t));
-                reference.is_empty()
-            });
-            for width in [1usize, 2, 3, 4, 8] {
-                rayon::set_threads(width);
-                let (survivors, unions) =
-                    union_retain_sweep(&members, max_k, candidates.clone(), &|ov, t| {
-                        ov.contains(rel, t)
-                    });
-                assert_eq!(survivors, reference, "case {case} width {width}");
-                assert_eq!(unions, ref_unions, "case {case} width {width}");
-            }
-            rayon::set_threads(0);
-        }
-    }
-
-    /// The refute sweep returns the canonical-order first falsifying union
-    /// (instance and early-stop count) at every pool width.
-    #[test]
-    fn refute_sweep_bit_identical_across_widths() {
-        let _guard = width_lock();
-        let mut seed = 0x5eed_0002_u64;
-        for case in 0..25 {
-            let members = random_members(&mut seed);
-            let max_k = if case % 4 == 0 { 2 } else { usize::MAX };
-            // Thresholds straddle reachable and unreachable counts.
-            let threshold = 1 + (xorshift(&mut seed) % 8) as usize;
-            let mut ref_cex = None;
-            let ref_unions = for_each_union(&members, max_k, &mut |delta| {
-                let union = delta.to_instance();
-                if union.tuple_count() >= threshold {
-                    ref_cex = Some(union);
-                    true
-                } else {
-                    false
-                }
-            });
-            for width in [1usize, 2, 3, 4, 8] {
-                rayon::set_threads(width);
-                let (cex, unions) = union_refute_sweep(&members, max_k, &|ov| {
-                    ov.to_instance().tuple_count() >= threshold
-                });
-                assert_eq!(cex, ref_cex, "case {case} width {width}");
-                assert_eq!(unions, ref_unions, "case {case} width {width}");
-            }
-            rayon::set_threads(0);
-        }
-    }
-
-    /// The minimal-member sweep returns the same minimal set (and
-    /// completeness) at every pool width, including the capped fallback.
-    #[test]
-    fn minimal_members_bit_identical_across_widths() {
-        let _guard = width_lock();
-        let rel = RelSym::new("SwM");
-        let mut seed = 0x5eed_0003_u64;
-        for case in 0..10 {
-            let mut t = AnnInstance::new();
-            let nulls = 2 + (xorshift(&mut seed) % 3) as usize;
-            for i in 0..nulls {
-                let closed = xorshift(&mut seed).is_multiple_of(2);
-                t.insert(
-                    rel,
-                    at(
-                        vec![
-                            Value::c(["a", "b"][(xorshift(&mut seed) % 2) as usize]),
-                            Value::null(i as u32),
-                        ],
-                        vec![Ann::Closed, if closed { Ann::Closed } else { Ann::Open }],
-                    ),
-                );
-            }
-            t.insert(
-                rel,
-                at(
-                    vec![Value::c("g"), Value::c("g")],
-                    vec![Ann::Closed, Ann::Closed],
-                ),
-            );
-            for cap in [None, Some(3u64)] {
-                rayon::set_threads(1);
-                let reference = minimal_rep_a_members(&t, &BTreeSet::new(), cap);
-                for width in [2usize, 4, 8] {
-                    rayon::set_threads(width);
-                    let got = minimal_rep_a_members(&t, &BTreeSet::new(), cap);
-                    assert_eq!(got.0, reference.0, "case {case} width {width} cap {cap:?}");
-                    assert_eq!(got.1, reference.1, "case {case} width {width} cap {cap:?}");
-                }
-            }
-            rayon::set_threads(0);
-        }
     }
 
     /// The incremental store presented to leaves is exactly the instance the

@@ -41,8 +41,8 @@ pub mod palette;
 pub mod repa;
 
 pub use enumerate::{
-    for_each_union, minimal_rep_a_members, search_rep_a_indexed, union_refute_sweep,
-    union_retain_sweep, Completeness, Leaf, SearchBudget, SearchOutcome,
+    for_each_union, minimal_rep_a_members, search_rep_a_indexed, Completeness, Leaf, SearchBudget,
+    SearchOutcome,
 };
 pub use matching::max_bipartite_matching;
 pub use palette::Palette;

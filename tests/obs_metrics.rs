@@ -382,24 +382,36 @@ fn gcwa_on_a_monotone_query_walks_no_unions() {
     assert!(unions("sole_reviewer") > 0, "the union walk still runs");
 }
 
-/// GCWA\* on a monotone query stops at the budget's leaf cap. Ten papers
-/// with neither author nor reviewer put twenty open nulls in `CSol_A(S)`,
-/// so the image sweep has far more leaves than any run could visit; `p0`
-/// has two known reviewers, survives every leaf and keeps the sweep going
-/// until the cap ends it with a `Capped` superset.
-#[test]
-fn gcwa_on_a_monotone_query_honours_the_leaf_cap() {
-    let _g = lock();
+/// [`DECIDE_SHAPED`] with `p1` and `p2` replaced by ten papers with neither
+/// author nor reviewer, which put twenty open nulls in `CSol_A(S)`, and with
+/// §1's one-author query added.
+fn many_open_nulls() -> oc_exchange::text::Scenario {
     let mut facts = String::from("Papers(p0); Wrote(p0, a0); Assign(p0, r0); Assign(p0, r1);");
     for i in 1..=10 {
         facts.push_str(&format!(" Papers(q{i});"));
     }
-    let text = DECIDE_SHAPED.replace(
-        "Papers(p0); Wrote(p0, a0); Assign(p0, r0); Assign(p0, r1);\n    Papers(p1); Assign(p1, r2);\n    Papers(p2);",
-        &facts,
-    );
+    let text = DECIDE_SHAPED
+        .replace(
+            "Papers(p0); Wrote(p0, a0); Assign(p0, r0); Assign(p0, r1);\n    Papers(p1); Assign(p1, r2);\n    Papers(p2);",
+            &facts,
+        )
+        .replace(
+            "  query two_reviewers",
+            "  query one_author() <- forall p a1 a2. (Sub(p, a1) & Sub(p, a2) -> a1 = a2);\n  query two_reviewers",
+        );
     assert_ne!(text, DECIDE_SHAPED, "instance replaced");
-    let sc = oc_exchange::text::Scenario::parse(&text).expect("scenario parses");
+    oc_exchange::text::Scenario::parse(&text).expect("scenario parses")
+}
+
+/// GCWA\* on a monotone query stops at the budget's leaf cap. The twenty
+/// open nulls of [`many_open_nulls`] give the image sweep far more leaves
+/// than any run could visit; `p0` has two known reviewers, survives every
+/// leaf and keeps the sweep going until the cap ends it with a `Capped`
+/// superset.
+#[test]
+fn gcwa_on_a_monotone_query_honours_the_leaf_cap() {
+    let _g = lock();
+    let sc = many_open_nulls();
     let q = sc.query("two_reviewers").expect("query");
     let ex = oc_exchange::core::Exchange::new(&sc.mapping, &sc.source);
     assert_eq!(ex.csol().nulls().len(), 20);
@@ -415,6 +427,33 @@ fn gcwa_on_a_monotone_query_honours_the_leaf_cap() {
         "{}",
         out.answers
     );
+    let leaves = diff.counter("solver.dfs.leaves");
+    assert!(
+        (1..=51).contains(&leaves),
+        "{leaves} leaves under a 50-leaf cap"
+    );
+}
+
+/// GCWA\* on a non-monotone query walks the unions of minimal members, and
+/// the minimal-member sweep stops at the budget's leaf cap: §1's one-author
+/// query over the twenty open nulls of [`many_open_nulls`] reports `Capped`
+/// after at most cap + 1 leaves.
+#[test]
+fn gcwa_on_a_non_monotone_query_honours_the_leaf_cap() {
+    let _g = lock();
+    let sc = many_open_nulls();
+    let q = sc.query("one_author").expect("query");
+    assert!(!oc_exchange::logic::classify::is_monotone(&q.formula));
+    let ex = oc_exchange::core::Exchange::new(&sc.mapping, &sc.source);
+    assert_eq!(ex.csol().nulls().len(), 20);
+    let budget = oc_exchange::core::RegimeBudget {
+        max_leaves: Some(50),
+        ..oc_exchange::core::RegimeBudget::unions_of(2)
+    };
+    let (out, diff) = measured(|| ex.gcwa_star_answers(q, &budget));
+    assert_eq!(out.route, oc_exchange::core::GcwaRoute::UnionWalk);
+    assert_eq!(out.completeness, Completeness::Capped);
+    assert!(out.minimal_solutions > 0 && out.unions > 0, "{out:?}");
     let leaves = diff.counter("solver.dfs.leaves");
     assert!(
         (1..=51).contains(&leaves),

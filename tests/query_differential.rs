@@ -20,7 +20,7 @@
 //!   composition) across chase strategies (`Exchange::with_strategy`);
 //! * first-witness execution: `holds_on_store` with the head bound, and
 //!   a Boolean query's answer, against the materialized answers on every
-//!   candidate tuple, over three store shapes and two pool widths.
+//!   candidate tuple, over two store shapes.
 
 use oc_exchange::chase::{
     canonical_solution, canonical_solution_via, ChaseStrategy, Mapping, NaiveBodyEval, NaiveChase,
@@ -32,7 +32,7 @@ use oc_exchange::engine::IndexedChase;
 use oc_exchange::logic::{Formula, Query, Term};
 use oc_exchange::query::exec::{exec, exec_nonempty};
 use oc_exchange::query::{CompiledQuery, CompiledRa, PlannedBodyEval, QueryEval, QueryStore};
-use oc_exchange::relation::{DeltaIndex, OverlayIndex};
+use oc_exchange::relation::DeltaIndex;
 use oc_exchange::workloads::random_gen;
 use oc_exchange::{Instance, RelSym, Schema, Tuple, Value, Var};
 use proptest::prelude::*;
@@ -215,10 +215,9 @@ fn candidate_tuples(inst: &Instance, query: &Query, answers: &BTreeSet<Tuple>) -
     out
 }
 
-/// The same tuple set in three store shapes: a fresh `DeltaIndex` build, a
+/// The same tuple set in two store shapes: a fresh `DeltaIndex` build and a
 /// `DeltaIndex` that applied and undid a churn batch (fresh and
-/// already-present tuples), and an `OverlayIndex` whose frozen base holds
-/// half the tuples and whose private layer holds the rest.
+/// already-present tuples).
 fn store_shapes(inst: &Instance, rng: &mut StdRng) -> Vec<(&'static str, Box<dyn QueryStore>)> {
     let tuples: Vec<(RelSym, Tuple)> = inst
         .relations()
@@ -241,22 +240,9 @@ fn store_shapes(inst: &Instance, rng: &mut StdRng) -> Vec<(&'static str, Box<dyn
     for (rel, t) in churn.iter().rev() {
         delta.remove(*rel, t);
     }
-    let split = tuples.len() / 2;
-    let mut base = Instance::new();
-    for (rel, r) in inst.relations() {
-        base.declare(rel, r.arity());
-    }
-    for (rel, t) in &tuples[..split] {
-        base.insert(*rel, t.clone());
-    }
-    let mut overlay = OverlayIndex::new(DeltaIndex::from_instance(&base).freeze());
-    for (rel, t) in &tuples[split..] {
-        overlay.insert(*rel, t.clone());
-    }
     vec![
         ("fresh", Box::new(DeltaIndex::from_instance(inst))),
         ("delta", Box::new(delta)),
-        ("overlay", Box::new(overlay)),
     ]
 }
 
@@ -274,9 +260,9 @@ fn materialized(cq: &CompiledQuery, store: &dyn QueryStore) -> BTreeSet<Tuple> {
         .collect()
 }
 
-/// First-witness answers ≡ materialized answers. On every store shape, at
-/// pool widths 1 and 4: the materialized answers equal `want`; on every
-/// candidate tuple `holds_on_store` equals membership in them;
+/// First-witness answers ≡ materialized answers. On every store shape: the
+/// materialized answers equal `want`; on every candidate tuple
+/// `holds_on_store` equals membership in them;
 /// `exec_nonempty` with nothing bound equals their non-emptiness; and a
 /// Boolean query's (first-witness) answer set equals them.
 fn check_first_witness(
@@ -287,32 +273,27 @@ fn check_first_witness(
     rng: &mut StdRng,
 ) {
     let candidates = candidate_tuples(inst, query, want);
-    let stores = store_shapes(inst, rng);
-    for width in [1usize, 4] {
-        rayon::set_threads(width);
-        for (shape, store) in &stores {
-            let store = store.as_ref();
-            let got = materialized(cq, store);
-            assert_eq!(&got, want, "{shape} store, width {width}: {query}");
-            for t in &candidates {
-                assert_eq!(
-                    cq.holds_on_store(store, t),
-                    got.contains(t),
-                    "{shape} store, width {width}: {t} in {query} on {inst}"
-                );
-            }
+    for (shape, store) in &store_shapes(inst, rng) {
+        let store = store.as_ref();
+        let got = materialized(cq, store);
+        assert_eq!(&got, want, "{shape} store: {query}");
+        for t in &candidates {
             assert_eq!(
-                exec_nonempty(cq.plan(), store, &[]),
-                !got.is_empty(),
-                "{shape} store, width {width}: emptiness of {query}"
+                cq.holds_on_store(store, t),
+                got.contains(t),
+                "{shape} store: {t} in {query} on {inst}"
             );
-            if cq.head().is_empty() {
-                let boolean: BTreeSet<Tuple> = cq.answers_store(store).iter().cloned().collect();
-                assert_eq!(boolean, got, "{shape} store, width {width}: {query}");
-            }
+        }
+        assert_eq!(
+            exec_nonempty(cq.plan(), store, &[]),
+            !got.is_empty(),
+            "{shape} store: emptiness of {query}"
+        );
+        if cq.head().is_empty() {
+            let boolean: BTreeSet<Tuple> = cq.answers_store(store).iter().cloned().collect();
+            assert_eq!(boolean, got, "{shape} store: {query}");
         }
     }
-    rayon::set_threads(0);
 }
 
 // ------------------------------------------------------------- property tests
