@@ -12,7 +12,8 @@
 //! A `.dx` run loads the scenario, chases it (both engines, constraints
 //! included), and answers its queries under the selected regimes through
 //! the shared `PlanCatalog`. `--updates` then streams the file's `update`
-//! blocks through a `dx_core::StreamSession`, reporting per batch how the
+//! blocks through a `dx_core::StreamSession`, reporting per batch how many
+//! STDs were maintained by delta plans, recomputed or skipped, how the
 //! chased target was maintained (incremental / rebuilt), how each
 //! registered query was serviced (delta plan / recompute / skip) and its
 //! refreshed certain answers. `--explain` additionally prints the compiled
@@ -22,7 +23,9 @@
 //! every other node re-reads maintained state.
 //!
 //! An unknown flag, a flag without its value, an unreadable number and a
-//! grade above 3 are usage errors: `dx` prints the usage and exits 2.
+//! grade above 3 are usage errors: `dx` prints the usage and exits 2. A
+//! `--query NAME` the file does not define is refused with exit 1 before
+//! anything runs.
 
 use dx_bench::corpus::{run_corpus, CorpusStats};
 use dx_chase::chase_engine::{ChaseOutcome, DEFAULT_CHASE_LIMIT};
@@ -30,7 +33,7 @@ use dx_chase::{canonical_solution_with_deps_via, NaiveChase};
 use dx_core::regimes::{ApproxRoute, GcwaRoute, RegimeBudget};
 use dx_core::streaming::{affected_target_rels, QueryPath, StreamRegime, StreamSession};
 use dx_core::Exchange;
-use dx_engine::{IndexedChase, TargetPath};
+use dx_engine::{IndexedChase, StdPath, TargetPath};
 use dx_solver::{Completeness, SearchBudget};
 use dx_text::{gen_text, Grade, Scenario};
 use std::process::ExitCode;
@@ -239,10 +242,14 @@ fn cmd_run(path: &str, args: &[String]) -> ExitCode {
         Ok(sc) => sc,
         Err(code) => return code,
     };
+    let query_filter = flags.value("--query");
+    if let Some(want) = query_filter.filter(|want| sc.query(want).is_none()) {
+        eprintln!("dx: no query named {want:?} in {path}");
+        return ExitCode::FAILURE;
+    }
     let wants = |flag: &str| flags.has("--all") || flags.has(flag);
     let default_run = !MODES.iter().any(|m| flags.has(m));
     let explain = flags.has("--explain");
-    let query_filter = flags.value("--query");
 
     println!("# {path} — scenario \"{}\"", sc.name);
 
@@ -309,11 +316,6 @@ fn cmd_run(path: &str, args: &[String]) -> ExitCode {
     if flags.has("--updates") {
         run_updates(&sc, &budget);
     }
-
-    if query_filter.is_some_and(|want| sc.query(want).is_none()) {
-        eprintln!("dx: no query named {:?} in {path}", query_filter.unwrap());
-        return ExitCode::FAILURE;
-    }
     ExitCode::SUCCESS
 }
 
@@ -343,6 +345,16 @@ fn run_updates(sc: &Scenario, budget: &SearchBudget) {
             nu.name,
             report.update.added.len(),
             report.update.removed.len()
+        );
+        let paths = |want: StdPath| {
+            let stds = &report.update.std_paths;
+            stds.iter().filter(|&&p| p == want).count()
+        };
+        println!(
+            "  stds: {} delta, {} recomputed, {} skipped",
+            paths(StdPath::Seeded),
+            paths(StdPath::Recomputed),
+            paths(StdPath::Skipped)
         );
         match report.update.target {
             TargetPath::None => {}

@@ -1,6 +1,7 @@
 //! The `dx` command line, driven as a built binary: one good run of each
-//! subcommand, and the usage errors (exit code 2) for input it cannot
-//! read — an unknown flag, an unreadable number, a grade above 3.
+//! subcommand, the usage errors (exit code 2) for input it cannot read —
+//! an unknown flag, an unreadable number, a grade above 3 — and the
+//! refusal of a query name the file does not define.
 
 use std::process::{Command, Output};
 
@@ -59,6 +60,22 @@ fn run_answers_the_pinned_scenario() {
     let text = stdout(&out);
     assert!(text.contains("## query reviewed"), "{text}");
     assert!(text.contains("certain   [exact]:"), "{text}");
+}
+
+/// A query name the file does not define is refused before anything
+/// runs: no chase, no answers, no streamed batch on stdout.
+#[test]
+fn an_unknown_query_name_is_refused_before_any_work() {
+    let out = dx(&[
+        "examples/conference_stream.dx",
+        "--query",
+        "nosuch",
+        "--updates",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("no query named \"nosuch\""), "{stderr}");
+    assert!(out.stdout.is_empty(), "ran anyway: {}", stdout(&out));
 }
 
 #[test]

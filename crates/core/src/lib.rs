@@ -61,7 +61,7 @@ pub use certain::{certain_answers, certain_answers_with, certain_contains, Certa
 pub use compose::{comp_membership, CompOutcome};
 pub use compose_alg::{compose_skstd, ComposeError};
 pub use exchange::Exchange;
-pub use ptime_lang::{CompiledFoQuery, PtimeQuery};
+pub use ptime_lang::PtimeQuery;
 pub use regimes::{
     approx_certain_answers, gcwa_star_answers, under_over_queries, ApproxOutcome, ApproxRoute,
     GcwaMembership, GcwaOutcome, GcwaRoute, RegimeBudget,

@@ -29,17 +29,9 @@ use crate::certain::{
 };
 use crate::Exchange;
 use dx_logic::datalog::DatalogQuery;
-use dx_logic::Query;
-use dx_query::{PlanCatalog, QueryEval};
-use dx_relation::{ConstId, DeltaIndex, Instance, Relation, Tuple};
+use dx_relation::{ConstId, Instance, Relation, Tuple};
 use dx_solver::{search_rep_a_indexed, Completeness, Leaf, SearchBudget};
 use std::collections::BTreeSet;
-use std::sync::Arc;
-
-/// The per-leaf membership check returned by [`PtimeQuery::prepared_holds`]:
-/// invoked once per candidate of a refutation search, with the solver's
-/// incremental index over the candidate.
-pub type PreparedHolds<'a> = Box<dyn FnMut(&DeltaIndex) -> bool + 'a>;
 
 /// A query in some language of PTIME data complexity, as seen by the
 /// certain-answer engines: an evaluator over ground instances plus the two
@@ -60,25 +52,6 @@ pub trait PtimeQuery {
         self.eval(instance).contains(t)
     }
 
-    /// [`PtimeQuery::holds`] against the solver's incrementally
-    /// maintained candidate index (the refutation loops' per-leaf check).
-    /// The default materializes the candidate and evaluates on it;
-    /// implementors with compiled plans override it to probe the index,
-    /// materializing only when the query did not compile.
-    fn holds_indexed(&self, store: &DeltaIndex, t: &Tuple) -> bool {
-        self.holds(&store.to_instance(), t)
-    }
-
-    /// A per-search membership check for `t`: called **once** before a
-    /// refutation loop, invoked once per candidate leaf. The default
-    /// delegates to [`PtimeQuery::holds_indexed`] per call; implementors
-    /// whose `holds_indexed` performs per-call setup (e.g. a catalog
-    /// lookup) override this to hoist that setup out of the — potentially
-    /// exponential — leaf loop.
-    fn prepared_holds<'a>(&'a self, t: &'a Tuple) -> PreparedHolds<'a> {
-        Box::new(move |store| self.holds_indexed(store, t))
-    }
-
     /// Is the query preserved under homomorphisms of instances? (Then naive
     /// evaluation on the canonical solution is exact for every annotation.)
     /// Implementations must be *conservative*: `false` when unknown.
@@ -91,108 +64,6 @@ pub trait PtimeQuery {
     /// Constants mentioned by the query (they seed the counterexample
     /// palette).
     fn query_constants(&self) -> BTreeSet<ConstId>;
-}
-
-impl PtimeQuery for Query {
-    fn out_arity(&self) -> usize {
-        self.arity()
-    }
-
-    /// Routed through the shared [`PlanCatalog`]: compiled plan when
-    /// safe-range, tree walker otherwise — one lowering per distinct
-    /// query per process, hash-lookup cheap afterwards.
-    fn eval(&self, instance: &Instance) -> Relation {
-        PlanCatalog::shared().eval(self).answers(instance)
-    }
-
-    /// Also catalog-backed: inside `search_rep_a_indexed` refutation loops
-    /// this runs once per candidate instance, and the catalog makes the
-    /// repeated lookups a structural-hash probe rather than a re-compile.
-    /// [`CompiledFoQuery`] remains as the zero-lookup variant (it holds
-    /// its catalog entry directly).
-    fn holds(&self, instance: &Instance, t: &Tuple) -> bool {
-        PlanCatalog::shared().eval(self).holds_on(instance, t)
-    }
-
-    fn holds_indexed(&self, store: &DeltaIndex, t: &Tuple) -> bool {
-        PlanCatalog::shared()
-            .eval(self)
-            .holds_on_indexed(store, || store.to_instance(), t)
-    }
-
-    /// One catalog lookup per search, not per leaf: the `Arc<QueryEval>`
-    /// is hoisted into the returned closure.
-    fn prepared_holds<'a>(&'a self, t: &'a Tuple) -> PreparedHolds<'a> {
-        let ev = PlanCatalog::shared().eval(self);
-        Box::new(move |store| ev.holds_on_indexed(store, || store.to_instance(), t))
-    }
-
-    fn hom_preserved(&self) -> bool {
-        dx_logic::classify::is_positive(&self.formula)
-    }
-
-    fn monotone(&self) -> bool {
-        dx_logic::classify::is_monotone(&self.formula)
-    }
-
-    fn query_constants(&self) -> BTreeSet<ConstId> {
-        self.formula.constants()
-    }
-}
-
-/// A first-order query holding its shared-catalog plan entry directly —
-/// the [`PtimeQuery`] to use inside refutation loops, where
-/// [`PtimeQuery::holds`] runs once per candidate instance: no per-call
-/// catalog lookup, and the per-leaf check probes the solver's incremental
-/// index through [`PtimeQuery::holds_indexed`].
-pub struct CompiledFoQuery {
-    query: Query,
-    eval: Arc<QueryEval>,
-}
-
-impl CompiledFoQuery {
-    /// Wrap, drawing the compiled plan from the shared [`PlanCatalog`]
-    /// (the tree walker remains the internal fallback when the formula is
-    /// not safe-range).
-    pub fn new(query: Query) -> Self {
-        let eval = PlanCatalog::shared().eval(&query);
-        CompiledFoQuery { query, eval }
-    }
-
-    /// Did the formula compile to a plan?
-    pub fn is_compiled(&self) -> bool {
-        self.eval.is_compiled()
-    }
-}
-
-impl PtimeQuery for CompiledFoQuery {
-    fn out_arity(&self) -> usize {
-        self.query.arity()
-    }
-
-    fn eval(&self, instance: &Instance) -> Relation {
-        self.eval.answers(instance)
-    }
-
-    fn holds(&self, instance: &Instance, t: &Tuple) -> bool {
-        self.eval.holds_on(instance, t)
-    }
-
-    fn holds_indexed(&self, store: &DeltaIndex, t: &Tuple) -> bool {
-        self.eval.holds_on_indexed(store, || store.to_instance(), t)
-    }
-
-    fn hom_preserved(&self) -> bool {
-        dx_logic::classify::is_positive(&self.query.formula)
-    }
-
-    fn monotone(&self) -> bool {
-        dx_logic::classify::is_monotone(&self.query.formula)
-    }
-
-    fn query_constants(&self) -> BTreeSet<ConstId> {
-        self.query.formula.constants()
-    }
 }
 
 impl PtimeQuery for DatalogQuery {
@@ -240,8 +111,7 @@ impl Exchange<'_> {
         }
 
         let query_consts = tuple_palette(query.query_constants(), tuple);
-        let mut holds = query.prepared_holds(tuple);
-        let mut check = |leaf: &Leaf| !holds(leaf.index());
+        let mut check = |leaf: &Leaf| !query.holds(&leaf.index().to_instance(), tuple);
 
         if query.monotone() {
             let closed = self.csol.reannotate_all_closed();
@@ -307,6 +177,7 @@ mod tests {
     use super::*;
     use dx_chase::Mapping;
     use dx_logic::datalog::DatalogQuery;
+    use dx_logic::Query;
     use dx_relation::Value;
 
     const TC: &str = "PlPath(x, y) <- PlEdge(x, y); PlPath(x, z) <- PlPath(x, y) & PlEdge(y, z)";

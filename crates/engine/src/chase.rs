@@ -18,6 +18,13 @@
 //!   reports, and re-enqueues every rewritten (or collided-into) id, which
 //!   re-derives exactly the matches the substitution could have created.
 //!
+//! The loop (`close`) is this crate's only semi-naive closure. It is
+//! generic over the store it chases (`ChaseStore`): [`indexed_chase`]
+//! runs it over a bare [`IndexedInstance`], and the streaming exchange's
+//! target layer over a store that also logs every firing and merge as a
+//! derivation (`crate::stream`). The generic is monomorphized, so the
+//! batch chase pays no dispatch for the sharing.
+//!
 //! Divergences from the reference engine, by design: trigger *order* differs
 //! (results agree up to homomorphic equivalence — the differential harness
 //! checks isomorphism of the annotated cores), and a chase that becomes
@@ -88,19 +95,94 @@ pub fn indexed_chase(
 ) -> ChaseResult {
     let _span = dx_obs::span!("engine.chase");
     let mut idx = IndexedInstance::from_ann(&instance);
-    let mut queue: VecDeque<TupleId> = idx.all_ids().collect();
+    let queue: VecDeque<TupleId> = idx.all_ids().collect();
     let mut steps = 0usize;
+    let outcome = close(&mut idx, deps, gen, max_steps, &mut steps, queue);
+    let instance = idx.to_ann();
+    if outcome == ChaseOutcome::Satisfied {
+        dx_obs::mem::publish_all(&[
+            (
+                dx_obs::mem::names::INSTANCE_TUPLES,
+                instance.tuple_count() as u64,
+            ),
+            (
+                dx_obs::mem::names::INSTANCE_NULLS,
+                instance.nulls().len() as u64,
+            ),
+        ]);
+    }
+    ChaseResult {
+        instance,
+        steps,
+        outcome,
+    }
+}
 
+/// A store the semi-naive loop ([`close`]) chases: the index it matches
+/// bodies against, and how a tgd firing or an egd merge lands in it. The
+/// batch chase applies steps to a bare [`IndexedInstance`]; the streaming
+/// exchange's target layer also logs them as derivations.
+pub(crate) trait ChaseStore {
+    /// The index body matches and head checks probe.
+    fn index(&self) -> &IndexedInstance;
+
+    /// Fire `tgd` at the body match `asg`, enqueueing fresh head tuples.
+    fn fire(&mut self, tgd: &Tgd, asg: &Asg, gen: &mut NullGen, queue: &mut VecDeque<TupleId>);
+
+    /// Merge `l` and `r` (one of them a null), the egd step at the match
+    /// `asg` of `body`, enqueueing every rewritten id.
+    fn merge(
+        &mut self,
+        body: &[(RelSym, Vec<Term>)],
+        asg: &Asg,
+        l: Value,
+        r: Value,
+        queue: &mut VecDeque<TupleId>,
+    );
+}
+
+impl ChaseStore for IndexedInstance {
+    fn index(&self) -> &IndexedInstance {
+        self
+    }
+
+    fn fire(&mut self, tgd: &Tgd, asg: &Asg, gen: &mut NullGen, queue: &mut VecDeque<TupleId>) {
+        apply_tgd(self, tgd, asg, gen, queue);
+    }
+
+    fn merge(
+        &mut self,
+        _body: &[(RelSym, Vec<Term>)],
+        _asg: &Asg,
+        l: Value,
+        r: Value,
+        queue: &mut VecDeque<TupleId>,
+    ) {
+        merge(self, l, r, queue);
+    }
+}
+
+/// The semi-naive closure: pop delta ids off `queue`, seed every
+/// dependency's body at them, and step until no trigger is left, an egd
+/// equates two constants, or `steps` reaches `max_steps`. `steps` carries
+/// the count across calls; returns the outcome.
+pub(crate) fn close<S: ChaseStore>(
+    store: &mut S,
+    deps: &[TargetDep],
+    gen: &mut NullGen,
+    max_steps: usize,
+    steps: &mut usize,
+    mut queue: VecDeque<TupleId>,
+) -> ChaseOutcome {
     'queue: while let Some(seed) = queue.pop_front() {
         dx_obs::trace_instant!(
             "engine.chase.round",
             "queue_depth" = queue.len(),
-            "steps" = steps
+            "steps" = *steps
         );
-        let Some((seed_rel, seed_at)) = idx.get(seed) else {
+        let Some((seed_rel, seed_at)) = store.index().get(seed) else {
             continue; // retracted by an earlier merge
         };
-        let seed_rel: RelSym = seed_rel;
         let seed_tuple: Tuple = seed_at.tuple.clone();
 
         for dep in deps {
@@ -109,35 +191,25 @@ pub fn indexed_chase(
                     for k in atom_positions(&tgd.body, seed_rel) {
                         // Materialize the seeded matches first: applying a
                         // trigger mutates the index.
-                        let matches = seeded_matches(&idx, &tgd.body, k, &seed_tuple);
+                        let matches = seeded_matches(store.index(), &tgd.body, k, &seed_tuple);
                         for asg in matches {
-                            // Re-check at fire time (restricted chase):
-                            // earlier applications may have satisfied this
-                            // head in the meantime.
-                            if head_satisfiable(&idx, tgd, &asg) {
-                                continue;
+                            if let Err(outcome) =
+                                tgd_step(store, tgd, &asg, gen, max_steps, steps, &mut queue)
+                            {
+                                return outcome;
                             }
-                            if steps >= max_steps {
-                                return ChaseResult {
-                                    instance: idx.to_ann(),
-                                    steps,
-                                    outcome: ChaseOutcome::StepLimit,
-                                };
-                            }
-                            apply_tgd(&mut idx, tgd, &asg, gen, &mut queue);
-                            steps += 1;
                         }
                     }
                 }
                 TargetDep::Egd(egd) => {
                     for k in atom_positions(&egd.body, seed_rel) {
-                        let matches = seeded_matches(&idx, &egd.body, k, &seed_tuple);
+                        let matches = seeded_matches(store.index(), &egd.body, k, &seed_tuple);
                         for asg in matches {
                             // A merge invalidates the remaining materialized
                             // assignments (their values may have been
                             // rewritten), so re-verify against the live
                             // index before acting.
-                            if !match_still_live(&idx, &egd.body, &asg) {
+                            if !match_still_live(store.index(), &egd.body, &asg) {
                                 continue;
                             }
                             let l = eval_term(&egd.eq.0, &asg);
@@ -145,60 +217,55 @@ pub fn indexed_chase(
                             if l == r {
                                 continue;
                             }
-                            match (l, r) {
-                                (Value::Const(_), Value::Const(_)) => {
-                                    return ChaseResult {
-                                        instance: idx.to_ann(),
-                                        steps,
-                                        outcome: ChaseOutcome::Failed { left: l, right: r },
-                                    };
-                                }
-                                _ => {
-                                    if steps >= max_steps {
-                                        return ChaseResult {
-                                            instance: idx.to_ann(),
-                                            steps,
-                                            outcome: ChaseOutcome::StepLimit,
-                                        };
-                                    }
-                                    merge(&mut idx, l, r, &mut queue);
-                                    steps += 1;
-                                    // The seed itself may have been
-                                    // rewritten; it (or its rewrite) is back
-                                    // on the queue, so restart from there.
-                                    if idx.get(seed).is_some() {
-                                        queue.push_back(seed);
-                                    }
-                                    continue 'queue;
-                                }
+                            if let (Value::Const(_), Value::Const(_)) = (l, r) {
+                                return ChaseOutcome::Failed { left: l, right: r };
                             }
+                            if *steps >= max_steps {
+                                return ChaseOutcome::StepLimit;
+                            }
+                            store.merge(&egd.body, &asg, l, r, &mut queue);
+                            *steps += 1;
+                            // The seed itself may have been rewritten; it
+                            // (or its rewrite) is back on the queue, so
+                            // restart from there.
+                            if store.index().get(seed).is_some() {
+                                queue.push_back(seed);
+                            }
+                            continue 'queue;
                         }
                     }
                 }
             }
         }
     }
+    ChaseOutcome::Satisfied
+}
 
-    let instance = idx.to_ann();
-    dx_obs::mem::publish_all(&[
-        (
-            dx_obs::mem::names::INSTANCE_TUPLES,
-            instance.tuple_count() as u64,
-        ),
-        (
-            dx_obs::mem::names::INSTANCE_NULLS,
-            instance.nulls().len() as u64,
-        ),
-    ]);
-    ChaseResult {
-        instance,
-        steps,
-        outcome: ChaseOutcome::Satisfied,
+/// One restricted-chase tgd step at the body match `asg`: fire unless the
+/// head is already satisfied (earlier steps may have satisfied it since
+/// the match was found). `Err(StepLimit)` when the budget is spent.
+pub(crate) fn tgd_step<S: ChaseStore>(
+    store: &mut S,
+    tgd: &Tgd,
+    asg: &Asg,
+    gen: &mut NullGen,
+    max_steps: usize,
+    steps: &mut usize,
+    queue: &mut VecDeque<TupleId>,
+) -> Result<(), ChaseOutcome> {
+    if head_satisfiable(store.index(), tgd, asg) {
+        return Ok(());
     }
+    if *steps >= max_steps {
+        return Err(ChaseOutcome::StepLimit);
+    }
+    store.fire(tgd, asg, gen, queue);
+    *steps += 1;
+    Ok(())
 }
 
 /// Positions of `rel` among the body atoms.
-pub(crate) fn atom_positions(body: &[(RelSym, Vec<Term>)], rel: RelSym) -> Vec<usize> {
+fn atom_positions(body: &[(RelSym, Vec<Term>)], rel: RelSym) -> Vec<usize> {
     body.iter()
         .enumerate()
         .filter(|(_, (r, _))| *r == rel)
@@ -297,7 +364,7 @@ pub(crate) fn join(
 }
 
 /// All body matches in which the seed tuple plays body atom `k`.
-pub(crate) fn seeded_matches(
+fn seeded_matches(
     idx: &IndexedInstance,
     body: &[(RelSym, Vec<Term>)],
     k: usize,
@@ -323,11 +390,7 @@ pub(crate) fn seeded_matches(
 
 /// Is a materialized body match still realized by live tuples (used to
 /// re-validate egd matches after a merge)?
-pub(crate) fn match_still_live(
-    idx: &IndexedInstance,
-    body: &[(RelSym, Vec<Term>)],
-    asg: &Asg,
-) -> bool {
+fn match_still_live(idx: &IndexedInstance, body: &[(RelSym, Vec<Term>)], asg: &Asg) -> bool {
     body.iter().all(|(rel, args)| {
         let pat = pattern(args, asg);
         debug_assert!(pat.iter().all(|p| p.is_some()), "match is total");
@@ -337,7 +400,7 @@ pub(crate) fn match_still_live(
 
 /// Can the tgd's head be extended into the instance under `asg` (restricted
 /// chase check), with existential variables drawn from live tuples?
-pub(crate) fn head_satisfiable(idx: &IndexedInstance, tgd: &Tgd, asg: &Asg) -> bool {
+fn head_satisfiable(idx: &IndexedInstance, tgd: &Tgd, asg: &Asg) -> bool {
     let atoms: Vec<(RelSym, Vec<Term>)> =
         tgd.head.iter().map(|a| (a.rel, a.args.clone())).collect();
     let mut remaining: Vec<usize> = (0..atoms.len()).collect();
@@ -346,14 +409,15 @@ pub(crate) fn head_satisfiable(idx: &IndexedInstance, tgd: &Tgd, asg: &Asg) -> b
 }
 
 /// Fire a tgd trigger: fresh nulls for existential variables, insert the
-/// annotated head atoms, enqueue fresh tuples as deltas.
-fn apply_tgd(
+/// annotated head atoms, enqueue fresh tuples as deltas. Returns the id
+/// each head atom landed on, fresh or already present.
+pub(crate) fn apply_tgd(
     idx: &mut IndexedInstance,
     tgd: &Tgd,
     asg: &Asg,
     gen: &mut NullGen,
     queue: &mut VecDeque<TupleId>,
-) {
+) -> Vec<TupleId> {
     let _span = dx_obs::span!("engine.chase.fire");
     dx_obs::count!("engine.chase.triggers_fired");
     let mut env = asg.clone();
@@ -361,6 +425,7 @@ fn apply_tgd(
         env.insert(z, Value::Null(gen.fresh()));
     }
     let _insert_span = dx_obs::span!("engine.chase.insert");
+    let mut heads = Vec::with_capacity(tgd.head.len());
     for atom in &tgd.head {
         let vals: Vec<Value> = atom
             .args
@@ -371,13 +436,14 @@ fn apply_tgd(
                 Term::App(_, _) => unreachable!("tgd heads are function-free"),
             })
             .collect();
-        if let Inserted::Fresh(id) =
-            idx.insert(atom.rel, AnnTuple::new(Tuple::new(vals), atom.ann.clone()))
-        {
+        let inserted = idx.insert(atom.rel, AnnTuple::new(Tuple::new(vals), atom.ann.clone()));
+        if let Inserted::Fresh(id) = inserted {
             dx_obs::count!("engine.chase.tuples_inserted");
             queue.push_back(id);
         }
+        heads.push(inserted.id());
     }
+    heads
 }
 
 /// Merge `l` and `r` (at least one side is a null): substitute the null by
@@ -428,7 +494,7 @@ pub(crate) fn find_trigger(idx: &IndexedInstance, dep: &TargetDep) -> Option<Asg
     }
 }
 
-pub(crate) fn eval_term(t: &Term, asg: &Asg) -> Value {
+fn eval_term(t: &Term, asg: &Asg) -> Value {
     match t {
         Term::Var(v) => asg[v],
         Term::Const(c) => Value::Const(*c),

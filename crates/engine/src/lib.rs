@@ -20,8 +20,10 @@
 //!
 //! For sustained update traffic, [`stream::IncrementalExchange`] maintains
 //! the canonical solution (and its chased closure) under source
-//! [`dx_relation::Update`] batches instead of re-running the pipeline —
-//! see `DESIGN.md §Streaming data exchange` for the delta protocol.
+//! [`dx_relation::Update`] batches instead of re-running the pipeline. It
+//! runs the same engines: STD bodies on `dx-query`'s delta plans over a
+//! source index, and the target through the chase loop above — see
+//! `DESIGN.md §Streaming data exchange` for the delta protocol.
 
 #![deny(missing_docs)]
 

@@ -2,54 +2,61 @@
 //! source [`Update`] batches instead of re-chasing from scratch.
 //!
 //! [`IncrementalExchange`] owns a ground source instance and keeps two
-//! layers of derived state consistent with it across update batches:
+//! layers of derived state consistent with it across update batches. Both
+//! run the batch engines: STD bodies on `dx-query`'s compiled plans and
+//! delta plans, the target on [`crate::indexed_chase`]'s loop. What is
+//! incremental is only the bookkeeping around them.
 //!
 //! **Layer 1 — the annotated canonical solution `CSol_A(S)`.** For every
 //! STD the engine maintains the set of body *witnesses* (satisfying
 //! assignments over the source) together with the nulls each witness
-//! minted. Conjunctive bodies are maintained by **seeded semi-naive
-//! diffing**: a retracted source tuple is unified against each body atom
-//! over the *old* source index to enumerate exactly the dying witnesses,
-//! and an inserted tuple is seeded the same way over the *new* index to
-//! enumerate exactly the newborn ones (on a ground source a full body
-//! assignment determines its atom tuples, so the dead and born sets are
-//! disjoint and exact). Non-CQ bodies (negation, disjunction, explicit
-//! quantifiers) are re-evaluated and diffed against the stored witness
-//! set. Head tuples are reference-counted across witnesses (`(rel,
-//! annotated-tuple) → producer count`) so a shared ground head tuple
-//! survives until its *last* witness dies, while null-bearing head tuples
-//! (unique to their witness, since nulls are fresh) are removed — and
-//! their nulls garbage-collected from the justification table — exactly
-//! when their witness dies. Empty-annotated-tuple markers `(_, α)` are
-//! likewise counted per `(relation, annotation)` across the STD head
-//! atoms whose witness set is empty.
+//! minted. The source is mirrored into one relational index
+//! ([`DeltaIndex`]), updated wherever the source is, and each STD holds
+//! its body's compiled plan (the one [`dx_query::PlannedBodyEval`] runs,
+//! with the body's free variables as its head). A touched STD whose plan
+//! is monotone in the changed relations is maintained by
+//! [`dx_query::dred`] over that index: the batch's inserted tuples give
+//! the newborn witnesses, its retracted tuples the dying ones, each
+//! re-derived on the new source before it dies. Two cases re-evaluate the
+//! body and diff against the stored witness set: a relation changed under
+//! an anti-join's refuting side (which can flip witnesses either way, and
+//! no delta copy expresses), and a body outside the safe-range fragment,
+//! which the tree walker evaluates over the source. Head tuples are
+//! reference-counted across witnesses (`(rel, annotated-tuple) → producer
+//! count`) so a shared ground head tuple survives until its *last*
+//! witness dies, while null-bearing head tuples (unique to their witness,
+//! since nulls are fresh) are removed — and their nulls
+//! garbage-collected from the justification table — exactly when their
+//! witness dies. Empty-annotated-tuple markers `(_, α)` are likewise
+//! counted per `(relation, annotation)` across the STD head atoms whose
+//! witness set is empty.
 //!
 //! **Layer 2 — the chased target (when target constraints are present).**
-//! The engine runs the same indexed restricted chase as
-//! [`crate::indexed_chase`], but *records derivations*: each tgd firing
-//! logs the tuple ids its body matched and the head ids it produced, and
-//! each egd merge logs the ids its match rested on, the ids it retired
-//! (with their pre-merge content) and the ids it rewrote them into.
-//! Retraction uses **overdelete + re-derive** (DRed-style), not
-//! derivation counting — counting alone is unsound for recursive tgds,
-//! where a cycle of derivations (e.g. a symmetry tgd) keeps tuples alive
-//! with no surviving base support. A base deletion kills every firing and
-//! merge whose recorded body contains a deleted id, transitively
-//! overdeleting what they produced; a dead merge's surviving pre-images
-//! are **restored**. Overdeleted tuples still present in Layer 1 are
-//! re-inserted, the rest get a **head-seeded re-derivation** pass (unify
-//! the lost tuple with each tgd head, join the body under the surviving
-//! frontier bindings, re-fire if the head became unsatisfiable), and a
-//! final semi-naive closure restores satisfaction, re-merging restored
-//! pre-images wherever an egd still fires — so target constraints are
-//! maintained through merges without a re-chase. Empty-marker
-//! transitions are copied into the target layer as they are, since the
-//! chase never reads markers. A full **rebuild** of the target layer (a
-//! from-scratch re-chase of the maintained `CSol_A`) remains for the
-//! initial build, after `Failed`/`StepLimit` outcomes, and as the log's
-//! garbage collection once its dead slots outnumber the live ones. The
-//! rebuild shares the recording closure with the incremental path, so
-//! there is a single code path to trust.
+//! The engine closes the target under the constraints with
+//! [`crate::indexed_chase`]'s semi-naive loop, run over a store that
+//! *records derivations*: each tgd firing logs the tuple ids its body
+//! matched and the head ids it produced, and each egd merge logs the ids
+//! its match rested on, the ids it retired (with their pre-merge content)
+//! and the ids it rewrote them into. Retraction uses **overdelete +
+//! re-derive** (DRed-style), not derivation counting — counting alone is
+//! unsound for recursive tgds, where a cycle of derivations (e.g. a
+//! symmetry tgd) keeps tuples alive with no surviving base support. A base
+//! deletion kills every firing and merge whose recorded body contains a
+//! deleted id, transitively overdeleting what they produced; a dead
+//! merge's surviving pre-images are **restored**. Overdeleted tuples still
+//! present in Layer 1 are re-inserted, the rest get a **head-seeded
+//! re-derivation** pass (unify the lost tuple with each tgd head, join the
+//! body under the surviving frontier bindings, and take the chase's tgd
+//! step there), and the closing run of the loop restores satisfaction,
+//! re-merging restored pre-images wherever an egd still fires — so target
+//! constraints are maintained through merges without a re-chase.
+//! Empty-marker transitions are copied into the target layer as they are,
+//! since the chase never reads markers. A full **rebuild** of the target
+//! layer (a from-scratch re-chase of the maintained `CSol_A`) remains for
+//! the initial build, after `Failed`/`StepLimit` outcomes, and as the
+//! log's garbage collection once its dead slots outnumber the live ones.
+//! The rebuild, the incremental path and the batch chase all step through
+//! the same loop, so there is a single code path to trust.
 //!
 //! The exchange also counts each constant's occurrences in the source, so
 //! [`IncrementalExchange::adom_contains`] is O(1) and every
@@ -61,31 +68,31 @@
 //! `DESIGN.md §Streaming data exchange`; the query-layer maintenance
 //! built on top of this type lives in `dx-core`'s `StreamSession`.
 
-use crate::chase::{self, Asg};
+use crate::chase::{self, Asg, ChaseStore};
 use crate::store::{IndexedInstance, Inserted, TupleId};
 use dx_chase::chase_engine::{ChaseOutcome, DEFAULT_CHASE_LIMIT};
 use dx_chase::target_deps::{TargetDep, Tgd};
-use dx_chase::{
-    head_env, instantiate_atom, BodyEval, CanonicalSolution, Justification, Mapping, Std,
-};
-use dx_logic::{Formula, Term};
+use dx_chase::{head_env, instantiate_atom, CanonicalSolution, Justification, Mapping, Std};
+use dx_logic::Term;
+use dx_query::{CompiledQuery, PlanCatalog};
 use dx_relation::{
     AnnInstance, AnnTuple, Annotation, AppliedUpdate, ConstId, DeltaIndex, FastMap, FastSet,
-    Instance, NullGen, NullId, RelSym, Tuple, Update, Value, Var,
+    Instance, NullGen, NullId, RelSym, Update, Value, Var,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-static PLANNED_BODY_EVAL: dx_query::PlannedBodyEval = dx_query::PlannedBodyEval;
+use std::sync::Arc;
 
 /// How one STD was maintained during an update batch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StdPath {
     /// Body relations disjoint from the delta — nothing to do.
     Skipped,
-    /// Conjunctive body: dead/born witnesses enumerated by seeding the
-    /// changed tuples into the body join.
+    /// Maintained by delta plans: [`dx_query::dred`] over the source
+    /// index found the dying and the newborn witnesses.
     Seeded,
-    /// Non-CQ body: witnesses re-evaluated from scratch and diffed.
+    /// Witnesses re-evaluated and diffed against the stored set: a changed
+    /// relation sits under an anti-join's refuting side, or the body did
+    /// not compile.
     Recomputed,
 }
 
@@ -166,9 +173,10 @@ impl UpdateReport {
 /// Per-STD incremental state: the maintained witness set and the nulls
 /// each witness minted.
 struct StdState {
-    /// Body atoms when the body is a pure conjunctive query (the seeded
-    /// diffing fast path); `None` forces recompute-and-diff.
-    cq: Option<Vec<(RelSym, Vec<Term>)>>,
+    /// The body compiled with head [`Std::body_vars`] (the
+    /// [`PlanCatalog::formula`] entry [`dx_query::PlannedBodyEval`] runs);
+    /// `None` when the body is not safe-range.
+    plan: Option<Arc<CompiledQuery>>,
     /// Relations the body reads — used to skip untouched STDs.
     body_rels: BTreeSet<RelSym>,
     /// Free variables of the body, in [`Std::body_vars`] order.
@@ -250,10 +258,9 @@ pub struct IncrementalExchange {
     mapping: Mapping,
     constraints: Vec<TargetDep>,
     source: Instance,
-    /// The source mirrored into a column-indexed store (with dummy
-    /// all-closed annotations) so the chase's seeded join machinery can
-    /// enumerate witnesses.
-    src_idx: IndexedInstance,
+    /// `source` as the relational index STD body plans and their delta
+    /// plans probe, updated wherever `source` is.
+    source_index: DeltaIndex,
     gen: NullGen,
     stds: Vec<StdState>,
     /// `(rel, annotated head tuple) → number of witnesses producing it`.
@@ -275,44 +282,6 @@ pub struct IncrementalExchange {
     max_steps: usize,
 }
 
-/// Flatten a pure conjunctive body into its atom list; `None` when the
-/// body uses negation, disjunction, equality, or explicit quantifiers.
-fn cq_atoms(f: &Formula) -> Option<Vec<(RelSym, Vec<Term>)>> {
-    fn go(f: &Formula, out: &mut Vec<(RelSym, Vec<Term>)>) -> bool {
-        match f {
-            Formula::True => true,
-            Formula::Atom(rel, args) => {
-                if args.iter().any(|t| t.has_funcs()) {
-                    return false;
-                }
-                out.push((*rel, args.clone()));
-                true
-            }
-            Formula::And(fs) => fs.iter().all(|g| go(g, out)),
-            _ => false,
-        }
-    }
-    let mut out = Vec::new();
-    (go(f, &mut out) && !out.is_empty()).then_some(out)
-}
-
-/// Mirror a ground source tuple into the indexed store (the annotation is
-/// a placeholder; source tuples carry no open/closed semantics).
-fn src_ann(t: &Tuple) -> AnnTuple {
-    AnnTuple::new(t.clone(), Annotation::all_closed(t.arity()))
-}
-
-/// Mirror a ground source into a fresh indexed store.
-fn mirror(source: &Instance) -> IndexedInstance {
-    let mut idx = IndexedInstance::new();
-    for (rel, r) in source.relations() {
-        for t in r.iter() {
-            idx.insert(rel, src_ann(t));
-        }
-    }
-    idx
-}
-
 impl IncrementalExchange {
     /// Build the exchange state for `source` under `mapping` and target
     /// `constraints`, chasing with the default step limit.
@@ -331,7 +300,7 @@ impl IncrementalExchange {
         max_steps: usize,
     ) -> Self {
         assert!(source.is_ground(), "source instances must be over Const");
-        let src_idx = mirror(&source);
+        let source_index = DeltaIndex::from_instance(&source);
         let mut adom_counts: FastMap<ConstId, u32> = FastMap::default();
         for (_, r) in source.relations() {
             for c in r.iter().flat_map(|t| t.consts()) {
@@ -342,17 +311,20 @@ impl IncrementalExchange {
             stds: mapping
                 .stds
                 .iter()
-                .map(|std| StdState {
-                    cq: cq_atoms(&std.body),
-                    body_rels: std.body.relations().into_iter().map(|(r, _)| r).collect(),
-                    body_vars: std.body_vars(),
-                    witnesses: BTreeMap::new(),
+                .map(|std| {
+                    let body_vars = std.body_vars();
+                    StdState {
+                        plan: PlanCatalog::shared().formula(&std.body, &body_vars).ok(),
+                        body_rels: std.body.relations().into_iter().map(|(r, _)| r).collect(),
+                        body_vars,
+                        witnesses: BTreeMap::new(),
+                    }
                 })
                 .collect(),
             mapping,
             constraints,
             source,
-            src_idx,
+            source_index,
             gen: NullGen::new(),
             head_counts: FastMap::default(),
             mark_counts: FastMap::default(),
@@ -367,7 +339,7 @@ impl IncrementalExchange {
         // through the same birth path updates use (so null numbering
         // follows witness order exactly like `canonical_solution`).
         for i in 0..inc.stds.len() {
-            let rows = PLANNED_BODY_EVAL.witnesses(&inc.mapping.stds[i], &inc.source);
+            let rows = inc.witness_rows(i);
             if rows.is_empty() {
                 let Self {
                     mapping,
@@ -473,73 +445,48 @@ impl IncrementalExchange {
             return report;
         }
         (report.adom_entered, report.adom_left) = self.shift_adom(&applied);
+        let (mut added, mut removed) = (Instance::new(), Instance::new());
+        for (rel, t) in &applied.retracted {
+            self.source_index.remove(*rel, t);
+            removed.insert(*rel, t.clone());
+        }
+        for (rel, t) in &applied.inserted {
+            self.source_index.insert(*rel, t.clone());
+            added.insert(*rel, t.clone());
+        }
         let touched = applied.touched_rels();
 
-        // Phase A: enumerate dying witnesses of CQ bodies by seeding each
-        // retracted tuple into the body join over the OLD source index.
-        let mut dead: Vec<BTreeSet<Vec<Value>>> = vec![BTreeSet::new(); self.stds.len()];
-        let mut born: Vec<BTreeSet<Vec<Value>>> = vec![BTreeSet::new(); self.stds.len()];
+        // Each touched STD's dying and newborn witnesses: by DRed over the
+        // source index where the body's plan is monotone in the touched
+        // relations, else by re-evaluating the body and diffing.
+        let mut dead: Vec<Vec<Vec<Value>>> = vec![Vec::new(); self.stds.len()];
+        let mut born: Vec<Vec<Vec<Value>>> = vec![Vec::new(); self.stds.len()];
         for (i, st) in self.stds.iter().enumerate() {
             if st.body_rels.is_disjoint(&touched) {
                 continue;
             }
-            if let Some(atoms) = &st.cq {
-                report.std_paths[i] = StdPath::Seeded;
-                for (rel, t) in &applied.retracted {
-                    for k in chase::atom_positions(atoms, *rel) {
-                        for asg in chase::seeded_matches(&self.src_idx, atoms, k, t) {
-                            dead[i].insert(st.row_of(&asg));
-                        }
-                    }
+            let delta = st.plan.as_ref().and_then(|plan| {
+                let variant = dx_query::delta_plan(plan.plan(), &touched)?;
+                Some(dx_query::dred(
+                    plan,
+                    &variant,
+                    &self.source_index,
+                    &added,
+                    &removed,
+                    &|t| st.witnesses.contains_key(t.values()),
+                ))
+            });
+            match delta {
+                Some(delta) => {
+                    report.std_paths[i] = StdPath::Seeded;
+                    dead[i] = delta.lost.iter().map(|t| t.values().to_vec()).collect();
+                    born[i] = delta.gained.iter().map(|t| t.values().to_vec()).collect();
                 }
-            } else {
-                report.std_paths[i] = StdPath::Recomputed;
-            }
-        }
-
-        // Mutate the mirrored source index to the new source.
-        for (rel, t) in &applied.retracted {
-            let pat: Vec<Option<Value>> = (0..t.arity()).map(|j| Some(t.get(j))).collect();
-            for id in self.src_idx.matching(*rel, &pat) {
-                self.src_idx.retract(id);
-            }
-        }
-        for (rel, t) in &applied.inserted {
-            self.src_idx.insert(*rel, src_ann(t));
-        }
-        // Retracted tuples leave dead slots behind, and no id outlives the
-        // batch: rebuild the mirror once the dead outnumber the live.
-        if self.src_idx.slot_count() > 2 * self.src_idx.live_count() {
-            self.src_idx = mirror(&self.source);
-        }
-
-        // Phase B: newborn witnesses — seeded over the NEW index for CQ
-        // bodies, recompute-and-diff for everything else.
-        for (i, st) in self.stds.iter().enumerate() {
-            match report.std_paths[i] {
-                StdPath::Skipped => {}
-                StdPath::Seeded => {
-                    let atoms = st.cq.as_ref().expect("seeded path implies CQ");
-                    for (rel, t) in &applied.inserted {
-                        for k in chase::atom_positions(atoms, *rel) {
-                            for asg in chase::seeded_matches(&self.src_idx, atoms, k, t) {
-                                let row = st.row_of(&asg);
-                                if !st.witnesses.contains_key(&row) {
-                                    born[i].insert(row);
-                                }
-                            }
-                        }
-                    }
-                }
-                StdPath::Recomputed => {
-                    let rows: BTreeSet<Vec<Value>> = PLANNED_BODY_EVAL
-                        .witnesses(&self.mapping.stds[i], &self.source)
-                        .into_iter()
-                        .collect();
-                    dead[i] = st
-                        .witnesses
-                        .keys()
-                        .filter(|w| !rows.contains(*w))
+                None => {
+                    report.std_paths[i] = StdPath::Recomputed;
+                    let rows = self.witness_rows(i);
+                    dead[i] = (st.witnesses.keys())
+                        .filter(|w| rows.binary_search(w).is_err())
                         .cloned()
                         .collect();
                     born[i] = rows
@@ -591,6 +538,18 @@ impl IncrementalExchange {
         report.removed = removed_tuples;
         report.marks_changed = !mark_flips.is_empty();
         report
+    }
+
+    /// STD `i`'s witnesses over the current source, sorted: its compiled
+    /// body run on the source index, or the tree walker over the source
+    /// when the body did not compile.
+    fn witness_rows(&self, i: usize) -> Vec<Vec<Value>> {
+        match &self.stds[i].plan {
+            Some(plan) => (plan.answers_store(&self.source_index).iter())
+                .map(|t| t.values().to_vec())
+                .collect(),
+            None => dx_chase::canonical::std_witnesses(&self.mapping.stds[i], &self.source),
+        }
     }
 
     /// Move the per-constant occurrence counts across one applied batch and
@@ -766,6 +725,7 @@ impl IncrementalExchange {
 
     /// Re-chase the maintained canonical solution from scratch (with
     /// derivation recording) — the fallback path, and the initial build.
+    /// Returns the chase steps spent.
     fn rebuild_target(&mut self) -> usize {
         let mut ts = TargetState {
             idx: IndexedInstance::new(),
@@ -789,12 +749,13 @@ impl IncrementalExchange {
                 queue.push_back(id);
             }
         }
-        let steps = run_closure(
+        let mut steps = 0;
+        ts.outcome = chase::close(
             &mut ts,
             &self.constraints,
             &mut self.gen,
             self.max_steps,
-            0,
+            &mut steps,
             queue,
         );
         self.target = Some(ts);
@@ -855,10 +816,10 @@ impl IncrementalExchange {
         // Head-seeded re-derivation: a lost derived tuple may have other
         // live derivations the (conservative) overdelete destroyed. Unify
         // it with every tgd head, join the body under the surviving
-        // frontier bindings, and re-fire where the head became
-        // unsatisfiable. Fresh nulls replace the lost ones — the result
-        // is homomorphically equivalent, which is all a chase result
-        // promises.
+        // frontier bindings, and take the chase's tgd step at each match,
+        // which re-fires where the head became unsatisfiable. Fresh nulls
+        // replace the lost ones — the result is homomorphically
+        // equivalent, which is all a chase result promises.
         let mut steps = 0usize;
         for (rel, at) in &deleted {
             if reinserted.contains(&(*rel, at.clone())) {
@@ -888,15 +849,19 @@ impl IncrementalExchange {
                         false
                     });
                     for m in matches {
-                        if chase::head_satisfiable(&ts.idx, tgd, &m) {
-                            continue;
-                        }
-                        if steps >= self.max_steps {
-                            ts.outcome = ChaseOutcome::StepLimit;
+                        let step = chase::tgd_step(
+                            ts,
+                            tgd,
+                            &m,
+                            &mut self.gen,
+                            self.max_steps,
+                            &mut steps,
+                            &mut queue,
+                        );
+                        if let Err(outcome) = step {
+                            ts.outcome = outcome;
                             return TargetPath::Incremental { overdeleted, steps };
                         }
-                        fire_recorded(ts, tgd, &m, &mut self.gen, &mut queue);
-                        steps += 1;
                     }
                 }
             }
@@ -914,23 +879,15 @@ impl IncrementalExchange {
                 }
             }
         }
-        steps = run_closure(
+        ts.outcome = chase::close(
             ts,
             &self.constraints,
             &mut self.gen,
             self.max_steps,
-            steps,
+            &mut steps,
             queue,
         );
         TargetPath::Incremental { overdeleted, steps }
-    }
-}
-
-impl StdState {
-    /// Project a full body assignment onto the witness row (body-vars
-    /// order).
-    fn row_of(&self, asg: &Asg) -> Vec<Value> {
-        self.body_vars.iter().map(|v| asg[v]).collect()
     }
 }
 
@@ -1016,160 +973,61 @@ impl TargetState {
     }
 }
 
-/// Fire a tgd trigger with derivation recording: log the body tuple ids
-/// the match rests on and the head ids it produced.
-fn fire_recorded(
-    ts: &mut TargetState,
-    tgd: &Tgd,
-    asg: &Asg,
-    gen: &mut NullGen,
-    queue: &mut VecDeque<TupleId>,
-) {
-    let fi = ts.firings.len();
-    ts.record_body(fi, &tgd.body, asg);
-    let mut env = asg.clone();
-    for z in tgd.existential_vars() {
-        env.insert(z, Value::Null(gen.fresh()));
+/// The recording store: the chase loop's tgd firings and egd merges land
+/// in the index and in the derivation log.
+impl ChaseStore for TargetState {
+    fn index(&self) -> &IndexedInstance {
+        &self.idx
     }
-    let mut heads = Vec::with_capacity(tgd.head.len());
-    for atom in &tgd.head {
-        let vals: Vec<Value> = atom
-            .args
-            .iter()
-            .map(|t| match t {
-                Term::Var(v) => env[v],
-                Term::Const(c) => Value::Const(*c),
-                Term::App(_, _) => unreachable!("tgd heads are function-free"),
-            })
-            .collect();
-        match ts
-            .idx
-            .insert(atom.rel, AnnTuple::new(Tuple::new(vals), atom.ann.clone()))
-        {
-            Inserted::Fresh(id) => {
-                queue.push_back(id);
-                heads.push(id);
-            }
-            Inserted::Duplicate(id) => heads.push(id),
+
+    /// Fire a tgd trigger, logging the body tuple ids the match rests on
+    /// and the head ids it produced.
+    fn fire(&mut self, tgd: &Tgd, asg: &Asg, gen: &mut NullGen, queue: &mut VecDeque<TupleId>) {
+        let fi = self.firings.len();
+        self.record_body(fi, &tgd.body, asg);
+        let heads = chase::apply_tgd(&mut self.idx, tgd, asg, gen, queue);
+        self.firings.push(Firing {
+            heads,
+            retired: Vec::new(),
+            alive: true,
+        });
+    }
+
+    /// Merge `l` and `r`, logging the body ids the match rests on, the ids
+    /// the merge retires with their content, and the ids it rewrites them
+    /// into.
+    fn merge(
+        &mut self,
+        body: &[(RelSym, Vec<Term>)],
+        asg: &Asg,
+        l: Value,
+        r: Value,
+        queue: &mut VecDeque<TupleId>,
+    ) {
+        let fi = self.firings.len();
+        self.record_body(fi, body, asg);
+        let null = if matches!(l, Value::Null(_)) { l } else { r };
+        let retired = self.idx.ids_with_value(null);
+        for &id in &retired {
+            let (rel, at) = self.idx.get(id).expect("ids_with_value yields live ids");
+            self.retired.insert(id, (rel, at.clone()));
         }
-    }
-    ts.firings.push(Firing {
-        heads,
-        retired: Vec::new(),
-        alive: true,
-    });
-}
-
-/// Merge `l` and `r` (an egd step, one of them a null) with derivation
-/// recording: log the body ids the match rests on, the ids the merge
-/// retires with their content, and the ids it rewrites them into.
-fn merge_recorded(
-    ts: &mut TargetState,
-    body: &[(RelSym, Vec<Term>)],
-    asg: &Asg,
-    (l, r): (Value, Value),
-    queue: &mut VecDeque<TupleId>,
-) {
-    let fi = ts.firings.len();
-    ts.record_body(fi, body, asg);
-    let null = if matches!(l, Value::Null(_)) { l } else { r };
-    let retired = ts.idx.ids_with_value(null);
-    for &id in &retired {
-        let (rel, at) = ts.idx.get(id).expect("ids_with_value yields live ids");
-        ts.retired.insert(id, (rel, at.clone()));
-    }
-    // `chase::merge` queues one rewritten id per retired id, in order.
-    let mut heads = VecDeque::with_capacity(retired.len());
-    chase::merge(&mut ts.idx, l, r, &mut heads);
-    debug_assert_eq!(heads.len(), retired.len());
-    let heads = Vec::from(heads);
-    for (&old, &new) in retired.iter().zip(&heads) {
-        ts.moved.insert(old, new);
-        ts.made_by.entry(new).or_default().push(fi);
-    }
-    queue.extend(&heads);
-    ts.firings.push(Firing {
-        heads,
-        retired,
-        alive: true,
-    });
-}
-
-/// The recording semi-naive closure: the [`crate::indexed_chase`] loop,
-/// but every tgd firing and egd merge lands in the derivation log.
-/// Returns the cumulative step count; sets `ts.outcome`.
-fn run_closure(
-    ts: &mut TargetState,
-    deps: &[TargetDep],
-    gen: &mut NullGen,
-    max_steps: usize,
-    start_steps: usize,
-    mut queue: VecDeque<TupleId>,
-) -> usize {
-    let mut steps = start_steps;
-    ts.outcome = ChaseOutcome::Satisfied;
-    'queue: while let Some(seed) = queue.pop_front() {
-        let Some((seed_rel, seed_at)) = ts.idx.get(seed) else {
-            continue; // retracted by an earlier merge
-        };
-        let seed_rel: RelSym = seed_rel;
-        let seed_tuple: Tuple = seed_at.tuple.clone();
-
-        for dep in deps {
-            match dep {
-                TargetDep::Tgd(tgd) => {
-                    for k in chase::atom_positions(&tgd.body, seed_rel) {
-                        let matches = chase::seeded_matches(&ts.idx, &tgd.body, k, &seed_tuple);
-                        for asg in matches {
-                            if chase::head_satisfiable(&ts.idx, tgd, &asg) {
-                                continue;
-                            }
-                            if steps >= max_steps {
-                                ts.outcome = ChaseOutcome::StepLimit;
-                                return steps;
-                            }
-                            fire_recorded(ts, tgd, &asg, gen, &mut queue);
-                            steps += 1;
-                        }
-                    }
-                }
-                TargetDep::Egd(egd) => {
-                    for k in chase::atom_positions(&egd.body, seed_rel) {
-                        let matches = chase::seeded_matches(&ts.idx, &egd.body, k, &seed_tuple);
-                        for asg in matches {
-                            if !chase::match_still_live(&ts.idx, &egd.body, &asg) {
-                                continue;
-                            }
-                            let l = chase::eval_term(&egd.eq.0, &asg);
-                            let r = chase::eval_term(&egd.eq.1, &asg);
-                            if l == r {
-                                continue;
-                            }
-                            match (l, r) {
-                                (Value::Const(_), Value::Const(_)) => {
-                                    ts.outcome = ChaseOutcome::Failed { left: l, right: r };
-                                    return steps;
-                                }
-                                _ => {
-                                    if steps >= max_steps {
-                                        ts.outcome = ChaseOutcome::StepLimit;
-                                        return steps;
-                                    }
-                                    merge_recorded(ts, &egd.body, &asg, (l, r), &mut queue);
-                                    steps += 1;
-                                    if ts.idx.get(seed).is_some() {
-                                        queue.push_back(seed);
-                                    }
-                                    continue 'queue;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        // `chase::merge` queues one rewritten id per retired id, in order.
+        let mut heads = VecDeque::with_capacity(retired.len());
+        chase::merge(&mut self.idx, l, r, &mut heads);
+        debug_assert_eq!(heads.len(), retired.len());
+        let heads = Vec::from(heads);
+        for (&old, &new) in retired.iter().zip(&heads) {
+            self.moved.insert(old, new);
+            self.made_by.entry(new).or_default().push(fi);
         }
+        queue.extend(&heads);
+        self.firings.push(Firing {
+            heads,
+            retired,
+            alive: true,
+        });
     }
-    steps
 }
 
 #[cfg(test)]
@@ -1345,6 +1203,53 @@ mod tests {
         assert_csol_matches(&inc);
     }
 
+    /// Monotone bodies beyond conjunctive queries — `∃`, `∨` over the same
+    /// variables, an equality with a constant — and an anti-join whose
+    /// batch touches only its preserved side ride the delta plans; only a
+    /// change under the anti-join's refuting side recomputes.
+    #[test]
+    fn monotone_bodies_ride_the_delta_plans() {
+        use StdPath::{Recomputed, Seeded, Skipped};
+        let m = Mapping::parse(
+            "StrR(x:cl, z:op) <- exists y. StrE(x, y); \
+             StrS(x:cl, y:cl) <- StrF(x, y) | StrG(x, y); \
+             StrT(x:cl) <- StrE(x, y) & y = 'k'; \
+             StrU(x:cl, z:op) <- StrE(x, y) & !exists r. StrA(x, r)",
+        )
+        .unwrap();
+        let mut inc = IncrementalExchange::new(
+            m,
+            Vec::new(),
+            src(&[("StrE", &["a", "b"]), ("StrF", &["a", "b"])]),
+        );
+        for (up, paths) in [
+            (
+                Update::new()
+                    .insert_names("StrE", &["a", "k"])
+                    .insert_names("StrG", &["a", "b"]),
+                [Seeded; 4],
+            ),
+            (
+                Update::new()
+                    .retract_names("StrE", &["a", "b"])
+                    .retract_names("StrF", &["a", "b"]),
+                [Seeded; 4],
+            ),
+            (
+                Update::new().retract_names("StrE", &["a", "k"]),
+                [Seeded, Skipped, Seeded, Seeded],
+            ),
+            (
+                Update::new().insert_names("StrA", &["a", "r"]),
+                [Skipped, Skipped, Skipped, Recomputed],
+            ),
+        ] {
+            let r = inc.update(&up);
+            assert_eq!(r.std_paths, paths, "{up}");
+            assert_csol_matches(&inc);
+        }
+    }
+
     #[test]
     fn recursive_tgd_retraction_needs_rederive_not_counting() {
         // The support-cycle case that makes derivation *counting* unsound:
@@ -1515,7 +1420,8 @@ mod tests {
                 TargetPath::Incremental { .. } => incremental += 1,
                 TargetPath::None => {}
             }
-            assert!(inc.src_idx.slot_count() <= 2 * inc.src_idx.live_count());
+            let source = inc.source_index.mem_stats();
+            assert!(source.slots <= 2 * source.live_slots);
             let ts = inc.target.as_ref().expect("constraints present");
             let (live, slots) = (ts.idx.live_count(), ts.idx.slot_count());
             assert!(

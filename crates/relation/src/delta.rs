@@ -205,6 +205,9 @@ impl DeltaRelation {
 pub struct DeltaMemStats {
     /// Live (distinct) tuples across all relations.
     pub live_slots: u64,
+    /// Slot-table entries across all relations, live or freed for reuse
+    /// (≥ `live_slots`; freed slots are reused before the table grows).
+    pub slots: u64,
     /// Posting-list entries across all per-column maps (= live tuples ×
     /// arity, summed per relation).
     pub posting_entries: u64,
@@ -322,14 +325,16 @@ impl DeltaIndex {
     }
 
     /// Current footprint of the index, for memory-accounting gauges
-    /// (`mem.delta.*` — see `dx_obs::mem`): live (distinct) tuples
-    /// across all relations, posting-list entries across all per-column
-    /// maps, and the sum of reference counts. All three are O(relations
-    /// + posting lists) reads of maintained state — no tuple scans.
+    /// (`mem.delta.*` — see `dx_obs::mem`): live (distinct) tuples and
+    /// slot-table entries across all relations, posting-list entries
+    /// across all per-column maps, and the sum of reference counts. All
+    /// four are O(relations + posting lists) reads of maintained state —
+    /// no tuple scans.
     pub fn mem_stats(&self) -> DeltaMemStats {
         let mut stats = DeltaMemStats::default();
         for r in self.rels.values() {
             stats.live_slots += r.refs.len() as u64;
+            stats.slots += r.slots.len() as u64;
             stats.posting_entries += r
                 .by_col
                 .iter()
@@ -700,7 +705,8 @@ mod tests {
     }
 
     /// `mem_stats` tracks live slots, postings and refcounts through
-    /// overlapping apply/undo.
+    /// overlapping apply/undo; a freed slot stays in the table until an
+    /// insert reuses it.
     #[test]
     fn mem_stats_track_footprint() {
         let mut delta = DeltaIndex::from_instance(&sample());
@@ -709,6 +715,7 @@ mod tests {
             delta.mem_stats(),
             DeltaMemStats {
                 live_slots: 3,
+                slots: 3,
                 posting_entries: 6,
                 refcount_total: 3,
             }
@@ -720,6 +727,7 @@ mod tests {
             delta.mem_stats(),
             DeltaMemStats {
                 live_slots: 3,
+                slots: 3,
                 posting_entries: 6,
                 refcount_total: 4,
             }
@@ -730,10 +738,13 @@ mod tests {
             delta.mem_stats(),
             DeltaMemStats {
                 live_slots: 2,
+                slots: 3,
                 posting_entries: 4,
                 refcount_total: 2,
             }
         );
+        assert!(delta.insert(rel(), Tuple::from_names(&["n", "w"])));
+        assert_eq!(delta.mem_stats().slots, 3, "the freed slot is reused");
     }
 
     /// Out-of-order removal still works (linear posting scan).

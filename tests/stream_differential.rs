@@ -268,6 +268,39 @@ fn generated_traces_match_recompute_from_scratch() {
     assert!(raced_batches >= raced_scenarios * 6);
 }
 
+/// STD bodies beyond conjunctive queries on the delta plans: `∃`, `∨` over
+/// the same variables, an equality with a constant, and a `¬∃` guard whose
+/// batches sometimes touch only its preserved side.
+const WIDENED_BODIES: &str = r#"
+scenario "widened_bodies" {
+  source { E/2; F/2; G/2; A/2; }
+  target { R/2; S/2; T/1; U/2; }
+  mapping {
+    R(x:cl, z:op) <- exists y. E(x, y);
+    S(x:cl, y:cl) <- F(x, y) | G(x, y);
+    T(x:cl) <- E(x, y) & y = 'c1';
+    U(x:cl, z:op) <- E(x, y) & !exists r. A(x, r);
+  }
+  instance {
+    E(c0, c1); E(c2, c3); F(c0, c2); G(c1, c1); A(c2, c0);
+  }
+  query reached(x) <- exists z. R(x, z);
+  query linked(x, y) <- S(x, y);
+  query unguarded(x) <- T(x) & !exists z. U(x, z);
+  update "preserved-side" { insert E(c4, c1); retract E(c2, c3); }
+  update "refuting-side" { insert A(c4, c2); insert F(c4, c4); }
+  update "union" { retract F(c0, c2); insert G(c0, c2); retract A(c2, c0); }
+}
+"#;
+
+#[test]
+fn widened_std_bodies_match_recompute_from_scratch() {
+    let sc = Scenario::parse_ground(WIDENED_BODIES).expect("the scenario parses");
+    for seed in 0..4 {
+        assert_eq!(race_streaming(&sc, seed), sc.updates.len() + 6);
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Retraction-heavy traces, against recompute and against split batches.
 // ---------------------------------------------------------------------------
