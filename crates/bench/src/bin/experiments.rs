@@ -255,7 +255,6 @@ const QUERY_COUNTERS: &[&str] = &[
     "query.exec.rows_joined",
     "query.exec.rows_emitted",
     "query.exec.index_probes",
-    "query.exec.seed_partitions",
     "query.exec.seed_reruns",
 ];
 /// The work-metric counters attached to `Rep_A`-search BENCH rows.

@@ -152,8 +152,9 @@ impl Exchange<'_> {
             return naive_outcome(ev.holds_on(&self.csol.rel_part(), tuple));
         }
 
-        let space = self.witness_space(query, budget, None);
-        let palette = tuple_palette(query.formula.constants(), tuple);
+        let space = self.witness_space(&ev, budget, None);
+        let mut palette = tuple_palette(query.formula.constants(), tuple);
+        palette.extend(&space.palette);
         let (_, outcome) = refutation_sweep(
             &ev,
             &space.instance,
@@ -171,10 +172,11 @@ impl Exchange<'_> {
     /// image sweep's leaves (`None`: exhaustive).
     fn witness_space(
         &self,
-        query: &Query,
+        ev: &QueryEval,
         budget: Option<&SearchBudget>,
         image_cap: Option<u64>,
     ) -> WitnessSpace<'_> {
+        let query = ev.query();
         // Proposition 4: monotone queries — certain_Σα(Q,S) = □Q(CSol(S)),
         // decided by valuation search over Rep(CSol) (all-closed Rep_A).
         // The class is taken **modulo rigid relations** (ground, fully
@@ -184,11 +186,25 @@ impl Exchange<'_> {
         // so a query that is monotone apart from such atoms still has its
         // minimal falsifiers among the extras-free valuation images, and
         // the image sweep stays exact. With no rigid negations this is
-        // exactly Proposition 4.
+        // exactly Proposition 4. A compiled query reads only the relations
+        // it scans, so the sweep searches only those, over the full csol's
+        // palette: the images of that restriction are the projections of
+        // the full images (DESIGN.md §dx-core `regimes`). The tree walker
+        // quantifies over the active domain, so a query that did not
+        // compile searches the whole csol.
         let rigid = classify::rigid_relations_of(&query.formula, &self.csol);
         if classify::is_monotone_rigid(&query.formula, &rigid) {
+            let (instance, palette) = if ev.is_compiled() {
+                let reads = query.formula.relations();
+                let read = |rel| reads.iter().any(|&(r, _)| r == rel);
+                let closed = self.csol.restricted(read).reannotate_all_closed();
+                (closed, self.csol.adom_consts())
+            } else {
+                (self.csol.reannotate_all_closed(), BTreeSet::new())
+            };
             return WitnessSpace {
-                instance: Cow::Owned(self.csol.reannotate_all_closed()),
+                instance: Cow::Owned(instance),
+                palette,
                 budget: SearchBudget {
                     max_leaves: image_cap,
                     ..SearchBudget::closed_world()
@@ -230,6 +246,7 @@ impl Exchange<'_> {
         };
         WitnessSpace {
             instance: Cow::Borrowed(&self.csol),
+            palette: BTreeSet::new(),
             budget,
             regime,
             exact,
@@ -293,10 +310,13 @@ impl Exchange<'_> {
 
         let consts: Vec<ConstId> = palette.into_iter().collect();
         let candidates = candidate_tuples(&consts, query.arity());
-        let space = self.witness_space(query, budget, image_cap);
+        let space = self.witness_space(&ev, budget, image_cap);
         let mut rel = Relation::new(query.arity());
         let mut completeness = Completeness::Exact;
-        for (palette, group) in palette_groups(query.formula.constants(), candidates, &self.csol) {
+        for (mut palette, group) in
+            palette_groups(query.formula.constants(), candidates, &self.csol)
+        {
+            palette.extend(&space.palette);
             let (survivors, outcome) =
                 refutation_sweep(&ev, &space.instance, &palette, &space.budget, group);
             let out = refutation_outcome(outcome, space.regime, space.exact);
@@ -421,12 +441,15 @@ impl Exchange<'_> {
 }
 
 /// The witness space of a refutation: the annotated instance searched
-/// (`CSol_A(S)`, or its all-closed reading for the Proposition 4 image
-/// sweep), the search budget, the procedure, and whether that space is
+/// (`CSol_A(S)`, or the all-closed reading of the relations the query
+/// reads for the Proposition 4 image sweep), the constants every search
+/// adds to its palette (the csol's, when the instance is a restriction of
+/// it), the search budget, the procedure, and whether that space is
 /// exhaustive for the query class (then an uncapped search is
 /// [`Completeness::Exact`]).
 struct WitnessSpace<'a> {
     instance: Cow<'a, AnnInstance>,
+    palette: BTreeSet<ConstId>,
     budget: SearchBudget,
     regime: Regime,
     exact: bool,

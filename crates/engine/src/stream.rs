@@ -279,7 +279,6 @@ pub struct IncrementalExchange {
     csol_index: DeltaIndex,
     null_origin: BTreeMap<NullId, Justification>,
     target: Option<TargetState>,
-    max_steps: usize,
 }
 
 impl IncrementalExchange {
@@ -288,17 +287,6 @@ impl IncrementalExchange {
     ///
     /// Panics if the source is not ground (the data-exchange setting).
     pub fn new(mapping: Mapping, constraints: Vec<TargetDep>, source: Instance) -> Self {
-        Self::with_step_limit(mapping, constraints, source, DEFAULT_CHASE_LIMIT)
-    }
-
-    /// [`IncrementalExchange::new`] with an explicit per-batch chase step
-    /// budget.
-    pub fn with_step_limit(
-        mapping: Mapping,
-        constraints: Vec<TargetDep>,
-        source: Instance,
-        max_steps: usize,
-    ) -> Self {
         assert!(source.is_ground(), "source instances must be over Const");
         let source_index = DeltaIndex::from_instance(&source);
         let mut adom_counts: FastMap<ConstId, u32> = FastMap::default();
@@ -333,7 +321,6 @@ impl IncrementalExchange {
             csol_index: DeltaIndex::new(),
             null_origin: BTreeMap::new(),
             target: None,
-            max_steps,
         };
         // Initial build = the canonical-solution construction, executed
         // through the same birth path updates use (so null numbering
@@ -458,7 +445,10 @@ impl IncrementalExchange {
 
         // Each touched STD's dying and newborn witnesses: by DRed over the
         // source index where the body's plan is monotone in the touched
-        // relations, else by re-evaluating the body and diffing.
+        // relations, else by re-evaluating the body and diffing. The
+        // `engine.stream.stds` span times this layer up to the new
+        // canonical solution, apart from the answer plans read later.
+        let stds_span = dx_obs::span!("engine.stream.stds");
         let mut dead: Vec<Vec<Vec<Value>>> = vec![Vec::new(); self.stds.len()];
         let mut born: Vec<Vec<Vec<Value>>> = vec![Vec::new(); self.stds.len()];
         for (i, st) in self.stds.iter().enumerate() {
@@ -527,6 +517,7 @@ impl IncrementalExchange {
             report.csol_added = added_tuples.len();
             report.csol_removed = removed_tuples.len();
         }
+        drop(stds_span);
 
         // Propagate the canonical-solution delta into the chased target.
         if self.target.is_some()
@@ -754,7 +745,7 @@ impl IncrementalExchange {
             &mut ts,
             &self.constraints,
             &mut self.gen,
-            self.max_steps,
+            DEFAULT_CHASE_LIMIT,
             &mut steps,
             queue,
         );
@@ -854,7 +845,7 @@ impl IncrementalExchange {
                             tgd,
                             &m,
                             &mut self.gen,
-                            self.max_steps,
+                            DEFAULT_CHASE_LIMIT,
                             &mut steps,
                             &mut queue,
                         );
@@ -883,7 +874,7 @@ impl IncrementalExchange {
             ts,
             &self.constraints,
             &mut self.gen,
-            self.max_steps,
+            DEFAULT_CHASE_LIMIT,
             &mut steps,
             queue,
         );

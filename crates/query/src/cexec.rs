@@ -18,9 +18,9 @@
 //!
 //! Work metrics (`query.cexec.*`, see `dx-obs`): `rows_scanned` counts
 //! stored conditional tuples examined by scans, `rows_joined` counts
-//! conditional join output rows, `seed_partitions`/`seed_reruns` mirror
-//! the ground executor's seeded anti-join counters, and `rows_emitted`
-//! counts root-level result rows.
+//! conditional join output rows, `seed_partitions`/`seed_reruns` count a
+//! seeded anti-join's distinct seed keys and branch executions, and
+//! `rows_emitted` counts root-level result rows.
 
 use crate::plan::{Plan, PlanPred, Ref};
 use dx_ctables::{CInstance, CTable, CTuple, Condition};
@@ -60,6 +60,7 @@ pub fn exec_conditional(plan: &Plan, cinst: &CInstance) -> CRows {
 
 fn cexec_node(plan: &Plan, cinst: &CInstance) -> CRows {
     let rows = cexec_node_inner(plan, cinst);
+    crate::explain::trace::note_call(plan);
     crate::explain::trace::note_rows(plan, rows.rows.len());
     rows
 }

@@ -23,7 +23,8 @@
 //! way, which no copy expresses. [`delta_plan`] returns `None` there, and
 //! callers recompute (`DESIGN.md §Streaming data exchange`).
 
-use crate::eval::{for_each_answer, CompiledQuery};
+use crate::eval::CompiledQuery;
+use crate::exec::for_each_answer;
 use crate::plan::Plan;
 use crate::store::QueryStore;
 use dx_relation::{FastMap, Instance, RelSym, Tuple, Value};

@@ -1,7 +1,7 @@
 //! Consumer-facing evaluation: compiled queries, compile-or-fallback
 //! wrappers, and the chase body-evaluation plug-in.
 
-use crate::exec::{exec, exec_nonempty};
+use crate::exec::{exec_nonempty, for_each_answer};
 use crate::lower::{lower_formula, LowerError};
 use crate::plan::Plan;
 use crate::store::QueryStore;
@@ -75,9 +75,9 @@ impl CompiledQuery {
     }
 
     /// Evaluate over any indexed store, nulls as atomic values (naive
-    /// semantics); answer tuples follow the head order. A Boolean query
-    /// asks one yes/no question, answered in first-witness mode
-    /// ([`exec_nonempty`]) with its 0 or 1 empty tuple.
+    /// semantics): the walk of [`crate::exec`] runs to the end and hands on
+    /// its distinct head tuples. A Boolean query asks one yes/no question,
+    /// answered at the first row with its 0 or 1 empty tuple.
     pub fn answers_store(&self, store: &dyn QueryStore) -> Relation {
         let mut rel = Relation::new(self.head.len());
         for_each_answer(&self.plan, &self.head, store, &mut |t| {
@@ -138,31 +138,6 @@ impl CompiledQuery {
         let mut extra = cinst.constants();
         extra.extend(self.consts.iter().copied());
         dx_ctables::possible_answers_from(&result, &extra, &cinst.global)
-    }
-}
-
-/// Run `plan` on `store` and emit its rows projected onto `head`. A
-/// Boolean head asks one yes/no question, answered in first-witness mode
-/// ([`exec_nonempty`]) with its 0 or 1 empty tuple.
-pub(crate) fn for_each_answer(
-    plan: &Plan,
-    head: &[Var],
-    store: &dyn QueryStore,
-    emit: &mut dyn FnMut(Tuple),
-) {
-    if head.is_empty() {
-        if exec_nonempty(plan, store, &[]) {
-            emit(Tuple::new(Vec::<Value>::new()));
-        }
-        return;
-    }
-    let rows = exec(plan, store);
-    let cols: Vec<usize> = head
-        .iter()
-        .map(|v| rows.col(*v).expect("head variable is produced"))
-        .collect();
-    for r in &rows.rows {
-        emit(Tuple::new(cols.iter().map(|&c| r[c]).collect::<Vec<_>>()));
     }
 }
 

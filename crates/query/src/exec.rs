@@ -1,42 +1,40 @@
 //! The ground executor: plans over [`QueryStore`]s, nulls as atomic values.
 //!
-//! Two modes share the plan algebra:
+//! One executor, the *first-witness walk*, answers both questions the paper
+//! asks of a plan: answer sets (Proposition 3's naive evaluation) and the
+//! yes/no membership question at every leaf of a valuation search. The
+//! walk is depth-first over a binding stack: every operator extends the
+//! stack with the variables it binds, hands the row to its continuation and
+//! pops them again. Joins run as pipelined index-nested loops, ordered
+//! greedily under the current bindings (an input sharing a bound variable
+//! first, then the smallest index-selectivity estimate); selections apply
+//! as soon as their variables are bound; anti-/semi-joins walk the
+//! preserved side and probe the other side per row (a filter side sharing
+//! no variable — a *boolean gate* — is asked once); a seeded anti-join
+//! probes its correlated branch per preserved row, with the seeds bound as
+//! parameters. Below the root nothing is materialized, and no plan is
+//! cloned.
 //!
-//! * **Materializing** ([`exec`]) — rows are vectors of values keyed by the
-//!   executing node's sorted output variables. Joins are executed
-//!   **greedily by index selectivity**: scans stay symbolic until joined,
-//!   and at each step the executor prefers an input sharing variables with
-//!   the rows built so far (so the scan becomes a per-row index probe) and,
-//!   among those, the one with the smallest selectivity estimate.
-//!   Materialized inputs (subplans, unions, single-row binds) join by
-//!   hashing on the shared variables. Anti-/semi-joins hash the filter side
-//!   once and reduce the preserved side in one pass; a filter side sharing
-//!   no column with the preserved side (a *boolean gate*) is only asked
-//!   for emptiness, in first-witness mode.
-//! * **First witness** ([`exec_nonempty`]) — the yes/no question "does the
-//!   plan have a row agreeing with these bound variables?". Joins run as
-//!   pipelined index-nested loops in the same greedy order, measured
-//!   against the bound values; selections apply as soon as their variables
-//!   are bound; anti-/semi-joins walk the preserved side lazily and probe
-//!   the other side per row in the same mode; the walk returns at the
-//!   first root row. Nothing is materialized and no plan is cloned.
+//! * **Yes/no** ([`exec_nonempty`]) — "does the plan have a row agreeing
+//!   with these bound variables?": the walk unwinds at the first root row.
+//! * **Answer sets** ([`exec`], and the head tuples of
+//!   [`crate::CompiledQuery::answers_store`], delta plans and
+//!   [`crate::CompiledRa::eval_ground_store`]) — the walk runs to the end
+//!   and keeps the distinct root rows.
 //!
-//! Work metrics (`DX_OBS=1`): `query.exec.rows_emitted` (rows returned by
-//! root calls — [`exec`]'s row count, or the 0 or 1 row a root
-//! [`exec_nonempty`] call answers with), `.rows_scanned` (tuples visited by
-//! scans and probes), `.rows_joined` (rows produced by join nodes; in
-//! first-witness mode, the complete join rows reached), `.index_probes`
-//! (store probes), and `.seed_partitions` / `.seed_reruns` (the seeded
-//! anti-join's distinct keys / correlated branch executions; a
-//! first-witness walk has no partitions and counts one re-run per branch
-//! probe). Per-node row counts for EXPLAIN reports are captured through
-//! [`crate::explain`]'s thread-local collector in materializing mode.
+//! Work metrics (`DX_OBS=1`): `query.exec.rows_emitted` (the distinct rows
+//! a set-mode root call returns, or the 0 or 1 row a root [`exec_nonempty`]
+//! call answers with), `.rows_scanned` (tuples visited by scans and
+//! probes), `.rows_joined` (complete join rows reached), `.index_probes`
+//! (store probes) and `.seed_reruns` (correlated branch probes). Per-node
+//! calls and rows for EXPLAIN reports go to [`crate::explain`]'s
+//! collector, which each root call asks once whether capture is on.
 
+use crate::explain::trace;
 use crate::plan::{Plan, PlanPred, Ref};
 use crate::store::QueryStore;
 use dx_logic::Term;
-use dx_relation::{FastMap, RelSym, Tuple, Value, Var};
-use std::collections::BTreeSet;
+use dx_relation::{FastSet, RelSym, Tuple, Value, Var};
 use std::ops::ControlFlow;
 
 /// A materialized binding table: `vars` are sorted, every row is keyed by
@@ -45,7 +43,7 @@ use std::ops::ControlFlow;
 pub struct Rows {
     /// The sorted output variables.
     pub vars: Vec<Var>,
-    /// The binding rows (a set by construction).
+    /// The distinct binding rows, in ascending order.
     pub rows: Vec<Vec<Value>>,
 }
 
@@ -54,127 +52,42 @@ impl Rows {
     pub fn col(&self, v: Var) -> Option<usize> {
         self.vars.iter().position(|&w| w == v)
     }
-
-    fn unit() -> Rows {
-        Rows {
-            vars: Vec::new(),
-            rows: vec![Vec::new()],
-        }
-    }
-
-    fn empty(vars: Vec<Var>) -> Rows {
-        Rows {
-            vars,
-            rows: Vec::new(),
-        }
-    }
 }
 
-/// Execute a plan against a store, materializing its binding rows.
+/// Execute a plan against a store: its distinct binding rows over its
+/// sorted output variables, in ascending order.
 pub fn exec(plan: &Plan, store: &dyn QueryStore) -> Rows {
-    let _span = dx_obs::span!("query.exec");
-    let rows = exec_node(plan, store);
-    dx_obs::count!("query.exec.rows_emitted", rows.rows.len());
-    dx_obs::trace_instant!("query.exec.root_done", "rows" = rows.rows.len());
-    rows
+    let vars = plan.vars();
+    let mut rows = Vec::new();
+    for_each_answer(plan, &vars, store, &mut |t| rows.push(t.values().to_vec()));
+    rows.sort_unstable();
+    Rows { vars, rows }
 }
 
-/// One node's execution (the recursive form). Every node completion is
-/// reported to the explain collector; only root [`exec`] calls count
-/// toward `query.exec.rows_emitted`.
-fn exec_node(plan: &Plan, store: &dyn QueryStore) -> Rows {
-    let rows = exec_node_inner(plan, store);
-    crate::explain::trace::note_rows(plan, rows.rows.len());
-    rows
-}
-
-fn exec_node_inner(plan: &Plan, store: &dyn QueryStore) -> Rows {
-    match plan {
-        Plan::Unit => Rows::unit(),
-        Plan::Empty { vars } => {
-            let mut vs = vars.clone();
-            vs.sort();
-            Rows::empty(vs)
+/// Walk `plan` on `store` to the end and hand `emit` each distinct root
+/// row projected onto `head` (a head variable may repeat). A Boolean head
+/// asks one yes/no question: the walk stops at the first row and emits its
+/// empty tuple. The set-mode root call.
+pub(crate) fn for_each_answer(
+    plan: &Plan,
+    head: &[Var],
+    store: &dyn QueryStore,
+    emit: &mut dyn FnMut(Tuple),
+) {
+    let mut seen: FastSet<Tuple> = FastSet::default();
+    walk(plan, store, &[], &mut |w| {
+        let t: Tuple = head
+            .iter()
+            .map(|&v| w.lookup(v).expect("head variable is produced"))
+            .collect::<Vec<_>>()
+            .into();
+        if seen.insert(t.clone()) {
+            emit(t);
         }
-        Plan::Bind { var, value } => Rows {
-            vars: vec![*var],
-            rows: vec![vec![*value]],
-        },
-        Plan::Scan { rel, args } => scan_all(store, *rel, args),
-        Plan::Join { inputs } => exec_join(inputs, store),
-        Plan::SemiJoin { left, right } => exec_filter_join(left, right, store, true),
-        Plan::AntiJoin { left, right } => exec_filter_join(left, right, store, false),
-        Plan::SeededAntiJoin { left, right, seed } => {
-            exec_seeded_anti(plan, left, right, seed, store)
-        }
-        Plan::Select { input, pred } => {
-            let mut rows = exec_node(input, store);
-            rows.rows.retain(|r| eval_pred(pred, &rows.vars, r));
-            rows
-        }
-        Plan::Project { input, vars } => {
-            let rows = exec_node(input, store);
-            let mut out_vars = vars.clone();
-            out_vars.sort();
-            let cols: Vec<usize> = out_vars
-                .iter()
-                .map(|v| rows.col(*v).expect("projected variable is produced"))
-                .collect();
-            let set: BTreeSet<Vec<Value>> = rows
-                .rows
-                .iter()
-                .map(|r| cols.iter().map(|&c| r[c]).collect())
-                .collect();
-            Rows {
-                vars: out_vars,
-                rows: set.into_iter().collect(),
-            }
-        }
-        Plan::Union { inputs } => {
-            let mut out_vars: Option<Vec<Var>> = None;
-            let mut set: BTreeSet<Vec<Value>> = BTreeSet::new();
-            for p in inputs {
-                let rows = exec_node(p, store);
-                match &out_vars {
-                    None => out_vars = Some(rows.vars.clone()),
-                    Some(vs) => debug_assert_eq!(vs, &rows.vars, "union schema mismatch"),
-                }
-                set.extend(rows.rows);
-            }
-            Rows {
-                vars: out_vars.unwrap_or_default(),
-                rows: set.into_iter().collect(),
-            }
-        }
-        Plan::Alias { input, src, dst } => {
-            let rows = exec_node(input, store);
-            let src_col = rows.col(*src).expect("alias source is produced");
-            let mut vars = rows.vars.clone();
-            vars.push(*dst);
-            vars.sort();
-            let order: Vec<usize> = vars
-                .iter()
-                .map(|v| {
-                    if v == dst {
-                        usize::MAX
-                    } else {
-                        rows.col(*v).expect("existing column")
-                    }
-                })
-                .collect();
-            let out = rows
-                .rows
-                .iter()
-                .map(|r| {
-                    order
-                        .iter()
-                        .map(|&c| if c == usize::MAX { r[src_col] } else { r[c] })
-                        .collect()
-                })
-                .collect();
-            Rows { vars, rows: out }
-        }
-    }
+        head.is_empty()
+    });
+    dx_obs::count!("query.exec.rows_emitted", seen.len());
+    dx_obs::trace_instant!("query.exec.root_done", "rows" = seen.len());
 }
 
 /// Does the plan produce a row agreeing with `bound`? The first-witness
@@ -183,6 +96,20 @@ fn exec_node_inner(plan: &Plan, store: &dyn QueryStore) -> Rows {
 /// first witness row. Nulls in `bound` are atomic values; a variable bound
 /// twice to unequal values has no row.
 pub fn exec_nonempty(plan: &Plan, store: &dyn QueryStore, bound: &[(Var, Value)]) -> bool {
+    let found = walk(plan, store, bound, &mut |_| true);
+    dx_obs::count!("query.exec.rows_emitted", u64::from(found));
+    dx_obs::trace_instant!("query.exec.root_done", "rows" = usize::from(found));
+    found
+}
+
+/// The root of every walk: bind `bound`, hand `plan`'s rows to `k` until
+/// it accepts one, and flush the work counters.
+fn walk<'s>(
+    plan: &Plan,
+    store: &'s dyn QueryStore,
+    bound: &[(Var, Value)],
+    k: &mut Cont<'_, 's>,
+) -> bool {
     let _span = dx_obs::span!("query.exec");
     let mut w = Witness::new(store);
     let mut consistent = true;
@@ -192,22 +119,7 @@ pub fn exec_nonempty(plan: &Plan, store: &dyn QueryStore, bound: &[(Var, Value)]
             None => w.push(var, val, false),
         }
     }
-    let found = consistent && w.exists(plan);
-    w.flush();
-    dx_obs::count!("query.exec.rows_emitted", u64::from(found));
-    dx_obs::trace_instant!("query.exec.root_done", "rows" = usize::from(found));
-    found
-}
-
-/// A boolean gate of the materializing executor: does `plan` have a row
-/// with the `seeds` substituted ([`Plan::bind_seed`] semantics, so the
-/// plan is not cloned)? Not a root call: counts no emitted rows.
-fn gate_open(plan: &Plan, store: &dyn QueryStore, seeds: &[Var], key: &[Value]) -> bool {
-    let mut w = Witness::new(store);
-    for (&var, &val) in seeds.iter().zip(key) {
-        w.push(var, val, true);
-    }
-    let found = w.exists(plan);
+    let found = consistent && w.run(plan, k);
     w.flush();
     found
 }
@@ -248,399 +160,12 @@ fn eval_partial(p: &PlanPred, lookup: &dyn Fn(Var) -> Option<Value>) -> Option<b
     }
 }
 
-fn eval_pred(p: &PlanPred, vars: &[Var], row: &[Value]) -> bool {
-    eval_partial(p, &|v| vars.iter().position(|&w| w == v).map(|i| row[i])).expect("bound pred var")
-}
-
-/// The constant-only probe pattern of an atom template.
-fn const_pattern(args: &[Term]) -> Vec<Option<Value>> {
-    args.iter()
-        .map(|t| match t {
-            Term::Const(c) => Some(Value::Const(*c)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Unify one stored tuple against the template given some already-bound
-/// variables; returns the row over `schema` on success.
-fn unify_tuple(
-    args: &[Term],
-    tuple: &dx_relation::Tuple,
-    schema: &[Var],
-    prebound: &[(Var, Value)],
-) -> Option<Vec<Value>> {
-    let mut bound: Vec<(Var, Value)> = prebound.to_vec();
-    for (i, arg) in args.iter().enumerate() {
-        let v = tuple.get(i);
-        match arg {
-            Term::Const(c) => {
-                if v != Value::Const(*c) {
-                    return None;
-                }
-            }
-            Term::Var(x) => match bound.iter().find(|(b, _)| b == x) {
-                Some((_, bv)) => {
-                    if *bv != v {
-                        return None;
-                    }
-                }
-                None => bound.push((*x, v)),
-            },
-            Term::App(_, _) => unreachable!("plans are function-free"),
-        }
-    }
-    Some(
-        schema
-            .iter()
-            .map(|s| {
-                bound
-                    .iter()
-                    .find(|(b, _)| b == s)
-                    .map(|(_, v)| *v)
-                    .expect("schema variable bound")
-            })
-            .collect(),
-    )
-}
-
-/// Full scan of an atom template (constants pre-filtered by the index).
-fn scan_all(store: &dyn QueryStore, rel: RelSym, args: &[Term]) -> Rows {
-    let schema: Vec<Var> = {
-        let mut s: BTreeSet<Var> = BTreeSet::new();
-        for t in args {
-            if let Term::Var(v) = t {
-                s.insert(*v);
-            }
-        }
-        s.into_iter().collect()
-    };
-    let mut rows = Vec::new();
-    let mut scanned = 0u64;
-    dx_obs::count!("query.exec.index_probes");
-    let _ = store.for_each_matching(rel, &const_pattern(args), &mut |t| {
-        scanned += 1;
-        if let Some(row) = unify_tuple(args, t, &schema, &[]) {
-            rows.push(row);
-        }
-        ControlFlow::Continue(())
-    });
-    dx_obs::count!("query.exec.rows_scanned", scanned);
-    // Repeated scans of set-semantics relations produce no duplicates, but a
-    // live annotated store may expose the same tuple under two annotations.
-    rows.sort();
-    rows.dedup();
-    Rows { vars: schema, rows }
-}
-
-enum JoinItem<'p> {
-    Scan {
-        rel: RelSym,
-        args: &'p [Term],
-        sel: usize,
-    },
-    Mat(Rows),
-}
-
-impl JoinItem<'_> {
-    fn size(&self) -> usize {
-        match self {
-            JoinItem::Scan { sel, .. } => *sel,
-            JoinItem::Mat(rows) => rows.rows.len(),
-        }
-    }
-
-    fn vars(&self) -> Vec<Var> {
-        match self {
-            JoinItem::Scan { args, .. } => {
-                let mut s: BTreeSet<Var> = BTreeSet::new();
-                for t in *args {
-                    if let Term::Var(v) = t {
-                        s.insert(*v);
-                    }
-                }
-                s.into_iter().collect()
-            }
-            JoinItem::Mat(rows) => rows.vars.clone(),
-        }
-    }
-}
-
-/// Greedy n-ary join: repeatedly fold in the input that (a) shares
-/// variables with what is bound so far and (b) has the smallest
-/// selectivity estimate; shared-variable scans run as per-row index
-/// probes, everything else as hash joins.
-fn exec_join(inputs: &[Plan], store: &dyn QueryStore) -> Rows {
-    let mut items: Vec<JoinItem> = inputs
-        .iter()
-        .map(|p| match p {
-            Plan::Scan { rel, args } => JoinItem::Scan {
-                rel: *rel,
-                args,
-                sel: store.selectivity(*rel, &const_pattern(args)),
-            },
-            other => JoinItem::Mat(exec_node(other, store)),
-        })
-        .collect();
-    if items.is_empty() {
-        return Rows::unit();
-    }
-    // Start from the smallest input.
-    let start = items
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, it)| it.size())
-        .map(|(i, _)| i)
-        .expect("non-empty");
-    let mut acc = match items.swap_remove(start) {
-        JoinItem::Scan { rel, args, .. } => scan_all(store, rel, args),
-        JoinItem::Mat(rows) => rows,
-    };
-    while !items.is_empty() {
-        let bound: BTreeSet<Var> = acc.vars.iter().copied().collect();
-        let next = items
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, it)| {
-                let shares = it.vars().iter().any(|v| bound.contains(v));
-                (!shares, it.size())
-            })
-            .map(|(i, _)| i)
-            .expect("non-empty");
-        acc = match items.swap_remove(next) {
-            JoinItem::Scan { rel, args, .. } => {
-                if args
-                    .iter()
-                    .any(|t| matches!(t, Term::Var(v) if bound.contains(v)))
-                {
-                    probe_join(acc, store, rel, args)
-                } else {
-                    hash_join(acc, scan_all(store, rel, args))
-                }
-            }
-            JoinItem::Mat(rows) => hash_join(acc, rows),
-        };
-        if acc.rows.is_empty() {
-            // Every remaining input can only keep the result empty.
-            let mut vars: BTreeSet<Var> = acc.vars.iter().copied().collect();
-            for it in &items {
-                vars.extend(it.vars());
-            }
-            return Rows::empty(vars.into_iter().collect());
-        }
-    }
-    acc
-}
-
-/// Join `acc` with a scan by probing the store once per accumulated row,
-/// with the shared variables' values folded into the probe pattern.
-fn probe_join(acc: Rows, store: &dyn QueryStore, rel: RelSym, args: &[Term]) -> Rows {
-    let mut schema: BTreeSet<Var> = acc.vars.iter().copied().collect();
-    for t in args {
-        if let Term::Var(v) = t {
-            schema.insert(*v);
-        }
-    }
-    let schema: Vec<Var> = schema.into_iter().collect();
-    // Per-argument source: constant, shared column of acc, or free.
-    let acc_cols: Vec<Option<usize>> = args
-        .iter()
-        .map(|t| match t {
-            Term::Var(v) => acc.col(*v),
-            _ => None,
-        })
-        .collect();
-    dx_obs::count!("query.exec.index_probes", acc.rows.len());
-    let mut out = Vec::new();
-    let mut scanned = 0u64;
-    for row in &acc.rows {
-        let pattern: Vec<Option<Value>> = args
-            .iter()
-            .zip(&acc_cols)
-            .map(|(t, col)| match (t, col) {
-                (Term::Const(c), _) => Some(Value::Const(*c)),
-                (_, Some(c)) => Some(row[*c]),
-                _ => None,
-            })
-            .collect();
-        let prebound: Vec<(Var, Value)> =
-            acc.vars.iter().copied().zip(row.iter().copied()).collect();
-        let _ = store.for_each_matching(rel, &pattern, &mut |t| {
-            scanned += 1;
-            if let Some(joined) = unify_tuple(args, t, &schema, &prebound) {
-                out.push(joined);
-            }
-            ControlFlow::Continue(())
-        });
-    }
-    dx_obs::count!("query.exec.rows_scanned", scanned);
-    out.sort();
-    out.dedup();
-    dx_obs::count!("query.exec.rows_joined", out.len());
-    Rows {
-        vars: schema,
-        rows: out,
-    }
-}
-
-/// Hash join on the shared variables (cartesian product when none).
-fn hash_join(left: Rows, right: Rows) -> Rows {
-    let shared: Vec<Var> = left
-        .vars
-        .iter()
-        .copied()
-        .filter(|v| right.col(*v).is_some())
-        .collect();
-    let mut schema: BTreeSet<Var> = left.vars.iter().copied().collect();
-    schema.extend(right.vars.iter().copied());
-    let schema: Vec<Var> = schema.into_iter().collect();
-    let l_shared: Vec<usize> = shared.iter().map(|v| left.col(*v).unwrap()).collect();
-    let r_shared: Vec<usize> = shared.iter().map(|v| right.col(*v).unwrap()).collect();
-    // Emit helper: schema position → (side, column).
-    let sources: Vec<(bool, usize)> = schema
-        .iter()
-        .map(|v| match left.col(*v) {
-            Some(c) => (true, c),
-            None => (false, right.col(*v).expect("var from one side")),
-        })
-        .collect();
-    let mut table: FastMap<Vec<Value>, Vec<usize>> = FastMap::default();
-    for (i, r) in right.rows.iter().enumerate() {
-        let key: Vec<Value> = r_shared.iter().map(|&c| r[c]).collect();
-        table.entry(key).or_default().push(i);
-    }
-    let mut out = Vec::new();
-    for l in &left.rows {
-        let key: Vec<Value> = l_shared.iter().map(|&c| l[c]).collect();
-        if let Some(matches) = table.get(&key) {
-            for &ri in matches {
-                let r = &right.rows[ri];
-                out.push(
-                    sources
-                        .iter()
-                        .map(|&(from_left, c)| if from_left { l[c] } else { r[c] })
-                        .collect::<Vec<Value>>(),
-                );
-            }
-        }
-    }
-    dx_obs::count!("query.exec.rows_joined", out.len());
-    Rows {
-        vars: schema,
-        rows: out,
-    }
-}
-
-/// Semi-join (`keep = true`) or anti-join (`keep = false`): hash the filter
-/// side on the shared variables, reduce the preserved side in one pass. A
-/// filter side sharing no variable is a boolean gate: only its emptiness
-/// matters, so it is asked in first-witness mode instead of built.
-fn exec_filter_join(left: &Plan, right: &Plan, store: &dyn QueryStore, keep: bool) -> Rows {
-    let mut l = exec_node(left, store);
-    if !shares_var(left, right) {
-        if !l.rows.is_empty() && gate_open(right, store, &[], &[]) != keep {
-            l.rows.clear();
-        }
-        return l;
-    }
-    let r = exec_node(right, store);
-    let shared: Vec<Var> = l
-        .vars
-        .iter()
-        .copied()
-        .filter(|v| r.col(*v).is_some())
-        .collect();
-    let l_cols: Vec<usize> = shared.iter().map(|v| l.col(*v).unwrap()).collect();
-    let r_cols: Vec<usize> = shared.iter().map(|v| r.col(*v).unwrap()).collect();
-    let keys: BTreeSet<Vec<Value>> = r
-        .rows
-        .iter()
-        .map(|row| r_cols.iter().map(|&c| row[c]).collect())
-        .collect();
-    l.rows.retain(|row| {
-        let key: Vec<Value> = l_cols.iter().map(|&c| row[c]).collect();
-        keys.contains(&key) == keep
-    });
-    l
-}
-
-/// Seeded anti-join: hash-partition the preserved side on the seed key,
-/// execute the correlated branch **once per distinct key** with the seeds
-/// substituted as constants ([`Plan::bind_seed`]), and reduce each
-/// partition by the branch's rows on the remaining shared variables. With
-/// no shared variables the branch is a per-key boolean gate, asked in
-/// first-witness mode with the seeds bound (the empty key is in the
-/// refuting set iff the branch has a row).
-fn exec_seeded_anti(
-    node: &Plan,
-    left: &Plan,
-    right: &Plan,
-    seed: &[Var],
-    store: &dyn QueryStore,
-) -> Rows {
-    let mut l = exec_node(left, store);
-    let seed_cols: Vec<usize> = seed
-        .iter()
-        .map(|v| l.col(*v).expect("seed variable is bound by the left side"))
-        .collect();
-    // The shared variables are key independent (`bind_seed` removes the
-    // same seed variables from the branch schema for every key, and the
-    // reserved `$seed:` columns a null key adds never occur in the left
-    // schema); only the branch-side column positions can shift per key.
-    let shared: Vec<Var> = {
-        let rv: BTreeSet<Var> = right.vars().into_iter().collect();
-        l.vars
-            .iter()
-            .copied()
-            .filter(|v| rv.contains(v) && !seed.contains(v))
-            .collect()
-    };
-    let l_cols: Vec<usize> = shared.iter().map(|v| l.col(*v).unwrap()).collect();
-    let run_branch = |key: &[Value]| -> BTreeSet<Vec<Value>> {
-        if shared.is_empty() {
-            return if gate_open(right, store, seed, key) {
-                BTreeSet::from([Vec::new()])
-            } else {
-                BTreeSet::new()
-            };
-        }
-        let mut branch = right.clone();
-        for (v, val) in seed.iter().zip(key) {
-            branch.bind_seed(*v, *val);
-        }
-        let rows = exec_node(&branch, store);
-        let r_cols: Vec<usize> = shared
-            .iter()
-            .map(|v| rows.col(*v).expect("shared variable survives seeding"))
-            .collect();
-        rows.rows
-            .iter()
-            .map(|r| r_cols.iter().map(|&c| r[c]).collect())
-            .collect()
-    };
-    let mut partitions: FastMap<Vec<Value>, BTreeSet<Vec<Value>>> = FastMap::default();
-    let mut reruns = 0u64;
-    l.rows.retain(|row| {
-        let key: Vec<Value> = seed_cols.iter().map(|&c| row[c]).collect();
-        let refuting = partitions.entry(key.clone()).or_insert_with(|| {
-            reruns += 1;
-            run_branch(&key)
-        });
-        let probe: Vec<Value> = l_cols.iter().map(|&c| row[c]).collect();
-        !refuting.contains(&probe)
-    });
-    dx_obs::count!("query.exec.seed_partitions", partitions.len());
-    dx_obs::count!("query.exec.seed_reruns", reruns);
-    crate::explain::trace::note_seed(node, partitions.len() as u64, reruns);
-    l
-}
-
 /// Do the two plans share an output variable?
 fn shares_var(left: &Plan, right: &Plan) -> bool {
     right.any_out_var(&mut |v| left.any_out_var(&mut |w| w == v))
 }
 
-/// One binding of the first-witness environment.
+/// One binding of the walk's environment.
 #[derive(Clone, Copy)]
 struct Slot {
     var: Var,
@@ -653,17 +178,20 @@ struct Slot {
     param: bool,
 }
 
-/// The continuation a first-witness walk hands each row to: `true` stops
-/// the walk (the row was accepted), `false` asks for the next row.
+/// The continuation a walk hands each row to: `true` stops the walk (the
+/// row was accepted), `false` asks for the next row.
 type Cont<'k, 's> = dyn FnMut(&mut Witness<'s>) -> bool + 'k;
 
-/// The first-witness executor: a depth-first walk over a binding stack.
-/// Every operator extends the stack with the variables it binds, hands
-/// the row to its continuation and pops them again; a scan's stored tuples
-/// are visited lazily and the walk unwinds at the first accepted row.
+/// The walk: a depth-first executor over a binding stack. Every operator
+/// extends the stack with the variables it binds, hands the row to its
+/// continuation and pops them again; a scan's stored tuples are visited
+/// lazily and the walk unwinds at the first accepted row.
 struct Witness<'s> {
     store: &'s dyn QueryStore,
     env: Vec<Slot>,
+    /// EXPLAIN capture is on: every node reports its calls and the rows it
+    /// hands on.
+    explain: bool,
     scanned: u64,
     probes: u64,
     joined: u64,
@@ -675,6 +203,7 @@ impl<'s> Witness<'s> {
         Witness {
             store,
             env: Vec::new(),
+            explain: trace::capturing(),
             scanned: 0,
             probes: 0,
             joined: 0,
@@ -715,6 +244,29 @@ impl<'s> Witness<'s> {
     /// the stack with the plan's unbound output variables, until `k`
     /// accepts one (`true`) or the rows run out (`false`).
     fn run(&mut self, plan: &Plan, k: &mut Cont<'_, 's>) -> bool {
+        self.noted(plan, k, |w, k| w.op(plan, k))
+    }
+
+    /// Run `body` as one execution of `plan`; under EXPLAIN capture, count
+    /// the call and every row it hands to `k`.
+    fn noted(
+        &mut self,
+        plan: &Plan,
+        k: &mut Cont<'_, 's>,
+        body: impl FnOnce(&mut Self, &mut Cont<'_, 's>) -> bool,
+    ) -> bool {
+        if !self.explain {
+            return body(self, k);
+        }
+        trace::note_call(plan);
+        body(self, &mut |w| {
+            trace::note_rows(plan, 1);
+            k(w)
+        })
+    }
+
+    /// One operator of [`Witness::run`].
+    fn op(&mut self, plan: &Plan, k: &mut Cont<'_, 's>) -> bool {
         match plan {
             Plan::Unit => k(self),
             Plan::Empty { .. } => false,
@@ -725,7 +277,9 @@ impl<'s> Witness<'s> {
             Plan::Scan { rel, args } => self.scan(*rel, args, k),
             Plan::Join { inputs } => self.join(inputs, None, k),
             Plan::Select { input, pred } => match &**input {
-                Plan::Join { inputs } => self.join(inputs, Some(pred), k),
+                // The selection fuses into the join, which hands on the
+                // rows it keeps.
+                Plan::Join { inputs } => self.noted(input, k, |w, k| w.join(inputs, Some(pred), k)),
                 input => {
                     self.partial(pred) != Some(false)
                         && self.run(input, &mut |w| w.check(pred) && k(w))
@@ -765,6 +319,9 @@ impl<'s> Witness<'s> {
                     w.push(s, v, true);
                 }
                 w.reruns += 1;
+                if w.explain {
+                    trace::note_seed(plan, 0, 1);
+                }
                 let refuted = w.exists(right);
                 w.env.truncate(mark);
                 !refuted && k(w)
@@ -954,6 +511,7 @@ mod tests {
     use crate::lower::lower_formula;
     use dx_logic::parse_formula;
     use dx_relation::{DeltaIndex, Instance, RelSym, Tuple};
+    use std::collections::BTreeSet;
 
     fn graph() -> Instance {
         let mut i = Instance::new();

@@ -1,17 +1,23 @@
 //! EXPLAIN with run annotations: execute a [`Plan`] while a per-node
 //! collector is active, then render the tree (one node per line, stable
-//! [`Plan::node_label`] form) annotated with the executed-row / call /
-//! seed-partition counts each node actually incurred.
+//! [`Plan::node_label`] form) annotated with the work each node actually
+//! incurred. Node identity is the node's address inside the borrowed plan
+//! tree — stable for the duration of one run.
 //!
-//! Node identity is the node's address inside the borrowed plan tree —
-//! stable for the duration of one [`explain_run`]. The correlated branch
-//! of a seeded anti-join executes *clones* ([`Plan::bind_seed`] rewrites
-//! a fresh copy per distinct seed key), so branch-internal work is
-//! aggregated at the seeded node itself (`partitions` / `reruns`) rather
-//! than attributed to the pristine branch subtree, whose own counters
-//! stay zero. Boolean gates (a filter side or branch sharing no column
-//! with the preserved side) are asked in first-witness mode, which
-//! records no per-node rows: their subtrees stay zero too.
+//! * **Ground** ([`explain_run`]): the walk of [`crate::exec`] runs the
+//!   plan to the end. A node's `calls` is the number of times the walk ran
+//!   it and `rows` the rows it handed on, both summed over the bindings it
+//!   ran under — so the root's `rows` counts duplicates that the returned
+//!   [`Rows`] hold once. Probes (a filter side per preserved row, a boolean
+//!   gate, a correlated branch) are walks that stop at their first row and
+//!   count the same way. A seeded anti-join also reports `reruns`: its
+//!   branch probes, one per preserved row.
+//! * **Conditional** ([`explain_run_conditional`]): a node's `calls` and
+//!   `rows` are its materialized executions and conditional rows. The
+//!   correlated branch of a seeded anti-join executes *clones*
+//!   ([`Plan::bind_seed`] rewrites a fresh copy per distinct seed key), so
+//!   its work is aggregated at the seeded node itself (`partitions` /
+//!   `reruns`) and the pristine branch subtree's counters stay zero.
 
 use crate::cexec::{exec_conditional, CRows};
 use crate::exec::{exec, Rows};
@@ -28,14 +34,14 @@ pub(crate) struct NodeStats {
     calls: u64,
     /// Total rows the node produced across those executions.
     rows: u64,
-    /// Seeded anti-join only: distinct seed keys partitioned.
+    /// Conditional seeded anti-join only: distinct seed keys partitioned.
     partitions: u64,
     /// Seeded anti-join only: correlated branch executions.
     reruns: u64,
 }
 
-/// The thread-local collector the executor reports into (see
-/// [`trace::note_rows`]). Active only inside [`explain_run`].
+/// The thread-local collector the executors report into. Active only
+/// inside [`explain_run`] and [`explain_run_conditional`].
 pub(crate) mod trace {
     use super::NodeStats;
     use crate::plan::Plan;
@@ -43,7 +49,7 @@ pub(crate) mod trace {
     use std::cell::RefCell;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// Number of live collectors across all threads — the executor's fast
+    /// Number of live collectors across all threads — the executors' fast
     /// path is one relaxed load of this when no EXPLAIN capture runs.
     static ACTIVE: AtomicUsize = AtomicUsize::new(0);
 
@@ -52,37 +58,39 @@ pub(crate) mod trace {
             const { RefCell::new(None) };
     }
 
-    fn key(plan: &Plan) -> usize {
-        plan as *const Plan as usize
+    /// Is a collector live? The ground walk asks once per root call.
+    pub(crate) fn capturing() -> bool {
+        ACTIVE.load(Ordering::Relaxed) != 0
     }
 
-    /// Record one execution of `plan` producing `rows` rows.
+    /// Apply `f` to `plan`'s stats when this thread collects.
     #[inline]
-    pub(crate) fn note_rows(plan: &Plan, rows: usize) {
-        if ACTIVE.load(Ordering::Relaxed) == 0 {
+    fn note(plan: &Plan, f: impl FnOnce(&mut NodeStats)) {
+        if !capturing() {
             return;
         }
         COLLECT.with(|c| {
             if let Some(map) = c.borrow_mut().as_mut() {
-                let stats = map.entry(key(plan)).or_default();
-                stats.calls += 1;
-                stats.rows += rows as u64;
+                f(map.entry(plan as *const Plan as usize).or_default());
             }
         });
     }
 
-    /// Record a seeded anti-join's partition/re-run counts at `plan`.
-    #[inline]
+    /// Record one more execution of `plan`.
+    pub(crate) fn note_call(plan: &Plan) {
+        note(plan, |s| s.calls += 1);
+    }
+
+    /// Record `rows` more rows produced by `plan`.
+    pub(crate) fn note_rows(plan: &Plan, rows: usize) {
+        note(plan, |s| s.rows += rows as u64);
+    }
+
+    /// Record a seeded anti-join's partition / re-run counts at `plan`.
     pub(crate) fn note_seed(plan: &Plan, partitions: u64, reruns: u64) {
-        if ACTIVE.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        COLLECT.with(|c| {
-            if let Some(map) = c.borrow_mut().as_mut() {
-                let stats = map.entry(key(plan)).or_default();
-                stats.partitions += partitions;
-                stats.reruns += reruns;
-            }
+        note(plan, |s| {
+            s.partitions += partitions;
+            s.reruns += reruns;
         });
     }
 
@@ -117,7 +125,7 @@ pub fn explain_run(plan: &Plan, store: &dyn QueryStore) -> (Rows, Explain) {
     let guard = trace::CollectorGuard::start();
     let rows = exec(plan, store);
     let stats = guard.finish();
-    (rows, annotate(plan, &stats))
+    (rows, annotate(plan, &stats, false))
 }
 
 /// The conditional-mode counterpart of [`explain_run`]: execute `plan`
@@ -130,16 +138,18 @@ pub fn explain_run_conditional(plan: &Plan, cinst: &CInstance) -> (CRows, Explai
     let guard = trace::CollectorGuard::start();
     let rows = exec_conditional(plan, cinst);
     let stats = guard.finish();
-    (rows, annotate(plan, &stats))
+    (rows, annotate(plan, &stats, true))
 }
 
-fn annotate(plan: &Plan, stats: &FastMap<usize, NodeStats>) -> Explain {
+/// The annotated report; `partitions` adds a seeded anti-join's seed keys,
+/// which only the conditional executor partitions on.
+fn annotate(plan: &Plan, stats: &FastMap<usize, NodeStats>, partitions: bool) -> Explain {
     Explain {
-        root: annotate_node(plan, stats),
+        root: annotate_node(plan, stats, partitions),
     }
 }
 
-fn annotate_node(plan: &Plan, stats: &FastMap<usize, NodeStats>) -> ExplainNode {
+fn annotate_node(plan: &Plan, stats: &FastMap<usize, NodeStats>, partitions: bool) -> ExplainNode {
     let s = stats
         .get(&(plan as *const Plan as usize))
         .copied()
@@ -148,14 +158,15 @@ fn annotate_node(plan: &Plan, stats: &FastMap<usize, NodeStats>) -> ExplainNode 
         .annotate("rows", s.rows)
         .annotate("calls", s.calls);
     if matches!(plan, Plan::SeededAntiJoin { .. }) {
-        node = node
-            .annotate("partitions", s.partitions)
-            .annotate("reruns", s.reruns);
+        if partitions {
+            node = node.annotate("partitions", s.partitions);
+        }
+        node = node.annotate("reruns", s.reruns);
     }
     node.children = plan
         .children()
         .into_iter()
-        .map(|c| annotate_node(c, stats))
+        .map(|c| annotate_node(c, stats, partitions))
         .collect();
     node
 }
@@ -199,8 +210,8 @@ mod tests {
         assert_eq!(rows.rows, vec![vec![Value::c("p1")]]);
         let text = report.render();
         assert!(
-            text.contains("partitions=3") && text.contains("reruns=3"),
-            "three distinct authors seed the correlated branch:\n{text}"
+            text.contains("reruns=3"),
+            "three preserved rows probe the correlated branch:\n{text}"
         );
     }
 

@@ -17,15 +17,16 @@
 //! * [`ra`] — the same lowering for positional relational-algebra
 //!   expressions ([`dx_ctables::RaExpr`]), with equality selections over
 //!   products unified into natural joins;
-//! * [`exec`] — the ground executor: greedy **join-order selection by index
-//!   selectivity**, index-probe joins against any [`store::QueryStore`]
-//!   (a [`dx_relation::DeltaIndex`] built over the relations a plan scans,
-//!   or one the solver or a streaming exchange maintains), hash joins for
-//!   materialized inputs, and
-//!   semi-/anti-join reduction; its first-witness mode
-//!   ([`exec::exec_nonempty`]) answers yes/no questions — membership with
-//!   the head bound, Boolean queries, boolean gates — at the first row.
-//!   Nulls are atomic values throughout — the naive semantics of §2;
+//! * [`exec`] — the ground executor, one depth-first *walk* over a binding
+//!   stack: pipelined index-nested-loop joins ordered greedily by **index
+//!   selectivity** under the current bindings, against any
+//!   [`store::QueryStore`] (a [`dx_relation::DeltaIndex`] built over the
+//!   relations a plan scans, or one the solver or a streaming exchange
+//!   maintains), with filter sides and correlated branches probed per row.
+//!   Yes/no questions ([`exec::exec_nonempty`]: membership with the head
+//!   bound, Boolean queries) stop at the first row; answer sets run the
+//!   walk to the end and keep the distinct rows. Nulls are atomic values
+//!   throughout — the naive semantics of §2;
 //! * [`cexec`] — the **conditional execution mode**: the same plans run
 //!   over [`dx_ctables::CInstance`] conditional tables, producing guarded
 //!   [`dx_ctables::CTable`] results so the CWA certain-answer pipeline

@@ -12,8 +12,9 @@
 //!
 //! * a conjunction becomes an n-ary [`Plan::Join`] of its positive
 //!   conjuncts, with `x = c` equalities lowered to [`Plan::Bind`] inputs
-//!   (pushed-down selections: the executor starts its greedy join order
-//!   from single-row binds, turning downstream scans into index probes);
+//!   (pushed-down selections: a bind is the cheapest join input, so the
+//!   executor's greedy order takes it first and downstream scans become
+//!   index probes);
 //! * `x = y` equalities either filter (both sides range-restricted) or
 //!   extend ([`Plan::Alias`]) the bound set, iterated to a fixpoint so
 //!   equality chains propagate range-restriction;
@@ -45,10 +46,12 @@
 //! with the active-domain oracle). The lowering therefore retries a failed
 //! negated conjunct with the conjunction's bound variables *allowed as
 //! seeds*, records which of them the branch actually relied on, and emits a
-//! [`Plan::SeededAntiJoin`] — executed by hash-partitioning the outer rows
-//! on the seed key and running the branch once per distinct key with the
-//! seeds substituted ([`Plan::bind_seed`]). Quantifiers that shadow an
-//! allowed seed are α-renamed first, so substitution can never capture.
+//! [`Plan::SeededAntiJoin`]. The ground executor probes the branch once
+//! per outer row with the seeds bound as parameters; the conditional one
+//! hash-partitions the outer rows on the seed key and runs the branch once
+//! per distinct key with the seeds substituted ([`Plan::bind_seed`]).
+//! Quantifiers that shadow an allowed seed are α-renamed first, so neither
+//! binding nor substitution can capture.
 
 use crate::plan::{Plan, PlanPred, Ref};
 use dx_logic::{Formula, Term};

@@ -1,10 +1,11 @@
 //! Relational-algebra plans over named variables.
 //!
-//! A [`Plan`] node produces a set of *binding rows*: tuples of values keyed
+//! A [`Plan`] node denotes a set of *binding rows*: tuples of values keyed
 //! by the node's **output variables**, which are always reported in sorted
-//! order ([`Plan::vars`]). The executor ([`crate::exec`]) materializes rows
-//! bottom-up, choosing join orders at run time from index selectivity; the
-//! conditional executor ([`crate::cexec`]) runs the same tree over
+//! order ([`Plan::vars`]). The ground executor ([`crate::exec`]) walks the
+//! tree depth-first over a binding stack, choosing join orders at run time
+//! from index selectivity under the current bindings; the conditional
+//! executor ([`crate::cexec`]) materializes the same tree bottom-up over
 //! conditional tables.
 //!
 //! The operator set is the safe-range target algebra:
@@ -161,9 +162,10 @@ pub enum Plan {
     /// row's values ("bindings as constants") — produces no row agreeing on
     /// the shared variables. `right` references the seed variables without
     /// ranging them (they occur only in predicates, or in scans of nested
-    /// subtrees), so it is safe-range *given* the seeds; executors
-    /// hash-partition the left rows on the seed key and run `right` once per
-    /// distinct key via [`Plan::bind_seed`], not once per row.
+    /// subtrees), so it is safe-range *given* the seeds. The ground executor
+    /// probes `right` once per left row with the seeds bound as parameters;
+    /// the conditional executor hash-partitions the left rows on the seed
+    /// key and runs `right` once per distinct key via [`Plan::bind_seed`].
     SeededAntiJoin {
         /// The preserved side (binds every seed variable).
         left: Box<Plan>,

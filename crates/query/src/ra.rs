@@ -17,12 +17,12 @@
 //! anti-join, intersection a semi-join.
 
 use crate::cexec::exec_conditional_table;
-use crate::exec::exec;
+use crate::exec::for_each_answer;
 use crate::plan::{Plan, PlanPred, Ref};
 use crate::store::QueryStore;
 use dx_ctables::algebra::{ColRef, RaError, RaExpr, RaPred};
 use dx_ctables::{certain_answers_from, possible_answers_from, CInstance, CTable};
-use dx_relation::{ConstId, Instance, RelSym, Relation, Tuple, Value, Var};
+use dx_relation::{ConstId, Instance, RelSym, Relation, Value, Var};
 use std::collections::BTreeSet;
 
 /// A relational-algebra expression compiled to a plan, with its positional
@@ -67,20 +67,14 @@ impl CompiledRa {
     }
 
     /// Ground evaluation over an indexed store (nulls as atomic values),
-    /// mirroring [`RaExpr::eval_ground`].
+    /// mirroring [`RaExpr::eval_ground`]: the walk of [`crate::exec`] runs
+    /// to the end and hands on the distinct output tuples.
     pub fn eval_ground_store(&self, store: &dyn QueryStore) -> Relation {
-        let rows = exec(&self.plan, store);
-        let cols: Vec<usize> = self
-            .outcols
-            .iter()
-            .map(|v| rows.col(*v).expect("output column is produced"))
-            .collect();
-        Relation::from_tuples(
-            self.outcols.len(),
-            rows.rows
-                .iter()
-                .map(|r| Tuple::new(cols.iter().map(|&c| r[c]).collect::<Vec<_>>())),
-        )
+        let mut rel = Relation::new(self.outcols.len());
+        for_each_answer(&self.plan, &self.outcols, store, &mut |t| {
+            rel.insert(t);
+        });
+        rel
     }
 
     /// Ground evaluation over an instance (indexes the relations the plan
@@ -346,6 +340,7 @@ fn ra_pred_to_plan(pred: &RaPred, outcols: &[Var]) -> PlanPred {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dx_relation::Tuple;
 
     fn edges() -> Instance {
         let mut i = Instance::new();

@@ -459,6 +459,16 @@ impl AnnInstance {
         }
     }
 
+    /// The relations `keep` accepts, with their tuples and empty markers.
+    pub fn restricted(&self, keep: impl Fn(RelSym) -> bool) -> AnnInstance {
+        AnnInstance {
+            rels: (self.rels.iter())
+                .filter(|(&rel, _)| keep(rel))
+                .map(|(&rel, r)| (rel, r.clone()))
+                .collect(),
+        }
+    }
+
     /// Re-annotate every tuple and empty marker as closed: `Rep(T)` as the
     /// all-closed `Rep_A(T)` (Lemma 1).
     pub fn reannotate_all_closed(&self) -> AnnInstance {

@@ -460,3 +460,78 @@ fn gcwa_on_a_non_monotone_query_honours_the_leaf_cap() {
         "{leaves} leaves under a 50-leaf cap"
     );
 }
+
+/// `examples/conference_stream.dx` with a monotone query over `Rev` only.
+/// Its canonical solution has four open `Sub` author nulls the query
+/// never reads, beside two `Rev` reviewer nulls.
+fn conference_stream_two_reviewers() -> oc_exchange::text::Scenario {
+    let text = include_str!("../examples/conference_stream.dx").replace(
+        "  query colleagues",
+        "  query two_reviewers(p) <- exists r1 r2. Rev(p, r1) & Rev(p, r2) & r1 != r2;\n  query colleagues",
+    );
+    oc_exchange::text::Scenario::parse(&text).expect("scenario parses")
+}
+
+/// The Proposition 4 image sweep of a compiled monotone query values only
+/// the nulls of the relations the query reads: deciding `two_reviewers(p0)`
+/// visits exactly the leaves of an exhaustive all-closed search over the
+/// `Rev` tuples alone, with the canonical solution's constants as its
+/// palette (`p0` has two known reviewers, so no leaf refutes it and the
+/// sweep never stops early).
+#[test]
+fn monotone_sweep_values_only_the_nulls_the_query_reads() {
+    let _g = lock();
+    let sc = conference_stream_two_reviewers();
+    let q = sc.query("two_reviewers").expect("query");
+    let ex = oc_exchange::core::Exchange::new(&sc.mapping, &sc.source);
+    assert_eq!(ex.csol().nulls().len(), 6, "four Sub and two Rev nulls");
+    let rev = RelSym::new("Rev");
+    let mut rev_only = AnnInstance::new();
+    for at in ex.csol().tuples(rev) {
+        let closed = Annotation::new(vec![Ann::Closed; at.tuple.arity()]);
+        rev_only.insert(rev, AnnTuple::new(at.tuple.clone(), closed));
+    }
+    assert_eq!(rev_only.nulls().len(), 2);
+    let p0 = Tuple::from_names(&["p0"]);
+    let mut palette = ex.csol().adom_consts();
+    palette.extend(p0.consts());
+    let alone = search_rep_a_indexed(
+        &rev_only,
+        &palette,
+        &SearchBudget::closed_world(),
+        &mut |_| false,
+    );
+    let (out, diff) = measured(|| ex.certain_contains(q, &p0, None));
+    assert!(
+        out.certain && out.completeness == Completeness::Exact,
+        "{out:?}"
+    );
+    assert_eq!(diff.counter("solver.dfs.leaves"), alone.leaves);
+    let (answers, completeness) = ex.certain_answers(q, None);
+    assert_eq!(answers.iter().cloned().collect::<Vec<_>>(), vec![p0]);
+    assert_eq!(completeness, Completeness::Exact);
+}
+
+/// `IncrementalExchange::update` opens one `engine.stream.stds` span per
+/// batch that reaches an STD body, and none for a batch that changes
+/// nothing.
+#[test]
+fn stream_times_std_maintenance_once_per_batch() {
+    let _g = lock();
+    let sc = oc_exchange::text::Scenario::parse(include_str!("../examples/conference_stream.dx"))
+        .expect("scenario parses");
+    let mut inc = oc_exchange::engine::IncrementalExchange::new(
+        sc.mapping.clone(),
+        sc.constraints.clone(),
+        sc.source.clone(),
+    );
+    let spans =
+        |diff: &MetricsSnapshot| diff.spans.get("engine.stream.stds").map_or(0, |s| s.count);
+    let batch = oc_exchange::relation::Update::new().insert_names("Papers", &["p9", "title9"]);
+    let (report, diff) = measured(|| inc.update(&batch));
+    assert!(report.effective_ops > 0);
+    assert_eq!(spans(&diff), 1, "one span for a batch that reaches STDs");
+    let (report, diff) = measured(|| inc.update(&batch));
+    assert_eq!(report.effective_ops, 0, "the same insert again is a no-op");
+    assert_eq!(spans(&diff), 0, "no span for a no-op batch");
+}

@@ -893,3 +893,98 @@ fn first_witness_pinned_shapes() {
         );
     }
 }
+
+/// Pinned set-mode shapes, one per operator that once had its own
+/// materializing code: an ∃-projection inside a join with several
+/// witnesses per kept tuple, a union inside a join whose branches yield
+/// the same row, a seeded anti-join whose seed key repeats across
+/// preserved rows, and filter sides sharing no variable with the
+/// preserved side (boolean gates, anti and semi). Each runs through
+/// [`check_first_witness`] against the tree walker, on an instance where
+/// the gates are closed and on one where they are open.
+#[test]
+fn set_mode_pinned_shapes() {
+    let mut inst = Instance::new();
+    for (a, b) in [("c0", "c1"), ("c2", "c1"), ("c2", "c3"), ("c2", "c2")] {
+        inst.insert_names("QdR", &[a, b]);
+    }
+    inst.insert(
+        RelSym::new("QdR"),
+        Tuple::new(vec![Value::null(1), Value::c("c1")]),
+    );
+    for (a, b) in [("c1", "c0"), ("c3", "c2"), ("c1", "c2")] {
+        inst.insert_names("QdT", &[a, b]);
+    }
+    inst.insert(
+        RelSym::new("QdT"),
+        Tuple::new(vec![Value::null(2), Value::null(1)]),
+    );
+    inst.insert_names("QdS", &["c1"]);
+    inst.insert_names("QdS", &["c2"]);
+    // The gates flip on an instance without QdT and without QdR's loop.
+    let mut open = Instance::new();
+    for (rel, r) in inst.relations() {
+        for t in r.iter() {
+            let looped = rel == RelSym::new("QdR") && t.get(0) == t.get(1);
+            if rel != RelSym::new("QdT") && !looped {
+                open.insert(rel, t.clone());
+            }
+        }
+    }
+    let (x, y) = (Var::new("qv0"), Var::new("qv1"));
+    // (head, body, an operator its plan must contain, is it a gate)
+    let shapes: Vec<(Vec<Var>, &str, &str, bool)> = vec![
+        (
+            vec![x, y],
+            "(exists qv2. QdR(qv0, qv2)) & QdT(qv1, qv0)",
+            "project",
+            false,
+        ),
+        (
+            vec![x, y],
+            "(QdR(qv0, qv1) | QdT(qv1, qv0)) & QdS(qv1)",
+            "union",
+            false,
+        ),
+        (
+            vec![x],
+            "exists a. QdR(qv0, a) & (forall b. (QdR(qv0, b) -> a = b))",
+            "seeded-antijoin",
+            false,
+        ),
+        (
+            vec![x],
+            "QdS(qv0) & !(exists a b. QdT(a, b))",
+            "antijoin",
+            true,
+        ),
+        (
+            vec![x],
+            "QdS(qv0) & ((exists a. QdR(a, a)) | qv0 = 'c1')",
+            "semijoin",
+            true,
+        ),
+        (
+            vec![],
+            "exists qv0. QdS(qv0) & !(exists a b. QdT(a, b))",
+            "antijoin",
+            true,
+        ),
+    ];
+    let mut rng = random_gen::rng(11);
+    for (head, src, op, gate) in shapes {
+        let query = Query::new(head, oc_exchange::logic::parse_formula(src).unwrap());
+        let cq = CompiledQuery::compile(&query).expect("compiles");
+        assert!(cq.plan().explain().contains(op), "{src}:\n{}", cq.plan());
+        let mut wants = Vec::new();
+        for i in [&inst, &open] {
+            let want: BTreeSet<Tuple> = query.answers(i).iter().cloned().collect();
+            check_first_witness(&query, &cq, i, &want, &mut rng);
+            wants.push(want);
+        }
+        assert!(!wants[0].is_empty() || !wants[1].is_empty(), "{src}");
+        if gate {
+            assert_ne!(wants[0], wants[1], "{src}: the gate flips");
+        }
+    }
+}

@@ -54,9 +54,11 @@ fn random_scenario(rng: &mut StdRng) -> (Mapping, Instance) {
 }
 
 /// The query battery: negation in every non-monotone entry, exercising
-/// anti-joins, universals, disjunction-with-negation shapes; two monotone
-/// entries (a CQ with an inequality and a positive one), which the regimes
-/// decide by Proposition 4; and — last — the *correlated* §1 implication,
+/// anti-joins, universals, disjunction-with-negation shapes; three monotone
+/// entries (two CQs with an inequality and a positive one), which the
+/// regimes decide by Proposition 4 — one reads only the copied relation,
+/// so its image sweep drops every null, all of them `SdT`'s; and — last —
+/// the *correlated* §1 implication,
 /// which the seeded anti-join lowering compiles to a plan (asserted
 /// below), so the regime engines evaluate it on the incremental index
 /// inside `for_each_union`/member sweeps instead of tree-walking.
@@ -79,6 +81,7 @@ fn battery() -> Vec<Query> {
         )
         .unwrap(),
         Query::parse(&["x"], "exists y. RdT(x, y) | SdT(x, y)").unwrap(),
+        Query::parse(&["p"], "exists a b. RdT(p, a) & RdT(p, b) & a != b").unwrap(),
         Query::parse(
             &["p"],
             "exists a. SdT(p, a) & (forall b. (SdT(p, b) -> a = b))",
