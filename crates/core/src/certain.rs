@@ -52,6 +52,14 @@ pub enum Regime {
     OpenBounded,
 }
 
+impl Regime {
+    /// Is the procedure's witness space exhaustive for its query class, so
+    /// that an uncapped search that finds no refutation is definitive?
+    pub(crate) fn is_exact(self) -> bool {
+        self != Regime::OpenBounded
+    }
+}
+
 /// Outcome of a certain-answer decision.
 #[derive(Clone, Debug)]
 pub struct CertainOutcome {
@@ -152,7 +160,8 @@ impl Exchange<'_> {
             return naive_outcome(ev.holds_on(&self.csol.rel_part(), tuple));
         }
 
-        let space = self.witness_space(&ev, budget, None);
+        let regime = self.refutation_regime(&ev);
+        let space = self.witness_space(&ev, regime, budget, None);
         let mut palette = tuple_palette(query.formula.constants(), tuple);
         palette.extend(&space.palette);
         let (_, outcome) = refutation_sweep(
@@ -161,61 +170,74 @@ impl Exchange<'_> {
             &palette,
             &space.budget,
             vec![tuple.clone()],
+            &mut |_, _| {},
         );
-        refutation_outcome(outcome, space.regime, space.exact)
+        refutation_outcome(outcome, regime, space.exact, &self.csol)
     }
 
-    /// The witness space a refutation of the non-positive `query` searches
-    /// — one choice per `(query, csol, budget)`, shared by
+    /// The procedure a refutation of the non-positive query of `ev` takes
+    /// on this csol. It reads the csol (a relation is rigid only while it
+    /// is ground and closed), so a maintained answer set re-checks it
+    /// after every batch.
+    ///
+    /// Proposition 4: monotone queries — certain_Σα(Q,S) = □Q(CSol(S)),
+    /// decided by valuation search over Rep(CSol) (all-closed Rep_A). The
+    /// class is taken **modulo rigid relations** (ground, fully closed, no
+    /// all-open marker — their extension is pinned in every member, see
+    /// `dx_logic::classify::rigid_relations_of`): a negated atom over a
+    /// rigid relation never changes value as members grow, so a query that
+    /// is monotone apart from such atoms still has its minimal falsifiers
+    /// among the extras-free valuation images, and the image sweep stays
+    /// exact. With no rigid negations this is exactly Proposition 4.
+    pub(crate) fn refutation_regime(&self, ev: &QueryEval) -> Regime {
+        let formula = &ev.query().formula;
+        let rigid = classify::rigid_relations_of(formula, &self.csol);
+        if classify::is_monotone_rigid(formula, &rigid) {
+            return Regime::Monotone;
+        }
+        match classify::classify(formula) {
+            QueryClass::UniversalExistential => Regime::UniversalExistential,
+            _ if self.mapping.is_all_closed() => Regime::ClosedWorld,
+            _ => Regime::OpenBounded,
+        }
+    }
+
+    /// The witness space a refutation under `regime` searches — one choice
+    /// per `(query, csol, budget)`, shared by
     /// [`Exchange::certain_contains`] and every palette group of
     /// [`Exchange::certain_answers`]. `image_cap` caps the Proposition 4
     /// image sweep's leaves (`None`: exhaustive).
     fn witness_space(
         &self,
         ev: &QueryEval,
+        regime: Regime,
         budget: Option<&SearchBudget>,
         image_cap: Option<u64>,
     ) -> WitnessSpace<'_> {
         let query = ev.query();
-        // Proposition 4: monotone queries — certain_Σα(Q,S) = □Q(CSol(S)),
-        // decided by valuation search over Rep(CSol) (all-closed Rep_A).
-        // The class is taken **modulo rigid relations** (ground, fully
-        // closed, no all-open marker — their extension is pinned in every
-        // member, see `dx_logic::classify::rigid_relations_of`): a negated
-        // atom over a rigid relation never changes value as members grow,
-        // so a query that is monotone apart from such atoms still has its
-        // minimal falsifiers among the extras-free valuation images, and
-        // the image sweep stays exact. With no rigid negations this is
-        // exactly Proposition 4. A compiled query reads only the relations
-        // it scans, so the sweep searches only those, over the full csol's
-        // palette: the images of that restriction are the projections of
-        // the full images (DESIGN.md §dx-core `regimes`). The tree walker
-        // quantifies over the active domain, so a query that did not
-        // compile searches the whole csol.
-        let rigid = classify::rigid_relations_of(&query.formula, &self.csol);
-        if classify::is_monotone_rigid(&query.formula, &rigid) {
-            let (instance, palette) = if ev.is_compiled() {
-                let reads = query.formula.relations();
-                let read = |rel| reads.iter().any(|&(r, _)| r == rel);
-                let closed = self.csol.restricted(read).reannotate_all_closed();
-                (closed, self.csol.adom_consts())
-            } else {
-                (self.csol.reannotate_all_closed(), BTreeSet::new())
-            };
-            return WitnessSpace {
-                instance: Cow::Owned(instance),
-                palette,
-                budget: SearchBudget {
+        let (instance, palette, budget) = match regime {
+            // A compiled query reads only the relations it scans, so the
+            // image sweep searches only those, over the full csol's
+            // palette: the images of that restriction are the projections
+            // of the full images (DESIGN.md §dx-core `regimes`). The tree
+            // walker quantifies over the active domain, so a query that did
+            // not compile searches the whole csol.
+            Regime::Monotone => {
+                let (instance, palette) = if ev.is_compiled() {
+                    let reads = query.formula.relations();
+                    let read = |rel| reads.iter().any(|&(r, _)| r == rel);
+                    let closed = self.csol.restricted(read).reannotate_all_closed();
+                    (closed, self.csol.adom_consts())
+                } else {
+                    (self.csol.reannotate_all_closed(), BTreeSet::new())
+                };
+                let budget = SearchBudget {
                     max_leaves: image_cap,
                     ..SearchBudget::closed_world()
-                },
-                regime: Regime::Monotone,
-                exact: true,
-            };
-        }
-
-        let (budget, regime, exact) = match classify::classify(&query.formula) {
-            QueryClass::UniversalExistential => {
+                };
+                (Cow::Owned(instance), palette, budget)
+            }
+            Regime::UniversalExistential => {
                 // Prop 5: β = ¬φ(t̄) is ∃^l ∀* with l = the number of
                 // universal variables of φ (they become β's existential
                 // block); the counterexample needs at most l·arity(τ)
@@ -231,26 +253,65 @@ impl Exchange<'_> {
                 // report the truncation.
                 prop5.max_leaves =
                     budget.map_or(SearchBudget::default().max_leaves, |b| b.max_leaves);
-                (prop5, Regime::UniversalExistential, true)
+                (Cow::Borrowed(&*self.csol), BTreeSet::new(), prop5)
             }
-            _ if self.mapping.is_all_closed() => {
-                (SearchBudget::closed_world(), Regime::ClosedWorld, true)
-            }
+            Regime::ClosedWorld => (
+                Cow::Borrowed(&*self.csol),
+                BTreeSet::new(),
+                SearchBudget::closed_world(),
+            ),
             // An explicit caller budget always wins (e.g. exhaustive
             // Lemma 2 runs).
             _ => (
+                Cow::Borrowed(&*self.csol),
+                BTreeSet::new(),
                 budget.cloned().unwrap_or_default(),
-                Regime::OpenBounded,
-                false,
             ),
         };
         WitnessSpace {
-            instance: Cow::Borrowed(&self.csol),
-            palette: BTreeSet::new(),
+            instance,
+            palette,
             budget,
-            regime,
-            exact,
+            exact: regime.is_exact(),
         }
+    }
+
+    /// The certain answers among `candidates` of the non-positive query of
+    /// `ev`, refuted under `regime` by one sweep per palette group, with
+    /// the worst per-group completeness. Every refuting leaf is handed to
+    /// `on_refute` with the candidates it refuted; the batch entry points
+    /// pass an empty callback, a stream session keeps the witnesses.
+    pub(crate) fn refute_candidates(
+        &self,
+        ev: &QueryEval,
+        regime: Regime,
+        candidates: Vec<Tuple>,
+        budget: Option<&SearchBudget>,
+        image_cap: Option<u64>,
+        on_refute: &mut dyn FnMut(&Leaf<'_>, Vec<Tuple>),
+    ) -> (Relation, Completeness) {
+        let query = ev.query();
+        let space = self.witness_space(ev, regime, budget, image_cap);
+        let mut rel = Relation::new(query.arity());
+        let mut completeness = Completeness::Exact;
+        for (mut palette, group) in
+            palette_groups(query.formula.constants(), candidates, &self.csol)
+        {
+            palette.extend(&space.palette);
+            let (survivors, outcome) = refutation_sweep(
+                ev,
+                &space.instance,
+                &palette,
+                &space.budget,
+                group,
+                on_refute,
+            );
+            completeness = completeness.worse(outcome_completeness(&outcome, space.exact));
+            for t in survivors {
+                rel.insert(t);
+            }
+        }
+        (rel, completeness)
     }
 
     /// Compute the certain-answer relation. Candidate tuples range over
@@ -310,22 +371,8 @@ impl Exchange<'_> {
 
         let consts: Vec<ConstId> = palette.into_iter().collect();
         let candidates = candidate_tuples(&consts, query.arity());
-        let space = self.witness_space(&ev, budget, image_cap);
-        let mut rel = Relation::new(query.arity());
-        let mut completeness = Completeness::Exact;
-        for (mut palette, group) in
-            palette_groups(query.formula.constants(), candidates, &self.csol)
-        {
-            palette.extend(&space.palette);
-            let (survivors, outcome) =
-                refutation_sweep(&ev, &space.instance, &palette, &space.budget, group);
-            let out = refutation_outcome(outcome, space.regime, space.exact);
-            completeness = completeness.worse(out.completeness);
-            for t in survivors {
-                rel.insert(t);
-            }
-        }
-        (rel, completeness)
+        let regime = self.refutation_regime(&ev);
+        self.refute_candidates(&ev, regime, candidates, budget, image_cap, &mut |_, _| {})
     }
 
     /// Certain answers under the **1-to-m** reading of open nulls (the
@@ -361,9 +408,15 @@ impl Exchange<'_> {
             })
             .sum();
         let budget = SearchBudget::one_to_m(m, open_templates, self.mapping.target.max_arity());
-        let (_, outcome) =
-            refutation_sweep(&ev, &self.csol, &query_consts, &budget, vec![tuple.clone()]);
-        refutation_outcome(outcome, Regime::OpenBounded, true)
+        let (_, outcome) = refutation_sweep(
+            &ev,
+            &self.csol,
+            &query_consts,
+            &budget,
+            vec![tuple.clone()],
+            &mut |_, _| {},
+        );
+        refutation_outcome(outcome, Regime::OpenBounded, true, &self.csol)
     }
 
     /// Positive-query certain answers in the presence of **target
@@ -430,7 +483,7 @@ impl Exchange<'_> {
         } else {
             Regime::OpenBounded
         };
-        let out = refutation_outcome(outcome, regime, closed);
+        let out = refutation_outcome(outcome, regime, closed, &self.csol);
         // The search looks for a witness, not a counterexample: finding
         // one proves possibility.
         CertainOutcome {
@@ -444,32 +497,42 @@ impl Exchange<'_> {
 /// (`CSol_A(S)`, or the all-closed reading of the relations the query
 /// reads for the Proposition 4 image sweep), the constants every search
 /// adds to its palette (the csol's, when the instance is a restriction of
-/// it), the search budget, the procedure, and whether that space is
-/// exhaustive for the query class (then an uncapped search is
-/// [`Completeness::Exact`]).
+/// it), the search budget, and whether that space is exhaustive for the
+/// query class (then an uncapped search is [`Completeness::Exact`]).
 struct WitnessSpace<'a> {
     instance: Cow<'a, AnnInstance>,
     palette: BTreeSet<ConstId>,
     budget: SearchBudget,
-    regime: Regime,
     exact: bool,
 }
 
 /// One `Rep_A(t)` search for a set of candidate tuples: every leaf drops
-/// the candidates it refutes (those `ev` does not hold for), and the
-/// search stops once none survive. Returns the survivors and the search
-/// outcome, whose witness — when the sweep emptied — refuted the last
-/// survivor; the survivors are the candidates a search for each alone
-/// finds no refutation for (DESIGN.md §dx-core `regimes`).
+/// the candidates it refutes (those `ev` does not hold for) and hands them
+/// with the leaf to `on_refute`, and the search stops once none survive.
+/// Returns the survivors and the search outcome, whose witness — when the
+/// sweep emptied — refuted the last survivor; the survivors are the
+/// candidates a search for each alone finds no refutation for (DESIGN.md
+/// §dx-core `regimes`).
 pub(crate) fn refutation_sweep(
     ev: &QueryEval,
     t: &AnnInstance,
     palette: &BTreeSet<ConstId>,
     budget: &SearchBudget,
     mut survivors: Vec<Tuple>,
+    on_refute: &mut dyn FnMut(&Leaf<'_>, Vec<Tuple>),
 ) -> (Vec<Tuple>, SearchOutcome) {
     let outcome = search_rep_a_indexed(t, palette, budget, &mut |leaf: &Leaf| {
-        survivors.retain(|c| ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), c));
+        let mut refuted = Vec::new();
+        survivors.retain(|c| {
+            let holds = ev.holds_on_indexed(leaf.index(), || leaf.index().to_instance(), c);
+            if !holds {
+                refuted.push(c.clone());
+            }
+            holds
+        });
+        if !refuted.is_empty() {
+            on_refute(leaf, refuted);
+        }
         survivors.is_empty()
     });
     (survivors, outcome)
@@ -518,23 +581,33 @@ pub(crate) fn naive_outcome(certain: bool) -> CertainOutcome {
     }
 }
 
+/// The completeness of a refutation search: an `exact` witness space
+/// upgrades every uncapped report to [`Completeness::Exact`].
+pub(crate) fn outcome_completeness(outcome: &SearchOutcome, exact: bool) -> Completeness {
+    match (outcome.completeness, exact) {
+        (Completeness::Capped, _) => Completeness::Capped,
+        (_, true) => Completeness::Exact,
+        (c, false) => c,
+    }
+}
+
 /// Turn a refutation search into a [`CertainOutcome`]: certain iff no
-/// witness was found; an `exact` witness space upgrades every uncapped
-/// report to [`Completeness::Exact`].
+/// witness was found, with [`outcome_completeness`]. The witness is
+/// materialized over the full `csol`, so a witness of a restricted space
+/// (the Proposition 4 sweep reads only the query's relations) becomes a
+/// member of `Rep_A(csol)`: the nulls it never valued take
+/// [`Witness::free_const`](dx_solver::Witness::free_const).
 pub(crate) fn refutation_outcome(
     outcome: SearchOutcome,
     regime: Regime,
     exact: bool,
+    csol: &AnnInstance,
 ) -> CertainOutcome {
     CertainOutcome {
         certain: outcome.witness.is_none(),
-        completeness: match (outcome.completeness, exact) {
-            (Completeness::Capped, _) => Completeness::Capped,
-            (_, true) => Completeness::Exact,
-            (c, false) => c,
-        },
+        completeness: outcome_completeness(&outcome, exact),
         regime,
-        counterexample: outcome.witness.map(|(i, _)| i),
+        counterexample: outcome.witness.as_ref().map(|w| w.to_instance(csol)),
         leaves: outcome.leaves,
     }
 }

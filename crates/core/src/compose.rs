@@ -18,7 +18,7 @@
 use crate::{semantics, Exchange};
 use dx_chase::{is_owa_solution, Mapping};
 use dx_relation::{ConstId, Instance, Tuple};
-use dx_solver::{search_rep_a_indexed, Completeness, Leaf, SearchBudget};
+use dx_solver::{search_rep_a_indexed, Completeness, Leaf, SearchBudget, Witness};
 use std::collections::BTreeSet;
 
 /// Which path decided a composition query.
@@ -108,15 +108,15 @@ impl Exchange<'_> {
             // valuation enumeration.
             if let Some(pre) = delta_preimage(delta, &self.csol.rel_part()) {
                 let v = dx_solver::find_embedding_valuation(&pre, w);
-                let intermediate = v.map(|mut val| {
-                    // Nulls Δ never looks at are unconstrained; ground them so
-                    // the reported intermediate is a Const-instance.
-                    for n in self.csol.nulls() {
-                        if !val.is_defined(n) {
-                            val.set(n, ConstId::new("⋆free"));
-                        }
-                    }
-                    self.csol.rel_part().apply(&val)
+                // Nulls Δ never looks at are unconstrained; the witness
+                // grounds them, so the reported intermediate is a
+                // Const-instance.
+                let intermediate = v.map(|valuation| {
+                    let witness = Witness {
+                        valuation,
+                        extras: Vec::new(),
+                    };
+                    witness.to_instance(&self.csol)
                 });
                 return CompOutcome {
                     member: intermediate.is_some(),
@@ -134,7 +134,7 @@ impl Exchange<'_> {
                 member: out.witness.is_some(),
                 completeness: Completeness::Exact,
                 path: CompPath::MonotoneOpen,
-                intermediate: out.witness.map(|(j, _)| j),
+                intermediate: out.witness.map(|j| j.to_instance(&self.csol)),
                 leaves: out.leaves,
             };
         }
@@ -198,7 +198,7 @@ impl Exchange<'_> {
             member: out.witness.is_some(),
             completeness,
             path,
-            intermediate: out.witness.map(|(j, _)| j),
+            intermediate: out.witness.map(|j| j.to_instance(&self.csol)),
             leaves: out.leaves,
         }
     }

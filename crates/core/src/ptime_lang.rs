@@ -121,7 +121,7 @@ impl Exchange<'_> {
                 &SearchBudget::closed_world(),
                 &mut check,
             );
-            return refutation_outcome(outcome, Regime::Monotone, false);
+            return refutation_outcome(outcome, Regime::Monotone, false, &self.csol);
         }
 
         let (search_budget, regime, exact) = if self.mapping.is_all_closed() {
@@ -134,7 +134,7 @@ impl Exchange<'_> {
             )
         };
         let outcome = search_rep_a_indexed(&self.csol, &query_consts, &search_budget, &mut check);
-        refutation_outcome(outcome, regime, exact)
+        refutation_outcome(outcome, regime, exact, &self.csol)
     }
 
     /// The full certain-answer relation for a black-box PTIME query

@@ -378,6 +378,7 @@ impl Exchange<'_> {
             &palette,
             &budget,
             upper0.iter().cloned().collect(),
+            &mut |_, _| {},
         );
         let upper = Relation::from_tuples(query.arity(), survivors);
         let tight = lower == upper;

@@ -19,10 +19,22 @@
 //!   post-update solution ([`IncrementalExchange::csol_index`]). By
 //!   Proposition 3 the null-free answers are the certain ones, so a
 //!   positive compiled query recomputes only when it is registered.
-//! * **Recompute** — non-positive queries and the non-monotone regimes
-//!   (GCWA\*, under/over approximation) re-run on the *maintained*
-//!   canonical solution — still skipping the chase, which is the dominant
-//!   cost — through the [`Exchange`] methods over the borrowed maintained
+//! * **Revalidate or recompute** — non-positive compiled `certain` queries
+//!   whose witness space is exact (Proposition 4 monotone, Proposition 5
+//!   `∀*∃*`, all-closed) carry their refutations: per refuting leaf, the
+//!   witness's valuation and extras and its image over the relations the
+//!   query reads, as a persistent [`DeltaIndex`]. A batch applies the csol
+//!   delta to every image and re-probes each refuted candidate once with a
+//!   first-witness plan probe. By Theorem 1(4) the updated image is again
+//!   a member of `Rep_A` of the new csol, so a candidate it still refutes
+//!   is still not certain. Only the certain candidates, the candidates
+//!   whose image stopped refuting and those new to the palette go through
+//!   the refutation sweep of [`Exchange::certain_answers`]; a batch that
+//!   searched nothing reports [`QueryPath::DeltaPlan`]. Everything else —
+//!   a bounded witness space, a query that did not compile, a change of
+//!   procedure, and the GCWA\* and approximation regimes — re-runs on the
+//!   *maintained* canonical solution (still skipping the chase, the
+//!   dominant cost) through the [`Exchange`] methods over the borrowed
 //!   solution.
 //!
 //! A maintained answer set is kept ready to read: its null-free answers
@@ -33,15 +45,18 @@
 //! exchange reports the constants that entered and left `adom(S)` in each
 //! batch, and the session moves answers between the two sets by them.
 
-use crate::regimes::{ApproxOutcome, GcwaOutcome, RegimeBudget};
+use crate::certain::{candidate_tuples, Regime};
+use crate::regimes::{answer_palette, ApproxOutcome, GcwaOutcome, RegimeBudget};
 use crate::Exchange;
 use dx_chase::{Mapping, TargetDep};
 use dx_engine::{IncrementalExchange, UpdateReport};
 use dx_logic::classify;
 use dx_logic::Query;
 use dx_query::{PlanCatalog, QueryEval};
-use dx_relation::{ConstId, Instance, RelSym, Relation, Tuple, Update};
-use dx_solver::{Completeness, SearchBudget};
+use dx_relation::{
+    AnnInstance, ConstId, DeltaIndex, Instance, RelSym, Relation, Tuple, Update, Valuation,
+};
+use dx_solver::{Completeness, SearchBudget, Witness};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -62,14 +77,26 @@ pub enum StreamRegime {
 pub enum QueryPath {
     /// The delta did not reach the query — stored answers still exact.
     Skipped,
-    /// Delta-plan maintenance ([`dx_query::dred`]) over the batch's added
-    /// and removed tuples.
+    /// Maintained from the batch's delta, no search: delta plans
+    /// ([`dx_query::dred`]) over the batch's added and removed tuples, or
+    /// carried refutations that all still refute.
     DeltaPlan {
-        /// Null-free answers the batch gained plus those it lost.
+        /// Answers the batch gained plus those it lost.
         delta_answers: usize,
     },
-    /// Full re-evaluation on the maintained canonical solution.
+    /// Re-evaluation on the maintained canonical solution: in full, or a
+    /// refutation sweep over the candidates no carried witness refutes.
     Recomputed,
+}
+
+/// How the carried refutations of one registered query fared in one
+/// batch (both zero for a query that carries none).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WitnessCounts {
+    /// Refuted candidates a carried image still refutes.
+    pub revalidated: usize,
+    /// Candidates that went through a refutation sweep.
+    pub researched: usize,
 }
 
 /// The maintained answer state of one registered query.
@@ -77,8 +104,9 @@ enum AnswerState {
     /// Positive compiled `certain` query, carried across batches by delta
     /// plans (completeness is always exact on this path).
     Maintained(Maintained),
-    /// `certain` query outside the maintained representation.
-    Computed(Relation, Completeness),
+    /// `certain` query outside the maintained representation, with the
+    /// refutations it carries across batches.
+    Computed(Computed),
     /// GCWA\* outcome, recomputed when the delta reaches the query.
     Gcwa(GcwaOutcome),
     /// Approximation bracket, recomputed when the delta reaches the query.
@@ -100,6 +128,109 @@ struct Maintained {
     held: Relation,
 }
 
+/// The answers of a `certain` query outside the maintained
+/// representation.
+struct Computed {
+    answers: Relation,
+    completeness: Completeness,
+    /// The carried refutations; `None` when the query did not compile or
+    /// its witness space is not exact, and every batch that reaches the
+    /// query recomputes it.
+    carry: Option<Carry>,
+}
+
+/// The refutations of a compiled non-positive query's non-answers, found
+/// in the exact witness space of `regime`: every candidate that is not an
+/// answer is refuted by exactly one carried witness.
+struct Carry {
+    eval: Arc<QueryEval>,
+    regime: Regime,
+    witnesses: Vec<Carried>,
+}
+
+/// One refuting leaf, carried across batches: its witness cut down to the
+/// relations the query reads (the valuation of their live nulls, the
+/// extras among them), the witness's image over those relations, and the
+/// candidates it refutes. The image holds one refcount per annotated csol
+/// tuple (as [`IncrementalExchange::csol_index`] does) plus one per extra,
+/// so a batch's annotated delta moves it exactly.
+struct Carried {
+    witness: Witness,
+    image: DeltaIndex,
+    refutes: Vec<Tuple>,
+}
+
+impl Carried {
+    /// Cut `witness` down to `rels` and build its image over `csol`.
+    fn new(
+        witness: Witness,
+        refutes: Vec<Tuple>,
+        csol: &AnnInstance,
+        rels: &BTreeSet<RelSym>,
+    ) -> Self {
+        let free = Witness::free_const();
+        let mut image = DeltaIndex::new();
+        let mut valuation = Valuation::new();
+        for &rel in rels {
+            let Some(arel) = csol.relation(rel) else {
+                continue;
+            };
+            image.declare(rel, arel.arity());
+            for at in arel.iter() {
+                for n in at.tuple.nulls() {
+                    valuation.set(n, witness.valuation.get(n).unwrap_or(free));
+                }
+                image.insert(rel, witness.value(&at.tuple, free));
+            }
+        }
+        let extras: Vec<(RelSym, Tuple)> = (witness.extras.into_iter())
+            .filter(|(rel, _)| rels.contains(rel))
+            .collect();
+        for (rel, t) in &extras {
+            image.insert(*rel, t.clone());
+        }
+        Carried {
+            witness: Witness { valuation, extras },
+            image,
+            refutes,
+        }
+    }
+
+    /// Does the batch leave the witness a member of `Rep_A` of the new
+    /// csol? An extras-free image is a member whatever the batch did. An
+    /// extra needs an open tuple or an all-open marker of its relation to
+    /// license it, so a witness with extras dies when the batch removes a
+    /// tuple from one of its extras' relations or flips an empty marker.
+    fn survives(&self, report: &UpdateReport) -> bool {
+        let extras = &self.witness.extras;
+        let touches =
+            |(rel, _): &(RelSym, dx_relation::AnnTuple)| extras.iter().any(|(r, _)| r == rel);
+        extras.is_empty() || (!report.marks_changed && !report.removed.iter().any(touches))
+    }
+
+    /// Apply the batch's csol delta on `rels` to the image: `v(t)` leaves
+    /// for a removed tuple `t` and enters for an added one, a null born in
+    /// the batch taking [`Witness::free_const`], and the nulls of removed
+    /// tuples (which died with them) leave the valuation.
+    fn apply(&mut self, report: &UpdateReport, rels: &BTreeSet<RelSym>) {
+        let free = Witness::free_const();
+        let touched = |(rel, _): &&(RelSym, dx_relation::AnnTuple)| rels.contains(rel);
+        for (rel, at) in report.removed.iter().filter(touched) {
+            self.image
+                .remove(*rel, &self.witness.value(&at.tuple, free));
+        }
+        for (rel, at) in report.added.iter().filter(touched) {
+            self.image.insert(*rel, self.witness.value(&at.tuple, free));
+        }
+        // Only now: the head atoms of one dying witness share its nulls.
+        for (_, at) in report.removed.iter().filter(touched) {
+            for n in at.tuple.nulls() {
+                self.witness.valuation.unset(n);
+            }
+        }
+    }
+}
+
 struct Registered {
     name: String,
     query: Query,
@@ -116,6 +247,9 @@ pub struct SessionReport {
     pub update: UpdateReport,
     /// `(query name, path)` per registered query, in registration order.
     pub queries: Vec<(String, QueryPath)>,
+    /// The carried refutations' counts per registered query, in
+    /// registration order.
+    pub witnesses: Vec<WitnessCounts>,
 }
 
 /// A streaming data-exchange session: one incrementally maintained
@@ -205,10 +339,15 @@ impl StreamSession {
             query,
             regime,
             rels,
-            state: AnswerState::Computed(Relation::new(0), Completeness::Exact),
+            state: AnswerState::Computed(Computed {
+                answers: Relation::new(0),
+                completeness: Completeness::Exact,
+                carry: None,
+            }),
         };
         self.recompute(&mut reg);
         self.queries.push(reg);
+        self.publish_carried_slots();
     }
 
     /// The current `(answers, completeness)` of a registered query. For
@@ -218,7 +357,7 @@ impl StreamSession {
         let reg = self.queries.iter().find(|r| r.name == name)?;
         Some(match &reg.state {
             AnswerState::Maintained(m) => (m.ready.clone(), Completeness::Exact),
-            AnswerState::Computed(rel, c) => (rel.clone(), *c),
+            AnswerState::Computed(c) => (c.answers.clone(), c.completeness),
             AnswerState::Gcwa(o) => (o.answers.clone(), o.completeness),
             AnswerState::Approx(o) => (o.lower.clone(), o.completeness),
         })
@@ -249,7 +388,7 @@ impl StreamSession {
         let changed = report.changed_rels();
         // The search-based states depend on the *whole* solution (extra
         // open tuples draw constants from the full active domain, and empty
-        // markers shape `Rep_A`), so any delta at all forces a recompute.
+        // markers shape `Rep_A`), so any delta at all reaches them.
         let settled = changed.is_empty()
             && report.adom_entered.is_empty()
             && report.adom_left.is_empty()
@@ -269,8 +408,10 @@ impl StreamSession {
         }
 
         let mut paths = Vec::with_capacity(self.queries.len());
+        let mut witnesses = Vec::with_capacity(self.queries.len());
         let mut queries = std::mem::take(&mut self.queries);
         for reg in &mut queries {
+            let mut counts = WitnessCounts::default();
             let path = match &mut reg.state {
                 // Depends only on the relations the (positive) query reads,
                 // plus the palette its answers are split by.
@@ -288,18 +429,170 @@ impl StreamSession {
                     path
                 }
                 _ if settled => QueryPath::Skipped,
+                AnswerState::Computed(Computed {
+                    carry: Some(carry), ..
+                }) if self.exchange_view().refutation_regime(&carry.eval) == carry.regime => {
+                    let (path, c) = self.revalidate(reg, &report);
+                    counts = c;
+                    path
+                }
                 _ => {
-                    self.recompute(reg);
+                    counts.researched = self.recompute(reg);
                     QueryPath::Recomputed
                 }
             };
             paths.push((reg.name.clone(), path));
+            witnesses.push(counts);
         }
         self.queries = queries;
+        self.publish_carried_slots();
         SessionReport {
             update: report,
             queries: paths,
+            witnesses,
         }
+    }
+
+    /// Carry a `Computed` answer set across a batch by its refutations
+    /// (module docs): every carried image takes the batch's delta, every
+    /// candidate it refuted is re-probed on it, and only the candidates
+    /// left without a refutation — the certain ones, those whose witness
+    /// died or stopped refuting, those new to the palette — go through a
+    /// refutation sweep, whose refuting leaves are carried on.
+    fn revalidate(
+        &self,
+        reg: &mut Registered,
+        report: &UpdateReport,
+    ) -> (QueryPath, WitnessCounts) {
+        let _span = dx_obs::span!("core.stream.revalidate");
+        let AnswerState::Computed(state) = &mut reg.state else {
+            unreachable!("only computed states carry refutations");
+        };
+        let carry = state.carry.as_mut().expect("a carrying state");
+        let consts = reg.query.formula.constants();
+        let left: Vec<ConstId> = (report.adom_left.iter().copied())
+            .filter(|c| !consts.contains(c))
+            .collect();
+        let candidate = |t: &Tuple| !t.consts().any(|c| left.contains(&c));
+
+        let mut research: Vec<Tuple> = state
+            .answers
+            .iter()
+            .filter(|t| candidate(t))
+            .cloned()
+            .collect();
+        let lost = state.answers.len() - research.len();
+        let mut counts = WitnessCounts::default();
+        let eval = &carry.eval;
+        carry.witnesses.retain_mut(|w| {
+            let refutes = std::mem::take(&mut w.refutes)
+                .into_iter()
+                .filter(|t| candidate(t));
+            if !w.survives(report) {
+                research.extend(refutes);
+                return false;
+            }
+            w.apply(report, &reg.rels);
+            let image = &w.image;
+            for t in refutes {
+                if eval.holds_on_indexed(image, || image.to_instance(), &t) {
+                    research.push(t);
+                } else {
+                    w.refutes.push(t);
+                }
+            }
+            counts.revalidated += w.refutes.len();
+            !w.refutes.is_empty()
+        });
+        research.extend(self.new_candidates(&reg.query, &consts, report));
+        dx_obs::count!("core.stream.witness.revalidated", counts.revalidated);
+        if research.is_empty() {
+            // Every candidate is refuted by a member of the new `Rep_A`.
+            state.answers = Relation::new(reg.query.arity());
+            state.completeness = Completeness::Exact;
+            return (
+                QueryPath::DeltaPlan {
+                    delta_answers: lost,
+                },
+                counts,
+            );
+        }
+        counts.researched = research.len();
+        (state.answers, state.completeness) = self.sweep(&reg.rels, carry, research);
+        (QueryPath::Recomputed, counts)
+    }
+
+    /// The candidates `Q`'s palette `adom(S) ∪ consts(Q)` gained in this
+    /// batch: the tuples over the new palette with a constant that entered
+    /// `adom(S)` (none for a Boolean query).
+    fn new_candidates(
+        &self,
+        query: &Query,
+        consts: &BTreeSet<ConstId>,
+        report: &UpdateReport,
+    ) -> Vec<Tuple> {
+        let entered: Vec<ConstId> = (report.adom_entered.iter().copied())
+            .filter(|c| !consts.contains(c))
+            .collect();
+        if query.arity() == 0 || entered.is_empty() {
+            return Vec::new();
+        }
+        let palette: Vec<ConstId> = answer_palette(self.inc.source(), query)
+            .into_iter()
+            .collect();
+        let mut fresh = candidate_tuples(&palette, query.arity());
+        fresh.retain(|t| t.consts().any(|c| entered.contains(&c)));
+        fresh
+    }
+
+    /// One refutation sweep over `candidates` in `carry`'s witness space,
+    /// carrying every refuting leaf on; returns the survivors and the
+    /// sweep's completeness.
+    fn sweep(
+        &self,
+        rels: &BTreeSet<RelSym>,
+        carry: &mut Carry,
+        candidates: Vec<Tuple>,
+    ) -> (Relation, Completeness) {
+        dx_obs::count!("core.stream.witness.researched", candidates.len());
+        let ex = self.exchange_view();
+        let mut found = Vec::new();
+        let out = ex.refute_candidates(
+            &carry.eval,
+            carry.regime,
+            candidates,
+            self.search_budget.as_ref(),
+            None,
+            &mut |leaf, refuted| found.push((leaf.witness(), refuted)),
+        );
+        let csol = self.inc.csol();
+        for (witness, refutes) in found {
+            carry
+                .witnesses
+                .push(Carried::new(witness, refutes, csol, rels));
+        }
+        out
+    }
+
+    /// The batch entry points over the maintained canonical solution,
+    /// borrowed (never cloned) from the incremental exchange.
+    fn exchange_view(&self) -> Exchange<'_> {
+        Exchange::from_csol(&self.mapping, self.inc.source(), self.inc.csol())
+    }
+
+    /// Publish the live slots across every carried image.
+    fn publish_carried_slots(&self) {
+        dx_obs::gauge!(
+            "mem.stream.carried_slots",
+            (self.queries.iter())
+                .filter_map(|r| match &r.state {
+                    AnswerState::Computed(Computed { carry: Some(c), .. }) => Some((r, c)),
+                    _ => None,
+                })
+                .flat_map(|(r, c)| c.witnesses.iter().map(move |w| (r, w)))
+                .flat_map(|(r, w)| r.rels.iter().map(|&rel| w.image.rel_len(rel)))
+                .sum::<usize>()
+        );
     }
 
     /// Carry a maintained answer set across a batch that reached its
@@ -373,14 +666,21 @@ impl StreamSession {
 
     /// Full re-evaluation of one query on the maintained canonical
     /// solution, borrowed (never cloned) from the incremental exchange.
-    fn recompute(&self, reg: &mut Registered) {
-        let ex = Exchange::from_csol(&self.mapping, self.inc.source(), self.inc.csol());
+    /// Returns the candidates a carrying refutation sweep went through (0
+    /// when the query carries no refutations).
+    fn recompute(&self, reg: &mut Registered) -> usize {
+        let ex = self.exchange_view();
         let budget = self.search_budget.as_ref();
+        let mut researched = 0;
         reg.state = match reg.regime {
             StreamRegime::Certain => {
                 let ev = PlanCatalog::shared().eval_in(&reg.query, &self.mapping.target);
-                match ev.compiled() {
-                    Some(plan) if classify::is_positive(&reg.query.formula) => {
+                let positive = classify::is_positive(&reg.query.formula);
+                let regime = (ev.is_compiled() && !positive)
+                    .then(|| ex.refutation_regime(&ev))
+                    .filter(|r| r.is_exact());
+                match (ev.compiled(), regime) {
+                    (Some(plan), _) if positive => {
                         let consts = reg.query.formula.constants();
                         let mut ready = plan.answers_store(self.inc.csol_index());
                         let mut held = Relation::new(ready.arity());
@@ -398,9 +698,31 @@ impl StreamSession {
                             held,
                         })
                     }
+                    (_, Some(regime)) => {
+                        let consts: Vec<ConstId> = answer_palette(self.inc.source(), &reg.query)
+                            .into_iter()
+                            .collect();
+                        let candidates = candidate_tuples(&consts, reg.query.arity());
+                        researched = candidates.len();
+                        let mut carry = Carry {
+                            eval: ev,
+                            regime,
+                            witnesses: Vec::new(),
+                        };
+                        let (answers, completeness) = self.sweep(&reg.rels, &mut carry, candidates);
+                        AnswerState::Computed(Computed {
+                            answers,
+                            completeness,
+                            carry: Some(carry),
+                        })
+                    }
                     _ => {
-                        let (rel, c) = ex.certain_answers(&reg.query, budget);
-                        AnswerState::Computed(rel, c)
+                        let (answers, completeness) = ex.certain_answers(&reg.query, budget);
+                        AnswerState::Computed(Computed {
+                            answers,
+                            completeness,
+                            carry: None,
+                        })
                     }
                 }
             }
@@ -411,6 +733,7 @@ impl StreamSession {
                 AnswerState::Approx(ex.approx_certain_answers(&reg.query, budget))
             }
         };
+        researched
     }
 }
 
@@ -597,6 +920,51 @@ mod tests {
             names(&sess.answers("neg").unwrap().0),
             names(&oracle(&mapping, &source, &q))
         );
+    }
+
+    /// A carried refutation survives a batch that leaves its witness a
+    /// member and still refutes, with no search; a batch that removes the
+    /// open tuple licensing its extra kills it, and the re-search flips
+    /// the answer to certain.
+    #[test]
+    fn a_dead_witness_is_researched_and_the_answer_flips() {
+        let mapping = Mapping::parse("StrmS(p:cl, a:op) <- StrmP(p)").unwrap();
+        let mut source = Instance::new();
+        source.insert_names("StrmP", &["p9"]);
+        let mut sess = StreamSession::new(mapping.clone(), Vec::new(), source.clone());
+        let q = Query::boolean(
+            dx_logic::parse_formula("forall p a1 a2. (StrmS(p, a1) & StrmS(p, a2) -> a1 = a2)")
+                .unwrap(),
+        );
+        sess.register("one", q.clone(), StreamRegime::Certain);
+        assert!(
+            sess.answers("one").unwrap().0.is_empty(),
+            "p9's author replicates"
+        );
+
+        let add = Update::new().insert_names("StrmP", &["p8"]);
+        let gone = Update::new()
+            .retract_names("StrmP", &["p8"])
+            .retract_names("StrmP", &["p9"]);
+        let steps = [
+            (&add, QueryPath::DeltaPlan { delta_answers: 0 }, (1, 0), 0),
+            (&gone, QueryPath::Recomputed, (0, 1), 1),
+        ];
+        for (up, path, (revalidated, researched), len) in steps {
+            let report = sess.update(up);
+            assert_eq!(report.queries[0].1, path, "{up}");
+            let counts = report.witnesses[0];
+            assert_eq!(
+                (counts.revalidated, counts.researched),
+                (revalidated, researched),
+                "{up}"
+            );
+            up.apply(&mut source);
+            let (got, completeness) = sess.answers("one").unwrap();
+            assert_eq!(completeness, Completeness::Exact, "{up}");
+            assert_eq!(got.len(), len, "{up}");
+            assert_eq!(names(&got), names(&oracle(&mapping, &source, &q)), "{up}");
+        }
     }
 
     #[test]

@@ -34,11 +34,13 @@
 //! * choosing an extra tuple inserts it; backtracking removes it.
 //!
 //! Leaf checks receive a [`Leaf`] handle exposing the live index (what
-//! compiled `dx-query` plans probe) and the current valuation. The index
-//! is the only copy of the candidate: [`DeltaIndex::to_instance`]
-//! materializes it for the few checks that need an [`Instance`] — a
-//! tree-walking fallback, a composition check that exchanges the
-//! candidate as a source — and for witness capture.
+//! compiled `dx-query` plans probe), the current valuation and the chosen
+//! extras. The index is the only copy of the candidate:
+//! [`DeltaIndex::to_instance`] materializes it for the few checks that
+//! need an [`Instance`] — a tree-walking fallback, a composition check
+//! that exchanges the candidate as a source. A found member is captured
+//! as a compact [`Witness`] (valuation plus extras) and materialized only
+//! by a caller that returns it as an instance ([`Witness::to_instance`]).
 //!
 //! Work metrics (see `dx-obs`): `solver.dfs.{nodes, leaves}` count search
 //! tree nodes and candidate instances, `solver.dfs.deltas_applied` /
@@ -186,11 +188,62 @@ impl Completeness {
     }
 }
 
+/// A member of `Rep_A(T)` found by the search, kept compact: the
+/// valuation of `T`'s nulls and the extra tuples chosen on top of
+/// `v(rel(T))`. [`Witness::to_instance`] materializes it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Witness {
+    /// The valuation, total on the nulls of the searched instance.
+    pub valuation: Valuation,
+    /// The extra (replicated) tuples, in the order the search chose them.
+    pub extras: Vec<(RelSym, Tuple)>,
+}
+
+impl Witness {
+    /// The one constant a null outside the valuation's domain takes when a
+    /// witness is materialized: over an instance with more nulls than the
+    /// search valued (a restricted search space), or for a null born
+    /// after the search.
+    pub fn free_const() -> ConstId {
+        ConstId::new("⋆free")
+    }
+
+    /// The image of `t` under the valuation, a null outside its domain
+    /// taking `free` (pass [`Witness::free_const`]).
+    pub fn value(&self, t: &Tuple, free: ConstId) -> Tuple {
+        let values = t.iter().map(|x| match x {
+            Value::Null(n) => Value::Const(self.valuation.get(n).unwrap_or(free)),
+            c => c,
+        });
+        Tuple::new(values.collect::<Vec<_>>())
+    }
+
+    /// Materialize the member over `t`: `v(rel(t))` plus the extras, every
+    /// relation of `t` declared. Over the instance the search ran on this
+    /// is the leaf's candidate; over an instance with more nulls, each
+    /// null the valuation does not cover takes [`Witness::free_const`],
+    /// so the result is ground.
+    pub fn to_instance(&self, t: &AnnInstance) -> Instance {
+        let free = Self::free_const();
+        let mut out = Instance::new();
+        for (rel, arel) in t.relations() {
+            out.declare(rel, arel.arity());
+            for at in arel.iter() {
+                out.insert(rel, self.value(&at.tuple, free));
+            }
+        }
+        for (rel, extra) in &self.extras {
+            out.insert(*rel, extra.clone());
+        }
+        out
+    }
+}
+
 /// Result of a `Rep_A` search.
 #[derive(Clone, Debug)]
 pub struct SearchOutcome {
-    /// The witness instance (and its valuation), if one was found.
-    pub witness: Option<(Instance, Valuation)>,
+    /// The member the check accepted, if one was found.
+    pub witness: Option<Witness>,
     /// Completeness of the exploration (meaningful when `witness` is
     /// `None`).
     pub completeness: Completeness,
@@ -199,11 +252,14 @@ pub struct SearchOutcome {
 }
 
 /// One candidate instance of the search, presented to a leaf check without
-/// materialization: the live incremental index and the valuation that
-/// produced it.
+/// materialization: the live incremental index, the valuation that
+/// produced it and the extras chosen on top of the valuation's image.
 pub struct Leaf<'a> {
     delta: &'a DeltaIndex,
     valuation: &'a Valuation,
+    /// The extras pool of the current valuation, and the indices chosen.
+    pool: &'a [(RelSym, Tuple, usize)],
+    chosen: &'a [usize],
 }
 
 impl<'a> Leaf<'a> {
@@ -218,6 +274,18 @@ impl<'a> Leaf<'a> {
     /// The valuation of this candidate (total on the nulls of `T`).
     pub fn valuation(&self) -> &Valuation {
         self.valuation
+    }
+
+    /// This candidate as a compact [`Witness`].
+    pub fn witness(&self) -> Witness {
+        let extras = self
+            .chosen
+            .iter()
+            .map(|&i| (self.pool[i].0, self.pool[i].1.clone()));
+        Witness {
+            valuation: self.valuation.clone(),
+            extras: extras.collect(),
+        }
     }
 }
 
@@ -520,7 +588,7 @@ struct State<'a> {
     leaves: u64,
     capped: bool,
     pool_truncated: bool,
-    witness: Option<(Instance, Valuation)>,
+    witness: Option<Witness>,
     /// The single candidate store, kept in sync with the DFS by the
     /// apply/undo pairs in [`State::valuation_dfs`] / [`State::subsets`].
     delta: DeltaIndex,
@@ -593,8 +661,9 @@ impl<'a> State<'a> {
         }
     }
 
-    /// Visit one candidate instance — the store as currently composed.
-    fn leaf(&mut self, v: &Valuation) {
+    /// Visit one candidate instance — the store as currently composed, the
+    /// valuation `v` plus the `chosen` entries of `pool`.
+    fn leaf(&mut self, v: &Valuation, pool: &[(RelSym, Tuple, usize)], chosen: &[usize]) {
         dx_obs::count!("solver.dfs.leaves");
         self.leaves += 1;
         if let Some(cap) = self.budget.max_leaves {
@@ -606,9 +675,11 @@ impl<'a> State<'a> {
         let leaf = Leaf {
             delta: &self.delta,
             valuation: v,
+            pool,
+            chosen,
         };
         if (self.check)(&leaf) {
-            self.witness = Some((self.delta.to_instance(), v.clone()));
+            self.witness = Some(leaf.witness());
         }
     }
 
@@ -617,7 +688,7 @@ impl<'a> State<'a> {
         // store is ground.
         debug_assert!(self.tracked.iter().all(|tt| tt.unassigned == 0));
         // The bare valuation image is itself the first candidate (k = 0).
-        self.leaf(v);
+        self.leaf(v, &[], &[]);
         if self.witness.is_some() || self.capped || self.budget.max_extra_tuples == 0 {
             return;
         }
@@ -765,7 +836,7 @@ impl<'a> State<'a> {
         }
         dx_obs::count!("solver.dfs.nodes");
         if k == 0 {
-            self.leaf(v);
+            self.leaf(v, pool, chosen);
             return;
         }
         if start + k > pool.len() {
@@ -868,7 +939,9 @@ mod tests {
             &SearchBudget::bounded(2, 2),
             &mut |leaf| leaf.index().to_instance().tuple_count() >= 3,
         );
-        let (w, _) = outcome.witness.expect("replication should reach 3 tuples");
+        let w = outcome.witness.expect("replication should reach 3 tuples");
+        assert_eq!(w.extras.len(), 2);
+        let w = w.to_instance(&t);
         assert_eq!(w.tuple_count(), 3);
         // All tuples share the closed first coordinate.
         for tup in w.tuples(rel) {
@@ -916,7 +989,7 @@ mod tests {
             &SearchBudget::bounded(1, 2),
             &mut |leaf| leaf.index().to_instance().tuple_count() == 2,
         );
-        let (w, _) = outcome.witness.expect("found");
+        let w = outcome.witness.expect("found").to_instance(&t);
         assert!(crate::repa::rep_a_membership(&t, &w).is_some());
     }
 
@@ -1097,6 +1170,8 @@ mod tests {
                 assert!(inst.is_ground());
                 let base = t.apply(leaf.valuation()).rel_part();
                 assert!(base.is_subinstance_of(inst), "valuation image present");
+                // The compact witness materializes to exactly the store.
+                assert_eq!(&leaf.witness().to_instance(&t), inst);
                 // Index agrees with the instance on every point probe.
                 for (r, rl) in inst.relations() {
                     assert_eq!(leaf.index().rel_len(r), rl.len());

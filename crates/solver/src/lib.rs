@@ -42,7 +42,7 @@ pub mod repa;
 
 pub use enumerate::{
     for_each_union, minimal_rep_a_members, search_rep_a_indexed, Completeness, Leaf, SearchBudget,
-    SearchOutcome,
+    SearchOutcome, Witness,
 };
 pub use matching::max_bipartite_matching;
 pub use palette::Palette;

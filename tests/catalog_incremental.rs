@@ -258,8 +258,13 @@ fn incremental_search_agrees_with_rebuild_oracle_randomized() {
             incremental.completeness, rebuild.completeness,
             "case {case}"
         );
-        if let (Some((wi, _)), Some((wr, _))) = (&incremental.witness, &rebuild.witness) {
-            assert_eq!(wi, wr, "case {case}: identical witness instances");
+        if let (Some(wi), Some(wr)) = (&incremental.witness, &rebuild.witness) {
+            assert_eq!(wi, wr, "case {case}: identical witnesses");
+            assert_eq!(
+                wi.to_instance(&t),
+                wr.to_instance(&t),
+                "case {case}: identical witness instances"
+            );
         }
     }
 }

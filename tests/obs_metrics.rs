@@ -18,8 +18,9 @@
 //! * **disabled mode** — with the layer off, the same workloads leave the
 //!   registry snapshot empty;
 //! * **search counts** — `certain_answers` opens one `solver.search_rep_a`
-//!   span per palette group, not one per candidate, and GCWA\* on a
-//!   monotone query walks no union and stops at its budget's leaf cap.
+//!   span per palette group, not one per candidate, GCWA\* on a monotone
+//!   query walks no union and stops at its budget's leaf cap, and a stream
+//!   batch that revalidates a carried refutation opens no search at all.
 //!
 //! The registry is process-global, so every test serializes on one lock and
 //! scopes its measurement to a snapshot diff.
@@ -534,4 +535,40 @@ fn stream_times_std_maintenance_once_per_batch() {
     let (report, diff) = measured(|| inc.update(&batch));
     assert_eq!(report.effective_ops, 0, "the same insert again is a no-op");
     assert_eq!(spans(&diff), 0, "no span for a no-op batch");
+}
+
+/// A batch on which the carried refutation of a non-positive query still
+/// refutes revalidates it without a search: `one_reviewer` in
+/// `examples/conference_stream.dx` is refuted by `p0`'s two reviewers,
+/// which batch "late-submission" leaves in place.
+#[test]
+fn a_revalidating_batch_opens_no_search() {
+    let _g = lock();
+    let sc = oc_exchange::text::Scenario::parse(include_str!("../examples/conference_stream.dx"))
+        .expect("scenario parses");
+    let q = sc.query("one_reviewer").expect("query");
+    let mut sess = oc_exchange::core::streaming::StreamSession::new(
+        sc.mapping.clone(),
+        sc.constraints.clone(),
+        sc.source.clone(),
+    );
+    sess.register(
+        "one_reviewer",
+        q.clone(),
+        oc_exchange::core::streaming::StreamRegime::Certain,
+    );
+    let (report, diff) = measured(|| sess.update(&sc.updates[0].update));
+    assert_eq!(
+        report.queries[0].1,
+        oc_exchange::core::streaming::QueryPath::DeltaPlan { delta_answers: 0 }
+    );
+    let spans = |name: &str| diff.spans.get(name).map_or(0, |s| s.count);
+    assert_eq!(spans("solver.search_rep_a"), 0, "no search");
+    assert_eq!(spans("core.stream.revalidate"), 1);
+    assert_eq!(diff.counter("core.stream.witness.revalidated"), 1);
+    assert_eq!(diff.counter("core.stream.witness.researched"), 0);
+    assert!(
+        diff.gauge("mem.stream.carried_slots") > 0,
+        "one carried image"
+    );
 }

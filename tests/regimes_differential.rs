@@ -28,7 +28,7 @@ use oc_exchange::solver::{
     minimal_rep_a_members, rep_a_membership, search_rep_a_indexed, Completeness, SearchBudget,
 };
 use oc_exchange::workloads::random_gen;
-use oc_exchange::{ConstId, Instance, Tuple, Value};
+use oc_exchange::{ConstId, Instance, RelSym, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::Rng;
 use std::collections::BTreeSet;
@@ -245,6 +245,30 @@ fn gcwa_star_matches_brute_force_oracle() {
     }
 }
 
+/// A Proposition 4 counterexample is a member of `Rep_A(CSol_A(S))`, not
+/// only of the restricted space the image sweep searched: the monotone
+/// query reads only `R`, and the counterexample still holds `U(a)`.
+#[test]
+fn monotone_counterexample_is_a_member_of_the_full_csol() {
+    let mapping = Mapping::parse("R(x:cl, z:cl) <- E(x, y); U(x:cl) <- E(x, y)").unwrap();
+    let mut source = Instance::new();
+    source.insert_names("E", &["a", "v1"]);
+    source.insert_names("E", &["a", "v2"]);
+    let query = Query::parse(&["x"], "exists y z. R(x, y) & R(x, z) & y != z").unwrap();
+    let a = Tuple::from_names(&["a"]);
+    let ex = Exchange::new(&mapping, &source);
+    let out = ex.certain_contains(&query, &a, None);
+    assert_eq!(out.regime, oc_exchange::core::certain::Regime::Monotone);
+    assert!(!out.certain, "the two R nulls may take one value");
+    let cex = out.counterexample.expect("a counterexample");
+    assert!(!query.holds_on(&cex, &a), "{cex}");
+    assert!(cex.contains(RelSym::new("U"), &a), "{cex}");
+    assert!(
+        rep_a_membership(ex.csol(), &cex).is_some(),
+        "not a member of Rep_A(CSol_A(S)): {cex}"
+    );
+}
+
 /// All unions of nonempty subsets of size ≤ `cap`, materialized.
 fn subsets_up_to(members: &[Instance], cap: usize, out: &mut Vec<Instance>) {
     fn rec(
@@ -375,6 +399,7 @@ fn set_answers_equal_per_tuple_decisions() {
         ..RegimeBudget::unions_of(1)
     };
     let (mut saw_capped, mut saw_two_groups, mut saw_gcwa_capped) = (false, false, false);
+    let mut cex_routes = BTreeSet::new();
     for seed in 0..30u64 {
         let mut rng = random_gen::rng(9000 + seed);
         let scenarios = [random_scenario(&mut rng), titled_scenario(&mut rng)];
@@ -395,6 +420,21 @@ fn set_answers_equal_per_tuple_decisions() {
                             per_tuple.insert(t.clone());
                         }
                         worst = worst.worse(out.completeness);
+                        // Every counterexample, on every route, is a member
+                        // of Rep_A(CSol_A(S)) that falsifies the query.
+                        if let Some(cex) = &out.counterexample {
+                            assert!(
+                                rep_a_membership(ex.csol(), cex).is_some(),
+                                "seed {seed} scenario {si} q{qi} {t} via {:?}: counterexample not in Rep_A: {cex}",
+                                out.regime
+                            );
+                            assert!(
+                                !query.holds_on(cex, t),
+                                "seed {seed} scenario {si} q{qi} {t} via {:?}: counterexample satisfies the query",
+                                out.regime
+                            );
+                            cex_routes.insert(format!("{:?}", out.regime));
+                        }
                     }
                     let got: BTreeSet<Tuple> = set.iter().cloned().collect();
                     let ctx = format!(
@@ -441,6 +481,17 @@ fn set_answers_equal_per_tuple_decisions() {
         }
     }
     assert!(saw_capped, "the leaf cap never truncated a sweep");
+    let routes = [
+        "ClosedWorld",
+        "Monotone",
+        "OpenBounded",
+        "UniversalExistential",
+    ];
+    assert_eq!(
+        cex_routes,
+        routes.iter().map(|r| r.to_string()).collect(),
+        "counterexamples checked on every search route"
+    );
     assert!(
         saw_gcwa_capped,
         "the GCWA* leaf cap never truncated a sweep"

@@ -33,7 +33,9 @@
 //!
 //! The last part pins the retraction edge cases the protocol documents:
 //! retract-then-reinsert round-trips, retraction feeding an egd-merged
-//! null, and empty-delta no-ops.
+//! null, and empty-delta no-ops; and hand-written traces that retract the
+//! support of a carried refutation, with the batch's counts of
+//! revalidated and re-searched candidates pinned.
 
 use oc_exchange::chase::chase_engine::{ChaseOutcome, DEFAULT_CHASE_LIMIT};
 use oc_exchange::chase::core::ann_hom_equivalent;
@@ -908,4 +910,196 @@ fn empty_effective_delta_is_a_no_op_and_skips_every_query() {
         report.queries
     );
     assert_eq!(answer_names(&sess, "q"), before);
+}
+
+// ---------------------------------------------------------------------------
+// Witness-carrying certain answers: traces that retract a refutation's
+// support.
+// ---------------------------------------------------------------------------
+
+/// The §1 mixed conference mapping (open author of a submitted paper,
+/// open reviewer of an unassigned one) with a `one_author`-shaped Boolean
+/// `∀` query, decided in the Proposition 5 space, and a
+/// `two_reviewers`-shaped monotone query, decided by the Proposition 4
+/// image sweep.
+fn witness_scenario(facts: &str) -> Scenario {
+    let text = format!(
+        "scenario \"witness_support\" {{
+  source {{ Papers/2; Wrote/2; Assign/2; }}
+  target {{ Sub/2; Rev/2; }}
+  mapping {{
+    Sub(p:cl, a:op) <- Papers(p, t);
+    Sub(p:cl, a:cl) <- Wrote(p, a);
+    Rev(p:cl, r:cl) <- Assign(p, r);
+    Rev(p:cl, r:op) <- Papers(p, t) & !exists s. Assign(p, s);
+  }}
+  instance {{ {facts} }}
+  query one_author() <- forall p a1 a2. (Sub(p, a1) & Sub(p, a2) -> a1 = a2);
+  query two_reviewers(p) <- exists r1 r2. Rev(p, r1) & Rev(p, r2) & r1 != r2;
+}}"
+    );
+    Scenario::parse(&text).unwrap_or_else(|e| panic!("{}", e.render(&text)))
+}
+
+/// One batch of a witness-support trace and what it must do to the two
+/// queries: `(revalidated, researched)` per query, and `one_author`'s
+/// verdict after it.
+struct SupportStep {
+    what: &'static str,
+    update: Update,
+    one_author: (usize, usize),
+    two_reviewers: (usize, usize),
+    certain: bool,
+}
+
+/// Drive `steps` over `facts`: after every batch both queries answer like
+/// `certain_answers` on the rolling source, and each reports the batch's
+/// counts of revalidated and re-searched candidates. A batch that searched
+/// nothing reports a delta path, any search a recompute.
+fn race_support_trace(facts: &str, steps: Vec<SupportStep>) {
+    let sc = witness_scenario(facts);
+    let budget = scenario_budget(&sc);
+    let mut sess = StreamSession::new(sc.mapping.clone(), Vec::new(), sc.source.clone());
+    sess.set_search_budget(Some(budget.clone()));
+    for nq in &sc.queries {
+        sess.register(&nq.name, nq.query.clone(), StreamRegime::Certain);
+    }
+    let mut rolling = sc.source.clone();
+    for step in steps {
+        let report = sess.update(&step.update);
+        step.update.apply(&mut rolling);
+        let ctx = format!("batch {:?}", step.what);
+        for (i, nq) in sc.queries.iter().enumerate() {
+            let (got, gcomp) = sess.answers(&nq.name).expect("registered");
+            let (want, wcomp) = certain_answers(&sc.mapping, &rolling, &nq.query, Some(&budget));
+            assert!(
+                gcomp != Completeness::Capped && wcomp != Completeness::Capped,
+                "{ctx} {}: the trace is small enough to decide exactly",
+                nq.name
+            );
+            assert_eq!(
+                got, want,
+                "{ctx} {}: answers diverged from recompute",
+                nq.name
+            );
+            let counts = report.witnesses[i];
+            let want_counts = match nq.name.as_str() {
+                "one_author" => step.one_author,
+                _ => step.two_reviewers,
+            };
+            assert_eq!(
+                (counts.revalidated, counts.researched),
+                want_counts,
+                "{ctx} {}: (revalidated, researched)",
+                nq.name
+            );
+            let searched = report.queries[i].1 == QueryPath::Recomputed;
+            assert_eq!(searched, counts.researched > 0, "{ctx} {}", nq.name);
+        }
+        let (one_author, _) = sess.answers("one_author").expect("registered");
+        assert_eq!(one_author.len() == 1, step.certain, "{ctx}: one_author");
+    }
+}
+
+/// Closed authors only: `p1` and `p2` each have two known authors, so
+/// every member violates `one_author` through either; `p1` has two known
+/// reviewers and is the one certain `two_reviewers` answer, which a
+/// refutation sweep re-decides on every batch.
+#[test]
+fn retracting_a_refutations_support_revalidates_or_researches() {
+    let facts = "Wrote(p0, a0); Wrote(p1, a1); Wrote(p1, a2); Wrote(p2, a3); Wrote(p2, a4);
+    Assign(p1, r1); Assign(p1, r2); Assign(p2, r1);";
+    let steps = vec![
+        SupportStep {
+            what: "(a) retract p1's authors, p2 still violates",
+            update: Update::new()
+                .retract_names("Wrote", &["p1", "a1"])
+                .retract_names("Wrote", &["p1", "a2"]),
+            one_author: (1, 0),
+            // a1 and a2 leave the palette; the certain p1 is re-decided.
+            two_reviewers: (7, 1),
+            certain: false,
+        },
+        SupportStep {
+            what: "(b) retract p2's authors, the last violation",
+            update: Update::new()
+                .retract_names("Wrote", &["p2", "a3"])
+                .retract_names("Wrote", &["p2", "a4"]),
+            one_author: (0, 1),
+            two_reviewers: (5, 1),
+            certain: true,
+        },
+        SupportStep {
+            what: "(c) re-insert p2's authors",
+            update: Update::new()
+                .insert_names("Wrote", &["p2", "a3"])
+                .insert_names("Wrote", &["p2", "a4"]),
+            one_author: (0, 1),
+            // a3 and a4 are new candidates.
+            two_reviewers: (5, 3),
+            certain: false,
+        },
+        SupportStep {
+            what: "(e) submit p0: its open author and reviewer flip two empty markers",
+            update: Update::new().insert_names("Papers", &["p0", "t0"]),
+            // Extras-free images are members whatever the markers.
+            one_author: (1, 0),
+            // t0 is a new candidate.
+            two_reviewers: (7, 2),
+            certain: false,
+        },
+        SupportStep {
+            what: "(f) p1 and r2 leave adom(S)",
+            update: Update::new()
+                .retract_names("Assign", &["p1", "r1"])
+                .retract_names("Assign", &["p1", "r2"]),
+            one_author: (1, 0),
+            // The certain p1 leaves the palette: nothing is searched.
+            two_reviewers: (7, 0),
+            certain: false,
+        },
+        SupportStep {
+            what: "(f) p1 and r2 re-enter adom(S)",
+            update: Update::new()
+                .insert_names("Assign", &["p1", "r1"])
+                .insert_names("Assign", &["p1", "r2"]),
+            one_author: (1, 0),
+            two_reviewers: (7, 2),
+            certain: false,
+        },
+    ];
+    race_support_trace(facts, steps);
+}
+
+/// One paper with an open author: `one_author`'s only refutations
+/// replicate that author, so the carried witness has an extra, licensed by
+/// the paper's open `Sub` tuple.
+#[test]
+fn a_witness_with_extras_dies_with_its_license() {
+    let facts = "Papers(p9, t9); Assign(p9, r0);";
+    let steps = vec![
+        SupportStep {
+            what: "(e) unassign p9: two empty markers flip",
+            update: Update::new().retract_names("Assign", &["p9", "r0"]),
+            one_author: (0, 1),
+            // r0 leaves the palette; p9's reviewer null keeps it refuted.
+            two_reviewers: (2, 0),
+            certain: false,
+        },
+        SupportStep {
+            what: "(d) retract p9, whose open tuple licensed the extra",
+            update: Update::new().retract_names("Papers", &["p9", "t9"]),
+            one_author: (0, 1),
+            two_reviewers: (0, 0),
+            certain: true,
+        },
+        SupportStep {
+            what: "re-submit p9",
+            update: Update::new().insert_names("Papers", &["p9", "t9"]),
+            one_author: (0, 1),
+            two_reviewers: (0, 2),
+            certain: false,
+        },
+    ];
+    race_support_trace(facts, steps);
 }
