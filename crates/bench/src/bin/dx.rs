@@ -414,7 +414,7 @@ fn run_chase(sc: &Scenario) {
                 indexed.instance.tuple_count(),
                 indexed.instance.nulls().len()
             );
-            print!("{}", indexed.instance);
+            print!("{}", render_instance(&indexed.instance));
         }
         ChaseOutcome::Failed { .. } => {
             println!("failed — an egd equates distinct constants; no solution exists");
@@ -484,9 +484,32 @@ fn comp_label(c: Completeness) -> &'static str {
     }
 }
 
-/// Render a relation as `{(a, b), (c, d)}` on one line.
+/// Render a relation as `{(a, b), (c, d)}` on one line, rows sorted by
+/// their text, so the output does not follow the interning order.
 fn render_rel(rel: &dx_relation::Relation) -> String {
     let mut rows: Vec<String> = rel.iter().map(|t| t.to_string()).collect();
     rows.sort();
     format!("{{{}}}", rows.join(", "))
+}
+
+/// Render an annotated instance one `R = {…}` line per relation, as
+/// [`render_rel`] renders answer sets: relations by name, and each
+/// relation's tuples and empty markers by their printed text.
+fn render_instance(inst: &dx_relation::AnnInstance) -> String {
+    let mut lines: Vec<(String, String)> = inst
+        .relations()
+        .map(|(r, rel)| {
+            let mut items: Vec<String> = (rel.iter().map(|t| t.to_string()))
+                .chain(rel.empty_marks().map(|m| format!("(_,{m})")))
+                .collect();
+            items.sort();
+            (r.to_string(), format!("{r} = {{{}}}", items.join(", ")))
+        })
+        .collect();
+    if lines.is_empty() {
+        return "∅".into();
+    }
+    lines.sort();
+    let lines: Vec<String> = lines.into_iter().map(|(_, line)| line).collect();
+    lines.join("\n")
 }

@@ -246,7 +246,6 @@ const CHASE_COUNTERS: &[&str] = &[
     "engine.chase.triggers_discovered",
     "engine.chase.triggers_fired",
     "engine.chase.tuples_inserted",
-    "engine.chase.index_probes",
     "engine.chase.merges",
 ];
 /// The work-metric counters attached to query-evaluation BENCH rows.

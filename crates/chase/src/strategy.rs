@@ -11,8 +11,9 @@
 //!   with nested-loop body matching, exactly the semantics of
 //!   [`crate::chase_engine::chase`]. Slow, simple, trusted.
 //! * `dx_engine::IndexedChase` — the production engine: per-relation hash
-//!   indexes, delta-driven (semi-naive) trigger discovery, and
-//!   selectivity-ordered index joins. Differentially tested against
+//!   indexes and delta-driven (semi-naive) trigger discovery, each
+//!   dependency compiled to a trigger query (body ∧ ¬conclusion) that runs
+//!   on `dx-query`'s plan executor. Differentially tested against
 //!   [`NaiveChase`] (`tests/engine_differential.rs`).
 //!
 //! Chase results are deterministic per strategy but **not identical across

@@ -57,6 +57,12 @@ impl Tgd {
             msg: "tgd bodies must be conjunctions of relational atoms".into(),
             pos: 0,
         })?;
+        if (rule.head.iter().flat_map(|a| &a.args)).any(|t| matches!(t, Term::App(..))) {
+            return Err(dx_logic::ParseError {
+                msg: "tgd heads must be function-free".into(),
+                pos: 0,
+            });
+        }
         Ok(Tgd {
             body,
             head: rule
@@ -69,10 +75,7 @@ impl Tgd {
 
     /// Universal variables: those occurring in the body.
     pub fn universal_vars(&self) -> BTreeSet<Var> {
-        self.body
-            .iter()
-            .flat_map(|(_, args)| args.iter().flat_map(|t| t.vars()))
-            .collect()
+        body_vars(&self.body)
     }
 
     /// Existential variables: head variables not in the body.
@@ -88,7 +91,9 @@ impl Tgd {
 
 impl Egd {
     /// Parse from `u = v <- body` syntax, e.g.
-    /// `y1 = y2 <- R(x, y1) & R(x, y2)` (a functional dependency).
+    /// `y1 = y2 <- R(x, y1) & R(x, y2)` (a functional dependency). Each
+    /// side must be a constant or a variable of the body: an egd equating a
+    /// variable the body does not bind is unsafe, and refused.
     pub fn parse(src: &str) -> Result<Self, dx_logic::ParseError> {
         let (lhs, rhs) = src.split_once("<-").ok_or_else(|| dx_logic::ParseError {
             msg: "egd must be written `u = v <- body`".into(),
@@ -109,6 +114,18 @@ impl Egd {
             msg: "egd bodies must be conjunctions of relational atoms".into(),
             pos: 0,
         })?;
+        let bound: BTreeSet<Var> = body_vars(&body);
+        for t in [&eq.0, &eq.1] {
+            let msg = match t {
+                Term::App(..) => "egd sides must be variables or constants".into(),
+                Term::Var(v) if !bound.contains(v) => {
+                    format!("unsafe egd: variable `{v}` is not bound by a positive body atom")
+                }
+                _ => continue,
+            };
+            let pos = lhs.len() - lhs.trim_start().len();
+            return Err(dx_logic::ParseError { msg, pos });
+        }
         Ok(Egd { body, eq })
     }
 }
@@ -133,6 +150,13 @@ impl TargetDep {
             .map(Self::parse)
             .collect()
     }
+}
+
+/// The variables of a conjunctive body.
+fn body_vars(body: &[(RelSym, Vec<Term>)]) -> BTreeSet<Var> {
+    body.iter()
+        .flat_map(|(_, args)| args.iter().flat_map(|t| t.vars()))
+        .collect()
 }
 
 fn conjunct_atoms(f: &Formula) -> Option<Vec<(RelSym, Vec<Term>)>> {
@@ -317,6 +341,25 @@ mod tests {
             TargetDep::parse_many("Sym(y:cl, x:cl) <- Edge(x, y); y1 = y2 <- R(x, y1) & R(x, y2)")
                 .unwrap();
         assert_eq!(both.len(), 2);
+    }
+
+    /// An egd side the body does not bind is refused at parse time, with
+    /// the position of the equality.
+    #[test]
+    fn unsafe_egd_is_refused() {
+        let err = TargetDep::parse_many("y = k <- R(x, y)").unwrap_err();
+        assert_eq!(
+            err.msg,
+            "unsafe egd: variable `k` is not bound by a positive body atom"
+        );
+        assert_eq!(err.pos, 0);
+        assert_eq!(TargetDep::parse("  k = y <- R(x, y)").unwrap_err().pos, 2);
+        // Function terms have no place in a target dependency.
+        for bad in ["f(x) = y <- R(x, y)", "S(f(x):cl) <- R(x, y)"] {
+            assert!(TargetDep::parse(bad).is_err(), "{bad}");
+        }
+        // Constants and body variables are safe sides.
+        assert!(TargetDep::parse_many("y = 'k' <- R(x, y); x = y <- R(x, y)").is_ok());
     }
 
     #[test]

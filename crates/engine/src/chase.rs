@@ -6,22 +6,31 @@
 //! ids inserted or rewritten since they were last considered — and derives
 //! new triggers only from matches that *contain a delta tuple*:
 //!
-//! * every body match of every dependency contains a latest-arriving tuple,
-//!   so seeding the match at that tuple (at every body atom whose relation
-//!   fits) and joining the remaining atoms through the column indexes finds
-//!   each match exactly when it first exists (the classic semi-naive
-//!   argument);
-//! * remaining body atoms are joined **most-selective-first**: at each step
-//!   the planner picks the atom whose bound-position posting list is
-//!   shortest under the current partial assignment;
+//! * every dependency is compiled once, through [`PlanCatalog::formula`],
+//!   into its **trigger query** (`Trigger`): the body with the
+//!   conclusion negated, `φ(x̄) ∧ ¬∃z̄ ψ` for a tgd and `φ(x̄) ∧ u ≠ v` for
+//!   an egd, with the body's variables as head. Its answers are exactly the
+//!   dependency's *active* triggers, the only ones a restricted chase
+//!   fires, and it runs on `dx-query`'s first-witness walk over the
+//!   store, which is a [`dx_query::QueryStore`] — one ground executor for
+//!   queries and the chase alike;
+//! * every body match contains a latest-arriving tuple, so binding the
+//!   variables of each body atom whose relation fits to a dequeued delta
+//!   tuple and running the trigger query under those bindings finds each
+//!   active trigger when its match first exists (the classic semi-naive
+//!   argument; a satisfied head stays satisfied, so a match filtered out
+//!   at discovery never needs to fire later);
+//! * before a step, the same query with every body variable bound
+//!   re-checks the trigger: earlier steps may have satisfied its head or
+//!   rewritten its body;
 //! * an egd merge `⊥ → v` rewrites only the tuples the reverse value index
 //!   reports, and re-enqueues every rewritten (or collided-into) id, which
 //!   re-derives exactly the matches the substitution could have created.
 //!
 //! The loop (`close`) is this crate's only semi-naive closure. It is
-//! generic over the store it chases (`ChaseStore`): [`indexed_chase`]
-//! runs it over a bare [`IndexedInstance`], and the streaming exchange's
-//! target layer over a store that also logs every firing and merge as a
+//! generic over the store it chases (`ChaseStore`): [`IndexedChase`] runs
+//! it over a bare [`IndexedInstance`], and the streaming exchange's target
+//! layer over a store that also logs every firing and merge as a
 //! derivation (`crate::stream`). The generic is monomorphized, so the
 //! batch chase pays no dispatch for the sharing.
 //!
@@ -33,10 +42,11 @@
 //! before looking for the next trigger; this one checks before applying
 //! one).
 //!
-//! Work metrics (`DX_OBS=1`): `engine.chase.triggers_discovered` /
-//! `.triggers_fired` / `.tuples_inserted` / `.index_probes` / `.merges`
-//! counters, plus `engine.chase` / `engine.chase.trigger_discovery` /
-//! `.fire` / `.insert` / `.merge` spans. With `DX_TRACE=1` every span
+//! Work metrics (`DX_OBS=1`): `engine.chase.triggers_discovered` (active
+//! triggers the trigger queries return) / `.triggers_fired` /
+//! `.tuples_inserted` / `.merges` counters, plus `engine.chase` /
+//! `engine.chase.trigger_discovery` / `.fire` / `.insert` / `.merge` spans;
+//! the walks' probes count as `query.exec.*`. With `DX_TRACE=1` every span
 //! also lands on the timeline, and each dequeued delta emits an
 //! `engine.chase.round` instant carrying the queue depth and step count
 //! — the per-round phase structure the Chrome trace viewer nests.
@@ -45,9 +55,12 @@ use crate::store::{IndexedInstance, Inserted, TupleId};
 use dx_chase::chase_engine::{ChaseOutcome, ChaseResult};
 use dx_chase::target_deps::{TargetDep, Tgd};
 use dx_chase::ChaseStrategy;
-use dx_logic::Term;
+use dx_logic::{Formula, Term};
+use dx_query::exec::{exec_nonempty, for_each_answer};
+use dx_query::{CompiledQuery, PlanCatalog};
 use dx_relation::{AnnTuple, NullGen, RelSym, Tuple, Value, Var};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::sync::Arc;
 
 pub(crate) type Asg = BTreeMap<Var, Value>;
 
@@ -70,6 +83,7 @@ impl ChaseStrategy for IndexedChase {
         &PLANNED_BODY_EVAL
     }
 
+    /// Run the indexed chase (see the module docs for the algorithm).
     fn chase(
         &self,
         instance: dx_relation::AnnInstance,
@@ -77,53 +91,126 @@ impl ChaseStrategy for IndexedChase {
         gen: &mut NullGen,
         max_steps: usize,
     ) -> ChaseResult {
-        indexed_chase(instance, deps, gen, max_steps)
+        let _span = dx_obs::span!("engine.chase");
+        let triggers: Vec<Trigger> = deps.iter().map(Trigger::compile).collect();
+        let mut idx = IndexedInstance::from_ann(&instance);
+        let queue: VecDeque<TupleId> = idx.all_ids().collect();
+        let mut steps = 0usize;
+        let outcome = close(&mut idx, &triggers, gen, max_steps, &mut steps, queue);
+        let instance = idx.to_ann();
+        if outcome == ChaseOutcome::Satisfied {
+            dx_obs::mem::publish_all(&[
+                (
+                    dx_obs::mem::names::INSTANCE_TUPLES,
+                    instance.tuple_count() as u64,
+                ),
+                (
+                    dx_obs::mem::names::INSTANCE_NULLS,
+                    instance.nulls().len() as u64,
+                ),
+            ]);
+        }
+        ChaseResult {
+            instance,
+            steps,
+            outcome,
+        }
     }
 
+    /// No dependency's trigger query has a row.
     fn satisfies(&self, instance: &dx_relation::AnnInstance, deps: &[TargetDep]) -> bool {
         let idx = IndexedInstance::from_ann(instance);
-        deps.iter().all(|dep| find_trigger(&idx, dep).is_none())
+        deps.iter()
+            .all(|dep| !exec_nonempty(Trigger::compile(dep).query.plan(), &idx, &[]))
     }
 }
 
-/// Run the indexed chase (see the module docs for the algorithm).
-pub fn indexed_chase(
-    instance: dx_relation::AnnInstance,
-    deps: &[TargetDep],
-    gen: &mut NullGen,
-    max_steps: usize,
-) -> ChaseResult {
-    let _span = dx_obs::span!("engine.chase");
-    let mut idx = IndexedInstance::from_ann(&instance);
-    let queue: VecDeque<TupleId> = idx.all_ids().collect();
-    let mut steps = 0usize;
-    let outcome = close(&mut idx, deps, gen, max_steps, &mut steps, queue);
-    let instance = idx.to_ann();
-    if outcome == ChaseOutcome::Satisfied {
-        dx_obs::mem::publish_all(&[
-            (
-                dx_obs::mem::names::INSTANCE_TUPLES,
-                instance.tuple_count() as u64,
-            ),
-            (
-                dx_obs::mem::names::INSTANCE_NULLS,
-                instance.nulls().len() as u64,
-            ),
-        ]);
+/// A target dependency compiled to its *trigger query*: the body with the
+/// conclusion negated — `φ(x̄) ∧ ¬∃z̄ ψ(x̄, z̄)` for a tgd, `φ(x̄) ∧ u ≠ v`
+/// for an egd — whose head is the body's variables `x̄`. Its answers over
+/// a store are the dependency's active triggers, as body assignments.
+pub(crate) struct Trigger {
+    /// The dependency.
+    pub(crate) dep: TargetDep,
+    query: Arc<CompiledQuery>,
+}
+
+impl Trigger {
+    /// Compile `dep` through the shared [`PlanCatalog`]. A head atom's
+    /// annotation does not enter the query: a head tuple present under
+    /// another annotation satisfies the tgd. Every dependency the parsers
+    /// accept lowers (a body of atoms binds every variable of the negated
+    /// conclusion, since an egd's sides are body variables or constants),
+    /// so a dependency that does not is a bug.
+    pub(crate) fn compile(dep: &TargetDep) -> Trigger {
+        let (body, conclusion) = match dep {
+            TargetDep::Tgd(tgd) => {
+                let head = tgd
+                    .head
+                    .iter()
+                    .map(|a| Formula::Atom(a.rel, a.args.clone()));
+                let existential: Vec<Var> = tgd.existential_vars().into_iter().collect();
+                (&tgd.body, Formula::exists(existential, Formula::and(head)))
+            }
+            TargetDep::Egd(egd) => (&egd.body, Formula::eq(egd.eq.0.clone(), egd.eq.1.clone())),
+        };
+        let atoms = body
+            .iter()
+            .map(|(rel, args)| Formula::Atom(*rel, args.clone()));
+        let formula = Formula::and(atoms.chain([Formula::not(conclusion)]));
+        let vars: BTreeSet<Var> = body
+            .iter()
+            .flat_map(|(_, args)| args.iter().flat_map(|t| t.vars()))
+            .collect();
+        let vars: Vec<Var> = vars.into_iter().collect();
+        let query = PlanCatalog::shared()
+            .formula(&formula, &vars)
+            .unwrap_or_else(|e| panic!("the trigger query of `{dep}` does not lower: {e:?}"));
+        Trigger {
+            dep: dep.clone(),
+            query,
+        }
     }
-    ChaseResult {
-        instance,
-        steps,
-        outcome,
+
+    /// The dependency's body atoms.
+    pub(crate) fn body(&self) -> &[(RelSym, Vec<Term>)] {
+        match &self.dep {
+            TargetDep::Tgd(tgd) => &tgd.body,
+            TargetDep::Egd(egd) => &egd.body,
+        }
+    }
+
+    /// Is `v` a body variable (a head variable of the trigger query)?
+    pub(crate) fn binds(&self, v: Var) -> bool {
+        self.query.head().contains(&v)
+    }
+
+    /// The active triggers agreeing with `bound`, in the walk's order.
+    /// Materialized: a step mutates the store.
+    pub(crate) fn discover(&self, idx: &IndexedInstance, bound: &[(Var, Value)]) -> Vec<Asg> {
+        let _span = dx_obs::span!("engine.chase.trigger_discovery");
+        let head = self.query.head();
+        let mut out: Vec<Asg> = Vec::new();
+        for_each_answer(self.query.plan(), head, idx, bound, &mut |t| {
+            out.push(head.iter().copied().zip(t.iter()).collect());
+        });
+        dx_obs::count!("engine.chase.triggers_discovered", out.len());
+        out
+    }
+
+    /// Is the body assignment `asg` still an active trigger?
+    fn is_active(&self, idx: &IndexedInstance, asg: &Asg) -> bool {
+        let bound: Vec<(Var, Value)> = asg.iter().map(|(&v, &x)| (v, x)).collect();
+        exec_nonempty(self.query.plan(), idx, &bound)
     }
 }
 
-/// A store the semi-naive loop ([`close`]) chases: the index it matches
-/// bodies against, and how a tgd firing or an egd merge lands in it. The
+/// A store the semi-naive loop ([`close`]) chases: the index trigger
+/// queries run on, and how a tgd firing or an egd merge lands in it. The
 /// batch chase applies steps to a bare [`IndexedInstance`]; the streaming
 /// exchange's target layer also logs them as derivations.
 pub(crate) trait ChaseStore {
-    /// The index body matches and head checks probe.
+    /// The index trigger queries run on.
     fn index(&self) -> &IndexedInstance;
 
     /// Fire `tgd` at the body match `asg`, enqueueing fresh head tuples.
@@ -162,18 +249,27 @@ impl ChaseStore for IndexedInstance {
     }
 }
 
-/// The semi-naive closure: pop delta ids off `queue`, seed every
-/// dependency's body at them, and step until no trigger is left, an egd
+/// The semi-naive closure: pop delta ids off `queue`, run every trigger
+/// query seeded at them, and step until no trigger is left, an egd
 /// equates two constants, or `steps` reaches `max_steps`. `steps` carries
 /// the count across calls; returns the outcome.
 pub(crate) fn close<S: ChaseStore>(
     store: &mut S,
-    deps: &[TargetDep],
+    triggers: &[Trigger],
     gen: &mut NullGen,
     max_steps: usize,
     steps: &mut usize,
     mut queue: VecDeque<TupleId>,
 ) -> ChaseOutcome {
+    // A dependency with an empty body has one match, the empty one, which
+    // no delta tuple seeds: ask its trigger query unseeded.
+    for trigger in triggers.iter().filter(|t| t.body().is_empty()) {
+        for asg in trigger.discover(store.index(), &[]) {
+            if let Err(outcome) = step(store, trigger, &asg, gen, max_steps, steps, &mut queue) {
+                return outcome;
+            }
+        }
+    }
     'queue: while let Some(seed) = queue.pop_front() {
         dx_obs::trace_instant!(
             "engine.chase.round",
@@ -184,50 +280,22 @@ pub(crate) fn close<S: ChaseStore>(
             continue; // retracted by an earlier merge
         };
         let seed_tuple: Tuple = seed_at.tuple.clone();
-
-        for dep in deps {
-            match dep {
-                TargetDep::Tgd(tgd) => {
-                    for k in atom_positions(&tgd.body, seed_rel) {
-                        // Materialize the seeded matches first: applying a
-                        // trigger mutates the index.
-                        let matches = seeded_matches(store.index(), &tgd.body, k, &seed_tuple);
-                        for asg in matches {
-                            if let Err(outcome) =
-                                tgd_step(store, tgd, &asg, gen, max_steps, steps, &mut queue)
-                            {
-                                return outcome;
-                            }
-                        }
-                    }
+        for trigger in triggers {
+            for (rel, args) in trigger.body() {
+                if *rel != seed_rel {
+                    continue;
                 }
-                TargetDep::Egd(egd) => {
-                    for k in atom_positions(&egd.body, seed_rel) {
-                        let matches = seeded_matches(store.index(), &egd.body, k, &seed_tuple);
-                        for asg in matches {
-                            // A merge invalidates the remaining materialized
-                            // assignments (their values may have been
-                            // rewritten), so re-verify against the live
-                            // index before acting.
-                            if !match_still_live(store.index(), &egd.body, &asg) {
-                                continue;
-                            }
-                            let l = eval_term(&egd.eq.0, &asg);
-                            let r = eval_term(&egd.eq.1, &asg);
-                            if l == r {
-                                continue;
-                            }
-                            if let (Value::Const(_), Value::Const(_)) = (l, r) {
-                                return ChaseOutcome::Failed { left: l, right: r };
-                            }
-                            if *steps >= max_steps {
-                                return ChaseOutcome::StepLimit;
-                            }
-                            store.merge(&egd.body, &asg, l, r, &mut queue);
-                            *steps += 1;
-                            // The seed itself may have been rewritten; it
-                            // (or its rewrite) is back on the queue, so
-                            // restart from there.
+                let Some(bound) = unify(args, &seed_tuple) else {
+                    continue;
+                };
+                for asg in trigger.discover(store.index(), &bound) {
+                    match step(store, trigger, &asg, gen, max_steps, steps, &mut queue) {
+                        Err(outcome) => return outcome,
+                        Ok(false) => {}
+                        // A merge rewrites values the remaining triggers
+                        // and the seed may carry. The seed (or its
+                        // rewrite) goes back on the queue; restart there.
+                        Ok(true) => {
                             if store.index().get(seed).is_some() {
                                 queue.push_back(seed);
                             }
@@ -241,39 +309,69 @@ pub(crate) fn close<S: ChaseStore>(
     ChaseOutcome::Satisfied
 }
 
-/// One restricted-chase tgd step at the body match `asg`: fire unless the
-/// head is already satisfied (earlier steps may have satisfied it since
-/// the match was found). `Err(StepLimit)` when the budget is spent.
-pub(crate) fn tgd_step<S: ChaseStore>(
+/// One restricted-chase step at the trigger `asg`, unless it stopped being
+/// active (earlier steps may have satisfied its head or rewritten its
+/// body): fire a tgd, or merge an egd's two sides. `Ok(true)` when an egd
+/// merged; `Err` when the chase stops — an egd equates two constants, or
+/// the budget is spent.
+pub(crate) fn step<S: ChaseStore>(
     store: &mut S,
-    tgd: &Tgd,
+    trigger: &Trigger,
     asg: &Asg,
     gen: &mut NullGen,
     max_steps: usize,
     steps: &mut usize,
     queue: &mut VecDeque<TupleId>,
-) -> Result<(), ChaseOutcome> {
-    if head_satisfiable(store.index(), tgd, asg) {
-        return Ok(());
+) -> Result<bool, ChaseOutcome> {
+    if !trigger.is_active(store.index(), asg) {
+        return Ok(false);
     }
-    if *steps >= max_steps {
-        return Err(ChaseOutcome::StepLimit);
+    match &trigger.dep {
+        TargetDep::Tgd(tgd) => {
+            if *steps >= max_steps {
+                return Err(ChaseOutcome::StepLimit);
+            }
+            store.fire(tgd, asg, gen, queue);
+        }
+        TargetDep::Egd(egd) => {
+            let (l, r) = (eval_term(&egd.eq.0, asg), eval_term(&egd.eq.1, asg));
+            if let (Value::Const(_), Value::Const(_)) = (l, r) {
+                return Err(ChaseOutcome::Failed { left: l, right: r });
+            }
+            if *steps >= max_steps {
+                return Err(ChaseOutcome::StepLimit);
+            }
+            store.merge(&egd.body, asg, l, r, queue);
+        }
     }
-    store.fire(tgd, asg, gen, queue);
     *steps += 1;
-    Ok(())
+    Ok(matches!(trigger.dep, TargetDep::Egd(_)))
 }
 
-/// Positions of `rel` among the body atoms.
-fn atom_positions(body: &[(RelSym, Vec<Term>)], rel: RelSym) -> Vec<usize> {
-    body.iter()
-        .enumerate()
-        .filter(|(_, (r, _))| *r == rel)
-        .map(|(i, _)| i)
-        .collect()
+/// The bindings under which the atom template `args` matches `tuple`:
+/// `None` when the arities differ, a constant disagrees, or a repeated
+/// variable meets two values.
+pub(crate) fn unify(args: &[Term], tuple: &Tuple) -> Option<Vec<(Var, Value)>> {
+    if args.len() != tuple.arity() {
+        return None;
+    }
+    let mut bound: Vec<(Var, Value)> = Vec::with_capacity(args.len());
+    for (term, val) in args.iter().zip(tuple.iter()) {
+        match term {
+            Term::Const(c) if val != Value::Const(*c) => return None,
+            Term::Const(_) => {}
+            Term::Var(v) => match bound.iter().find(|(w, _)| w == v) {
+                Some(&(_, prev)) if prev != val => return None,
+                Some(_) => {}
+                None => bound.push((*v, val)),
+            },
+            Term::App(_, _) => unreachable!("dependencies are function-free"),
+        }
+    }
+    Some(bound)
 }
 
-/// The index probe pattern of `args` under a partial assignment.
+/// The index probe pattern of `args` under a total assignment.
 pub(crate) fn pattern(args: &[Term], asg: &Asg) -> Vec<Option<Value>> {
     args.iter()
         .map(|t| match t {
@@ -282,130 +380,6 @@ pub(crate) fn pattern(args: &[Term], asg: &Asg) -> Vec<Option<Value>> {
             Term::App(_, _) => unreachable!("dependency bodies are function-free"),
         })
         .collect()
-}
-
-/// Unify `args` with a concrete tuple, extending `asg`; newly bound
-/// variables are pushed onto `bound` for backtracking.
-pub(crate) fn match_tuple(
-    tuple: &Tuple,
-    args: &[Term],
-    asg: &mut Asg,
-    bound: &mut Vec<Var>,
-) -> bool {
-    for (j, term) in args.iter().enumerate() {
-        let val = tuple.get(j);
-        match term {
-            Term::Const(c) => {
-                if val != Value::Const(*c) {
-                    return false;
-                }
-            }
-            Term::Var(v) => match asg.get(v) {
-                Some(&existing) => {
-                    if existing != val {
-                        return false;
-                    }
-                }
-                None => {
-                    asg.insert(*v, val);
-                    bound.push(*v);
-                }
-            },
-            Term::App(_, _) => unreachable!("dependency bodies are function-free"),
-        }
-    }
-    true
-}
-
-/// Index-driven join of the `remaining` atoms (most selective first), calling
-/// `visit` on every complete assignment; `visit` returning `true` stops the
-/// enumeration.
-pub(crate) fn join(
-    idx: &IndexedInstance,
-    atoms: &[(RelSym, Vec<Term>)],
-    remaining: &mut Vec<usize>,
-    asg: &mut Asg,
-    visit: &mut dyn FnMut(&Asg) -> bool,
-) -> bool {
-    if remaining.is_empty() {
-        return visit(asg);
-    }
-    // Pick the atom with the tightest posting list under the current
-    // bindings (dynamic selectivity ordering).
-    let pick = remaining
-        .iter()
-        .enumerate()
-        .min_by_key(|(_, &ai)| {
-            let (rel, args) = &atoms[ai];
-            idx.selectivity(*rel, &pattern(args, asg))
-        })
-        .map(|(i, _)| i)
-        .expect("remaining is non-empty");
-    let ai = remaining.swap_remove(pick);
-    let (rel, args) = &atoms[ai];
-    let mut stop = false;
-    dx_obs::count!("engine.chase.index_probes");
-    for id in idx.matching(*rel, &pattern(args, asg)) {
-        let Some((_, at)) = idx.get(id) else { continue };
-        let mut bound: Vec<Var> = Vec::new();
-        if match_tuple(&at.tuple, args, asg, &mut bound) && join(idx, atoms, remaining, asg, visit)
-        {
-            stop = true;
-        }
-        for v in bound {
-            asg.remove(&v);
-        }
-        if stop {
-            break;
-        }
-    }
-    remaining.push(ai);
-    stop
-}
-
-/// All body matches in which the seed tuple plays body atom `k`.
-fn seeded_matches(
-    idx: &IndexedInstance,
-    body: &[(RelSym, Vec<Term>)],
-    k: usize,
-    seed_tuple: &Tuple,
-) -> Vec<Asg> {
-    let mut asg = Asg::new();
-    let mut bound = Vec::new();
-    if !match_tuple(seed_tuple, &body[k].1, &mut asg, &mut bound) {
-        return Vec::new();
-    }
-    let mut remaining: Vec<usize> = (0..body.len()).filter(|&i| i != k).collect();
-    let mut out = Vec::new();
-    {
-        let _span = dx_obs::span!("engine.chase.trigger_discovery");
-        join(idx, body, &mut remaining, &mut asg, &mut |a| {
-            out.push(a.clone());
-            false
-        });
-    }
-    dx_obs::count!("engine.chase.triggers_discovered", out.len());
-    out
-}
-
-/// Is a materialized body match still realized by live tuples (used to
-/// re-validate egd matches after a merge)?
-fn match_still_live(idx: &IndexedInstance, body: &[(RelSym, Vec<Term>)], asg: &Asg) -> bool {
-    body.iter().all(|(rel, args)| {
-        let pat = pattern(args, asg);
-        debug_assert!(pat.iter().all(|p| p.is_some()), "match is total");
-        !idx.matching(*rel, &pat).is_empty()
-    })
-}
-
-/// Can the tgd's head be extended into the instance under `asg` (restricted
-/// chase check), with existential variables drawn from live tuples?
-fn head_satisfiable(idx: &IndexedInstance, tgd: &Tgd, asg: &Asg) -> bool {
-    let atoms: Vec<(RelSym, Vec<Term>)> =
-        tgd.head.iter().map(|a| (a.rel, a.args.clone())).collect();
-    let mut remaining: Vec<usize> = (0..atoms.len()).collect();
-    let mut local = asg.clone();
-    join(idx, &atoms, &mut remaining, &mut local, &mut |_| true)
 }
 
 /// Fire a tgd trigger: fresh nulls for existential variables, insert the
@@ -464,36 +438,6 @@ pub(crate) fn merge(idx: &mut IndexedInstance, l: Value, r: Value, queue: &mut V
     }
 }
 
-/// Search the whole store for a trigger of `dep` (used by
-/// [`IndexedChase::satisfies`]): an unsatisfied-head tgd match or a violated
-/// egd match.
-pub(crate) fn find_trigger(idx: &IndexedInstance, dep: &TargetDep) -> Option<Asg> {
-    fn search(
-        idx: &IndexedInstance,
-        body: &[(RelSym, Vec<Term>)],
-        is_violation: &dyn Fn(&Asg) -> bool,
-    ) -> Option<Asg> {
-        let mut remaining: Vec<usize> = (0..body.len()).collect();
-        let mut asg = Asg::new();
-        let mut found = None;
-        join(idx, body, &mut remaining, &mut asg, &mut |a| {
-            if is_violation(a) {
-                found = Some(a.clone());
-                true
-            } else {
-                false
-            }
-        });
-        found
-    }
-    match dep {
-        TargetDep::Tgd(tgd) => search(idx, &tgd.body, &|asg| !head_satisfiable(idx, tgd, asg)),
-        TargetDep::Egd(egd) => search(idx, &egd.body, &|asg| {
-            eval_term(&egd.eq.0, asg) != eval_term(&egd.eq.1, asg)
-        }),
-    }
-}
-
 fn eval_term(t: &Term, asg: &Asg) -> Value {
     match t {
         Term::Var(v) => asg[v],
@@ -523,7 +467,7 @@ mod tests {
         let inst = csol_of("G(x:cl, y:cl) <- E(x, y)", &[("E", &["a", "b"])]);
         let deps = TargetDep::parse_many("G(y:cl, x:cl) <- G(x, y)").unwrap();
         let mut gen = NullGen::after(inst.nulls());
-        let out = indexed_chase(inst, &deps, &mut gen, DEFAULT_CHASE_LIMIT);
+        let out = IndexedChase.chase(inst, &deps, &mut gen, DEFAULT_CHASE_LIMIT);
         assert_eq!(out.outcome, ChaseOutcome::Satisfied);
         assert_eq!(out.steps, 1);
         let g = out.instance.rel_part();
@@ -536,10 +480,10 @@ mod tests {
         let inst = csol_of("Emp(e:cl) <- Src(e)", &[("Src", &["ada"])]);
         let deps = TargetDep::parse_many("Dept(e:cl, d:op) <- Emp(e)").unwrap();
         let mut gen = NullGen::after(inst.nulls());
-        let out = indexed_chase(inst, &deps, &mut gen, DEFAULT_CHASE_LIMIT);
+        let out = IndexedChase.chase(inst, &deps, &mut gen, DEFAULT_CHASE_LIMIT);
         assert_eq!(out.outcome, ChaseOutcome::Satisfied);
         assert_eq!(out.steps, 1);
-        let again = indexed_chase(out.instance.clone(), &deps, &mut gen, DEFAULT_CHASE_LIMIT);
+        let again = IndexedChase.chase(out.instance.clone(), &deps, &mut gen, DEFAULT_CHASE_LIMIT);
         assert_eq!(again.steps, 0);
         assert_eq!(again.instance, out.instance);
     }
@@ -560,7 +504,7 @@ mod tests {
         }
         let deps = TargetDep::parse_many("y1 = y2 <- EngR(x, y1) & EngR(x, y2)").unwrap();
         let mut gen = NullGen::after(inst.nulls());
-        let out = indexed_chase(inst, &deps, &mut gen, DEFAULT_CHASE_LIMIT);
+        let out = IndexedChase.chase(inst, &deps, &mut gen, DEFAULT_CHASE_LIMIT);
         assert_eq!(out.outcome, ChaseOutcome::Satisfied);
         let rel = out.instance.relation(r).unwrap();
         assert_eq!(rel.len(), 1);
@@ -584,7 +528,7 @@ mod tests {
         );
         let deps = TargetDep::parse_many("y1 = y2 <- EngF(x, y1) & EngF(x, y2)").unwrap();
         let mut gen = NullGen::new();
-        let out = indexed_chase(inst, &deps, &mut gen, DEFAULT_CHASE_LIMIT);
+        let out = IndexedChase.chase(inst, &deps, &mut gen, DEFAULT_CHASE_LIMIT);
         assert!(matches!(out.outcome, ChaseOutcome::Failed { .. }));
     }
 
@@ -597,7 +541,7 @@ mod tests {
         );
         let deps = TargetDep::parse_many("EngChain(y:cl, z:cl) <- EngChain(x, y)").unwrap();
         let mut gen = NullGen::new();
-        let out = indexed_chase(inst, &deps, &mut gen, 25);
+        let out = IndexedChase.chase(inst, &deps, &mut gen, 25);
         assert_eq!(out.outcome, ChaseOutcome::StepLimit);
         assert_eq!(out.steps, 25);
     }
@@ -615,7 +559,7 @@ mod tests {
         }
         let deps = TargetDep::parse_many("EngT(x:cl, z:cl) <- EngE(x, y) & EngE(y, z)").unwrap();
         let mut gen = NullGen::new();
-        let out = indexed_chase(inst, &deps, &mut gen, DEFAULT_CHASE_LIMIT);
+        let out = IndexedChase.chase(inst, &deps, &mut gen, DEFAULT_CHASE_LIMIT);
         assert_eq!(out.outcome, ChaseOutcome::Satisfied);
         let t = out.instance.relation(RelSym::new("EngT")).unwrap();
         assert_eq!(t.len(), 2, "v0→v2 and v1→v3");

@@ -8,10 +8,13 @@
 //!   tuple ids, per-relation per-column hash indexes, and a reverse
 //!   `value → tuple ids` index that makes egd null-merging proportional to
 //!   the affected tuples;
-//! * [`chase::IndexedChase`] / [`chase::indexed_chase`] — semi-naive chase:
-//!   triggers are discovered from the **delta** of the previous step (a
-//!   work-queue of inserted/rewritten tuple ids) instead of full rescans,
-//!   and body matching runs index-driven joins ordered by selectivity.
+//! * [`chase::IndexedChase`] — semi-naive chase: triggers are discovered
+//!   from the **delta** of the previous step (a work-queue of
+//!   inserted/rewritten tuple ids) instead of full rescans. Each dependency
+//!   is compiled once to a *trigger query* (its body with the conclusion
+//!   negated, so its rows are the active triggers) that runs on
+//!   `dx-query`'s first-witness walk over the store — the chase has no
+//!   join of its own.
 //!
 //! The reference oracle is [`dx_chase::NaiveChase`]; the two engines are
 //! differentially tested on randomized workloads in
@@ -31,6 +34,6 @@ pub mod chase;
 pub mod store;
 pub mod stream;
 
-pub use chase::{indexed_chase, IndexedChase};
+pub use chase::IndexedChase;
 pub use store::{IndexedInstance, Inserted, Rewrite, TupleId};
 pub use stream::{IncrementalExchange, StdPath, TargetPath, UpdateReport};

@@ -6,7 +6,9 @@
 //!
 //! * a dedup map `(relation, annotated tuple) → id` — set semantics;
 //! * per-relation, per-column hash indexes `(column, value) → ids` — the
-//!   probe structure behind index joins;
+//!   probe structure the chase's trigger queries walk: the store is a
+//!   [`dx_query::QueryStore`], and one posting-list lookup (the tightest
+//!   bound column) serves its selectivity estimates and its scans;
 //! * a reverse index `value → ids` — the structure that makes egd merges
 //!   (`⊥ → v` substitutions) proportional to the number of *affected*
 //!   tuples instead of the instance size.
@@ -18,8 +20,10 @@
 //! `tests/engine_differential.rs` run it after random insert/merge
 //! workloads.
 
+use dx_query::QueryStore;
 use dx_relation::{AnnInstance, AnnTuple, Annotation, FastMap, RelSym, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::ControlFlow;
 
 /// A stable identifier of a tuple in an [`IndexedInstance`]: its slot in
 /// insertion order. Ids are never reused, so the chase work queue and the
@@ -93,16 +97,16 @@ impl SortedIds {
         self.0.binary_search(&id).is_ok()
     }
 
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
     fn is_empty(&self) -> bool {
         self.0.is_empty()
     }
 
     fn iter(&self) -> impl Iterator<Item = TupleId> + '_ {
         self.0.iter().copied()
+    }
+
+    fn as_slice(&self) -> &[TupleId] {
+        &self.0
     }
 }
 
@@ -277,64 +281,48 @@ impl IndexedInstance {
         Some((rel, at))
     }
 
-    /// Point probe: live ids of `rel` with `value` at `col`.
-    pub fn probe(
-        &self,
-        rel: RelSym,
-        col: usize,
-        value: Value,
-    ) -> impl Iterator<Item = TupleId> + '_ {
-        self.rels
-            .get(&rel)
-            .and_then(|s| s.by_col.get(col))
-            .and_then(|m| m.get(&value))
-            .into_iter()
-            .flat_map(|set| set.iter())
+    /// The posting list a pattern probe walks: the ids of the tightest
+    /// bound column of `pattern` over `rel`, or all of the relation's ids
+    /// when nothing is bound. The one lookup behind
+    /// [`IndexedInstance::matching`] and the [`QueryStore`] estimate and
+    /// scan.
+    fn postings(&self, rel: RelSym, pattern: &[Option<Value>]) -> &[TupleId] {
+        let Some(store) = self.rels.get(&rel) else {
+            return &[];
+        };
+        debug_assert_eq!(pattern.len(), store.arity);
+        let mut best = store.ids.as_slice();
+        for (col, p) in store.by_col.iter().zip(pattern) {
+            if let Some(v) = p {
+                let ids = col.get(v).map_or(&[][..], SortedIds::as_slice);
+                if ids.len() < best.len() {
+                    best = ids;
+                }
+            }
+        }
+        best
     }
 
-    /// Selectivity estimate for `pattern` over `rel` (the estimate of
-    /// [`dx_relation::DeltaIndex::selectivity`]): posting-list length of
-    /// the tightest bound column, or relation cardinality when unbound.
-    pub fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize {
-        let Some(store) = self.rels.get(&rel) else {
-            return 0;
-        };
-        pattern
-            .iter()
-            .enumerate()
-            .filter_map(|(c, p)| p.map(|v| store.by_col[c].get(&v).map_or(0, |s| s.len())))
-            .min()
-            .unwrap_or(store.ids.len())
+    /// The live tuples of `rel` matching `pattern` on every bound
+    /// position, with their ids, in id order: the posting list of
+    /// `postings`, post-filtered on the other columns.
+    fn live_matches<'a>(
+        &'a self,
+        rel: RelSym,
+        pattern: &'a [Option<Value>],
+    ) -> impl Iterator<Item = (TupleId, &'a AnnTuple)> + 'a {
+        self.postings(rel, pattern).iter().filter_map(move |&id| {
+            let (_, at) = self.slots[id.idx()].as_ref().expect("live id");
+            let agrees =
+                (pattern.iter().zip(at.tuple.iter())).all(|(p, v)| p.is_none_or(|p| p == v));
+            agrees.then_some((id, at))
+        })
     }
 
     /// Live ids of `rel` matching `pattern` on every bound position, in id
     /// order: probe the tightest bound column, post-filter the rest.
     pub fn matching(&self, rel: RelSym, pattern: &[Option<Value>]) -> Vec<TupleId> {
-        let Some(store) = self.rels.get(&rel) else {
-            return Vec::new();
-        };
-        debug_assert_eq!(pattern.len(), store.arity);
-        let best = pattern
-            .iter()
-            .enumerate()
-            .filter_map(|(c, p)| p.map(|v| (store.by_col[c].get(&v).map_or(0, |s| s.len()), c, v)))
-            .min();
-        let check = |id: TupleId| {
-            let (_, at) = self.slots[id.idx()].as_ref().expect("live id");
-            pattern
-                .iter()
-                .enumerate()
-                .all(|(c, p)| p.is_none_or(|pv| at.tuple.get(c) == pv))
-        };
-        match best {
-            None => store.ids.iter().collect(),
-            Some((_, col, v)) => store.by_col[col]
-                .get(&v)
-                .into_iter()
-                .flat_map(|set| set.iter())
-                .filter(|&id| check(id))
-                .collect(),
-        }
+        self.live_matches(rel, pattern).map(|(id, _)| id).collect()
     }
 
     /// Ids whose tuples mention `value` (the merge footprint of an egd).
@@ -441,6 +429,37 @@ impl IndexedInstance {
     }
 }
 
+/// The chase's store serves `dx-query`'s walk: a dependency's trigger
+/// query ([`crate::chase`]) probes it like any relational index.
+impl QueryStore for IndexedInstance {
+    /// The posting-list length of the tightest bound column, or the
+    /// relation's cardinality when nothing is bound (the estimate of
+    /// [`dx_relation::DeltaIndex::selectivity`]).
+    fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize {
+        self.postings(rel, pattern).len()
+    }
+
+    /// The live tuples matching `pattern`, in id order. A tuple live under
+    /// two annotations is visited once per annotation (the walk keeps
+    /// distinct root rows), except under a pattern that binds every
+    /// position: its matches are one tuple, visited once.
+    fn for_each_matching(
+        &self,
+        rel: RelSym,
+        pattern: &[Option<Value>],
+        f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        let point = pattern.iter().all(Option::is_some);
+        for (_, at) in self.live_matches(rel, pattern) {
+            f(&at.tuple)?;
+            if point {
+                break;
+            }
+        }
+        ControlFlow::Continue(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,7 +505,7 @@ mod tests {
         s.insert(r, at(vec![Value::c("a"), Value::c("x")], cl2.clone()));
         s.insert(r, at(vec![Value::c("a"), Value::c("y")], cl2.clone()));
         s.insert(r, at(vec![Value::c("b"), Value::c("x")], cl2.clone()));
-        assert_eq!(s.probe(r, 0, Value::c("a")).count(), 2);
+        assert_eq!(s.matching(r, &[Some(Value::c("a")), None]).len(), 2);
         assert_eq!(
             s.matching(r, &[Some(Value::c("a")), Some(Value::c("x"))])
                 .len(),
@@ -511,7 +530,7 @@ mod tests {
         assert_eq!(rewrites.len(), 2);
         assert_eq!(s.live_count(), 2);
         assert!(s.ids_with_value(Value::null(1)).is_empty());
-        assert_eq!(s.probe(r, 1, Value::c("k")).count(), 2);
+        assert_eq!(s.matching(r, &[None, Some(Value::c("k"))]).len(), 2);
         let merged = rewrites
             .iter()
             .filter(|rw| matches!(rw.new, Inserted::Duplicate(_)))

@@ -4,8 +4,9 @@
 //! [`IncrementalExchange`] owns a ground source instance and keeps two
 //! layers of derived state consistent with it across update batches. Both
 //! run the batch engines: STD bodies on `dx-query`'s compiled plans and
-//! delta plans, the target on [`crate::indexed_chase`]'s loop. What is
-//! incremental is only the bookkeeping around them.
+//! delta plans, the target on the loop of [`crate::IndexedChase`], with
+//! each constraint compiled once to its trigger query (`crate::chase`).
+//! What is incremental is only the bookkeeping around them.
 //!
 //! **Layer 1 — the annotated canonical solution `CSol_A(S)`.** For every
 //! STD the engine maintains the set of body *witnesses* (satisfying
@@ -33,7 +34,7 @@
 //!
 //! **Layer 2 — the chased target (when target constraints are present).**
 //! The engine closes the target under the constraints with
-//! [`crate::indexed_chase`]'s semi-naive loop, run over a store that
+//! [`crate::IndexedChase`]'s semi-naive loop, run over a store that
 //! *records derivations*: each tgd firing logs the tuple ids its body
 //! matched and the head ids it produced, and each egd merge logs the ids
 //! its match rested on, the ids it retired (with their pre-merge content)
@@ -45,9 +46,10 @@
 //! deleted id, transitively overdeleting what they produced; a dead
 //! merge's surviving pre-images are **restored**. Overdeleted tuples still
 //! present in Layer 1 are re-inserted, the rest get a **head-seeded
-//! re-derivation** pass (unify the lost tuple with each tgd head, join the
-//! body under the surviving frontier bindings, and take the chase's tgd
-//! step there), and the closing run of the loop restores satisfaction,
+//! re-derivation** pass (unify the lost tuple with each tgd head, run the
+//! tgd's trigger query under the bindings of the head's body variables,
+//! and take the chase's step at each active trigger it returns), and the
+//! closing run of the loop restores satisfaction,
 //! re-merging restored pre-images wherever an egd still fires — so target
 //! constraints are maintained through merges without a re-chase.
 //! Empty-marker transitions are copied into the target layer as they are,
@@ -68,7 +70,7 @@
 //! `DESIGN.md §Streaming data exchange`; the query-layer maintenance
 //! built on top of this type lives in `dx-core`'s `StreamSession`.
 
-use crate::chase::{self, Asg, ChaseStore};
+use crate::chase::{self, Asg, ChaseStore, Trigger};
 use crate::store::{IndexedInstance, Inserted, TupleId};
 use dx_chase::chase_engine::{ChaseOutcome, DEFAULT_CHASE_LIMIT};
 use dx_chase::target_deps::{TargetDep, Tgd};
@@ -256,7 +258,8 @@ struct TargetState {
 /// ```
 pub struct IncrementalExchange {
     mapping: Mapping,
-    constraints: Vec<TargetDep>,
+    /// The target constraints, each compiled once to its trigger query.
+    triggers: Vec<Trigger>,
     source: Instance,
     /// `source` as the relational index STD body plans and their delta
     /// plans probe, updated wherever `source` is.
@@ -310,7 +313,7 @@ impl IncrementalExchange {
                 })
                 .collect(),
             mapping,
-            constraints,
+            triggers: constraints.iter().map(Trigger::compile).collect(),
             source,
             source_index,
             gen: NullGen::new(),
@@ -350,7 +353,7 @@ impl IncrementalExchange {
                 inc.birth_witness(i, row, &mut report, &mut added);
             }
         }
-        if !inc.constraints.is_empty() {
+        if !inc.triggers.is_empty() {
             inc.rebuild_target();
         }
         inc
@@ -743,7 +746,7 @@ impl IncrementalExchange {
         let mut steps = 0;
         ts.outcome = chase::close(
             &mut ts,
-            &self.constraints,
+            &self.triggers,
             &mut self.gen,
             DEFAULT_CHASE_LIMIT,
             &mut steps,
@@ -806,44 +809,30 @@ impl IncrementalExchange {
 
         // Head-seeded re-derivation: a lost derived tuple may have other
         // live derivations the (conservative) overdelete destroyed. Unify
-        // it with every tgd head, join the body under the surviving
-        // frontier bindings, and take the chase's tgd step at each match,
-        // which re-fires where the head became unsatisfiable. Fresh nulls
-        // replace the lost ones — the result is homomorphically
-        // equivalent, which is all a chase result promises.
+        // it with every tgd head, run the trigger query under the bindings
+        // of the head's body variables, and take the chase's step at each
+        // active trigger it returns. Fresh nulls replace the lost ones —
+        // the result is homomorphically equivalent, which is all a chase
+        // result promises.
         let mut steps = 0usize;
         for (rel, at) in &deleted {
             if reinserted.contains(&(*rel, at.clone())) {
                 continue;
             }
-            for dep in &self.constraints {
-                let TargetDep::Tgd(tgd) = dep else { continue };
-                let body_vars: BTreeSet<Var> = tgd
-                    .body
-                    .iter()
-                    .flat_map(|(_, args)| args.iter().flat_map(|t| t.vars()))
-                    .collect();
-                for atom in &tgd.head {
-                    if atom.rel != *rel || atom.args.len() != at.tuple.arity() {
+            for trigger in &self.triggers {
+                let TargetDep::Tgd(tgd) = &trigger.dep else {
+                    continue;
+                };
+                for atom in tgd.head.iter().filter(|atom| atom.rel == *rel) {
+                    let Some(mut bound) = chase::unify(&atom.args, &at.tuple) else {
                         continue;
-                    }
-                    let mut asg = Asg::new();
-                    let mut bound = Vec::new();
-                    if !chase::match_tuple(&at.tuple, &atom.args, &mut asg, &mut bound) {
-                        continue;
-                    }
-                    asg.retain(|v, _| body_vars.contains(v));
-                    let mut remaining: Vec<usize> = (0..tgd.body.len()).collect();
-                    let mut matches = Vec::new();
-                    chase::join(&ts.idx, &tgd.body, &mut remaining, &mut asg, &mut |a| {
-                        matches.push(a.clone());
-                        false
-                    });
-                    for m in matches {
-                        let step = chase::tgd_step(
+                    };
+                    bound.retain(|&(v, _)| trigger.binds(v));
+                    for asg in trigger.discover(&ts.idx, &bound) {
+                        let step = chase::step(
                             ts,
-                            tgd,
-                            &m,
+                            trigger,
+                            &asg,
                             &mut self.gen,
                             DEFAULT_CHASE_LIMIT,
                             &mut steps,
@@ -872,7 +861,7 @@ impl IncrementalExchange {
         }
         ts.outcome = chase::close(
             ts,
-            &self.constraints,
+            &self.triggers,
             &mut self.gen,
             DEFAULT_CHASE_LIMIT,
             &mut steps,
@@ -1061,9 +1050,10 @@ mod tests {
     /// Incremental chased target vs from-scratch recompute (hom-equivalence
     /// — restricted-chase results are only canonical up to homomorphism).
     fn assert_chased_matches(inc: &IncrementalExchange) {
+        let constraints: Vec<TargetDep> = inc.triggers.iter().map(|t| t.dep.clone()).collect();
         let oracle = canonical_solution_with_deps(
             &inc.mapping,
-            &inc.constraints,
+            &constraints,
             &inc.source,
             DEFAULT_CHASE_LIMIT,
         );

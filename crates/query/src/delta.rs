@@ -210,7 +210,8 @@ pub fn dred(
     let head = query.head();
     let mut gained = BTreeSet::new();
     if !added.is_empty() {
-        for_each_answer(variant, head, &DeltaStore::new(store, added), &mut |t| {
+        let view = DeltaStore::new(store, added);
+        for_each_answer(variant, head, &view, &[], &mut |t| {
             if !old(&t) {
                 gained.insert(t);
             }
@@ -219,7 +220,7 @@ pub fn dred(
     let mut candidates = BTreeSet::new();
     if !removed.is_empty() {
         let view = DeltaStore::retracting(store, removed);
-        for_each_answer(variant, head, &view, &mut |t| {
+        for_each_answer(variant, head, &view, &[], &mut |t| {
             if old(&t) {
                 candidates.insert(t);
             }
@@ -440,7 +441,7 @@ mod tests {
                 let (q_old, q_new) = (q.answers(&old), q.answers(&new));
                 let mut candidates = BTreeSet::new();
                 let view = DeltaStore::retracting(&store, &removed);
-                for_each_answer(&variant, q.head(), &view, &mut |t| {
+                for_each_answer(&variant, q.head(), &view, &[], &mut |t| {
                     candidates.insert(t);
                 });
                 let lost: Vec<Tuple> = q_old

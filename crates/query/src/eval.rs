@@ -80,7 +80,7 @@ impl CompiledQuery {
     /// answered at the first row with its 0 or 1 empty tuple.
     pub fn answers_store(&self, store: &dyn QueryStore) -> Relation {
         let mut rel = Relation::new(self.head.len());
-        for_each_answer(&self.plan, &self.head, store, &mut |t| {
+        for_each_answer(&self.plan, &self.head, store, &[], &mut |t| {
             rel.insert(t);
         });
         rel

@@ -17,10 +17,11 @@
 //!
 //! * **Yes/no** ([`exec_nonempty`]) — "does the plan have a row agreeing
 //!   with these bound variables?": the walk unwinds at the first root row.
-//! * **Answer sets** ([`exec`], and the head tuples of
-//!   [`crate::CompiledQuery::answers_store`], delta plans and
-//!   [`crate::CompiledRa::eval_ground_store`]) — the walk runs to the end
-//!   and keeps the distinct root rows.
+//! * **Answer sets** ([`exec`], and through [`for_each_answer`] the head
+//!   tuples of [`crate::CompiledQuery::answers_store`], delta plans,
+//!   [`crate::CompiledRa::eval_ground_store`] and the chase's trigger
+//!   queries, which `dx-engine` seeds with a delta tuple's bindings) — the
+//!   walk runs to the end and keeps the distinct root rows.
 //!
 //! Work metrics (`DX_OBS=1`): `query.exec.rows_emitted` (the distinct rows
 //! a set-mode root call returns, or the 0 or 1 row a root [`exec_nonempty`]
@@ -59,23 +60,28 @@ impl Rows {
 pub fn exec(plan: &Plan, store: &dyn QueryStore) -> Rows {
     let vars = plan.vars();
     let mut rows = Vec::new();
-    for_each_answer(plan, &vars, store, &mut |t| rows.push(t.values().to_vec()));
+    for_each_answer(plan, &vars, store, &[], &mut |t| {
+        rows.push(t.values().to_vec())
+    });
     rows.sort_unstable();
     Rows { vars, rows }
 }
 
 /// Walk `plan` on `store` to the end and hand `emit` each distinct root
-/// row projected onto `head` (a head variable may repeat). A Boolean head
-/// asks one yes/no question: the walk stops at the first row and emits its
-/// empty tuple. The set-mode root call.
-pub(crate) fn for_each_answer(
+/// row agreeing with `bound`, projected onto `head` (a head variable may
+/// repeat, and may be one of `bound`'s). A Boolean head asks one yes/no
+/// question: the walk stops at the first row and emits its empty tuple.
+/// The set-mode root call; `bound` seeds the walk as in [`exec_nonempty`],
+/// so the greedy join order starts from the bound variables and probes.
+pub fn for_each_answer(
     plan: &Plan,
     head: &[Var],
     store: &dyn QueryStore,
+    bound: &[(Var, Value)],
     emit: &mut dyn FnMut(Tuple),
 ) {
     let mut seen: FastSet<Tuple> = FastSet::default();
-    walk(plan, store, &[], &mut |w| {
+    walk(plan, store, bound, &mut |w| {
         let t: Tuple = head
             .iter()
             .map(|&v| w.lookup(v).expect("head variable is produced"))

@@ -71,7 +71,7 @@ impl CompiledRa {
     /// to the end and hands on the distinct output tuples.
     pub fn eval_ground_store(&self, store: &dyn QueryStore) -> Relation {
         let mut rel = Relation::new(self.outcols.len());
-        for_each_answer(&self.plan, &self.outcols, store, &mut |t| {
+        for_each_answer(&self.plan, &self.outcols, store, &[], &mut |t| {
             rel.insert(t);
         });
         rel

@@ -152,9 +152,8 @@ pub fn validate(raw: &RawScenario) -> Result<Scenario, TextError> {
         stds.push(Std::new(head, rule.body.clone()));
     }
 
-    // Constraints: entirely over the target schema; egd equalities over
-    // body-bound variables; the whole set weakly acyclic so the chase
-    // terminates.
+    // Constraints: entirely over the target schema, the whole set weakly
+    // acyclic so the chase terminates.
     let check_atoms = |atoms: &[(RelSym, Vec<Term>)], span: Span| -> Result<(), TextError> {
         for (rel, args) in atoms {
             match target_schema.arity(*rel) {
@@ -188,27 +187,8 @@ pub fn validate(raw: &RawScenario) -> Result<Scenario, TextError> {
                     check_atoms(&[(atom.rel, atom.args.clone())], *span)?;
                 }
             }
-            TargetDep::Egd(egd) => {
-                check_atoms(&egd.body, *span)?;
-                let bound: BTreeSet<Var> = egd
-                    .body
-                    .iter()
-                    .flat_map(|(_, args)| args.iter().flat_map(|t| t.vars()))
-                    .collect();
-                for t in [&egd.eq.0, &egd.eq.1] {
-                    if let Term::Var(v) = t {
-                        if !bound.contains(v) {
-                            return Err(TextError::new(
-                                format!(
-                                    "unsafe egd: variable `{v}` is not bound by a positive \
-                                     body atom"
-                                ),
-                                *span,
-                            ));
-                        }
-                    }
-                }
-            }
+            // `Egd::parse` has refused unsafe egds already.
+            TargetDep::Egd(egd) => check_atoms(&egd.body, *span)?,
         }
         constraints.push(dep.clone());
     }

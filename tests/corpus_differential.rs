@@ -284,6 +284,23 @@ fn diagnostic_unsafe_tgd() {
     );
 }
 
+/// An egd equating a variable its body does not bind is refused by the
+/// dependency parser, so the `.dx` front end reports it with a span, as
+/// the API does, and nothing reaches the chase.
+#[test]
+fn diagnostic_unsafe_egd() {
+    let src = "scenario \"bad\" {\n  source { S/2; }\n  target { T/2; }\n  \
+               mapping { T(x:cl, y:cl) <- S(x, y); }\n  constraints { egd y = k <- T(x, y); }\n}\n";
+    let err = parse_err(src);
+    assert_eq!(
+        err.msg,
+        "unsafe egd: variable `k` is not bound by a positive body atom"
+    );
+    let rendered = err.render(src);
+    assert!(rendered.contains("error at 5:21"), "got: {rendered}");
+    assert!(rendered.contains('^'), "got: {rendered}");
+}
+
 #[test]
 fn diagnostic_duplicate_annotation() {
     let err = parse_err(

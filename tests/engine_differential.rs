@@ -2,9 +2,9 @@
 //!
 //! `dx_chase::NaiveChase` (rescan-everything nested loops) is the reference
 //! oracle; `dx_engine::IndexedChase` (stable-id store, delta work-queue,
-//! selectivity-ordered index joins) is the fast implementation. A chase
-//! result is unique only up to homomorphic equivalence, so the harness
-//! compares:
+//! trigger queries on the compiled-plan walk) is the fast implementation.
+//! A chase result is unique only up to homomorphic equivalence, so the
+//! harness compares:
 //!
 //! * **outcomes** (satisfied / failed / step-limit kind),
 //! * **cross-engine dependency satisfaction** — each engine's `satisfies`
@@ -188,6 +188,108 @@ fn differential_chase_failure_cases() {
     ok.insert_names("DfS", &["b", "l"]);
     let (naive, indexed) = chase_both(&m, &deps, &ok);
     assert_agreement("unique keys", &deps, &naive, &indexed);
+}
+
+/// Dependency shapes `random_gen::random_target_deps` never produces (it
+/// makes FD egds, symmetry tgds and single-atom projections), each chased
+/// through both engines: a body with a constant and a repeated variable, a
+/// self-join a seed can play at either atom, a two-atom head sharing an
+/// existential (a correlated anti-join in the indexed engine's trigger
+/// query), a head already present under another annotation, a tgd with an
+/// empty body (no delta tuple seeds its one match), and an egd with a
+/// constant side, once merging and once failing on a constant clash.
+#[test]
+fn differential_chase_pinned_shapes() {
+    type Facts<'a> = &'a [(&'a str, &'a [&'a str])];
+    let cases: [(&str, &str, &str, Facts, usize); 7] = [
+        (
+            "constant and repeated variable",
+            "PsR(x:cl, y:cl, z:cl) <- PsS(x, y, z)",
+            "PsU(x:cl) <- PsR(x, x, 'c')",
+            &[
+                ("PsS", &["a", "a", "c"]),
+                ("PsS", &["a", "b", "c"]),
+                ("PsS", &["b", "b", "d"]),
+                ("PsS", &["e", "e", "c"]),
+            ],
+            2,
+        ),
+        (
+            "self-join on a cycle",
+            "PsE(x:cl, y:cl) <- PsG(x, y)",
+            "PsT(x:cl, z:cl) <- PsE(x, y) & PsE(y, z)",
+            &[
+                ("PsG", &["v0", "v1"]),
+                ("PsG", &["v1", "v2"]),
+                ("PsG", &["v2", "v0"]),
+            ],
+            3,
+        ),
+        (
+            "two-atom head sharing an existential",
+            "PsR2(x:cl, y:cl) <- PsS2(x, y); PsA(x:cl, y:cl) <- PsPreA(x, y); \
+             PsB(x:cl, y:cl) <- PsPreB(x, y)",
+            "PsA(x:cl, z:op), PsB(z:op, y:cl) <- PsR2(x, y)",
+            // (a, b) is satisfied through z = m; (a, c) is not: the only
+            // B-tuple reaching c starts at n, which A does not reach.
+            &[
+                ("PsS2", &["a", "b"]),
+                ("PsS2", &["a", "c"]),
+                ("PsPreA", &["a", "m"]),
+                ("PsPreB", &["m", "b"]),
+                ("PsPreB", &["n", "c"]),
+            ],
+            1,
+        ),
+        (
+            "head present under another annotation",
+            "PsH(x:op) <- PsK(x); PsD(x:cl) <- PsK(x)",
+            "PsH(x:cl) <- PsD(x)",
+            &[("PsK", &["a"])],
+            0,
+        ),
+        (
+            "empty body",
+            "PsT1(x:cl) <- PsS1(x)",
+            "PsU1(z:op) <- true",
+            &[("PsS1", &["a"])],
+            1,
+        ),
+        (
+            "egd with a constant side, merging",
+            "PsKv(x:cl, z:op) <- PsSrc(x)",
+            "y = 'k' <- PsKv(x, y)",
+            &[("PsSrc", &["a"]), ("PsSrc", &["b"])],
+            2,
+        ),
+        (
+            "egd with a constant side, clashing",
+            "PsKv(x:cl, z:op) <- PsSrc(x); PsKv(x:cl, y:cl) <- PsPair(x, y)",
+            "y = 'k' <- PsKv(x, y)",
+            &[("PsSrc", &["a"]), ("PsPair", &["a", "m"])],
+            0,
+        ),
+    ];
+    for (case, rules, deps, facts, steps) in cases {
+        let m = Mapping::parse(rules).unwrap();
+        let deps = TargetDep::parse_many(deps).unwrap();
+        let mut s = Instance::new();
+        for (rel, names) in facts {
+            s.insert_names(rel, names);
+        }
+        let (naive, indexed) = chase_both(&m, &deps, &s);
+        if case.ends_with("clashing") {
+            assert!(
+                matches!(indexed.outcome, ChaseOutcome::Failed { .. }),
+                "{case}"
+            );
+        } else {
+            assert_eq!(indexed.outcome, ChaseOutcome::Satisfied, "{case}");
+            assert_eq!(indexed.steps, steps, "{case}");
+            assert_eq!(naive.steps, steps, "{case}");
+        }
+        assert_agreement(case, &deps, &naive, &indexed);
+    }
 }
 
 // ---------------------------------------------------------------------------

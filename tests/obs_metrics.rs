@@ -10,7 +10,8 @@
 //!   union-walk (`solver.union.*`), and `solver.dfs.leaves` equals the
 //!   engine's own `SearchOutcome::leaves`;
 //! * **chase delta** — on tgd-only dependencies, `engine.chase.tuples_inserted`
-//!   equals the growth of the chased instance (and `merges` stays zero);
+//!   equals the growth of the chased instance (and `merges` stays zero),
+//!   and chasing the result again discovers and fires no trigger;
 //! * **root rows** — `query.exec.rows_emitted` counts exactly the rows a
 //!   compiled plan returns at its root, and those rows agree with the
 //!   tree-walking evaluator; a first-witness root call counts the 0 or 1
@@ -26,7 +27,7 @@
 //! scopes its measurement to a snapshot diff.
 
 use oc_exchange::chase::chase_engine::DEFAULT_CHASE_LIMIT;
-use oc_exchange::chase::{canonical_solution, canonical_solution_with_deps_via};
+use oc_exchange::chase::{canonical_solution, canonical_solution_with_deps_via, ChaseStrategy};
 use oc_exchange::engine::IndexedChase;
 use oc_exchange::logic::Query;
 use oc_exchange::obs::MetricsSnapshot;
@@ -36,7 +37,7 @@ use oc_exchange::relation::DeltaIndex;
 use oc_exchange::solver::{
     for_each_union, minimal_rep_a_members, search_rep_a_indexed, Completeness, SearchBudget,
 };
-use oc_exchange::{obs, Ann, AnnInstance, AnnTuple, Annotation, RelSym, Tuple, Value};
+use oc_exchange::{obs, Ann, AnnInstance, AnnTuple, Annotation, NullGen, RelSym, Tuple, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -209,6 +210,24 @@ fn chase_insert_counter_matches_instance_delta() {
                 >= diff.counter("engine.chase.triggers_fired"),
             "n = {n}: fired triggers were discovered first"
         );
+        // The restricted check lives in the trigger query: chasing the
+        // result again discovers no trigger, so none fires.
+        let mut gen = NullGen::after(out.instance.nulls());
+        let (again, diff) = measured(|| {
+            IndexedChase.chase(
+                out.instance.clone(),
+                &tgds_only,
+                &mut gen,
+                DEFAULT_CHASE_LIMIT,
+            )
+        });
+        assert_eq!(again.steps, 0, "n = {n}");
+        for counter in [
+            "engine.chase.triggers_discovered",
+            "engine.chase.triggers_fired",
+        ] {
+            assert_eq!(diff.counter(counter), 0, "n = {n}: {counter} on a re-chase");
+        }
     }
 }
 
