@@ -1473,7 +1473,7 @@ fn e11_tiling() {
 /// deficient all-null family is a worst case for the backtracking search.
 fn e12_codd() {
     use dx_relation::{AnnInstance, AnnTuple, Annotation, RelSym};
-    use dx_solver::repa::{codd_rep_membership, rep_a_membership_via, MatchStrategy};
+    use dx_solver::repa::{codd_rep_membership, rep_a_membership_by_search};
     println!("## E12 — Codd tables: PTIME membership vs generic search\n");
     let mut t = Table::new(&[
         "n nulls / n+1 values",
@@ -1494,7 +1494,7 @@ fn e12_codd() {
             r.insert_names("XCodd", &[&format!("c{i}")]);
         }
         let generic = if n <= 6 {
-            let (res, d) = timed(|| rep_a_membership_via(MatchStrategy::Scan, &ann, &r));
+            let (res, d) = timed(|| rep_a_membership_by_search(&ann, &r));
             assert!(res.is_none());
             fmt_duration(d)
         } else {
@@ -2399,7 +2399,11 @@ fn e14_ctables() {
             s.insert_names("XB", &[&format!("u{i}"), &format!("b{i}")]);
         }
         let ((a1, _), d1) = timed(|| certain::certain_answers(&m, &s, &fo, None));
-        let (a2, d2) = timed(|| Exchange::new(&m, &s).certain_answers_cwa_ra(&ra));
+        let (a2, d2) = timed(|| {
+            Exchange::new(&m, &s)
+                .certain_answers_cwa_ra(&ra)
+                .expect("the E14 query fits the target schema")
+        });
         t.row(vec![
             n.to_string(),
             fmt_duration(d1),

@@ -23,13 +23,14 @@
 //! some endomorphism `h : C → C` has an image smaller than `C`, replace `C`
 //! by `h(C)`. Each step strictly shrinks the tuple count, so the loop
 //! terminates; the result is unique up to isomorphism (the core of a finite
-//! structure is unique). The search for `h` is NP in general — the
-//! backtracking matcher below is exact and intended for the
-//! canonical-solution-sized instances of this crate's tests and benches.
+//! structure is unique). The search for `h` is NP in general — the one
+//! search for maps on nulls, [`dx_relation::find_map`], is exact and
+//! intended for the canonical-solution-sized instances of this crate's
+//! tests and benches.
 
-use crate::hom::{apply_null_map, NullMap};
-use dx_relation::{AnnInstance, Instance, NullId, RelSym, Tuple, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::hom::{apply_null_map, empty_marks_included, hom_items, NullMap};
+use dx_relation::{find_map, AnnInstance, Instance, NullId, RelSym, Tuple, Value};
+use std::collections::BTreeMap;
 
 /// A homomorphism in the classic FKP regime: nulls may map to constants or
 /// nulls; constants are fixed; identity outside the domain.
@@ -64,30 +65,25 @@ pub fn apply_value_map(inst: &Instance, h: &ValueMap) -> Instance {
 /// `to` (constants fixed, nulls free to hit constants or nulls of `to`).
 ///
 /// This is the FKP notion of homomorphism between instances with nulls; it
-/// is *not* required to be onto. Backtracking over tuples, most-constrained
-/// (fewest candidate matches) first.
+/// is *not* required to be onto.
 pub fn find_value_hom(from: &Instance, to: &Instance) -> Option<ValueMap> {
-    // Pre-compute candidate target tuples per source tuple.
-    let mut work: Vec<(&Tuple, Vec<&Tuple>)> = Vec::new();
-    for (r, rel) in from.relations() {
-        if rel.is_empty() {
-            continue;
-        }
-        let target = to.relation(r)?;
-        for t in rel.iter() {
-            let cands: Vec<&Tuple> = target
-                .iter()
-                .filter(|cand| value_compatible(t, cand))
-                .collect();
-            if cands.is_empty() {
-                return None;
-            }
-            work.push((t, cands));
-        }
-    }
-    work.sort_by_key(|(_, c)| c.len());
-    let mut h = ValueMap::new();
-    search_value_hom(&work, 0, &mut h).then_some(h)
+    let items = from
+        .relations()
+        .flat_map(|(r, rel)| {
+            rel.iter().map(move |t| {
+                to.tuples(r)
+                    .filter(|cand| value_compatible(t, cand))
+                    .map(|cand| {
+                        t.iter()
+                            .zip(cand.iter())
+                            .filter_map(|(a, b)| Some((a.as_null()?, b)))
+                            .collect()
+                    })
+                    .collect()
+            })
+        })
+        .collect();
+    find_map(items, |_| true)
 }
 
 /// Constants must agree; nulls can go anywhere (consistency checked during
@@ -97,40 +93,6 @@ fn value_compatible(from: &Tuple, cand: &Tuple) -> bool {
         Value::Const(_) => a == b,
         Value::Null(_) => true,
     })
-}
-
-fn search_value_hom(work: &[(&Tuple, Vec<&Tuple>)], i: usize, h: &mut ValueMap) -> bool {
-    if i == work.len() {
-        return true;
-    }
-    let (t, cands) = &work[i];
-    'cands: for cand in cands {
-        let mut bound: Vec<NullId> = Vec::new();
-        for (a, b) in t.iter().zip(cand.iter()) {
-            if let Value::Null(n) = a {
-                match h.get(&n) {
-                    Some(&existing) if existing != b => {
-                        for n in bound.drain(..) {
-                            h.remove(&n);
-                        }
-                        continue 'cands;
-                    }
-                    Some(_) => {}
-                    None => {
-                        h.insert(n, b);
-                        bound.push(n);
-                    }
-                }
-            }
-        }
-        if search_value_hom(work, i + 1, h) {
-            return true;
-        }
-        for n in bound {
-            h.remove(&n);
-        }
-    }
-    false
 }
 
 /// Are two plain instances homomorphically equivalent in the FKP regime
@@ -227,84 +189,10 @@ fn compose_value_maps(
 /// (same annotation). Not required to be onto. Empty markers of `from`
 /// must also occur in `to` (they are untouched by null maps).
 pub fn find_ann_hom(from: &AnnInstance, to: &AnnInstance) -> Option<NullMap> {
-    for (r, rel) in from.relations() {
-        for m in rel.empty_marks() {
-            let ok = to
-                .relation(r)
-                .is_some_and(|tr| tr.empty_marks().any(|tm| tm == m));
-            if !ok {
-                return None;
-            }
-        }
+    if !empty_marks_included(from, to) {
+        return None;
     }
-    let mut work: Vec<(&dx_relation::AnnTuple, Vec<&dx_relation::AnnTuple>)> = Vec::new();
-    for (r, rel) in from.relations() {
-        if rel.is_empty() {
-            continue;
-        }
-        let target = to.relation(r)?;
-        for at in rel.iter() {
-            let cands: Vec<&dx_relation::AnnTuple> = target
-                .iter()
-                .filter(|cand| {
-                    cand.ann == at.ann
-                        && at
-                            .tuple
-                            .iter()
-                            .zip(cand.tuple.iter())
-                            .all(|(a, b)| match a {
-                                Value::Const(_) => a == b,
-                                Value::Null(_) => b.is_null(),
-                            })
-                })
-                .collect();
-            if cands.is_empty() {
-                return None;
-            }
-            work.push((at, cands));
-        }
-    }
-    work.sort_by_key(|(_, c)| c.len());
-    let mut h = NullMap::new();
-    search_ann_hom(&work, 0, &mut h).then_some(h)
-}
-
-fn search_ann_hom(
-    work: &[(&dx_relation::AnnTuple, Vec<&dx_relation::AnnTuple>)],
-    i: usize,
-    h: &mut NullMap,
-) -> bool {
-    if i == work.len() {
-        return true;
-    }
-    let (at, cands) = &work[i];
-    'cands: for cand in cands {
-        let mut bound: Vec<NullId> = Vec::new();
-        for (a, b) in at.tuple.iter().zip(cand.tuple.iter()) {
-            if let (Value::Null(n), Value::Null(m)) = (a, b) {
-                match h.get(&n) {
-                    Some(&existing) if existing != m => {
-                        for n in bound.drain(..) {
-                            h.remove(&n);
-                        }
-                        continue 'cands;
-                    }
-                    Some(_) => {}
-                    None => {
-                        h.insert(n, m);
-                        bound.push(n);
-                    }
-                }
-            }
-        }
-        if search_ann_hom(work, i + 1, h) {
-            return true;
-        }
-        for n in bound {
-            h.remove(&n);
-        }
-    }
-    false
+    find_map(hom_items(from, to), |_| true)
 }
 
 /// Are two annotated instances homomorphically equivalent in the §3 regime
@@ -382,99 +270,39 @@ pub fn ann_isomorphic(a: &AnnInstance, b: &AnnInstance) -> Option<NullMap> {
     if a.tuple_count() != b.tuple_count() || a.nulls().len() != b.nulls().len() {
         return None;
     }
-    // An injective hom whose image is all of `b` is an isomorphism (finite,
-    // equal sizes). Search homs and filter; tuple-level candidate pruning
-    // keeps this fast at the sizes cores have.
-    fn search(
-        work: &[(&dx_relation::AnnTuple, RelSym, Vec<&dx_relation::AnnTuple>)],
-        i: usize,
-        h: &mut NullMap,
-        used: &mut BTreeSet<NullId>,
-    ) -> bool {
-        if i == work.len() {
-            return true;
-        }
-        let (at, _, cands) = &work[i];
-        'cands: for cand in cands {
-            let mut bound: Vec<NullId> = Vec::new();
-            for (x, y) in at.tuple.iter().zip(cand.tuple.iter()) {
-                if let (Value::Null(n), Value::Null(m)) = (x, y) {
-                    match h.get(&n) {
-                        Some(&e) if e != m => {
-                            for n in bound.drain(..) {
-                                used.remove(&h.remove(&n).expect("bound"));
-                            }
-                            continue 'cands;
-                        }
-                        Some(_) => {}
-                        None => {
-                            if used.contains(&m) {
-                                for n in bound.drain(..) {
-                                    used.remove(&h.remove(&n).expect("bound"));
-                                }
-                                continue 'cands;
-                            }
-                            h.insert(n, m);
-                            used.insert(m);
-                            bound.push(n);
-                        }
-                    }
-                }
-            }
-            if search(work, i + 1, h, used) {
-                return true;
-            }
-            for n in bound {
-                used.remove(&h.remove(&n).expect("bound"));
-            }
-        }
-        false
+    /// A null of `a` (mapped forwards) or of `b` (mapped backwards).
+    #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Side {
+        A(NullId),
+        B(NullId),
     }
-    let mut work: Vec<(&dx_relation::AnnTuple, RelSym, Vec<&dx_relation::AnnTuple>)> = Vec::new();
-    for (r, rel) in a.relations() {
-        // Empty markers must agree verbatim.
-        let b_marks: Vec<_> = b
-            .relation(r)
-            .map(|br| br.empty_marks().cloned().collect())
-            .unwrap_or_default();
-        let a_marks: Vec<_> = rel.empty_marks().cloned().collect();
-        if a_marks != b_marks {
-            return None;
-        }
-        let Some(brel) = b.relation(r) else {
-            if !rel.is_empty() {
-                return None;
-            }
-            continue;
-        };
-        if rel.len() != brel.len() {
-            return None;
-        }
-        for at in rel.iter() {
-            let cands: Vec<&dx_relation::AnnTuple> = brel
-                .iter()
-                .filter(|cand| {
-                    cand.ann == at.ann
-                        && at
-                            .tuple
-                            .iter()
-                            .zip(cand.tuple.iter())
-                            .all(|(x, y)| match x {
-                                Value::Const(_) => x == y,
-                                Value::Null(_) => y.is_null(),
-                            })
+    // Each null pair binds both ways, so the map is injective by binding
+    // consistency alone.
+    let items = hom_items(a, b)
+        .into_iter()
+        .map(|candidates| {
+            candidates
+                .into_iter()
+                .map(|c| {
+                    c.into_iter()
+                        .flat_map(|(n, m)| [(Side::A(n), m), (Side::B(m), n)])
+                        .collect()
                 })
-                .collect();
-            if cands.is_empty() {
-                return None;
-            }
-            work.push((at, r, cands));
-        }
-    }
-    work.sort_by_key(|(_, _, c)| c.len());
-    let mut h = NullMap::new();
-    let mut used = BTreeSet::new();
-    (search(&work, 0, &mut h, &mut used) && apply_null_map(a, &h) == *b).then_some(h)
+                .collect()
+        })
+        .collect();
+    let h: NullMap = find_map(items, |_| true)?
+        .into_iter()
+        .filter_map(|(k, m)| match k {
+            Side::A(n) => Some((n, m)),
+            Side::B(_) => None,
+        })
+        .collect();
+    // An injective homomorphism maps the tuples of `a` one to one into the
+    // equally many tuples of `b`, hence onto them, so every such map gives
+    // the same verdict here: only empty markers and declared relations are
+    // left to compare.
+    (apply_null_map(a, &h) == *b).then_some(h)
 }
 
 /// `second ∘ first` on null maps, restricted to the given domain.

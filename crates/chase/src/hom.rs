@@ -5,15 +5,17 @@
 //! `(t, α)` of a relation `R` in `T`, the tuple `(h(t), α)` is in `R′` —
 //! homomorphisms preserve annotations.
 //!
-//! Two search problems are implemented:
+//! Two search problems are implemented, both as front ends of the one
+//! search for maps on nulls, [`dx_relation::find_map`]:
 //!
 //! * [`find_onto_hom`] — an `h` with `h(T) = T′` exactly (the
-//!   "homomorphic image" half of presolutions / Proposition 1);
+//!   "homomorphic image" half of presolutions / Proposition 1); onto-ness
+//!   is the leaf test;
 //! * [`find_hom_into_expansion`] — an `h` from `T` into *some expansion* of
 //!   `T′` (the second half of Proposition 1): each image tuple must coincide
 //!   with some `T′`-tuple on that tuple's closed positions.
 
-use dx_relation::{AnnInstance, AnnTuple, NullId, Tuple, Value};
+use dx_relation::{find_map, AnnInstance, AnnTuple, Bindings, NullId, Tuple, Value};
 use std::collections::BTreeMap;
 
 /// A (partial) map `Null → Null`; identity outside its domain.
@@ -57,29 +59,9 @@ pub fn find_onto_hom(from: &AnnInstance, to: &AnnInstance) -> Option<NullMap> {
     if !empty_marks_equal(from, to) {
         return None;
     }
-    // Collect constraints tuple by tuple: each from-tuple must map onto a
-    // to-tuple with identical annotation and identical constants.
-    let work: Vec<(&AnnTuple, Vec<&AnnTuple>)> = from
-        .relations()
-        .flat_map(|(r, rel)| {
-            rel.iter().map(move |at| {
-                let candidates: Vec<&AnnTuple> = to
-                    .tuples(r)
-                    .filter(|cand| cand.ann == at.ann && compatible(at, cand))
-                    .collect();
-                (at, candidates)
-            })
-        })
-        .collect();
-    // Fail fast if any tuple has no candidate.
-    if work.iter().any(|(_, c)| c.is_empty()) {
-        return None;
-    }
-    let mut h = NullMap::new();
-    search_onto(&work, 0, &mut h).and_then(|h| {
-        // Verify the image covers all of `to` (the "onto" requirement).
-        (apply_null_map(from, &h) == *to).then_some(h)
-    })
+    // Onto-ness is the leaf test: a homomorphism that misses a `to`-tuple
+    // sends the search on to the next one.
+    find_map(hom_items(from, to), |h| apply_null_map(from, h) == *to)
 }
 
 fn empty_marks_equal(a: &AnnInstance, b: &AnnInstance) -> bool {
@@ -95,6 +77,41 @@ fn empty_marks_equal(a: &AnnInstance, b: &AnnInstance) -> bool {
     collect(a) == collect(b)
 }
 
+/// Does every empty marker of `a` also occur in `b`?
+pub(crate) fn empty_marks_included(a: &AnnInstance, b: &AnnInstance) -> bool {
+    a.relations().all(|(r, rel)| {
+        rel.empty_marks().all(|m| {
+            b.relation(r)
+                .is_some_and(|br| br.empty_marks().any(|bm| bm == m))
+        })
+    })
+}
+
+/// The items of an annotation-preserving `Null → Null` homomorphism
+/// `from → to`: each `from`-tuple lands on a `to`-tuple with its annotation
+/// and its constants, binding its nulls to that tuple's nulls.
+pub(crate) fn hom_items(
+    from: &AnnInstance,
+    to: &AnnInstance,
+) -> Vec<Vec<Bindings<NullId, NullId>>> {
+    from.relations()
+        .flat_map(|(r, rel)| {
+            rel.iter().map(move |at| {
+                to.tuples(r)
+                    .filter(|cand| cand.ann == at.ann && compatible(at, cand))
+                    .map(|cand| {
+                        at.tuple
+                            .iter()
+                            .zip(cand.tuple.iter())
+                            .filter_map(|(a, b)| Some((a.as_null()?, b.as_null()?)))
+                            .collect()
+                    })
+                    .collect()
+            })
+        })
+        .collect()
+}
+
 /// Can `from`'s tuple possibly map to `cand` (constants equal, nulls map to
 /// nulls)? Null-consistency is resolved during search.
 fn compatible(from: &AnnTuple, cand: &AnnTuple) -> bool {
@@ -107,141 +124,42 @@ fn compatible(from: &AnnTuple, cand: &AnnTuple) -> bool {
         })
 }
 
-fn search_onto(work: &[(&AnnTuple, Vec<&AnnTuple>)], i: usize, h: &mut NullMap) -> Option<NullMap> {
-    if i == work.len() {
-        return Some(h.clone());
-    }
-    let (at, candidates) = &work[i];
-    'cands: for cand in candidates {
-        let mut bound: Vec<NullId> = Vec::new();
-        for (a, b) in at.tuple.iter().zip(cand.tuple.iter()) {
-            if let (Value::Null(n), Value::Null(m)) = (a, b) {
-                match h.get(&n) {
-                    Some(&existing) if existing != m => {
-                        for n in bound.drain(..) {
-                            h.remove(&n);
-                        }
-                        continue 'cands;
-                    }
-                    Some(_) => {}
-                    None => {
-                        h.insert(n, m);
-                        bound.push(n);
-                    }
-                }
-            }
-        }
-        if let Some(found) = search_onto(work, i + 1, h) {
-            return Some(found);
-        }
-        for n in bound {
-            h.remove(&n);
-        }
-    }
-    None
-}
-
 /// Search for a homomorphism from `t` into **an expansion of** `csol`
 /// (Proposition 1): a map `h` on the nulls of `t` such that every image
 /// tuple `(h(t̄), α)` coincides with some tuple `(t̄₁, α₁)` of `csol` on the
 /// positions `α₁` marks closed, and every empty marker of `t` also occurs in
 /// `csol`.
 pub fn find_hom_into_expansion(t: &AnnInstance, csol: &AnnInstance) -> Option<NullMap> {
-    // Empty markers of t must occur in csol.
-    for (r, rel) in t.relations() {
-        for m in rel.empty_marks() {
-            let ok = csol
-                .relation(r)
-                .is_some_and(|cr| cr.empty_marks().any(|cm| cm == m));
-            if !ok {
-                return None;
-            }
+    if !empty_marks_included(t, csol) {
+        return None;
+    }
+    let items = t
+        .relations()
+        .flat_map(|(r, rel)| {
+            rel.iter().map(move |at| {
+                csol.tuples(r)
+                    .filter_map(|cand| expansion_candidate(at, cand))
+                    .collect()
+            })
+        })
+        .collect();
+    find_map(items, |_| true)
+}
+
+/// The bindings under which `at` coincides with `cand` (any annotation) on
+/// the positions `cand` marks closed: equal constants there, or a null of
+/// `at` bound to the null there. `None` if it cannot (`h` maps nulls to
+/// nulls, so it never hits a constant).
+fn expansion_candidate(at: &AnnTuple, cand: &AnnTuple) -> Option<Bindings<NullId, NullId>> {
+    let mut forced = Vec::new();
+    for i in cand.ann.closed_positions() {
+        match (at.tuple.get(i), cand.tuple.get(i)) {
+            (Value::Null(n), Value::Null(m)) => forced.push((n, m)),
+            (a, b) if a.is_const() && a == b => {}
+            _ => return None,
         }
     }
-    // For each t-tuple, candidate matches: csol tuples (any annotation) whose
-    // closed positions can be realized by mapping t's nulls.
-    struct Constraint {
-        /// For each candidate: the null bindings it would force.
-        options: Vec<Vec<(NullId, NullId)>>,
-    }
-    let mut constraints: Vec<Constraint> = Vec::new();
-    for (r, rel) in t.relations() {
-        let crel = match csol.relation(r) {
-            Some(c) => c,
-            None => {
-                if !rel.is_empty() {
-                    return None;
-                }
-                continue;
-            }
-        };
-        for at in rel.iter() {
-            let mut options = Vec::new();
-            'cands: for cand in crel.iter() {
-                let mut forced: Vec<(NullId, NullId)> = Vec::new();
-                for i in cand.ann.closed_positions() {
-                    match (at.tuple.get(i), cand.tuple.get(i)) {
-                        (Value::Const(a), Value::Const(b)) => {
-                            if a != b {
-                                continue 'cands;
-                            }
-                        }
-                        (Value::Const(_), Value::Null(_)) => continue 'cands,
-                        (Value::Null(_), Value::Const(_)) => {
-                            // h maps nulls to nulls; cannot hit a constant.
-                            continue 'cands;
-                        }
-                        (Value::Null(n), Value::Null(m)) => forced.push((n, m)),
-                    }
-                }
-                // Consistency within one candidate.
-                let mut local: BTreeMap<NullId, NullId> = BTreeMap::new();
-                let consistent = forced
-                    .iter()
-                    .all(|&(n, m)| *local.entry(n).or_insert(m) == m);
-                if consistent {
-                    options.push(forced);
-                }
-            }
-            if options.is_empty() {
-                return None;
-            }
-            constraints.push(Constraint { options });
-        }
-    }
-    // Backtracking over per-tuple options.
-    fn go(cs: &[Constraint], i: usize, h: &mut NullMap) -> bool {
-        if i == cs.len() {
-            return true;
-        }
-        'opts: for opt in &cs[i].options {
-            let mut bound: Vec<NullId> = Vec::new();
-            for &(n, m) in opt {
-                match h.get(&n) {
-                    Some(&existing) if existing != m => {
-                        for n in bound.drain(..) {
-                            h.remove(&n);
-                        }
-                        continue 'opts;
-                    }
-                    Some(_) => {}
-                    None => {
-                        h.insert(n, m);
-                        bound.push(n);
-                    }
-                }
-            }
-            if go(cs, i + 1, h) {
-                return true;
-            }
-            for n in bound {
-                h.remove(&n);
-            }
-        }
-        false
-    }
-    let mut h = NullMap::new();
-    go(&constraints, 0, &mut h).then_some(h)
+    Some(forced)
 }
 
 #[cfg(test)]

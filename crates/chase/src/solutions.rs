@@ -18,8 +18,7 @@ use crate::hom::{find_hom_into_expansion, find_onto_hom, NullMap};
 use crate::mapping::Mapping;
 use crate::std_dep::TargetAtom;
 use dx_logic::Term;
-use dx_relation::{AnnInstance, Instance, NullId, Value, Var};
-use std::collections::BTreeMap;
+use dx_relation::{find_map, AnnInstance, AnnTuple, Bindings, Instance, NullId, Value, Var};
 
 /// Is `target` an OWA-solution for `source` under the (annotation-blind)
 /// reading of the mapping's STDs, i.e. does `(S, T) |= Σ` hold?
@@ -95,71 +94,37 @@ impl AnnotatedFact {
     /// coincides with some tuple `(t₀, α₀)` of `R` in `T` on the positions
     /// `α₀` marks closed?
     pub fn satisfied_cl(&self, t: &AnnInstance) -> bool {
-        let mut asg: BTreeMap<Var, NullId> = BTreeMap::new();
-        self.search(t, 0, &mut asg)
+        let items = self
+            .atoms
+            .iter()
+            .map(|atom| {
+                t.tuples(atom.rel)
+                    .filter_map(|cand| Self::fact_candidate(atom, cand))
+                    .collect()
+            })
+            .collect();
+        find_map(items, |_| true).is_some()
     }
 
-    fn search(&self, t: &AnnInstance, i: usize, asg: &mut BTreeMap<Var, NullId>) -> bool {
-        if i == self.atoms.len() {
-            return true;
-        }
-        let atom = &self.atoms[i];
-        let rel = match t.relation(atom.rel) {
-            Some(r) => r,
-            None => return false,
-        };
-        'cands: for cand in rel.iter() {
-            // The candidate's closed positions constrain the atom's terms.
-            let mut bound: Vec<Var> = Vec::new();
-            for p in cand.ann.closed_positions() {
-                let need = cand.tuple.get(p);
-                match &atom.args[p] {
-                    Term::Const(c) => {
-                        if Value::Const(*c) != need {
-                            for v in bound.drain(..) {
-                                asg.remove(&v);
-                            }
-                            continue 'cands;
-                        }
+    /// The bindings of `atom`'s variables under which it coincides with
+    /// `cand` on the positions `cand` marks closed, or `None` if it cannot.
+    fn fact_candidate(atom: &TargetAtom, cand: &AnnTuple) -> Option<Bindings<Var, NullId>> {
+        let mut forced = Vec::new();
+        for p in cand.ann.closed_positions() {
+            match (&atom.args[p], cand.tuple.get(p)) {
+                (Term::Const(c), need) => {
+                    if Value::Const(*c) != need {
+                        return None;
                     }
-                    Term::Var(z) => {
-                        // z must be a null equal to `need`.
-                        let need_null = match need {
-                            Value::Null(n) => n,
-                            Value::Const(_) => {
-                                // `⊥̄` ranges over nulls; a constant at a
-                                // closed position cannot be matched by z.
-                                for v in bound.drain(..) {
-                                    asg.remove(&v);
-                                }
-                                continue 'cands;
-                            }
-                        };
-                        match asg.get(z) {
-                            Some(&existing) if existing != need_null => {
-                                for v in bound.drain(..) {
-                                    asg.remove(&v);
-                                }
-                                continue 'cands;
-                            }
-                            Some(_) => {}
-                            None => {
-                                asg.insert(*z, need_null);
-                                bound.push(*z);
-                            }
-                        }
-                    }
-                    Term::App(_, _) => unreachable!("facts have no function terms"),
                 }
-            }
-            if self.search(t, i + 1, asg) {
-                return true;
-            }
-            for v in bound {
-                asg.remove(&v);
+                (Term::Var(z), Value::Null(n)) => forced.push((*z, n)),
+                // `⊥̄` ranges over nulls; a constant at a closed position
+                // cannot be matched by a variable.
+                (Term::Var(_), Value::Const(_)) => return None,
+                (Term::App(_, _), _) => unreachable!("facts have no function terms"),
             }
         }
-        false
+        Some(forced)
     }
 }
 

@@ -15,7 +15,8 @@
 //! support-condition validity is a coNP question.
 
 use crate::Exchange;
-use dx_ctables::{certain_answers_ra, possible_answers_ra, CInstance, RaExpr};
+use dx_ctables::algebra::RaError;
+use dx_ctables::{certain_answers_ra, CInstance, RaExpr};
 use dx_query::PlanCatalog;
 use dx_relation::Relation;
 
@@ -38,17 +39,13 @@ impl Exchange<'_> {
     /// Execution runs on a `dx-query` compiled plan in conditional mode
     /// (equality selections over products unified into joins), drawn from
     /// the shared [`PlanCatalog`] — repeated queries over the same
-    /// scenario compile once; the interpreting [`RaExpr::eval_conditional`]
-    /// route remains as the fallback for expressions the planner rejects,
-    /// with identical answers either way (cross-validated in
-    /// `tests/query_differential.rs`).
-    pub fn certain_answers_cwa_ra(&self, query: &RaExpr) -> Relation {
+    /// scenario compile once. An expression that does not fit the target
+    /// schema (an unknown relation, an arity mismatch, a column out of
+    /// range) is refused with its [`RaError`].
+    pub fn certain_answers_cwa_ra(&self, query: &RaExpr) -> Result<Relation, RaError> {
         self.assert_cwa();
-        let cinst = self.csol_as_ctable();
-        match PlanCatalog::shared().ra_in(query, &self.mapping.target) {
-            Ok(compiled) => compiled.certain_answers(&cinst),
-            Err(_) => certain_answers_ra(query, &cinst),
-        }
+        let compiled = PlanCatalog::shared().ra_in(query, &self.mapping.target)?;
+        Ok(compiled.certain_answers(&self.csol_as_ctable()))
     }
 
     /// `certain_Σcl(Q, S)` for a **first-order** query, via the
@@ -82,14 +79,12 @@ impl Exchange<'_> {
     /// Possible answers `◇Q(CSol(S))` under the CWA (tuples appearing in
     /// at least one `Rep(CSol(S))` member's answer), over the
     /// mentioned-constant palette. Panics if the mapping is not
-    /// all-closed.
-    pub fn possible_answers_cwa_ra(&self, query: &RaExpr) -> Relation {
+    /// all-closed; refuses an expression that does not fit the target
+    /// schema as [`Exchange::certain_answers_cwa_ra`] does.
+    pub fn possible_answers_cwa_ra(&self, query: &RaExpr) -> Result<Relation, RaError> {
         self.assert_cwa();
-        let cinst = self.csol_as_ctable();
-        match PlanCatalog::shared().ra_in(query, &self.mapping.target) {
-            Ok(compiled) => compiled.possible_answers(&cinst),
-            Err(_) => possible_answers_ra(query, &cinst),
-        }
+        let compiled = PlanCatalog::shared().ra_in(query, &self.mapping.target)?;
+        Ok(compiled.possible_answers(&self.csol_as_ctable()))
     }
 
     fn assert_cwa(&self) {
@@ -107,7 +102,7 @@ mod tests {
     use super::*;
     use dx_chase::Mapping;
     use dx_ctables::RaPred;
-    use dx_relation::{Instance, Tuple};
+    use dx_relation::{Instance, RelSym, Tuple};
 
     fn source() -> Instance {
         let mut s = Instance::new();
@@ -129,9 +124,12 @@ mod tests {
         let s = source();
         assert!(Exchange::new(&dropped, &s)
             .certain_answers_cwa_ra(&q)
+            .unwrap()
             .is_empty());
         // The author value is possible though.
-        let poss = Exchange::new(&dropped, &s).possible_answers_cwa_ra(&q);
+        let poss = Exchange::new(&dropped, &s)
+            .possible_answers_cwa_ra(&q)
+            .unwrap();
         assert!(poss.contains(&Tuple::from_names(&["p1"])));
         assert!(
             poss.contains(&Tuple::from_names(&["p2"])),
@@ -139,7 +137,9 @@ mod tests {
         );
 
         let copied = Mapping::parse("CbSub(x:cl, y:cl) <- CbSrc(x, y)").unwrap();
-        let certain = Exchange::new(&copied, &s).certain_answers_cwa_ra(&q);
+        let certain = Exchange::new(&copied, &s)
+            .certain_answers_cwa_ra(&q)
+            .unwrap();
         assert_eq!(certain.len(), 1);
         assert!(certain.contains(&Tuple::from_names(&["p1"])));
     }
@@ -151,15 +151,49 @@ mod tests {
         let m = Mapping::parse("CbAll(x:cl) <- CbSrc(x, y); CbPicked(x:cl) <- CbSrc(x, 'alice')")
             .unwrap();
         let q = RaExpr::rel("CbAll").diff(RaExpr::rel("CbPicked"));
-        let certain = Exchange::new(&m, &source()).certain_answers_cwa_ra(&q);
+        let certain = Exchange::new(&m, &source())
+            .certain_answers_cwa_ra(&q)
+            .unwrap();
         assert_eq!(certain.len(), 1);
         assert!(certain.contains(&Tuple::from_names(&["p2"])));
+    }
+
+    /// Malformed algebra is refused, never interpreted: with
+    /// `T(x:cl) <- E(x)` and `E(a)`, an unknown relation, a difference of
+    /// mismatched arities and a projection past the last column each come
+    /// back as the schema error the planner reports.
+    #[test]
+    fn malformed_algebra_is_refused() {
+        let m = Mapping::parse("T(x:cl) <- E(x)").unwrap();
+        let mut s = Instance::new();
+        s.insert_names("E", &["a"]);
+        let ex = Exchange::new(&m, &s);
+        let unknown = RaExpr::rel("Nope");
+        let diff = RaExpr::rel("T").diff(RaExpr::rel("Nope"));
+        let past_end = RaExpr::rel("T").project([3]);
+        for q in [&unknown, &diff] {
+            assert!(matches!(
+                ex.certain_answers_cwa_ra(q),
+                Err(RaError::UnknownRelation(r)) if r == RelSym::new("Nope")
+            ));
+            assert!(ex.possible_answers_cwa_ra(q).is_err());
+        }
+        assert!(matches!(
+            ex.certain_answers_cwa_ra(&past_end),
+            Err(RaError::ColumnOutOfRange { col: 3, .. })
+        ));
+        assert!(ex.possible_answers_cwa_ra(&past_end).is_err());
+        assert_eq!(
+            ex.certain_answers_cwa_ra(&RaExpr::rel("T")).unwrap().len(),
+            1,
+            "the well-formed query still answers"
+        );
     }
 
     #[test]
     #[should_panic(expected = "certain_Σcl")]
     fn open_annotations_rejected() {
         let m = Mapping::parse("CbSub(x:cl, z:op) <- CbSrc(x, y)").unwrap();
-        Exchange::new(&m, &source()).certain_answers_cwa_ra(&RaExpr::rel("CbSub"));
+        let _ = Exchange::new(&m, &source()).certain_answers_cwa_ra(&RaExpr::rel("CbSub"));
     }
 }

@@ -17,7 +17,9 @@
 //!   `Rep(T)` and `Rep_A(T)`,
 //! * the **relational index** [`DeltaIndex`]: per-column postings over
 //!   refcounted tuples — the one store that compiled plans, the `Rep_A`
-//!   search, the union walk and streaming maintenance probe.
+//!   search, the union walk and streaming maintenance probe,
+//! * the one **search for maps on nulls** ([`find_map`]) behind
+//!   homomorphisms, presolutions, cores and `Rep_A` valuations.
 //!
 //! Everything in this crate is purely structural; semantics (`Rep_A`
 //! membership, solutions, certain answers) live in `dx-solver` and `dx-core`.
@@ -30,6 +32,7 @@ pub mod fxmap;
 pub mod instance;
 pub mod intern;
 pub mod relation;
+pub mod search;
 pub mod tuple;
 pub mod update;
 pub mod valuation;
@@ -41,6 +44,7 @@ pub use fxmap::{FastMap, FastSet};
 pub use instance::{Instance, Schema};
 pub use intern::{ConstId, FuncSym, RelSym, Var};
 pub use relation::Relation;
+pub use search::{find_map, Bindings};
 pub use tuple::Tuple;
 pub use update::{AppliedUpdate, Update};
 pub use valuation::Valuation;

@@ -4,7 +4,8 @@
 //! witness spaces; this crate realizes each as deterministic backtracking:
 //!
 //! * **valuations** of nulls (`Rep_A` membership — the NP witness of
-//!   Theorem 2) in [`repa`];
+//!   Theorem 2) in [`repa`], on the one search for maps on nulls,
+//!   [`dx_relation::find_map`];
 //! * **instances** `I ∈ Rep_A(T)` of the form `V ∪ E₀ ∪ E′` — a valuation
 //!   plus *replicated open tuples* (the witness spaces of Lemma 2 and
 //!   Proposition 5) in [`enumerate`];
@@ -47,6 +48,6 @@ pub use enumerate::{
 pub use matching::max_bipartite_matching;
 pub use palette::Palette;
 pub use repa::{
-    codd_rep_membership, find_embedding_valuation, is_codd, rep_a_membership, rep_a_membership_via,
-    rep_membership, MatchStrategy,
+    codd_rep_membership, find_embedding_valuation, is_codd, rep_a_membership,
+    rep_a_membership_by_search, rep_membership,
 };

@@ -8,27 +8,16 @@
 //!    annotation `αᵢ` marks closed (or is licensed by an all-open empty
 //!    marker).
 //!
-//! This is the NP witness of Theorem 2; the search below is a backtracking
-//! CSP over the nulls of `T`, with per-tuple candidate lists (each `T`-tuple
-//! must land on *some* `R`-tuple) and the coverage condition (2) checked at
-//! each leaf.
+//! This is the NP witness of Theorem 2; the search is the one search for
+//! maps on nulls, [`dx_relation::find_map`], over the nulls of `T`, with
+//! per-tuple candidate lists (each `T`-tuple must land on *some* `R`-tuple)
+//! and the coverage condition (2) checked at each leaf.
 
-use dx_relation::{AnnInstance, DeltaIndex, Instance, NullId, RelSym, Tuple, Valuation, Value};
+use dx_relation::{
+    find_map, AnnInstance, Bindings, ConstId, DeltaIndex, Instance, NullId, RelSym, Tuple,
+    Valuation, Value,
+};
 use std::ops::ControlFlow;
-
-/// How candidate `R`-tuples are discovered during the `Rep_A` valuation
-/// search (and the embedding search of Lemma 3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum MatchStrategy {
-    /// Scan every `R`-tuple of the relation per `T`-tuple (the reference
-    /// behaviour, kept as the ablation baseline).
-    Scan,
-    /// Probe a per-column hash index ([`dx_relation::DeltaIndex`]) on the
-    /// constant positions of the `T`-tuple, post-filtering for repeated
-    /// nulls.
-    #[default]
-    Indexed,
-}
 
 /// Decide `R ∈ Rep_A(T)`; returns a witnessing valuation if one exists.
 ///
@@ -47,17 +36,16 @@ pub fn rep_a_membership(t: &AnnInstance, r: &Instance) -> Option<Valuation> {
             return codd_rep_membership(&ground_part, r);
         }
     }
-    rep_a_membership_via(MatchStrategy::Indexed, t, r)
+    rep_a_membership_by_search(t, r)
 }
 
-/// The generic `Rep_A` backtracking search with an explicit candidate
-/// [`MatchStrategy`] (`Scan` is the reference baseline the indexed
-/// discovery is raced against).
-pub fn rep_a_membership_via(
-    strategy: MatchStrategy,
-    t: &AnnInstance,
-    r: &Instance,
-) -> Option<Valuation> {
+/// Decide `R ∈ Rep_A(T)` by the valuation search alone, also for the
+/// all-closed Codd tables [`rep_a_membership`] hands to the matching route.
+///
+/// Every `T`-tuple must land on an `R`-tuple (condition 1), found by
+/// probing an index of `R` on the tuple's constant positions; coverage
+/// (condition 2) is the leaf test of [`dx_relation::find_map`].
+pub fn rep_a_membership_by_search(t: &AnnInstance, r: &Instance) -> Option<Valuation> {
     assert!(r.is_ground(), "Rep_A members are instances over Const");
 
     // Fast failure: relations where R has tuples but T is entirely absent
@@ -68,119 +56,41 @@ pub fn rep_a_membership_via(
         }
     }
 
-    let index = match strategy {
-        MatchStrategy::Indexed => Some(DeltaIndex::from_instance(r)),
-        MatchStrategy::Scan => None,
-    };
-
-    // Build the matching tasks: every non-empty annotated tuple of T must be
-    // mapped (via the valuation) onto an R-tuple.
-    struct Task {
-        tuple: Tuple,
-        candidates: Vec<Tuple>,
-    }
-    let mut tasks: Vec<Task> = Vec::new();
-    for (rel, trel) in t.relations() {
-        for at in trel.iter() {
-            let candidates: Vec<Tuple> = match &index {
-                Some(idx) => candidates_in(idx, rel, &at.tuple),
-                None => r
-                    .tuples(rel)
-                    .filter(|cand| positionally_compatible(&at.tuple, cand))
-                    .cloned()
-                    .collect(),
-            };
-            if candidates.is_empty() {
-                return None;
-            }
-            tasks.push(Task {
-                tuple: at.tuple.clone(),
-                candidates,
-            });
-        }
-    }
-    // Most-constrained-first ordering keeps the search shallow.
-    tasks.sort_by_key(|t| t.candidates.len());
-
-    let all_nulls: Vec<NullId> = t.nulls().into_iter().collect();
-
-    fn search(
-        tasks: &[(Tuple, Vec<Tuple>)],
-        i: usize,
-        v: &mut Valuation,
-        t: &AnnInstance,
-        r: &Instance,
-        all_nulls: &[NullId],
-    ) -> bool {
-        if i == tasks.len() {
-            // All T-tuples placed. Any null not occurring in a tuple is
-            // irrelevant; give it an arbitrary image so the valuation is
-            // total (choose the first candidate constant or a base value).
-            let mut extra: Vec<NullId> = Vec::new();
-            for &n in all_nulls {
-                if !v.is_defined(n) {
-                    // Any constant works; nulls outside tuples do not affect
-                    // either condition. Use a deterministic dummy.
-                    v.set(n, dx_relation::ConstId::new("⋆unused"));
-                    extra.push(n);
-                }
-            }
-            let ok = t.apply(v).covers_instance(r);
-            if !ok {
-                for n in extra {
-                    v.unset(n);
-                }
-            }
-            return ok;
-        }
-        let (tuple, candidates) = &tasks[i];
-        'cands: for cand in candidates {
-            let mut bound: Vec<NullId> = Vec::new();
-            for (tv, cv) in tuple.iter().zip(cand.iter()) {
-                match tv {
-                    Value::Const(_) => {} // compatibility pre-checked
-                    Value::Null(n) => {
-                        let c = cv.as_const().expect("R is ground");
-                        match v.get(n) {
-                            Some(existing) if existing != c => {
-                                for n in bound.drain(..) {
-                                    v.unset(n);
-                                }
-                                continue 'cands;
-                            }
-                            Some(_) => {}
-                            None => {
-                                v.set(n, c);
-                                bound.push(n);
-                            }
-                        }
-                    }
-                }
-            }
-            if search(tasks, i + 1, v, t, r, all_nulls) {
-                return true;
-            }
-            for n in bound {
-                v.unset(n);
-            }
-        }
-        false
-    }
-
-    let task_pairs: Vec<(Tuple, Vec<Tuple>)> =
-        tasks.into_iter().map(|t| (t.tuple, t.candidates)).collect();
-    let mut v = Valuation::new();
-    search(&task_pairs, 0, &mut v, t, r, &all_nulls).then_some(v)
+    let index = &DeltaIndex::from_instance(r);
+    let items = t
+        .relations()
+        .flat_map(|(rel, trel)| {
+            trel.iter()
+                .map(move |at| valuation_candidates(index, rel, &at.tuple))
+        })
+        .collect();
+    find_map(items, |v| {
+        t.apply(&Valuation::from_pairs(v.iter().map(|(&n, &c)| (n, c))))
+            .covers_instance(r)
+    })
+    .map(Valuation::from_pairs)
 }
 
-/// The `rel`-tuples of `index` that `t` can land on: a probe on the
-/// constant positions of `t`, post-filtered for repeated nulls — in the
+/// The candidates of `t` for a valuation into `index`: the `rel`-tuples it
+/// can land on (a probe on the constant positions of `t`, post-filtered for
+/// repeated nulls), each as the bindings of `t`'s nulls it forces — in the
 /// iteration order of the instance the index was built from.
-fn candidates_in(index: &DeltaIndex, rel: RelSym, t: &Tuple) -> Vec<Tuple> {
+fn valuation_candidates(
+    index: &DeltaIndex,
+    rel: RelSym,
+    t: &Tuple,
+) -> Vec<Bindings<NullId, ConstId>> {
     let mut out = Vec::new();
     let _ = index.for_each_matching(rel, &const_pattern_of(t), &mut |cand| {
         if positionally_compatible(t, cand) {
-            out.push(cand.clone());
+            out.push(
+                t.iter()
+                    .zip(cand.iter())
+                    .filter_map(|(tv, cv)| {
+                        Some((tv.as_null()?, cv.as_const().expect("R is ground")))
+                    })
+                    .collect(),
+            );
         }
         ControlFlow::Continue(())
     });
@@ -229,61 +139,20 @@ fn positionally_compatible(t: &Tuple, cand: &Tuple) -> bool {
 /// fast path, where the open-world target only has to *contain* the
 /// valuation image.
 ///
-/// Unlike the leaf-checked valuation enumeration, this is a per-tuple
-/// candidate CSP: nulls are constrained by the `R`-tuples each `T`-tuple
-/// can land on, so inconsistent prefixes are pruned immediately.
+/// Like [`rep_a_membership_by_search`], a per-tuple candidate search: nulls
+/// are constrained by the `R`-tuples each `T`-tuple can land on, so
+/// inconsistent prefixes are pruned immediately; there is no leaf test.
 pub fn find_embedding_valuation(t: &Instance, r: &Instance) -> Option<Valuation> {
     assert!(r.is_ground(), "embedding targets are instances over Const");
-    let index = DeltaIndex::from_instance(r);
-    let mut tasks: Vec<(Tuple, Vec<Tuple>)> = Vec::new();
-    for (rel, trel) in t.relations() {
-        for tuple in trel.iter() {
-            let candidates = candidates_in(&index, rel, tuple);
-            if candidates.is_empty() {
-                return None;
-            }
-            tasks.push((tuple.clone(), candidates));
-        }
-    }
-    tasks.sort_by_key(|(_, c)| c.len());
-
-    fn search(tasks: &[(Tuple, Vec<Tuple>)], i: usize, v: &mut Valuation) -> bool {
-        if i == tasks.len() {
-            return true;
-        }
-        let (tuple, candidates) = &tasks[i];
-        'cands: for cand in candidates {
-            let mut bound: Vec<NullId> = Vec::new();
-            for (tv, cv) in tuple.iter().zip(cand.iter()) {
-                if let Value::Null(n) = tv {
-                    let c = cv.as_const().expect("target is ground");
-                    match v.get(n) {
-                        Some(existing) if existing != c => {
-                            for n in bound.drain(..) {
-                                v.unset(n);
-                            }
-                            continue 'cands;
-                        }
-                        Some(_) => {}
-                        None => {
-                            v.set(n, c);
-                            bound.push(n);
-                        }
-                    }
-                }
-            }
-            if search(tasks, i + 1, v) {
-                return true;
-            }
-            for n in bound {
-                v.unset(n);
-            }
-        }
-        false
-    }
-
-    let mut v = Valuation::new();
-    search(&tasks, 0, &mut v).then_some(v)
+    let index = &DeltaIndex::from_instance(r);
+    let items = t
+        .relations()
+        .flat_map(|(rel, trel)| {
+            trel.iter()
+                .map(move |tuple| valuation_candidates(index, rel, tuple))
+        })
+        .collect();
+    find_map(items, |_| true).map(Valuation::from_pairs)
 }
 
 /// Is the instance a **Codd table**: no null occurs more than once across
@@ -639,18 +508,53 @@ mod tests {
                     );
                 }
             }
-            let generic = rep_a_membership(&annotated, &r).is_some();
+            let generic = rep_a_membership_by_search(&annotated, &r).is_some();
             let codd = codd_rep_membership(&t, &r).is_some();
             assert_eq!(generic, codd, "case {case}: t = {t}, r = {r}");
         }
     }
 
-    /// The indexed candidate discovery is an optimization, not a semantics
-    /// change: Scan and Indexed agree on randomized naive tables (both
-    /// decisions and witness validity).
+    /// `R ∈ Rep_A(T)` by brute force: some valuation of `T`'s nulls over
+    /// `adom(R)` plus one fresh constant meets both conditions, each checked
+    /// straight from its definition.
+    fn rep_a_brute_force(t: &AnnInstance, r: &Instance) -> bool {
+        let nulls: Vec<NullId> = t.nulls().into_iter().collect();
+        let mut palette: Vec<ConstId> = r.adom_consts().into_iter().collect();
+        palette.push(ConstId::new("⋆fresh"));
+        let k = palette.len();
+        (0..k.pow(nulls.len() as u32)).any(|code| {
+            let v = Valuation::from_pairs(
+                (nulls.iter().enumerate()).map(|(i, &n)| (n, palette[code / k.pow(i as u32) % k])),
+            );
+            let vt = t.apply(&v);
+            // 1. R contains every tuple of v(T).
+            let contained = vt
+                .relations()
+                .all(|(rel, vrel)| vrel.iter().all(|at| r.contains(rel, &at.tuple)));
+            // 2. Every R-tuple coincides with some v(tᵢ) on the positions αᵢ
+            //    marks closed, or an all-open empty marker licenses it.
+            let covered = r.relations().all(|(rel, rrel)| {
+                rrel.iter().all(|u| {
+                    vt.relation(rel).is_some_and(|vrel| {
+                        vrel.empty_marks().any(|m| m.is_all_open())
+                            || vrel.iter().any(|at| {
+                                at.ann
+                                    .closed_positions()
+                                    .all(|p| at.tuple.get(p) == u.get(p))
+                            })
+                    })
+                })
+            });
+            contained && covered
+        })
+    }
+
+    /// The valuation search decides as brute force does on randomized naive
+    /// tables with mixed annotations, and every valuation it returns is a
+    /// witness.
     #[test]
-    fn indexed_and_scan_strategies_agree() {
-        let rel = RelSym::new("IdxAgree");
+    fn search_agrees_with_brute_force() {
+        let rel = RelSym::new("RepBrute");
         let consts = ["a", "b", "c"];
         let mut seed = 0xD1FFu64;
         let mut next = move || {
@@ -680,21 +584,23 @@ mod tests {
                 };
                 t.insert(rel, AnnTuple::new(Tuple::new(vec![v1, v2]), ann));
             }
+            if next() % 5 == 0 {
+                t.insert_empty_mark(rel, Annotation::all_open(2));
+            }
             let mut r = Instance::new();
             for _ in 0..(next() % 4 + 1) {
                 r.insert_names(
-                    "IdxAgree",
+                    "RepBrute",
                     &[consts[(next() % 3) as usize], consts[(next() % 3) as usize]],
                 );
             }
-            let scan = rep_a_membership_via(MatchStrategy::Scan, &t, &r);
-            let indexed = rep_a_membership_via(MatchStrategy::Indexed, &t, &r);
+            let found = rep_a_membership_by_search(&t, &r);
             assert_eq!(
-                scan.is_some(),
-                indexed.is_some(),
+                found.is_some(),
+                rep_a_brute_force(&t, &r),
                 "case {case}: t = {t}, r = {r}"
             );
-            if let Some(v) = indexed {
+            if let Some(v) = found {
                 let vt = t.apply(&v);
                 assert!(vt.rel_part().is_subinstance_of(&r));
                 assert!(vt.covers_instance(&r));

@@ -95,7 +95,9 @@ fn main() {
     let roots_ra = RaExpr::rel("Link")
         .project([0])
         .diff(RaExpr::rel("Link").project([1]));
-    let roots = Exchange::new(&cwa, &source).certain_answers_cwa_ra(&roots_ra);
+    let roots = Exchange::new(&cwa, &source)
+        .certain_answers_cwa_ra(&roots_ra)
+        .expect("the roots query fits the target schema");
     println!("\nRoot parts under CWA (c-table route): {roots}");
 
     // Cross-check with the coNP valuation search on the equivalent FO

@@ -86,13 +86,13 @@ fn cached_plans_bit_identical_across_via_pipelines() {
     }
 
     // The c-table CWA routes: catalog-backed, repeat-stable, and equal to
-    // the interpreting fallback.
+    // the interpreter.
     let ra = RaExpr::rel("CiSub")
         .select(RaPred::col_is(1, "t0"))
         .project([0]);
     let ex = Exchange::new(&mapping, &source);
-    let a1 = ex.certain_answers_cwa_ra(&ra);
-    let a2 = ex.certain_answers_cwa_ra(&ra);
+    let a1 = ex.certain_answers_cwa_ra(&ra).unwrap();
+    let a2 = ex.certain_answers_cwa_ra(&ra).unwrap();
     assert_eq!(a1, a2);
     let cinst = ex.csol_as_ctable();
     assert_eq!(

@@ -3,11 +3,19 @@
 //! certain answers are invariant under taking cores, and the annotated core
 //! is itself a `Σα`-solution.
 
-use oc_exchange::chase::core::{ann_core_of, core_of, find_ann_hom, hom_equivalent};
-use oc_exchange::chase::{canonical_solution, solutions, Mapping};
+use oc_exchange::chase::core::{
+    ann_core_of, ann_isomorphic, core_of, find_ann_hom, hom_equivalent,
+};
+use oc_exchange::chase::hom::{apply_null_map, find_hom_into_expansion, find_onto_hom};
+use oc_exchange::chase::{canonical_solution, solutions, Mapping, NullMap};
 use oc_exchange::logic::Query;
 use oc_exchange::workloads::random_gen;
-use oc_exchange::{Instance, Schema};
+use oc_exchange::{
+    Ann, AnnInstance, AnnTuple, Annotation, Instance, NullId, RelSym, Schema, Tuple, Value,
+};
+use rand::rngs::StdRng;
+use rand::Rng;
+use std::collections::BTreeSet;
 
 /// Positive-query certain answers (Prop 3: naive evaluation) agree between
 /// the canonical solution and its core: the two are homomorphically
@@ -46,6 +54,10 @@ fn ann_core_is_solution_randomized() {
         assert!(
             solutions::is_solution(&m, &s, &core.core).is_some(),
             "seed {seed}: annotated core must be a Σα-solution"
+        );
+        assert!(
+            solutions::is_solution(&m, &s, &csol.instance).is_some(),
+            "seed {seed}: CSol_A(S) itself must be a Σα-solution"
         );
         // And it stays hom-equivalent to the canonical solution.
         assert!(find_ann_hom(&csol.instance, &core.core).is_some());
@@ -92,4 +104,192 @@ fn core_preserves_ground_tuples() {
         .cloned()
         .collect();
     assert_eq!(ground_before, ground_after);
+}
+
+/// A random annotated instance over `OrA/2` and `OrB/1`: up to three tuples
+/// with constants `a`, `b` and nulls `⊥0 … ⊥3`, random annotations, and now
+/// and then an all-open empty marker.
+fn random_ann_instance(rng: &mut StdRng) -> AnnInstance {
+    let rels = [(RelSym::new("OrA"), 2), (RelSym::new("OrB"), 1)];
+    let mut inst = AnnInstance::new();
+    for _ in 0..rng.gen_range(1..4) {
+        let (r, arity) = rels[rng.gen_range(0..2)];
+        let vals: Vec<Value> = (0..arity)
+            .map(|_| match rng.gen_range(0..6) {
+                0 => Value::c("a"),
+                1 => Value::c("b"),
+                _ => Value::null(rng.gen_range(0..4)),
+            })
+            .collect();
+        let anns: Vec<Ann> = (0..arity)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    Ann::Closed
+                } else {
+                    Ann::Open
+                }
+            })
+            .collect();
+        inst.insert(r, AnnTuple::new(Tuple::new(vals), Annotation::new(anns)));
+    }
+    if rng.gen_range(0..4) == 0 {
+        inst.insert_empty_mark(rels[0].0, Annotation::all_open(2));
+    }
+    inst
+}
+
+/// Every total map from `dom` into `range`.
+fn all_maps(dom: &[NullId], range: &[NullId]) -> Vec<NullMap> {
+    let mut maps = vec![NullMap::new()];
+    for &n in dom {
+        maps = maps
+            .into_iter()
+            .flat_map(|h| {
+                range.iter().map(move |&m| {
+                    let mut h = h.clone();
+                    h.insert(n, m);
+                    h
+                })
+            })
+            .collect();
+    }
+    maps
+}
+
+fn image(v: Value, h: &NullMap) -> Value {
+    match v {
+        Value::Null(n) => Value::Null(*h.get(&n).unwrap_or(&n)),
+        c => c,
+    }
+}
+
+fn tuples_of(inst: &AnnInstance) -> BTreeSet<(RelSym, AnnTuple)> {
+    inst.relations()
+        .flat_map(|(r, rel)| rel.iter().map(move |at| (r, at.clone())))
+        .collect()
+}
+
+fn marks_of(inst: &AnnInstance) -> BTreeSet<(RelSym, Annotation)> {
+    inst.relations()
+        .flat_map(|(r, rel)| rel.empty_marks().map(move |m| (r, m.clone())))
+        .collect()
+}
+
+fn image_tuples(inst: &AnnInstance, h: &NullMap) -> BTreeSet<(RelSym, AnnTuple)> {
+    tuples_of(inst)
+        .into_iter()
+        .map(|(r, at)| {
+            let vals: Vec<Value> = at.tuple.iter().map(|v| image(v, h)).collect();
+            (r, AnnTuple::new(Tuple::new(vals), at.ann))
+        })
+        .collect()
+}
+
+/// `h` is an annotation-preserving homomorphism `from → to`.
+fn is_hom(h: &NullMap, from: &AnnInstance, to: &AnnInstance) -> bool {
+    image_tuples(from, h).is_subset(&tuples_of(to)) && marks_of(from).is_subset(&marks_of(to))
+}
+
+/// `h(from) = to` exactly.
+fn is_onto(h: &NullMap, from: &AnnInstance, to: &AnnInstance) -> bool {
+    image_tuples(from, h) == tuples_of(to) && marks_of(from) == marks_of(to)
+}
+
+/// `h` renames the nulls of `a` bijectively onto those of `b`, and `h(a) = b`.
+fn is_iso(h: &NullMap, a: &AnnInstance, b: &AnnInstance) -> bool {
+    let range: BTreeSet<NullId> = a.nulls().iter().map(|n| h[n]).collect();
+    range == b.nulls() && a.nulls().len() == b.nulls().len() && is_onto(h, a, b)
+}
+
+/// `h` maps `t` into an expansion of `csol` (Proposition 1): every image
+/// tuple coincides with some `csol` tuple on that tuple's closed positions,
+/// and every empty marker of `t` occurs in `csol`.
+fn is_into_expansion(h: &NullMap, t: &AnnInstance, csol: &AnnInstance) -> bool {
+    image_tuples(t, h).iter().all(|(r, at)| {
+        csol.tuples(*r).any(|cand| {
+            cand.ann
+                .closed_positions()
+                .all(|p| at.tuple.get(p) == cand.tuple.get(p))
+        })
+    }) && marks_of(t).is_subset(&marks_of(csol))
+}
+
+/// The one search against brute force: on small random annotated instances,
+/// each homomorphism search finds a map exactly when enumerating every
+/// null → null map does, and every map it returns meets its definition.
+/// Maps range over the target's nulls plus one fresh null (which no closed
+/// position can match, so it stands for every other null).
+#[test]
+fn null_map_searches_agree_with_brute_force() {
+    type Definition = fn(&NullMap, &AnnInstance, &AnnInstance) -> bool;
+    type Search = fn(&AnnInstance, &AnnInstance) -> Option<NullMap>;
+    let checks: [(&str, Search, Definition); 4] = [
+        ("find_ann_hom", find_ann_hom, is_hom),
+        ("find_onto_hom", find_onto_hom, is_onto),
+        ("ann_isomorphic", ann_isomorphic, is_iso),
+        (
+            "find_hom_into_expansion",
+            find_hom_into_expansion,
+            is_into_expansion,
+        ),
+    ];
+    let mut found = [0usize; 4];
+    for seed in 0..300u64 {
+        let mut rng = random_gen::rng(seed);
+        let a = random_ann_instance(&mut rng);
+        // Mostly `b` is an image of `a` (a renaming, or a merge plus maybe
+        // one more tuple), so that maps exist often enough to matter.
+        let b = match rng.gen_range(0..4) {
+            0 => random_ann_instance(&mut rng),
+            1 => {
+                let rename: NullMap = a
+                    .nulls()
+                    .into_iter()
+                    .map(|n| (n, NullId(n.0 + 10)))
+                    .collect();
+                apply_null_map(&a, &rename)
+            }
+            k => {
+                let merge: NullMap = a
+                    .nulls()
+                    .into_iter()
+                    .map(|n| (n, NullId(rng.gen_range(0..4))))
+                    .collect();
+                let mut b = apply_null_map(&a, &merge);
+                if k == 3 {
+                    for (r, at) in tuples_of(&random_ann_instance(&mut rng))
+                        .into_iter()
+                        .take(1)
+                    {
+                        b.insert(r, at);
+                    }
+                }
+                b
+            }
+        };
+        for (from, to) in [(&a, &b), (&b, &a)] {
+            let dom: Vec<NullId> = from.nulls().into_iter().collect();
+            let mut range: Vec<NullId> = to.nulls().into_iter().collect();
+            range.push(NullId(99));
+            let maps = all_maps(&dom, &range);
+            for (i, (name, search, definition)) in checks.iter().enumerate() {
+                let brute = maps.iter().any(|h| definition(h, from, to));
+                let got = search(from, to);
+                assert_eq!(
+                    got.is_some(),
+                    brute,
+                    "seed {seed}: {name}\nfrom = {from}\nto = {to}"
+                );
+                if let Some(h) = got {
+                    found[i] += 1;
+                    assert!(
+                        definition(&h, from, to),
+                        "seed {seed}: {name} returned {h:?}"
+                    );
+                }
+            }
+        }
+    }
+    // Every search meets inputs on both sides of its decision.
+    assert!(found.iter().all(|&f| (20..580).contains(&f)), "{found:?}");
 }

@@ -1,10 +1,11 @@
 //! Every worked example from the paper, end to end.
 
-use oc_exchange::chase::{canonical_solution, is_solution, Mapping};
+use oc_exchange::chase::hom::apply_null_map;
+use oc_exchange::chase::{canonical_solution, is_solution, Mapping, NullMap};
 use oc_exchange::core::{certain, semantics, skstd::SkMapping};
 use oc_exchange::logic::Query;
 use oc_exchange::solver::repa::rep_a_membership;
-use oc_exchange::{Ann, AnnInstance, AnnTuple, Annotation, Instance, RelSym, Tuple, Value};
+use oc_exchange::{Ann, AnnInstance, AnnTuple, Annotation, Instance, NullId, RelSym, Tuple, Value};
 
 fn at(vals: Vec<Value>, anns: Vec<Ann>) -> AnnTuple {
     AnnTuple::new(Tuple::new(vals), Annotation::new(anns))
@@ -129,6 +130,27 @@ fn section3_solution_example() {
         ),
     );
     assert!(is_solution(&m, &s, &t).is_some());
+}
+
+/// Proposition 1 accepts `CSol_A(S)` itself, under any renaming of its
+/// nulls. With R(x^cl, z^cl) :- E(x, y) and E = {(a,b1),(a,b2)}, a
+/// homomorphism may merge both nulls (⊥0, ⊥1 ↦ ⊥0), which is not onto; the
+/// search must go on to one that is.
+#[test]
+fn proposition1_accepts_the_canonical_solution() {
+    let m = Mapping::parse("R(x:cl, z:cl) <- E(x, y)").unwrap();
+    let mut s = Instance::new();
+    s.insert_names("E", &["a", "b1"]);
+    s.insert_names("E", &["a", "b2"]);
+    let csol = canonical_solution(&m, &s);
+    assert_eq!(csol.instance.nulls().len(), 2);
+    assert!(is_solution(&m, &s, &csol.instance).is_some());
+    let rename: NullMap = (csol.instance.nulls().into_iter())
+        .zip([NullId(70), NullId(71)])
+        .collect();
+    let renamed = apply_null_map(&csol.instance, &rename);
+    let (onto, _) = is_solution(&m, &s, &renamed).expect("a renamed CSol_A(S) is a solution");
+    assert_eq!(apply_null_map(&csol.instance, &onto), renamed);
 }
 
 /// §1: the full three-rule conference mapping and its anomaly.

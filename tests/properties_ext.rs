@@ -8,9 +8,7 @@ use oc_exchange::chase::{canonical_solution, Mapping};
 use oc_exchange::core::{compose, semantics};
 use oc_exchange::ctables::{certain_answers_ra, CInstance, RaExpr, RaPred};
 use oc_exchange::logic::datalog::DatalogQuery;
-use oc_exchange::solver::repa::{
-    codd_rep_membership, is_codd, rep_a_membership_via, MatchStrategy,
-};
+use oc_exchange::solver::repa::{codd_rep_membership, is_codd, rep_a_membership_by_search};
 use oc_exchange::workloads::random_gen;
 use oc_exchange::{Instance, RelSym, Schema, Tuple, Value};
 use proptest::prelude::*;
@@ -315,7 +313,7 @@ proptest! {
                 ));
             }
         }
-        let generic = rep_a_membership_via(MatchStrategy::Scan, &ann, &r).is_some();
+        let generic = rep_a_membership_by_search(&ann, &r).is_some();
         let codd = codd_rep_membership(&t, &r).is_some();
         prop_assert_eq!(generic, codd, "t = {}, r = {}", t, r);
     }
