@@ -20,6 +20,7 @@
 //! plan of each query with per-node executed-row counts (the dx-obs
 //! EXPLAIN face) and, when the file carries `update` blocks, the derived
 //! delta plan per batch — `R$delta` scans mark the recomputed frontier,
+//! `R$counter` scans the refuting-side copies of a negated relation, and
 //! every other node re-reads maintained state.
 //!
 //! An unknown flag, a flag without its value, an unreadable number and a
@@ -443,8 +444,9 @@ fn print_explain(sc: &Scenario, csol: &dx_relation::AnnInstance, query: &dx_logi
     }
     // The delta face: when the scenario carries update blocks, show how
     // each batch would be serviced for this query — the derived delta plan
-    // (`R$delta` scans are the recomputed frontier, everything else
-    // re-reads maintained state) or the documented fallback.
+    // (`R$delta` scans are the recomputed frontier, `R$counter` scans the
+    // refuting-side copies under a negation, everything else re-reads
+    // maintained state) or the documented fallback.
     if sc.updates.is_empty() {
         return;
     }
@@ -463,7 +465,7 @@ fn print_explain(sc: &Scenario, csol: &dx_relation::AnnInstance, query: &dx_logi
             println!("  retraction present -> delete and re-derive over the removed tuples");
         }
         match dx_query::delta_plan(&plan, &changed) {
-            None => println!("  non-monotone occurrence -> recompute"),
+            None => println!("  changed relation under two negations -> recompute"),
             Some(dx_query::Plan::Empty { .. }) => {
                 println!("  query reads none of the changed relations -> maintained as-is (skip)")
             }

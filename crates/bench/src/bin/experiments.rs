@@ -484,7 +484,7 @@ fn run_explain(workload: &str) {
 /// `CSol(S)`, then the delta protocol's per-batch decision — the derived
 /// delta plan (`Δ`-scans are the recomputed frontier; every other node
 /// re-reads the incrementally maintained store) or one of the documented
-/// fallbacks (non-monotone occurrence / untouched skip).
+/// fallbacks (a changed relation under two negations / untouched skip).
 fn run_explain_stream() {
     use dx_bench::query_workloads::stream_case;
     use dx_chase::canonical_solution;
@@ -507,11 +507,14 @@ fn run_explain_stream() {
     );
     println!("\n## Delta plans per update batch\n");
     println!(
-        "Node labels: a scan on an `R$delta` symbol reads the batch's fresh\n\
-         tuples — the *recomputed* frontier; every other node *maintains*:\n\
-         it re-reads the incrementally kept post-update store. The union of\n\
-         one redirected copy per changed-scan occurrence finds every answer\n\
-         a new tuple can witness.\n"
+        "Node labels: a scan on an `R$delta` symbol reads the batch's tuples\n\
+         — the *recomputed* frontier; every other node *maintains*: it\n\
+         re-reads the incrementally kept store. The union of one redirected\n\
+         copy per changed-scan occurrence finds every answer a changed\n\
+         tuple can witness; a changed scan under a negation gets a\n\
+         refuting-side copy instead, the anti-join turned into a join with\n\
+         that scan on `R$counter` (the batch's other side) and the side's\n\
+         other changed scans on `R$both`.\n"
     );
     for (i, up) in case.updates.iter().enumerate() {
         let changed = affected_target_rels(&case.mapping, up);
@@ -525,14 +528,16 @@ fn run_explain_stream() {
         if up.retracts().count() > 0 {
             println!(
                 "retraction present: delete and re-derive. The copies below run\n\
-                 once over the added tuples and once over the removed ones, whose\n\
-                 answers are re-derived on the post-update store.\n"
+                 once over the post-update store and once over the pre-update\n\
+                 one, with the removed tuples as Δ; every answer they find is\n\
+                 re-derived on the post-update store.\n"
             );
         }
         match dx_query::delta_plan(&plan, &changed) {
             None => println!(
-                "changed relation under a refuting anti-join branch: delta\n\
-                 maintenance is unsound here — fallback = recompute.\n"
+                "changed relation under two negations (or a seeded anti-join's\n\
+                 correlated side): delta maintenance is unsound here —\n\
+                 fallback = recompute.\n"
             ),
             Some(dx_query::Plan::Empty { .. }) => {
                 println!("query reads none of the changed relations: maintained as-is (skip).\n");

@@ -13,10 +13,11 @@
 //! * **Delta plan** — positive compiled queries under the `certain` regime,
 //!   on every batch that reaches their relations, inserting or retracting:
 //!   [`dx_query::dred`] runs the cached delta-plan variant (via
-//!   [`PlanCatalog::delta_in`]) over the added tuples for the gained
-//!   answers, and over the removed ones for the answers that may be lost,
-//!   re-deriving each of those by first-witness execution on the
-//!   post-update solution ([`IncrementalExchange::csol_index`]). By
+//!   [`PlanCatalog::delta_in`]) over the post-update solution
+//!   ([`IncrementalExchange::csol_index`]) with the added tuples for the
+//!   gained answers, and over the pre-update one with the removed tuples
+//!   for the answers that may be lost, deciding each candidate by
+//!   first-witness execution on the post-update solution. By
 //!   Proposition 3 the null-free answers are the certain ones, so a
 //!   positive compiled query recomputes only when it is registered.
 //! * **Revalidate or recompute** — non-positive compiled `certain` queries
@@ -39,9 +40,11 @@
 //!
 //! A maintained answer set is kept ready to read: its null-free answers
 //! are split into those whose constants all lie in the genericity palette
-//! `adom(S) ∪ consts(Q)`, which [`StreamSession::answers`] clones, and the
-//! rest, held back. Only a constant of the mapping can put an answer
-//! outside the palette, so the held-back set is almost always empty. The
+//! `adom(S) ∪ consts(Q)`, which [`StreamSession::answers`] shares — a
+//! [`Relation`] clone is O(1) and copies its tuples only when the session
+//! next writes to a set a reader still holds — and the rest, held back.
+//! Only a constant of the mapping can put an answer outside the palette,
+//! so the held-back set is almost always empty. The
 //! exchange reports the constants that entered and left `adom(S)` in each
 //! batch, and the session moves answers between the two sets by them.
 
@@ -57,7 +60,7 @@ use dx_relation::{
     AnnInstance, ConstId, DeltaIndex, Instance, RelSym, Relation, Tuple, Update, Valuation,
 };
 use dx_solver::{Completeness, SearchBudget, Witness};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The answering regime a registered query is maintained under.
@@ -350,8 +353,9 @@ impl StreamSession {
         self.publish_carried_slots();
     }
 
-    /// The current `(answers, completeness)` of a registered query. For
-    /// the approximation regime this is the sound lower bound (see
+    /// The current `(answers, completeness)` of a registered query, shared
+    /// with the session: O(1), and unchanged by later updates. For the
+    /// approximation regime this is the sound lower bound (see
     /// [`StreamSession::approx`] for the bracket).
     pub fn answers(&self, name: &str) -> Option<(Relation, Completeness)> {
         let reg = self.queries.iter().find(|r| r.name == name)?;
@@ -394,16 +398,24 @@ impl StreamSession {
             && report.adom_left.is_empty()
             && !report.marks_changed;
         // The batch's relational delta, shared by every maintained query: a
-        // tuple still in `rel(csol)` under another annotation was not removed.
+        // tuple is added when the batch gave it its first annotation and
+        // removed when it lost its last. The csol index counts a tuple's
+        // annotations after the batch; the annotated delta is net.
         let index = self.inc.csol_index();
-        let mut added = Instance::new();
-        for (rel, at) in &report.added {
-            added.insert(*rel, at.tuple.clone());
+        let mut moved: BTreeMap<(RelSym, &Tuple), isize> = BTreeMap::new();
+        let signed =
+            (report.added.iter().map(|x| (x, 1))).chain(report.removed.iter().map(|x| (x, -1)));
+        for ((rel, at), sign) in signed {
+            *moved.entry((*rel, &at.tuple)).or_insert(0) += sign;
         }
-        let mut removed = Instance::new();
-        for (rel, at) in &report.removed {
-            if !index.contains(*rel, &at.tuple) {
-                removed.insert(*rel, at.tuple.clone());
+        let (mut added, mut removed) = (Instance::new(), Instance::new());
+        for ((rel, t), moved) in moved {
+            let now = index.count(rel, t) as isize;
+            let before = now - moved;
+            if before == 0 && now > 0 {
+                added.insert(rel, t.clone());
+            } else if before > 0 && now == 0 {
+                removed.insert(rel, t.clone());
             }
         }
 
@@ -805,6 +817,63 @@ mod tests {
         up.apply(&mut source);
         assert_eq!(
             names(&sess.answers("all").unwrap().0),
+            names(&oracle(&mapping, &source, &q))
+        );
+    }
+
+    /// `answers()` shares the maintained set: a result held across an
+    /// update that moves the query still reads the answers it was handed,
+    /// and the next read reads the new ones.
+    #[test]
+    fn held_answers_survive_an_update() {
+        let mapping = Mapping::parse("StrmT(x:cl, y:cl) <- StrmE(x, y)").unwrap();
+        let mut source = Instance::new();
+        source.insert_names("StrmE", &["a", "b"]);
+        source.insert_names("StrmE", &["c", "d"]);
+        let mut sess = StreamSession::new(mapping.clone(), Vec::new(), source.clone());
+        let q = Query::parse(&["x", "y"], "StrmT(x, y)").unwrap();
+        sess.register("all", q.clone(), StreamRegime::Certain);
+        let (held, _) = sess.answers("all").unwrap();
+        let before = names(&oracle(&mapping, &source, &q));
+        assert_eq!(names(&held), before);
+
+        let up = Update::new()
+            .insert_names("StrmE", &["e", "f"])
+            .retract_names("StrmE", &["a", "b"]);
+        assert!(matches!(
+            sess.update(&up).queries[0].1,
+            QueryPath::DeltaPlan { delta_answers: 2 }
+        ));
+        assert_eq!(names(&held), before, "the held set moved with the session");
+        up.apply(&mut source);
+        let after = names(&oracle(&mapping, &source, &q));
+        assert_ne!(after, before);
+        assert_eq!(names(&sess.answers("all").unwrap().0), after);
+    }
+
+    /// A tuple the batch gives a second annotation was in the canonical
+    /// solution before the batch: the relational delta leaves it out, so
+    /// the pass over the pre-update solution still reads it.
+    #[test]
+    fn a_second_annotation_is_not_an_added_tuple() {
+        let mapping = Mapping::parse(
+            "StrmR(x:cl) <- StrmE(x); StrmR(x:op) <- StrmF(x); StrmS(x:cl) <- StrmH(x)",
+        )
+        .unwrap();
+        let mut source = Instance::new();
+        source.insert_names("StrmE", &["a"]);
+        source.insert_names("StrmH", &["a"]);
+        let mut sess = StreamSession::new(mapping.clone(), Vec::new(), source.clone());
+        let q = Query::parse(&["x"], "StrmR(x) & StrmS(x)").unwrap();
+        sess.register("both", q.clone(), StreamRegime::Certain);
+        let up = Update::new()
+            .insert_names("StrmF", &["a"])
+            .retract_names("StrmH", &["a"]);
+        sess.update(&up);
+        up.apply(&mut source);
+        assert!(oracle(&mapping, &source, &q).is_empty());
+        assert_eq!(
+            names(&sess.answers("both").unwrap().0),
             names(&oracle(&mapping, &source, &q))
         );
     }

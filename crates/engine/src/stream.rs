@@ -14,15 +14,16 @@
 //! minted. The source is mirrored into one relational index
 //! ([`DeltaIndex`]), updated wherever the source is, and each STD holds
 //! its body's compiled plan (the one [`dx_query::PlannedBodyEval`] runs,
-//! with the body's free variables as its head). A touched STD whose plan
-//! is monotone in the changed relations is maintained by
-//! [`dx_query::dred`] over that index: the batch's inserted tuples give
-//! the newborn witnesses, its retracted tuples the dying ones, each
-//! re-derived on the new source before it dies. Two cases re-evaluate the
-//! body and diff against the stored witness set: a relation changed under
-//! an anti-join's refuting side (which can flip witnesses either way, and
-//! no delta copy expresses), and a body outside the safe-range fragment,
-//! which the tree walker evaluates over the source. Head tuples are
+//! with the body's free variables as its head). A touched STD is
+//! maintained by [`dx_query::dred`] over that index: one pass over the new
+//! source finds the newborn witnesses, one over the old source the dying
+//! ones, and each candidate is decided on the new source — an insertion
+//! under the §1 rule's negated `Assign` kills a witness through the same
+//! copies as a retraction of its `Papers` tuple. Three cases re-evaluate
+//! the body and diff against the stored witness set: a body outside the
+//! safe-range fragment, which the tree walker evaluates over the source,
+//! and a changed relation under two negations or on a seeded anti-join's
+//! correlated side, which [`dx_query::delta_plan`] refuses. Head tuples are
 //! reference-counted across witnesses (`(rel, annotated-tuple) → producer
 //! count`) so a shared ground head tuple survives until its *last*
 //! witness dies, while null-bearing head tuples (unique to their witness,
@@ -92,9 +93,9 @@ pub enum StdPath {
     /// Maintained by delta plans: [`dx_query::dred`] over the source
     /// index found the dying and the newborn witnesses.
     Seeded,
-    /// Witnesses re-evaluated and diffed against the stored set: a changed
-    /// relation sits under an anti-join's refuting side, or the body did
-    /// not compile.
+    /// Witnesses re-evaluated and diffed against the stored set: the body
+    /// did not compile, or a changed relation sits under two negations or
+    /// on a seeded anti-join's correlated side.
     Recomputed,
 }
 
@@ -447,8 +448,8 @@ impl IncrementalExchange {
         let touched = applied.touched_rels();
 
         // Each touched STD's dying and newborn witnesses: by DRed over the
-        // source index where the body's plan is monotone in the touched
-        // relations, else by re-evaluating the body and diffing. The
+        // source index where `delta_plan` accepts the touched relations,
+        // else by re-evaluating the body and diffing. The
         // `engine.stream.stds` span times this layer up to the new
         // canonical solution, apart from the answer plans read later.
         let stds_span = dx_obs::span!("engine.stream.stds");
@@ -1024,13 +1025,15 @@ mod tests {
         s
     }
 
-    /// Incremental csol vs from-scratch recompute, up to null renaming;
-    /// the maintained relational index holds exactly `rel(csol)`, one
-    /// refcount per annotated tuple.
+    /// Incremental csol vs from-scratch recompute, up to null renaming
+    /// (in both argument orders, since retractions leave emptied relations
+    /// declared); the maintained relational index holds exactly
+    /// `rel(csol)`, one refcount per annotated tuple.
     fn assert_csol_matches(inc: &IncrementalExchange) {
         let oracle = canonical_solution(&inc.mapping, &inc.source);
         assert!(
-            ann_isomorphic(inc.csol(), &oracle.instance).is_some(),
+            ann_isomorphic(inc.csol(), &oracle.instance).is_some()
+                && ann_isomorphic(&oracle.instance, inc.csol()).is_some(),
             "incremental csol diverged:\nincr:\n{}\noracle:\n{}",
             inc.csol(),
             oracle.instance
@@ -1173,24 +1176,48 @@ mod tests {
             src(&[("StrE", &["p1", "t"]), ("StrE", &["p2", "t"])]),
         );
         assert_eq!(inc.csol().tuple_count(), 2);
-        // Inserting into StrA *kills* a witness — anti-monotone body.
+        // Inserting into StrA *kills* a witness — anti-monotone body, on
+        // the refuting-side copy.
         let r = inc.update(&Update::new().insert_names("StrA", &["p1", "rev"]));
-        assert_eq!(r.std_paths, vec![StdPath::Recomputed]);
+        assert_eq!(r.std_paths, vec![StdPath::Seeded]);
         assert_eq!(r.witnesses_died, 1);
         assert_csol_matches(&inc);
         // And retracting from StrA births one back.
         let r = inc.update(&Update::new().retract_names("StrA", &["p1", "rev"]));
+        assert_eq!(r.std_paths, vec![StdPath::Seeded]);
         assert_eq!(r.witnesses_born, 1);
         assert_csol_matches(&inc);
     }
 
+    /// A change under two negations is the case delta plans refuse: the
+    /// body is re-evaluated and diffed.
+    #[test]
+    fn double_negation_recomputes() {
+        let m = Mapping::parse("StrV(x:cl) <- StrE(x, y) & !exists r. (StrA(x, r) & !StrB(r))")
+            .unwrap();
+        let mut inc = IncrementalExchange::new(
+            m,
+            Vec::new(),
+            src(&[("StrE", &["p1", "t"]), ("StrA", &["p1", "r1"])]),
+        );
+        assert_eq!(inc.csol().tuple_count(), 0);
+        // `StrB(r1)` lifts p1's refutation: its witness is born.
+        let r = inc.update(&Update::new().insert_names("StrB", &["r1"]));
+        assert_eq!(r.std_paths, vec![StdPath::Recomputed]);
+        assert_eq!(r.witnesses_born, 1);
+        assert_csol_matches(&inc);
+        let r = inc.update(&Update::new().retract_names("StrB", &["r1"]));
+        assert_eq!(r.std_paths, vec![StdPath::Recomputed]);
+        assert_eq!(r.witnesses_died, 1);
+        assert_csol_matches(&inc);
+    }
+
     /// Monotone bodies beyond conjunctive queries — `∃`, `∨` over the same
-    /// variables, an equality with a constant — and an anti-join whose
-    /// batch touches only its preserved side ride the delta plans; only a
-    /// change under the anti-join's refuting side recomputes.
+    /// variables, an equality with a constant — and an anti-join ride the
+    /// delta plans, whichever of its sides a batch touches.
     #[test]
     fn monotone_bodies_ride_the_delta_plans() {
-        use StdPath::{Recomputed, Seeded, Skipped};
+        use StdPath::{Seeded, Skipped};
         let m = Mapping::parse(
             "StrR(x:cl, z:op) <- exists y. StrE(x, y); \
              StrS(x:cl, y:cl) <- StrF(x, y) | StrG(x, y); \
@@ -1222,7 +1249,7 @@ mod tests {
             ),
             (
                 Update::new().insert_names("StrA", &["a", "r"]),
-                [Skipped, Skipped, Skipped, Recomputed],
+                [Skipped, Skipped, Skipped, Seeded],
             ),
         ] {
             let r = inc.update(&up);

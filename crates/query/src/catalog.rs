@@ -273,9 +273,10 @@ impl PlanCatalog {
     /// relations, scoped to a schema fingerprint: the cached result of
     /// [`crate::delta::delta_plan`] over the query's compiled plan.
     /// `None` means incremental maintenance is unsound for this
-    /// (query, changed) pair — the query is non-monotone in a changed
-    /// relation, or not compilable — and the caller must recompute; the
-    /// refusal is cached like any other entry.
+    /// (query, changed) pair — a changed relation sits under two negations
+    /// or on a seeded anti-join's correlated side, or the query does not
+    /// compile — and the caller must recompute; the refusal is cached like
+    /// any other entry.
     pub fn delta_in(
         &self,
         query: &Query,
@@ -539,11 +540,16 @@ mod tests {
         let d2 = cat.delta_in(&q, &schema, &changed).expect("monotone");
         assert!(Arc::ptr_eq(&d1, &d2), "one canonical delta variant");
         // An unrelated changed set is a distinct (cached) entry, and a
-        // non-monotone query caches its refusal.
+        // query with the changed relation under two negations caches its
+        // refusal.
         let other: BTreeSet<RelSym> = [RelSym::new("CatS")].into();
         let empty = cat.delta_in(&q, &schema, &other).expect("still monotone");
         assert!(matches!(*empty, Plan::Empty { .. }));
-        let neg = Query::parse(&["x"], "exists y. CatR(x, y) & !CatS(y, x)").unwrap();
+        let neg = Query::parse(
+            &["x"],
+            "exists y. CatR(x, y) & !exists r. (CatS(x, r) & !CatS(r, r))",
+        )
+        .unwrap();
         assert!(cat.delta_in(&neg, &schema, &other).is_none());
         let before = cat.stats().hits;
         assert!(cat.delta_in(&neg, &schema, &other).is_none());

@@ -39,9 +39,9 @@
 //!   that makes `canonical_solution`'s STD-body evaluation run on indexed
 //!   plans);
 //! * [`delta`] — delta plans (one copy of a plan per changed-relation scan
-//!   occurrence, redirected to a Δ-relation) and [`delta::dred`], which
-//!   carries a monotone query's answers across a source batch by delete
-//!   and re-derive;
+//!   occurrence, redirected to a Δ-relation, and a refuting-side copy per
+//!   changed scan under a negation) and [`delta::dred`], which carries a
+//!   query's answers across a source batch by delete and re-derive;
 //! * [`catalog`] — the shared [`catalog::PlanCatalog`]: compiled plans
 //!   cached behind interior mutability, keyed by structural hash + schema
 //!   fingerprint and verified by equality, so one catalog serves every

@@ -11,9 +11,9 @@
 //!   per instance backs [`crate::eval::QueryEval`], the `Rep_A` search
 //!   probes the one it maintains by apply/undo, and a streaming exchange
 //!   keeps one over its canonical solution;
-//! * [`crate::delta::DeltaStore`] — a base store plus Δ-relations, what
-//!   delta plans run on (its retracting form also serves the removed
-//!   tuples under the base relations);
+//! * [`crate::delta::DeltaStore`] — a base store plus a batch's tuples,
+//!   what delta plans run on: the base relations read the post-update or
+//!   the pre-update state, the derived symbols the batch's sides;
 //! * [`Instance`] — the un-indexed scan-and-filter fallback.
 
 use dx_relation::{DeltaIndex, Instance, RelSym, Tuple, Value};
@@ -130,13 +130,14 @@ mod tests {
         let mut base = Instance::new();
         base.insert_names("QsE", &["a", "b"]);
         let delta = DeltaIndex::from_instance(&inst);
-        // The retracting delta view: `QsE` reads the base index, then the
-        // removed tuples.
+        // The pre-update view of a retraction: `QsE` reads the base index,
+        // then the removed tuples.
         let base_idx = DeltaIndex::from_instance(&base);
         let mut removed = Instance::new();
         removed.insert_names("QsE", &["a", "c"]);
         removed.insert_names("QsE", &["b", "c"]);
-        let view = DeltaStore::retracting(&base_idx, &removed);
+        let none = Instance::new();
+        let view = DeltaStore::new(&base_idx, &none, &removed).before();
         let stores: [&dyn QueryStore; 3] = [&inst, &delta, &view];
         for store in stores {
             let mut seen = 0;

@@ -345,10 +345,25 @@ impl fmt::Debug for AnnRelation {
 }
 
 /// An annotated instance: one [`AnnRelation`] per relation symbol.
-#[derive(Clone, Default, PartialEq, Eq)]
+///
+/// Equality reads a relation with no tuples and no empty markers as
+/// absent, so a relation [`AnnInstance::remove`] emptied but left declared
+/// does not tell two instances apart.
+#[derive(Clone, Default)]
 pub struct AnnInstance {
     rels: BTreeMap<RelSym, AnnRelation>,
 }
+
+impl PartialEq for AnnInstance {
+    fn eq(&self, other: &Self) -> bool {
+        fn live(i: &AnnInstance) -> impl Iterator<Item = (&RelSym, &AnnRelation)> {
+            i.rels.iter().filter(|(_, r)| !r.is_empty())
+        }
+        live(self).eq(live(other))
+    }
+}
+
+impl Eq for AnnInstance {}
 
 impl AnnInstance {
     /// The empty annotated instance.

@@ -295,6 +295,14 @@ impl DeltaIndex {
         self.rels.get(&rel).is_some_and(|r| r.contains(t))
     }
 
+    /// The reference count of `t` in `rel`: how many inserts it outlives
+    /// (0 when it is not visible).
+    pub fn count(&self, rel: RelSym, t: &Tuple) -> usize {
+        (self.rels.get(&rel))
+            .and_then(|r| r.refs.get(t))
+            .map_or(0, |&(_, n)| n as usize)
+    }
+
     /// Materialize the live set: exactly the visible tuples, with every
     /// declared relation kept even when empty (as
     /// [`AnnInstance::rel_part`](crate::AnnInstance::rel_part) keeps them).

@@ -371,6 +371,29 @@ mod tests {
         assert_eq!(r.tuple_count(), 2); // E(a,b) and V(a); E(b,c) dropped
     }
 
+    /// Cloning an instance clones its relations, which share their tuples
+    /// until the first write: a write to either side stays on that side.
+    #[test]
+    fn clones_are_unchanged_by_writes_to_either_side() {
+        let (e, ab) = (RelSym::new("E"), Tuple::from_names(&["a", "b"]));
+        let mut original = sample();
+        let copy = original.clone();
+        original.insert_names("E", &["c", "d"]);
+        original.remove(e, &ab);
+        assert_eq!(copy, sample(), "a write to the original reached its clone");
+
+        let original = sample();
+        let mut copy = original.clone();
+        copy.insert_names("V", &["z"]);
+        copy.remove(e, &ab);
+        assert_eq!(
+            original,
+            sample(),
+            "a write to the clone reached the original"
+        );
+        assert_eq!(copy.tuple_count(), 3);
+    }
+
     #[test]
     fn display_empty() {
         assert_eq!(Instance::new().to_string(), "∅");

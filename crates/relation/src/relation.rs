@@ -6,16 +6,19 @@ use crate::valuation::Valuation;
 use crate::value::{NullId, Value};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// A finite relation: a set of tuples of a fixed arity.
 ///
 /// Backed by a `BTreeSet` so iteration order (and therefore every derived
 /// artifact: canonical solutions, displays, test expectations) is
-/// deterministic.
+/// deterministic. Clones share the set until one of them is written to
+/// (copy on write), so a clone is O(1) and a reader's copy never sees a
+/// later write.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Relation {
     arity: usize,
-    tuples: BTreeSet<Tuple>,
+    tuples: Arc<BTreeSet<Tuple>>,
 }
 
 impl Relation {
@@ -23,7 +26,7 @@ impl Relation {
     pub fn new(arity: usize) -> Self {
         Relation {
             arity,
-            tuples: BTreeSet::new(),
+            tuples: Arc::default(),
         }
     }
 
@@ -51,12 +54,12 @@ impl Relation {
             t.arity(),
             self.arity
         );
-        self.tuples.insert(t)
+        Arc::make_mut(&mut self.tuples).insert(t)
     }
 
     /// Remove a tuple.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        self.tuples.remove(t)
+        Arc::make_mut(&mut self.tuples).remove(t)
     }
 
     /// Membership test.
@@ -87,8 +90,12 @@ impl Relation {
     /// In-place union with another relation of the same arity.
     pub fn union_with(&mut self, other: &Relation) {
         assert_eq!(self.arity, other.arity, "arity mismatch in union");
+        if other.is_empty() {
+            return;
+        }
+        let tuples = Arc::make_mut(&mut self.tuples);
         for t in other.iter() {
-            self.tuples.insert(t.clone());
+            tuples.insert(t.clone());
         }
     }
 
@@ -116,7 +123,7 @@ impl Relation {
     pub fn apply(&self, v: &Valuation) -> Relation {
         Relation {
             arity: self.arity,
-            tuples: self.tuples.iter().map(|t| t.apply(v)).collect(),
+            tuples: Arc::new(self.tuples.iter().map(|t| t.apply(v)).collect()),
         }
     }
 }
@@ -202,6 +209,36 @@ mod tests {
         let rv = r.apply(&v);
         assert_eq!(rv.len(), 1);
         assert!(rv.contains(&Tuple::from_names(&["a", "b"])));
+    }
+
+    /// A clone shares the tuple set until the first write, and the write
+    /// copies: neither side ever sees the other's `insert`, `remove` or
+    /// `union_with`.
+    #[test]
+    fn clones_are_unchanged_by_writes_to_either_side() {
+        let more = Relation::from_tuples(2, [Tuple::from_names(&["d", "e"])]);
+        let writes: [fn(&mut Relation, &Relation); 3] = [
+            |r, _| {
+                r.insert(Tuple::from_names(&["x", "y"]));
+            },
+            |r, _| {
+                r.remove(&Tuple::from_names(&["a", "b"]));
+            },
+            |r, more| r.union_with(more),
+        ];
+        for write in writes {
+            let mut original = abc();
+            let copy = original.clone();
+            write(&mut original, &more);
+            assert_ne!(original, copy);
+            assert_eq!(copy, abc(), "a write to the original reached its clone");
+
+            let original = abc();
+            let mut copy = original.clone();
+            write(&mut copy, &more);
+            assert_ne!(original, copy);
+            assert_eq!(original, abc(), "a write to the clone reached the original");
+        }
     }
 
     #[test]

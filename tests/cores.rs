@@ -106,6 +106,33 @@ fn core_preserves_ground_tuples() {
     assert_eq!(ground_before, ground_after);
 }
 
+/// A relation that `AnnInstance::remove` emptied stays declared; the
+/// null-map checks read it as absent in either argument order.
+#[test]
+fn emptied_relation_does_not_break_symmetry() {
+    let (r, s) = (RelSym::new("EmR"), RelSym::new("EmS"));
+    let open = |v: Value| AnnTuple::new(Tuple::new(vec![v]), Annotation::all_open(1));
+    let mut a = AnnInstance::new();
+    a.insert(r, open(Value::null(1)));
+    let mut b = AnnInstance::new();
+    b.insert(r, open(Value::null(2)));
+    let gone = open(Value::c("s"));
+    b.insert(s, gone.clone());
+    assert!(b.remove(s, &gone));
+    assert!(
+        b.relation(s).is_some(),
+        "the emptied relation stays declared"
+    );
+    let mut emptied = a.clone();
+    emptied.insert(s, gone.clone());
+    emptied.remove(s, &gone);
+    assert_eq!(a, emptied, "an emptied relation reads as absent");
+    assert!(ann_isomorphic(&a, &b).is_some(), "ann_isomorphic(a, b)");
+    assert!(ann_isomorphic(&b, &a).is_some(), "ann_isomorphic(b, a)");
+    assert!(find_onto_hom(&a, &b).is_some(), "find_onto_hom(a, b)");
+    assert!(find_onto_hom(&b, &a).is_some(), "find_onto_hom(b, a)");
+}
+
 /// A random annotated instance over `OrA/2` and `OrB/1`: up to three tuples
 /// with constants `a`, `b` and nulls `⊥0 … ⊥3`, random annotations, and now
 /// and then an all-open empty marker.
