@@ -465,7 +465,9 @@ fn print_explain(sc: &Scenario, csol: &dx_relation::AnnInstance, query: &dx_logi
             println!("  retraction present -> delete and re-derive over the removed tuples");
         }
         match dx_query::delta_plan(&plan, &changed) {
-            None => println!("  changed relation under two negations -> recompute"),
+            None => println!(
+                "  changed relation under two negations or a seeded anti-join's correlated side -> recompute"
+            ),
             Some(dx_query::Plan::Empty { .. }) => {
                 println!("  query reads none of the changed relations -> maintained as-is (skip)")
             }

@@ -484,7 +484,8 @@ fn run_explain(workload: &str) {
 /// `CSol(S)`, then the delta protocol's per-batch decision — the derived
 /// delta plan (`Δ`-scans are the recomputed frontier; every other node
 /// re-reads the incrementally maintained store) or one of the documented
-/// fallbacks (a changed relation under two negations / untouched skip).
+/// fallbacks (a changed relation under two negations or on a seeded
+/// anti-join's correlated side / untouched skip).
 fn run_explain_stream() {
     use dx_bench::query_workloads::stream_case;
     use dx_chase::canonical_solution;

@@ -79,11 +79,9 @@ impl CompiledQuery {
     /// its distinct head tuples. A Boolean query asks one yes/no question,
     /// answered at the first row with its 0 or 1 empty tuple.
     pub fn answers_store(&self, store: &dyn QueryStore) -> Relation {
-        let mut rel = Relation::new(self.head.len());
-        for_each_answer(&self.plan, &self.head, store, &[], &mut |t| {
-            rel.insert(t);
-        });
-        rel
+        let mut rows = Vec::new();
+        for_each_answer(&self.plan, &self.head, store, &[], &mut |t| rows.push(t));
+        Relation::from_tuples(self.head.len(), rows)
     }
 
     /// Evaluate over an instance (indexes the relations the plan scans).

@@ -15,6 +15,7 @@
 
 use crate::instance::Instance;
 use crate::intern::{ConstId, RelSym};
+use crate::relation::Relation;
 use crate::tuple::Tuple;
 use crate::valuation::Valuation;
 use crate::value::{NullId, Value};
@@ -429,14 +430,16 @@ impl AnnInstance {
     /// The paper's `rel(T)`: the pure relational part (non-empty tuples,
     /// annotations stripped). Declared relations are kept so arities survive.
     pub fn rel_part(&self) -> Instance {
-        let mut out = Instance::new();
-        for (&r, rel) in &self.rels {
-            out.declare(r, rel.arity());
-            for t in rel.rel_part() {
-                out.insert(r, t.clone());
-            }
+        Instance {
+            rels: (self.rels.iter())
+                .map(|(&r, rel)| {
+                    (
+                        r,
+                        Relation::from_tuples(rel.arity(), rel.rel_part().cloned()),
+                    )
+                })
+                .collect(),
         }
-        out
     }
 
     /// All nulls in the instance.

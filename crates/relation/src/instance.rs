@@ -109,7 +109,7 @@ impl fmt::Debug for Schema {
 /// ground (see [`Instance::is_ground`]).
 #[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Instance {
-    rels: BTreeMap<RelSym, Relation>,
+    pub(crate) rels: BTreeMap<RelSym, Relation>,
 }
 
 impl Instance {

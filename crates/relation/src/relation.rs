@@ -30,13 +30,16 @@ impl Relation {
         }
     }
 
-    /// Build from tuples; panics if arities disagree.
+    /// Build from tuples; panics if arities disagree. The set is built in
+    /// one go, which beats inserting the tuples one at a time.
     pub fn from_tuples(arity: usize, tuples: impl IntoIterator<Item = Tuple>) -> Self {
-        let mut r = Relation::new(arity);
-        for t in tuples {
-            r.insert(t);
+        let tuples = (tuples.into_iter())
+            .inspect(|t| assert_arity(t, arity))
+            .collect();
+        Relation {
+            arity,
+            tuples: Arc::new(tuples),
         }
-        r
     }
 
     /// The arity of this relation.
@@ -47,13 +50,7 @@ impl Relation {
     /// Insert a tuple. Panics if the tuple's arity differs — arity errors are
     /// construction bugs, not runtime conditions.
     pub fn insert(&mut self, t: Tuple) -> bool {
-        assert_eq!(
-            t.arity(),
-            self.arity,
-            "tuple arity {} does not match relation arity {}",
-            t.arity(),
-            self.arity
-        );
+        assert_arity(&t, self.arity);
         Arc::make_mut(&mut self.tuples).insert(t)
     }
 
@@ -128,6 +125,16 @@ impl Relation {
     }
 }
 
+fn assert_arity(t: &Tuple, arity: usize) {
+    assert_eq!(
+        t.arity(),
+        arity,
+        "tuple arity {} does not match relation arity {}",
+        t.arity(),
+        arity
+    );
+}
+
 impl fmt::Display for Relation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
@@ -174,6 +181,12 @@ mod tests {
     fn arity_mismatch_panics() {
         let mut r = Relation::new(2);
         r.insert(Tuple::from_names(&["only-one"]));
+    }
+
+    #[test]
+    #[should_panic(expected = "arity")]
+    fn from_tuples_checks_arity() {
+        Relation::from_tuples(2, [Tuple::from_names(&["only-one"])]);
     }
 
     #[test]
