@@ -12,8 +12,10 @@
 //!   an egd, with the body's variables as head. Its answers are exactly the
 //!   dependency's *active* triggers, the only ones a restricted chase
 //!   fires, and it runs on `dx-query`'s first-witness walk over the
-//!   store, which is a [`dx_query::QueryStore`] — one ground executor for
-//!   queries and the chase alike;
+//!   store, which is a [`dx_query::QueryStore`] forwarding to its
+//!   [`dx_relation::DeltaIndex`] — one ground executor and one relational
+//!   index for queries and the chase alike, so a tuple live under several
+//!   annotations is one row to the walk;
 //! * every body match contains a latest-arriving tuple, so binding the
 //!   variables of each body atom whose relation fits to a dequeued delta
 //!   tuple and running the trigger query under those bindings finds each
@@ -23,9 +25,10 @@
 //! * before a step, the same query with every body variable bound
 //!   re-checks the trigger: earlier steps may have satisfied its head or
 //!   rewritten its body;
-//! * an egd merge `⊥ → v` rewrites only the tuples the reverse value index
-//!   reports, and re-enqueues every rewritten (or collided-into) id, which
-//!   re-derives exactly the matches the substitution could have created.
+//! * an egd merge `⊥ → v` rewrites only the tuples `⊥`'s postings report
+//!   (in any column, [`IndexedInstance::ids_with_value`]), and re-enqueues
+//!   every rewritten (or collided-into) id, which re-derives exactly the
+//!   matches the substitution could have created.
 //!
 //! The loop (`close`) is this crate's only semi-naive closure. It is
 //! generic over the store it chases (`ChaseStore`): [`IndexedChase`] runs

@@ -5,9 +5,9 @@
 //! implementation of the [`dx_chase::ChaseStrategy`] contract:
 //!
 //! * [`store::IndexedInstance`] — a mutable annotated instance with stable
-//!   tuple ids, per-relation per-column hash indexes, and a reverse
-//!   `value → tuple ids` index that makes egd null-merging proportional to
-//!   the affected tuples;
+//!   tuple ids over one [`dx_relation::DeltaIndex`] of its relational
+//!   tuples: trigger queries probe the index, and an egd null-merge reads
+//!   the null's postings, so it is proportional to the affected tuples;
 //! * [`chase::IndexedChase`] — semi-naive chase: triggers are discovered
 //!   from the **delta** of the previous step (a work-queue of
 //!   inserted/rewritten tuple ids) instead of full rescans. Each dependency

@@ -1,27 +1,28 @@
-//! The mutable indexed store behind the delta-driven chase.
+//! The mutable store behind the delta-driven chase.
 //!
 //! [`IndexedInstance`] holds an annotated instance as a slot table of
-//! annotated tuples with **stable ids**, plus three incrementally maintained
-//! indexes:
+//! annotated tuples with **stable ids**, and keeps what only the chase
+//! needs beside one relational index:
 //!
-//! * a dedup map `(relation, annotated tuple) → id` — set semantics;
-//! * per-relation, per-column hash indexes `(column, value) → ids` — the
-//!   probe structure the chase's trigger queries walk: the store is a
-//!   [`dx_query::QueryStore`], and one posting-list lookup (the tightest
-//!   bound column) serves its selectivity estimates and its scans;
-//! * a reverse index `value → ids` — the structure that makes egd merges
-//!   (`⊥ → v` substitutions) proportional to the number of *affected*
-//!   tuples instead of the instance size.
+//! * a dedup map `(relation, tuple) → ids` of the tuple's annotated
+//!   copies, in id order — set semantics over annotated tuples;
+//! * one [`DeltaIndex`] over `rel(·)`, holding a reference per live
+//!   annotated copy. The store is a [`dx_query::QueryStore`] that forwards
+//!   to it, so a dependency's trigger query sees each relational tuple
+//!   once, whatever annotations it is live under; the egd merge footprint
+//!   ([`IndexedInstance::ids_with_value`]) is the value's postings in
+//!   every column, mapped to ids.
 //!
 //! Retraction clears a slot but never reuses its id, so ids handed to the
 //! chase work-queue stay valid-or-dead, never dangling onto a different
-//! tuple. [`IndexedInstance::check_invariants`] rebuilds every index from
-//! the slot table and compares — the property tests in
-//! `tests/engine_differential.rs` run it after random insert/merge
+//! tuple; the index reuses its own slots, which no caller sees.
+//! [`IndexedInstance::check_invariants`] checks the dedup map and the
+//! index's reference counts against the slot table — the property tests
+//! in `tests/engine_differential.rs` run it after random insert/merge
 //! workloads.
 
 use dx_query::QueryStore;
-use dx_relation::{AnnInstance, AnnTuple, Annotation, FastMap, RelSym, Tuple, Value};
+use dx_relation::{AnnInstance, AnnTuple, Annotation, DeltaIndex, FastMap, RelSym, Tuple, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::ControlFlow;
 
@@ -65,87 +66,21 @@ pub struct Rewrite {
     pub new: Inserted,
 }
 
-/// A sorted posting list of tuple ids.
-///
-/// Fresh ids are allocated in strictly increasing order, so insertion is an
-/// amortized-O(1) push (with a binary-search fallback for safety); removal
-/// is a binary search plus shift. Posting lists are short and hot — a flat
-/// `Vec` beats a `BTreeSet` on both allocation churn and probe locality.
-#[derive(Default, Clone, Debug)]
-struct SortedIds(Vec<TupleId>);
-
-impl SortedIds {
-    fn insert(&mut self, id: TupleId) {
-        match self.0.last() {
-            Some(&last) if last < id => self.0.push(id),
-            None => self.0.push(id),
-            _ => {
-                if let Err(pos) = self.0.binary_search(&id) {
-                    self.0.insert(pos, id);
-                }
-            }
-        }
-    }
-
-    fn remove(&mut self, id: TupleId) {
-        if let Ok(pos) = self.0.binary_search(&id) {
-            self.0.remove(pos);
-        }
-    }
-
-    fn contains(&self, id: TupleId) -> bool {
-        self.0.binary_search(&id).is_ok()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    fn iter(&self) -> impl Iterator<Item = TupleId> + '_ {
-        self.0.iter().copied()
-    }
-
-    fn as_slice(&self) -> &[TupleId] {
-        &self.0
-    }
-}
-
-/// Per-relation bookkeeping.
-struct RelStore {
-    arity: usize,
-    /// Live ids of this relation, in id order.
-    ids: SortedIds,
-    /// `by_col[c][v]` = live ids with value `v` at column `c`.
-    by_col: Vec<FastMap<Value, SortedIds>>,
-    /// Empty annotated markers `(_, α)` (never touched by the chase).
-    empty_marks: BTreeSet<Annotation>,
-}
-
-impl RelStore {
-    fn new(arity: usize) -> Self {
-        RelStore {
-            arity,
-            ids: SortedIds::default(),
-            by_col: vec![FastMap::default(); arity],
-            empty_marks: BTreeSet::new(),
-        }
-    }
-}
-
-/// A mutable annotated instance with stable tuple ids and incrementally
-/// maintained hash indexes.
+/// A mutable annotated instance with stable tuple ids over one relational
+/// index (see the module docs).
 #[derive(Default)]
 pub struct IndexedInstance {
     /// Slot table: id → live annotated tuple (None once retracted).
     slots: Vec<Option<(RelSym, AnnTuple)>>,
-    /// Dedup: per relation, live annotated tuple → id (nested so lookups
-    /// borrow the probe tuple instead of building an owned key).
-    live: FastMap<RelSym, FastMap<AnnTuple, TupleId>>,
+    /// Dedup: per relation, live tuple → the ids of its annotated copies,
+    /// in id order (nested so lookups borrow the probe tuple).
+    copies: FastMap<RelSym, FastMap<Tuple, Vec<TupleId>>>,
     /// Number of live tuples across relations.
     live_len: usize,
-    rels: BTreeMap<RelSym, RelStore>,
-    /// Reverse index: value → live ids whose tuple mentions it.
-    by_value: FastMap<Value, SortedIds>,
+    /// Empty annotated markers `(_, α)` (never touched by the chase).
+    empty_marks: BTreeMap<RelSym, BTreeSet<Annotation>>,
+    /// `rel(·)` of the live tuples, one reference per annotated copy.
+    index: DeltaIndex,
 }
 
 impl IndexedInstance {
@@ -159,9 +94,7 @@ impl IndexedInstance {
     pub fn from_ann(inst: &AnnInstance) -> Self {
         let mut out = IndexedInstance::new();
         for (r, rel) in inst.relations() {
-            out.rels
-                .entry(r)
-                .or_insert_with(|| RelStore::new(rel.arity()));
+            out.index.declare(r, rel.arity());
             for at in rel.iter() {
                 out.insert(r, at.clone());
             }
@@ -175,12 +108,11 @@ impl IndexedInstance {
     /// Export back to an [`AnnInstance`].
     pub fn to_ann(&self) -> AnnInstance {
         let mut out = AnnInstance::new();
-        for (&r, store) in &self.rels {
-            for id in store.ids.iter() {
-                let (_, at) = self.slots[id.idx()].as_ref().expect("live id");
-                out.insert(r, at.clone());
-            }
-            for m in &store.empty_marks {
+        for (r, at) in self.slots.iter().flatten() {
+            out.insert(*r, at.clone());
+        }
+        for (&r, marks) in &self.empty_marks {
+            for m in marks {
                 out.insert_empty_mark(r, m.clone());
             }
         }
@@ -216,121 +148,84 @@ impl IndexedInstance {
 
     /// Record an empty annotated marker.
     pub fn insert_empty_mark(&mut self, rel: RelSym, ann: Annotation) {
-        self.rels
-            .entry(rel)
-            .or_insert_with(|| RelStore::new(ann.arity()))
-            .empty_marks
-            .insert(ann);
+        self.empty_marks.entry(rel).or_default().insert(ann);
     }
 
     /// Drop an empty annotated marker (a no-op when it is absent).
     pub fn remove_empty_mark(&mut self, rel: RelSym, ann: &Annotation) {
-        if let Some(store) = self.rels.get_mut(&rel) {
-            store.empty_marks.remove(ann);
+        if let Some(marks) = self.empty_marks.get_mut(&rel) {
+            marks.remove(ann);
         }
     }
 
     /// Insert an annotated tuple; set semantics with a stable fresh id on
     /// first insertion.
     pub fn insert(&mut self, rel: RelSym, at: AnnTuple) -> Inserted {
-        if let Some(&id) = self.live.get(&rel).and_then(|m| m.get(&at)) {
-            return Inserted::Duplicate(id);
-        }
         let id = TupleId(self.slots.len() as u32);
-        let store = self
-            .rels
-            .entry(rel)
-            .or_insert_with(|| RelStore::new(at.tuple.arity()));
-        assert_eq!(store.arity, at.tuple.arity(), "arity mismatch in {rel}");
-        store.ids.insert(id);
-        for (c, v) in at.tuple.iter().enumerate() {
-            store.by_col[c].entry(v).or_default().insert(id);
-            self.by_value.entry(v).or_default().insert(id);
+        let copies = self.copies.entry(rel).or_default();
+        match copies.get_mut(&at.tuple) {
+            Some(ids) => {
+                let slots = &self.slots;
+                let ann = |i: TupleId| slots[i.idx()].as_ref().map(|(_, live)| &live.ann);
+                if let Some(&dup) = ids.iter().find(|&&i| ann(i) == Some(&at.ann)) {
+                    return Inserted::Duplicate(dup);
+                }
+                ids.push(id);
+            }
+            None => {
+                copies.insert(at.tuple.clone(), vec![id]);
+            }
         }
-        self.live.entry(rel).or_default().insert(at.clone(), id);
+        self.index.insert(rel, at.tuple.clone());
         self.live_len += 1;
         self.slots.push(Some((rel, at)));
         Inserted::Fresh(id)
     }
 
-    /// Retract a live tuple, clearing its slot and all index entries.
-    /// Returns the retracted tuple, or `None` if the id was already dead.
+    /// Retract a live tuple, clearing its slot, its dedup entry and its
+    /// index reference. Returns the retracted tuple, or `None` if the id
+    /// was already dead.
     pub fn retract(&mut self, id: TupleId) -> Option<(RelSym, AnnTuple)> {
         let (rel, at) = self.slots.get_mut(id.idx())?.take()?;
-        self.live
-            .get_mut(&rel)
-            .and_then(|m| m.remove(&at))
-            .expect("live tuple is in the dedup map");
-        self.live_len -= 1;
-        let store = self.rels.get_mut(&rel).expect("relation of live tuple");
-        store.ids.remove(id);
-        for (c, v) in at.tuple.iter().enumerate() {
-            if let Some(set) = store.by_col[c].get_mut(&v) {
-                set.remove(id);
-                if set.is_empty() {
-                    store.by_col[c].remove(&v);
-                }
-            }
-            if let Some(set) = self.by_value.get_mut(&v) {
-                set.remove(id);
-                if set.is_empty() {
-                    self.by_value.remove(&v);
-                }
-            }
+        let copies = self.copies.get_mut(&rel).expect("relation of a live tuple");
+        let ids = (copies.get_mut(&at.tuple)).expect("live tuple is in the dedup map");
+        ids.retain(|&i| i != id);
+        if ids.is_empty() {
+            copies.remove(&at.tuple);
         }
+        self.index.remove(rel, &at.tuple);
+        self.live_len -= 1;
         Some((rel, at))
     }
 
-    /// The posting list a pattern probe walks: the ids of the tightest
-    /// bound column of `pattern` over `rel`, or all of the relation's ids
-    /// when nothing is bound. The one lookup behind
-    /// [`IndexedInstance::matching`] and the [`QueryStore`] estimate and
-    /// scan.
-    fn postings(&self, rel: RelSym, pattern: &[Option<Value>]) -> &[TupleId] {
-        let Some(store) = self.rels.get(&rel) else {
-            return &[];
-        };
-        debug_assert_eq!(pattern.len(), store.arity);
-        let mut best = store.ids.as_slice();
-        for (col, p) in store.by_col.iter().zip(pattern) {
-            if let Some(v) = p {
-                let ids = col.get(v).map_or(&[][..], SortedIds::as_slice);
-                if ids.len() < best.len() {
-                    best = ids;
-                }
-            }
-        }
-        best
-    }
-
-    /// The live tuples of `rel` matching `pattern` on every bound
-    /// position, with their ids, in id order: the posting list of
-    /// `postings`, post-filtered on the other columns.
-    fn live_matches<'a>(
-        &'a self,
-        rel: RelSym,
-        pattern: &'a [Option<Value>],
-    ) -> impl Iterator<Item = (TupleId, &'a AnnTuple)> + 'a {
-        self.postings(rel, pattern).iter().filter_map(move |&id| {
-            let (_, at) = self.slots[id.idx()].as_ref().expect("live id");
-            let agrees =
-                (pattern.iter().zip(at.tuple.iter())).all(|(p, v)| p.is_none_or(|p| p == v));
-            agrees.then_some((id, at))
-        })
+    /// The ids of the annotated copies of `t` in `rel`, in id order.
+    fn copies_of(&self, rel: RelSym, t: &Tuple) -> &[TupleId] {
+        (self.copies.get(&rel))
+            .and_then(|m| m.get(t))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Live ids of `rel` matching `pattern` on every bound position, in id
-    /// order: probe the tightest bound column, post-filter the rest.
+    /// order: the index's matches, each mapped to its annotated copies.
     pub fn matching(&self, rel: RelSym, pattern: &[Option<Value>]) -> Vec<TupleId> {
-        self.live_matches(rel, pattern).map(|(id, _)| id).collect()
+        let mut ids = Vec::new();
+        let _ = self.index.for_each_matching(rel, pattern, &mut |t| {
+            ids.extend_from_slice(self.copies_of(rel, t));
+            ControlFlow::Continue(())
+        });
+        ids.sort_unstable();
+        ids
     }
 
-    /// Ids whose tuples mention `value` (the merge footprint of an egd).
+    /// Ids whose tuples mention `value` (the merge footprint of an egd), in
+    /// id order: the value's postings in every column, mapped to ids.
     pub fn ids_with_value(&self, value: Value) -> Vec<TupleId> {
-        self.by_value
-            .get(&value)
-            .map(|s| s.iter().collect())
-            .unwrap_or_default()
+        let mut ids = Vec::new();
+        self.index.for_each_with_value(value, &mut |rel, t| {
+            ids.extend_from_slice(self.copies_of(rel, t));
+        });
+        ids.sort_unstable();
+        ids
     }
 
     /// Substitute `from → to` in every live tuple mentioning `from` (the egd
@@ -353,110 +248,75 @@ impl IndexedInstance {
         out
     }
 
-    /// Exhaustively verify every index against the slot table; returns a
-    /// description of the first inconsistency. Used by the property tests —
-    /// O(instance²), not for production paths.
+    /// Verify the dedup map and the index's reference counts against the
+    /// slot table; returns a description of the first inconsistency. Used
+    /// by the property tests — a full pass, not for production paths.
     pub fn check_invariants(&self) -> Result<(), String> {
-        // 1. live map ↔ slots.
-        let mut live_entries = 0usize;
-        for (rel, m) in &self.live {
-            for (key_at, &id) in m {
-                live_entries += 1;
-                match self.slots.get(id.idx()).and_then(|s| s.as_ref()) {
-                    Some((r, at)) if r == rel && at == key_at => {}
-                    _ => return Err(format!("live map entry {id:?} not backed by slot")),
-                }
-            }
-        }
+        // 1. every live slot is one of its tuple's copies.
         let live_slots = self.slots.iter().flatten().count();
-        if live_slots != live_entries || live_entries != self.live_len {
+        if live_slots != self.live_len {
             return Err(format!(
-                "slot table has {live_slots} live entries, dedup map has {live_entries}, counter says {}",
+                "slot table has {live_slots} live entries, counter says {}",
                 self.live_len
             ));
         }
-        // 2. per-relation ids and column indexes.
-        for (i, slot) in self.slots.iter().enumerate() {
-            let id = TupleId(i as u32);
-            let Some((rel, at)) = slot else { continue };
-            let store = self
-                .rels
-                .get(rel)
-                .ok_or_else(|| format!("no store for relation {rel}"))?;
-            if !store.ids.contains(id) {
-                return Err(format!("{id:?} missing from {rel} id set"));
-            }
-            for (c, v) in at.tuple.iter().enumerate() {
-                if !store.by_col[c].get(&v).is_some_and(|s| s.contains(id)) {
-                    return Err(format!("{id:?} missing from {rel} column {c} index"));
-                }
-                if !self.by_value.get(&v).is_some_and(|s| s.contains(id)) {
-                    return Err(format!("{id:?} missing from value index of {v}"));
-                }
+        for id in self.all_ids() {
+            let (rel, at) = self.get(id).expect("all_ids yields live ids");
+            if !self.copies_of(rel, &at.tuple).contains(&id) {
+                return Err(format!("{id:?} missing from the dedup map"));
             }
         }
-        // 3. no dead ids linger in any index.
-        for (rel, store) in &self.rels {
-            for id in store.ids.iter() {
-                if self.get(id).is_none() {
-                    return Err(format!("dead id {id:?} in {rel} id set"));
+        // 2. every dedup entry lists live copies of its tuple, in id order
+        // and under distinct annotations, and the index counts each once.
+        let mut listed = 0usize;
+        for (&rel, m) in &self.copies {
+            for (t, ids) in m {
+                listed += ids.len();
+                if ids.is_empty() || ids.windows(2).any(|w| w[0] >= w[1]) {
+                    return Err(format!("copies of {t} in {rel} not in id order: {ids:?}"));
                 }
-            }
-            for (c, col) in store.by_col.iter().enumerate() {
-                for (v, set) in col {
-                    for id in set.iter() {
-                        let Some((r2, at)) = self.get(id) else {
-                            return Err(format!("dead id {id:?} in {rel} column {c}"));
-                        };
-                        if r2 != *rel || at.tuple.get(c) != *v {
-                            return Err(format!("stale entry {id:?} in {rel} column {c}"));
-                        }
+                let mut anns = BTreeSet::new();
+                for &id in ids {
+                    match self.get(id) {
+                        Some((r, at)) if r == rel && at.tuple == *t && anns.insert(&at.ann) => {}
+                        _ => return Err(format!("dedup entry {id:?} of {t} in {rel} is stale")),
                     }
                 }
-            }
-        }
-        for (v, set) in &self.by_value {
-            for id in set.iter() {
-                let Some((_, at)) = self.get(id) else {
-                    return Err(format!("dead id {id:?} in value index of {v}"));
-                };
-                if !at.tuple.iter().any(|x| x == *v) {
-                    return Err(format!("stale value-index entry {id:?} for {v}"));
+                let counted = self.index.count(rel, t);
+                if counted != ids.len() {
+                    return Err(format!(
+                        "index counts {counted} copies of {t} in {rel}, the dedup map {}",
+                        ids.len()
+                    ));
                 }
             }
+        }
+        // 3. nothing else is indexed.
+        let refs = self.index.mem_stats().refcount_total;
+        if listed != live_slots || refs != live_slots as u64 {
+            return Err(format!(
+                "{live_slots} live tuples, {listed} listed copies, {refs} index references"
+            ));
         }
         Ok(())
     }
 }
 
-/// The chase's store serves `dx-query`'s walk: a dependency's trigger
-/// query ([`crate::chase`]) probes it like any relational index.
+/// The chase's store serves `dx-query`'s walk through its relational
+/// index: a dependency's trigger query ([`crate::chase`]) visits each
+/// relational tuple once, whatever annotations it is live under.
 impl QueryStore for IndexedInstance {
-    /// The posting-list length of the tightest bound column, or the
-    /// relation's cardinality when nothing is bound (the estimate of
-    /// [`dx_relation::DeltaIndex::selectivity`]).
     fn selectivity(&self, rel: RelSym, pattern: &[Option<Value>]) -> usize {
-        self.postings(rel, pattern).len()
+        self.index.selectivity(rel, pattern)
     }
 
-    /// The live tuples matching `pattern`, in id order. A tuple live under
-    /// two annotations is visited once per annotation (the walk keeps
-    /// distinct root rows), except under a pattern that binds every
-    /// position: its matches are one tuple, visited once.
     fn for_each_matching(
         &self,
         rel: RelSym,
         pattern: &[Option<Value>],
         f: &mut dyn FnMut(&Tuple) -> ControlFlow<()>,
     ) -> ControlFlow<()> {
-        let point = pattern.iter().all(Option::is_some);
-        for (_, at) in self.live_matches(rel, pattern) {
-            f(&at.tuple)?;
-            if point {
-                break;
-            }
-        }
-        ControlFlow::Continue(())
+        self.index.for_each_matching(rel, pattern, f)
     }
 }
 
@@ -515,6 +375,46 @@ mod tests {
         assert_eq!(s.selectivity(r, &[Some(Value::c("b")), None]), 1);
         assert_eq!(s.selectivity(r, &[None, None]), 3);
         assert_eq!(s.matching(RelSym::new("Absent"), &[None]).len(), 0);
+    }
+
+    /// The tuples a probe of `pattern` visits.
+    fn visited(s: &IndexedInstance, r: RelSym, pattern: &[Option<Value>]) -> Vec<Tuple> {
+        let mut out = Vec::new();
+        let _ = s.for_each_matching(r, pattern, &mut |t| {
+            out.push(t.clone());
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
+    /// A tuple live under two annotations is one relational tuple to the
+    /// walk and to the estimate, and two ids to `matching` and the merge
+    /// footprint; it stays visible until its last copy goes.
+    #[test]
+    fn annotated_copies_are_one_relational_tuple() {
+        let r = RelSym::new("StoreCopies");
+        let (a, b, c) = (Value::c("a"), Value::c("b"), Value::c("c"));
+        let mut s = IndexedInstance::new();
+        let open = s.insert(r, at(vec![a, b], vec![Ann::Closed, Ann::Open]));
+        let closed = s.insert(r, at(vec![a, b], vec![Ann::Closed, Ann::Closed]));
+        s.insert(r, at(vec![a, c], vec![Ann::Closed, Ann::Closed]));
+        s.check_invariants().unwrap();
+        let ab = Tuple::new(vec![a, b]);
+        let a_any = [Some(a), None];
+        assert_eq!(visited(&s, r, &a_any).len(), 2);
+        assert_eq!(s.selectivity(r, &a_any), 2);
+        let both = vec![open.id(), closed.id()];
+        assert_eq!(s.matching(r, &[Some(a), Some(b)]), both);
+        assert_eq!(s.ids_with_value(b), both);
+        s.retract(open.id());
+        s.check_invariants().unwrap();
+        assert_eq!(visited(&s, r, &[Some(a), Some(b)]), vec![ab]);
+        assert_eq!(s.matching(r, &[None, Some(b)]), vec![closed.id()]);
+        s.retract(closed.id());
+        s.check_invariants().unwrap();
+        assert!(visited(&s, r, &[Some(a), Some(b)]).is_empty());
+        assert!(s.ids_with_value(b).is_empty());
+        assert_eq!(visited(&s, r, &a_any).len(), 1);
     }
 
     #[test]

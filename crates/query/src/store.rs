@@ -14,7 +14,10 @@
 //! * [`crate::delta::DeltaStore`] — a base store plus a batch's tuples,
 //!   what delta plans run on: the base relations read the post-update or
 //!   the pre-update state, the derived symbols the batch's sides;
-//! * [`Instance`] — the un-indexed scan-and-filter fallback.
+//! * [`Instance`] — the un-indexed scan-and-filter fallback;
+//! * `dx_engine::IndexedInstance` — the chase's annotated store, which
+//!   forwards to the `DeltaIndex` it keeps over its relational tuples; the
+//!   chase's trigger queries walk it.
 
 use dx_relation::{DeltaIndex, Instance, RelSym, Tuple, Value};
 use std::ops::ControlFlow;

@@ -3,12 +3,13 @@
 //!
 //! [`DeltaIndex`] is the one index relational probes run on: compiled
 //! plans (`dx-query`), the `Rep_A` refutation search and the union walk
-//! (`dx-solver`), and the canonical solution a streaming exchange
-//! maintains (`dx-engine`). A fresh build over an instance is the snapshot
-//! a one-shot plan execution probes; the same store then takes apply/undo
-//! traffic when a consumer walks many *slightly different* instances (the
-//! valuation search visits thousands of candidates that differ by a
-//! handful of tuples):
+//! (`dx-solver`), and in `dx-engine` the canonical solution a streaming
+//! exchange maintains and the chase's annotated store, which counts one
+//! reference per annotated copy of a tuple. A fresh build over an
+//! instance is the snapshot a one-shot plan execution probes; the same
+//! store then takes apply/undo traffic when a consumer walks many
+//! *slightly different* instances (the valuation search visits thousands
+//! of candidates that differ by a handful of tuples):
 //!
 //! * tuples are **reference counted**, so the store keeps set semantics
 //!   while callers apply and undo overlapping deltas in any (LIFO) order —
@@ -18,9 +19,11 @@
 //!   pattern probe reads the tightest bound column and post-filters; on a
 //!   fresh build slots and postings follow the instance's iteration order,
 //!   so probes yield tuples in that order;
-//! * the store is the only copy of its tuples: [`DeltaIndex::to_instance`]
-//!   materializes the live set for the few consumers that need an
-//!   [`Instance`] (witness capture, tree-walking fallbacks).
+//! * each live tuple is held once, in its slot with its count: the
+//!   tuple → slot map is keyed by the tuple's hash, and an insert moves
+//!   the caller's tuple in. The store keeps no [`Instance`];
+//!   [`DeltaIndex::to_instance`] materializes the live set for the few
+//!   consumers that need one (witness capture, tree-walking fallbacks).
 //!
 //! Removal assumes the backtracking discipline of its consumers: deltas are
 //! undone newest-first, so posting-list removals probe from the tail (an
@@ -29,9 +32,10 @@
 //! Work metrics (`DX_OBS=1`): `relation.delta.applies` / `.undos` count
 //! apply/undo deltas (a build applies one per tuple), `.refcount_churn`
 //! the bumps that did not change visibility, `.postings_touched` the
-//! per-column posting updates, and `.probes` the indexed pattern probes.
+//! per-column posting updates, and `.probes` the indexed pattern probes
+//! and value footprints.
 
-use crate::fxmap::FastMap;
+use crate::fxmap::{FastHasher, FastMap};
 use crate::instance::Instance;
 use crate::intern::RelSym;
 use crate::relation::Relation;
@@ -39,21 +43,32 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::ops::ControlFlow;
 
 /// One relation's mutable index: refcounted tuples in insertion-ordered
 /// slots plus per-column postings of slot ids.
 struct DeltaRelation {
     arity: usize,
-    /// Slot id → live tuple (`None` = freed slot, reusable).
-    slots: Vec<Option<Tuple>>,
+    /// Slot id → live tuple and its reference count (`None` = freed slot,
+    /// reusable). The slot holds the relation's only copy of the tuple.
+    slots: Vec<Option<(Tuple, u32)>>,
     /// Freed slot ids (reused newest-first).
     free: Vec<u32>,
-    /// Live tuple → (slot id, reference count).
-    refs: FastMap<Tuple, (u32, u32)>,
+    /// Tuple hash → the slot of a live tuple with that hash.
+    by_hash: FastMap<u64, u32>,
+    /// `(hash, slot)` of each live tuple whose hash `by_hash` already
+    /// gives to another live tuple, told apart by content. Empty unless
+    /// two live tuples collide on all 64 bits.
+    clashes: Vec<(u64, u32)>,
     /// `by_col[c][v]` = slot ids of live tuples with value `v` at column
     /// `c`, in insertion order.
     by_col: Vec<FastMap<Value, Vec<u32>>>,
+}
+
+/// The hash a tuple is keyed by in [`DeltaRelation::by_hash`].
+fn tuple_hash(t: &Tuple) -> u64 {
+    BuildHasherDefault::<FastHasher>::default().hash_one(t)
 }
 
 impl DeltaRelation {
@@ -62,33 +77,66 @@ impl DeltaRelation {
             arity,
             slots: Vec::new(),
             free: Vec::new(),
-            refs: FastMap::default(),
+            by_hash: FastMap::default(),
+            clashes: Vec::new(),
             by_col: vec![FastMap::default(); arity],
         }
     }
 
     /// Number of live (distinct) tuples.
     fn len(&self) -> usize {
-        self.refs.len()
+        self.by_hash.len() + self.clashes.len()
     }
 
-    /// The live tuples, in slot order.
-    fn live(&self) -> impl Iterator<Item = &Tuple> + '_ {
+    /// The live tuples with their reference counts, in slot order.
+    fn live(&self) -> impl Iterator<Item = &(Tuple, u32)> + '_ {
         self.slots.iter().flatten()
+    }
+
+    /// The tuple in a live slot, with its reference count.
+    fn slot(&self, slot: u32) -> &(Tuple, u32) {
+        self.slots[slot as usize]
+            .as_ref()
+            .expect("indexed slots are live")
+    }
+
+    /// [`DeltaRelation::slot`], mutably.
+    fn slot_mut(&mut self, slot: u32) -> &mut (Tuple, u32) {
+        self.slots[slot as usize]
+            .as_mut()
+            .expect("indexed slots are live")
+    }
+
+    /// The slot of the live tuple `t`, whose hash is `h`.
+    fn find(&self, h: u64, t: &Tuple) -> Option<u32> {
+        let &first = self.by_hash.get(&h)?;
+        if self.slot(first).0 == *t {
+            return Some(first);
+        }
+        (self.clashes.iter())
+            .find(|&&(ch, slot)| ch == h && self.slot(slot).0 == *t)
+            .map(|&(_, slot)| slot)
+    }
+
+    /// The reference count of `t` (0 when it is not live).
+    fn count(&self, t: &Tuple) -> u32 {
+        self.find(tuple_hash(t), t)
+            .map_or(0, |slot| self.slot(slot).1)
     }
 
     /// Bump or insert; returns `true` when the tuple became visible
     /// (count 0 → 1).
     fn insert(&mut self, t: Tuple) -> bool {
-        debug_assert_eq!(t.arity(), self.arity, "tuple arity");
-        let entry = match self.refs.entry(t) {
-            Entry::Occupied(mut e) => {
-                e.get_mut().1 += 1;
-                return false;
-            }
-            Entry::Vacant(e) => e,
-        };
-        let t = entry.key().clone();
+        self.insert_hashed(tuple_hash(&t), t)
+    }
+
+    /// [`DeltaRelation::insert`] of `t`, whose hash is `h`.
+    fn insert_hashed(&mut self, h: u64, t: Tuple) -> bool {
+        assert_eq!(t.arity(), self.arity, "arity mismatch");
+        if let Some(slot) = self.find(h, &t) {
+            self.slot_mut(slot).1 += 1;
+            return false;
+        }
         let slot = match self.free.pop() {
             Some(s) => s,
             None => {
@@ -99,8 +147,13 @@ impl DeltaRelation {
         for (c, v) in t.iter().enumerate() {
             self.by_col[c].entry(v).or_default().push(slot);
         }
-        self.slots[slot as usize] = Some(t);
-        entry.insert((slot, 1));
+        self.slots[slot as usize] = Some((t, 1));
+        match self.by_hash.entry(h) {
+            Entry::Vacant(e) => {
+                e.insert(slot);
+            }
+            Entry::Occupied(_) => self.clashes.push((h, slot)),
+        }
         true
     }
 
@@ -108,16 +161,17 @@ impl DeltaRelation {
     /// (count 1 → 0). Panics if the tuple is not live (an unmatched undo is
     /// a caller bug, not a runtime condition).
     fn remove(&mut self, t: &Tuple) -> bool {
-        let (slot, count) = self
-            .refs
-            .get_mut(t)
-            .expect("DeltaRelation::remove of a tuple that is not live");
+        self.remove_hashed(tuple_hash(t), t)
+    }
+
+    /// [`DeltaRelation::remove`] of `t`, whose hash is `h`.
+    fn remove_hashed(&mut self, h: u64, t: &Tuple) -> bool {
+        let slot = (self.find(h, t)).expect("DeltaRelation::remove of a tuple that is not live");
+        let count = &mut self.slot_mut(slot).1;
         if *count > 1 {
             *count -= 1;
             return false;
         }
-        let slot = *slot;
-        self.refs.remove(t);
         for (c, v) in t.iter().enumerate() {
             let posting = self.by_col[c]
                 .get_mut(&v)
@@ -133,13 +187,23 @@ impl DeltaRelation {
                 self.by_col[c].remove(&v);
             }
         }
+        if self.by_hash[&h] == slot {
+            // A clash of the same hash, if any, takes over the key.
+            match self.clashes.iter().position(|&(ch, _)| ch == h) {
+                Some(i) => {
+                    let (_, next) = self.clashes.swap_remove(i);
+                    self.by_hash.insert(h, next);
+                }
+                None => {
+                    self.by_hash.remove(&h);
+                }
+            }
+        } else {
+            self.clashes.retain(|&(_, s)| s != slot);
+        }
         self.slots[slot as usize] = None;
         self.free.push(slot);
         true
-    }
-
-    fn contains(&self, t: &Tuple) -> bool {
-        self.refs.contains_key(t)
     }
 
     /// Posting list of `(col, value)` (empty when absent).
@@ -181,15 +245,13 @@ impl DeltaRelation {
             .min();
         match best {
             None => {
-                for t in self.live() {
+                for (t, _) in self.live() {
                     f(t)?;
                 }
             }
             Some((_, col, v)) => {
                 for &slot in self.probe(col, v) {
-                    let t = self.slots[slot as usize]
-                        .as_ref()
-                        .expect("posted slots are live");
+                    let t = &self.slot(slot).0;
                     if matches(t) {
                         f(t)?;
                     }
@@ -292,15 +354,13 @@ impl DeltaIndex {
 
     /// Is `t` currently visible in `rel`?
     pub fn contains(&self, rel: RelSym, t: &Tuple) -> bool {
-        self.rels.get(&rel).is_some_and(|r| r.contains(t))
+        self.count(rel, t) > 0
     }
 
     /// The reference count of `t` in `rel`: how many inserts it outlives
     /// (0 when it is not visible).
     pub fn count(&self, rel: RelSym, t: &Tuple) -> usize {
-        (self.rels.get(&rel))
-            .and_then(|r| r.refs.get(t))
-            .map_or(0, |&(_, n)| n as usize)
+        self.rels.get(&rel).map_or(0, |r| r.count(t) as usize)
     }
 
     /// Materialize the live set: exactly the visible tuples, with every
@@ -312,7 +372,7 @@ impl DeltaIndex {
         let mut out = Instance::new();
         for (&rel, r) in &self.rels {
             out.declare(rel, r.arity);
-            for t in r.live() {
+            for (t, _) in r.live() {
                 out.insert(rel, t.clone());
             }
         }
@@ -336,12 +396,12 @@ impl DeltaIndex {
     /// (`mem.delta.*` — see `dx_obs::mem`): live (distinct) tuples and
     /// slot-table entries across all relations, posting-list entries
     /// across all per-column maps, and the sum of reference counts. All
-    /// four are O(relations + posting lists) reads of maintained state —
-    /// no tuple scans.
+    /// four are O(slots + posting lists) reads of maintained state — no
+    /// tuple is hashed or compared.
     pub fn mem_stats(&self) -> DeltaMemStats {
         let mut stats = DeltaMemStats::default();
         for r in self.rels.values() {
-            stats.live_slots += r.refs.len() as u64;
+            stats.live_slots += r.len() as u64;
             stats.slots += r.slots.len() as u64;
             stats.posting_entries += r
                 .by_col
@@ -349,7 +409,7 @@ impl DeltaIndex {
                 .flat_map(|col| col.values())
                 .map(|posting| posting.len() as u64)
                 .sum::<u64>();
-            stats.refcount_total += r.refs.values().map(|&(_, count)| count as u64).sum::<u64>();
+            stats.refcount_total += r.live().map(|&(_, count)| count as u64).sum::<u64>();
         }
         stats
     }
@@ -368,6 +428,25 @@ impl DeltaIndex {
         match self.rels.get(&rel) {
             Some(r) => r.for_each_matching(pattern, f),
             None => ControlFlow::Continue(()),
+        }
+    }
+
+    /// Invoke `f` on every live tuple, in any relation, that mentions
+    /// `value`, once per tuple: the postings of `value` in every column of
+    /// every relation (the footprint of a substitution `value → v`).
+    pub fn for_each_with_value(&self, value: Value, f: &mut dyn FnMut(RelSym, &Tuple)) {
+        dx_obs::count!("relation.delta.probes");
+        for (&rel, r) in &self.rels {
+            for c in 0..r.arity {
+                for &slot in r.probe(c, value) {
+                    let t = &r.slot(slot).0;
+                    // A tuple mentioning `value` twice is reported at its
+                    // first column.
+                    if !t.values()[..c].contains(&value) {
+                        f(rel, t);
+                    }
+                }
+            }
         }
     }
 }
@@ -510,27 +589,31 @@ mod tests {
         );
     }
 
-    /// Internal-invariant checker for the fuzz test: the slot map, the
-    /// refcount table, the per-column postings and the materialized
-    /// instance must all describe the same set of live tuples, with the
-    /// reference counts `expected` predicts.
+    /// Internal-invariant checker for the fuzz test: the slot table, the
+    /// hash-keyed tuple → slot map, the per-column postings and the
+    /// materialized instance must all describe the same set of live
+    /// tuples, with the reference counts `expected` predicts.
     fn assert_consistent(delta: &DeltaIndex, expected: &BTreeMap<(RelSym, Tuple), u32>) {
         for (rel, dr) in &delta.rels {
-            let live: Vec<(u32, &Tuple)> = dr
+            let live: Vec<(u32, &Tuple, u32)> = dr
                 .slots
                 .iter()
                 .enumerate()
-                .filter_map(|(s, t)| t.as_ref().map(|t| (s as u32, t)))
+                .filter_map(|(s, e)| e.as_ref().map(|(t, n)| (s as u32, t, *n)))
                 .collect();
-            assert_eq!(live.len(), dr.refs.len(), "live slots == refcount entries");
-            for (slot, tuple) in &live {
-                let &(rslot, count) = dr.refs.get(*tuple).expect("live slot has a refcount");
-                assert_eq!(rslot, *slot, "refs point at the owning slot");
+            assert_eq!(live.len(), dr.len(), "live slots == hash-keyed entries");
+            for &(slot, tuple, count) in &live {
+                let found = dr.find(tuple_hash(tuple), tuple);
+                assert_eq!(found, Some(slot), "the hash key finds the owning slot");
                 assert_eq!(
                     Some(&count),
-                    expected.get(&(*rel, (*tuple).clone())),
+                    expected.get(&(*rel, tuple.clone())),
                     "refcount of {tuple} in {rel}"
                 );
+            }
+            let keyed = (dr.by_hash.iter()).chain(dr.clashes.iter().map(|(h, s)| (h, s)));
+            for (&h, &slot) in keyed {
+                assert_eq!(tuple_hash(&dr.slot(slot).0), h, "keyed by the tuple's hash");
             }
             for &f in &dr.free {
                 assert!(dr.slots[f as usize].is_none(), "free slots are vacated");
@@ -547,9 +630,7 @@ mod tests {
                 for (v, slots) in col.iter() {
                     assert!(!slots.is_empty(), "empty posting lists are pruned");
                     for &s in slots {
-                        let t = dr.slots[s as usize]
-                            .as_ref()
-                            .expect("posted slots are live");
+                        let t = &dr.slot(s).0;
                         assert_eq!(t.get(c), *v, "posting value matches the tuple");
                         posted += 1;
                     }
@@ -561,7 +642,7 @@ mod tests {
             let view: Vec<&Tuple> = materialized.tuples(*rel).collect();
             assert_eq!(view.len(), live.len());
             for t in view {
-                assert!(dr.refs.contains_key(t), "view tuple is live");
+                assert!(dr.count(t) > 0, "view tuple is live");
             }
         }
     }
@@ -778,5 +859,58 @@ mod tests {
         // Freed slot is reused.
         delta.insert(rel(), Tuple::from_names(&["s"]));
         assert_eq!(delta.rel_len(rel()), 3);
+    }
+
+    /// Two live tuples on one hash: the second waits in the clash list,
+    /// each is found and bumped by content, and whichever leaves first,
+    /// the other keeps or takes over the hash key.
+    #[test]
+    fn tuples_sharing_a_hash_stay_apart() {
+        let (a, b) = (Tuple::from_names(&["ha"]), Tuple::from_names(&["hb"]));
+        let h = 7;
+        for (gone, kept) in [(&a, &b), (&b, &a)] {
+            let mut r = DeltaRelation::new(1);
+            assert!(r.insert_hashed(h, a.clone()));
+            assert!(r.insert_hashed(h, b.clone()));
+            assert!(
+                !r.insert_hashed(h, gone.clone()),
+                "a bump, found by content"
+            );
+            assert_eq!((r.len(), r.clashes.len()), (2, 1));
+            assert_eq!((r.find(h, &a), r.find(h, &b)), (Some(0), Some(1)));
+            assert_eq!(r.slot(r.find(h, gone).unwrap()).1, 2);
+            assert_eq!(r.slot(r.find(h, kept).unwrap()).1, 1);
+            assert!(!r.remove_hashed(h, gone), "first remove only unbumps");
+            assert!(r.remove_hashed(h, gone));
+            assert_eq!(r.find(h, gone), None);
+            let slot = r.find(h, kept).expect("the other tuple stays live");
+            assert_eq!(r.by_hash.get(&h), Some(&slot), "it holds the hash key");
+            assert!(r.clashes.is_empty());
+            assert_eq!(r.probe(0, kept.get(0)), &[slot][..]);
+            assert!(r.probe(0, gone.get(0)).is_empty());
+            assert!(r.remove_hashed(h, kept));
+            assert_eq!((r.len(), r.by_hash.len()), (0, 0));
+        }
+    }
+
+    /// A value's footprint: every live tuple mentioning it, across
+    /// relations, once even where it holds the value twice.
+    #[test]
+    fn value_footprint_reports_each_tuple_once() {
+        let mut delta = DeltaIndex::from_instance(&sample());
+        let s = RelSym::new("DlS");
+        delta.insert(rel(), Tuple::from_names(&["x", "x"]));
+        delta.insert(s, Tuple::from_names(&["x"]));
+        delta.insert(s, Tuple::from_names(&["q"]));
+        let mut seen = Vec::new();
+        delta.for_each_with_value(Value::c("x"), &mut |r, t| seen.push((r, t.clone())));
+        seen.sort();
+        let mut expected = vec![
+            (rel(), Tuple::from_names(&["a", "x"])),
+            (rel(), Tuple::from_names(&["x", "x"])),
+            (s, Tuple::from_names(&["x"])),
+        ];
+        expected.sort();
+        assert_eq!(seen, expected);
     }
 }

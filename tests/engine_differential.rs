@@ -23,9 +23,11 @@ use oc_exchange::chase::core::{ann_core_of, ann_hom_equivalent, ann_isomorphic};
 use oc_exchange::chase::target_deps::TargetDep;
 use oc_exchange::chase::{canonical_solution_with_deps_via, ChaseStrategy, Mapping, NaiveChase};
 use oc_exchange::engine::{IndexedChase, IndexedInstance, Inserted};
+use oc_exchange::query::QueryStore;
 use oc_exchange::workloads::{conference, copying, random_gen};
 use oc_exchange::{Ann, AnnInstance, AnnTuple, Annotation, Instance, RelSym, Schema, Tuple, Value};
 use rand::Rng;
+use std::ops::ControlFlow;
 
 /// Chase the same exchange problem with both engines.
 fn chase_both(
@@ -315,6 +317,43 @@ fn model_replace(model: &AnnInstance, from: Value, to: Value) -> AnnInstance {
     out
 }
 
+/// The store's walk under the unbound pattern and every single-column
+/// pattern over the model's values yields exactly the matching tuples of
+/// the model's `rel(·)`, each once, however many annotations a tuple is
+/// live under.
+fn assert_walk_matches_model(
+    store: &IndexedInstance,
+    model: &AnnInstance,
+    rels: &[(RelSym, usize)],
+    seed: u64,
+) {
+    let rel_part = model.rel_part();
+    let values = model.active_domain();
+    for &(rel, arity) in rels {
+        let mut patterns = vec![vec![None; arity]];
+        for c in 0..arity {
+            for &v in &values {
+                let mut p = vec![None; arity];
+                p[c] = Some(v);
+                patterns.push(p);
+            }
+        }
+        for p in patterns {
+            let mut walked = Vec::new();
+            let _ = store.for_each_matching(rel, &p, &mut |t| {
+                walked.push(t.clone());
+                ControlFlow::Continue(())
+            });
+            walked.sort();
+            let expected: Vec<Tuple> = (rel_part.tuples(rel))
+                .filter(|t| (p.iter().enumerate()).all(|(c, v)| v.is_none_or(|v| t.get(c) == v)))
+                .cloned()
+                .collect();
+            assert_eq!(walked, expected, "seed {seed}: walk of {p:?} over {rel}");
+        }
+    }
+}
+
 /// Random insert / merge workloads: after every mutation the indexed store
 /// must (a) pass full invariant verification and (b) agree with a model
 /// `AnnInstance` maintained by the straightforward definition. The
@@ -384,6 +423,7 @@ fn index_maintenance_under_insert_and_merge() {
                 model,
                 "seed {seed}: store diverged from model"
             );
+            assert_walk_matches_model(&store, &model, &rels, seed);
         }
         // Dead slots accumulate but live counts match the model exactly.
         assert_eq!(store.live_count(), model.tuple_count());
