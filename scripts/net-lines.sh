@@ -1,8 +1,7 @@
 #!/bin/sh
 # Added, removed and net lines per area between a base commit and HEAD.
 #
-# Usage: [NET_LINES_SKIP='path ...'] scripts/net-lines.sh [base]
-#        (base defaults to HEAD~1)
+# Usage: scripts/net-lines.sh [base]        (base defaults to HEAD~1)
 #
 # Areas: each crates/<name>, tests, perfbench, docs (other *.md files),
 # other (everything else) and unit tests: the lines at or after the first
@@ -10,11 +9,9 @@
 # removed lines and in HEAD for added ones. Unit-test lines count in no
 # crate's row. The area rows are sorted by name and sum to the total. Two
 # summary rows follow: library (crates/ without bench, compat and unit
-# tests) and total. The files named in NET_LINES_SKIP (space-separated
-# repository paths, default CHANGES.md) are not counted.
+# tests) and total. ISSUE.md and CHANGES.md are not counted.
 set -eu
 base=${1:-HEAD~1}
-skip=${NET_LINES_SKIP-CHANGES.md}
 from=$(git merge-base "$base" HEAD)
 
 # The line number of the first `#[cfg(test)]` of file $2 at commit $1
@@ -30,8 +27,7 @@ test_start() {
         done
     echo '@diff'
     git diff -U0 --no-renames "$base...HEAD"
-} | awk -v skiplist="$skip" '
-BEGIN { k = split(skiplist, s, " "); for (i = 1; i <= k; i++) SKIP[s[i]] = 1 }
+} | awk '
 # First the test-section starts, one line per crates/ .rs file.
 !diff {
     if ($0 == "@diff") { diff = 1; next }
@@ -47,7 +43,7 @@ header && /^\+\+\+ / { new = (substr($0, 5) == "/dev/null") ? "" : substr($0, 7)
     file = (new != "") ? new : old
     split($2, o, ","); split($3, n, ",")
     ol = -o[1]; nl = n[1] + 0
-    skip = (file in SKIP)
+    skip = (file == "ISSUE.md" || file == "CHANGES.md")
     split(file, p, "/")
     if (p[1] == "crates") area = "crates/" p[2]
     else if (p[1] == "tests" || p[1] == "perfbench") area = p[1]
